@@ -817,22 +817,10 @@ impl ClientGateway {
             if Some(m) == excluded {
                 continue;
             }
-            all.push(Candidate {
-                id: m,
-                is_primary: true,
-                immediate_cdf: self.repo.immediate_cdf(m, deadline),
-                deferred_cdf: 0.0,
-                ert_us: self.repo.ert_us(m, now),
-            });
+            all.push(self.repo.candidate(m, true, deadline, now));
         }
         for &m in self.secondary_view.members() {
-            all.push(Candidate {
-                id: m,
-                is_primary: false,
-                immediate_cdf: self.repo.immediate_cdf(m, deadline),
-                deferred_cdf: self.repo.deferred_cdf(m, deadline),
-                ert_us: self.repo.ert_us(m, now),
-            });
+            all.push(self.repo.candidate(m, false, deadline, now));
         }
         if !self.config.recovery.enabled && !self.config.overload.enabled {
             return all;

@@ -13,6 +13,7 @@
 //! convolution (Eqs. 5 and 6) and the staleness factor `P(A_s(t) <= a)`
 //! (Eq. 4).
 
+use crate::model::Candidate;
 use crate::obs::{ObsEvent, ObsHandle};
 use crate::wire::{PerfBroadcast, PublisherInfo};
 use aqf_sim::{ActorId, SimDuration, SimTime};
@@ -108,21 +109,34 @@ impl CdfCacheStats {
 /// gateway point mass, and `deferred = immediate ⊛ U` adds the
 /// deferred-wait window. Each layer is invalidated independently, so e.g. a
 /// new gateway delay re-shifts the cached base without re-convolving.
+///
+/// Every layer holds only the part of its distribution at or below the
+/// `horizon`: Algorithm 1 reads `F(d)` and nothing else, so mass beyond the
+/// largest deadline asked about is never convolved.
 #[derive(Debug, Clone, Default)]
 struct CdfCache {
-    /// `(s.generation, w.generation)` the base was computed at.
-    base_key: Option<(u64, u64)>,
+    /// Response time (µs) up to which the layers are built: at least the
+    /// largest deadline this replica has been queried at. It outlives
+    /// window generations and only grows — to `max(d, 2 × horizon)` when a
+    /// deadline `d` beyond it arrives, so any order of deadlines costs a
+    /// logarithmic number of rebuilds per generation.
+    horizon: u64,
+    /// `(s.generation, w.generation, horizon)` the base was computed at.
+    base_key: Option<BaseKey>,
     /// Cached `S⊛W` (binned when configured).
     base: Option<Pmf>,
-    /// `(s.generation, w.generation, gateway_us)` of the immediate pmf.
-    immediate_key: Option<(u64, u64, u64)>,
+    /// Base key plus `gateway_us` of the immediate pmf.
+    immediate_key: Option<(BaseKey, u64)>,
     /// Cached `S⊛W` shifted by the most recent gateway delay.
     immediate: Option<Pmf>,
-    /// `(s, w, gateway_us, u.generation)` of the deferred pmf.
-    deferred_key: Option<(u64, u64, u64, u64)>,
+    /// Immediate key plus `u.generation` of the deferred pmf.
+    deferred_key: Option<(BaseKey, u64, u64)>,
     /// Cached `immediate ⊛ U` (binned when configured).
     deferred: Option<Pmf>,
 }
+
+/// `(s.generation, w.generation, horizon)`.
+type BaseKey = (u64, u64, u64);
 
 /// Per-replica performance history.
 #[derive(Debug, Clone)]
@@ -344,26 +358,41 @@ impl InfoRepository {
     /// nothing about cannot be predicted to meet any deadline, so the
     /// algorithm conservatively keeps adding replicas during warm-up).
     pub fn immediate_cdf(&self, replica: ActorId, d: SimDuration) -> f64 {
-        let Some(rec) = self.replicas.get(&replica) else {
-            return 0.0;
-        };
-        self.with_response_pmf(rec, false, |pmf| pmf.cdf(d.as_micros()))
-            .unwrap_or(0.0)
+        self.response_cdf(replica, false, d.as_micros())
     }
 
     /// The deferred-read response-time distribution `F^D_Ri` evaluated at
     /// `d`: `P(S + W + G + U <= d)` (Eq. 6 / §5.2.2). Returns 0 when no
     /// deferred-read history exists.
     pub fn deferred_cdf(&self, replica: ActorId, d: SimDuration) -> f64 {
-        let Some(rec) = self.replicas.get(&replica) else {
-            return 0.0;
-        };
-        self.with_response_pmf(rec, true, |pmf| pmf.cdf(d.as_micros()))
-            .unwrap_or(0.0)
+        self.response_cdf(replica, true, d.as_micros())
     }
 
-    /// Evaluates `f` against the (cached) response-time pmf of `rec` — the
-    /// core of the memoized CDF engine.
+    /// Algorithm 1's model inputs for one replica at deadline `d`: both
+    /// CDF values (a primary has no deferred path) and the elapsed
+    /// response time at `now`.
+    pub fn candidate(
+        &self,
+        id: ActorId,
+        is_primary: bool,
+        d: SimDuration,
+        now: SimTime,
+    ) -> Candidate {
+        Candidate {
+            id,
+            is_primary,
+            immediate_cdf: self.immediate_cdf(id, d),
+            deferred_cdf: if is_primary {
+                0.0
+            } else {
+                self.deferred_cdf(id, d)
+            },
+            ert_us: self.ert_us(id, now),
+        }
+    }
+
+    /// Evaluates the (cached) response-time distribution of `replica` at
+    /// `d_us` — the core of the memoized CDF engine.
     ///
     /// The cache is a three-layer pipeline keyed by window generations:
     ///
@@ -376,41 +405,51 @@ impl InfoRepository {
     ///    `u.generation` — it reuses the cached shifted base instead of
     ///    re-running the `S⊛W` convolution `immediate_cdf` just performed.
     ///
+    /// Both convolutions stop at the replica's horizon (see [`CdfCache`]),
+    /// which is part of the base key: a deadline beyond it grows it and
+    /// rebuilds the layers. What is cached is a *prefix* of the full pmf —
+    /// the same support points with the same probabilities and prefix sums,
+    /// because [`Pmf::convolve_upto`] accumulates them in the same order —
+    /// and every layer reaches at least the horizon (`G` and `U` only move
+    /// mass up). With binning the limit is the horizon rounded up to a bin
+    /// boundary, so every cached bin holds all of its mass.
+    ///
     /// A query against unchanged windows therefore costs one key compare
-    /// plus whatever `f` does (for the CDF evaluators: a binary-searched
-    /// prefix-sum lookup). Results are bit-identical to the from-scratch
-    /// computation (see [`Self::response_pmf_uncached`]) because the cached
-    /// pipeline performs exactly the same floating-point operations in the
-    /// same order, just not repeatedly.
-    fn with_response_pmf<T>(
-        &self,
-        rec: &ReplicaRecord,
-        deferred: bool,
-        f: impl FnOnce(&Pmf) -> T,
-    ) -> Option<T> {
+    /// plus a binary-searched prefix-sum lookup. Results are bit-identical
+    /// to the from-scratch computation (see
+    /// [`Self::response_pmf_uncached`]) at every deadline.
+    fn response_cdf(&self, replica: ActorId, deferred: bool, d_us: u64) -> f64 {
+        let Some(rec) = self.replicas.get(&replica) else {
+            return 0.0;
+        };
         if rec.s.is_empty() || rec.w.is_empty() || (deferred && rec.u.is_empty()) {
-            return None;
+            return 0.0;
         }
         let mut cache = rec.cache.borrow_mut();
         let mut stats = self.cache_stats.get();
-        let base_key = (rec.s.generation(), rec.w.generation());
+        if d_us > cache.horizon {
+            cache.horizon = d_us.max(cache.horizon.saturating_mul(2));
+        }
+        let bin = self.config.cdf_bin_us;
+        let limit = match bin {
+            Some(bin) => cache.horizon.div_ceil(bin).saturating_mul(bin),
+            None => cache.horizon,
+        };
+        let base_key = (rec.s.generation(), rec.w.generation(), cache.horizon);
         if cache.base_key != Some(base_key) {
             let s = Pmf::from_samples(rec.s.iter());
             let w = Pmf::from_samples(rec.w.iter());
-            let mut base = s.convolve(&w);
-            if let Some(bin) = self.config.cdf_bin_us {
+            let mut base = s.convolve_upto(&w, limit);
+            if let Some(bin) = bin {
                 base = base.binned(bin);
             }
             cache.base = Some(base);
             cache.base_key = Some(base_key);
-            // Derived layers are now stale whatever their keys say.
-            cache.immediate_key = None;
-            cache.deferred_key = None;
             stats.base_rebuilds += 1;
         }
         let gateway = rec.last_gateway_us.unwrap_or(0);
-        let immediate_key = (base_key.0, base_key.1, gateway);
-        let deferred_key = (base_key.0, base_key.1, gateway, rec.u.generation());
+        let immediate_key = (base_key, gateway);
+        let deferred_key = (base_key, gateway, rec.u.generation());
         let hit = if deferred {
             cache.deferred_key == Some(deferred_key)
         } else {
@@ -425,8 +464,8 @@ impl InfoRepository {
         if !hit && deferred {
             let u = Pmf::from_samples(rec.u.iter());
             let immediate = cache.immediate.as_ref().expect("immediate ensured above");
-            let mut pmf = immediate.convolve(&u);
-            if let Some(bin) = self.config.cdf_bin_us {
+            let mut pmf = immediate.convolve_upto(&u, limit);
+            if let Some(bin) = bin {
                 pmf = pmf.binned(bin);
             }
             cache.deferred = Some(pmf);
@@ -442,14 +481,7 @@ impl InfoRepository {
         } else {
             cache.immediate.as_ref().expect("immediate ensured above")
         };
-        Some(f(pmf))
-    }
-
-    /// The full response-time pmf for a replica (used by benchmarks and
-    /// diagnostics). `deferred` selects Eq. 6 over Eq. 5. Served from the
-    /// cache (cloning the cached pmf), refreshing stale layers on the way.
-    pub fn response_pmf(&self, rec: &ReplicaRecord, deferred: bool) -> Option<Pmf> {
-        self.with_response_pmf(rec, deferred, Pmf::clone)
+        pmf.cdf(d_us)
     }
 
     /// From-scratch recomputation of the response-time pmf, bypassing (and
@@ -659,6 +691,39 @@ mod tests {
         assert_eq!(repo.deferred_cdf(r(1), SimDuration::from_millis(599)), 0.0);
         // 100 (S) + 0 (W) + 500 (U) = 600ms: all deferred mass is there.
         assert_eq!(repo.deferred_cdf(r(1), SimDuration::from_millis(600)), 1.0);
+    }
+
+    #[test]
+    fn cached_layers_are_prefixes_reaching_the_horizon() {
+        for bin in [None, Some(7_000)] {
+            let mut repo = InfoRepository::new(MonitorConfig {
+                cdf_bin_us: bin,
+                ..MonitorConfig::default()
+            });
+            let now = SimTime::from_secs(1);
+            for k in 0..20u64 {
+                let tb = if k % 2 == 0 { 2_000 + 9_100 * k } else { 0 };
+                repo.record_perf(r(1), &perf(40_000 + 6_300 * k, 650 * (k % 9), tb), now);
+            }
+            repo.record_reply(r(1), 20_000, now - SimDuration::from_micros(21_234), now);
+            let horizon = 123_457;
+            repo.deferred_cdf(r(1), SimDuration::from_micros(horizon));
+            let rec = repo.replica_record(r(1)).unwrap();
+            let cache = rec.cache.borrow();
+            assert_eq!(cache.horizon, horizon);
+            for (cached, deferred) in [(&cache.immediate, false), (&cache.deferred, true)] {
+                let cached = cached.as_ref().unwrap();
+                let full = repo.response_pmf_uncached(rec, deferred).unwrap();
+                let kept = cached.support_len();
+                assert!(
+                    kept < full.support_len(),
+                    "mass beyond the horizon left out"
+                );
+                assert!(cached.iter().eq(full.iter().take(kept)));
+                let (first_left_out, _) = full.iter().nth(kept).unwrap();
+                assert!(first_left_out > horizon);
+            }
+        }
     }
 
     #[test]

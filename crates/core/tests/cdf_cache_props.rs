@@ -158,7 +158,9 @@ fn one_base_convolution_per_window_generation() {
     let now = SimTime::from_secs(1);
     repo.record_perf(r(1), &perf(100_000, 10_000, 50_000), now);
 
-    for deadline_ms in 1..200u64 {
+    // Largest deadline first: it sets the horizon the layers are built to,
+    // and every smaller deadline is answered from the same pmfs.
+    for deadline_ms in (1..200u64).rev() {
         let d = SimDuration::from_millis(deadline_ms);
         repo.immediate_cdf(r(1), d);
         repo.deferred_cdf(r(1), d);
@@ -213,10 +215,15 @@ fn gateway_shift_invalidates_derived_layers_only() {
     let now = SimTime::from_secs(1);
     repo.record_perf(r(1), &perf(100_000, 0, 20_000), now);
 
+    // The largest deadline of this test, asked first, fixes the horizon:
+    // from here on only window and gateway changes can rebuild a layer.
+    repo.immediate_cdf(r(1), SimDuration::from_millis(125));
+    let primed = repo.cache_stats();
+    assert_eq!((primed.base_rebuilds, primed.immediate_rebuilds), (1, 1));
+
     // G = 0 initially: all mass at 100ms.
     assert_eq!(repo.immediate_cdf(r(1), SimDuration::from_millis(100)), 1.0);
-    let stats = repo.cache_stats();
-    assert_eq!((stats.base_rebuilds, stats.immediate_rebuilds), (1, 1));
+    assert_eq!(repo.cache_stats().hits, 1, "served from the primed layers");
 
     // A reply with a 5ms gateway delay shifts the distribution to 105ms.
     let tm = SimTime::from_millis(2_000);
@@ -240,4 +247,139 @@ fn gateway_shift_invalidates_derived_layers_only() {
             .to_bits()
     );
     assert_eq!(repo.cache_stats().base_rebuilds, 1);
+}
+
+/// Both cached evaluators against the from-scratch reference, bit for bit.
+fn assert_cached_matches_uncached(repo: &InfoRepository, id: ActorId, d: SimDuration) {
+    assert_eq!(
+        repo.immediate_cdf(id, d).to_bits(),
+        repo.immediate_cdf_uncached(id, d).to_bits(),
+        "immediate_cdf diverged at {d:?}"
+    );
+    assert_eq!(
+        repo.deferred_cdf(id, d).to_bits(),
+        repo.deferred_cdf_uncached(id, d).to_bits(),
+        "deferred_cdf diverged at {d:?}"
+    );
+}
+
+/// Scripted traffic at one deadline — what every client of the simulated
+/// workloads sends: fresh measurements, an occasional reply moving the
+/// gateway delay, and a selection round over three replicas.
+fn fixed_deadline_traffic(repo: &mut InfoRepository, d: SimDuration) {
+    for k in 0..60u64 {
+        let now = SimTime::from_millis(1_000 + 10 * k);
+        let id = r((k % 3) as usize);
+        let tb = if k % 4 == 0 { 30_000 + 900 * k } else { 0 };
+        repo.record_perf(id, &perf(80_000 + 700 * k, 400 * (k % 7), tb), now);
+        if k % 5 == 0 {
+            repo.record_reply(id, 20_000, now - SimDuration::from_millis(25 + k % 3), now);
+        }
+        for i in 0..3 {
+            repo.immediate_cdf(r(i), d);
+            repo.deferred_cdf(r(i), d);
+        }
+    }
+}
+
+/// With one deadline the horizon is set by the first query and never moves,
+/// so bounding the convolutions changes what a rebuild costs and nothing
+/// about when one happens: the counters are the ones the unbounded cache
+/// produced for this script.
+#[test]
+fn fixed_deadline_traffic_keeps_the_unbounded_counters() {
+    let mut repo = repo_with(None, 20);
+    fixed_deadline_traffic(&mut repo, SimDuration::from_millis(140));
+    let stats = repo.cache_stats();
+    assert_eq!(
+        (
+            stats.hits,
+            stats.base_rebuilds,
+            stats.immediate_rebuilds,
+            stats.deferred_rebuilds
+        ),
+        (228, 60, 60, 57)
+    );
+}
+
+/// Deadlines arriving in the worst order — each one beyond the last — grow
+/// the horizon by doubling, so a 1..200 ms sweep rebuilds each layer at
+/// most ⌈log₂ 199⌉ + 1 = 9 times on one window generation, not 199.
+#[test]
+fn ascending_deadlines_rebuild_logarithmically() {
+    let mut repo = repo_with(None, 20);
+    repo.record_perf(r(1), &perf(100_000, 10_000, 50_000), SimTime::from_secs(1));
+    for deadline_ms in 1..200u64 {
+        assert_cached_matches_uncached(&repo, r(1), SimDuration::from_millis(deadline_ms));
+    }
+    let stats = repo.cache_stats();
+    assert!(stats.base_rebuilds <= 9, "{stats:?}");
+    assert!(stats.immediate_rebuilds <= 9, "{stats:?}");
+    assert!(stats.deferred_rebuilds <= 9, "{stats:?}");
+    assert_eq!(stats.lookups(), 398);
+}
+
+/// The horizon belongs to the replica, not to a window generation: after a
+/// new measurement the layers rebuild once, at the old horizon, even when
+/// the next query asks for less — asking for the old maximum again is a hit.
+#[test]
+fn horizon_survives_a_new_window_generation() {
+    let mut repo = repo_with(None, 20);
+    let now = SimTime::from_secs(1);
+    repo.record_perf(r(1), &perf(100_000, 10_000, 50_000), now);
+    let (small, large) = (SimDuration::from_millis(60), SimDuration::from_millis(200));
+    repo.immediate_cdf(r(1), large);
+    repo.deferred_cdf(r(1), large);
+
+    repo.record_perf(r(1), &perf(120_000, 5_000, 40_000), now);
+    repo.immediate_cdf(r(1), small);
+    repo.deferred_cdf(r(1), small);
+    let rebuilt = repo.cache_stats();
+    assert_eq!(
+        (
+            rebuilt.base_rebuilds,
+            rebuilt.immediate_rebuilds,
+            rebuilt.deferred_rebuilds
+        ),
+        (2, 2, 2)
+    );
+
+    assert_cached_matches_uncached(&repo, r(1), large);
+    let after = repo.cache_stats();
+    assert_eq!(after.hits, rebuilt.hits + 2, "no shrink, so no regrowth");
+    assert_eq!(after.base_rebuilds, 2);
+}
+
+/// With binning, a deadline inside a bin must not expose a bin that holds
+/// only the part of its mass below the horizon: cached ≡ uncached at every
+/// `x` up to the deadline, bin boundaries included.
+#[test]
+fn binned_cache_matches_uncached_below_an_unaligned_deadline() {
+    let bin = 7_000u64;
+    let deadline_us = 123_457u64;
+    assert_ne!(deadline_us % bin, 0);
+    let mut repo = repo_with(Some(bin), 20);
+    let now = SimTime::from_secs(1);
+    for k in 0..20u64 {
+        let tb = if k % 2 == 0 { 1_000 + 3_100 * k } else { 0 };
+        repo.record_perf(r(1), &perf(40_000 + 3_300 * k, 650 * (k % 9), tb), now);
+    }
+    repo.record_reply(r(1), 20_000, now - SimDuration::from_micros(21_234), now);
+    // The first query fixes the horizon at the unaligned deadline.
+    let d = SimDuration::from_micros(deadline_us);
+    assert!(repo.immediate_cdf(r(1), d) > 0.0);
+    assert!(repo.deferred_cdf(r(1), d) > 0.0);
+    let boundaries = (0..=deadline_us / bin).map(|b| b * bin);
+    for x_us in (0..=deadline_us)
+        .step_by(997)
+        .chain(boundaries)
+        .chain([deadline_us])
+    {
+        assert_cached_matches_uncached(&repo, r(1), SimDuration::from_micros(x_us));
+    }
+    assert_eq!(
+        repo.cache_stats().base_rebuilds,
+        1,
+        "one horizon throughout"
+    );
 }

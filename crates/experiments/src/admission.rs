@@ -25,23 +25,9 @@ pub fn run(seed: u64, out: &Output) {
     let np = config.num_primaries;
     let ns = config.num_secondaries;
     let candidates_at = |deadline: SimDuration| -> Vec<Candidate> {
-        let mut out = Vec::new();
-        for i in 1..=np + ns {
-            let id = ActorId::from_index(i);
-            let is_primary = i <= np;
-            out.push(Candidate {
-                id,
-                is_primary,
-                immediate_cdf: repo.immediate_cdf(id, deadline),
-                deferred_cdf: if is_primary {
-                    0.0
-                } else {
-                    repo.deferred_cdf(id, deadline)
-                },
-                ert_us: repo.ert_us(id, now),
-            });
-        }
-        out
+        (1..=np + ns)
+            .map(|i| repo.candidate(ActorId::from_index(i), i <= np, deadline, now))
+            .collect()
     };
 
     let controller = AdmissionController::new(AdmissionConfig { headroom: 1.0 });

@@ -12,8 +12,10 @@
 //! once through the from-scratch path (`build_candidates_uncached`, the
 //! seed's behaviour and the paper's cost model) and once through the cached
 //! path under repeated selections against unchanged windows (the steady
-//! state between measurement arrivals). The before/after pair, plus the
-//! acceptance point at window 20 / 16 replicas, is emitted as
+//! state between measurement arrivals). In between sits the *cold* cached
+//! call — the first selection after the windows changed, which rebuilds
+//! every replica's layers, but only up to the deadline. The three, plus the
+//! acceptance point at window 20 / 16 replicas, are emitted as
 //! machine-readable `BENCH_selection.json` so the perf trajectory is
 //! tracked across PRs.
 
@@ -35,6 +37,10 @@ pub struct OverheadPoint {
     /// Mean distribution-function computation time (µs), cached engine,
     /// repeated selections over unchanged windows.
     pub model_us: f64,
+    /// Mean distribution-function computation time (µs), cached engine,
+    /// first selection on an empty cache: every layer of every replica is
+    /// rebuilt, bounded by the deadline.
+    pub model_cold_us: f64,
     /// Mean distribution-function computation time (µs) through the
     /// from-scratch path (one `S⊛W` convolution per replica per call).
     pub model_uncached_us: f64,
@@ -67,6 +73,18 @@ pub fn measure_point(replicas: usize, window: usize, iters: u32) -> OverheadPoin
     }
     let model_uncached_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
 
+    // Cold cache: the uncached path above never touches it, so every clone
+    // starts empty and the timed call rebuilds all layers up to `deadline`.
+    let mut cold = std::time::Duration::ZERO;
+    for _ in 0..iters {
+        let fresh = repo.clone();
+        let t0 = Instant::now();
+        let c = build_candidates(&fresh, replicas, n_primaries, deadline, now);
+        cold += t0.elapsed();
+        std::hint::black_box(&c);
+    }
+    let model_cold_us = cold.as_secs_f64() * 1e6 / iters as f64;
+
     // "After": the cached engine under repeated selections against
     // unchanged windows. Warm once so every timed iteration is a repeat.
     std::hint::black_box(build_candidates(
@@ -98,6 +116,7 @@ pub fn measure_point(replicas: usize, window: usize, iters: u32) -> OverheadPoin
         window,
         total_us: model_us + algorithm_us,
         model_us,
+        model_cold_us,
         model_uncached_us,
         algorithm_us,
     }
@@ -113,10 +132,11 @@ pub fn render_bench_json(points: &[OverheadPoint], acceptance: &OverheadPoint) -
     out.push_str("  \"source\": \"aqf-experiments fig3\",\n");
     out.push_str("  \"units\": \"us_mean_per_call\",\n");
     out.push_str(&format!(
-        "  \"acceptance\": {{\"window\": {}, \"replicas\": {}, \"before_model_us\": {:.3}, \"after_model_us\": {:.3}, \"algorithm_us\": {:.3}, \"speedup\": {:.1}}},\n",
+        "  \"acceptance\": {{\"window\": {}, \"replicas\": {}, \"before_model_us\": {:.3}, \"cold_model_us\": {:.3}, \"after_model_us\": {:.3}, \"algorithm_us\": {:.3}, \"speedup\": {:.1}}},\n",
         acceptance.window,
         acceptance.replicas,
         acceptance.model_uncached_us,
+        acceptance.model_cold_us,
         acceptance.model_us,
         acceptance.algorithm_us,
         acceptance.speedup(),
@@ -124,10 +144,11 @@ pub fn render_bench_json(points: &[OverheadPoint], acceptance: &OverheadPoint) -
     out.push_str("  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"replicas\": {}, \"window\": {}, \"before_model_us\": {:.3}, \"after_model_us\": {:.3}, \"algorithm_us\": {:.3}, \"speedup\": {:.1}}}{}\n",
+            "    {{\"replicas\": {}, \"window\": {}, \"before_model_us\": {:.3}, \"cold_model_us\": {:.3}, \"after_model_us\": {:.3}, \"algorithm_us\": {:.3}, \"speedup\": {:.1}}}{}\n",
             p.replicas,
             p.window,
             p.model_uncached_us,
+            p.model_cold_us,
             p.model_us,
             p.algorithm_us,
             p.speedup(),
@@ -151,6 +172,7 @@ pub fn run(iters: u32, out: &Output) -> Vec<OverheadPoint> {
             "window=10 total",
             "window=20 total",
             "w20 model(uncached)",
+            "w20 model(cold)",
             "w20 model(cached)",
             "w20 alg1",
             "w20 speedup",
@@ -166,6 +188,7 @@ pub fn run(iters: u32, out: &Output) -> Vec<OverheadPoint> {
             format!("{:.1}", p10.total_us),
             format!("{:.1}", p20.total_us),
             format!("{:.1}", p20.model_uncached_us),
+            format!("{:.1}", p20.model_cold_us),
             format!("{:.2}", p20.model_us),
             format!("{:.2}", p20.algorithm_us),
             format!("{:.1}x", p20.speedup()),
@@ -179,8 +202,9 @@ pub fn run(iters: u32, out: &Output) -> Vec<OverheadPoint> {
     // windows, window size 20, 16 replicas.
     let acceptance = measure_point(16, 20, iters);
     println!(
-        "\nacceptance (window 20, 16 replicas): model {:.1} us -> {:.2} us, {:.0}x speedup",
+        "\nacceptance (window 20, 16 replicas): model {:.1} us uncached, {:.1} us cold -> {:.2} us, {:.0}x speedup",
         acceptance.model_uncached_us,
+        acceptance.model_cold_us,
         acceptance.model_us,
         acceptance.speedup(),
     );
@@ -221,6 +245,7 @@ mod tests {
         assert!(p.total_us > 0.0);
         assert!(p.model_us <= p.total_us);
         assert!(p.model_uncached_us > 0.0);
+        assert!(p.model_cold_us > p.model_us, "a cold call rebuilds");
         assert!(p.algorithm_us < p.total_us);
     }
 
@@ -231,6 +256,7 @@ mod tests {
             window: 20,
             total_us: 2.0,
             model_us: 1.5,
+            model_cold_us: 6.0,
             model_uncached_us: 30.0,
             algorithm_us: 0.5,
         };

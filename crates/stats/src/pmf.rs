@@ -19,11 +19,11 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Upper bound on the speculative output reservation [`Pmf::convolve`]
-/// makes. The true support size is at most `l1 * l2` but usually far
-/// smaller (sums collide); capping the guess keeps a pair of wide pmfs
-/// from reserving quadratic memory up front, while `Vec` growth amortizes
-/// the rare larger result.
+/// Upper bound on the output reservation [`Pmf::convolve_upto`] makes. The
+/// support size is at most the number of product terms within the limit
+/// but usually far smaller (sums collide); capping the guess keeps a pair
+/// of wide pmfs from reserving quadratic memory up front, while `Vec`
+/// growth amortizes the rare larger result.
 const CONVOLVE_RESERVE_CAP: usize = 4096;
 
 /// A sparse empirical probability mass function over `u64` sample values.
@@ -203,9 +203,18 @@ impl Pmf {
     /// Convolving with an empty pmf yields an empty pmf (the sum of an
     /// unknown quantity is unknown).
     pub fn convolve(&self, other: &Pmf) -> Pmf {
-        if self.is_empty() || other.is_empty() {
-            return Pmf::with_points(Vec::new());
-        }
+        self.convolve_upto(other, u64::MAX)
+    }
+
+    /// The part of [`Self::convolve`] at or below `limit`: every support
+    /// point `<= limit` of the full convolution, with bit-identical
+    /// probabilities and prefix sums, and nothing above it.
+    ///
+    /// A caller that only reads `cdf(x)` for `x <= limit` — Algorithm 1
+    /// reads one value, at the client's deadline — gets the same answers
+    /// without paying for the mass beyond it; the cost is proportional to
+    /// the product terms at or below `limit`, not to `l1 * l2`.
+    pub fn convolve_upto(&self, other: &Pmf, limit: u64) -> Pmf {
         // Row `i` of the product grid — `(v1_i + v2_j, p1_i * p2_j)` for
         // `j` in `0..l2` — is already sorted by sum because `other.points`
         // is sorted. A k-way merge over the rows therefore emits sums in
@@ -214,18 +223,27 @@ impl Pmf {
         // smallest row index, and each row keeps exactly one candidate in
         // the heap at a time, so equal sums accumulate in exactly the
         // `(i, j)` generation order the former stable-sort (and the
-        // `BTreeMap` before it) used — bit-identical probabilities. This is
-        // the hottest function of the whole evaluation pipeline
+        // `BTreeMap` before it) used — bit-identical probabilities. Leaving
+        // out the terms above `limit` removes nothing from that order below
+        // it, so the bounded result is a prefix of the unbounded one. This
+        // is the hottest function of the whole evaluation pipeline
         // (response-time model rebuilds).
-        let rows = &self.points;
         let cols = &other.points;
+        let Some(&(first_col, first_col_p)) = cols.first() else {
+            return Pmf::with_points(Vec::new());
+        };
+        // Rows are sorted too: the ones whose first sum is within the limit
+        // form a prefix, and only they enter the merge.
+        let admitted = self
+            .points
+            .partition_point(|&(v1, _)| v1.saturating_add(first_col) <= limit);
+        let rows = &self.points[..admitted];
         // A single-column right side is a pure shift-and-scale: no merge
         // state needed, and the accumulation order is trivially preserved.
         if cols.len() == 1 {
-            let (v2, p2) = cols[0];
             return Pmf::with_points(
                 rows.iter()
-                    .map(|&(v1, p1)| (v1.saturating_add(v2), p1 * p2))
+                    .map(|&(v1, p1)| (v1.saturating_add(first_col), p1 * first_col_p))
                     .collect(),
             );
         }
@@ -233,11 +251,19 @@ impl Pmf {
         // heap; heap entries carry only `(sum, row)` to stay `Ord`.
         let mut next_col = vec![0usize; rows.len()];
         let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(rows.len());
+        // Terms at or below the limit, counted with one backwards walk over
+        // the columns (a later row admits no more columns than an earlier
+        // one): the most points the result can have.
+        let mut terms = 0usize;
+        let mut row_cols = cols.len();
         for (i, &(v1, _)) in rows.iter().enumerate() {
-            heap.push(Reverse((v1.saturating_add(cols[0].0), i)));
+            heap.push(Reverse((v1.saturating_add(first_col), i)));
+            while v1.saturating_add(cols[row_cols - 1].0) > limit {
+                row_cols -= 1;
+            }
+            terms += row_cols;
         }
-        let mut points: Vec<(u64, f64)> =
-            Vec::with_capacity((rows.len() * cols.len()).min(CONVOLVE_RESERVE_CAP));
+        let mut points: Vec<(u64, f64)> = Vec::with_capacity(terms.min(CONVOLVE_RESERVE_CAP));
         // Replace-top (`peek_mut`) instead of pop+push: one sift per emitted
         // term instead of two, and a term whose row successor is still the
         // minimum costs only the comparison against its children.
@@ -249,12 +275,17 @@ impl Pmf {
                 Some(last) if last.0 == sum => last.1 += p,
                 _ => points.push((sum, p)),
             }
-            if j + 1 < cols.len() {
-                next_col[i] = j + 1;
-                *top = Reverse((rows[i].0.saturating_add(cols[j + 1].0), i));
-                // `top` drops here and sifts the replaced entry down.
-            } else {
-                std::collections::binary_heap::PeekMut::pop(top);
+            // The row retires at its last column or as soon as its next sum
+            // passes the limit (the ones after it are larger still).
+            match cols.get(j + 1).map(|&(v2, _)| rows[i].0.saturating_add(v2)) {
+                Some(next) if next <= limit => {
+                    next_col[i] = j + 1;
+                    *top = Reverse((next, i));
+                    // `top` drops here and sifts the replaced entry down.
+                }
+                _ => {
+                    std::collections::binary_heap::PeekMut::pop(top);
+                }
             }
         }
         Pmf::with_points(points)
@@ -374,6 +405,30 @@ mod tests {
         for ((va, pa), &(ve, pe)) in actual.iter().zip(expected) {
             assert_eq!(va, ve);
             assert_eq!(pa.to_bits(), pe.to_bits(), "probability at {va} differs");
+        }
+    }
+
+    /// Checks, at limits on every side of the support, that the bounded
+    /// convolution is the part of the full one at or below the limit — bit
+    /// for bit in the points and in the prefix sums `cdf` reads.
+    fn assert_bounded_is_prefix(a: &Pmf, b: &Pmf, pick: usize) {
+        let full = a.convolve(b);
+        let (smallest, largest) = (full.points[0].0, full.points[full.points.len() - 1].0);
+        let on_point = full.points[pick % full.points.len()].0;
+        for limit in [
+            0,
+            smallest.saturating_sub(1),
+            on_point,
+            on_point.saturating_add(1),
+            largest.saturating_add(1),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            let bounded = a.convolve_upto(b, limit);
+            let kept = full.points.partition_point(|&(v, _)| v <= limit);
+            assert_bit_identical(&bounded, &full.points[..kept]);
+            let bits = |cum: &[f64]| cum.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&bounded.cum), bits(&full.cum[..kept]), "limit {limit}");
         }
     }
 
@@ -546,6 +601,23 @@ mod tests {
             let pb = Pmf::from_samples(b.into_iter());
             let expected = convolve_btree_reference(&pa, &pb);
             assert_bit_identical(&pa.convolve(&pb), &expected);
+        }
+
+        #[test]
+        fn convolve_upto_is_bit_identical_prefix_of_convolve(
+            a in proptest::collection::vec(0u64..5_000, 1..40),
+            b in proptest::collection::vec(0u64..5_000, 1..40),
+            pick in 0usize..2_000,
+            // The second offset pushes part of the sums into saturation.
+            offset in [0u64, u64::MAX - 6_000],
+        ) {
+            let pa = Pmf::from_samples(a.into_iter().map(|v| v + offset));
+            let single = Pmf::point_mass(b[0]);
+            let pb = Pmf::from_samples(b.into_iter());
+            assert_bounded_is_prefix(&pa, &pb, pick);
+            assert_bounded_is_prefix(&pb, &pa, pick);
+            // One column on the right: the shift-and-scale fast path.
+            assert_bounded_is_prefix(&pa, &single, pick);
         }
 
         #[test]

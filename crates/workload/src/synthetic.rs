@@ -85,21 +85,7 @@ pub fn build_candidates(
     now: SimTime,
 ) -> Vec<Candidate> {
     (0..n)
-        .map(|i| {
-            let id = ActorId::from_index(i + 1);
-            let is_primary = i < n_primaries;
-            Candidate {
-                id,
-                is_primary,
-                immediate_cdf: repo.immediate_cdf(id, deadline),
-                deferred_cdf: if is_primary {
-                    0.0
-                } else {
-                    repo.deferred_cdf(id, deadline)
-                },
-                ert_us: repo.ert_us(id, now),
-            }
-        })
+        .map(|i| repo.candidate(ActorId::from_index(i + 1), i < n_primaries, deadline, now))
         .collect()
 }
 

@@ -31,21 +31,7 @@ fn main() {
     for deadline_ms in [60u64, 90, 120, 160, 200, 300] {
         let deadline = SimDuration::from_millis(deadline_ms);
         let candidates: Vec<Candidate> = (1..=np + ns)
-            .map(|i| {
-                let id = ActorId::from_index(i);
-                let is_primary = i <= np;
-                Candidate {
-                    id,
-                    is_primary,
-                    immediate_cdf: repo.immediate_cdf(id, deadline),
-                    deferred_cdf: if is_primary {
-                        0.0
-                    } else {
-                        repo.deferred_cdf(id, deadline)
-                    },
-                    ert_us: repo.ert_us(id, now),
-                }
-            })
+            .map(|i| repo.candidate(ActorId::from_index(i), i <= np, deadline, now))
             .collect();
         let sf = repo.staleness_factor(2, now);
         for pc in [0.5, 0.9, 0.99] {
