@@ -3,8 +3,10 @@
 //! Algorithm 1 itself (~10%), versus the number of available replicas and
 //! the sliding-window size.
 
-use aqf_bench::{build_candidates, build_candidates_uncached, synthetic_repository};
-use aqf_core::select_replicas;
+use aqf_bench::{
+    build_candidates, build_candidates_uncached, candidate_keys, synthetic_repository,
+};
+use aqf_core::{select_on_demand, select_replicas, CandidateOrder};
 use aqf_sim::{ActorId, SimDuration, SimTime};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -90,6 +92,47 @@ fn bench_selection(c: &mut Criterion) {
             })
         },
     );
+    group.finish();
+
+    // Same-binary A/B of a cold selection (the first one after every window
+    // changed): evaluating all available replicas before Algorithm 1 runs,
+    // against letting the scan pull `F^I`/`F^D` for the replicas it visits.
+    // Both arms pay the same repository clone for their empty cache.
+    let mut group = c.benchmark_group("selection_cold_all_vs_demand");
+    let window = 20usize;
+    for replicas in [10usize, 57] {
+        let repo = synthetic_repository(replicas, window, replicas as u64);
+        let n_primaries = replicas.div_ceil(3);
+        let sf = repo.staleness_factor(2, now);
+        let keys = candidate_keys(&repo, replicas, n_primaries, now);
+        group.bench_with_input(
+            BenchmarkId::new(format!("evaluate_all_w{window}"), replicas),
+            &replicas,
+            |b, &n| {
+                b.iter(|| {
+                    let cold = repo.clone();
+                    let cands = build_candidates(&cold, n, n_primaries, deadline, now);
+                    std::hint::black_box(select_replicas(&cands, sf, 0.9, Some(sequencer)))
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new(format!("on_demand_w{window}"), replicas),
+            &replicas,
+            |b, _| {
+                b.iter(|| {
+                    let cold = repo.clone();
+                    std::hint::black_box(select_on_demand(
+                        &mut cold.on_demand(&keys, deadline),
+                        sf,
+                        0.9,
+                        Some(sequencer),
+                        CandidateOrder::LeastRecentlyUsed,
+                    ))
+                })
+            },
+        );
+    }
     group.finish();
 }
 

@@ -5,7 +5,9 @@
 //! in `DESIGN.md` (convolution cost, Poisson staleness factor, group
 //! multicast throughput, gateway pipeline, selection policies).
 
-pub use aqf_workload::{build_candidates, build_candidates_uncached, synthetic_repository};
+pub use aqf_workload::{
+    build_candidates, build_candidates_uncached, candidate_keys, synthetic_repository,
+};
 
 /// Allocation counting for the bench suite's regression gates.
 ///

@@ -14,7 +14,7 @@
 //! timer expirations.
 
 use crate::admission::{AdmissionConfig, AdmissionController};
-use crate::model::{Candidate, Selection};
+use crate::model::{Candidate, CandidateKey, Selection};
 use crate::monitor::{InfoRepository, MonitorConfig, StalenessModel};
 use crate::obs::{req_ref, ObsEvent, ObsHandle};
 use crate::overload::{DegradeTransition, OverloadConfig};
@@ -506,7 +506,7 @@ impl ClientGateway {
         let cache = self.repo.cache_stats();
         ClientStats {
             cdf_cache_hits: cache.hits,
-            cdf_cache_misses: cache.misses(),
+            cdf_cache_misses: cache.misses,
             cdf_base_rebuilds: cache.base_rebuilds,
             ..self.stats
         }
@@ -700,7 +700,7 @@ impl ClientGateway {
         };
         let degraded = self.config.overload.enabled && self.degrade_level > 0;
 
-        let candidates = self.build_candidates(qos.deadline, now, &[]);
+        let candidates = self.candidate_keys(now, &[]);
         let mut stale_factor = self.repo.staleness_factor(qos.staleness_threshold, now);
         if self.config.ordering == OrderingGuarantee::Causal {
             // Session-causality correction: if this client observed new
@@ -720,8 +720,8 @@ impl ClientGateway {
             OrderingGuarantee::Sequential => Some(self.sequencer()),
             _ => None,
         };
-        let selection = self.selector.select(
-            &candidates,
+        let selection = self.selector.select_on_demand(
+            &mut self.repo.on_demand(&candidates, qos.deadline),
             stale_factor,
             qos.min_probability,
             sequencer,
@@ -796,18 +796,15 @@ impl ClientGateway {
 
     /// Builds the candidate list: every primary replica (except the
     /// sequencer when the service has one) plus every secondary replica,
-    /// with model inputs from the repository. Replicas in `exclude`
-    /// (already tried by the current request), quarantined replicas, and
-    /// replicas behind an open circuit breaker are filtered out — unless
-    /// that would leave no candidate at all, in which case the filters are
-    /// relaxed in order (quarantine/breakers first, then `exclude`) so a
-    /// request can always be transmitted.
-    fn build_candidates(
-        &mut self,
-        deadline: SimDuration,
-        now: SimTime,
-        exclude: &[ActorId],
-    ) -> Vec<Candidate> {
+    /// each with the elapsed response time Algorithm 1 orders by — the
+    /// distribution values are evaluated later, for the candidates a
+    /// caller reads them of. Replicas in `exclude` (already tried by the
+    /// current request), quarantined replicas, and replicas behind an open
+    /// circuit breaker are filtered out — unless that would leave no
+    /// candidate at all, in which case the filters are relaxed in order
+    /// (quarantine/breakers first, then `exclude`) so a request can always
+    /// be transmitted.
+    fn candidate_keys(&mut self, now: SimTime, exclude: &[ActorId]) -> Vec<CandidateKey> {
         let excluded = match self.config.ordering {
             OrderingGuarantee::Sequential => Some(self.sequencer()),
             _ => None,
@@ -817,10 +814,10 @@ impl ClientGateway {
             if Some(m) == excluded {
                 continue;
             }
-            all.push(self.repo.candidate(m, true, deadline, now));
+            all.push(self.repo.candidate_key(m, true, now));
         }
         for &m in self.secondary_view.members() {
-            all.push(self.repo.candidate(m, false, deadline, now));
+            all.push(self.repo.candidate_key(m, false, now));
         }
         if !self.config.recovery.enabled && !self.config.overload.enabled {
             return all;
@@ -837,7 +834,7 @@ impl ClientGateway {
                 }
             }
         }
-        let healthy_untried: Vec<Candidate> = all
+        let healthy_untried: Vec<CandidateKey> = all
             .iter()
             .filter(|c| {
                 !exclude.contains(&c.id)
@@ -849,7 +846,7 @@ impl ClientGateway {
         if !healthy_untried.is_empty() {
             return healthy_untried;
         }
-        let untried: Vec<Candidate> = all
+        let untried: Vec<CandidateKey> = all
             .iter()
             .filter(|c| !exclude.contains(&c.id))
             .cloned()
@@ -1061,14 +1058,14 @@ impl ClientGateway {
                 // Re-run selection over the replicas not yet tried (and
                 // not quarantined); the sequencer is re-included by the
                 // selector when the service has one.
-                let candidates = self.build_candidates(qos.deadline, now, &tried);
+                let candidates = self.candidate_keys(now, &tried);
                 let stale_factor = self.last_stale_factor;
                 let sequencer = match self.config.ordering {
                     OrderingGuarantee::Sequential => Some(self.sequencer()),
                     _ => None,
                 };
-                let selection = self.selector.select(
-                    &candidates,
+                let selection = self.selector.select_on_demand(
+                    &mut self.repo.on_demand(&candidates, qos.deadline),
                     stale_factor,
                     qos.min_probability,
                     sequencer,
@@ -1127,15 +1124,14 @@ impl ClientGateway {
         let (qos, tried, attempt) = (p.qos.expect("reads carry qos"), p.tried.clone(), p.attempt);
         // Best untried replica by immediate-response probability, ties
         // broken toward the least-recently-heard (freshest probe value).
+        // Only `F^I` is read, so no deferred path is evaluated.
         let target = self
-            .build_candidates(qos.deadline, now, &tried)
+            .candidate_keys(now, &tried)
             .into_iter()
             .filter(|c| !tried.contains(&c.id))
-            .max_by(|a, b| {
-                a.immediate_cdf
-                    .total_cmp(&b.immediate_cdf)
-                    .then(b.ert_us.cmp(&a.ert_us))
-            });
+            .map(|c| (self.repo.immediate_cdf(c.id, qos.deadline), c))
+            .max_by(|(fa, a), (fb, b)| fa.total_cmp(fb).then(b.ert_us.cmp(&a.ert_us)))
+            .map(|(_, c)| c);
         let Some(target) = target else {
             return Vec::new();
         };
@@ -1516,7 +1512,15 @@ impl ClientGateway {
         let headroom = self.config.overload.admission_headroom;
         let max_level = self.config.overload.ladder.len() as u32 + 1;
         self.stats.admission_reevals += 1;
-        let candidates = self.build_candidates(requested.deadline, now, &[]);
+        // The bound is over the whole candidate set: every value is needed.
+        let candidates: Vec<Candidate> = self
+            .candidate_keys(now, &[])
+            .iter()
+            .map(|c| {
+                self.repo
+                    .candidate(c.id, c.is_primary, requested.deadline, now)
+            })
+            .collect();
         let controller = AdmissionController::new(AdmissionConfig { headroom });
         let decision = controller.decide(&candidates, self.last_stale_factor, &requested);
         if decision.admit {

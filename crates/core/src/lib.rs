@@ -87,7 +87,10 @@ pub use client::{
 pub use durability::{Durability, ReplaySummary, StorageConfig, WalRecord};
 pub use fifo::FifoServerGateway;
 pub use level::{CostCurve, Priority, PriorityMap};
-pub use model::{select_replicas, select_replicas_ordered, Candidate, CandidateOrder, Selection};
+pub use model::{
+    select_on_demand, select_replicas, select_replicas_ordered, Candidate, CandidateKey,
+    CandidateOrder, CandidateSource, Selection,
+};
 pub use monitor::{CdfCacheStats, InfoRepository, MonitorConfig, StalenessModel};
 pub use object::{AccountBook, ReplicatedObject, SharedDocument, TickerBoard, VersionedRegister};
 pub use obs::{req_ref, ObsEvent, ObsHandle};

@@ -15,12 +15,20 @@
 //!                         + prod (1 - F^D_Rj(d)) * (1 - P(As <= a))    (Eq. 3)
 //! ```
 //!
-//! [`select_replicas`] implements Algorithm 1: candidates are visited in
+//! [`select_on_demand`] implements Algorithm 1: candidates are visited in
 //! decreasing order of elapsed response time (`ert`, ties broken by larger
 //! immediate CDF), the member with the largest immediate CDF seen so far is
 //! *excluded* from the product (simulating its failure, so the chosen set
 //! tolerates one crash), and the scan stops as soon as `P_K(d) >= Pc(d)`.
 //! The sequencer is always appended to the returned set.
+//!
+//! The scan is demand-driven: `ert` alone fixes the visit order except
+//! inside a group of equal `ert`, so the distribution values are pulled from
+//! a [`CandidateSource`] only for the replicas the scan reaches — the
+//! convolutions behind `F^I`/`F^D` are the expensive part (Fig. 3), and the
+//! candidates behind the stopping point never needed them.
+//! [`select_replicas`] is the same scan over a slice whose values are
+//! already filled in.
 
 use aqf_sim::ActorId;
 
@@ -41,6 +49,65 @@ pub struct Candidate {
     /// Elapsed response time in µs (`u64::MAX` if this client has never
     /// heard from the replica).
     pub ert_us: u64,
+}
+
+impl Candidate {
+    /// The part of the candidate that needs no distribution evaluated.
+    pub fn key(&self) -> CandidateKey {
+        CandidateKey {
+            id: self.id,
+            is_primary: self.is_primary,
+            ert_us: self.ert_us,
+        }
+    }
+}
+
+/// What Algorithm 1 reads of a replica before it evaluates any distribution
+/// function: a [`Candidate`] without its CDF values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CandidateKey {
+    /// The replica's gateway actor.
+    pub id: ActorId,
+    /// Whether the replica belongs to the primary group.
+    pub is_primary: bool,
+    /// Elapsed response time in µs (`u64::MAX` if never heard from).
+    pub ert_us: u64,
+}
+
+/// A candidate set whose distribution values are produced when the
+/// selection asks for them, by position.
+///
+/// The scan asks for `F^I` at most once per candidate, and for `F^D` only
+/// when it folds a secondary into the product; an implementation may
+/// therefore compute on every call.
+pub trait CandidateSource {
+    /// Number of candidates.
+    fn count(&self) -> usize;
+    /// The candidate at `index` (`index < self.count()`).
+    fn key(&self, index: usize) -> CandidateKey;
+    /// `F^I_Ri(d)` of the candidate at `index`.
+    fn immediate_cdf(&mut self, index: usize) -> f64;
+    /// `F^D_Ri(d)` of the candidate at `index`; asked of secondaries only.
+    fn deferred_cdf(&mut self, index: usize) -> f64;
+}
+
+/// A slice with every value filled in ahead of the scan.
+impl CandidateSource for &[Candidate] {
+    fn count(&self) -> usize {
+        self.len()
+    }
+
+    fn key(&self, index: usize) -> CandidateKey {
+        self[index].key()
+    }
+
+    fn immediate_cdf(&mut self, index: usize) -> f64 {
+        self[index].immediate_cdf
+    }
+
+    fn deferred_cdf(&mut self, index: usize) -> f64 {
+        self[index].deferred_cdf
+    }
 }
 
 /// Outcome of one run of the selection algorithm.
@@ -89,10 +156,36 @@ impl InclusionState {
     /// (lines 19–24).
     pub fn include(&mut self, c: &Candidate) {
         if c.is_primary {
-            self.prim_cdf *= 1.0 - c.immediate_cdf;
+            self.include_primary(c.immediate_cdf);
         } else {
-            self.sec_immed_cdf *= 1.0 - c.immediate_cdf;
-            self.sec_delayed_cdf *= 1.0 - c.deferred_cdf;
+            self.include_secondary(c.immediate_cdf, c.deferred_cdf);
+        }
+    }
+
+    /// Folds a primary replica with `F^I(d) = immediate` into Eq. 2.
+    pub fn include_primary(&mut self, immediate: f64) {
+        self.prim_cdf *= 1.0 - immediate;
+    }
+
+    /// Folds a secondary replica with `F^I(d) = immediate` and
+    /// `F^D(d) = deferred` into Eq. 3.
+    pub fn include_secondary(&mut self, immediate: f64, deferred: f64) {
+        self.sec_immed_cdf *= 1.0 - immediate;
+        self.sec_delayed_cdf *= 1.0 - deferred;
+    }
+
+    /// Folds the candidate at `index` of `source`, whose `F^I(d)` the caller
+    /// already holds; `F^D(d)` is pulled here, and only for a secondary.
+    pub(crate) fn include_from<S: CandidateSource>(
+        &mut self,
+        source: &mut S,
+        index: usize,
+        immediate: f64,
+    ) {
+        if source.key(index).is_primary {
+            self.include_primary(immediate);
+        } else {
+            self.include_secondary(immediate, source.deferred_cdf(index));
         }
     }
 
@@ -112,22 +205,10 @@ impl InclusionState {
 pub fn pk_probability(primaries: &[f64], secondaries: &[(f64, f64)], stale_factor: f64) -> f64 {
     let mut state = InclusionState::new(stale_factor);
     for &f in primaries {
-        state.include(&Candidate {
-            id: ActorId::from_index(0),
-            is_primary: true,
-            immediate_cdf: f,
-            deferred_cdf: 0.0,
-            ert_us: 0,
-        });
+        state.include_primary(f);
     }
     for &(fi, fd) in secondaries {
-        state.include(&Candidate {
-            id: ActorId::from_index(0),
-            is_primary: false,
-            immediate_cdf: fi,
-            deferred_cdf: fd,
-            ert_us: 0,
-        });
+        state.include_secondary(fi, fd);
     }
     state.predicted()
 }
@@ -176,51 +257,126 @@ pub fn select_replicas(
 
 /// [`select_replicas`] with an explicit [`CandidateOrder`].
 pub fn select_replicas_ordered(
-    candidates: &[Candidate],
+    mut candidates: &[Candidate],
     stale_factor: f64,
     min_probability: f64,
     sequencer: Option<ActorId>,
     order: CandidateOrder,
 ) -> Selection {
-    let mut sorted: Vec<&Candidate> = candidates.iter().collect();
-    match order {
-        // Decreasing ert; ties broken by decreasing immediate CDF (paper §5.3).
-        CandidateOrder::LeastRecentlyUsed => sorted.sort_by(|a, b| {
+    select_on_demand(
+        &mut candidates,
+        stale_factor,
+        min_probability,
+        sequencer,
+        order,
+    )
+}
+
+/// One candidate in visit order, with the `F^I(d)` the scan has pulled for
+/// it so far. Kept small: the scan sorts a slice of these per selection.
+struct Visit {
+    ert_us: u64,
+    immediate: Option<f64>,
+    id: ActorId,
+    index: u32,
+}
+
+impl Visit {
+    fn immediate<S: CandidateSource>(&mut self, source: &mut S) -> f64 {
+        *self
+            .immediate
+            .get_or_insert_with(|| source.immediate_cdf(self.index as usize))
+    }
+}
+
+/// Algorithm 1 over a [`CandidateSource`], evaluating only what the scan
+/// reads.
+///
+/// The visit order `(ert desc, F^I desc, id)` needs no distribution value
+/// until two candidates share an `ert`: candidates are ordered by
+/// `(ert desc, id)` up front, and a group of equal `ert` has `F^I` pulled
+/// for its members, and is reordered by `(F^I desc, id)`, when the scan
+/// reaches it — the same total order, so the same `Selection` as evaluating
+/// everyone first. `F^D` is pulled when a secondary is folded into the
+/// product; the excluded best member's is not, unless a better one
+/// displaces it. Nothing is pulled behind the stopping point.
+/// [`CandidateOrder::CdfDescending`] is the one-group case: everyone ties,
+/// so everyone's `F^I` is pulled.
+///
+/// # Panics
+///
+/// Panics if the source holds more than `u32::MAX` candidates.
+pub fn select_on_demand<S: CandidateSource>(
+    source: &mut S,
+    stale_factor: f64,
+    min_probability: f64,
+    sequencer: Option<ActorId>,
+    order: CandidateOrder,
+) -> Selection {
+    let count = u32::try_from(source.count()).expect("candidate positions fit in u32");
+    let mut visits: Vec<Visit> = (0..count)
+        .map(|index| {
+            let key = source.key(index as usize);
+            Visit {
+                ert_us: key.ert_us,
+                immediate: None,
+                id: key.id,
+                index,
+            }
+        })
+        .collect();
+    let lru = order == CandidateOrder::LeastRecentlyUsed;
+    if lru {
+        // `index` last makes the order total, so the unstable sort returns
+        // what a stable one would.
+        visits.sort_unstable_by(|a, b| {
             b.ert_us
                 .cmp(&a.ert_us)
-                .then(b.immediate_cdf.total_cmp(&a.immediate_cdf))
-                .then(a.id.cmp(&b.id)) // final deterministic tiebreak
-        }),
-        CandidateOrder::CdfDescending => sorted.sort_by(|a, b| {
-            b.immediate_cdf
-                .total_cmp(&a.immediate_cdf)
                 .then(a.id.cmp(&b.id))
-        }),
+                .then(a.index.cmp(&b.index))
+        });
     }
 
     let mut state = InclusionState::new(stale_factor);
     let mut k: Vec<ActorId> = Vec::new();
-
-    let Some(first) = sorted.first() else {
-        return Selection {
-            replicas: sequencer.into_iter().collect(),
-            predicted: state.predicted(),
-            satisfied: false,
+    // Position of the member currently excluded from the product.
+    let mut best: Option<usize> = None;
+    let mut group_end = 0;
+    for pos in 0..visits.len() {
+        if pos == group_end {
+            // Entering a tie group: larger immediate CDF first (paper §5.3),
+            // then id as the final deterministic tiebreak.
+            let ert = visits[pos].ert_us;
+            group_end = pos
+                + visits[pos..]
+                    .iter()
+                    .take_while(|v| !lru || v.ert_us == ert)
+                    .count();
+            let group = &mut visits[pos..group_end];
+            if group.len() > 1 {
+                for v in group.iter_mut() {
+                    v.immediate(source);
+                }
+                let pulled = |v: &Visit| v.immediate.expect("pulled for the whole group");
+                group.sort_by(|a, b| pulled(b).total_cmp(&pulled(a)).then(a.id.cmp(&b.id)));
+            }
+        }
+        k.push(visits[pos].id);
+        let Some(best_pos) = best else {
+            best = Some(pos);
+            continue;
         };
-    };
-    k.push(first.id);
-    let mut max_cdf_replica: &Candidate = first;
-
-    for c in &sorted[1..] {
-        k.push(c.id);
-        if c.immediate_cdf > max_cdf_replica.immediate_cdf {
+        let immediate = visits[pos].immediate(source);
+        let best_immediate = visits[best_pos].immediate(source);
+        let (folded, immediate) = if immediate > best_immediate {
             // The previous best is no longer the excluded one: fold it in
             // and exclude the new best instead (lines 6–8).
-            state.include(max_cdf_replica);
-            max_cdf_replica = c;
+            best = Some(pos);
+            (visits[best_pos].index as usize, best_immediate)
         } else {
-            state.include(c);
-        }
+            (visits[pos].index as usize, immediate)
+        };
+        state.include_from(source, folded, immediate);
         if state.predicted() >= min_probability {
             k.extend(sequencer);
             return Selection {
@@ -230,13 +386,14 @@ pub fn select_replicas_ordered(
             };
         }
     }
-    // Ran out of candidates: return everything (line 16).
+    // Ran out of candidates: return everything (line 16). With no candidate
+    // at all the result is unsatisfied whatever the target.
+    let satisfied = !k.is_empty() && state.predicted() >= min_probability;
     k.extend(sequencer);
-    let predicted = state.predicted();
     Selection {
         replicas: k,
-        predicted,
-        satisfied: predicted >= min_probability,
+        predicted: state.predicted(),
+        satisfied,
     }
 }
 

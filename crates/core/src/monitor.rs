@@ -13,7 +13,7 @@
 //! convolution (Eqs. 5 and 6) and the staleness factor `P(A_s(t) <= a)`
 //! (Eq. 4).
 
-use crate::model::Candidate;
+use crate::model::{Candidate, CandidateKey, CandidateSource};
 use crate::obs::{ObsEvent, ObsHandle};
 use crate::wire::{PerfBroadcast, PublisherInfo};
 use aqf_sim::{ActorId, SimDuration, SimTime};
@@ -77,40 +77,38 @@ pub struct CdfCacheStats {
     /// CDF evaluations answered entirely from a cached pmf (a binary-search
     /// prefix-sum lookup, no convolution).
     pub hits: u64,
+    /// CDF evaluations that had to rebuild `base`, `deferred` or both —
+    /// counted once per evaluation, however many layers it rebuilt.
+    pub misses: u64,
     /// `S⊛W` base convolutions performed (at most one per window
     /// generation — the paper's "computation of the response time
     /// distribution function", ~90% of Figure 3's overhead).
     pub base_rebuilds: u64,
-    /// Immediate evaluator refreshes (`base` shifted by the latest gateway
-    /// delay point mass; cheap, no convolution).
-    pub immediate_rebuilds: u64,
-    /// Deferred evaluator refreshes (one `⊛U` convolution reusing the
-    /// cached shifted base — never re-running the `S⊛W` convolution).
+    /// Deferred evaluator refreshes (one `⊛U` convolution over the cached
+    /// base — never re-running the `S⊛W` convolution).
     pub deferred_rebuilds: u64,
 }
 
 impl CdfCacheStats {
-    /// Queries that required any rebuild work.
-    pub fn misses(&self) -> u64 {
-        self.immediate_rebuilds + self.deferred_rebuilds
-    }
-
-    /// Total CDF evaluations served (hits + misses).
+    /// Total CDF evaluations served from the cache layers (hits + misses).
+    /// Evaluations of a replica without history return 0 before reaching
+    /// the cache and are not counted.
     pub fn lookups(&self) -> u64 {
-        self.hits + self.misses()
+        self.hits + self.misses
     }
 }
 
 /// Memoized response-time distributions for one replica, keyed by the
 /// sliding-window generations (and gateway delay) they were computed from.
 ///
-/// Layout mirrors the two-stage computation: `base = S⊛W` is shared by the
-/// immediate and deferred paths, `immediate = base.shift(G)` adds the
-/// gateway point mass, and `deferred = immediate ⊛ U` adds the
-/// deferred-wait window. Each layer is invalidated independently, so e.g. a
-/// new gateway delay re-shifts the cached base without re-convolving.
+/// Two layers: `base = S⊛W` serves the immediate path directly — the
+/// gateway delay `G` is a point mass, so `F^I(d)` is `base.cdf(d − G)` and
+/// no shifted copy is kept — and `deferred = (base + G) ⊛ U` adds the
+/// deferred-wait window, with `G` entering as the merge's row offset. A new
+/// gateway delay therefore costs the immediate path nothing and the
+/// deferred path one `⊛U`, never an `S⊛W`.
 ///
-/// Every layer holds only the part of its distribution at or below the
+/// Both layers hold only the part of their distribution at or below the
 /// `horizon`: Algorithm 1 reads `F(d)` and nothing else, so mass beyond the
 /// largest deadline asked about is never convolved.
 #[derive(Debug, Clone, Default)]
@@ -121,18 +119,12 @@ struct CdfCache {
     /// deadline `d` beyond it arrives, so any order of deadlines costs a
     /// logarithmic number of rebuilds per generation.
     horizon: u64,
-    /// `(s.generation, w.generation, horizon)` the base was computed at.
-    base_key: Option<BaseKey>,
-    /// Cached `S⊛W` (binned when configured).
-    base: Option<Pmf>,
-    /// Base key plus `gateway_us` of the immediate pmf.
-    immediate_key: Option<(BaseKey, u64)>,
-    /// Cached `S⊛W` shifted by the most recent gateway delay.
-    immediate: Option<Pmf>,
-    /// Immediate key plus `u.generation` of the deferred pmf.
-    deferred_key: Option<(BaseKey, u64, u64)>,
-    /// Cached `immediate ⊛ U` (binned when configured).
-    deferred: Option<Pmf>,
+    /// Cached `S⊛W` (binned when configured) and the key it was computed
+    /// at.
+    base: Option<(BaseKey, Pmf)>,
+    /// Cached `(base + G) ⊛ U` (binned when configured), keyed by the base
+    /// key, `gateway_us` and `u.generation`.
+    deferred: Option<((BaseKey, u64, u64), Pmf)>,
 }
 
 /// `(s.generation, w.generation, horizon)`.
@@ -368,9 +360,34 @@ impl InfoRepository {
         self.response_cdf(replica, true, d.as_micros())
     }
 
-    /// Algorithm 1's model inputs for one replica at deadline `d`: both
-    /// CDF values (a primary has no deferred path) and the elapsed
-    /// response time at `now`.
+    /// What Algorithm 1 reads of a replica before evaluating any
+    /// distribution: its group and its elapsed response time at `now`.
+    pub fn candidate_key(&self, id: ActorId, is_primary: bool, now: SimTime) -> CandidateKey {
+        CandidateKey {
+            id,
+            is_primary,
+            ert_us: self.ert_us(id, now),
+        }
+    }
+
+    /// The candidates named by `keys` as a [`CandidateSource`]: `F^I(d)` and
+    /// `F^D(d)` are evaluated (through the cache) when the selection asks
+    /// for them, so replicas it never reaches cost no convolution.
+    pub fn on_demand<'a>(
+        &'a self,
+        keys: &'a [CandidateKey],
+        d: SimDuration,
+    ) -> OnDemandCandidates<'a> {
+        OnDemandCandidates {
+            repo: self,
+            keys,
+            d,
+        }
+    }
+
+    /// Algorithm 1's model inputs for one replica at deadline `d`, all
+    /// evaluated now: both CDF values (a primary has no deferred path) and
+    /// the elapsed response time at `now`.
     pub fn candidate(
         &self,
         id: ActorId,
@@ -394,16 +411,18 @@ impl InfoRepository {
     /// Evaluates the (cached) response-time distribution of `replica` at
     /// `d_us` — the core of the memoized CDF engine.
     ///
-    /// The cache is a three-layer pipeline keyed by window generations:
+    /// The cache is a two-layer pipeline keyed by window generations:
     ///
-    /// 1. `base = S⊛W`, keyed by `(s.generation, w.generation)` — the only
-    ///    `O(l²)` convolution on the immediate path, performed at most once
-    ///    per window change and shared with the deferred path;
-    /// 2. `immediate = base.shift(G)`, additionally keyed by the most
-    ///    recent gateway delay (a point-mass convolution = cheap shift);
-    /// 3. `deferred = immediate ⊛ U`, additionally keyed by
-    ///    `u.generation` — it reuses the cached shifted base instead of
-    ///    re-running the `S⊛W` convolution `immediate_cdf` just performed.
+    /// 1. `base = S⊛W`, keyed by `(s.generation, w.generation, horizon)` —
+    ///    the only `O(l²)` convolution on the immediate path, performed at
+    ///    most once per window change and shared with the deferred path.
+    ///    The immediate path reads it in place: `F^I(d) = base.cdf(d − G)`,
+    ///    0 when `d < G` — the prefix sum a copy shifted by `G` returns at
+    ///    `d`, for every deadline below `u64::MAX` µs (at which a saturated
+    ///    sum could not be told from a real one);
+    /// 2. `deferred = (base + G) ⊛ U`, additionally keyed by the most recent
+    ///    gateway delay and `u.generation` — one merge over the cached base
+    ///    with `G` as its row offset ([`Pmf::shift_convolve_upto`]).
     ///
     /// Both convolutions stop at the replica's horizon (see [`CdfCache`]),
     /// which is part of the base key: a deadline beyond it grows it and
@@ -426,6 +445,7 @@ impl InfoRepository {
             return 0.0;
         }
         let mut cache = rec.cache.borrow_mut();
+        let cache = &mut *cache;
         let mut stats = self.cache_stats.get();
         if d_us > cache.horizon {
             cache.horizon = d_us.max(cache.horizon.saturating_mul(2));
@@ -435,53 +455,42 @@ impl InfoRepository {
             Some(bin) => cache.horizon.div_ceil(bin).saturating_mul(bin),
             None => cache.horizon,
         };
+        let binned = |pmf: Pmf| match bin {
+            Some(bin) => pmf.binned(bin),
+            None => pmf,
+        };
+        let mut rebuilt = false;
         let base_key = (rec.s.generation(), rec.w.generation(), cache.horizon);
-        if cache.base_key != Some(base_key) {
+        if !matches!(cache.base, Some((key, _)) if key == base_key) {
             let s = Pmf::from_samples(rec.s.iter());
             let w = Pmf::from_samples(rec.w.iter());
-            let mut base = s.convolve_upto(&w, limit);
-            if let Some(bin) = bin {
-                base = base.binned(bin);
-            }
-            cache.base = Some(base);
-            cache.base_key = Some(base_key);
+            cache.base = Some((base_key, binned(s.convolve_upto(&w, limit))));
             stats.base_rebuilds += 1;
+            rebuilt = true;
         }
+        let (_, base) = cache.base.as_ref().expect("base ensured above");
         let gateway = rec.last_gateway_us.unwrap_or(0);
-        let immediate_key = (base_key, gateway);
-        let deferred_key = (base_key, gateway, rec.u.generation());
-        let hit = if deferred {
-            cache.deferred_key == Some(deferred_key)
-        } else {
-            cache.immediate_key == Some(immediate_key)
-        };
-        if !hit && cache.immediate_key != Some(immediate_key) {
-            let base = cache.base.as_ref().expect("base ensured above");
-            cache.immediate = Some(base.shift(gateway));
-            cache.immediate_key = Some(immediate_key);
-            stats.immediate_rebuilds += 1;
-        }
-        if !hit && deferred {
-            let u = Pmf::from_samples(rec.u.iter());
-            let immediate = cache.immediate.as_ref().expect("immediate ensured above");
-            let mut pmf = immediate.convolve_upto(&u, limit);
-            if let Some(bin) = bin {
-                pmf = pmf.binned(bin);
+        let value = if deferred {
+            let deferred_key = (base_key, gateway, rec.u.generation());
+            if !matches!(cache.deferred, Some((key, _)) if key == deferred_key) {
+                let u = Pmf::from_samples(rec.u.iter());
+                let pmf = binned(base.shift_convolve_upto(gateway, &u, limit));
+                cache.deferred = Some((deferred_key, pmf));
+                stats.deferred_rebuilds += 1;
+                rebuilt = true;
             }
-            cache.deferred = Some(pmf);
-            cache.deferred_key = Some(deferred_key);
-            stats.deferred_rebuilds += 1;
-        }
-        if hit {
+            let (_, pmf) = cache.deferred.as_ref().expect("deferred ensured above");
+            pmf.cdf(d_us)
+        } else {
+            d_us.checked_sub(gateway).map_or(0.0, |x| base.cdf(x))
+        };
+        if rebuilt {
+            stats.misses += 1;
+        } else {
             stats.hits += 1;
         }
         self.cache_stats.set(stats);
-        let pmf = if deferred {
-            cache.deferred.as_ref().expect("deferred ensured above")
-        } else {
-            cache.immediate.as_ref().expect("immediate ensured above")
-        };
-        pmf.cdf(d_us)
+        value
     }
 
     /// From-scratch recomputation of the response-time pmf, bypassing (and
@@ -612,6 +621,32 @@ impl InfoRepository {
     }
 }
 
+/// See [`InfoRepository::on_demand`].
+#[derive(Debug)]
+pub struct OnDemandCandidates<'a> {
+    repo: &'a InfoRepository,
+    keys: &'a [CandidateKey],
+    d: SimDuration,
+}
+
+impl CandidateSource for OnDemandCandidates<'_> {
+    fn count(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn key(&self, index: usize) -> CandidateKey {
+        self.keys[index]
+    }
+
+    fn immediate_cdf(&mut self, index: usize) -> f64 {
+        self.repo.immediate_cdf(self.keys[index].id, self.d)
+    }
+
+    fn deferred_cdf(&mut self, index: usize) -> f64 {
+        self.repo.deferred_cdf(self.keys[index].id, self.d)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -711,8 +746,12 @@ mod tests {
             let rec = repo.replica_record(r(1)).unwrap();
             let cache = rec.cache.borrow();
             assert_eq!(cache.horizon, horizon);
-            for (cached, deferred) in [(&cache.immediate, false), (&cache.deferred, true)] {
-                let cached = cached.as_ref().unwrap();
+            // The immediate layer is the base read `G` lower; shifting it
+            // here gives what the reference materializes.
+            let gateway = rec.last_gateway_us.unwrap();
+            let immediate = cache.base.as_ref().unwrap().1.shift(gateway);
+            let deferred = &cache.deferred.as_ref().unwrap().1;
+            for (cached, deferred) in [(&immediate, false), (deferred, true)] {
                 let full = repo.response_pmf_uncached(rec, deferred).unwrap();
                 let kept = cached.support_len();
                 assert!(

@@ -13,7 +13,7 @@
 //!   demonstrates the hot-spot problem the ert sort exists to avoid.
 
 use crate::model::{
-    select_replicas, select_replicas_ordered, Candidate, CandidateOrder, InclusionState, Selection,
+    select_on_demand, Candidate, CandidateOrder, CandidateSource, InclusionState, Selection,
 };
 use aqf_sim::ActorId;
 use rand::rngs::SmallRng;
@@ -69,89 +69,84 @@ impl Selector {
     /// baseline.
     pub fn select(
         &mut self,
-        candidates: &[Candidate],
+        mut candidates: &[Candidate],
         stale_factor: f64,
         min_probability: f64,
         sequencer: Option<ActorId>,
         rng: &mut SmallRng,
     ) -> Selection {
-        match self.policy {
-            SelectionPolicy::Probabilistic => {
-                select_replicas(candidates, stale_factor, min_probability, sequencer)
-            }
-            SelectionPolicy::AllReplicas => {
-                let mut state = InclusionState::new(stale_factor);
-                let mut replicas: Vec<ActorId> = Vec::with_capacity(candidates.len() + 1);
-                for c in candidates {
-                    state.include(c);
-                    replicas.push(c.id);
-                }
-                replicas.extend(sequencer);
-                let predicted = state.predicted();
-                Selection {
-                    replicas,
-                    predicted,
-                    satisfied: predicted >= min_probability,
-                }
-            }
-            SelectionPolicy::SingleRoundRobin => {
-                let mut replicas = Vec::with_capacity(2);
-                let mut state = InclusionState::new(stale_factor);
-                if !candidates.is_empty() {
-                    let idx = match self.last_served {
-                        None => 0,
-                        Some(last) => match candidates.iter().position(|c| c.id == last) {
-                            // The replica we served last is still a candidate:
-                            // resume with its successor.
-                            Some(i) => (i + 1) % candidates.len(),
-                            // It left the pool (quarantined, removed): resume
-                            // with the first candidate ranked after it, so the
-                            // rotation continues instead of restarting at 0.
-                            None => candidates.iter().position(|c| c.id > last).unwrap_or(0),
-                        },
-                    };
-                    let c = &candidates[idx];
-                    self.last_served = Some(c.id);
-                    state.include(c);
-                    replicas.push(c.id);
-                }
-                replicas.extend(sequencer);
-                let predicted = state.predicted();
-                Selection {
-                    replicas,
-                    predicted,
-                    satisfied: predicted >= min_probability,
-                }
-            }
-            SelectionPolicy::RandomK(k) => {
-                let mut ids: Vec<&Candidate> = candidates.iter().collect();
-                ids.shuffle(rng);
-                ids.truncate(k.max(1));
-                let mut state = InclusionState::new(stale_factor);
-                let mut replicas: Vec<ActorId> = Vec::with_capacity(ids.len() + 1);
-                for c in &ids {
-                    state.include(c);
-                    replicas.push(c.id);
-                }
-                replicas.extend(sequencer);
-                let predicted = state.predicted();
-                Selection {
-                    replicas,
-                    predicted,
-                    satisfied: predicted >= min_probability,
-                }
-            }
-            SelectionPolicy::GreedyCdf => {
-                // Identical inclusion logic to Algorithm 1 but sorted by CDF
+        self.select_on_demand(
+            &mut candidates,
+            stale_factor,
+            min_probability,
+            sequencer,
+            rng,
+        )
+    }
+
+    /// [`Self::select`] over a [`CandidateSource`]: distribution values are
+    /// pulled only for the replicas the policy reads them of — the ones
+    /// Algorithm 1's scan visits, the ones a baseline picks.
+    pub fn select_on_demand<S: CandidateSource>(
+        &mut self,
+        source: &mut S,
+        stale_factor: f64,
+        min_probability: f64,
+        sequencer: Option<ActorId>,
+        rng: &mut SmallRng,
+    ) -> Selection {
+        let n = source.count();
+        let picks: Vec<usize> = match self.policy {
+            SelectionPolicy::Probabilistic | SelectionPolicy::GreedyCdf => {
+                // GreedyCdf is Algorithm 1's inclusion logic sorted by CDF
                 // only: every client picks the same "best" replicas.
-                select_replicas_ordered(
-                    candidates,
-                    stale_factor,
-                    min_probability,
-                    sequencer,
-                    CandidateOrder::CdfDescending,
-                )
+                let order = match self.policy {
+                    SelectionPolicy::GreedyCdf => CandidateOrder::CdfDescending,
+                    _ => CandidateOrder::LeastRecentlyUsed,
+                };
+                return select_on_demand(source, stale_factor, min_probability, sequencer, order);
             }
+            SelectionPolicy::AllReplicas => (0..n).collect(),
+            SelectionPolicy::SingleRoundRobin if n > 0 => {
+                let mut ids = (0..n).map(|i| source.key(i).id);
+                let idx = match self.last_served {
+                    None => 0,
+                    Some(last) => match ids.clone().position(|id| id == last) {
+                        // The replica we served last is still a candidate:
+                        // resume with its successor.
+                        Some(i) => (i + 1) % n,
+                        // It left the pool (quarantined, removed): resume
+                        // with the first candidate ranked after it, so the
+                        // rotation continues instead of restarting at 0.
+                        None => ids.position(|id| id > last).unwrap_or(0),
+                    },
+                };
+                self.last_served = Some(source.key(idx).id);
+                vec![idx]
+            }
+            SelectionPolicy::SingleRoundRobin => Vec::new(),
+            SelectionPolicy::RandomK(k) => {
+                let mut picks: Vec<usize> = (0..n).collect();
+                picks.shuffle(rng);
+                picks.truncate(k.max(1));
+                picks
+            }
+        };
+        // The baselines fold every pick into the model, none excluded: they
+        // make no single-failure provision.
+        let mut state = InclusionState::new(stale_factor);
+        let mut replicas: Vec<ActorId> = Vec::with_capacity(picks.len() + 1);
+        for index in picks {
+            let immediate = source.immediate_cdf(index);
+            state.include_from(source, index, immediate);
+            replicas.push(source.key(index).id);
+        }
+        replicas.extend(sequencer);
+        let predicted = state.predicted();
+        Selection {
+            replicas,
+            predicted,
+            satisfied: predicted >= min_probability,
         }
     }
 }

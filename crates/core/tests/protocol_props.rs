@@ -2,7 +2,10 @@
 //! interleavings must never violate the sequential-consistency and
 //! selection-model invariants.
 
-use aqf_core::model::{pk_probability, select_replicas, Candidate};
+use aqf_core::model::{
+    pk_probability, select_on_demand, select_replicas, select_replicas_ordered, Candidate,
+    CandidateKey, CandidateOrder, CandidateSource, Selection,
+};
 use aqf_core::monitor::MonitorConfig;
 use aqf_core::object::VersionedRegister;
 use aqf_core::server::{ServerAction, ServerConfig, ServerGateway};
@@ -10,7 +13,10 @@ use aqf_core::wire::{
     Operation, Payload, PerfBroadcast, ReadMeasurement, RequestId, UpdateRequest, PRIMARY_GROUP,
     SECONDARY_GROUP,
 };
-use aqf_core::{CausalServerGateway, FifoServerGateway, InfoRepository};
+use aqf_core::{
+    CausalServerGateway, ClientAction, ClientConfig, ClientGateway, FifoServerGateway,
+    InfoRepository, QosSpec, SelectionPolicy, Selector, TimerPurpose,
+};
 use aqf_group::{View, ViewId};
 use aqf_sim::{ActorId, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -92,6 +98,132 @@ fn update_payload(i: u64, attempt: u32) -> Payload {
         op: Operation::new("set", format!("v{i}").into_bytes()),
         attempt,
     })
+}
+
+/// A pre-evaluated slice that counts what the selection asks for.
+struct Recording<'a> {
+    candidates: &'a [Candidate],
+    immediate_pulls: Vec<u32>,
+    deferred_pulls: Vec<u32>,
+}
+
+impl<'a> Recording<'a> {
+    fn new(candidates: &'a [Candidate]) -> Self {
+        Self {
+            candidates,
+            immediate_pulls: vec![0; candidates.len()],
+            deferred_pulls: vec![0; candidates.len()],
+        }
+    }
+}
+
+impl CandidateSource for Recording<'_> {
+    fn count(&self) -> usize {
+        self.candidates.len()
+    }
+
+    fn key(&self, index: usize) -> CandidateKey {
+        self.candidates[index].key()
+    }
+
+    fn immediate_cdf(&mut self, index: usize) -> f64 {
+        self.immediate_pulls[index] += 1;
+        self.candidates[index].immediate_cdf
+    }
+
+    fn deferred_cdf(&mut self, index: usize) -> f64 {
+        self.deferred_pulls[index] += 1;
+        self.candidates[index].deferred_cdf
+    }
+}
+
+/// Algorithm 1 the way the seed wrote it — evaluate everyone, sort by the
+/// full key, scan — kept here as the oracle for the demand-driven scan.
+fn select_evaluating_everyone(
+    candidates: &[Candidate],
+    sf: f64,
+    pc: f64,
+    sequencer: Option<ActorId>,
+    order: CandidateOrder,
+) -> Selection {
+    let mut sorted: Vec<&Candidate> = candidates.iter().collect();
+    sorted.sort_by(|x, y| {
+        let by_ert = match order {
+            CandidateOrder::LeastRecentlyUsed => y.ert_us.cmp(&x.ert_us),
+            CandidateOrder::CdfDescending => std::cmp::Ordering::Equal,
+        };
+        by_ert
+            .then(y.immediate_cdf.total_cmp(&x.immediate_cdf))
+            .then(x.id.cmp(&y.id))
+    });
+    // Products of Eq. 2 and Eq. 3, folded in visit order.
+    let (mut prim, mut sec_i, mut sec_d) = (1.0f64, 1.0f64, 1.0f64);
+    let predicted =
+        |prim: f64, sec_i: f64, sec_d: f64| 1.0 - prim * (sec_i * sf + sec_d * (1.0 - sf));
+    let mut replicas = Vec::new();
+    let mut best: Option<&Candidate> = None;
+    for c in sorted {
+        replicas.push(c.id);
+        let folded = match best {
+            None => {
+                best = Some(c);
+                continue;
+            }
+            Some(b) if c.immediate_cdf > b.immediate_cdf => {
+                best = Some(c);
+                b
+            }
+            Some(_) => c,
+        };
+        if folded.is_primary {
+            prim *= 1.0 - folded.immediate_cdf;
+        } else {
+            sec_i *= 1.0 - folded.immediate_cdf;
+            sec_d *= 1.0 - folded.deferred_cdf;
+        }
+        if predicted(prim, sec_i, sec_d) >= pc {
+            break;
+        }
+    }
+    let predicted = predicted(prim, sec_i, sec_d);
+    let satisfied = !replicas.is_empty() && predicted >= pc;
+    replicas.extend(sequencer);
+    Selection {
+        replicas,
+        predicted,
+        satisfied,
+    }
+}
+
+/// Candidates decoded from small classes so that ties are the rule: `ert`
+/// equal at `u64::MAX` (never heard from — the warm-up case), equal at a
+/// finite value, or one of a few nearby values; CDFs duplicated and zero.
+fn tied_candidates(raw: &[(u8, u8, u8, bool)]) -> Vec<Candidate> {
+    const CDF: [f64; 6] = [0.0, 0.0, 0.3, 0.3, 0.7, 0.95];
+    raw.iter()
+        .enumerate()
+        .map(|(i, &(ert, fi, fd, is_primary))| Candidate {
+            id: a(i + 1),
+            is_primary,
+            immediate_cdf: CDF[fi as usize],
+            deferred_cdf: if is_primary {
+                0.0
+            } else {
+                CDF[fd as usize].min(CDF[fi as usize])
+            },
+            ert_us: match ert {
+                0 | 1 => u64::MAX,
+                2 | 3 => 5_000,
+                c => 10_000 + 1_000 * c as u64 + 37 * (i as u64 % 3),
+            },
+        })
+        .collect()
+}
+
+fn assert_same_selection(actual: &Selection, expected: &Selection) {
+    assert_eq!(actual.replicas, expected.replicas);
+    assert_eq!(actual.predicted.to_bits(), expected.predicted.to_bits());
+    assert_eq!(actual.satisfied, expected.satisfied);
 }
 
 proptest! {
@@ -444,6 +576,115 @@ proptest! {
         prop_assert_eq!(twice.3, n as u64, "every duplicate deduplicated");
     }
 
+    /// The demand-driven scan selects exactly what evaluating everyone
+    /// first selects — same replicas, same prediction to the bit — and
+    /// pulls only what the scan reads: `F^I` at most once per candidate and
+    /// never from a tie group the scan did not enter, `F^D` exactly once
+    /// per secondary folded into the product and never for a primary or for
+    /// the member that ended the scan excluded.
+    #[test]
+    fn on_demand_scan_matches_evaluating_everyone(
+        raw in proptest::collection::vec((0u8..8, 0u8..6, 0u8..6, any::<bool>()), 2..=60),
+        sf in 0.0f64..=1.0,
+        // Reachable by a couple of good replicas, by most of them, by none.
+        pc in [0.05f64, 0.6, 0.97, 0.999_999, 1.5],
+    ) {
+        let candidates = tied_candidates(&raw);
+        for order in [CandidateOrder::LeastRecentlyUsed, CandidateOrder::CdfDescending] {
+            let expected = select_evaluating_everyone(&candidates, sf, pc, Some(a(0)), order);
+            let mut source = Recording::new(&candidates);
+            let actual = select_on_demand(&mut source, sf, pc, Some(a(0)), order);
+            assert_same_selection(&actual, &expected);
+            assert_same_selection(
+                &select_replicas_ordered(&candidates, sf, pc, Some(a(0)), order),
+                &expected,
+            );
+
+            let visited = &actual.replicas[..actual.replicas.len() - 1];
+            let by_id = |id: ActorId| candidates.iter().position(|c| c.id == id).unwrap();
+            // The excluded member is only replaced by a strictly better
+            // one, so it ends as the first visited of the largest `F^I`.
+            let excluded = visited
+                .iter()
+                .map(|&id| by_id(id))
+                .reduce(|best, i| {
+                    if candidates[i].immediate_cdf > candidates[best].immediate_cdf { i } else { best }
+                })
+                .unwrap();
+            for (i, c) in candidates.iter().enumerate() {
+                prop_assert!(source.immediate_pulls[i] <= 1, "F^I pulled twice for {i}");
+                let entered = order == CandidateOrder::CdfDescending
+                    || visited.iter().any(|&id| candidates[by_id(id)].ert_us == c.ert_us);
+                if !entered {
+                    prop_assert_eq!(source.immediate_pulls[i], 0, "group of {} never entered", i);
+                }
+                let folded = visited.contains(&c.id) && !c.is_primary && i != excluded;
+                prop_assert_eq!(source.deferred_pulls[i], folded as u32, "F^D pulls of {}", i);
+            }
+        }
+    }
+
+    /// Every policy reads the same values through a source as from the
+    /// slice, and the baselines pull only the replicas they pick.
+    #[test]
+    fn policies_agree_between_slice_and_source(
+        raw in proptest::collection::vec((0u8..8, 0u8..6, 0u8..6, any::<bool>()), 2..=60),
+        sf in 0.0f64..=1.0,
+        pc in [0.05f64, 0.6, 0.97, 1.5],
+        seed in 0u64..1_000,
+    ) {
+        use rand::SeedableRng;
+
+        let candidates = tied_candidates(&raw);
+        for policy in [
+            SelectionPolicy::Probabilistic,
+            SelectionPolicy::GreedyCdf,
+            SelectionPolicy::AllReplicas,
+            SelectionPolicy::SingleRoundRobin,
+            SelectionPolicy::RandomK(3),
+        ] {
+            let (mut eager, mut lazy) = (Selector::new(policy), Selector::new(policy));
+            let mut eager_rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let mut lazy_rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            // Two rounds: the round-robin position carries over.
+            for _ in 0..2 {
+                let expected = eager.select(&candidates, sf, pc, Some(a(0)), &mut eager_rng);
+                let mut source = Recording::new(&candidates);
+                let actual = lazy.select_on_demand(&mut source, sf, pc, Some(a(0)), &mut lazy_rng);
+                assert_same_selection(&actual, &expected);
+                if matches!(policy, SelectionPolicy::Probabilistic | SelectionPolicy::GreedyCdf) {
+                    continue;
+                }
+                // A baseline folds in everyone it picks: the prediction is
+                // Eq. 1 over the picks, and nobody else is evaluated.
+                let picked: Vec<&Candidate> = actual
+                    .replicas
+                    .iter()
+                    .filter_map(|id| candidates.iter().find(|c| c.id == *id))
+                    .collect();
+                let prims: Vec<f64> = picked
+                    .iter()
+                    .filter(|c| c.is_primary)
+                    .map(|c| c.immediate_cdf)
+                    .collect();
+                let secs: Vec<(f64, f64)> = picked
+                    .iter()
+                    .filter(|c| !c.is_primary)
+                    .map(|c| (c.immediate_cdf, c.deferred_cdf))
+                    .collect();
+                prop_assert_eq!(
+                    actual.predicted.to_bits(),
+                    pk_probability(&prims, &secs, sf).to_bits()
+                );
+                for (i, c) in candidates.iter().enumerate() {
+                    let is_picked = picked.iter().any(|p| p.id == c.id);
+                    prop_assert_eq!(source.immediate_pulls[i], is_picked as u32);
+                    prop_assert_eq!(source.deferred_pulls[i], (is_picked && !c.is_primary) as u32);
+                }
+            }
+        }
+    }
+
     /// Both repository CDFs are monotone in the deadline.
     #[test]
     fn repository_cdfs_monotone_in_deadline(
@@ -473,4 +714,79 @@ proptest! {
             prev_d = cd;
         }
     }
+}
+
+/// A warm client over ten replicas, two of which are enough for `Pc`: the
+/// read evaluates the replicas the scan visits and nothing behind them, and
+/// a hedge reads `F^I` only.
+#[test]
+fn warm_read_evaluates_only_the_replicas_it_visits() {
+    let primaries = View::new(PRIMARY_GROUP, ViewId(0), (0..=4).map(a).collect());
+    let secondaries = View::new(SECONDARY_GROUP, ViewId(0), (10..16).map(a).collect());
+    let mut c = ClientGateway::new(a(20), primaries, secondaries, ClientConfig::default());
+    let qos = QosSpec::new(2, SimDuration::from_millis(200), 0.9).unwrap();
+    let get = || Operation::new("get", Vec::new());
+    let perf = |ts_us: u64| {
+        let read = Some(ReadMeasurement {
+            ts_us,
+            tq_us: 500,
+            tb_us: 30_000,
+        });
+        Payload::Perf(PerfBroadcast {
+            read,
+            publisher: None,
+        })
+    };
+
+    // A cold read goes to everyone; the replies, 1 ms apart, give every
+    // replica its own `ert` (least recently heard: a primary, a secondary,
+    // a primary), and each then reports a history in which 7 reads of 10
+    // make the deadline, on the immediate and on the deferred path.
+    let (id, _) = c.submit_read(get(), qos, SimTime::from_millis(0));
+    let _ = c.on_timer(id, TimerPurpose::Transmit, SimTime::from_millis(1));
+    let replicas = [1, 10, 2, 3, 4, 11, 12, 13, 14, 15].map(a);
+    for (k, &r) in replicas.iter().enumerate() {
+        let reply = aqf_core::wire::Reply {
+            id,
+            result: Default::default(),
+            t1_us: 10_000,
+            staleness: 0,
+            deferred: false,
+            csn: 0,
+            vector: Vec::new(),
+        };
+        let _ = c.on_payload(
+            r,
+            Payload::Reply(reply),
+            SimTime::from_millis(20 + k as u64),
+        );
+        for n in 0..10 {
+            let ts_us = if n < 7 { 10_000 + 100 * n } else { 400_000 };
+            let _ = c.on_payload(r, perf(ts_us), SimTime::from_millis(40));
+        }
+    }
+
+    let before = c.repository().cache_stats();
+    let (id, _) = c.submit_read(get(), qos, SimTime::from_millis(1_000));
+    let selection = c.last_selection().unwrap();
+    assert!(selection.satisfied);
+    // The excluded best, the two that reach 1 − 0.3² ≥ 0.9, the sequencer.
+    assert_eq!(selection.replicas, [1, 10, 2, 0].map(a));
+    let after_read = c.repository().cache_stats();
+    // F^I of the three visited, F^D of the one secondary folded in; every
+    // candidate used to cost a lookup per path (4 + 2 × 6 = 16).
+    assert_eq!(after_read.lookups() - before.lookups(), 4);
+
+    // The hedge ranks the seven untried replicas by `F^I`: their `S⊛W` is
+    // convolved here for the first time, their deferred path not at all.
+    let _ = c.on_timer(id, TimerPurpose::Transmit, SimTime::from_millis(1_001));
+    let hedge = c.on_timer(id, TimerPurpose::Hedge, SimTime::from_millis(1_101));
+    assert!(hedge
+        .iter()
+        .any(|x| matches!(x, ClientAction::SendDirect { .. })));
+    assert_eq!(c.stats().hedges, 1);
+    let after_hedge = c.repository().cache_stats();
+    assert_eq!(after_hedge.lookups() - after_read.lookups(), 7);
+    assert_eq!(after_hedge.base_rebuilds - after_read.base_rebuilds, 7);
+    assert_eq!(after_hedge.deferred_rebuilds, after_read.deferred_rebuilds);
 }

@@ -13,8 +13,9 @@
 //! of size `l` costs `O(l^2 log l)` — this cost is exactly what the paper's
 //! Figure 3 measures as "computation of the response time distribution
 //! function" (90% of the selection overhead). The convolution runs as a
-//! k-way merge over the product grid's rows, so it never materializes the
-//! `l^2` pair table that a sort-based implementation needs.
+//! k-way merge over the lines of the product grid's shorter side, so it
+//! never materializes the `l^2` pair table that a sort-based implementation
+//! needs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -215,72 +216,88 @@ impl Pmf {
     /// without paying for the mass beyond it; the cost is proportional to
     /// the product terms at or below `limit`, not to `l1 * l2`.
     pub fn convolve_upto(&self, other: &Pmf, limit: u64) -> Pmf {
-        // Row `i` of the product grid — `(v1_i + v2_j, p1_i * p2_j)` for
-        // `j` in `0..l2` — is already sorted by sum because `other.points`
-        // is sorted. A k-way merge over the rows therefore emits sums in
-        // order without materializing (or sorting) the full `l1 * l2` pair
-        // table the previous implementation built. Ties on the sum pop by
-        // smallest row index, and each row keeps exactly one candidate in
-        // the heap at a time, so equal sums accumulate in exactly the
-        // `(i, j)` generation order the former stable-sort (and the
-        // `BTreeMap` before it) used — bit-identical probabilities. Leaving
-        // out the terms above `limit` removes nothing from that order below
-        // it, so the bounded result is a prefix of the unbounded one. This
-        // is the hottest function of the whole evaluation pipeline
-        // (response-time model rebuilds).
-        let cols = &other.points;
-        let Some(&(first_col, first_col_p)) = cols.first() else {
+        self.shift_convolve_upto(0, other, limit)
+    }
+
+    /// `self.shift(offset).convolve_upto(other, limit)` without building the
+    /// shifted copy: `offset` is added to every row value as the merge reads
+    /// it. This is how the gateway delay `G` enters the deferred-read
+    /// distribution `(S ⊛ W + G) ⊛ U`.
+    pub fn shift_convolve_upto(&self, offset: u64, other: &Pmf, limit: u64) -> Pmf {
+        // Term `(i, j)` of the product grid is `(v1_i + offset + v2_j,
+        // p1_i * p2_j)`. Both sides are sorted, so the grid is sorted along
+        // each row and along each column, and a k-way merge over the lines
+        // of either direction emits the sums in order without materializing
+        // (or sorting) the `l1 * l2` pair table. The lines are taken along
+        // the side with fewer points — the heap holds one entry per line,
+        // so `250 x 3` merges 3 lines, not 250.
+        //
+        // Equal sums must accumulate in `(i, j)` generation order, the order
+        // the former stable sort (and the `BTreeMap` before it) added them
+        // in, or the probabilities lose their bits. The heap key is
+        // therefore `(sum, i, j)` whichever side supplies the lines: the
+        // lines are each ascending in it, so the merge is too. Below
+        // saturation equal sums have distinct `i` (and `j` strictly
+        // decreasing as `i` grows, which is why popping column lines by
+        // *descending* column is the same rule); at `u64::MAX` several terms
+        // of one row can tie and `j` decides. Leaving out the terms above
+        // `limit` removes nothing from that order below it, so the bounded
+        // result is a prefix of the unbounded one. This is the hottest
+        // function of the whole evaluation pipeline (response-time model
+        // rebuilds).
+        let sum = |v1: u64, v2: u64| v1.saturating_add(offset).saturating_add(v2);
+        let (Some(&(first_row, _)), Some(&(first_col, _))) =
+            (self.points.first(), other.points.first())
+        else {
             return Pmf::with_points(Vec::new());
         };
-        // Rows are sorted too: the ones whose first sum is within the limit
-        // form a prefix, and only they enter the merge.
-        let admitted = self
+        // The rows and columns whose first sum is within the limit form a
+        // prefix of each side, and only they enter the merge.
+        let rows = &self.points[..self
             .points
-            .partition_point(|&(v1, _)| v1.saturating_add(first_col) <= limit);
-        let rows = &self.points[..admitted];
-        // A single-column right side is a pure shift-and-scale: no merge
-        // state needed, and the accumulation order is trivially preserved.
-        if cols.len() == 1 {
-            return Pmf::with_points(
-                rows.iter()
-                    .map(|&(v1, p1)| (v1.saturating_add(first_col), p1 * first_col_p))
-                    .collect(),
-            );
-        }
-        // `next_col[i]` is the column of row `i`'s entry currently in the
-        // heap; heap entries carry only `(sum, row)` to stay `Ord`.
-        let mut next_col = vec![0usize; rows.len()];
-        let mut heap: BinaryHeap<Reverse<(u64, usize)>> = BinaryHeap::with_capacity(rows.len());
+            .partition_point(|&(v1, _)| sum(v1, first_col) <= limit)];
+        let cols = &other.points[..other
+            .points
+            .partition_point(|&(v2, _)| sum(first_row, v2) <= limit)];
         // Terms at or below the limit, counted with one backwards walk over
         // the columns (a later row admits no more columns than an earlier
         // one): the most points the result can have.
         let mut terms = 0usize;
         let mut row_cols = cols.len();
-        for (i, &(v1, _)) in rows.iter().enumerate() {
-            heap.push(Reverse((v1.saturating_add(first_col), i)));
-            while v1.saturating_add(cols[row_cols - 1].0) > limit {
+        for &(v1, _) in rows {
+            while sum(v1, cols[row_cols - 1].0) > limit {
                 row_cols -= 1;
             }
             terms += row_cols;
         }
         let mut points: Vec<(u64, f64)> = Vec::with_capacity(terms.min(CONVOLVE_RESERVE_CAP));
+        // One heap entry per line, holding the line's next term.
+        let along_rows = rows.len() <= cols.len();
+        let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = if along_rows {
+            (0..rows.len())
+                .map(|i| Reverse((sum(rows[i].0, first_col), i, 0)))
+                .collect()
+        } else {
+            (0..cols.len())
+                .map(|j| Reverse((sum(first_row, cols[j].0), 0, j)))
+                .collect()
+        };
         // Replace-top (`peek_mut`) instead of pop+push: one sift per emitted
-        // term instead of two, and a term whose row successor is still the
+        // term instead of two, and a term whose line successor is still the
         // minimum costs only the comparison against its children.
         while let Some(mut top) = heap.peek_mut() {
-            let Reverse((sum, i)) = *top;
-            let j = next_col[i];
+            let Reverse((s, i, j)) = *top;
             let p = rows[i].1 * cols[j].1;
             match points.last_mut() {
-                Some(last) if last.0 == sum => last.1 += p,
-                _ => points.push((sum, p)),
+                Some(last) if last.0 == s => last.1 += p,
+                _ => points.push((s, p)),
             }
-            // The row retires at its last column or as soon as its next sum
-            // passes the limit (the ones after it are larger still).
-            match cols.get(j + 1).map(|&(v2, _)| rows[i].0.saturating_add(v2)) {
-                Some(next) if next <= limit => {
-                    next_col[i] = j + 1;
-                    *top = Reverse((next, i));
+            // The line retires at its end or as soon as its next sum passes
+            // the limit (the ones after it are larger still).
+            let (i, j) = if along_rows { (i, j + 1) } else { (i + 1, j) };
+            match (rows.get(i), cols.get(j)) {
+                (Some(&(v1, _)), Some(&(v2, _))) if sum(v1, v2) <= limit => {
+                    *top = Reverse((sum(v1, v2), i, j));
                     // `top` drops here and sifts the replaced entry down.
                 }
                 _ => {
@@ -429,6 +446,35 @@ mod tests {
             assert_bit_identical(&bounded, &full.points[..kept]);
             let bits = |cum: &[f64]| cum.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&bounded.cum), bits(&full.cum[..kept]), "limit {limit}");
+        }
+    }
+
+    /// Checks the offset merge against both things it must equal — the
+    /// merge of a materialized shifted copy, and the `BTreeMap` accumulator
+    /// over that copy cut at the limit — bit for bit in the points and in
+    /// the prefix sums, at limits on every side of the support.
+    fn assert_offset_merge_matches_reference(a: &Pmf, offset: u64, b: &Pmf, pick: usize) {
+        let shifted = a.shift(offset);
+        let full = Pmf::with_points(convolve_btree_reference(&shifted, b));
+        let (smallest, largest) = (full.points[0].0, full.points[full.points.len() - 1].0);
+        let on_point = full.points[pick % full.points.len()].0;
+        for limit in [
+            0,
+            smallest.saturating_sub(1),
+            on_point,
+            on_point.saturating_add(1),
+            largest.saturating_add(1),
+            u64::MAX,
+        ] {
+            let kept = full.points.partition_point(|&(v, _)| v <= limit);
+            let bits = |cum: &[f64]| cum.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+            for merged in [
+                a.shift_convolve_upto(offset, b, limit),
+                shifted.convolve_upto(b, limit),
+            ] {
+                assert_bit_identical(&merged, &full.points[..kept]);
+                assert_eq!(bits(&merged.cum), bits(&full.cum[..kept]), "limit {limit}");
+            }
         }
     }
 
@@ -618,6 +664,29 @@ mod tests {
             assert_bounded_is_prefix(&pb, &pa, pick);
             // One column on the right: the shift-and-scale fast path.
             assert_bounded_is_prefix(&pa, &single, pick);
+        }
+
+        #[test]
+        fn offset_merge_bit_identical_where_ties_are_the_rule(
+            // Multiples of 50 below 1000: twenty lattice points a side, so
+            // most sums collide three or more ways and the tie order decides
+            // nearly every probability.
+            a in proptest::collection::vec(0u64..20, 1..=40),
+            b in proptest::collection::vec(0u64..20, 1..=40),
+            pick in 0usize..2_000,
+            // The last offset pushes part of the sums into saturation, where
+            // several terms of one row tie at `u64::MAX`.
+            offset in [0u64, 50, 175, u64::MAX - 1_500],
+        ) {
+            let single = Pmf::point_mass(b[0] * 50);
+            let pa = Pmf::from_samples(a.into_iter().map(|v| v * 50));
+            let pb = Pmf::from_samples(b.into_iter().map(|v| v * 50));
+            // Either side shorter, both the same length, one column.
+            assert_offset_merge_matches_reference(&pa, offset, &pb, pick);
+            assert_offset_merge_matches_reference(&pb, offset, &pa, pick);
+            assert_offset_merge_matches_reference(&pa, offset, &pa, pick);
+            assert_offset_merge_matches_reference(&pa, offset, &single, pick);
+            assert_offset_merge_matches_reference(&single, offset, &pa, pick);
         }
 
         #[test]

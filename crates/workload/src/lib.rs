@@ -44,4 +44,6 @@ pub use runner::{
     build_scenario, run_scenario, run_scenario_observed, run_scenario_recorded, BuiltScenario,
     ClientOutcome, ScenarioMetrics, ServerOutcome,
 };
-pub use synthetic::{build_candidates, build_candidates_uncached, synthetic_repository};
+pub use synthetic::{
+    build_candidates, build_candidates_uncached, candidate_keys, synthetic_repository,
+};

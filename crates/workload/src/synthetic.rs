@@ -5,7 +5,7 @@
 
 use aqf_core::monitor::MonitorConfig;
 use aqf_core::wire::{PerfBroadcast, PublisherInfo, ReadMeasurement};
-use aqf_core::{Candidate, InfoRepository};
+use aqf_core::{Candidate, CandidateKey, InfoRepository};
 use aqf_sim::{ActorId, DelayModel, SimDuration, SimTime};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -86,6 +86,20 @@ pub fn build_candidates(
 ) -> Vec<Candidate> {
     (0..n)
         .map(|i| repo.candidate(ActorId::from_index(i + 1), i < n_primaries, deadline, now))
+        .collect()
+}
+
+/// The same `n` candidates without any distribution evaluated — what
+/// [`InfoRepository::on_demand`] takes, for the arms that let Algorithm 1
+/// decide which replicas to evaluate.
+pub fn candidate_keys(
+    repo: &InfoRepository,
+    n: usize,
+    n_primaries: usize,
+    now: SimTime,
+) -> Vec<CandidateKey> {
+    (0..n)
+        .map(|i| repo.candidate_key(ActorId::from_index(i + 1), i < n_primaries, now))
         .collect()
 }
 
