@@ -62,7 +62,7 @@ pub mod alloc_count {
 }
 
 use aqf_core::object::VersionedRegister;
-use aqf_core::server::{ServerConfig, ServerGateway};
+use aqf_core::shell::{Discipline, Replica, ServerConfig};
 use aqf_core::{PRIMARY_GROUP, SECONDARY_GROUP};
 use aqf_group::{GroupId, View, ViewId};
 use aqf_sim::ActorId;
@@ -90,9 +90,13 @@ pub fn flat_view(group: GroupId, n: usize) -> View {
     View::new(group, ViewId(0), (0..n).map(ActorId::from_index).collect())
 }
 
-/// A warmed-up primary (non-sequencer) server gateway.
-pub fn primary_gateway(me: usize, primaries: usize, secondaries: usize) -> ServerGateway {
-    ServerGateway::new(
+/// A primary (non-leader for `me > 0`) server gateway under discipline `D`.
+pub fn primary_gateway<D: Discipline>(
+    me: usize,
+    primaries: usize,
+    secondaries: usize,
+) -> Replica<D> {
+    Replica::new(
         ActorId::from_index(me),
         primary_view(primaries),
         secondary_view(secondaries),

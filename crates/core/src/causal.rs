@@ -25,21 +25,20 @@
 //! unrelated) updates may interleave differently across replicas, so the
 //! workload's concurrent operations must commute for byte-identical
 //! convergence.
+//!
+//! This module is the [`Causal`] ordering discipline of the replica shell
+//! ([`crate::shell`]): the version vector, the waiting room, and a state
+//! blob that carries the vector. Everything else a replica does lives in
+//! the shell.
 
-use crate::dedup::ReplyCache;
-use crate::durability::Durability;
+use crate::durability::ReplaySummary;
+use crate::fifo::LazyClock;
 use crate::object::ReplicatedObject;
-use crate::obs::{req_ref, ObsEvent, ObsHandle};
 use crate::qos::OrderingGuarantee;
-use crate::server::{ReplicaRole, ServerAction, ServerConfig, ServerStats};
-use crate::wire::{
-    Payload, PerfBroadcast, PublisherInfo, ReadMeasurement, ReadRequest, Reply, UpdateRequest,
-    VersionVector, PRIMARY_GROUP, SECONDARY_GROUP,
-};
-use aqf_group::View;
-use aqf_sim::{ActorId, SimDuration, SimTime};
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
+use crate::shell::{Discipline, PendingRead, Position, Replica, ReplicaRole, ServerAction, Shell};
+use crate::wire::{Payload, UpdateRequest, VersionVector};
+use aqf_sim::{ActorId, SimTime};
+use std::collections::BTreeMap;
 
 /// Pointwise comparison: does `vector` dominate (cover) every entry of
 /// `deps`?
@@ -77,45 +76,9 @@ struct WaitingUpdate {
     deps: VersionVector,
 }
 
-#[derive(Debug, Clone)]
-struct PendingRead {
-    req: ReadRequest,
-    client: ActorId,
-    deps: VersionVector,
-    arrived_at: SimTime,
-}
-
-#[derive(Debug, Clone)]
-enum WorkKind {
-    Update {
-        update: UpdateRequest,
-    },
-    Read {
-        read: PendingRead,
-        staleness: u64,
-        deferred: bool,
-        tb: SimDuration,
-        /// The replica vector snapshot handed back to the client.
-        vector: VersionVector,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct Work {
-    kind: WorkKind,
-    enqueued_at: SimTime,
-}
-
-/// The causal-ordering server gateway. See the [module docs](self).
-pub struct CausalServerGateway {
-    me: ActorId,
-    role: ReplicaRole,
-    config: ServerConfig,
-    object: Box<dyn ReplicatedObject>,
-
-    primary_view: Arc<View>,
-    secondary_view: Arc<View>,
-
+/// The causal ordering discipline. See the [module docs](self).
+#[derive(Debug, Default)]
+pub struct Causal {
     /// Per-client committed (enqueued-for-apply) update counts: the
     /// replica's version vector.
     vector: BTreeMap<ActorId, u64>,
@@ -124,453 +87,37 @@ pub struct CausalServerGateway {
     /// Updates whose program-order predecessor or dependencies are not yet
     /// committed.
     waiting: Vec<WaitingUpdate>,
-    /// Replies sent for recent updates, for answering retransmissions.
-    reply_cache: ReplyCache,
-    /// Reads whose dependency vector the replica does not dominate yet, or
-    /// whose estimated staleness exceeded the client threshold.
-    deferred: Vec<(PendingRead, SimTime)>,
-
-    // Secondary staleness estimation (same scheme as the FIFO handler).
-    last_lazy_at: Option<SimTime>,
-    lazy_rate_per_us: f64,
-
-    service_queue: VecDeque<Work>,
-    in_service: Option<(u64, Work, SimTime)>,
-    next_token: u64,
-
-    updates_since_broadcast: u64,
-    last_broadcast_at: SimTime,
-    updates_since_lazy: u64,
-    publisher_lazy_at: SimTime,
-    rate_acc_updates: u64,
-    rate_acc_since: SimTime,
-    lazy_timer_pending: bool,
-
-    // Unsynced replicas re-request state transfers (the first request can
-    // be lost), rotating donors.
-    last_transfer_request: SimTime,
-    donor_rr: usize,
-
-    /// EWMA of observed service times in µs (overload protection); 0 until
-    /// the first sample.
-    avg_service_us: u64,
-
-    synced: bool,
-    stats: ServerStats,
-    /// Retained staging buffer for reply encoding: every serviced request
-    /// reuses this allocation via the object's `*_into` entry points.
-    reply_scratch: bytes::BytesMut,
-    /// Simulated stable storage, present when `config.storage.enabled`.
-    /// Admitted updates are logged write-ahead; durable snapshots carry
-    /// the version vector (the same wire format as causal state transfer)
-    /// so a replayed replica recovers both the object and its causal
-    /// knowledge.
-    durability: Option<Durability>,
-    /// When the replica restarted, until it resynchronizes (recovery SLO).
-    restarted_at: Option<SimTime>,
-    obs: ObsHandle,
-    /// Updates that had to wait for causal dependencies at least once.
-    causal_holds: u64,
-    /// Reads deferred because the replica did not dominate the client's
-    /// observed vector.
-    causal_read_waits: u64,
+    /// Secondary staleness estimation, same scheme as the FIFO handler.
+    clock: LazyClock,
 }
 
-impl std::fmt::Debug for CausalServerGateway {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CausalServerGateway")
-            .field("me", &self.me)
-            .field("role", &self.role)
-            .field("version", &self.version)
-            .field("waiting", &self.waiting.len())
-            .finish()
-    }
-}
+/// The causal-ordering server gateway: the replica shell under [`Causal`].
+pub type CausalServerGateway = Replica<Causal>;
 
-impl CausalServerGateway {
-    /// Creates a causal gateway for replica `me`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is a member of neither (or both) initial views.
-    pub fn new(
-        me: ActorId,
-        primary_view: impl Into<Arc<View>>,
-        secondary_view: impl Into<Arc<View>>,
-        object: Box<dyn ReplicatedObject>,
-        config: ServerConfig,
-    ) -> Self {
-        let primary_view: Arc<View> = primary_view.into();
-        let secondary_view: Arc<View> = secondary_view.into();
-        let in_p = primary_view.contains(me);
-        let in_s = secondary_view.contains(me);
-        assert!(
-            in_p ^ in_s,
-            "replica must belong to exactly one replication group"
-        );
-        let role = if in_p {
-            ReplicaRole::Primary
-        } else {
-            ReplicaRole::Secondary
-        };
-        let config_reply_cache = config.reply_cache;
-        // Each replica gets its own deterministic fault/latency stream:
-        // the shared scenario seed mixed with the replica identity.
-        let durability = config.storage.enabled.then(|| {
-            let seed = config
-                .storage
-                .seed
-                .wrapping_add((me.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            Durability::new(config.storage.clone(), seed)
-        });
-        Self {
-            me,
-            role,
-            config,
-            object,
-            primary_view,
-            secondary_view,
-            vector: BTreeMap::new(),
-            version: 0,
-            waiting: Vec::new(),
-            reply_cache: ReplyCache::new(config_reply_cache),
-            deferred: Vec::new(),
-            last_lazy_at: None,
-            lazy_rate_per_us: 0.0,
-            service_queue: VecDeque::new(),
-            in_service: None,
-            next_token: 0,
-            updates_since_broadcast: 0,
-            last_broadcast_at: SimTime::ZERO,
-            updates_since_lazy: 0,
-            publisher_lazy_at: SimTime::ZERO,
-            rate_acc_updates: 0,
-            rate_acc_since: SimTime::ZERO,
-            lazy_timer_pending: false,
-            last_transfer_request: SimTime::ZERO,
-            donor_rr: 0,
-            avg_service_us: 0,
-            synced: true,
-            stats: ServerStats::default(),
-            reply_scratch: bytes::BytesMut::new(),
-            durability,
-            restarted_at: None,
-            obs: ObsHandle::disabled(),
-            causal_holds: 0,
-            causal_read_waits: 0,
-        }
-    }
-
-    /// This replica's role.
-    pub fn role(&self) -> ReplicaRole {
-        self.role
-    }
-
-    /// Installs an observability handle (disabled handles record nothing
-    /// and leave behaviour bit-identical).
-    pub fn set_obs(&mut self, obs: ObsHandle) {
-        self.obs = obs;
-    }
-
+impl Replica<Causal> {
     /// Total updates committed by this replica.
     pub fn version(&self) -> u64 {
-        self.version
+        self.discipline.version
     }
 
     /// Snapshot of the replica's version vector as a wire-format list.
     pub fn vector_snapshot(&self) -> VersionVector {
-        let mut v: VersionVector = self.vector.iter().map(|(c, n)| (*c, *n)).collect();
-        v.sort_unstable();
-        v
+        self.discipline.stamp()
     }
+}
 
-    /// Updates that had to wait for causal dependencies at least once.
-    pub fn causal_holds(&self) -> u64 {
-        self.causal_holds
-    }
-
-    /// Reads deferred for causal dominance.
-    pub fn causal_read_waits(&self) -> u64 {
-        self.causal_read_waits
-    }
-
-    /// Whether this replica is the current lazy publisher (highest-ranked
-    /// primary, as in the other handlers).
-    pub fn is_publisher(&self) -> bool {
-        self.role == ReplicaRole::Primary
-            && *self.primary_view.members().last().expect("non-empty view") == self.me
-    }
-
-    /// Estimated staleness in versions (same rate-based scheme as the FIFO
-    /// handler; primaries are always 0).
-    pub fn estimated_staleness(&self, now: SimTime) -> u64 {
-        match self.role {
-            ReplicaRole::Primary => 0,
-            ReplicaRole::Secondary => match self.last_lazy_at {
-                Some(at) => {
-                    let elapsed = now.saturating_since(at).as_micros() as f64;
-                    (self.lazy_rate_per_us * elapsed).ceil() as u64
-                }
-                None => u64::MAX,
-            },
-        }
-    }
-
-    /// Whether the replica's state is synchronized.
-    pub fn is_synced(&self) -> bool {
-        self.synced
-    }
-
-    /// Protocol counters.
-    pub fn stats(&self) -> ServerStats {
-        self.stats
-    }
-
-    /// The durability sidecar, if storage is enabled (post-run inspection).
-    pub fn durability(&self) -> Option<&Durability> {
-        self.durability.as_ref()
-    }
-
-    /// Applies crash semantics to the stable storage: unsynced appends are
-    /// lost (possibly leaving a torn tail or a flipped bit, per the fault
-    /// configuration) and any staged-but-unrenamed snapshot is discarded.
-    /// Hosts call this at the crash boundary, before
-    /// [`CausalServerGateway::on_restart`].
-    pub fn crash_storage(&mut self) {
-        if let Some(d) = self.durability.as_mut() {
-            d.crash();
-        }
-    }
-
-    /// Flips `synced` on (if off) and closes the open recovery window.
-    fn mark_synced(&mut self, now: SimTime) {
-        if !self.synced {
-            self.synced = true;
-            if let Some(at) = self.restarted_at.take() {
-                let healed = now.saturating_since(at).as_micros();
-                self.stats.recovery_us = self.stats.recovery_us.max(healed);
-            }
-        }
-    }
-
-    /// Read access to the hosted object.
-    pub fn object(&self) -> &dyn ReplicatedObject {
-        &*self.object
-    }
-
-    /// Called once at host start.
-    pub fn on_start(&mut self, now: SimTime) -> Vec<ServerAction> {
-        self.last_broadcast_at = now;
-        self.publisher_lazy_at = now;
-        self.rate_acc_since = now;
-        if self.role == ReplicaRole::Secondary {
-            self.last_lazy_at = Some(now);
-        }
-        let mut actions = Vec::new();
-        if self.is_publisher() {
-            self.arm_lazy(&mut actions);
-        }
-        actions
-    }
-
-    fn arm_lazy(&mut self, actions: &mut Vec<ServerAction>) {
-        if !self.lazy_timer_pending {
-            self.lazy_timer_pending = true;
-            actions.push(ServerAction::ArmLazyTimer {
-                after: self.config.lazy_interval,
-            });
-        }
-    }
-
-    /// Restart handling: wipe volatile state and request a state transfer.
-    pub fn on_restart(
-        &mut self,
-        fresh_object: Box<dyn ReplicatedObject>,
-        now: SimTime,
-    ) -> Vec<ServerAction> {
-        let me = self.me;
-        let config = self.config.clone();
-        let primary_view = self.primary_view.clone();
-        let secondary_view = self.secondary_view.clone();
-        // The durability sidecar survives the wipe — it *is* the stable
-        // storage (the host already applied crash damage via
-        // `crash_storage`). The obs handle rides along so recovery shows
-        // up in the trace; without storage the seed's behaviour — a
-        // restarted replica is un-instrumented — is kept bit-identical.
-        let survived = self.durability.take().map(|d| (d, self.obs.clone()));
-        *self = CausalServerGateway::new(me, primary_view, secondary_view, fresh_object, config);
-        if let Some((d, obs)) = survived {
-            self.durability = Some(d);
-            self.obs = obs;
-        }
-        self.synced = false;
-        self.restarted_at = Some(now);
-        self.last_lazy_at = None;
-        self.last_transfer_request = now;
-        self.last_broadcast_at = now;
-        self.publisher_lazy_at = now;
-        self.rate_acc_since = now;
-        // A successful replay restores this replica's own durable state
-        // (object, version, and vector), but without a global sequence it
-        // cannot bound what other clients' updates it missed while down:
-        // a full state transfer still reconciles with a live peer. The
-        // dominance-checked `on_state_response` guard accepts it without
-        // ever moving the replica's causal knowledge backwards.
-        self.replay_storage(now);
-        let donor = self.primary_view.leader();
-        let mut actions = vec![ServerAction::SendDirect {
-            to: donor,
-            payload: Payload::StateRequest,
-        }];
-        if self.is_publisher() {
-            self.arm_lazy(&mut actions);
-        }
-        actions
-    }
-
-    /// Replays the durable log after a crash. Returns whether the replay
-    /// restored local state (snapshot + vector installed, admitted tail
-    /// re-applied, replica synced); `false` falls back to the
-    /// full-transfer path.
-    fn replay_storage(&mut self, now: SimTime) -> bool {
-        let Some(d) = self.durability.as_mut() else {
-            return false;
-        };
-        if !d.config().replay {
-            self.obs.emit(now, self.me, || ObsEvent::RecoveryFallback {
-                reason: "replay-disabled",
-            });
-            return false;
-        }
-        let summary = d.replay();
-        self.stats.torn_tails_dropped += summary.torn_records;
-        if summary.corrupt {
-            self.stats.corrupt_logs += 1;
-            self.obs.emit(now, self.me, || ObsEvent::RecoveryFallback {
-                reason: "corrupt-log",
-            });
-            return false;
-        }
-        if summary.snapshot.is_none() && summary.commits.is_empty() {
-            // Nothing durable yet: behave exactly like a plain restart
-            // rather than claim an empty state is synchronized.
-            self.obs.emit(now, self.me, || ObsEvent::RecoveryFallback {
-                reason: "empty-log",
-            });
-            return false;
-        }
-        if let Some(snap) = &summary.snapshot {
-            self.install_with_vector(&bytes::Bytes::from(snap.data.clone()));
-            self.version = snap.csn;
-        }
-        // Each logged commit admitted exactly one update of its client, so
-        // the vector is rebuilt by counting the replayed tail.
-        for (version, update) in &summary.commits {
-            let _ = self
-                .object
-                .apply_update_into(&update.op, &mut self.reply_scratch);
-            *self.vector.entry(update.id.client).or_insert(0) += 1;
-            self.version = *version;
-        }
-        self.stats.replayed_records += summary.replayed_records;
-        self.mark_synced(now);
-        let (records, csn) = (summary.replayed_records, self.version);
-        self.obs
-            .emit(now, self.me, || ObsEvent::RecoveryReplay { records, csn });
-        true
-    }
-
-    /// Picks the next state-transfer donor, cycling through the primary
-    /// members so a lost request or an unhelpful donor cannot wedge
-    /// recovery.
-    fn next_donor(&mut self) -> Option<ActorId> {
-        let candidates: Vec<ActorId> = self
-            .primary_view
-            .members()
-            .iter()
-            .copied()
-            .filter(|m| *m != self.me)
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let donor = candidates[self.donor_rr % candidates.len()];
-        self.donor_rr += 1;
-        Some(donor)
-    }
-
-    /// While unsynchronized, periodically re-request the state transfer
-    /// (the initial request or its response may have been lost).
-    fn maybe_rerequest_transfer(&mut self, now: SimTime, actions: &mut Vec<ServerAction>) {
-        if self.synced
-            || now.saturating_since(self.last_transfer_request) <= self.config.commit_stall_timeout
-        {
-            return;
-        }
-        if let Some(donor) = self.next_donor() {
-            self.last_transfer_request = now;
-            actions.push(ServerAction::SendDirect {
-                to: donor,
-                payload: Payload::StateRequest,
-            });
-        }
-    }
-
-    /// Handles a protocol payload.
-    pub fn on_payload(
-        &mut self,
-        from: ActorId,
-        payload: Payload,
-        now: SimTime,
-    ) -> Vec<ServerAction> {
-        let mut retry = Vec::new();
-        self.maybe_rerequest_transfer(now, &mut retry);
-        if !retry.is_empty() {
-            let mut actions = self.dispatch_payload(from, payload, now);
-            actions.extend(retry);
-            return actions;
-        }
-        self.dispatch_payload(from, payload, now)
-    }
-
-    fn dispatch_payload(
-        &mut self,
-        from: ActorId,
-        payload: Payload,
-        now: SimTime,
-    ) -> Vec<ServerAction> {
-        match payload {
-            Payload::CausalUpdate {
-                update,
-                update_seq,
-                deps,
-            } => self.on_update(update, update_seq, deps, now),
-            Payload::CausalRead { read, deps } => self.on_read(from, read, deps, now),
-            Payload::CausalLazyUpdate {
-                version,
-                vector,
-                snapshot,
-                rate_per_us,
-            } => self.on_lazy_update(version, vector, &snapshot, rate_per_us, now),
-            Payload::StateRequest => self.on_state_request(from),
-            Payload::StateResponse { csn, snapshot, .. } => {
-                // The vector rides in the snapshot's causal wrapper; see
-                // snapshot_with_vector / install below.
-                self.on_state_response(csn, &snapshot, now)
-            }
-            _ => Vec::new(),
-        }
-    }
-
+impl Causal {
     fn on_update(
         &mut self,
+        shell: &mut Shell,
         update: UpdateRequest,
         update_seq: u64,
         deps: VersionVector,
         now: SimTime,
-    ) -> Vec<ServerAction> {
-        if self.role != ReplicaRole::Primary {
-            return Vec::new();
+        out: &mut Vec<ServerAction>,
+    ) {
+        if shell.role != ReplicaRole::Primary {
+            return;
         }
         // Duplicate detection: an already-applied update from this client
         // has `update_seq` below the replica's applied count (admission
@@ -578,41 +125,30 @@ impl CausalServerGateway {
         // the causal waiting room. Either way, never admit it twice.
         let applied_of_client = self.vector.get(&update.id.client).copied().unwrap_or(0);
         if update_seq < applied_of_client || self.waiting.iter().any(|w| w.update.id == update.id) {
-            self.stats.dedup_hits += 1;
-            return match self.reply_cache.get(&update.id) {
-                Some(r) => vec![ServerAction::SendDirect {
-                    to: update.id.client,
-                    payload: Payload::Reply(r.clone()),
-                }],
-                None => Vec::new(),
-            };
+            return shell.answer_duplicate(update.id, out);
         }
-        self.updates_since_broadcast += 1;
-        self.updates_since_lazy += 1;
-        self.rate_acc_updates += 1;
-        let mut actions = Vec::new();
-        if !self.try_admit_update(&update, update_seq, &deps, now, &mut actions) {
-            self.causal_holds += 1;
+        shell.note_update();
+        if self.try_admit_update(shell, &update, update_seq, &deps, now, out) {
+            self.drain_waiting(shell, now, out);
+        } else {
             self.waiting.push(WaitingUpdate {
                 update,
                 update_seq,
                 deps,
             });
-        } else {
-            self.drain_waiting(now, &mut actions);
         }
-        actions
     }
 
     /// Commits `update` if its program-order predecessor count and causal
     /// dependencies are satisfied.
     fn try_admit_update(
         &mut self,
+        shell: &mut Shell,
         update: &UpdateRequest,
         update_seq: u64,
         deps: &VersionVector,
         now: SimTime,
-        actions: &mut Vec<ServerAction>,
+        out: &mut Vec<ServerAction>,
     ) -> bool {
         let client = update.id.client;
         let applied_of_client = self.vector.get(&client).copied().unwrap_or(0);
@@ -621,39 +157,21 @@ impl CausalServerGateway {
         }
         *self.vector.entry(client).or_insert(0) += 1;
         self.version += 1;
-        self.stats.updates_committed += 1;
-        // Write-ahead discipline: admission is the causal commit point (it
-        // bumps the vector), so the record hits the log before the reply
-        // the service queue will produce for it.
-        if let Some(d) = self.durability.as_mut() {
-            let version = self.version;
-            let (bytes, _) = d.log_commit(version, update);
-            self.stats.wal_appends += 1;
-            self.obs.emit(now, self.me, || ObsEvent::WalAppend {
-                gsn: version,
-                bytes,
-            });
-        }
-        self.enqueue(
-            Work {
-                kind: WorkKind::Update {
-                    update: update.clone(),
-                },
-                enqueued_at: now,
-            },
-            actions,
-        );
+        shell.stats.updates_committed += 1;
+        // Admission is the causal commit point (it bumps the vector).
+        shell.log_commit(self.version, update, now);
+        shell.enqueue_update(update.clone(), 0, now, out);
         true
     }
 
     /// Re-examines held-back updates and causally blocked reads until a
     /// fixpoint.
-    fn drain_waiting(&mut self, now: SimTime, actions: &mut Vec<ServerAction>) {
+    fn drain_waiting(&mut self, shell: &mut Shell, now: SimTime, out: &mut Vec<ServerAction>) {
         loop {
             let mut progressed = false;
             let mut still_waiting = Vec::with_capacity(self.waiting.len());
             for w in std::mem::take(&mut self.waiting) {
-                if self.try_admit_update(&w.update, w.update_seq, &w.deps, now, actions) {
+                if self.try_admit_update(shell, &w.update, w.update_seq, &w.deps, now, out) {
                     progressed = true;
                 } else {
                     still_waiting.push(w);
@@ -664,383 +182,37 @@ impl CausalServerGateway {
                 break;
             }
         }
-        self.release_ready_reads(now, actions);
+        shell.release_deferred(self, false, now, out);
     }
 
-    fn release_ready_reads(&mut self, now: SimTime, actions: &mut Vec<ServerAction>) {
-        let staleness_now = self.estimated_staleness(now);
-        let mut kept = Vec::with_capacity(self.deferred.len());
-        for (pending, deferred_at) in std::mem::take(&mut self.deferred) {
-            if self.synced
-                && read_deps_satisfied(&self.vector, &pending.deps)
-                && staleness_now <= pending.req.staleness_threshold as u64
-            {
-                let tb = now.saturating_since(deferred_at);
-                let vector = self.vector_snapshot();
-                self.enqueue(
-                    Work {
-                        kind: WorkKind::Read {
-                            read: pending,
-                            staleness: staleness_now,
-                            deferred: true,
-                            tb,
-                            vector,
-                        },
-                        enqueued_at: now,
-                    },
-                    actions,
-                );
-            } else {
-                kept.push((pending, deferred_at));
-            }
-        }
-        self.deferred = kept;
-    }
-
-    /// Overload protection (reads only — shedding a causal update at a
-    /// single primary would permanently diverge the group): queue bound
-    /// plus the deadline-aware backlog estimate.
-    fn should_shed_read(&self, req: &ReadRequest) -> bool {
-        let ovl = &self.config.overload;
-        if !ovl.enabled {
-            return false;
-        }
-        let depth = self.service_queue.len() + usize::from(self.in_service.is_some());
-        if depth >= ovl.queue_bound {
-            return true;
-        }
-        ovl.deadline_shedding
-            && req.deadline_us > 0
-            && self.avg_service_us > 0
-            && (depth as u64 + 1).saturating_mul(self.avg_service_us) > req.deadline_us
-    }
-
-    fn on_read(
-        &mut self,
-        from: ActorId,
-        req: ReadRequest,
-        deps: VersionVector,
-        now: SimTime,
-    ) -> Vec<ServerAction> {
-        if self.should_shed_read(&req) {
-            self.stats.shed_reads += 1;
-            let queue_depth =
-                (self.service_queue.len() + usize::from(self.in_service.is_some())) as u64;
-            self.obs.emit(now, self.me, || ObsEvent::ShedRead {
-                req: req_ref(req.id),
-                queue_depth,
-            });
-            return vec![ServerAction::SendDirect {
-                to: from,
-                payload: Payload::Busy { req: req.id },
-            }];
-        }
-        let pending = PendingRead {
-            req,
-            client: from,
-            deps,
-            arrived_at: now,
-        };
-        let staleness = self.estimated_staleness(now);
-        let causally_ready = read_deps_satisfied(&self.vector, &pending.deps);
-        let mut actions = Vec::new();
-        if self.synced && causally_ready && staleness <= pending.req.staleness_threshold as u64 {
-            let vector = self.vector_snapshot();
-            self.enqueue(
-                Work {
-                    kind: WorkKind::Read {
-                        read: pending,
-                        staleness,
-                        deferred: false,
-                        tb: SimDuration::ZERO,
-                        vector,
-                    },
-                    enqueued_at: now,
-                },
-                &mut actions,
-            );
-        } else {
-            if !causally_ready {
-                self.causal_read_waits += 1;
-            }
-            self.stats.reads_deferred += 1;
-            self.deferred.push((pending, now));
-        }
-        actions
-    }
-
+    #[allow(clippy::too_many_arguments)] // one per `CausalLazyUpdate` field
     fn on_lazy_update(
         &mut self,
+        shell: &mut Shell,
         version: u64,
         vector: VersionVector,
         snapshot: &bytes::Bytes,
         rate_per_us: f64,
         now: SimTime,
-    ) -> Vec<ServerAction> {
-        if self.role != ReplicaRole::Secondary {
-            return Vec::new();
+        out: &mut Vec<ServerAction>,
+    ) {
+        if shell.role != ReplicaRole::Secondary {
+            return;
         }
         if version > self.version {
-            self.object.install_snapshot(snapshot);
+            shell.object.install_snapshot(snapshot);
             self.version = version;
             self.vector = vector.into_iter().collect();
-            self.stats.lazy_updates_applied += 1;
-            // A secondary's state *is* the last lazy snapshot: persist it
-            // (with its vector) so a crashed secondary restarts from here
-            // instead of empty.
-            if self.durability.is_some() {
-                let blob = self.snapshot_with_vector().to_vec();
-                if let Some(d) = self.durability.as_mut() {
-                    d.persist_install(version, version, blob);
-                    self.stats.snapshots_taken += 1;
-                }
-            }
-        }
-        self.mark_synced(now);
-        self.last_lazy_at = Some(now);
-        self.lazy_rate_per_us = rate_per_us.max(0.0);
-        let mut actions = Vec::new();
-        self.release_ready_reads(now, &mut actions);
-        actions
-    }
-
-    /// The lazy propagation timer fired.
-    pub fn on_lazy_timer(&mut self, now: SimTime) -> Vec<ServerAction> {
-        self.lazy_timer_pending = false;
-        if !self.is_publisher() {
-            return Vec::new();
-        }
-        let mut actions = Vec::new();
-        self.stats.lazy_updates_sent += 1;
-        let elapsed = now.saturating_since(self.rate_acc_since).as_micros();
-        let rate = if elapsed > 0 {
-            self.rate_acc_updates as f64 / elapsed as f64
-        } else {
-            0.0
-        };
-        actions.push(ServerAction::MulticastSecondary(
-            Payload::CausalLazyUpdate {
-                version: self.version,
-                vector: self.vector_snapshot(),
-                snapshot: self.object.snapshot(),
-                rate_per_us: rate,
-            },
-        ));
-        self.updates_since_lazy = 0;
-        self.publisher_lazy_at = now;
-        if now.saturating_since(self.rate_acc_since) > self.config.lazy_interval * 8 {
-            self.rate_acc_updates = 0;
-            self.rate_acc_since = now;
-        }
-        let perf = Payload::Perf(PerfBroadcast {
-            read: None,
-            publisher: Some(self.publisher_info(now)),
-        });
-        for c in self.config.clients.clone() {
-            actions.push(ServerAction::SendDirect {
-                to: c,
-                payload: perf.clone(),
+            shell.stats.lazy_updates_applied += 1;
+            // A secondary's state *is* the last lazy snapshot; persisted
+            // with its vector so a restart recovers both.
+            shell.persist_install(version, version, |object| {
+                self.encode_state(object).to_vec()
             });
         }
-        self.arm_lazy(&mut actions);
-        actions
-    }
-
-    fn publisher_info(&mut self, now: SimTime) -> PublisherInfo {
-        let info = PublisherInfo {
-            n_u: self.updates_since_broadcast,
-            t_u: now.saturating_since(self.last_broadcast_at),
-            n_l: self.updates_since_lazy,
-            t_l: now.saturating_since(self.publisher_lazy_at),
-            period: self.config.lazy_interval,
-        };
-        self.updates_since_broadcast = 0;
-        self.last_broadcast_at = now;
-        info
-    }
-
-    fn enqueue(&mut self, work: Work, actions: &mut Vec<ServerAction>) {
-        self.service_queue.push_back(work);
-        self.maybe_start_service(actions);
-    }
-
-    fn maybe_start_service(&mut self, actions: &mut Vec<ServerAction>) {
-        if self.in_service.is_some() {
-            return;
-        }
-        let Some(work) = self.service_queue.pop_front() else {
-            return;
-        };
-        let token = self.next_token;
-        self.next_token += 1;
-        self.in_service = Some((token, work, SimTime::ZERO));
-        actions.push(ServerAction::StartService { token });
-    }
-
-    /// The host began servicing `token` at `now`.
-    pub fn on_service_start(&mut self, token: u64, now: SimTime) {
-        if let Some((t, _, start)) = self.in_service.as_mut() {
-            if *t == token {
-                *start = now;
-            }
-        }
-    }
-
-    /// The service delay for `token` elapsed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token` is not the unit of work in service.
-    pub fn on_service_done(&mut self, token: u64, now: SimTime) -> Vec<ServerAction> {
-        let (t, work, started_at) = self.in_service.take().expect("no work in service");
-        assert_eq!(t, token, "service completion for unexpected token");
-        let mut actions = Vec::new();
-        let ts = now.saturating_since(started_at);
-        if self.config.overload.enabled {
-            let sample = ts.as_micros().max(1);
-            self.avg_service_us = if self.avg_service_us == 0 {
-                sample
-            } else {
-                (self.avg_service_us * 7 + sample) / 8
-            };
-        }
-        if self.obs.is_enabled() {
-            let req_id = match &work.kind {
-                WorkKind::Update { update } => update.id,
-                WorkKind::Read { read, .. } => read.req.id,
-            };
-            self.obs.emit(now, self.me, || ObsEvent::ServiceDone {
-                req: req_ref(req_id),
-                service_us: ts.as_micros(),
-            });
-            self.obs.observe(
-                "server.service_us",
-                aqf_obs::LATENCY_BOUNDS_US,
-                ts.as_micros(),
-            );
-        }
-        match work.kind {
-            WorkKind::Update { update } => {
-                let result = self
-                    .object
-                    .apply_update_into(&update.op, &mut self.reply_scratch);
-                let tq = started_at.saturating_since(work.enqueued_at);
-                let reply = Reply {
-                    id: update.id,
-                    result,
-                    t1_us: (ts + tq).as_micros(),
-                    staleness: 0,
-                    deferred: false,
-                    csn: self.version,
-                    vector: self.vector_snapshot(),
-                };
-                self.reply_cache.insert(reply.clone());
-                actions.push(ServerAction::SendDirect {
-                    to: update.id.client,
-                    payload: Payload::Reply(reply),
-                });
-                self.maybe_snapshot(now);
-            }
-            WorkKind::Read {
-                read,
-                staleness,
-                deferred,
-                tb,
-                vector,
-            } => {
-                let result = self.object.read_into(&read.req.op, &mut self.reply_scratch);
-                self.stats.reads_served += 1;
-                let total_wait = started_at.saturating_since(read.arrived_at);
-                let tq = total_wait.saturating_sub(tb);
-                let t1 = ts + tq + tb;
-                actions.push(ServerAction::SendDirect {
-                    to: read.client,
-                    payload: Payload::Reply(Reply {
-                        id: read.req.id,
-                        result,
-                        t1_us: t1.as_micros(),
-                        staleness,
-                        deferred,
-                        csn: self.version,
-                        vector,
-                    }),
-                });
-                let perf = Payload::Perf(PerfBroadcast {
-                    read: Some(ReadMeasurement {
-                        ts_us: ts.as_micros(),
-                        tq_us: tq.as_micros(),
-                        tb_us: tb.as_micros(),
-                    }),
-                    publisher: self.is_publisher().then(|| self.publisher_info(now)),
-                });
-                for c in self.config.clients.clone() {
-                    actions.push(ServerAction::SendDirect {
-                        to: c,
-                        payload: perf.clone(),
-                    });
-                }
-            }
-        }
-        self.maybe_start_service(&mut actions);
-        actions
-    }
-
-    /// Durable compaction: once enough admissions accumulated — and only
-    /// when every admitted update has been applied, since the causal
-    /// vector counts admissions and a snapshot staged mid-queue would pair
-    /// its version with an older object state — stage a vector-carrying
-    /// snapshot; the WAL prefix it covers is truncated at the next fsync.
-    fn maybe_snapshot(&mut self, now: SimTime) {
-        let queued_updates = self
-            .service_queue
-            .iter()
-            .any(|w| matches!(w.kind, WorkKind::Update { .. }));
-        if queued_updates || !self.durability.as_ref().is_some_and(|d| d.wants_snapshot()) {
-            return;
-        }
-        let version = self.version;
-        let data = self.snapshot_with_vector().to_vec();
-        let d = self.durability.as_mut().expect("checked above");
-        let wal_bytes = d.stage_snapshot(version, version, data);
-        self.stats.snapshots_taken += 1;
-        self.obs.emit(now, self.me, || ObsEvent::Snapshot {
-            csn: version,
-            wal_bytes,
-        });
-    }
-
-    fn on_state_request(&mut self, from: ActorId) -> Vec<ServerAction> {
-        if self.role != ReplicaRole::Primary || !self.synced {
-            return Vec::new();
-        }
-        self.stats.state_transfers += 1;
-        // The vector is serialized alongside the object state so a joiner
-        // recovers both.
-        let snapshot = self.snapshot_with_vector();
-        self.stats.transfer_bytes_sent += snapshot.len() as u64;
-        vec![ServerAction::SendDirect {
-            to: from,
-            payload: Payload::StateResponse {
-                csn: self.version,
-                gsn: self.version,
-                snapshot,
-            },
-        }]
-    }
-
-    /// Serializes `vector || object snapshot` for state transfer.
-    fn snapshot_with_vector(&self) -> bytes::Bytes {
-        use bytes::BufMut;
-        let object = self.object.snapshot();
-        let vector = self.vector_snapshot();
-        let mut out = bytes::BytesMut::new();
-        out.put_u64(vector.len() as u64);
-        for (client, count) in &vector {
-            out.put_u32(client.index() as u32);
-            out.put_u64(*count);
-        }
-        out.put_slice(&object);
-        out.freeze()
+        shell.mark_synced(now);
+        self.clock.lazy_update(now, rate_per_us);
+        shell.release_deferred(self, false, now, out);
     }
 
     /// Splits a `vector || object snapshot` transfer blob.
@@ -1059,147 +231,190 @@ impl CausalServerGateway {
         (vector, object)
     }
 
-    fn install_with_vector(&mut self, blob: &bytes::Bytes) {
-        let (vector, object) = Self::decode_vector_blob(blob);
-        self.object.install_snapshot(&object);
-        self.vector = vector;
-    }
-
     fn on_state_response(
         &mut self,
+        shell: &mut Shell,
         version: u64,
         blob: &bytes::Bytes,
         now: SimTime,
-    ) -> Vec<ServerAction> {
+        out: &mut Vec<ServerAction>,
+    ) {
         // With durable storage a replayed replica is already synced but
-        // still reconciles via this transfer (see `on_restart`). Without
-        // storage, keep the seed's guard bit-identical.
-        if (self.synced && self.durability.is_none()) || version < self.version {
-            return Vec::new();
+        // still reconciles via this transfer (see `request_recovery`).
+        // Without storage, keep the seed's guard bit-identical.
+        if (shell.synced && shell.durability.is_none()) || version < self.version {
+            return;
         }
-        if self.synced {
+        if shell.synced {
             // Reconciling a replayed replica: adopt only a state that
             // dominates every commit we hold durably, otherwise acked
             // local updates would vanish from the installed snapshot.
             // A non-dominating donor is simply ignored — lazy updates or
             // a later transfer reconcile once the peer catches up.
             let (incoming, _) = Self::decode_vector_blob(blob);
-            if !dominates(&incoming, &self.vector_snapshot()) {
-                return Vec::new();
+            if !dominates(&incoming, &self.stamp()) {
+                return;
             }
         }
-        self.install_with_vector(blob);
+        self.install_state(&mut *shell.object, blob);
         self.version = version;
-        self.mark_synced(now);
-        // The installed transfer supersedes the local log: make it the
-        // durable baseline immediately, so a crash right after the install
-        // cannot resurrect pre-transfer state.
-        if let Some(d) = self.durability.as_mut() {
-            d.persist_install(version, version, blob.to_vec());
-            self.stats.snapshots_taken += 1;
-        }
-        if self.role == ReplicaRole::Secondary {
-            self.last_lazy_at = Some(now);
-        }
-        let mut actions = Vec::new();
-        self.drain_waiting(now, &mut actions);
-        actions
-    }
-
-    /// Handles a view change of either replication group.
-    pub fn on_view(&mut self, view: Arc<View>, now: SimTime) -> Vec<ServerAction> {
-        let (view_id, members) = (view.id.0, view.members().len() as u64);
-        self.obs
-            .emit(now, self.me, || ObsEvent::ViewChange { view_id, members });
-        let mut actions = Vec::new();
-        if view.group == PRIMARY_GROUP {
-            let was_publisher = self.is_publisher();
-            self.primary_view = view;
-            if self.role == ReplicaRole::Primary && self.is_publisher() && !was_publisher {
-                self.updates_since_lazy = 0;
-                self.publisher_lazy_at = now;
-                self.rate_acc_since = now;
-                self.rate_acc_updates = 0;
-                self.arm_lazy(&mut actions);
-            }
-        } else if view.group == SECONDARY_GROUP {
-            self.secondary_view = view;
-        }
-        actions
+        shell.mark_synced(now);
+        shell.persist_install(version, version, |_| blob.to_vec());
+        self.clock.synced(shell.role, now);
+        self.drain_waiting(shell, now, out);
     }
 }
 
-impl crate::protocol::ServerProtocol for CausalServerGateway {
-    fn ordering(&self) -> OrderingGuarantee {
-        OrderingGuarantee::Causal
+impl Discipline for Causal {
+    const ORDERING: OrderingGuarantee = OrderingGuarantee::Causal;
+
+    fn position(&self) -> Position {
+        Position {
+            csn: self.version,
+            applied_csn: self.version,
+            gsn: self.version,
+        }
     }
 
-    fn on_start(&mut self, now: SimTime) -> Vec<ServerAction> {
-        CausalServerGateway::on_start(self, now)
+    fn started(&mut self, shell: &Shell, now: SimTime, restarted: bool) {
+        self.clock.started(shell.role, now, restarted);
     }
 
-    fn on_restart(
+    fn rebuild(&mut self, shell: &mut Shell, summary: &ReplaySummary) {
+        if let Some(snap) = &summary.snapshot {
+            self.install_state(&mut *shell.object, &bytes::Bytes::from(snap.data.clone()));
+            self.version = snap.csn;
+        }
+        // Each logged commit admitted exactly one update of its client, so
+        // the vector is rebuilt by counting the replayed tail.
+        for (version, update) in &summary.commits {
+            shell.reapply(&update.op);
+            *self.vector.entry(update.id.client).or_insert(0) += 1;
+            self.version = *version;
+        }
+    }
+
+    fn request_recovery(
         &mut self,
-        fresh_object: Box<dyn ReplicatedObject>,
+        shell: &mut Shell,
+        _replayed: bool,
+        out: &mut Vec<ServerAction>,
+    ) {
+        // A successful replay restores this replica's own durable state
+        // (object, version, and vector), but without a global sequence it
+        // cannot bound what other clients' updates it missed while down:
+        // a full state transfer still reconciles with a live peer. The
+        // dominance-checked `on_state_response` guard accepts it without
+        // ever moving the replica's causal knowledge backwards.
+        out.push(ServerAction::SendDirect {
+            to: shell.primary_view.leader(),
+            payload: Payload::StateRequest,
+        });
+    }
+
+    fn on_payload(
+        &mut self,
+        shell: &mut Shell,
+        from: ActorId,
+        payload: Payload,
         now: SimTime,
-    ) -> Vec<ServerAction> {
-        CausalServerGateway::on_restart(self, fresh_object, now)
+        out: &mut Vec<ServerAction>,
+    ) {
+        // Decided before the payload is handled (it may be the transfer),
+        // sent after whatever it produced.
+        let retry = shell.transfer_overdue(now);
+        match payload {
+            Payload::CausalUpdate {
+                update,
+                update_seq,
+                deps,
+            } => self.on_update(shell, update, update_seq, deps, now, out),
+            Payload::CausalRead { read, deps } => {
+                let read = PendingRead {
+                    req: read,
+                    client: from,
+                    deps,
+                    arrived_at: now,
+                };
+                shell.admit_read(self, read, now, out);
+            }
+            Payload::CausalLazyUpdate {
+                version,
+                vector,
+                snapshot,
+                rate_per_us,
+            } => self.on_lazy_update(shell, version, vector, &snapshot, rate_per_us, now, out),
+            Payload::StateRequest => shell.on_state_request(self, from, out),
+            // The vector rides inside the snapshot blob.
+            Payload::StateResponse { csn, snapshot, .. } => {
+                self.on_state_response(shell, csn, &snapshot, now, out);
+            }
+            _ => {}
+        }
+        if retry {
+            shell.request_transfer(now, out);
+        }
     }
 
-    fn on_payload(&mut self, from: ActorId, payload: Payload, now: SimTime) -> Vec<ServerAction> {
-        CausalServerGateway::on_payload(self, from, payload, now)
+    fn applied(
+        &mut self,
+        _shell: &mut Shell,
+        _update: &UpdateRequest,
+        _order: u64,
+        _now: SimTime,
+    ) -> bool {
+        true
     }
 
-    fn on_service_start(&mut self, token: u64, now: SimTime) {
-        CausalServerGateway::on_service_start(self, token, now)
+    fn staleness(&self, shell: &Shell, now: SimTime) -> u64 {
+        self.clock.staleness(shell.role, now)
     }
 
-    fn on_service_done(&mut self, token: u64, now: SimTime) -> Vec<ServerAction> {
-        CausalServerGateway::on_service_done(self, token, now)
+    /// A read is served only from a state that dominates what its client
+    /// had observed; until then it is deferred like a stale one.
+    fn read_ready(&self, deps: &VersionVector) -> bool {
+        read_deps_satisfied(&self.vector, deps)
     }
 
-    fn on_lazy_timer(&mut self, now: SimTime) -> Vec<ServerAction> {
-        CausalServerGateway::on_lazy_timer(self, now)
+    fn stamp(&self) -> VersionVector {
+        self.vector.iter().map(|(c, n)| (*c, *n)).collect()
     }
 
-    fn on_view(&mut self, view: Arc<View>, now: SimTime) -> Vec<ServerAction> {
-        CausalServerGateway::on_view(self, view, now)
+    fn lazy_update(&self, shell: &Shell, rate_per_us: f64) -> Payload {
+        Payload::CausalLazyUpdate {
+            version: self.version,
+            vector: self.stamp(),
+            snapshot: shell.object.snapshot(),
+            rate_per_us,
+        }
     }
 
-    fn is_sequencer(&self) -> bool {
-        false
+    /// `vector || object snapshot`, so a joiner (or a replayed replica)
+    /// recovers its causal knowledge with the state.
+    fn encode_state(&self, object: &dyn ReplicatedObject) -> bytes::Bytes {
+        use bytes::BufMut;
+        let object = object.snapshot();
+        let mut out = bytes::BytesMut::new();
+        out.put_u64(self.vector.len() as u64);
+        for (client, count) in &self.vector {
+            out.put_u32(client.index() as u32);
+            out.put_u64(*count);
+        }
+        out.put_slice(&object);
+        out.freeze()
     }
 
-    fn is_publisher(&self) -> bool {
-        CausalServerGateway::is_publisher(self)
+    fn install_state(&mut self, object: &mut dyn ReplicatedObject, blob: &bytes::Bytes) {
+        let (vector, state) = Self::decode_vector_blob(blob);
+        object.install_snapshot(&state);
+        self.vector = vector;
     }
 
-    fn csn(&self) -> u64 {
-        self.version
-    }
-
-    fn applied_csn(&self) -> u64 {
-        self.version
-    }
-
-    fn gsn(&self) -> u64 {
-        self.version
-    }
-
-    fn is_synced(&self) -> bool {
-        CausalServerGateway::is_synced(self)
-    }
-
-    fn stats(&self) -> ServerStats {
-        CausalServerGateway::stats(self)
-    }
-
-    fn set_obs(&mut self, obs: ObsHandle) {
-        CausalServerGateway::set_obs(self, obs)
-    }
-
-    fn crash_storage(&mut self) {
-        CausalServerGateway::crash_storage(self)
+    /// The vector counts admissions, so a snapshot staged while admitted
+    /// updates still wait in the service queue would pair its version with
+    /// an older object state.
+    fn snapshot_ready(&self, shell: &Shell) -> bool {
+        !shell.has_queued_updates()
     }
 }
 
@@ -1207,32 +422,25 @@ impl crate::protocol::ServerProtocol for CausalServerGateway {
 mod tests {
     use super::*;
     use crate::object::SharedDocument;
-    use crate::wire::{Operation, RequestId};
-    use aqf_group::ViewId;
+    use crate::protocol::ServerProtocol;
+    use crate::shell::conformance::{
+        self, a, drain, durable_config, pview, replies, sink, sview, t,
+    };
+    use crate::shell::ServerConfig;
+    use crate::wire::{Operation, ReadRequest, RequestId};
 
-    fn a(i: usize) -> ActorId {
-        ActorId::from_index(i)
-    }
-
-    fn pview() -> View {
-        View::new(PRIMARY_GROUP, ViewId(0), vec![a(0), a(1), a(2)])
-    }
-
-    fn sview() -> View {
-        View::new(SECONDARY_GROUP, ViewId(0), vec![a(10), a(11)])
-    }
-
-    fn gw(i: usize) -> CausalServerGateway {
+    fn doc(i: usize, config: ServerConfig) -> CausalServerGateway {
         CausalServerGateway::new(
             a(i),
             pview(),
             sview(),
             Box::new(SharedDocument::new()),
-            ServerConfig {
-                clients: vec![a(20), a(21)],
-                ..ServerConfig::default()
-            },
+            config,
         )
+    }
+
+    fn gw(i: usize) -> CausalServerGateway {
+        doc(i, conformance::config())
     }
 
     fn update(client: usize, update_seq: u64, text: &str, deps: VersionVector) -> Payload {
@@ -1266,27 +474,17 @@ mod tests {
         }
     }
 
-    fn t(ms: u64) -> SimTime {
-        SimTime::from_millis(ms)
+    fn text(p: &CausalServerGateway) -> Vec<u8> {
+        p.object().read(&Operation::new("fetch", vec![]))[8..].to_vec()
     }
 
-    fn drain(
-        gw: &mut CausalServerGateway,
-        actions: &mut Vec<ServerAction>,
-        mut now: SimTime,
-    ) -> SimTime {
-        while let Some(pos) = actions
-            .iter()
-            .position(|x| matches!(x, ServerAction::StartService { .. }))
-        {
-            let ServerAction::StartService { token } = actions.remove(pos) else {
-                unreachable!()
-            };
-            gw.on_service_start(token, now);
-            now += SimDuration::from_millis(5);
-            actions.extend(gw.on_service_done(token, now));
-        }
-        now
+    /// The transfer `donor` serves to a state request.
+    fn transfer(donor: &mut CausalServerGateway, now: SimTime) -> Payload {
+        let reply = sink(|out| donor.on_payload(a(1), Payload::StateRequest, now, out));
+        let Some(ServerAction::SendDirect { payload, .. }) = reply.first() else {
+            panic!("donor must answer, got {reply:?}");
+        };
+        payload.clone()
     }
 
     #[test]
@@ -1307,18 +505,16 @@ mod tests {
     fn program_order_enforced_per_client() {
         let mut p = gw(1);
         // Second update of client 20 arrives first: must wait.
-        let actions = p.on_payload(a(20), update(20, 1, "second", vec![]), t(0));
+        let actions = sink(|out| p.on_payload(a(20), update(20, 1, "second", vec![]), t(0), out));
         assert!(actions.is_empty());
         assert_eq!(p.version(), 0);
-        assert_eq!(p.causal_holds(), 1);
+        assert_eq!(p.discipline.waiting.len(), 1);
         // First update unblocks both.
-        let mut actions = p.on_payload(a(20), update(20, 0, "first", vec![]), t(1));
+        let mut actions =
+            sink(|out| p.on_payload(a(20), update(20, 0, "first", vec![]), t(1), out));
         assert_eq!(p.version(), 2);
         let _ = drain(&mut p, &mut actions, t(1));
-        assert_eq!(
-            p.object().read(&Operation::new("fetch", vec![]))[8..].to_vec(),
-            b"first\nsecond".to_vec()
-        );
+        assert_eq!(text(&p), b"first\nsecond".to_vec());
     }
 
     #[test]
@@ -1326,14 +522,15 @@ mod tests {
         let mut p = gw(1);
         // Client 21's "reply" depends on having seen client 20's "message"
         // (it read a state where vector[20] = 1). Deliver the reply first.
-        let actions = p.on_payload(a(21), update(21, 0, "reply", vec![(a(20), 1)]), t(0));
+        let reply = update(21, 0, "reply", vec![(a(20), 1)]);
+        let actions = sink(|out| p.on_payload(a(21), reply, t(0), out));
         assert!(actions.is_empty(), "reply must wait for the message");
-        assert_eq!(p.causal_holds(), 1);
-        let mut actions = p.on_payload(a(20), update(20, 0, "message", vec![]), t(1));
+        assert_eq!(p.discipline.waiting.len(), 1);
+        let mut actions =
+            sink(|out| p.on_payload(a(20), update(20, 0, "message", vec![]), t(1), out));
         assert_eq!(p.version(), 2, "message admitted, reply released");
         let _ = drain(&mut p, &mut actions, t(1));
-        let text = p.object().read(&Operation::new("fetch", vec![]))[8..].to_vec();
-        assert_eq!(text, b"message\nreply".to_vec());
+        assert_eq!(text(&p), b"message\nreply".to_vec());
     }
 
     #[test]
@@ -1341,23 +538,15 @@ mod tests {
         let mut p = gw(1);
         // Client has observed one update of client 20; this replica has
         // not applied it yet.
-        let actions = p.on_payload(a(21), read(21, 0, vec![(a(20), 1)]), t(0));
+        let actions = sink(|out| p.on_payload(a(21), read(21, 0, vec![(a(20), 1)]), t(0), out));
         assert!(actions.is_empty());
-        assert_eq!(p.causal_read_waits(), 1);
         assert_eq!(p.stats().reads_deferred, 1);
         // The missing update arrives: the read is released and served.
-        let mut actions = p.on_payload(a(20), update(20, 0, "x", vec![]), t(10));
+        let mut actions = sink(|out| p.on_payload(a(20), update(20, 0, "x", vec![]), t(10), out));
         let _ = drain(&mut p, &mut actions, t(10));
         assert_eq!(p.stats().reads_served, 1);
-        let reply = actions
-            .iter()
-            .find_map(|x| match x {
-                ServerAction::SendDirect {
-                    payload: Payload::Reply(r),
-                    ..
-                } if r.id.client == a(21) => Some(r.clone()),
-                _ => None,
-            })
+        let (_, reply) = replies(&actions)
+            .find(|(to, _)| *to == a(21))
             .expect("read served");
         assert!(reply.deferred);
         assert_eq!(reply.vector, vec![(a(20), 1)]);
@@ -1366,62 +555,53 @@ mod tests {
     #[test]
     fn read_with_satisfied_deps_served_immediately() {
         let mut p = gw(1);
-        let mut actions = p.on_payload(a(20), update(20, 0, "x", vec![]), t(0));
+        let mut actions = sink(|out| p.on_payload(a(20), update(20, 0, "x", vec![]), t(0), out));
         let _ = drain(&mut p, &mut actions, t(0));
-        let mut actions = p.on_payload(a(21), read(21, 0, vec![(a(20), 1)]), t(1));
+        let mut actions = sink(|out| p.on_payload(a(21), read(21, 0, vec![(a(20), 1)]), t(1), out));
         let _ = drain(&mut p, &mut actions, t(1));
         assert_eq!(p.stats().reads_served, 1);
-        assert_eq!(p.causal_read_waits(), 0);
+        assert_eq!(p.stats().reads_deferred, 0);
+    }
+
+    /// What a causal publisher multicasts at its lazy tick after one update.
+    fn lazy_after_one_update(publisher: &mut CausalServerGateway) -> Payload {
+        publisher.on_start(t(0), &mut Vec::new());
+        let mut actions =
+            sink(|out| publisher.on_payload(a(20), update(20, 0, "m", vec![]), t(10), out));
+        let _ = drain(publisher, &mut actions, t(10));
+        sink(|out| publisher.on_lazy_timer(t(2000), out))
+            .into_iter()
+            .find_map(|x| match x {
+                ServerAction::MulticastSecondary(p @ Payload::CausalLazyUpdate { .. }) => Some(p),
+                _ => None,
+            })
+            .expect("causal lazy update")
     }
 
     #[test]
     fn lazy_update_carries_vector_and_releases_reads() {
         let mut publisher = gw(2);
         assert!(publisher.is_publisher());
-        let _ = publisher.on_start(t(0));
-        let mut actions = publisher.on_payload(a(20), update(20, 0, "m", vec![]), t(10));
-        let _ = drain(&mut publisher, &mut actions, t(10));
-        let lazy = publisher.on_lazy_timer(t(2000));
-        let (version, vector, snapshot, rate) = lazy
-            .iter()
-            .find_map(|x| match x {
-                ServerAction::MulticastSecondary(Payload::CausalLazyUpdate {
-                    version,
-                    vector,
-                    snapshot,
-                    rate_per_us,
-                }) => Some((*version, vector.clone(), snapshot.clone(), *rate_per_us)),
-                _ => None,
-            })
-            .expect("causal lazy update");
-        assert_eq!(version, 1);
-        assert_eq!(vector, vec![(a(20), 1)]);
-        assert!(rate > 0.0);
+        let lazy = lazy_after_one_update(&mut publisher);
+        let Payload::CausalLazyUpdate {
+            version,
+            vector,
+            rate_per_us,
+            ..
+        } = &lazy
+        else {
+            unreachable!()
+        };
+        assert_eq!(*version, 1);
+        assert_eq!(*vector, vec![(a(20), 1)]);
+        assert!(*rate_per_us > 0.0);
 
         // A secondary with a blocked read applies it and serves.
-        let mut s = CausalServerGateway::new(
-            a(10),
-            pview(),
-            sview(),
-            Box::new(SharedDocument::new()),
-            ServerConfig {
-                clients: vec![a(20)],
-                ..ServerConfig::default()
-            },
-        );
-        let _ = s.on_start(t(0));
-        let held = s.on_payload(a(21), read(21, 0, vec![(a(20), 1)]), t(100));
+        let mut s = gw(10);
+        s.on_start(t(0), &mut Vec::new());
+        let held = sink(|out| s.on_payload(a(21), read(21, 0, vec![(a(20), 1)]), t(100), out));
         assert!(held.is_empty());
-        let mut actions = s.on_payload(
-            a(2),
-            Payload::CausalLazyUpdate {
-                version,
-                vector,
-                snapshot,
-                rate_per_us: rate,
-            },
-            t(2001),
-        );
+        let mut actions = sink(|out| s.on_payload(a(2), lazy, t(2001), out));
         let _ = drain(&mut s, &mut actions, t(2001));
         assert_eq!(s.stats().reads_served, 1);
         assert_eq!(s.version(), 1);
@@ -1433,13 +613,15 @@ mod tests {
         // replicas: both replicas apply both (versions agree), though the
         // document order may differ — causal consistency permits it.
         let mut p1 = gw(1);
-        let mut a1 = p1.on_payload(a(20), update(20, 0, "a", vec![]), t(0));
-        a1.extend(p1.on_payload(a(21), update(21, 0, "b", vec![]), t(1)));
+        let mut a1 = Vec::new();
+        p1.on_payload(a(20), update(20, 0, "a", vec![]), t(0), &mut a1);
+        p1.on_payload(a(21), update(21, 0, "b", vec![]), t(1), &mut a1);
         let _ = drain(&mut p1, &mut a1, t(1));
 
         let mut p2 = gw(2);
-        let mut a2 = p2.on_payload(a(21), update(21, 0, "b", vec![]), t(0));
-        a2.extend(p2.on_payload(a(20), update(20, 0, "a", vec![]), t(1)));
+        let mut a2 = Vec::new();
+        p2.on_payload(a(21), update(21, 0, "b", vec![]), t(0), &mut a2);
+        p2.on_payload(a(20), update(20, 0, "a", vec![]), t(1), &mut a2);
         let _ = drain(&mut p2, &mut a2, t(1));
 
         assert_eq!(p1.version(), 2);
@@ -1450,31 +632,14 @@ mod tests {
     #[test]
     fn state_transfer_round_trip_preserves_vector() {
         let mut donor = gw(1);
-        let mut actions = donor.on_payload(a(20), update(20, 0, "x", vec![]), t(0));
+        let mut actions =
+            sink(|out| donor.on_payload(a(20), update(20, 0, "x", vec![]), t(0), out));
         let _ = drain(&mut donor, &mut actions, t(0));
-        let transfer = donor.on_state_request(a(2));
-        let (csn, snapshot) = transfer
-            .iter()
-            .find_map(|x| match x {
-                ServerAction::SendDirect {
-                    payload: Payload::StateResponse { csn, snapshot, .. },
-                    ..
-                } => Some((*csn, snapshot.clone())),
-                _ => None,
-            })
-            .expect("state served");
+        let transfer = transfer(&mut donor, t(50));
         let mut joiner = gw(2);
-        let _ = joiner.on_restart(Box::new(SharedDocument::new()), t(100));
+        joiner.on_restart(Box::new(SharedDocument::new()), t(100), &mut Vec::new());
         assert!(!joiner.is_synced());
-        let _ = joiner.on_payload(
-            a(1),
-            Payload::StateResponse {
-                csn,
-                gsn: csn,
-                snapshot,
-            },
-            t(200),
-        );
+        joiner.on_payload(a(1), transfer, t(200), &mut Vec::new());
         assert!(joiner.is_synced());
         assert_eq!(joiner.version(), 1);
         assert_eq!(joiner.vector_snapshot(), vec![(a(20), 1)]);
@@ -1487,120 +652,71 @@ mod tests {
             client: a(20),
             seq: 0,
         };
-        assert!(p
-            .on_payload(a(0), Payload::GsnAssign { req, gsn: 1 }, t(0))
-            .is_empty());
-        assert!(p
-            .on_payload(
-                a(20),
-                Payload::Update(UpdateRequest {
-                    id: req,
-                    op: Operation::new("append", b"x".to_vec()),
-                    attempt: 1,
-                }),
-                t(0)
-            )
-            .is_empty());
+        let update = Payload::Update(UpdateRequest {
+            id: req,
+            op: Operation::new("append", b"x".to_vec()),
+            attempt: 1,
+        });
+        for (from, payload) in [(a(0), Payload::GsnAssign { req, gsn: 1 }), (a(20), update)] {
+            assert!(sink(|out| p.on_payload(from, payload, t(0), out)).is_empty());
+        }
         assert_eq!(p.version(), 0);
     }
 
     #[test]
     fn ordering_is_causal() {
-        use crate::protocol::ServerProtocol;
         assert_eq!(gw(1).ordering(), OrderingGuarantee::Causal);
-        assert!(!ServerProtocol::is_sequencer(&gw(1)));
+        assert!(!gw(1).is_sequencer());
     }
 
-    /// Regression: the first service-time sample seeds the EWMA directly
-    /// instead of being folded into the zero initial average (which would
-    /// start at `sample/8` and warm up slowly).
     #[test]
     fn ewma_seeds_with_first_sample() {
-        let mut p = gw(1);
-        p.config.overload = crate::overload::OverloadConfig::protective();
-        assert_eq!(p.avg_service_us, 0);
-        let mut actions = p.on_payload(a(20), update(20, 0, "x", vec![]), t(0));
-        let pos = actions
-            .iter()
-            .position(|x| matches!(x, ServerAction::StartService { .. }))
-            .unwrap();
-        let ServerAction::StartService { token } = actions.remove(pos) else {
-            unreachable!()
-        };
-        p.on_service_start(token, t(0));
-        let _ = p.on_service_done(token, t(10));
-        assert_eq!(p.avg_service_us, 10_000, "first sample seeds the average");
-        let mut actions = p.on_payload(a(20), update(20, 1, "y", vec![]), t(20));
-        let pos = actions
-            .iter()
-            .position(|x| matches!(x, ServerAction::StartService { .. }))
-            .unwrap();
-        let ServerAction::StartService { token } = actions.remove(pos) else {
-            unreachable!()
-        };
-        p.on_service_start(token, t(20));
-        let _ = p.on_service_done(token, t(22));
-        assert_eq!(p.avg_service_us, (10_000 * 7 + 2_000) / 8);
+        conformance::ewma_seeds_with_first_sample::<Causal>();
     }
 
-    /// Regression: `deadline_us == 0` means "no deadline advertised" and
-    /// must never shed on deadline grounds, however hot the average.
     #[test]
     fn zero_deadline_never_sheds_on_deadline_grounds() {
-        let mut p = gw(1);
-        p.config.overload = crate::overload::OverloadConfig::protective();
-        p.avg_service_us = 50_000;
-        let rr = |seq: u64, deadline_us: u64| ReadRequest {
-            id: RequestId { client: a(20), seq },
-            op: Operation::new("fetch", vec![]),
-            staleness_threshold: 1000,
-            deadline_us,
-            attempt: 1,
-        };
-        assert!(!p.should_shed_read(&rr(0, 0)));
-        assert!(p.should_shed_read(&rr(1, 1)));
-    }
-
-    fn durable_gw(i: usize) -> CausalServerGateway {
-        let mut config = ServerConfig {
-            clients: vec![a(20), a(21)],
-            ..ServerConfig::default()
-        };
-        config.storage = crate::durability::StorageConfig::durable();
-        config.storage.seed = 99;
-        CausalServerGateway::new(
-            a(i),
-            pview(),
-            sview(),
-            Box::new(SharedDocument::new()),
-            config,
-        )
+        conformance::zero_deadline_never_sheds_on_deadline_grounds::<Causal>();
     }
 
     #[test]
     fn without_storage_restart_keeps_seed_semantics() {
-        let mut p = gw(1);
-        assert!(
-            p.durability().is_none(),
-            "default config must stay seedlike"
-        );
-        p.crash_storage(); // no-op without a sidecar
-        let _ = p.on_restart(Box::new(SharedDocument::new()), t(5));
-        assert!(!p.is_synced());
-        assert_eq!(p.stats().replayed_records, 0);
+        conformance::disabled_storage_has_no_sidecar::<Causal>();
+    }
+
+    #[test]
+    fn duplicate_update_answered_from_reply_cache() {
+        conformance::duplicate_update_answered_from_reply_cache::<Causal>();
+    }
+
+    #[test]
+    fn stale_secondary_defers_until_lazy_update() {
+        conformance::stale_secondary_defers_until_lazy_update::<Causal>();
+    }
+
+    #[test]
+    fn fresh_secondary_serves_immediately() {
+        conformance::fresh_secondary_serves_immediately::<Causal>();
+    }
+
+    #[test]
+    fn restart_requests_state_transfer() {
+        conformance::restart_requests_state_transfer::<Causal>();
     }
 
     #[test]
     fn durable_replay_restores_vector_and_document() {
-        let mut p = durable_gw(1);
-        let mut actions = p.on_payload(a(20), update(20, 0, "message", vec![]), t(0));
-        actions.extend(p.on_payload(a(21), update(21, 0, "reply", vec![(a(20), 1)]), t(1)));
+        let mut p = doc(1, durable_config());
+        let mut actions = Vec::new();
+        p.on_payload(a(20), update(20, 0, "message", vec![]), t(0), &mut actions);
+        let reply = update(21, 0, "reply", vec![(a(20), 1)]);
+        p.on_payload(a(21), reply, t(1), &mut actions);
         let now = drain(&mut p, &mut actions, t(1));
         assert_eq!(p.version(), 2);
         assert_eq!(p.stats().wal_appends, 2);
         let doc_before = p.object().snapshot();
         p.crash_storage();
-        let _ = p.on_restart(Box::new(SharedDocument::new()), now);
+        p.on_restart(Box::new(SharedDocument::new()), now, &mut Vec::new());
         assert_eq!(p.version(), 2, "replay restores the version");
         assert_eq!(
             p.vector_snapshot(),
@@ -1614,102 +730,43 @@ mod tests {
 
     #[test]
     fn non_dominating_transfer_rejected_after_replay() {
-        let mut p = durable_gw(1);
-        let mut actions = p.on_payload(a(20), update(20, 0, "x", vec![]), t(0));
+        let mut p = doc(1, durable_config());
+        let mut actions = sink(|out| p.on_payload(a(20), update(20, 0, "x", vec![]), t(0), out));
         let now = drain(&mut p, &mut actions, t(0));
         p.crash_storage();
-        let _ = p.on_restart(Box::new(SharedDocument::new()), now);
+        p.on_restart(Box::new(SharedDocument::new()), now, &mut Vec::new());
         assert!(p.is_synced());
         // A donor that never saw client 20's update answers the post-replay
         // reconciliation request: its vector does not dominate ours, so
         // installing it would lose an acked commit. It must be ignored.
         let mut behind = gw(2);
-        let mut actions = behind.on_payload(a(21), update(21, 0, "y", vec![]), t(0));
+        let mut actions =
+            sink(|out| behind.on_payload(a(21), update(21, 0, "y", vec![]), t(0), out));
         let _ = drain(&mut behind, &mut actions, t(0));
-        let reply = behind.on_state_request(a(1));
-        let Some(ServerAction::SendDirect {
-            payload: Payload::StateResponse { csn, snapshot, .. },
-            ..
-        }) = reply.first()
-        else {
-            panic!("donor must answer, got {reply:?}");
-        };
-        let _ = p.on_payload(
-            a(2),
-            Payload::StateResponse {
-                csn: *csn,
-                gsn: *csn,
-                snapshot: snapshot.clone(),
-            },
-            now,
-        );
+        let stale = transfer(&mut behind, now);
+        p.on_payload(a(2), stale, now, &mut Vec::new());
         assert_eq!(p.vector_snapshot(), vec![(a(20), 1)], "commit kept");
         // A dominating donor (saw both updates) is adopted.
         let mut ahead = gw(2);
-        let mut actions = ahead.on_payload(a(20), update(20, 0, "x", vec![]), t(0));
-        actions.extend(ahead.on_payload(a(21), update(21, 0, "y", vec![]), t(1)));
+        let mut actions = Vec::new();
+        ahead.on_payload(a(20), update(20, 0, "x", vec![]), t(0), &mut actions);
+        ahead.on_payload(a(21), update(21, 0, "y", vec![]), t(1), &mut actions);
         let _ = drain(&mut ahead, &mut actions, t(1));
-        let reply = ahead.on_state_request(a(1));
-        let Some(ServerAction::SendDirect {
-            payload: Payload::StateResponse { csn, snapshot, .. },
-            ..
-        }) = reply.first()
-        else {
-            panic!("donor must answer, got {reply:?}");
-        };
-        let _ = p.on_payload(
-            a(2),
-            Payload::StateResponse {
-                csn: *csn,
-                gsn: *csn,
-                snapshot: snapshot.clone(),
-            },
-            now,
-        );
+        let fresh = transfer(&mut ahead, now);
+        p.on_payload(a(2), fresh, now, &mut Vec::new());
         assert_eq!(p.version(), 2);
         assert_eq!(p.vector_snapshot(), vec![(a(20), 1), (a(21), 1)]);
     }
 
     #[test]
     fn durable_secondary_persists_lazy_installs() {
-        let mut publisher = durable_gw(2);
-        let _ = publisher.on_start(t(0));
-        let mut actions = publisher.on_payload(a(20), update(20, 0, "m", vec![]), t(10));
-        let _ = drain(&mut publisher, &mut actions, t(10));
-        let lazy = publisher.on_lazy_timer(t(2000));
-        let payload = lazy
-            .iter()
-            .find_map(|x| match x {
-                ServerAction::MulticastSecondary(p @ Payload::CausalLazyUpdate { .. }) => {
-                    Some(p.clone())
-                }
-                _ => None,
-            })
-            .expect("causal lazy update");
-        let mut s = durable_gw(10);
-        let _ = s.on_start(t(0));
-        let _ = s.on_payload(a(2), payload, t(2001));
-        assert_eq!(s.stats().snapshots_taken, 1);
-        s.crash_storage();
-        let _ = s.on_restart(Box::new(SharedDocument::new()), t(3000));
-        assert_eq!(s.version(), 1, "secondary restarts from its last install");
-        assert_eq!(s.vector_snapshot(), vec![(a(20), 1)]);
+        let s = conformance::durable_secondary_persists_lazy_installs::<Causal>();
+        assert_eq!(s.vector_snapshot(), vec![(a(20), 7)]);
     }
 
     #[test]
     fn compaction_stages_vector_carrying_snapshots() {
-        let mut p = durable_gw(1);
-        p.config.storage.snapshot_every = 4;
-        p.durability = Some(Durability::new(p.config.storage.clone(), 99));
-        let mut actions = Vec::new();
-        for i in 0..10 {
-            actions.extend(p.on_payload(a(20), update(20, i, "x", vec![]), t(i)));
-        }
-        let now = drain(&mut p, &mut actions, t(20));
-        assert!(p.stats().snapshots_taken >= 1);
-        p.crash_storage();
-        let _ = p.on_restart(Box::new(SharedDocument::new()), now);
-        assert_eq!(p.version(), 10, "snapshot + tail replay reach full state");
+        let p = conformance::compaction_stages_snapshots_under_load::<Causal>();
         assert_eq!(p.vector_snapshot(), vec![(a(20), 10)]);
     }
 }

@@ -22,1084 +22,324 @@
 //!   estimate exceeds the client's threshold the read is deferred until the
 //!   next lazy update, exactly like the sequential handler's deferred
 //!   reads.
-//! * **Lazy propagation, monitoring, and failure handling** reuse the same
-//!   machinery: the highest-ranked primary is the publisher, performance
-//!   broadcasts feed the client repositories, and restarted replicas
-//!   recover via state transfer. Leader failure needs no recovery round at
-//!   all — there is no sequencer state to rebuild.
+//! * **Lazy propagation, monitoring, and failure handling** are the replica
+//!   shell's ([`crate::shell`]), under which this module is the [`Fifo`]
+//!   ordering discipline: the highest-ranked primary is the publisher,
+//!   performance broadcasts feed the client repositories, and restarted
+//!   replicas recover via state transfer. Leader failure needs no recovery
+//!   round at all — there is no sequencer state to rebuild.
 
-use crate::dedup::ReplyCache;
-use crate::durability::Durability;
-use crate::object::ReplicatedObject;
-use crate::obs::{req_ref, ObsEvent, ObsHandle};
+use crate::durability::ReplaySummary;
 use crate::qos::OrderingGuarantee;
-use crate::server::{ReplicaRole, ServerAction, ServerConfig, ServerStats};
-use crate::wire::{
-    Payload, PerfBroadcast, PublisherInfo, ReadMeasurement, ReadRequest, Reply, RequestId,
-    UpdateRequest, PRIMARY_GROUP, SECONDARY_GROUP,
+use crate::shell::{
+    push_bounded, Discipline, PendingRead, Position, Replica, ReplicaRole, ServerAction, Shell,
 };
-use aqf_group::View;
-use aqf_sim::{ActorId, SimDuration, SimTime};
+use crate::wire::{Payload, RequestId, UpdateRequest};
+use aqf_sim::{ActorId, SimTime};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-#[derive(Debug, Clone)]
-struct PendingRead {
-    req: ReadRequest,
-    client: ActorId,
-    arrived_at: SimTime,
+/// A secondary's staleness estimate when no sequencer can tell it the
+/// global version (shared with the causal discipline): the update-arrival
+/// rate the publisher last advertised, times the age of the last lazy
+/// update.
+#[derive(Debug, Default)]
+pub(crate) struct LazyClock {
+    last_lazy_at: Option<SimTime>,
+    rate_per_us: f64,
 }
 
-#[derive(Debug, Clone)]
-enum WorkKind {
-    Update {
-        update: UpdateRequest,
-    },
-    Read {
-        read: PendingRead,
-        staleness: u64,
-        deferred: bool,
-        tb: SimDuration,
-    },
+impl LazyClock {
+    pub(crate) fn started(&mut self, role: ReplicaRole, now: SimTime, restarted: bool) {
+        // Until the first lazy update arrives a secondary treats itself as
+        // synchronized-from-genesis (version 0 is the true initial state);
+        // a restarted one knows nothing until its transfer lands.
+        self.last_lazy_at = (!restarted && role == ReplicaRole::Secondary).then_some(now);
+    }
+
+    /// A lazy update arrived, advertising `rate_per_us`.
+    pub(crate) fn lazy_update(&mut self, now: SimTime, rate_per_us: f64) {
+        self.last_lazy_at = Some(now);
+        self.rate_per_us = rate_per_us.max(0.0);
+    }
+
+    /// A state transfer brought the replica level with its donor.
+    pub(crate) fn synced(&mut self, role: ReplicaRole, now: SimTime) {
+        if role == ReplicaRole::Secondary {
+            self.last_lazy_at = Some(now);
+        }
+    }
+
+    /// Estimated staleness in versions: zero for primaries; for
+    /// secondaries, the expected number of updates that arrived at the
+    /// primary group since the last lazy update, `ceil(rate * elapsed)`.
+    pub(crate) fn staleness(&self, role: ReplicaRole, now: SimTime) -> u64 {
+        match (role, self.last_lazy_at) {
+            (ReplicaRole::Primary, _) => 0,
+            (ReplicaRole::Secondary, Some(at)) => {
+                let elapsed = now.saturating_since(at).as_micros() as f64;
+                (self.rate_per_us * elapsed).ceil() as u64
+            }
+            // Never synchronized: unbounded staleness.
+            (ReplicaRole::Secondary, None) => u64::MAX,
+        }
+    }
 }
 
-#[derive(Debug, Clone)]
-struct Work {
-    kind: WorkKind,
-    enqueued_at: SimTime,
-}
-
-/// The FIFO-ordering server gateway. See the [module docs](self).
-pub struct FifoServerGateway {
-    me: ActorId,
-    role: ReplicaRole,
-    config: ServerConfig,
-    object: Box<dyn ReplicatedObject>,
-
-    primary_view: Arc<View>,
-    secondary_view: Arc<View>,
-
+/// The FIFO ordering discipline. See the [module docs](self).
+#[derive(Debug, Default)]
+pub struct Fifo {
     /// Updates applied to the hosted object (the replica's version).
     version: u64,
     /// Per-client applied-update log retained for order audits (bounded).
     applied_log: VecDeque<RequestId>,
-    /// Replies sent for recent updates, for answering retransmissions.
-    reply_cache: ReplyCache,
-
-    // Secondary staleness estimation inputs.
-    last_lazy_at: Option<SimTime>,
-    lazy_rate_per_us: f64,
-
-    deferred: Vec<(PendingRead, SimTime)>,
-
-    service_queue: VecDeque<Work>,
-    in_service: Option<(u64, Work, SimTime)>,
-    next_token: u64,
-
-    updates_since_broadcast: u64,
-    last_broadcast_at: SimTime,
-    updates_since_lazy: u64,
-    publisher_lazy_at: SimTime,
-    rate_acc_updates: u64,
-    rate_acc_since: SimTime,
-    /// Whether a lazy timer is currently armed (prevents duplicates when
-    /// restart and view-change handling both want one).
-    lazy_timer_pending: bool,
-
-    // Unsynced replicas re-request state transfers (the first request can
-    // be lost), rotating donors.
-    last_transfer_request: SimTime,
-    donor_rr: usize,
-
-    /// EWMA of observed service times in µs (overload protection); 0 until
-    /// the first sample.
-    avg_service_us: u64,
-
-    synced: bool,
-    stats: ServerStats,
-    /// Retained staging buffer for reply encoding: every serviced request
-    /// reuses this allocation via the object's `*_into` entry points.
-    reply_scratch: bytes::BytesMut,
-    /// Simulated stable storage, present when `config.storage.enabled`.
-    /// Applied updates are logged write-ahead of the reply; on restart the
-    /// durable state seeds the replica while a full transfer reconciles
-    /// whatever other clients' updates this replica never saw (FIFO has no
-    /// global sequence, so a version number alone cannot name a delta).
-    durability: Option<Durability>,
-    /// When the replica restarted, until it resynchronizes (recovery SLO).
-    restarted_at: Option<SimTime>,
-    obs: ObsHandle,
+    clock: LazyClock,
 }
 
-impl std::fmt::Debug for FifoServerGateway {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FifoServerGateway")
-            .field("me", &self.me)
-            .field("role", &self.role)
-            .field("version", &self.version)
-            .field("queue", &self.service_queue.len())
-            .finish()
-    }
-}
+/// The FIFO-ordering server gateway: the replica shell under [`Fifo`].
+pub type FifoServerGateway = Replica<Fifo>;
 
-impl FifoServerGateway {
-    /// Creates a FIFO gateway for replica `me`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is a member of neither (or both) initial views.
-    pub fn new(
-        me: ActorId,
-        primary_view: impl Into<Arc<View>>,
-        secondary_view: impl Into<Arc<View>>,
-        object: Box<dyn ReplicatedObject>,
-        config: ServerConfig,
-    ) -> Self {
-        let primary_view: Arc<View> = primary_view.into();
-        let secondary_view: Arc<View> = secondary_view.into();
-        let in_p = primary_view.contains(me);
-        let in_s = secondary_view.contains(me);
-        assert!(
-            in_p ^ in_s,
-            "replica must belong to exactly one replication group"
-        );
-        let role = if in_p {
-            ReplicaRole::Primary
-        } else {
-            ReplicaRole::Secondary
-        };
-        let config_reply_cache = config.reply_cache;
-        // Each replica gets its own deterministic fault/latency stream:
-        // the shared scenario seed mixed with the replica identity.
-        let durability = config.storage.enabled.then(|| {
-            let seed = config
-                .storage
-                .seed
-                .wrapping_add((me.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            Durability::new(config.storage.clone(), seed)
-        });
-        Self {
-            me,
-            role,
-            config,
-            object,
-            primary_view,
-            secondary_view,
-            version: 0,
-            applied_log: VecDeque::new(),
-            reply_cache: ReplyCache::new(config_reply_cache),
-            last_lazy_at: None,
-            lazy_rate_per_us: 0.0,
-            deferred: Vec::new(),
-            service_queue: VecDeque::new(),
-            in_service: None,
-            next_token: 0,
-            updates_since_broadcast: 0,
-            last_broadcast_at: SimTime::ZERO,
-            updates_since_lazy: 0,
-            publisher_lazy_at: SimTime::ZERO,
-            rate_acc_updates: 0,
-            rate_acc_since: SimTime::ZERO,
-            lazy_timer_pending: false,
-            last_transfer_request: SimTime::ZERO,
-            donor_rr: 0,
-            avg_service_us: 0,
-            synced: true,
-            stats: ServerStats::default(),
-            reply_scratch: bytes::BytesMut::new(),
-            durability,
-            restarted_at: None,
-            obs: ObsHandle::disabled(),
-        }
-    }
-
-    /// This replica's role.
-    pub fn role(&self) -> ReplicaRole {
-        self.role
-    }
-
-    /// Installs an observability handle (disabled handles record nothing
-    /// and leave behaviour bit-identical).
-    pub fn set_obs(&mut self, obs: ObsHandle) {
-        self.obs = obs;
-    }
-
+impl Replica<Fifo> {
     /// The replica's version: updates applied so far.
     pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Whether this replica is the current lazy publisher (same
-    /// deterministic designation rule as the sequential handler, except
-    /// that without a sequencer the leader also serves, so a single-member
-    /// primary group simply publishes from the leader).
-    pub fn is_publisher(&self) -> bool {
-        self.role == ReplicaRole::Primary
-            && *self.primary_view.members().last().expect("non-empty view") == self.me
+        self.discipline.version
     }
 
     /// The applied-update log (most recent `committed_log` entries), for
     /// per-client FIFO order audits.
     pub fn applied_log(&self) -> impl Iterator<Item = RequestId> + '_ {
-        self.applied_log.iter().copied()
+        self.discipline.applied_log.iter().copied()
     }
+}
 
-    /// Estimated staleness of this replica in versions: zero for primaries;
-    /// for secondaries, the expected number of updates that arrived at the
-    /// primary group since the last lazy update, `ceil(rate * elapsed)`.
-    pub fn estimated_staleness(&self, now: SimTime) -> u64 {
-        match self.role {
-            ReplicaRole::Primary => 0,
-            ReplicaRole::Secondary => match self.last_lazy_at {
-                Some(at) => {
-                    let elapsed = now.saturating_since(at).as_micros() as f64;
-                    (self.lazy_rate_per_us * elapsed).ceil() as u64
-                }
-                // Never synchronized: unbounded staleness.
-                None => u64::MAX,
-            },
-        }
-    }
-
-    /// Whether the replica's state is synchronized.
-    pub fn is_synced(&self) -> bool {
-        self.synced
-    }
-
-    /// Protocol counters.
-    pub fn stats(&self) -> ServerStats {
-        self.stats
-    }
-
-    /// The durability sidecar, if storage is enabled (post-run inspection).
-    pub fn durability(&self) -> Option<&Durability> {
-        self.durability.as_ref()
-    }
-
-    /// Applies crash semantics to the stable storage: unsynced appends are
-    /// lost (possibly leaving a torn tail or a flipped bit, per the fault
-    /// configuration) and any staged-but-unrenamed snapshot is discarded.
-    /// Hosts call this at the crash boundary, before
-    /// [`FifoServerGateway::on_restart`].
-    pub fn crash_storage(&mut self) {
-        if let Some(d) = self.durability.as_mut() {
-            d.crash();
-        }
-    }
-
-    /// Flips `synced` on (if off) and closes the open recovery window.
-    fn mark_synced(&mut self, now: SimTime) {
-        if !self.synced {
-            self.synced = true;
-            if let Some(at) = self.restarted_at.take() {
-                let healed = now.saturating_since(at).as_micros();
-                self.stats.recovery_us = self.stats.recovery_us.max(healed);
-            }
-        }
-    }
-
-    /// Read access to the hosted object.
-    pub fn object(&self) -> &dyn ReplicatedObject {
-        &*self.object
-    }
-
-    /// Called once at host start.
-    pub fn on_start(&mut self, now: SimTime) -> Vec<ServerAction> {
-        self.last_broadcast_at = now;
-        self.publisher_lazy_at = now;
-        self.rate_acc_since = now;
-        if self.role == ReplicaRole::Secondary {
-            // Until the first lazy update arrives the secondary treats
-            // itself as synchronized-from-genesis (version 0 is the true
-            // initial state).
-            self.last_lazy_at = Some(now);
-        }
-        let mut actions = Vec::new();
-        if self.is_publisher() {
-            self.arm_lazy(&mut actions);
-        }
-        actions
-    }
-
-    /// Arms the lazy timer unless one is already pending.
-    fn arm_lazy(&mut self, actions: &mut Vec<ServerAction>) {
-        if !self.lazy_timer_pending {
-            self.lazy_timer_pending = true;
-            actions.push(ServerAction::ArmLazyTimer {
-                after: self.config.lazy_interval,
-            });
-        }
-    }
-
-    /// Restart handling: wipe volatile state and request a state transfer.
-    pub fn on_restart(
+impl Fifo {
+    fn on_update(
         &mut self,
-        fresh_object: Box<dyn ReplicatedObject>,
+        shell: &mut Shell,
+        u: UpdateRequest,
         now: SimTime,
-    ) -> Vec<ServerAction> {
-        let me = self.me;
-        let config = self.config.clone();
-        let primary_view = self.primary_view.clone();
-        let secondary_view = self.secondary_view.clone();
-        // The durability sidecar survives the wipe — it *is* the stable
-        // storage (the host already applied crash damage via
-        // `crash_storage`). The obs handle rides along so recovery shows
-        // up in the trace; without storage the seed's behaviour — a
-        // restarted replica is un-instrumented — is kept bit-identical.
-        let survived = self.durability.take().map(|d| (d, self.obs.clone()));
-        *self = FifoServerGateway::new(me, primary_view, secondary_view, fresh_object, config);
-        if let Some((d, obs)) = survived {
-            self.durability = Some(d);
-            self.obs = obs;
-        }
-        self.synced = false;
-        self.restarted_at = Some(now);
-        self.last_lazy_at = None;
-        self.last_transfer_request = now;
-        self.last_broadcast_at = now;
-        self.publisher_lazy_at = now;
-        self.rate_acc_since = now;
-        // A successful replay restores this replica's own durable state
-        // (and marks it synced so reads resume), but without a global
-        // sequence it cannot bound what *other* clients' updates it missed
-        // while down: a full state transfer still reconciles with a live
-        // peer. The relaxed `on_state_response` guard accepts that
-        // transfer even though the replica already reports synced.
-        self.replay_storage(now);
-        let donor = self.primary_view.leader();
-        let mut actions = vec![ServerAction::SendDirect {
-            to: donor,
-            payload: Payload::StateRequest,
-        }];
-        if self.is_publisher() {
-            self.arm_lazy(&mut actions);
-        }
-        actions
-    }
-
-    /// Replays the durable log after a crash. Returns whether the replay
-    /// restored local state (snapshot installed, applied tail re-applied,
-    /// replica synced); `false` falls back to the full-transfer path.
-    fn replay_storage(&mut self, now: SimTime) -> bool {
-        let Some(d) = self.durability.as_mut() else {
-            return false;
-        };
-        if !d.config().replay {
-            self.obs.emit(now, self.me, || ObsEvent::RecoveryFallback {
-                reason: "replay-disabled",
-            });
-            return false;
-        }
-        let summary = d.replay();
-        self.stats.torn_tails_dropped += summary.torn_records;
-        if summary.corrupt {
-            self.stats.corrupt_logs += 1;
-            self.obs.emit(now, self.me, || ObsEvent::RecoveryFallback {
-                reason: "corrupt-log",
-            });
-            return false;
-        }
-        if summary.snapshot.is_none() && summary.commits.is_empty() {
-            // Nothing durable yet: behave exactly like a plain restart
-            // rather than claim an empty state is synchronized.
-            self.obs.emit(now, self.me, || ObsEvent::RecoveryFallback {
-                reason: "empty-log",
-            });
-            return false;
-        }
-        if let Some(snap) = &summary.snapshot {
-            self.object
-                .install_snapshot(&bytes::Bytes::from(snap.data.clone()));
-            self.version = snap.csn;
-        }
-        for (version, update) in &summary.commits {
-            let _ = self
-                .object
-                .apply_update_into(&update.op, &mut self.reply_scratch);
-            self.version = *version;
-            self.applied_log.push_back(update.id);
-            while self.applied_log.len() > self.config.committed_log {
-                self.applied_log.pop_front();
-            }
-        }
-        self.stats.replayed_records += summary.replayed_records;
-        self.mark_synced(now);
-        let (records, csn) = (summary.replayed_records, self.version);
-        self.obs
-            .emit(now, self.me, || ObsEvent::RecoveryReplay { records, csn });
-        true
-    }
-
-    /// Picks the next state-transfer donor, cycling through the primary
-    /// members so a lost request or an unhelpful donor cannot wedge
-    /// recovery.
-    fn next_donor(&mut self) -> Option<ActorId> {
-        let candidates: Vec<ActorId> = self
-            .primary_view
-            .members()
-            .iter()
-            .copied()
-            .filter(|m| *m != self.me)
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let donor = candidates[self.donor_rr % candidates.len()];
-        self.donor_rr += 1;
-        Some(donor)
-    }
-
-    /// While unsynchronized, periodically re-request the state transfer
-    /// (the initial request or its response may have been lost).
-    fn maybe_rerequest_transfer(&mut self, now: SimTime, actions: &mut Vec<ServerAction>) {
-        if self.synced
-            || now.saturating_since(self.last_transfer_request) <= self.config.commit_stall_timeout
-        {
+        out: &mut Vec<ServerAction>,
+    ) {
+        if shell.role != ReplicaRole::Primary {
             return;
         }
-        if let Some(donor) = self.next_donor() {
-            self.last_transfer_request = now;
-            actions.push(ServerAction::SendDirect {
-                to: donor,
-                payload: Payload::StateRequest,
-            });
+        // FIFO updates apply as they arrive, so a second copy of one that
+        // was applied, is queued or is in service would double-apply.
+        if self.applied_log.contains(&u.id) || shell.update_in_flight(u.id) {
+            return shell.answer_duplicate(u.id, out);
         }
-    }
-
-    /// Handles a protocol payload.
-    pub fn on_payload(
-        &mut self,
-        from: ActorId,
-        payload: Payload,
-        now: SimTime,
-    ) -> Vec<ServerAction> {
-        let mut retry = Vec::new();
-        self.maybe_rerequest_transfer(now, &mut retry);
-        if !retry.is_empty() {
-            let mut actions = self.dispatch_payload(from, payload, now);
-            actions.extend(retry);
-            return actions;
-        }
-        self.dispatch_payload(from, payload, now)
-    }
-
-    fn dispatch_payload(
-        &mut self,
-        from: ActorId,
-        payload: Payload,
-        now: SimTime,
-    ) -> Vec<ServerAction> {
-        match payload {
-            Payload::Update(u) => self.on_update(u, now),
-            Payload::Read(r) => self.on_read(from, r, now),
-            Payload::FifoLazyUpdate {
-                version,
-                snapshot,
-                rate_per_us,
-            } => self.on_lazy_update(version, &snapshot, rate_per_us, now),
-            Payload::StateRequest => self.on_state_request(from),
-            Payload::StateResponse { csn, snapshot, .. } => {
-                self.on_state_response(csn, &snapshot, now)
-            }
-            // Sequencer-protocol traffic has no meaning here.
-            _ => Vec::new(),
-        }
-    }
-
-    /// Whether update `id` was already applied, is queued for service, or
-    /// is in service right now.
-    fn is_duplicate_update(&self, id: RequestId) -> bool {
-        let queued = |w: &Work| matches!(&w.kind, WorkKind::Update { update } if update.id == id);
-        self.applied_log.contains(&id)
-            || self.service_queue.iter().any(queued)
-            || self.in_service.as_ref().is_some_and(|(_, w, _)| queued(w))
-    }
-
-    fn on_update(&mut self, u: UpdateRequest, now: SimTime) -> Vec<ServerAction> {
-        if self.role != ReplicaRole::Primary {
-            return Vec::new();
-        }
-        if self.is_duplicate_update(u.id) {
-            // Retransmission or at-least-once duplicate: FIFO updates
-            // apply as they arrive, so a second copy would double-apply.
-            // Answer from the reply cache when we already replied.
-            self.stats.dedup_hits += 1;
-            return match self.reply_cache.get(&u.id) {
-                Some(r) => vec![ServerAction::SendDirect {
-                    to: u.id.client,
-                    payload: Payload::Reply(r.clone()),
-                }],
-                None => Vec::new(),
-            };
-        }
-        self.updates_since_broadcast += 1;
-        self.updates_since_lazy += 1;
-        self.rate_acc_updates += 1;
-        self.stats.updates_committed += 1;
-        let mut actions = Vec::new();
-        self.enqueue(
-            Work {
-                kind: WorkKind::Update { update: u },
-                enqueued_at: now,
-            },
-            &mut actions,
-        );
-        actions
-    }
-
-    /// Overload protection (reads only — FIFO updates apply wherever they
-    /// arrive, so shedding one at a single primary would permanently
-    /// diverge the group): queue bound plus the deadline-aware backlog
-    /// estimate.
-    fn should_shed_read(&self, req: &ReadRequest) -> bool {
-        let ovl = &self.config.overload;
-        if !ovl.enabled {
-            return false;
-        }
-        let depth = self.service_queue.len() + usize::from(self.in_service.is_some());
-        if depth >= ovl.queue_bound {
-            return true;
-        }
-        ovl.deadline_shedding
-            && req.deadline_us > 0
-            && self.avg_service_us > 0
-            && (depth as u64 + 1).saturating_mul(self.avg_service_us) > req.deadline_us
-    }
-
-    fn on_read(&mut self, from: ActorId, r: ReadRequest, now: SimTime) -> Vec<ServerAction> {
-        if self.should_shed_read(&r) {
-            self.stats.shed_reads += 1;
-            let queue_depth =
-                (self.service_queue.len() + usize::from(self.in_service.is_some())) as u64;
-            self.obs.emit(now, self.me, || ObsEvent::ShedRead {
-                req: req_ref(r.id),
-                queue_depth,
-            });
-            return vec![ServerAction::SendDirect {
-                to: from,
-                payload: Payload::Busy { req: r.id },
-            }];
-        }
-        let pending = PendingRead {
-            req: r,
-            client: from,
-            arrived_at: now,
-        };
-        let staleness = self.estimated_staleness(now);
-        let mut actions = Vec::new();
-        if self.synced && staleness <= pending.req.staleness_threshold as u64 {
-            self.enqueue(
-                Work {
-                    kind: WorkKind::Read {
-                        read: pending,
-                        staleness,
-                        deferred: false,
-                        tb: SimDuration::ZERO,
-                    },
-                    enqueued_at: now,
-                },
-                &mut actions,
-            );
-        } else {
-            self.stats.reads_deferred += 1;
-            self.deferred.push((pending, now));
-        }
-        actions
+        shell.note_update();
+        shell.stats.updates_committed += 1;
+        shell.enqueue_update(u, 0, now, out);
     }
 
     fn on_lazy_update(
         &mut self,
+        shell: &mut Shell,
         version: u64,
         snapshot: &bytes::Bytes,
         rate_per_us: f64,
         now: SimTime,
-    ) -> Vec<ServerAction> {
-        if self.role != ReplicaRole::Secondary {
-            return Vec::new();
+        out: &mut Vec<ServerAction>,
+    ) {
+        if shell.role != ReplicaRole::Secondary {
+            return;
         }
         if version > self.version {
-            self.object.install_snapshot(snapshot);
+            shell.object.install_snapshot(snapshot);
             self.version = version;
-            self.stats.lazy_updates_applied += 1;
-            // A secondary's state *is* the last lazy snapshot: persist it
-            // so a crashed secondary restarts from here instead of empty.
-            if let Some(d) = self.durability.as_mut() {
-                d.persist_install(version, version, snapshot.to_vec());
-                self.stats.snapshots_taken += 1;
-            }
+            shell.stats.lazy_updates_applied += 1;
+            // A secondary's state *is* the last lazy snapshot.
+            shell.persist_install(version, version, |_| snapshot.to_vec());
         }
-        self.mark_synced(now);
-        self.last_lazy_at = Some(now);
-        self.lazy_rate_per_us = rate_per_us.max(0.0);
-        // Deferred reads are answered on the next state update (§4.1.2).
-        let staleness = self.estimated_staleness(now);
-        let mut actions = Vec::new();
-        for (pending, deferred_at) in std::mem::take(&mut self.deferred) {
-            let tb = now.saturating_since(deferred_at);
-            self.enqueue(
-                Work {
-                    kind: WorkKind::Read {
-                        read: pending,
-                        staleness,
-                        deferred: true,
-                        tb,
-                    },
-                    enqueued_at: now,
-                },
-                &mut actions,
-            );
-        }
-        actions
-    }
-
-    /// The lazy propagation timer fired.
-    pub fn on_lazy_timer(&mut self, now: SimTime) -> Vec<ServerAction> {
-        self.lazy_timer_pending = false;
-        if !self.is_publisher() {
-            return Vec::new();
-        }
-        let mut actions = Vec::new();
-        self.stats.lazy_updates_sent += 1;
-        // Update-rate estimate shipped to secondaries for their staleness
-        // bound: arrivals observed since the estimator was last reset.
-        let elapsed = now.saturating_since(self.rate_acc_since).as_micros();
-        let rate = if elapsed > 0 {
-            self.rate_acc_updates as f64 / elapsed as f64
-        } else {
-            0.0
-        };
-        actions.push(ServerAction::MulticastSecondary(Payload::FifoLazyUpdate {
-            version: self.version,
-            snapshot: self.object.snapshot(),
-            rate_per_us: rate,
-        }));
-        self.updates_since_lazy = 0;
-        self.publisher_lazy_at = now;
-        // Keep the rate estimator fresh: fold down by restarting the
-        // accumulation window every 8 lazy intervals.
-        if now.saturating_since(self.rate_acc_since) > self.config.lazy_interval * 8 {
-            self.rate_acc_updates = 0;
-            self.rate_acc_since = now;
-        }
-        let perf = Payload::Perf(PerfBroadcast {
-            read: None,
-            publisher: Some(self.publisher_info(now)),
-        });
-        for c in self.config.clients.clone() {
-            actions.push(ServerAction::SendDirect {
-                to: c,
-                payload: perf.clone(),
-            });
-        }
-        self.arm_lazy(&mut actions);
-        actions
-    }
-
-    fn publisher_info(&mut self, now: SimTime) -> PublisherInfo {
-        let info = PublisherInfo {
-            n_u: self.updates_since_broadcast,
-            t_u: now.saturating_since(self.last_broadcast_at),
-            n_l: self.updates_since_lazy,
-            t_l: now.saturating_since(self.publisher_lazy_at),
-            period: self.config.lazy_interval,
-        };
-        self.updates_since_broadcast = 0;
-        self.last_broadcast_at = now;
-        info
-    }
-
-    fn enqueue(&mut self, work: Work, actions: &mut Vec<ServerAction>) {
-        self.service_queue.push_back(work);
-        self.maybe_start_service(actions);
-    }
-
-    fn maybe_start_service(&mut self, actions: &mut Vec<ServerAction>) {
-        if self.in_service.is_some() {
-            return;
-        }
-        let Some(work) = self.service_queue.pop_front() else {
-            return;
-        };
-        let token = self.next_token;
-        self.next_token += 1;
-        self.in_service = Some((token, work, SimTime::ZERO));
-        actions.push(ServerAction::StartService { token });
-    }
-
-    /// The host began servicing `token` at `now`.
-    pub fn on_service_start(&mut self, token: u64, now: SimTime) {
-        if let Some((t, _, start)) = self.in_service.as_mut() {
-            if *t == token {
-                *start = now;
-            }
-        }
-    }
-
-    /// The service delay for `token` elapsed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token` is not the unit of work in service.
-    pub fn on_service_done(&mut self, token: u64, now: SimTime) -> Vec<ServerAction> {
-        let (t, work, started_at) = self.in_service.take().expect("no work in service");
-        assert_eq!(t, token, "service completion for unexpected token");
-        let mut actions = Vec::new();
-        let ts = now.saturating_since(started_at);
-        if self.config.overload.enabled {
-            let sample = ts.as_micros().max(1);
-            self.avg_service_us = if self.avg_service_us == 0 {
-                sample
-            } else {
-                (self.avg_service_us * 7 + sample) / 8
-            };
-        }
-        if self.obs.is_enabled() {
-            let req_id = match &work.kind {
-                WorkKind::Update { update } => update.id,
-                WorkKind::Read { read, .. } => read.req.id,
-            };
-            self.obs.emit(now, self.me, || ObsEvent::ServiceDone {
-                req: req_ref(req_id),
-                service_us: ts.as_micros(),
-            });
-            self.obs.observe(
-                "server.service_us",
-                aqf_obs::LATENCY_BOUNDS_US,
-                ts.as_micros(),
-            );
-        }
-        match work.kind {
-            WorkKind::Update { update } => {
-                let result = self
-                    .object
-                    .apply_update_into(&update.op, &mut self.reply_scratch);
-                self.version += 1;
-                self.applied_log.push_back(update.id);
-                while self.applied_log.len() > self.config.committed_log {
-                    self.applied_log.pop_front();
-                }
-                // Write-ahead discipline: in FIFO mode "commit" is the
-                // apply itself, so the record hits the log before the
-                // reply below acknowledges the update.
-                if let Some(d) = self.durability.as_mut() {
-                    let version = self.version;
-                    let (bytes, _) = d.log_commit(version, &update);
-                    self.stats.wal_appends += 1;
-                    self.obs.emit(now, self.me, || ObsEvent::WalAppend {
-                        gsn: version,
-                        bytes,
-                    });
-                }
-                self.maybe_snapshot(now);
-                let tq = started_at.saturating_since(work.enqueued_at);
-                let reply = Reply {
-                    id: update.id,
-                    result,
-                    t1_us: (ts + tq).as_micros(),
-                    staleness: 0,
-                    deferred: false,
-                    csn: self.version,
-                    vector: Vec::new(),
-                };
-                self.reply_cache.insert(reply.clone());
-                actions.push(ServerAction::SendDirect {
-                    to: update.id.client,
-                    payload: Payload::Reply(reply),
-                });
-            }
-            WorkKind::Read {
-                read,
-                staleness,
-                deferred,
-                tb,
-            } => {
-                let result = self.object.read_into(&read.req.op, &mut self.reply_scratch);
-                self.stats.reads_served += 1;
-                let total_wait = started_at.saturating_since(read.arrived_at);
-                let tq = total_wait.saturating_sub(tb);
-                let t1 = ts + tq + tb;
-                actions.push(ServerAction::SendDirect {
-                    to: read.client,
-                    payload: Payload::Reply(Reply {
-                        id: read.req.id,
-                        result,
-                        t1_us: t1.as_micros(),
-                        staleness,
-                        deferred,
-                        csn: self.version,
-                        vector: Vec::new(),
-                    }),
-                });
-                let perf = Payload::Perf(PerfBroadcast {
-                    read: Some(ReadMeasurement {
-                        ts_us: ts.as_micros(),
-                        tq_us: tq.as_micros(),
-                        tb_us: tb.as_micros(),
-                    }),
-                    publisher: self.is_publisher().then(|| self.publisher_info(now)),
-                });
-                for c in self.config.clients.clone() {
-                    actions.push(ServerAction::SendDirect {
-                        to: c,
-                        payload: perf.clone(),
-                    });
-                }
-            }
-        }
-        self.maybe_start_service(&mut actions);
-        actions
-    }
-
-    /// Durable compaction: once enough applies accumulated, stage a
-    /// snapshot of the applied state; the WAL prefix it covers is truncated
-    /// at the next fsync (atomic rename).
-    fn maybe_snapshot(&mut self, now: SimTime) {
-        let Some(d) = self.durability.as_mut() else {
-            return;
-        };
-        if !d.wants_snapshot() {
-            return;
-        }
-        let version = self.version;
-        let data = self.object.snapshot().to_vec();
-        let wal_bytes = d.stage_snapshot(version, version, data);
-        self.stats.snapshots_taken += 1;
-        self.obs.emit(now, self.me, || ObsEvent::Snapshot {
-            csn: version,
-            wal_bytes,
-        });
-    }
-
-    fn on_state_request(&mut self, from: ActorId) -> Vec<ServerAction> {
-        if self.role != ReplicaRole::Primary || !self.synced {
-            return Vec::new();
-        }
-        self.stats.state_transfers += 1;
-        let snapshot = self.object.snapshot();
-        self.stats.transfer_bytes_sent += snapshot.len() as u64;
-        vec![ServerAction::SendDirect {
-            to: from,
-            payload: Payload::StateResponse {
-                csn: self.version,
-                gsn: self.version,
-                snapshot,
-            },
-        }]
+        shell.mark_synced(now);
+        self.clock.lazy_update(now, rate_per_us);
+        shell.release_deferred(self, true, now, out);
     }
 
     fn on_state_response(
         &mut self,
+        shell: &mut Shell,
         version: u64,
         snapshot: &bytes::Bytes,
         now: SimTime,
-    ) -> Vec<ServerAction> {
+        out: &mut Vec<ServerAction>,
+    ) {
         // With durable storage a replayed replica is already synced but
-        // still reconciles via this transfer (see `on_restart`): accept
-        // any response that does not move the version backwards. Without
-        // storage, keep the seed's guard bit-identical.
-        if (self.synced && self.durability.is_none()) || version < self.version {
-            return Vec::new();
+        // still reconciles via this transfer (see `request_recovery`):
+        // accept any response that does not move the version backwards.
+        // Without storage, keep the seed's guard bit-identical.
+        if (shell.synced && shell.durability.is_none()) || version < self.version {
+            return;
         }
-        self.object.install_snapshot(snapshot);
+        shell.object.install_snapshot(snapshot);
         self.version = version;
-        self.mark_synced(now);
-        // The installed transfer supersedes the local log: make it the
-        // durable baseline immediately, so a crash right after the install
-        // cannot resurrect pre-transfer state.
-        if let Some(d) = self.durability.as_mut() {
-            d.persist_install(version, version, snapshot.to_vec());
-            self.stats.snapshots_taken += 1;
-        }
-        if self.role == ReplicaRole::Secondary {
-            self.last_lazy_at = Some(now);
-        }
-        // Release reads that were waiting for a synchronized state.
-        let staleness = self.estimated_staleness(now);
-        let mut actions = Vec::new();
-        for (pending, deferred_at) in std::mem::take(&mut self.deferred) {
-            let tb = now.saturating_since(deferred_at);
-            self.enqueue(
-                Work {
-                    kind: WorkKind::Read {
-                        read: pending,
-                        staleness,
-                        deferred: true,
-                        tb,
-                    },
-                    enqueued_at: now,
-                },
-                &mut actions,
-            );
-        }
-        actions
-    }
-
-    /// Handles a view change of either replication group.
-    pub fn on_view(&mut self, view: Arc<View>, now: SimTime) -> Vec<ServerAction> {
-        let (view_id, members) = (view.id.0, view.members().len() as u64);
-        self.obs
-            .emit(now, self.me, || ObsEvent::ViewChange { view_id, members });
-        let mut actions = Vec::new();
-        if view.group == PRIMARY_GROUP {
-            let was_publisher = self.is_publisher();
-            self.primary_view = view;
-            if self.role == ReplicaRole::Primary && self.is_publisher() && !was_publisher {
-                self.updates_since_lazy = 0;
-                self.publisher_lazy_at = now;
-                self.rate_acc_since = now;
-                self.rate_acc_updates = 0;
-                self.arm_lazy(&mut actions);
-            }
-        } else if view.group == SECONDARY_GROUP {
-            self.secondary_view = view;
-        }
-        actions
+        shell.mark_synced(now);
+        shell.persist_install(version, version, |_| snapshot.to_vec());
+        self.clock.synced(shell.role, now);
+        shell.release_deferred(self, true, now, out);
     }
 }
 
-impl crate::protocol::ServerProtocol for FifoServerGateway {
-    fn ordering(&self) -> OrderingGuarantee {
-        OrderingGuarantee::Fifo
+impl Discipline for Fifo {
+    const ORDERING: OrderingGuarantee = OrderingGuarantee::Fifo;
+
+    fn position(&self) -> Position {
+        Position {
+            csn: self.version,
+            applied_csn: self.version,
+            gsn: self.version,
+        }
     }
 
-    fn on_start(&mut self, now: SimTime) -> Vec<ServerAction> {
-        FifoServerGateway::on_start(self, now)
+    fn started(&mut self, shell: &Shell, now: SimTime, restarted: bool) {
+        self.clock.started(shell.role, now, restarted);
     }
 
-    fn on_restart(
+    fn rebuild(&mut self, shell: &mut Shell, summary: &ReplaySummary) {
+        if let Some(snap) = &summary.snapshot {
+            shell
+                .object
+                .install_snapshot(&bytes::Bytes::from(snap.data.clone()));
+            self.version = snap.csn;
+        }
+        for (version, update) in &summary.commits {
+            shell.reapply(&update.op);
+            self.version = *version;
+            push_bounded(&mut self.applied_log, update.id, shell.config.committed_log);
+        }
+    }
+
+    fn request_recovery(
         &mut self,
-        fresh_object: Box<dyn ReplicatedObject>,
+        shell: &mut Shell,
+        _replayed: bool,
+        out: &mut Vec<ServerAction>,
+    ) {
+        // A successful replay restores this replica's own durable state
+        // (and marks it synced so reads resume), but without a global
+        // sequence a version number cannot name a delta, nor bound what
+        // *other* clients' updates the replica missed while down: a full
+        // state transfer still reconciles with a live peer, and the relaxed
+        // `on_state_response` guard accepts it on an already-synced replica.
+        out.push(ServerAction::SendDirect {
+            to: shell.primary_view.leader(),
+            payload: Payload::StateRequest,
+        });
+    }
+
+    fn on_payload(
+        &mut self,
+        shell: &mut Shell,
+        from: ActorId,
+        payload: Payload,
         now: SimTime,
-    ) -> Vec<ServerAction> {
-        FifoServerGateway::on_restart(self, fresh_object, now)
+        out: &mut Vec<ServerAction>,
+    ) {
+        // Decided before the payload is handled (it may be the transfer),
+        // sent after whatever it produced.
+        let retry = shell.transfer_overdue(now);
+        match payload {
+            Payload::Update(u) => self.on_update(shell, u, now, out),
+            Payload::Read(req) => {
+                let read = PendingRead {
+                    req,
+                    client: from,
+                    deps: Vec::new(),
+                    arrived_at: now,
+                };
+                shell.admit_read(self, read, now, out);
+            }
+            Payload::FifoLazyUpdate {
+                version,
+                snapshot,
+                rate_per_us,
+            } => self.on_lazy_update(shell, version, &snapshot, rate_per_us, now, out),
+            Payload::StateRequest => shell.on_state_request(self, from, out),
+            Payload::StateResponse { csn, snapshot, .. } => {
+                self.on_state_response(shell, csn, &snapshot, now, out);
+            }
+            // Sequencer-protocol traffic has no meaning here.
+            _ => {}
+        }
+        if retry {
+            shell.request_transfer(now, out);
+        }
     }
 
-    fn on_payload(&mut self, from: ActorId, payload: Payload, now: SimTime) -> Vec<ServerAction> {
-        FifoServerGateway::on_payload(self, from, payload, now)
+    fn applied(
+        &mut self,
+        shell: &mut Shell,
+        update: &UpdateRequest,
+        _order: u64,
+        now: SimTime,
+    ) -> bool {
+        self.version += 1;
+        push_bounded(&mut self.applied_log, update.id, shell.config.committed_log);
+        // In FIFO mode "commit" is the apply itself.
+        shell.log_commit(self.version, update, now);
+        true
     }
 
-    fn on_service_start(&mut self, token: u64, now: SimTime) {
-        FifoServerGateway::on_service_start(self, token, now)
+    fn staleness(&self, shell: &Shell, now: SimTime) -> u64 {
+        self.clock.staleness(shell.role, now)
     }
 
-    fn on_service_done(&mut self, token: u64, now: SimTime) -> Vec<ServerAction> {
-        FifoServerGateway::on_service_done(self, token, now)
-    }
-
-    fn on_lazy_timer(&mut self, now: SimTime) -> Vec<ServerAction> {
-        FifoServerGateway::on_lazy_timer(self, now)
-    }
-
-    fn on_view(&mut self, view: Arc<View>, now: SimTime) -> Vec<ServerAction> {
-        FifoServerGateway::on_view(self, view, now)
-    }
-
-    fn is_sequencer(&self) -> bool {
-        false
-    }
-
-    fn is_publisher(&self) -> bool {
-        FifoServerGateway::is_publisher(self)
-    }
-
-    fn csn(&self) -> u64 {
-        self.version
-    }
-
-    fn applied_csn(&self) -> u64 {
-        self.version
-    }
-
-    fn gsn(&self) -> u64 {
-        self.version
-    }
-
-    fn is_synced(&self) -> bool {
-        FifoServerGateway::is_synced(self)
-    }
-
-    fn stats(&self) -> ServerStats {
-        FifoServerGateway::stats(self)
-    }
-
-    fn set_obs(&mut self, obs: ObsHandle) {
-        FifoServerGateway::set_obs(self, obs)
-    }
-
-    fn crash_storage(&mut self) {
-        FifoServerGateway::crash_storage(self)
+    fn lazy_update(&self, shell: &Shell, rate_per_us: f64) -> Payload {
+        Payload::FifoLazyUpdate {
+            version: self.version,
+            snapshot: shell.object.snapshot(),
+            rate_per_us,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::{AccountBook, VersionedRegister};
-    use crate::wire::Operation;
-    use aqf_group::ViewId;
+    use crate::object::{AccountBook, ReplicatedObject, VersionedRegister};
+    use crate::protocol::ServerProtocol;
+    use crate::shell::conformance::{
+        self, a, drain, durable_config, pview, replies, sends_state_request, sink, sview, t,
+    };
+    use crate::shell::ServerConfig;
+    use crate::wire::{Operation, ReadRequest};
+    use std::sync::Arc;
 
-    fn a(i: usize) -> ActorId {
-        ActorId::from_index(i)
-    }
-
-    fn pview() -> View {
-        View::new(PRIMARY_GROUP, ViewId(0), vec![a(0), a(1), a(2)])
-    }
-
-    fn sview() -> View {
-        View::new(SECONDARY_GROUP, ViewId(0), vec![a(10), a(11)])
-    }
-
-    fn gw(i: usize) -> FifoServerGateway {
-        let config = ServerConfig {
-            clients: vec![a(20)],
-            ..ServerConfig::default()
-        };
+    fn bank(i: usize, config: ServerConfig) -> FifoServerGateway {
         FifoServerGateway::new(a(i), pview(), sview(), Box::new(AccountBook::new()), config)
     }
 
-    fn upd(client: usize, seq: u64) -> UpdateRequest {
-        UpdateRequest {
+    fn gw(i: usize) -> FifoServerGateway {
+        bank(i, conformance::config())
+    }
+
+    fn upd(client: usize, seq: u64) -> Payload {
+        Payload::Update(UpdateRequest {
             id: RequestId {
                 client: a(client),
                 seq,
             },
             op: Operation::new("deposit", AccountBook::encode_tx("acct", 100)),
             attempt: 1,
-        }
+        })
     }
 
-    fn read(seq: u64, staleness: u32) -> ReadRequest {
-        ReadRequest {
+    fn read(seq: u64, staleness: u32) -> Payload {
+        Payload::Read(ReadRequest {
             id: RequestId { client: a(20), seq },
             op: Operation::new("balance", b"acct".to_vec()),
             staleness_threshold: staleness,
             deadline_us: 0,
             attempt: 1,
-        }
+        })
     }
 
-    fn t(ms: u64) -> SimTime {
-        SimTime::from_millis(ms)
-    }
-
-    fn drain(
-        gw: &mut FifoServerGateway,
-        actions: &mut Vec<ServerAction>,
-        mut now: SimTime,
-    ) -> SimTime {
-        while let Some(pos) = actions
-            .iter()
-            .position(|x| matches!(x, ServerAction::StartService { .. }))
-        {
-            let ServerAction::StartService { token } = actions.remove(pos) else {
-                unreachable!()
-            };
-            gw.on_service_start(token, now);
-            now += SimDuration::from_millis(5);
-            actions.extend(gw.on_service_done(token, now));
+    fn lazy(version: u64, rate_per_us: f64) -> Payload {
+        Payload::FifoLazyUpdate {
+            version,
+            snapshot: AccountBook::new().snapshot(),
+            rate_per_us,
         }
-        now
     }
 
     #[test]
@@ -1107,17 +347,14 @@ mod tests {
         assert_eq!(gw(0).role(), ReplicaRole::Primary);
         assert!(gw(2).is_publisher());
         assert!(!gw(0).is_publisher());
-        assert!(!crate::protocol::ServerProtocol::is_sequencer(&gw(0)));
-        assert_eq!(
-            crate::protocol::ServerProtocol::ordering(&gw(0)),
-            OrderingGuarantee::Fifo
-        );
+        assert!(!gw(0).is_sequencer());
+        assert_eq!(gw(0).ordering(), OrderingGuarantee::Fifo);
     }
 
     #[test]
     fn primary_applies_updates_without_sequencing_round() {
         let mut p = gw(1);
-        let mut actions = p.on_payload(a(20), Payload::Update(upd(20, 0)), t(0));
+        let mut actions = sink(|out| p.on_payload(a(20), upd(20, 0), t(0), out));
         assert!(
             !actions
                 .iter()
@@ -1127,123 +364,52 @@ mod tests {
         let _ = drain(&mut p, &mut actions, t(0));
         assert_eq!(p.version(), 1);
         // Client got a reply directly from this primary.
-        assert!(actions.iter().any(|x| matches!(
-            x,
-            ServerAction::SendDirect {
-                payload: Payload::Reply(_),
-                ..
-            }
-        )));
+        assert!(replies(&actions).next().is_some());
     }
 
     #[test]
     fn primary_reads_always_immediate() {
         let mut p = gw(1);
-        assert_eq!(p.estimated_staleness(t(0)), 0);
-        let mut actions = p.on_payload(a(20), Payload::Read(read(0, 0)), t(0));
+        assert_eq!(p.discipline.staleness(&p.shell, t(0)), 0);
+        let mut actions = sink(|out| p.on_payload(a(20), read(0, 0), t(0), out));
         let _ = drain(&mut p, &mut actions, t(0));
         assert_eq!(p.stats().reads_served, 1);
         assert_eq!(p.stats().reads_deferred, 0);
     }
 
-    fn secondary(i: usize) -> FifoServerGateway {
-        let config = ServerConfig {
-            clients: vec![a(20)],
-            ..ServerConfig::default()
-        };
-        FifoServerGateway::new(a(i), pview(), sview(), Box::new(AccountBook::new()), config)
-    }
-
     #[test]
     fn secondary_staleness_estimate_grows_with_time() {
-        let mut s = secondary(10);
-        let _ = s.on_start(t(0));
+        let mut s = gw(10);
+        s.on_start(t(0), &mut Vec::new());
         // 1 update/s advertised by the publisher.
-        let _ = s.on_payload(
-            a(2),
-            Payload::FifoLazyUpdate {
-                version: 5,
-                snapshot: AccountBook::new().snapshot(),
-                rate_per_us: 1e-6,
-            },
-            t(1000),
-        );
-        assert_eq!(s.estimated_staleness(t(1000)), 0);
-        assert_eq!(s.estimated_staleness(t(1500)), 1); // ceil(0.5)
-        assert_eq!(s.estimated_staleness(t(3000)), 2);
+        s.on_payload(a(2), lazy(5, 1e-6), t(1000), &mut Vec::new());
+        let staleness = |ms| s.discipline.staleness(&s.shell, t(ms));
+        assert_eq!(staleness(1000), 0);
+        assert_eq!(staleness(1500), 1); // ceil(0.5)
+        assert_eq!(staleness(3000), 2);
         assert_eq!(s.version(), 5);
     }
 
     #[test]
     fn stale_secondary_defers_until_lazy_update() {
-        let mut s = secondary(10);
-        let _ = s.on_start(t(0));
-        let _ = s.on_payload(
-            a(2),
-            Payload::FifoLazyUpdate {
-                version: 1,
-                snapshot: AccountBook::new().snapshot(),
-                rate_per_us: 1e-5, // 10 updates/s
-            },
-            t(0),
-        );
-        // 2 s later the estimate is ~20 versions; threshold 3 defers.
-        let actions = s.on_payload(a(20), Payload::Read(read(0, 3)), t(2000));
-        assert!(actions.is_empty());
-        assert_eq!(s.stats().reads_deferred, 1);
-        // The next lazy update releases it.
-        let mut actions = s.on_payload(
-            a(2),
-            Payload::FifoLazyUpdate {
-                version: 20,
-                snapshot: AccountBook::new().snapshot(),
-                rate_per_us: 1e-5,
-            },
-            t(2500),
-        );
-        let _ = drain(&mut s, &mut actions, t(2500));
-        let reply = actions
-            .iter()
-            .find_map(|x| match x {
-                ServerAction::SendDirect {
-                    payload: Payload::Reply(r),
-                    ..
-                } => Some(r.clone()),
-                _ => None,
-            })
-            .expect("deferred read served");
-        assert!(reply.deferred);
-        assert_eq!(reply.t1_us, SimDuration::from_millis(505).as_micros());
+        conformance::stale_secondary_defers_until_lazy_update::<Fifo>();
     }
 
     #[test]
     fn fresh_secondary_serves_immediately() {
-        let mut s = secondary(10);
-        let _ = s.on_start(t(0));
-        let _ = s.on_payload(
-            a(2),
-            Payload::FifoLazyUpdate {
-                version: 3,
-                snapshot: AccountBook::new().snapshot(),
-                rate_per_us: 1e-6,
-            },
-            t(100),
-        );
-        let mut actions = s.on_payload(a(20), Payload::Read(read(0, 2)), t(200));
-        let _ = drain(&mut s, &mut actions, t(200));
-        assert_eq!(s.stats().reads_served, 1);
+        conformance::fresh_secondary_serves_immediately::<Fifo>();
     }
 
     #[test]
     fn publisher_ships_rate_with_snapshot() {
         let mut p = gw(2);
-        let _ = p.on_start(t(0));
+        p.on_start(t(0), &mut Vec::new());
         let mut actions = Vec::new();
         for i in 0..4 {
-            actions.extend(p.on_payload(a(20), Payload::Update(upd(20, i)), t(i * 100)));
+            p.on_payload(a(20), upd(20, i), t(i * 100), &mut actions);
         }
         let _ = drain(&mut p, &mut actions, t(400));
-        let actions = p.on_lazy_timer(t(2000));
+        let actions = sink(|out| p.on_lazy_timer(t(2000), out));
         let (version, rate) = actions
             .iter()
             .find_map(|x| match x {
@@ -1270,8 +436,8 @@ mod tests {
         let mut p = gw(1);
         let mut actions = Vec::new();
         for i in 0..5 {
-            actions.extend(p.on_payload(a(20), Payload::Update(upd(20, i)), t(i)));
-            actions.extend(p.on_payload(a(21), Payload::Update(upd(21, i)), t(i)));
+            p.on_payload(a(20), upd(20, i), t(i), &mut actions);
+            p.on_payload(a(21), upd(21, i), t(i), &mut actions);
         }
         let _ = drain(&mut p, &mut actions, t(10));
         for client in [a(20), a(21)] {
@@ -1287,37 +453,7 @@ mod tests {
 
     #[test]
     fn restart_requests_state_transfer() {
-        let mut p = gw(1);
-        let actions = p.on_restart(Box::new(AccountBook::new()), t(100));
-        assert!(actions.iter().any(|x| matches!(
-            x,
-            ServerAction::SendDirect { to, payload: Payload::StateRequest } if *to == a(0)
-        )));
-        assert!(!p.is_synced());
-        // Reads defer until the transfer lands.
-        let pending = p.on_payload(a(20), Payload::Read(read(0, 1000)), t(101));
-        assert!(pending.is_empty());
-        let donor_snapshot = {
-            let mut donor = AccountBook::new();
-            donor.apply_update(&Operation::new(
-                "deposit",
-                AccountBook::encode_tx("acct", 700),
-            ));
-            donor.snapshot()
-        };
-        let mut actions = p.on_payload(
-            a(0),
-            Payload::StateResponse {
-                csn: 1,
-                gsn: 1,
-                snapshot: donor_snapshot,
-            },
-            t(300),
-        );
-        assert!(p.is_synced());
-        assert_eq!(p.version(), 1);
-        let _ = drain(&mut p, &mut actions, t(300));
-        assert_eq!(p.stats().reads_served, 1);
+        conformance::restart_requests_state_transfer::<Fifo>();
     }
 
     #[test]
@@ -1325,7 +461,7 @@ mod tests {
         let mut p = gw(1);
         assert!(!p.is_publisher());
         let new_view = pview().successor(&[a(2)], &[]).unwrap();
-        let actions = p.on_view(Arc::new(new_view), t(500));
+        let actions = sink(|out| p.on_view(Arc::new(new_view), t(500), out));
         assert!(p.is_publisher());
         assert!(actions
             .iter()
@@ -1339,154 +475,90 @@ mod tests {
             client: a(20),
             seq: 0,
         };
-        assert!(p
-            .on_payload(a(0), Payload::GsnAssign { req, gsn: 1 }, t(0))
-            .is_empty());
-        assert!(p
-            .on_payload(a(0), Payload::GsnSnapshot { req, gsn: 1 }, t(0))
-            .is_empty());
-        assert!(p
-            .on_payload(a(0), Payload::GsnQuery { csn: 0 }, t(0))
-            .is_empty());
+        for payload in [
+            Payload::GsnAssign { req, gsn: 1 },
+            Payload::GsnSnapshot { req, gsn: 1 },
+            Payload::GsnQuery { csn: 0 },
+        ] {
+            assert!(sink(|out| p.on_payload(a(0), payload, t(0), out)).is_empty());
+        }
         assert_eq!(p.version(), 0);
     }
 
     #[test]
     fn register_object_also_works() {
-        let config = ServerConfig {
-            clients: vec![a(20)],
-            ..ServerConfig::default()
-        };
         let mut p = FifoServerGateway::new(
             a(1),
             pview(),
             sview(),
             Box::new(VersionedRegister::new()),
-            config,
+            conformance::config(),
         );
-        let mut actions = p.on_payload(
-            a(20),
-            Payload::Update(UpdateRequest {
-                id: RequestId {
-                    client: a(20),
-                    seq: 0,
-                },
-                op: Operation::new("set", b"x".to_vec()),
-                attempt: 1,
-            }),
-            t(0),
-        );
+        let set = Payload::Update(UpdateRequest {
+            id: RequestId {
+                client: a(20),
+                seq: 0,
+            },
+            op: Operation::new("set", b"x".to_vec()),
+            attempt: 1,
+        });
+        let mut actions = sink(|out| p.on_payload(a(20), set, t(0), out));
         let _ = drain(&mut p, &mut actions, t(0));
         assert_eq!(p.version(), 1);
     }
 
-    /// Regression: the first service-time sample seeds the EWMA directly
-    /// instead of being folded into the zero initial average (which would
-    /// start at `sample/8` and warm up slowly).
     #[test]
     fn ewma_seeds_with_first_sample() {
-        let mut p = gw(1);
-        p.config.overload = crate::overload::OverloadConfig::protective();
-        assert_eq!(p.avg_service_us, 0);
-        let mut actions = p.on_payload(a(20), Payload::Update(upd(20, 0)), t(0));
-        let pos = actions
-            .iter()
-            .position(|x| matches!(x, ServerAction::StartService { .. }))
-            .unwrap();
-        let ServerAction::StartService { token } = actions.remove(pos) else {
-            unreachable!()
-        };
-        p.on_service_start(token, t(0));
-        let _ = p.on_service_done(token, t(10));
-        assert_eq!(p.avg_service_us, 10_000, "first sample seeds the average");
-        let mut actions = p.on_payload(a(20), Payload::Update(upd(20, 1)), t(20));
-        let pos = actions
-            .iter()
-            .position(|x| matches!(x, ServerAction::StartService { .. }))
-            .unwrap();
-        let ServerAction::StartService { token } = actions.remove(pos) else {
-            unreachable!()
-        };
-        p.on_service_start(token, t(20));
-        let _ = p.on_service_done(token, t(22));
-        assert_eq!(p.avg_service_us, (10_000 * 7 + 2_000) / 8);
+        conformance::ewma_seeds_with_first_sample::<Fifo>();
     }
 
-    /// Regression: `deadline_us == 0` means "no deadline advertised" and
-    /// must never shed on deadline grounds, however hot the average.
     #[test]
     fn zero_deadline_never_sheds_on_deadline_grounds() {
-        let mut p = gw(1);
-        p.config.overload = crate::overload::OverloadConfig::protective();
-        p.avg_service_us = 50_000;
-        let no_deadline = read(0, 1000); // helper sets deadline_us: 0
-        assert!(!p.should_shed_read(&no_deadline));
-        let mut tight = read(1, 1000);
-        tight.deadline_us = 1;
-        assert!(p.should_shed_read(&tight));
-    }
-
-    fn durable_gw(i: usize) -> FifoServerGateway {
-        let mut config = ServerConfig {
-            clients: vec![a(20)],
-            ..ServerConfig::default()
-        };
-        config.storage = crate::durability::StorageConfig::durable();
-        config.storage.seed = 99;
-        FifoServerGateway::new(a(i), pview(), sview(), Box::new(AccountBook::new()), config)
+        conformance::zero_deadline_never_sheds_on_deadline_grounds::<Fifo>();
     }
 
     #[test]
     fn without_storage_restart_keeps_seed_semantics() {
-        let mut p = gw(1);
-        assert!(
-            p.durability().is_none(),
-            "default config must stay seedlike"
-        );
-        p.crash_storage(); // no-op without a sidecar
-        let _ = p.on_restart(Box::new(AccountBook::new()), t(5));
-        assert!(!p.is_synced());
-        assert_eq!(p.stats().replayed_records, 0);
+        conformance::disabled_storage_has_no_sidecar::<Fifo>();
+    }
+
+    #[test]
+    fn duplicate_update_answered_from_reply_cache() {
+        conformance::duplicate_update_answered_from_reply_cache::<Fifo>();
     }
 
     #[test]
     fn durable_replay_restores_applied_state() {
-        let mut p = durable_gw(1);
+        let mut p = bank(1, durable_config());
         let mut actions = Vec::new();
         for i in 0..5 {
-            actions.extend(p.on_payload(a(20), Payload::Update(upd(20, i)), t(i)));
+            p.on_payload(a(20), upd(20, i), t(i), &mut actions);
         }
         let now = drain(&mut p, &mut actions, t(10));
         assert_eq!(p.version(), 5);
         assert_eq!(p.stats().wal_appends, 5);
         let state_before = p.object().snapshot();
         p.crash_storage();
-        let actions = p.on_restart(Box::new(AccountBook::new()), now);
+        let actions = sink(|out| p.on_restart(Box::new(AccountBook::new()), now, out));
         assert_eq!(p.version(), 5, "durable replay restores the version");
         assert!(p.is_synced(), "replayed replica serves again immediately");
         assert_eq!(p.object().snapshot(), state_before);
         assert!(p.stats().replayed_records > 0);
         // Without a global sequence the replica cannot bound what it
         // missed: reconciliation still runs a full state transfer.
-        assert!(actions.iter().any(|x| matches!(
-            x,
-            ServerAction::SendDirect {
-                payload: Payload::StateRequest,
-                ..
-            }
-        )));
+        assert!(sends_state_request(&actions));
     }
 
     #[test]
     fn reconciling_transfer_lands_on_replayed_replica() {
-        let mut p = durable_gw(1);
+        let mut p = bank(1, durable_config());
         let mut actions = Vec::new();
         for i in 0..3 {
-            actions.extend(p.on_payload(a(20), Payload::Update(upd(20, i)), t(i)));
+            p.on_payload(a(20), upd(20, i), t(i), &mut actions);
         }
         let now = drain(&mut p, &mut actions, t(10));
         p.crash_storage();
-        let _ = p.on_restart(Box::new(AccountBook::new()), now);
+        p.on_restart(Box::new(AccountBook::new()), now, &mut Vec::new());
         assert!(p.is_synced());
         assert_eq!(p.version(), 3);
         // A peer that saw two further updates answers the transfer; the
@@ -1494,15 +566,15 @@ mod tests {
         let mut donor = gw(0);
         let mut actions = Vec::new();
         for i in 0..5 {
-            actions.extend(donor.on_payload(a(20), Payload::Update(upd(20, i)), t(i)));
+            donor.on_payload(a(20), upd(20, i), t(i), &mut actions);
         }
         let now = drain(&mut donor, &mut actions, now);
-        let reply = donor.on_payload(a(1), Payload::StateRequest, now);
+        let reply = sink(|out| donor.on_payload(a(1), Payload::StateRequest, now, out));
         let Some(ServerAction::SendDirect { payload, .. }) = reply.first() else {
             panic!("donor must answer the state request, got {reply:?}");
         };
         let snapshots_before = p.stats().snapshots_taken;
-        let _ = p.on_payload(a(0), payload.clone(), now);
+        p.on_payload(a(0), payload.clone(), now, &mut Vec::new());
         assert_eq!(p.version(), 5, "transfer reconciles the missed tail");
         assert_eq!(p.object().snapshot(), donor.object().snapshot());
         assert!(
@@ -1513,45 +585,11 @@ mod tests {
 
     #[test]
     fn durable_secondary_persists_lazy_installs() {
-        let mut s = durable_gw(10);
-        let _ = s.on_start(t(0));
-        let snapshot = {
-            let mut book = AccountBook::new();
-            book.apply_update(&Operation::new(
-                "deposit",
-                AccountBook::encode_tx("acct", 500),
-            ));
-            book.snapshot()
-        };
-        let _ = s.on_payload(
-            a(2),
-            Payload::FifoLazyUpdate {
-                version: 7,
-                snapshot: snapshot.clone(),
-                rate_per_us: 1e-6,
-            },
-            t(100),
-        );
-        assert_eq!(s.stats().snapshots_taken, 1);
-        s.crash_storage();
-        let _ = s.on_restart(Box::new(AccountBook::new()), t(200));
-        assert_eq!(s.version(), 7, "secondary restarts from its last install");
-        assert_eq!(s.object().snapshot(), snapshot);
+        let _ = conformance::durable_secondary_persists_lazy_installs::<Fifo>();
     }
 
     #[test]
     fn compaction_stages_snapshots_under_load() {
-        let mut p = durable_gw(1);
-        p.config.storage.snapshot_every = 4;
-        p.durability = Some(Durability::new(p.config.storage.clone(), 99));
-        let mut actions = Vec::new();
-        for i in 0..10 {
-            actions.extend(p.on_payload(a(20), Payload::Update(upd(20, i)), t(i)));
-        }
-        let now = drain(&mut p, &mut actions, t(20));
-        assert!(p.stats().snapshots_taken >= 1);
-        p.crash_storage();
-        let _ = p.on_restart(Box::new(AccountBook::new()), now);
-        assert_eq!(p.version(), 10, "snapshot + tail replay reach full state");
+        let _ = conformance::compaction_stages_snapshots_under_load::<Fifo>();
     }
 }

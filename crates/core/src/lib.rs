@@ -16,9 +16,14 @@
 //! * [`wire`] — gateway-to-gateway protocol payloads.
 //! * [`object`] — the [`ReplicatedObject`] trait plus sample applications
 //!   (versioned register, shared document, stock ticker board).
-//! * [`server`] — the server-side sequential consistency handler: GSN/CSN
-//!   bookkeeping, sequencer, deferred reads, lazy publisher, failure
-//!   recovery (paper §4).
+//! * [`shell`] — the replica shell: the one server gateway (service queue,
+//!   admission, deferred reads, lazy publisher, durability, restart) under
+//!   which the ordering guarantees below plug in as disciplines (paper §4,
+//!   Figure 2).
+//! * [`protocol`] — the [`ServerProtocol`] interface hosts drive a gateway
+//!   through.
+//! * [`server`] — the sequential discipline: GSN/CSN bookkeeping,
+//!   sequencer, recovery rounds, replenishment, delta transfers (paper §4).
 //! * [`monitor`] — the client information repository: sliding windows,
 //!   response-time distributions, staleness factor (paper §5.2, §5.4).
 //! * [`obs`] — glue to the deterministic observability layer (`aqf-obs`):
@@ -32,9 +37,10 @@
 //! * [`overload`] — overload protection: bounded admission queues,
 //!   deadline-aware shedding, circuit breakers, graceful degradation.
 //! * [`level`] — priority/cost-based higher-level specifications (paper §7).
-//! * [`fifo`] — the FIFO timed-consistency handler (paper §4, Figure 2).
-//! * [`causal`] — the causal timed-consistency handler (the third ordering
-//!   guarantee of §2's QoS model).
+//! * [`fifo`] — the FIFO discipline (paper §4, Figure 2).
+//! * [`causal`] — the causal discipline (the third ordering guarantee of
+//!   §2's QoS model).
+//! * [`dedup`] — the bounded reply cache behind exactly-once updates.
 //! * [`durability`] — crash-recovery glue over the simulated storage layer:
 //!   per-replica write-ahead logs, snapshots, replay, and delta transfers.
 //!
@@ -76,6 +82,7 @@ pub mod protocol;
 pub mod qos;
 pub mod select;
 pub mod server;
+pub mod shell;
 pub mod timing;
 pub mod wire;
 
@@ -98,6 +105,7 @@ pub use overload::{DegradeStep, DegradeTransition, OverloadConfig};
 pub use protocol::ServerProtocol;
 pub use qos::{OperationKind, OrderingGuarantee, QosSpec, ReadOnlyRegistry};
 pub use select::{SelectionPolicy, Selector};
-pub use server::{ReplicaRole, ServerAction, ServerConfig, ServerGateway};
+pub use server::ServerGateway;
+pub use shell::{ReplicaRole, ServerAction, ServerConfig};
 pub use timing::TimingFailureDetector;
 pub use wire::{MethodId, Operation, Payload, RequestId, PRIMARY_GROUP, SECONDARY_GROUP};

@@ -1,4 +1,4 @@
-//! The server-side gateway handler: sequential consistency over the
+//! The sequential timed-consistency handler: total order over the
 //! two-level replica organization (paper §4).
 //!
 //! Each replica's gateway maintains `my_GSN` (its view of the global
@@ -13,236 +13,28 @@
 //! or defers it until the next lazy update. One primary replica — the *lazy
 //! publisher* — propagates its state to the secondary group every `T_L`.
 //!
-//! The gateway also implements the failure handling the paper relies on but
-//! omits for space (§4.1): sequencer recovery through an assignment
-//! reconciliation round (`GsnQuery` / `GsnReport`), deterministic lazy
-//! publisher re-designation, and state transfer for restarted replicas.
-//!
-//! The gateway is a sans-IO state machine: hosts feed it payloads, timers,
-//! and view changes, and execute the returned [`ServerAction`]s.
+//! This module is the [`Sequential`] ordering discipline of the replica
+//! shell ([`crate::shell`]): GSN/CSN bookkeeping, the sequencer, and the
+//! failure handling the paper relies on but omits for space (§4.1) —
+//! sequencer recovery through an assignment reconciliation round
+//! (`GsnQuery` / `GsnReport`), primary-group replenishment, catch-up and
+//! delta state transfers. Queueing, admission, lazy propagation, durability
+//! and everything else a replica does under any ordering live in the shell.
 
-use crate::dedup::ReplyCache;
-use crate::durability::{Durability, StorageConfig, WalRecord};
-use crate::object::ReplicatedObject;
-use crate::obs::{req_ref, ObsEvent, ObsHandle};
-use crate::overload::OverloadConfig;
-use crate::wire::{
-    Payload, PerfBroadcast, PublisherInfo, ReadMeasurement, ReadRequest, Reply, RequestId,
-    UpdateRequest, PRIMARY_GROUP, SECONDARY_GROUP,
+use crate::durability::{ReplaySummary, WalRecord};
+use crate::obs::{req_ref, ObsEvent};
+use crate::qos::OrderingGuarantee;
+use crate::shell::{
+    push_bounded, Discipline, PendingRead, Position, Replica, ReplicaRole, ServerAction, Shell,
 };
-use aqf_group::{GroupId, View};
+use crate::wire::{Payload, RequestId, UpdateRequest, PRIMARY_GROUP, SECONDARY_GROUP};
+use aqf_group::View;
 use aqf_sim::{ActorId, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
 
-/// Whether a replica belongs to the primary or the secondary group.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaRole {
-    /// Member of the primary replication group: receives every update
-    /// immediately and commits in GSN order.
-    Primary,
-    /// Member of the secondary replication group: state advances only
-    /// through lazy updates.
-    Secondary,
-}
-
-/// Tuning knobs for a server gateway.
-#[derive(Debug, Clone)]
-pub struct ServerConfig {
-    /// The lazy update interval `T_L`.
-    pub lazy_interval: SimDuration,
-    /// The QoS-group client roster: recipients of performance broadcasts.
-    pub clients: Vec<ActorId>,
-    /// How many read-GSN snapshot associations to retain for reads that
-    /// have not arrived yet.
-    pub snapshot_cache: usize,
-    /// How many committed `(GSN, request)` pairs to retain for sequencer
-    /// recovery reconciliation.
-    pub committed_log: usize,
-    /// If the commit sequence stalls (staleness positive but no CSN
-    /// progress) for this long, the replica assumes it missed assignments
-    /// it can never recover (e.g. during a rejoin window) and requests a
-    /// catch-up state transfer.
-    pub commit_stall_timeout: SimDuration,
-    /// How many update replies to retain for answering retransmitted
-    /// requests without re-applying them.
-    pub reply_cache: usize,
-    /// Primary-group replenishment threshold (0 disables, the default):
-    /// when the sequencer's primary view shrinks below this size, it
-    /// promotes the freshest secondary (lowest `my_GSN − my_CSN`) into the
-    /// primary group through the existing state-transfer path.
-    pub min_primary_size: usize,
-    /// Overload protection: bounded admission queue, deadline-aware read
-    /// shedding, and the sequencer commit-backlog watermark. Disabled by
-    /// default (bit-identical to a gateway without the subsystem).
-    pub overload: OverloadConfig,
-    /// Simulated stable storage: per-replica write-ahead log + snapshots
-    /// for crash recovery. Disabled by default (no disk exists at all; the
-    /// gateway behaves bit-identically to one without the subsystem).
-    pub storage: StorageConfig,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            lazy_interval: SimDuration::from_secs(2),
-            clients: Vec::new(),
-            snapshot_cache: 1024,
-            committed_log: 1024,
-            reply_cache: 1024,
-            commit_stall_timeout: SimDuration::from_secs(3),
-            min_primary_size: 0,
-            overload: OverloadConfig::disabled(),
-            storage: StorageConfig::disabled(),
-        }
-    }
-}
-
-/// Instructions returned by the gateway for its host to execute.
-#[derive(Debug, Clone, PartialEq)]
-pub enum ServerAction {
-    /// Reliably FIFO-multicast into the primary group.
-    MulticastPrimary(Payload),
-    /// Reliably FIFO-multicast into the secondary group.
-    MulticastSecondary(Payload),
-    /// Send an unordered point-to-point payload.
-    SendDirect {
-        /// Recipient gateway.
-        to: ActorId,
-        /// Payload to deliver.
-        payload: Payload,
-    },
-    /// Begin servicing the unit of work identified by `token`: the host
-    /// models the service time (the paper's simulated background load) and
-    /// calls [`ServerGateway::on_service_done`] when it elapses.
-    StartService {
-        /// Opaque work token.
-        token: u64,
-    },
-    /// (Re-)arm the lazy propagation timer.
-    ArmLazyTimer {
-        /// Delay until the next lazy propagation.
-        after: SimDuration,
-    },
-    /// Join `group`: the host's endpoint converts its observed view of the
-    /// group into a (not yet admitted) membership and knocks. Emitted by a
-    /// secondary promoted into the primary group.
-    JoinGroup {
-        /// The group to join.
-        group: GroupId,
-    },
-    /// Voluntarily leave `group`. Emitted by a promoted secondary
-    /// departing the secondary group.
-    LeaveGroup {
-        /// The group to leave.
-        group: GroupId,
-    },
-}
-
-/// Counters exposed for tests and experiments.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServerStats {
-    /// Updates committed (CSN advances).
-    pub updates_committed: u64,
-    /// Reads serviced (immediate + deferred).
-    pub reads_served: u64,
-    /// Reads that had to wait for a state update.
-    pub reads_deferred: u64,
-    /// GSN assignment conflicts ignored (should stay 0 under crash faults).
-    pub gsn_conflicts: u64,
-    /// Assignments rejected because they came from a stale sequencer.
-    pub stale_assigns: u64,
-    /// Lazy updates propagated (publisher only).
-    pub lazy_updates_sent: u64,
-    /// Lazy updates applied (secondaries only).
-    pub lazy_updates_applied: u64,
-    /// Sequencer recoveries completed.
-    pub recoveries: u64,
-    /// State transfers served to rejoining replicas.
-    pub state_transfers: u64,
-    /// Duplicate updates absorbed (retransmissions and at-least-once
-    /// deliveries answered from the reply cache or dropped).
-    pub dedup_hits: u64,
-    /// Replenishment promotions issued while acting as sequencer.
-    pub promotions: u64,
-    /// Times this replica was promoted from secondary to primary.
-    pub promoted: u64,
-    /// Longest observed sequencer-unavailability window in µs: from the
-    /// last sequencing activity this replica observed to the completion of
-    /// its own takeover reconciliation (new sequencer only).
-    pub seq_unavail_us: u64,
-    /// Longest update-commit stall healed by a recovery or catch-up state
-    /// transfer, in µs.
-    pub commit_stall_us: u64,
-    /// Reads shed with `Busy` by the bounded admission queue or the
-    /// deadline-aware shedding predicate (overload protection only).
-    pub shed_reads: u64,
-    /// Updates shed with `Busy` by the sequencer's commit-backlog
-    /// watermark (overload protection only).
-    pub shed_updates: u64,
-    /// Write-ahead log records appended (durability only).
-    pub wal_appends: u64,
-    /// Durable snapshots staged (durability only).
-    pub snapshots_taken: u64,
-    /// Valid WAL records replayed on restart (durability only).
-    pub replayed_records: u64,
-    /// Torn tail records dropped by the CRC check on replay.
-    pub torn_tails_dropped: u64,
-    /// Durable logs quarantined for interior corruption on replay.
-    pub corrupt_logs: u64,
-    /// Bytes shipped answering state and delta transfers.
-    pub transfer_bytes_sent: u64,
-    /// Bytes a delta transfer avoided shipping versus the full snapshot
-    /// it replaced.
-    pub transfer_bytes_saved: u64,
-    /// Longest restart-to-synced window in µs (durability only; the
-    /// transfer-only path heals through the network instead).
-    pub recovery_us: u64,
-}
-
-#[derive(Debug, Clone)]
-struct PendingRead {
-    req: ReadRequest,
-    client: ActorId,
-    arrived_at: SimTime,
-}
-
-#[derive(Debug, Clone)]
-struct DeferredRead {
-    read: PendingRead,
-    deferred_at: SimTime,
-}
-
-#[derive(Debug, Clone)]
-enum WorkKind {
-    Update {
-        update: UpdateRequest,
-        gsn: u64,
-    },
-    Read {
-        read: PendingRead,
-        staleness: u64,
-        deferred: bool,
-        tb: SimDuration,
-    },
-}
-
-#[derive(Debug, Clone)]
-struct Work {
-    kind: WorkKind,
-    enqueued_at: SimTime,
-}
-
-/// The server-side gateway state machine. See the [module docs](self).
-pub struct ServerGateway {
-    me: ActorId,
-    role: ReplicaRole,
-    config: ServerConfig,
-    object: Box<dyn ReplicatedObject>,
-
-    primary_view: Arc<View>,
-    secondary_view: Arc<View>,
-
+/// The sequential ordering discipline. See the [module docs](self).
+#[derive(Debug, Default)]
+pub struct Sequential {
     my_gsn: u64,
     my_csn: u64,
     applied_csn: u64,
@@ -268,32 +60,16 @@ pub struct ServerGateway {
     gsn_assignments: BTreeMap<RequestId, u64>,
     commit_ready: BTreeMap<u64, UpdateRequest>,
     committed_log: VecDeque<(u64, RequestId)>,
-    reply_cache: ReplyCache,
 
-    // Read machinery.
+    // Read machinery: a read is admitted once both it and the sequencer's
+    // GSN snapshot for it have arrived, in either order.
     read_snapshot_gsn: BTreeMap<RequestId, u64>,
     snapshot_order: VecDeque<RequestId>,
     pending_reads: BTreeMap<RequestId, PendingRead>,
-    deferred: Vec<DeferredRead>,
 
-    // Service machinery (single-threaded server application).
-    service_queue: VecDeque<Work>,
-    in_service: Option<(u64, Work, SimTime)>,
-    next_token: u64,
-
-    // Publisher bookkeeping.
-    updates_since_broadcast: u64,
-    last_broadcast_at: SimTime,
-    updates_since_lazy: u64,
-    last_lazy_at: SimTime,
-    /// Whether a lazy timer is currently armed (prevents duplicate timers
-    /// when restart and view-change handling both want one).
-    lazy_timer_pending: bool,
-
-    // Commit-stall detection (catch-up after unrecoverable gaps).
+    /// Last CSN advance (commit-stall detection: catch-up after
+    /// unrecoverable gaps).
     last_progress: SimTime,
-    last_transfer_request: SimTime,
-    donor_rr: usize,
     /// Set on restart: the next time this node leads the primary view it
     /// must run the reconciliation round, whatever view-observation order
     /// the rejoin happened in (a restarted ex-leader may never see the
@@ -311,310 +87,56 @@ pub struct ServerGateway {
     /// Last time this replica observed the sequencer function working (an
     /// accepted assignment/snapshot, or its own sequencing).
     last_seq_activity: SimTime,
-
-    /// EWMA of observed service times in µs (`(7·old + new) / 8`); 0 until
-    /// the first sample. Drives deadline-aware shedding.
-    avg_service_us: u64,
-
-    /// Retained staging buffer for reply encoding: every serviced request
-    /// reuses this allocation via [`ReplicatedObject::apply_update_into`] /
-    /// [`ReplicatedObject::read_into`] instead of growing a fresh buffer.
-    reply_scratch: bytes::BytesMut,
-
-    /// Stable storage, present only when [`ServerConfig::storage`] is
-    /// enabled. Survives crash/restart cycles: the host applies crash
-    /// damage via [`ServerGateway::crash_storage`] and the restart path
-    /// carries the sidecar across the state wipe.
-    durability: Option<Durability>,
-    /// When the last restart happened, until the replica re-synced
-    /// (drives the `recovery_us` stat).
-    restarted_at: Option<SimTime>,
-
-    synced: bool,
-    stats: ServerStats,
-    obs: ObsHandle,
 }
 
-impl std::fmt::Debug for ServerGateway {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerGateway")
-            .field("me", &self.me)
-            .field("role", &self.role)
-            .field("gsn", &self.my_gsn)
-            .field("csn", &self.my_csn)
-            .field("applied", &self.applied_csn)
-            .field("queue", &self.service_queue.len())
-            .finish()
-    }
-}
+/// The sequential server gateway: the replica shell under [`Sequential`].
+pub type ServerGateway = Replica<Sequential>;
 
-impl ServerGateway {
-    /// Creates a gateway for replica `me`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `me` is a member of neither (or both) initial views.
-    pub fn new(
-        me: ActorId,
-        primary_view: impl Into<Arc<View>>,
-        secondary_view: impl Into<Arc<View>>,
-        object: Box<dyn ReplicatedObject>,
-        config: ServerConfig,
-    ) -> Self {
-        let primary_view: Arc<View> = primary_view.into();
-        let secondary_view: Arc<View> = secondary_view.into();
-        let in_p = primary_view.contains(me);
-        let in_s = secondary_view.contains(me);
-        assert!(
-            in_p ^ in_s,
-            "replica must belong to exactly one replication group"
-        );
-        let role = if in_p {
-            ReplicaRole::Primary
-        } else {
-            ReplicaRole::Secondary
-        };
-        let config_reply_cache = config.reply_cache;
-        // Each replica gets its own deterministic fault/latency stream:
-        // the shared scenario seed mixed with the replica identity.
-        let durability = config.storage.enabled.then(|| {
-            let seed = config
-                .storage
-                .seed
-                .wrapping_add((me.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            Durability::new(config.storage.clone(), seed)
-        });
-        Self {
-            me,
-            role,
-            config,
-            object,
-            primary_view,
-            secondary_view,
-            my_gsn: 0,
-            my_csn: 0,
-            applied_csn: 0,
-            seq_gsn: 0,
-            recovering: false,
-            awaiting_reports: BTreeSet::new(),
-            reported_csns: Vec::new(),
-            reported_assignments: BTreeMap::new(),
-            last_gsn_query_at: SimTime::ZERO,
-            queued_snapshot_reqs: Vec::new(),
-            unassigned_updates: BTreeMap::new(),
-            gsn_assignments: BTreeMap::new(),
-            commit_ready: BTreeMap::new(),
-            committed_log: VecDeque::new(),
-            reply_cache: ReplyCache::new(config_reply_cache),
-            read_snapshot_gsn: BTreeMap::new(),
-            snapshot_order: VecDeque::new(),
-            pending_reads: BTreeMap::new(),
-            deferred: Vec::new(),
-            service_queue: VecDeque::new(),
-            in_service: None,
-            next_token: 0,
-            updates_since_broadcast: 0,
-            last_broadcast_at: SimTime::ZERO,
-            updates_since_lazy: 0,
-            last_lazy_at: SimTime::ZERO,
-            lazy_timer_pending: false,
-            last_progress: SimTime::ZERO,
-            last_transfer_request: SimTime::ZERO,
-            donor_rr: 0,
-            recover_when_leading: false,
-            promote_round: None,
-            promote_reports: BTreeMap::new(),
-            promotion_inflight: None,
-            last_seq_activity: SimTime::ZERO,
-            avg_service_us: 0,
-            reply_scratch: bytes::BytesMut::new(),
-            durability,
-            restarted_at: None,
-            synced: true,
-            stats: ServerStats::default(),
-            obs: ObsHandle::disabled(),
-        }
-    }
-
-    /// This replica's role.
-    pub fn role(&self) -> ReplicaRole {
-        self.role
-    }
-
-    /// Installs an observability handle. The disabled default leaves every
-    /// decision and action sequence bit-identical; an enabled handle only
-    /// records — it never steers.
-    pub fn set_obs(&mut self, obs: ObsHandle) {
-        self.obs = obs;
-    }
-
-    /// Whether this replica currently acts as the sequencer (leader of the
-    /// primary group).
-    pub fn is_sequencer(&self) -> bool {
-        self.role == ReplicaRole::Primary && self.primary_view.leader() == self.me
-    }
-
-    /// The deterministic lazy publisher of a primary view: its highest-
-    /// ranked member, unless that is the leader (then the leader, which only
-    /// happens in single-member groups). All replicas compute this locally,
-    /// so no designation protocol is needed.
-    pub fn publisher_of(view: &View) -> ActorId {
-        *view.members().last().expect("views are never empty")
-    }
-
-    /// Whether this replica currently acts as the lazy publisher.
-    pub fn is_publisher(&self) -> bool {
-        self.role == ReplicaRole::Primary
-            && self.primary_view.len() > 1
-            && Self::publisher_of(&self.primary_view) == self.me
-            && !self.is_sequencer()
-            || (self.role == ReplicaRole::Primary
-                && self.primary_view.len() == 1
-                && self.primary_view.leader() == self.me)
-    }
-
-    /// `my_GSN`: the latest global sequence number this replica has seen.
-    pub fn gsn(&self) -> u64 {
-        self.my_gsn
-    }
-
-    /// `my_CSN`: the commit sequence number.
-    pub fn csn(&self) -> u64 {
-        self.my_csn
-    }
-
-    /// Number of updates actually applied to the hosted object (lags
-    /// `my_CSN` while committed work waits in the service queue).
-    pub fn applied_csn(&self) -> u64 {
-        self.applied_csn
-    }
-
-    /// Current staleness of this replica: `my_GSN - my_CSN` (paper §4.1.2).
-    pub fn staleness(&self) -> u64 {
-        self.my_gsn.saturating_sub(self.my_csn)
-    }
-
+impl Replica<Sequential> {
     /// The retained committed log as `(GSN, request)` pairs, oldest first
-    /// (bounded by [`ServerConfig::committed_log`]).
+    /// (bounded by [`crate::shell::ServerConfig::committed_log`]).
     pub fn committed_log(&self) -> impl Iterator<Item = (u64, RequestId)> + '_ {
-        self.committed_log.iter().copied()
+        self.discipline.committed_log.iter().copied()
     }
+}
 
-    /// Whether the replica has a synchronized state (false between a
-    /// restart and the completing state transfer).
-    pub fn is_synced(&self) -> bool {
-        self.synced
-    }
+/// The sequencer tells both groups the GSN a read is ordered at (§4.1.2).
+fn gsn_snapshot(req: RequestId, gsn: u64, out: &mut Vec<ServerAction>) {
+    out.push(ServerAction::MulticastPrimary(Payload::GsnSnapshot {
+        req,
+        gsn,
+    }));
+    out.push(ServerAction::MulticastSecondary(Payload::GsnSnapshot {
+        req,
+        gsn,
+    }));
+}
 
-    /// Counters for tests and experiments.
-    pub fn stats(&self) -> ServerStats {
-        self.stats
-    }
-
-    /// The durability sidecar, if storage is enabled (post-run inspection).
-    pub fn durability(&self) -> Option<&Durability> {
-        self.durability.as_ref()
-    }
-
-    /// Applies crash semantics to the stable storage: unsynced appends are
-    /// lost (possibly leaving a torn tail or a flipped bit, per the fault
-    /// configuration) and any staged-but-unrenamed snapshot is discarded.
-    /// Hosts call this at the crash boundary, before
-    /// [`ServerGateway::on_restart`].
-    pub fn crash_storage(&mut self) {
-        if let Some(d) = self.durability.as_mut() {
-            d.crash();
-        }
-    }
-
-    /// Flips `synced` on (if off) and closes the open recovery window.
-    fn mark_synced(&mut self, now: SimTime) {
-        if !self.synced {
-            self.synced = true;
-            if let Some(at) = self.restarted_at.take() {
-                let healed = now.saturating_since(at).as_micros();
-                self.stats.recovery_us = self.stats.recovery_us.max(healed);
-            }
-        }
-    }
-
-    /// Read access to the hosted object (for assertions in tests).
-    pub fn object(&self) -> &dyn ReplicatedObject {
-        &*self.object
-    }
-
-    /// Number of queued + in-flight service units.
-    pub fn queue_depth(&self) -> usize {
-        self.service_queue.len() + usize::from(self.in_service.is_some())
-    }
-
-    /// Must be called once when the host starts: initializes publisher
-    /// bookkeeping and arms the lazy timer if this replica is the publisher.
-    pub fn on_start(&mut self, now: SimTime) -> Vec<ServerAction> {
-        self.last_broadcast_at = now;
-        self.last_lazy_at = now;
-        self.last_progress = now;
-        self.last_seq_activity = now;
-        let mut actions = Vec::new();
-        if self.is_publisher() {
-            self.arm_lazy(&mut actions);
-        }
-        actions
-    }
-
-    /// Arms the lazy timer unless one is already pending.
-    fn arm_lazy(&mut self, actions: &mut Vec<ServerAction>) {
-        if !self.lazy_timer_pending {
-            self.lazy_timer_pending = true;
-            actions.push(ServerAction::ArmLazyTimer {
-                after: self.config.lazy_interval,
-            });
-        }
-    }
-
-    /// Picks the next state-transfer donor, cycling through the primary
-    /// members so a single unhelpful donor cannot wedge recovery.
-    fn next_donor(&mut self) -> Option<ActorId> {
-        let candidates: Vec<ActorId> = self
-            .primary_view
-            .members()
-            .iter()
-            .copied()
-            .filter(|m| *m != self.me)
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let donor = candidates[self.donor_rr % candidates.len()];
-        self.donor_rr += 1;
-        Some(donor)
+impl Sequential {
+    /// Current staleness of this replica: `my_GSN - my_CSN` (paper §4.1.2).
+    fn lag(&self) -> u64 {
+        self.my_gsn.saturating_sub(self.my_csn)
     }
 
     /// Commit-stall watchdog: a primary whose staleness stays positive with
     /// no CSN progress for longer than the stall timeout has missed
     /// assignments it can never recover (e.g. broadcast during its rejoin
     /// window); it requests a catch-up state transfer.
-    fn check_commit_stall(&mut self, now: SimTime, actions: &mut Vec<ServerAction>) {
-        if self.role != ReplicaRole::Primary {
+    fn check_commit_stall(&mut self, shell: &mut Shell, now: SimTime, out: &mut Vec<ServerAction>) {
+        if shell.role != ReplicaRole::Primary {
             return;
         }
-        self.check_recovery_stall(now, actions);
-        if self.staleness() == 0 && self.synced {
+        self.check_recovery_stall(shell, now, out);
+        if self.lag() == 0 && shell.synced {
             return;
         }
-        let stall = self.config.commit_stall_timeout;
+        let stall = shell.config.commit_stall_timeout;
         if now.saturating_since(self.last_progress) <= stall
-            || now.saturating_since(self.last_transfer_request) <= stall
+            || now.saturating_since(shell.last_transfer_request) <= stall
         {
             return;
         }
-        if let Some(donor) = self.next_donor() {
-            self.last_transfer_request = now;
-            actions.push(ServerAction::SendDirect {
-                to: donor,
-                payload: Payload::StateRequest,
-            });
-        }
+        shell.request_transfer(now, out);
     }
 
     /// Reconciliation-round watchdog: a leader stuck awaiting `GsnReport`s
@@ -623,275 +145,110 @@ impl ServerGateway {
     /// round's only unreliable leg — replies travel point-to-point, outside
     /// the NACK-recovered multicast) would otherwise leave the round open,
     /// and sequencing suspended, forever.
-    fn check_recovery_stall(&mut self, now: SimTime, actions: &mut Vec<ServerAction>) {
-        if !self.recovering || self.primary_view.leader() != self.me {
+    fn check_recovery_stall(
+        &mut self,
+        shell: &mut Shell,
+        now: SimTime,
+        out: &mut Vec<ServerAction>,
+    ) {
+        if !self.recovering || shell.primary_view.leader() != shell.me {
             return;
         }
-        if now.saturating_since(self.last_gsn_query_at) <= self.config.commit_stall_timeout {
+        if now.saturating_since(self.last_gsn_query_at) <= shell.config.commit_stall_timeout {
             return;
         }
         self.last_gsn_query_at = now;
-        let members: BTreeSet<ActorId> = self.primary_view.members().iter().copied().collect();
-        self.awaiting_reports.retain(|m| members.contains(m));
+        let view = &shell.primary_view;
+        self.awaiting_reports.retain(|m| view.contains(*m));
         if self.awaiting_reports.is_empty() {
-            actions.extend(self.finish_recovery(now));
+            self.finish_recovery(shell, now, out);
         } else {
-            actions.push(ServerAction::MulticastPrimary(Payload::GsnQuery {
+            out.push(ServerAction::MulticastPrimary(Payload::GsnQuery {
                 csn: self.my_csn,
             }));
         }
     }
 
-    /// Handles a restart: wipes volatile state, installs `fresh_object` as
-    /// the empty application state, and requests a state transfer from the
-    /// primary leader.
-    pub fn on_restart(
+    fn on_update(
         &mut self,
-        fresh_object: Box<dyn ReplicatedObject>,
+        shell: &mut Shell,
+        u: UpdateRequest,
         now: SimTime,
-    ) -> Vec<ServerAction> {
-        let me = self.me;
-        let config = self.config.clone();
-        let primary_view = self.primary_view.clone();
-        let secondary_view = self.secondary_view.clone();
-        // The durability sidecar is the one piece that survives the wipe —
-        // it *is* the stable storage (the host already applied crash damage
-        // via `crash_storage`). The obs handle rides along with it so
-        // recovery shows up in the trace; without storage the seed's
-        // behaviour — a restarted replica is un-instrumented — is kept
-        // bit-identical.
-        let survived = self.durability.take().map(|d| (d, self.obs.clone()));
-        *self = ServerGateway::new(me, primary_view, secondary_view, fresh_object, config);
-        if let Some((d, obs)) = survived {
-            self.durability = Some(d);
-            self.obs = obs;
-        }
-        self.synced = false;
-        self.recover_when_leading = true;
-        self.restarted_at = Some(now);
-        self.last_broadcast_at = now;
-        self.last_lazy_at = now;
-        self.last_progress = now;
-        self.last_transfer_request = now;
-        self.last_seq_activity = now;
-        let replayed = self.replay_storage(now);
-        // Never ask ourselves (a restarted ex-leader's stale view says the
-        // leader is itself); rotate through peers instead. After a
-        // successful replay the replica is already synced from local state
-        // and only reconciles the unacked tail with a delta request; the
-        // fallback ladder (no storage, replay disabled, empty or corrupt
-        // log) rebuilds over the network with a full state transfer.
-        let mut actions = Vec::new();
-        if let Some(donor) = self.next_donor() {
-            actions.push(ServerAction::SendDirect {
-                to: donor,
-                payload: if replayed {
-                    Payload::DeltaRequest {
-                        have_csn: self.my_csn,
-                    }
-                } else {
-                    Payload::StateRequest
-                },
-            });
-        }
-        if self.is_publisher() {
-            self.arm_lazy(&mut actions);
-        }
-        actions
-    }
-
-    /// Replays the durable log after a crash. Returns whether the replay
-    /// restored local state (snapshot installed, committed tail re-applied,
-    /// replica synced); `false` falls back to the full-transfer path.
-    fn replay_storage(&mut self, now: SimTime) -> bool {
-        let Some(d) = self.durability.as_mut() else {
-            return false;
-        };
-        if !d.config().replay {
-            self.obs.emit(now, self.me, || ObsEvent::RecoveryFallback {
-                reason: "replay-disabled",
-            });
-            return false;
-        }
-        let summary = d.replay();
-        self.stats.torn_tails_dropped += summary.torn_records;
-        if summary.corrupt {
-            self.stats.corrupt_logs += 1;
-            self.obs.emit(now, self.me, || ObsEvent::RecoveryFallback {
-                reason: "corrupt-log",
-            });
-            return false;
-        }
-        if summary.snapshot.is_none() && summary.commits.is_empty() {
-            // Nothing durable yet: behave exactly like a plain restart
-            // rather than claim an empty state is synchronized.
-            self.obs.emit(now, self.me, || ObsEvent::RecoveryFallback {
-                reason: "empty-log",
-            });
-            return false;
-        }
-        if let Some(snap) = &summary.snapshot {
-            self.object
-                .install_snapshot(&bytes::Bytes::from(snap.data.clone()));
-            self.my_csn = snap.csn;
-            self.applied_csn = snap.csn;
-            self.my_gsn = self.my_gsn.max(snap.gsn);
-        }
-        for (gsn, update) in &summary.commits {
-            let _ = self
-                .object
-                .apply_update_into(&update.op, &mut self.reply_scratch);
-            self.my_csn = *gsn;
-            self.applied_csn = *gsn;
-            self.my_gsn = self.my_gsn.max(*gsn);
-            self.committed_log.push_back((*gsn, update.id));
-            while self.committed_log.len() > self.config.committed_log {
-                self.committed_log.pop_front();
-            }
-        }
-        self.stats.replayed_records += summary.replayed_records;
-        self.last_progress = now;
-        self.mark_synced(now);
-        let (records, csn) = (summary.replayed_records, self.my_csn);
-        self.obs
-            .emit(now, self.me, || ObsEvent::RecoveryReplay { records, csn });
-        true
-    }
-
-    /// Handles a protocol payload from `from` (a client or peer gateway).
-    pub fn on_payload(
-        &mut self,
-        from: ActorId,
-        payload: Payload,
-        now: SimTime,
-    ) -> Vec<ServerAction> {
-        match payload {
-            Payload::Update(u) => self.on_update(u, now),
-            Payload::Read(r) => self.on_read(from, r, now),
-            Payload::GsnAssign { req, gsn } => self.on_gsn_assign(from, req, gsn, now),
-            Payload::GsnSnapshot { req, gsn } => self.on_gsn_snapshot(from, req, gsn, now),
-            Payload::GsnRequest { req } => self.on_gsn_request(req),
-            Payload::LazyUpdate { csn, snapshot } => self.on_lazy_update(csn, &snapshot, now),
-            Payload::GsnQuery { csn } => self.on_gsn_query(from, csn),
-            Payload::GsnReport {
-                max_gsn,
-                csn,
-                assignments,
-            } => self.on_gsn_report(from, max_gsn, csn, assignments, now),
-            Payload::StateRequest => self.on_state_request(from),
-            Payload::StateResponse { csn, gsn, snapshot } => {
-                self.on_state_response(csn, gsn, &snapshot, now)
-            }
-            Payload::DeltaRequest { have_csn } => self.on_delta_request(from, have_csn),
-            Payload::DeltaResponse { from_csn, ops } => self.on_delta_response(from_csn, ops, now),
-            Payload::PromoteQuery => self.on_promote_query(from),
-            Payload::PromoteReport { csn, gsn } => self.on_promote_report(from, csn, gsn, now),
-            Payload::Promote => self.on_promote(from, now),
-            // Replies and perf broadcasts are client-bound, and FIFO/causal
-            // handler traffic has no meaning here; ignore them.
-            Payload::Reply(_)
-            | Payload::Busy { .. }
-            | Payload::Perf(_)
-            | Payload::FifoLazyUpdate { .. }
-            | Payload::CausalUpdate { .. }
-            | Payload::CausalRead { .. }
-            | Payload::CausalLazyUpdate { .. } => Vec::new(),
-        }
-    }
-
-    fn on_update(&mut self, u: UpdateRequest, now: SimTime) -> Vec<ServerAction> {
-        if self.role != ReplicaRole::Primary {
-            return Vec::new(); // secondaries never receive updates directly
+        out: &mut Vec<ServerAction>,
+    ) {
+        if shell.role != ReplicaRole::Primary {
+            return; // secondaries never receive updates directly
         }
         if self.committed_log.iter().any(|&(_, r)| r == u.id)
             || self.commit_ready.values().any(|c| c.id == u.id)
             || self.unassigned_updates.contains_key(&u.id)
         {
-            // Duplicate (client retransmission or at-least-once delivery):
-            // never double-apply. If this replica already answered the
-            // request, answer again from the reply cache — the original
-            // reply may have been the message that was lost.
-            self.stats.dedup_hits += 1;
-            return match self.reply_cache.get(&u.id) {
-                Some(r) => vec![ServerAction::SendDirect {
-                    to: u.id.client,
-                    payload: Payload::Reply(r.clone()),
-                }],
-                None => Vec::new(),
-            };
+            return shell.answer_duplicate(u.id, out);
         }
+        let sequencing = self.is_sequencer(shell) && !self.recovering;
         // Sequencer commit-backlog watermark: shed *new* updates before the
         // GSN pipeline wedges. Only the sequencer sheds — it alone gates
         // GSN assignment, so a shed update never gets a number and the
         // copies other primaries buffer stay harmless until a client
         // retransmission is sequenced fresh. Duplicates were answered from
         // the reply cache above.
-        if self.config.overload.enabled
-            && self.is_sequencer()
-            && !self.recovering
-            && self.commit_ready.len() + self.unassigned_updates.len()
-                >= self.config.overload.sequencer_watermark
+        let backlog = self.commit_ready.len() + self.unassigned_updates.len();
+        if shell.config.overload.enabled
+            && sequencing
+            && backlog >= shell.config.overload.sequencer_watermark
         {
-            self.stats.shed_updates += 1;
-            let backlog = (self.commit_ready.len() + self.unassigned_updates.len()) as u64;
-            self.obs.emit(now, self.me, || ObsEvent::ShedUpdate {
+            shell.stats.shed_updates += 1;
+            shell.obs.emit(now, shell.me, || ObsEvent::ShedUpdate {
                 req: req_ref(u.id),
-                backlog,
+                backlog: backlog as u64,
             });
-            return vec![ServerAction::SendDirect {
+            out.push(ServerAction::SendDirect {
                 to: u.id.client,
                 payload: Payload::Busy { req: u.id },
-            }];
+            });
+            return;
         }
-        self.updates_since_broadcast += 1;
-        self.updates_since_lazy += 1;
-        let mut actions = Vec::new();
-        if self.is_sequencer() && !self.recovering {
-            // Assign the next GSN and broadcast the assignment (§4.1.1).
-            if !self.gsn_assignments.contains_key(&u.id)
-                && !self.commit_ready.values().any(|c| c.id == u.id)
-            {
-                self.seq_gsn += 1;
-                let gsn = self.seq_gsn;
-                actions.push(ServerAction::MulticastPrimary(Payload::GsnAssign {
-                    req: u.id,
-                    gsn,
-                }));
-                self.note_assignment(u.id, gsn);
-                self.last_seq_activity = now;
-            }
+        shell.note_update();
+        // Assign the next GSN and broadcast the assignment (§4.1.1).
+        if sequencing
+            && !self.gsn_assignments.contains_key(&u.id)
+            && !self.commit_ready.values().any(|c| c.id == u.id)
+        {
+            self.seq_gsn += 1;
+            let gsn = self.seq_gsn;
+            out.push(ServerAction::MulticastPrimary(Payload::GsnAssign {
+                req: u.id,
+                gsn,
+            }));
+            self.note_assignment(shell, u.id, gsn);
+            self.last_seq_activity = now;
         }
         match self.gsn_assignments.remove(&u.id) {
-            Some(gsn) => {
-                self.stage_commit(gsn, u);
-            }
+            Some(gsn) => self.stage_commit(shell, gsn, u),
             None => {
                 self.unassigned_updates.insert(u.id, u);
             }
         }
-        actions.extend(self.try_commit(now));
-        self.check_commit_stall(now, &mut actions);
-        actions
+        self.try_commit(shell, now, out);
+        self.check_commit_stall(shell, now, out);
     }
 
-    fn note_assignment(&mut self, req: RequestId, gsn: u64) {
+    fn note_assignment(&mut self, shell: &mut Shell, req: RequestId, gsn: u64) {
         self.my_gsn = self.my_gsn.max(gsn);
         match self.unassigned_updates.remove(&req) {
-            Some(u) => self.stage_commit(gsn, u),
+            Some(u) => self.stage_commit(shell, gsn, u),
             None => {
                 self.gsn_assignments.insert(req, gsn);
             }
         }
     }
 
-    fn stage_commit(&mut self, gsn: u64, u: UpdateRequest) {
+    fn stage_commit(&mut self, shell: &mut Shell, gsn: u64, u: UpdateRequest) {
         if gsn <= self.my_csn {
             return; // already committed (duplicate assignment replay)
         }
         match self.commit_ready.get(&gsn) {
-            Some(existing) if existing.id != u.id => {
-                self.stats.gsn_conflicts += 1;
-            }
+            Some(existing) if existing.id != u.id => shell.stats.gsn_conflicts += 1,
             Some(_) => {}
             None => {
                 self.commit_ready.insert(gsn, u);
@@ -901,33 +258,33 @@ impl ServerGateway {
 
     fn on_gsn_assign(
         &mut self,
+        shell: &mut Shell,
         from: ActorId,
         req: RequestId,
         gsn: u64,
         now: SimTime,
-    ) -> Vec<ServerAction> {
-        if self.role != ReplicaRole::Primary {
-            return Vec::new();
+        out: &mut Vec<ServerAction>,
+    ) {
+        if shell.role != ReplicaRole::Primary {
+            return;
         }
         // Accept assignments only from the current sequencer; an in-flight
         // assignment from a deposed leader must not collide with the new
         // sequencer's numbering.
-        if from != self.primary_view.leader() {
-            self.stats.stale_assigns += 1;
-            return Vec::new();
+        if from != shell.primary_view.leader() {
+            shell.stats.stale_assigns += 1;
+            return;
         }
-        self.note_assignment(req, gsn);
+        self.note_assignment(shell, req, gsn);
         self.last_seq_activity = now;
-        let mut actions = self.try_commit(now);
-        self.check_commit_stall(now, &mut actions);
-        actions
+        self.try_commit(shell, now, out);
+        self.check_commit_stall(shell, now, out);
     }
 
     /// Commits every update that is next in the global order (§4.1.1),
     /// delivering it to the service queue, and re-checks deferred reads
     /// whose staleness may now be satisfied.
-    fn try_commit(&mut self, now: SimTime) -> Vec<ServerAction> {
-        let mut actions = Vec::new();
+    fn try_commit(&mut self, shell: &mut Shell, now: SimTime, out: &mut Vec<ServerAction>) {
         while let Some(entry) = self.commit_ready.first_entry() {
             if *entry.key() != self.my_csn + 1 {
                 break;
@@ -935,82 +292,43 @@ impl ServerGateway {
             let (gsn, update) = entry.remove_entry();
             self.my_csn = gsn;
             self.last_progress = now;
-            self.stats.updates_committed += 1;
-            self.committed_log.push_back((gsn, update.id));
-            while self.committed_log.len() > self.config.committed_log {
-                self.committed_log.pop_front();
-            }
-            // Write-ahead discipline: the commit record hits the log (and,
-            // with sync-before-ack, the durable platter) before the reply
-            // that acknowledges it can be produced by the service queue.
-            if let Some(d) = self.durability.as_mut() {
-                let (bytes, _) = d.log_commit(gsn, &update);
-                self.stats.wal_appends += 1;
-                self.obs
-                    .emit(now, self.me, || ObsEvent::WalAppend { gsn, bytes });
-            }
-            self.enqueue(
-                Work {
-                    kind: WorkKind::Update { update, gsn },
-                    enqueued_at: now,
-                },
-                &mut actions,
+            shell.stats.updates_committed += 1;
+            push_bounded(
+                &mut self.committed_log,
+                (gsn, update.id),
+                shell.config.committed_log,
             );
+            shell.log_commit(gsn, &update, now);
+            shell.enqueue_update(update, gsn, now, out);
         }
         // A CSN advance may satisfy deferred reads at a primary.
-        self.release_satisfied_deferred(now, &mut actions);
-        actions
+        if shell.role == ReplicaRole::Primary {
+            shell.release_deferred(self, false, now, out);
+        }
     }
 
-    fn release_satisfied_deferred(&mut self, now: SimTime, actions: &mut Vec<ServerAction>) {
-        if self.role != ReplicaRole::Primary {
+    fn on_read(
+        &mut self,
+        shell: &mut Shell,
+        pending: PendingRead,
+        now: SimTime,
+        out: &mut Vec<ServerAction>,
+    ) {
+        if self.is_sequencer(shell) {
+            // The watchdog runs first (it may close a recovery round the
+            // read would otherwise queue behind), but whatever it sends
+            // goes out after the read's own GSN snapshot.
+            let mark = out.len();
+            self.check_commit_stall(shell, now, out);
+            let watchdog = out.len() - mark;
+            self.sequencer_read(shell, pending, now, out);
+            out[mark..].rotate_left(watchdog);
             return;
         }
-        let staleness = self.staleness();
-        let mut kept = Vec::with_capacity(self.deferred.len());
-        for d in std::mem::take(&mut self.deferred) {
-            if self.synced && staleness <= d.read.req.staleness_threshold as u64 {
-                let tb = now.saturating_since(d.deferred_at);
-                self.enqueue(
-                    Work {
-                        kind: WorkKind::Read {
-                            read: d.read,
-                            staleness,
-                            deferred: true,
-                            tb,
-                        },
-                        enqueued_at: now,
-                    },
-                    actions,
-                );
-            } else {
-                kept.push(d);
-            }
-        }
-        self.deferred = kept;
-    }
-
-    fn on_read(&mut self, from: ActorId, r: ReadRequest, now: SimTime) -> Vec<ServerAction> {
-        if self.is_sequencer() {
-            let mut stall_actions = Vec::new();
-            self.check_commit_stall(now, &mut stall_actions);
-            if !stall_actions.is_empty() {
-                let mut actions = self.sequencer_read(from, r, now);
-                actions.extend(stall_actions);
-                return actions;
-            }
-            return self.sequencer_read(from, r, now);
-        }
-        let pending = PendingRead {
-            req: r,
-            client: from,
-            arrived_at: now,
-        };
         match self.read_snapshot_gsn.remove(&pending.req.id) {
-            Some(gsn) => self.admit_read(pending, gsn, now),
+            Some(gsn) => self.admit_read(shell, pending, gsn, now, out),
             None => {
                 self.pending_reads.insert(pending.req.id, pending);
-                Vec::new()
             }
         }
     }
@@ -1018,385 +336,111 @@ impl ServerGateway {
     /// The sequencer's read handling: broadcast the current GSN without
     /// advancing it (§4.1.2) and do not service the request, unless it is
     /// the only primary replica.
-    fn sequencer_read(&mut self, from: ActorId, r: ReadRequest, now: SimTime) -> Vec<ServerAction> {
+    fn sequencer_read(
+        &mut self,
+        shell: &mut Shell,
+        pending: PendingRead,
+        now: SimTime,
+        out: &mut Vec<ServerAction>,
+    ) {
         if self.recovering {
-            self.queued_snapshot_reqs.push(r.id);
-            return Vec::new();
+            self.queued_snapshot_reqs.push(pending.req.id);
+            return;
         }
         self.last_seq_activity = now;
-        let mut actions = vec![
-            ServerAction::MulticastPrimary(Payload::GsnSnapshot {
-                req: r.id,
-                gsn: self.seq_gsn,
-            }),
-            ServerAction::MulticastSecondary(Payload::GsnSnapshot {
-                req: r.id,
-                gsn: self.seq_gsn,
-            }),
-        ];
-        if self.primary_view.len() == 1 {
-            let gsn = self.seq_gsn;
-            actions.extend(self.admit_read(
-                PendingRead {
-                    req: r,
-                    client: from,
-                    arrived_at: now,
-                },
-                gsn,
-                now,
-            ));
+        gsn_snapshot(pending.req.id, self.seq_gsn, out);
+        if shell.primary_view.len() == 1 {
+            self.admit_read(shell, pending, self.seq_gsn, now, out);
         }
-        actions
     }
 
     fn on_gsn_snapshot(
         &mut self,
+        shell: &mut Shell,
         from: ActorId,
         req: RequestId,
         gsn: u64,
         now: SimTime,
-    ) -> Vec<ServerAction> {
-        if from != self.primary_view.leader() {
-            self.stats.stale_assigns += 1;
-            return Vec::new();
+        out: &mut Vec<ServerAction>,
+    ) {
+        if from != shell.primary_view.leader() {
+            shell.stats.stale_assigns += 1;
+            return;
         }
         self.my_gsn = self.my_gsn.max(gsn);
         self.last_seq_activity = now;
-        let mut actions = match self.pending_reads.remove(&req) {
-            Some(pending) => self.admit_read(pending, gsn, now),
+        match self.pending_reads.remove(&req) {
+            Some(pending) => self.admit_read(shell, pending, gsn, now, out),
             None => {
                 self.read_snapshot_gsn.insert(req, gsn);
                 self.snapshot_order.push_back(req);
-                while self.snapshot_order.len() > self.config.snapshot_cache {
+                while self.snapshot_order.len() > shell.config.snapshot_cache {
                     if let Some(old) = self.snapshot_order.pop_front() {
                         self.read_snapshot_gsn.remove(&old);
                     }
                 }
-                Vec::new()
             }
-        };
-        self.check_commit_stall(now, &mut actions);
-        actions
+        }
+        self.check_commit_stall(shell, now, out);
     }
 
-    /// Whether overload protection sheds an arriving read: the bounded
-    /// admission queue is full, or the backlog estimate
-    /// `(queue_depth + 1) × avg_service_time` already exceeds the
-    /// request's remaining deadline budget — the reply could only be late.
-    fn should_shed_read(&self, req: &ReadRequest) -> bool {
-        let ovl = &self.config.overload;
-        if !ovl.enabled {
-            return false;
-        }
-        if self.queue_depth() >= ovl.queue_bound {
-            return true;
-        }
-        ovl.deadline_shedding
-            && req.deadline_us > 0
-            && self.avg_service_us > 0
-            && (self.queue_depth() as u64 + 1).saturating_mul(self.avg_service_us) > req.deadline_us
-    }
-
-    /// Staleness check of §4.1.2: serve immediately if fresh enough,
-    /// otherwise defer until the next state update.
-    fn admit_read(&mut self, pending: PendingRead, gsn: u64, now: SimTime) -> Vec<ServerAction> {
+    /// A read and its GSN snapshot have met: the staleness check of §4.1.2
+    /// runs against `my_GSN` as of that snapshot.
+    fn admit_read(
+        &mut self,
+        shell: &mut Shell,
+        pending: PendingRead,
+        gsn: u64,
+        now: SimTime,
+        out: &mut Vec<ServerAction>,
+    ) {
         self.my_gsn = self.my_gsn.max(gsn);
-        if self.should_shed_read(&pending.req) {
-            self.stats.shed_reads += 1;
-            let queue_depth = self.queue_depth() as u64;
-            self.obs.emit(now, self.me, || ObsEvent::ShedRead {
-                req: req_ref(pending.req.id),
-                queue_depth,
-            });
-            return vec![ServerAction::SendDirect {
-                to: pending.client,
-                payload: Payload::Busy {
-                    req: pending.req.id,
-                },
-            }];
-        }
-        let staleness = self.staleness();
-        let mut actions = Vec::new();
-        if self.synced && staleness <= pending.req.staleness_threshold as u64 {
-            self.enqueue(
-                Work {
-                    kind: WorkKind::Read {
-                        read: pending,
-                        staleness,
-                        deferred: false,
-                        tb: SimDuration::ZERO,
-                    },
-                    enqueued_at: now,
-                },
-                &mut actions,
-            );
-        } else {
-            self.stats.reads_deferred += 1;
-            self.deferred.push(DeferredRead {
-                read: pending,
-                deferred_at: now,
-            });
-        }
-        actions
+        shell.admit_read(self, pending, now, out);
     }
 
-    fn on_gsn_request(&mut self, req: RequestId) -> Vec<ServerAction> {
-        if !self.is_sequencer() {
-            return Vec::new();
+    fn on_gsn_request(&mut self, shell: &Shell, req: RequestId, out: &mut Vec<ServerAction>) {
+        if !self.is_sequencer(shell) {
+            return;
         }
         if self.recovering {
             self.queued_snapshot_reqs.push(req);
-            return Vec::new();
+            return;
         }
-        vec![
-            ServerAction::MulticastPrimary(Payload::GsnSnapshot {
-                req,
-                gsn: self.seq_gsn,
-            }),
-            ServerAction::MulticastSecondary(Payload::GsnSnapshot {
-                req,
-                gsn: self.seq_gsn,
-            }),
-        ]
+        gsn_snapshot(req, self.seq_gsn, out);
     }
 
     fn on_lazy_update(
         &mut self,
+        shell: &mut Shell,
         csn: u64,
         snapshot: &bytes::Bytes,
         now: SimTime,
-    ) -> Vec<ServerAction> {
-        if self.role != ReplicaRole::Secondary {
-            return Vec::new();
+        out: &mut Vec<ServerAction>,
+    ) {
+        if shell.role != ReplicaRole::Secondary {
+            return;
         }
         if csn > self.my_csn {
-            self.object.install_snapshot(snapshot);
+            shell.object.install_snapshot(snapshot);
             self.my_csn = csn;
             self.applied_csn = csn;
-            self.mark_synced(now);
-            self.stats.lazy_updates_applied += 1;
-            // A secondary's state *is* the last lazy snapshot: persist it
-            // so a crashed secondary restarts from here instead of empty.
-            if let Some(d) = self.durability.as_mut() {
-                d.persist_install(csn, self.my_gsn.max(csn), snapshot.to_vec());
-                self.stats.snapshots_taken += 1;
-            }
+            shell.mark_synced(now);
+            shell.stats.lazy_updates_applied += 1;
+            // A secondary's state *is* the last lazy snapshot.
+            shell.persist_install(csn, self.my_gsn.max(csn), |_| snapshot.to_vec());
         }
-        // "Responding to the client immediately after receiving the next
-        // state update from the lazy publisher" (§4.1.2) — release all
-        // deferred reads regardless of the new staleness.
-        let mut actions = Vec::new();
-        let staleness = self.staleness();
-        for d in std::mem::take(&mut self.deferred) {
-            let tb = now.saturating_since(d.deferred_at);
-            self.enqueue(
-                Work {
-                    kind: WorkKind::Read {
-                        read: d.read,
-                        staleness,
-                        deferred: true,
-                        tb,
-                    },
-                    enqueued_at: now,
-                },
-                &mut actions,
-            );
-        }
-        actions
+        shell.release_deferred(self, true, now, out);
     }
 
-    /// The lazy propagation timer fired: snapshot the state, multicast it to
-    /// the secondary group, announce fresh staleness bookkeeping to the
-    /// clients, and re-arm.
-    pub fn on_lazy_timer(&mut self, now: SimTime) -> Vec<ServerAction> {
-        self.lazy_timer_pending = false;
-        if !self.is_publisher() {
-            return Vec::new(); // demoted while the timer was in flight
-        }
-        let mut actions = Vec::new();
-        self.stats.lazy_updates_sent += 1;
-        actions.push(ServerAction::MulticastSecondary(Payload::LazyUpdate {
-            csn: self.applied_csn,
-            snapshot: self.object.snapshot(),
-        }));
-        self.updates_since_lazy = 0;
-        self.last_lazy_at = now;
-        // Publisher-only announcement so clients keep fresh <n_L, t_L> and
-        // <n_u, t_u> inputs even when the publisher serves no reads.
-        let perf = Payload::Perf(PerfBroadcast {
-            read: None,
-            publisher: Some(self.publisher_info(now)),
-        });
-        for c in self.config.clients.clone() {
-            actions.push(ServerAction::SendDirect {
-                to: c,
-                payload: perf.clone(),
-            });
-        }
-        self.arm_lazy(&mut actions);
-        actions
-    }
-
-    fn publisher_info(&mut self, now: SimTime) -> PublisherInfo {
-        let info = PublisherInfo {
-            n_u: self.updates_since_broadcast,
-            t_u: now.saturating_since(self.last_broadcast_at),
-            n_l: self.updates_since_lazy,
-            t_l: now.saturating_since(self.last_lazy_at),
-            period: self.config.lazy_interval,
-        };
-        self.updates_since_broadcast = 0;
-        self.last_broadcast_at = now;
-        info
-    }
-
-    fn enqueue(&mut self, work: Work, actions: &mut Vec<ServerAction>) {
-        self.service_queue.push_back(work);
-        self.maybe_start_service(actions);
-    }
-
-    fn maybe_start_service(&mut self, actions: &mut Vec<ServerAction>) {
-        if self.in_service.is_some() {
+    fn on_gsn_query(
+        &mut self,
+        shell: &Shell,
+        from: ActorId,
+        querier_csn: u64,
+        out: &mut Vec<ServerAction>,
+    ) {
+        if shell.role != ReplicaRole::Primary {
             return;
-        }
-        let Some(work) = self.service_queue.pop_front() else {
-            return;
-        };
-        let token = self.next_token;
-        self.next_token += 1;
-        // The host records the start time when it samples the delay; we
-        // stamp it in on_service_start below via the enqueued_at bookkeeping
-        // (start time is provided by on_service_done's caller through now).
-        self.in_service = Some((token, work, SimTime::ZERO));
-        actions.push(ServerAction::StartService { token });
-    }
-
-    /// The host began servicing `token` at `now`; records the service start
-    /// for `t_q`/`t_s` measurement. Hosts call this right when they receive
-    /// [`ServerAction::StartService`].
-    pub fn on_service_start(&mut self, token: u64, now: SimTime) {
-        if let Some((t, _, start)) = self.in_service.as_mut() {
-            if *t == token {
-                *start = now;
-            }
-        }
-    }
-
-    /// The service delay for `token` elapsed: apply the operation to the
-    /// object, reply to the client, publish measurements, and start the
-    /// next unit of work.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `token` is not the unit of work in service.
-    pub fn on_service_done(&mut self, token: u64, now: SimTime) -> Vec<ServerAction> {
-        let (t, work, started_at) = self.in_service.take().expect("no work in service");
-        assert_eq!(t, token, "service completion for unexpected token");
-        let mut actions = Vec::new();
-        let ts = now.saturating_since(started_at);
-        if self.config.overload.enabled {
-            let sample = ts.as_micros().max(1);
-            self.avg_service_us = if self.avg_service_us == 0 {
-                sample
-            } else {
-                (self.avg_service_us * 7 + sample) / 8
-            };
-        }
-        if self.obs.is_enabled() {
-            let req_id = match &work.kind {
-                WorkKind::Update { update, .. } => update.id,
-                WorkKind::Read { read, .. } => read.req.id,
-            };
-            self.obs.emit(now, self.me, || ObsEvent::ServiceDone {
-                req: req_ref(req_id),
-                service_us: ts.as_micros(),
-            });
-            self.obs.observe(
-                "server.service_us",
-                aqf_obs::LATENCY_BOUNDS_US,
-                ts.as_micros(),
-            );
-        }
-        match work.kind {
-            WorkKind::Update { update, gsn } => {
-                let result = self
-                    .object
-                    .apply_update_into(&update.op, &mut self.reply_scratch);
-                self.applied_csn += 1;
-                debug_assert_eq!(self.applied_csn, gsn, "updates must apply in GSN order");
-                self.maybe_snapshot(now);
-                // The sequencer does not service client requests (§4.1):
-                // it applies updates to keep its state current but leaves
-                // replying to the other primaries, unless it is alone.
-                if !self.is_sequencer() || self.primary_view.len() == 1 {
-                    let tq = started_at.saturating_since(work.enqueued_at);
-                    let reply = Reply {
-                        id: update.id,
-                        result,
-                        t1_us: (ts + tq).as_micros(),
-                        staleness: 0,
-                        deferred: false,
-                        csn: self.applied_csn,
-                        vector: Vec::new(),
-                    };
-                    // Retain the reply so a retransmission of this update
-                    // can be answered without re-applying it.
-                    self.reply_cache.insert(reply.clone());
-                    actions.push(ServerAction::SendDirect {
-                        to: update.id.client,
-                        payload: Payload::Reply(reply),
-                    });
-                }
-            }
-            WorkKind::Read {
-                read,
-                staleness,
-                deferred,
-                tb,
-            } => {
-                let result = self.object.read_into(&read.req.op, &mut self.reply_scratch);
-                self.stats.reads_served += 1;
-                // t_q is all waiting except the deferral buffering:
-                // arrival -> service start, minus tb (§5.4).
-                let total_wait = started_at.saturating_since(read.arrived_at);
-                let tq = total_wait.saturating_sub(tb);
-                let t1 = ts + tq + tb;
-                actions.push(ServerAction::SendDirect {
-                    to: read.client,
-                    payload: Payload::Reply(Reply {
-                        id: read.req.id,
-                        result,
-                        t1_us: t1.as_micros(),
-                        staleness,
-                        deferred,
-                        csn: self.applied_csn,
-                        vector: Vec::new(),
-                    }),
-                });
-                // Publish the new measurements to all clients (§5.4).
-                let perf = Payload::Perf(PerfBroadcast {
-                    read: Some(ReadMeasurement {
-                        ts_us: ts.as_micros(),
-                        tq_us: tq.as_micros(),
-                        tb_us: tb.as_micros(),
-                    }),
-                    publisher: self.is_publisher().then(|| self.publisher_info(now)),
-                });
-                for c in self.config.clients.clone() {
-                    actions.push(ServerAction::SendDirect {
-                        to: c,
-                        payload: perf.clone(),
-                    });
-                }
-            }
-        }
-        self.maybe_start_service(&mut actions);
-        actions
-    }
-
-    fn on_gsn_query(&mut self, from: ActorId, querier_csn: u64) -> Vec<ServerAction> {
-        if self.role != ReplicaRole::Primary {
-            return Vec::new();
         }
         // Report every assignment known locally above the querier's CSN.
         // The querier may be an ex-sequencer re-merged after a partition:
@@ -1419,56 +463,56 @@ impl ServerGateway {
                 assignments.insert(gsn, req);
             }
         }
-        vec![ServerAction::SendDirect {
+        out.push(ServerAction::SendDirect {
             to: from,
             payload: Payload::GsnReport {
                 max_gsn: self.my_gsn,
                 csn: self.my_csn,
                 assignments: assignments.into_iter().collect(),
             },
-        }]
+        });
     }
 
+    #[allow(clippy::too_many_arguments)] // one per `GsnReport` field
     fn on_gsn_report(
         &mut self,
+        shell: &mut Shell,
         from: ActorId,
         max_gsn: u64,
         csn: u64,
         assignments: Vec<(u64, RequestId)>,
         now: SimTime,
-    ) -> Vec<ServerAction> {
+        out: &mut Vec<ServerAction>,
+    ) {
         if !self.recovering {
-            return Vec::new();
+            return;
         }
         self.seq_gsn = self.seq_gsn.max(max_gsn);
         self.reported_csns.push(csn);
         self.reported_assignments.extend(assignments);
         self.awaiting_reports.remove(&from);
         if self.awaiting_reports.is_empty() {
-            self.finish_recovery(now)
-        } else {
-            Vec::new()
+            self.finish_recovery(shell, now, out);
         }
     }
 
     /// Completes a sequencer takeover: reconciles assignment knowledge,
     /// re-broadcasts assignments other primaries may have missed, assigns
     /// fresh GSNs to still-unassigned updates, and answers queued reads.
-    fn finish_recovery(&mut self, now: SimTime) -> Vec<ServerAction> {
+    fn finish_recovery(&mut self, shell: &mut Shell, now: SimTime, out: &mut Vec<ServerAction>) {
         self.recovering = false;
-        self.stats.recoveries += 1;
+        shell.stats.recoveries += 1;
         // SLO: the sequencer function was unavailable from the last
         // sequencing activity this replica observed until now, when its
         // own takeover completes; commits were stalled since the last CSN
         // progress.
         let unavail = now.saturating_since(self.last_seq_activity).as_micros();
-        self.stats.seq_unavail_us = self.stats.seq_unavail_us.max(unavail);
-        if self.staleness() > 0 {
+        shell.stats.seq_unavail_us = shell.stats.seq_unavail_us.max(unavail);
+        if self.lag() > 0 {
             let stall = now.saturating_since(self.last_progress).as_micros();
-            self.stats.commit_stall_us = self.stats.commit_stall_us.max(stall);
+            shell.stats.commit_stall_us = shell.stats.commit_stall_us.max(stall);
         }
         self.last_seq_activity = now;
-        let mut actions = Vec::new();
         // Re-broadcast every assignment this replica knows about above the
         // lowest reported CSN, so primaries that missed an assignment from
         // the failed sequencer can fill their gaps.
@@ -1507,11 +551,11 @@ impl ServerGateway {
             .map(|(&gsn, &req)| (gsn, req))
             .collect();
         for (gsn, req) in learned {
-            self.note_assignment(req, gsn);
+            self.note_assignment(shell, req, gsn);
         }
         for (&gsn, &req) in known.range(floor + 1..) {
             self.seq_gsn = self.seq_gsn.max(gsn);
-            actions.push(ServerAction::MulticastPrimary(Payload::GsnAssign {
+            out.push(ServerAction::MulticastPrimary(Payload::GsnAssign {
                 req,
                 gsn,
             }));
@@ -1529,33 +573,18 @@ impl ServerGateway {
         for req in orphans {
             self.seq_gsn += 1;
             let gsn = self.seq_gsn;
-            actions.push(ServerAction::MulticastPrimary(Payload::GsnAssign {
+            out.push(ServerAction::MulticastPrimary(Payload::GsnAssign {
                 req,
                 gsn,
             }));
-            self.note_assignment(req, gsn);
+            self.note_assignment(shell, req, gsn);
         }
-        actions.extend(self.try_commit(now));
+        self.try_commit(shell, now, out);
         // Queued read-snapshot requests get the recovered GSN.
         for req in std::mem::take(&mut self.queued_snapshot_reqs) {
-            actions.push(ServerAction::MulticastPrimary(Payload::GsnSnapshot {
-                req,
-                gsn: self.seq_gsn,
-            }));
-            actions.push(ServerAction::MulticastSecondary(Payload::GsnSnapshot {
-                req,
-                gsn: self.seq_gsn,
-            }));
+            gsn_snapshot(req, self.seq_gsn, out);
         }
-        self.maybe_replenish(now, &mut actions);
-        actions
-    }
-
-    /// The replenishment round timeout: how long the sequencer waits for
-    /// freshness reports, and for an issued promotion to show up in the
-    /// primary view, before starting over.
-    fn promote_timeout(&self) -> SimDuration {
-        self.config.lazy_interval.max(SimDuration::from_secs(2))
+        self.maybe_replenish(shell, now, out);
     }
 
     /// Sequencer-side primary-group replenishment (§4.1 extension): when
@@ -1563,34 +592,38 @@ impl ServerGateway {
     /// secondaries for freshness, promote the freshest one (lowest
     /// `my_GSN − my_CSN`, then highest CSN, then lowest id), and wait for
     /// it to join the primary group via the restart state-transfer path.
-    fn maybe_replenish(&mut self, now: SimTime, actions: &mut Vec<ServerAction>) {
-        if self.config.min_primary_size == 0 {
+    fn maybe_replenish(&mut self, shell: &mut Shell, now: SimTime, out: &mut Vec<ServerAction>) {
+        if shell.config.min_primary_size == 0 {
             return;
         }
-        if self.primary_view.len() >= self.config.min_primary_size {
+        if shell.primary_view.len() >= shell.config.min_primary_size {
             self.promote_round = None;
             self.promote_reports.clear();
             self.promotion_inflight = None;
             return;
         }
-        if !self.is_sequencer() || self.recovering {
+        if !self.is_sequencer(shell) || self.recovering {
             return;
         }
+        // How long the sequencer waits for freshness reports, and for an
+        // issued promotion to show up in the primary view, before starting
+        // over.
+        let timeout = shell.config.lazy_interval.max(SimDuration::from_secs(2));
         if let Some((cand, at)) = self.promotion_inflight {
-            if self.primary_view.contains(cand) {
+            if shell.primary_view.contains(cand) {
                 self.promotion_inflight = None;
-            } else if now.saturating_since(at) <= self.promote_timeout() {
+            } else if now.saturating_since(at) <= timeout {
                 return; // give the promotee time to join
             } else {
                 self.promotion_inflight = None; // candidate failed; retry
             }
         }
-        let candidates: Vec<ActorId> = self
+        let candidates: Vec<ActorId> = shell
             .secondary_view
             .members()
             .iter()
             .copied()
-            .filter(|m| !self.primary_view.contains(*m) && *m != self.me)
+            .filter(|m| !shell.primary_view.contains(*m) && *m != shell.me)
             .collect();
         if candidates.is_empty() {
             return;
@@ -1600,7 +633,7 @@ impl ServerGateway {
                 self.promote_reports.clear();
                 self.promote_round = Some(now);
                 for c in &candidates {
-                    actions.push(ServerAction::SendDirect {
+                    out.push(ServerAction::SendDirect {
                         to: *c,
                         payload: Payload::PromoteQuery,
                     });
@@ -1610,7 +643,7 @@ impl ServerGateway {
                 let all_in = candidates
                     .iter()
                     .all(|c| self.promote_reports.contains_key(c));
-                let expired = now.saturating_since(opened) > self.promote_timeout();
+                let expired = now.saturating_since(opened) > timeout;
                 if all_in || (expired && !self.promote_reports.is_empty()) {
                     let best = self
                         .promote_reports
@@ -1621,9 +654,9 @@ impl ServerGateway {
                     self.promote_round = None;
                     self.promote_reports.clear();
                     if let Some(best) = best {
-                        self.stats.promotions += 1;
+                        shell.stats.promotions += 1;
                         self.promotion_inflight = Some((best, now));
-                        actions.push(ServerAction::SendDirect {
+                        out.push(ServerAction::SendDirect {
                             to: best,
                             payload: Payload::Promote,
                         });
@@ -1636,120 +669,88 @@ impl ServerGateway {
     }
 
     /// A secondary answers the sequencer's freshness probe.
-    fn on_promote_query(&mut self, from: ActorId) -> Vec<ServerAction> {
-        if self.role != ReplicaRole::Secondary {
-            return Vec::new();
+    fn on_promote_query(&mut self, shell: &Shell, from: ActorId, out: &mut Vec<ServerAction>) {
+        if shell.role != ReplicaRole::Secondary {
+            return;
         }
-        vec![ServerAction::SendDirect {
+        out.push(ServerAction::SendDirect {
             to: from,
             payload: Payload::PromoteReport {
                 csn: self.my_csn,
                 gsn: self.my_gsn,
             },
-        }]
+        });
     }
 
     /// The sequencer collects freshness reports and closes the round once
     /// every candidate has answered (or the round times out).
     fn on_promote_report(
         &mut self,
+        shell: &mut Shell,
         from: ActorId,
         csn: u64,
         gsn: u64,
         now: SimTime,
-    ) -> Vec<ServerAction> {
+        out: &mut Vec<ServerAction>,
+    ) {
         if self.promote_round.is_none() {
-            return Vec::new();
+            return;
         }
         self.promote_reports
             .insert(from, (gsn.saturating_sub(csn), csn));
-        let mut actions = Vec::new();
-        self.maybe_replenish(now, &mut actions);
-        actions
+        self.maybe_replenish(shell, now, out);
     }
 
     /// A secondary accepts a promotion from the current sequencer: it
     /// flips to the primary role, joins the primary group, leaves the
     /// secondary group, and state-transfers from a current primary (the
     /// same catch-up path a restarted replica uses).
-    fn on_promote(&mut self, from: ActorId, now: SimTime) -> Vec<ServerAction> {
-        if self.role != ReplicaRole::Secondary || from != self.primary_view.leader() {
-            return Vec::new();
+    fn on_promote(
+        &mut self,
+        shell: &mut Shell,
+        from: ActorId,
+        now: SimTime,
+        out: &mut Vec<ServerAction>,
+    ) {
+        if shell.role != ReplicaRole::Secondary || from != shell.primary_view.leader() {
+            return;
         }
-        self.role = ReplicaRole::Primary;
-        self.stats.promoted += 1;
-        self.synced = false;
+        shell.role = ReplicaRole::Primary;
+        shell.stats.promoted += 1;
+        shell.synced = false;
         self.last_progress = now;
-        self.last_transfer_request = now;
-        let mut actions = vec![
-            ServerAction::JoinGroup {
-                group: PRIMARY_GROUP,
-            },
-            ServerAction::LeaveGroup {
-                group: SECONDARY_GROUP,
-            },
-        ];
-        if let Some(donor) = self.next_donor() {
-            actions.push(ServerAction::SendDirect {
-                to: donor,
-                payload: Payload::StateRequest,
-            });
-        }
-        actions
-    }
-
-    /// Durable compaction: once enough commits accumulated, stage a
-    /// snapshot of the applied state; the WAL prefix it covers is truncated
-    /// at the next fsync (atomic rename).
-    fn maybe_snapshot(&mut self, now: SimTime) {
-        let Some(d) = self.durability.as_mut() else {
-            return;
-        };
-        if !d.wants_snapshot() {
-            return;
-        }
-        let csn = self.applied_csn;
-        let gsn = self.my_gsn;
-        let data = self.object.snapshot().to_vec();
-        let wal_bytes = d.stage_snapshot(csn, gsn, data);
-        self.stats.snapshots_taken += 1;
-        self.obs
-            .emit(now, self.me, || ObsEvent::Snapshot { csn, wal_bytes });
-    }
-
-    fn on_state_request(&mut self, from: ActorId) -> Vec<ServerAction> {
-        if self.role != ReplicaRole::Primary || !self.synced {
-            return Vec::new();
-        }
-        self.stats.state_transfers += 1;
-        let snapshot = self.object.snapshot();
-        self.stats.transfer_bytes_sent += snapshot.len() as u64;
-        vec![ServerAction::SendDirect {
-            to: from,
-            payload: Payload::StateResponse {
-                csn: self.applied_csn,
-                gsn: self.my_gsn,
-                snapshot,
-            },
-        }]
+        shell.last_transfer_request = now;
+        out.push(ServerAction::JoinGroup {
+            group: PRIMARY_GROUP,
+        });
+        out.push(ServerAction::LeaveGroup {
+            group: SECONDARY_GROUP,
+        });
+        shell.request_transfer(now, out);
     }
 
     /// Serves a rejoining replica that replayed its own log and only needs
     /// the committed tail above `have_csn`. Falls back to a full state
     /// transfer when this replica has no durable mirror or already
     /// compacted past the requested range.
-    fn on_delta_request(&mut self, from: ActorId, have_csn: u64) -> Vec<ServerAction> {
-        if self.role != ReplicaRole::Primary || !self.synced {
-            return Vec::new();
+    fn on_delta_request(
+        &mut self,
+        shell: &mut Shell,
+        from: ActorId,
+        have_csn: u64,
+        out: &mut Vec<ServerAction>,
+    ) {
+        if shell.role != ReplicaRole::Primary || !shell.synced {
+            return;
         }
-        let delta = self
+        let delta = shell
             .durability
             .as_ref()
             .and_then(|d| d.serve_delta(have_csn, self.applied_csn));
         let Some(ops) = delta else {
-            return self.on_state_request(from);
+            return shell.on_state_request(self, from, out);
         };
-        self.stats.state_transfers += 1;
+        shell.stats.state_transfers += 1;
         let delta_bytes: u64 = ops
             .iter()
             .map(|(gsn, u)| {
@@ -1761,16 +762,16 @@ impl ServerGateway {
                 .len() as u64
             })
             .sum();
-        let full_bytes = self.object.snapshot().len() as u64;
-        self.stats.transfer_bytes_sent += delta_bytes;
-        self.stats.transfer_bytes_saved += full_bytes.saturating_sub(delta_bytes);
-        vec![ServerAction::SendDirect {
+        let full_bytes = shell.object.snapshot().len() as u64;
+        shell.stats.transfer_bytes_sent += delta_bytes;
+        shell.stats.transfer_bytes_saved += full_bytes.saturating_sub(delta_bytes);
+        out.push(ServerAction::SendDirect {
             to: from,
             payload: Payload::DeltaResponse {
                 from_csn: have_csn,
                 ops,
             },
-        }]
+        });
     }
 
     /// Applies a delta transfer: the missing committed updates, applied
@@ -1778,341 +779,392 @@ impl ServerGateway {
     /// repaired tail is itself durable).
     fn on_delta_response(
         &mut self,
+        shell: &mut Shell,
         from_csn: u64,
         ops: Vec<(u64, UpdateRequest)>,
         now: SimTime,
-    ) -> Vec<ServerAction> {
+        out: &mut Vec<ServerAction>,
+    ) {
         // Only meaningful on the durable recovery path, and only when it
         // answers our current position with no committed-but-unapplied
         // work racing the install (mirrors the state-transfer guard).
-        if self.durability.is_none() || from_csn != self.my_csn || self.applied_csn != self.my_csn {
-            return Vec::new();
+        if shell.durability.is_none() || from_csn != self.my_csn || self.applied_csn != self.my_csn
+        {
+            return;
         }
         for (gsn, update) in ops {
             if gsn != self.my_csn + 1 {
                 break;
             }
-            let _ = self
-                .object
-                .apply_update_into(&update.op, &mut self.reply_scratch);
+            shell.reapply(&update.op);
             self.my_csn = gsn;
             self.applied_csn = gsn;
             self.my_gsn = self.my_gsn.max(gsn);
-            self.stats.updates_committed += 1;
-            self.committed_log.push_back((gsn, update.id));
-            while self.committed_log.len() > self.config.committed_log {
-                self.committed_log.pop_front();
-            }
-            if let Some(d) = self.durability.as_mut() {
-                let (bytes, _) = d.log_commit(gsn, &update);
-                self.stats.wal_appends += 1;
-                self.obs
-                    .emit(now, self.me, || ObsEvent::WalAppend { gsn, bytes });
-            }
+            shell.stats.updates_committed += 1;
+            push_bounded(
+                &mut self.committed_log,
+                (gsn, update.id),
+                shell.config.committed_log,
+            );
+            shell.log_commit(gsn, &update, now);
         }
-        // Bookkeeping superseded by the repaired tail must not wedge the
-        // commit loop (stale low GSNs would block `first_entry` forever).
-        let csn = self.my_csn;
-        self.commit_ready.retain(|&g, _| g > csn);
-        self.gsn_assignments.retain(|_, &mut g| g > csn);
-        self.last_progress = now;
-        self.mark_synced(now);
-        let mut actions = self.try_commit(now);
-        self.release_satisfied_deferred(now, &mut actions);
-        actions
+        self.installed(shell, now, out);
     }
 
     fn on_state_response(
         &mut self,
+        shell: &mut Shell,
         csn: u64,
         gsn: u64,
         snapshot: &bytes::Bytes,
         now: SimTime,
-    ) -> Vec<ServerAction> {
+        out: &mut Vec<ServerAction>,
+    ) {
         // Acceptable transfers: the initial post-restart sync (anything at
         // or above our CSN) or a catch-up past a commit stall (strictly
         // ahead). Catch-up installs must not race committed-but-unapplied
         // work, or queued updates would apply twice on top of the snapshot;
         // if the service queue is still draining we skip — the stall
         // watchdog will request another transfer.
-        let acceptable = if self.synced {
+        let acceptable = if shell.synced {
             csn > self.my_csn
         } else {
             csn >= self.my_csn
         };
         if !acceptable || self.applied_csn != self.my_csn {
-            return Vec::new();
+            return;
         }
         if csn > self.my_csn {
             // SLO: a catch-up transfer heals however long commits stalled.
             let stall = now.saturating_since(self.last_progress).as_micros();
-            self.stats.commit_stall_us = self.stats.commit_stall_us.max(stall);
+            shell.stats.commit_stall_us = shell.stats.commit_stall_us.max(stall);
         }
-        self.object.install_snapshot(snapshot);
+        shell.object.install_snapshot(snapshot);
         self.my_csn = csn;
         self.applied_csn = csn;
         self.my_gsn = self.my_gsn.max(gsn);
-        self.mark_synced(now);
-        self.last_progress = now;
-        // A full transfer supersedes whatever the local log held: make the
-        // installed snapshot the new durable baseline immediately, so a
-        // crash right after the install cannot resurrect pre-transfer state.
-        if let Some(d) = self.durability.as_mut() {
-            d.persist_install(csn, self.my_gsn, snapshot.to_vec());
-            self.stats.snapshots_taken += 1;
-        }
-        // Drop commit bookkeeping now superseded by the snapshot.
-        self.commit_ready.retain(|&g, _| g > csn);
-        self.gsn_assignments.retain(|_, &mut g| g > csn);
-        let mut actions = self.try_commit(now);
-        self.release_satisfied_deferred(now, &mut actions);
-        actions
+        // A full transfer supersedes whatever the local log held.
+        shell.persist_install(csn, self.my_gsn, |_| snapshot.to_vec());
+        self.installed(shell, now, out);
     }
 
-    /// Handles a view change of either replication group.
-    pub fn on_view(&mut self, view: Arc<View>, now: SimTime) -> Vec<ServerAction> {
-        let (view_id, members) = (view.id.0, view.members().len() as u64);
-        self.obs
-            .emit(now, self.me, || ObsEvent::ViewChange { view_id, members });
-        let mut actions = Vec::new();
-        if view.group == PRIMARY_GROUP {
-            let old_leader = self.primary_view.leader();
-            let old_members = self.primary_view.members().to_vec();
-            let was_publisher = self.is_publisher();
-            self.primary_view = view;
-            let new_leader = self.primary_view.leader();
-            // Log the membership a primary's subsequent commits belong to,
-            // so a recovering replica can place its tail in view history.
-            if self.role == ReplicaRole::Primary {
-                if let Some(d) = self.durability.as_mut() {
-                    d.log_view(self.my_csn, view_id, self.primary_view.members());
-                }
-            }
-            let membership_changed = old_members != self.primary_view.members();
-            if self.role == ReplicaRole::Primary {
-                // Run the reconciliation round on any view change this
-                // replica ends up leading: a fresh takeover obviously, but
-                // also a membership change under a standing leader (a
-                // re-merged partition may carry assignments from an interim
-                // sequencer, and rejoined members may have gaps only a
-                // re-broadcast can fill). A round already in flight is
-                // restarted against the new membership — reports from a
-                // departed member never arrive, and a re-merged member was
-                // never queried; either would wedge the round open (and
-                // sequencing with it) for good.
-                if new_leader == self.me
-                    && (old_leader != self.me || membership_changed || self.recover_when_leading)
-                {
-                    self.recover_when_leading = false;
-                    // Sequencer takeover (§4.1 failure handling).
-                    self.recovering = true;
-                    self.seq_gsn = self.seq_gsn.max(self.my_gsn);
-                    self.reported_csns.clear();
-                    self.reported_assignments.clear();
-                    self.awaiting_reports = self
-                        .primary_view
-                        .members()
-                        .iter()
-                        .copied()
-                        .filter(|m| *m != self.me)
-                        .collect();
-                    self.last_gsn_query_at = now;
-                    if self.awaiting_reports.is_empty() {
-                        actions.extend(self.finish_recovery(now));
-                    } else {
-                        actions.push(ServerAction::MulticastPrimary(Payload::GsnQuery {
-                            csn: self.my_csn,
-                        }));
+    /// A transfer (full or delta) moved `my_CSN`: bookkeeping it superseded
+    /// must not wedge the commit loop (stale low GSNs would block
+    /// `first_entry` forever), and whatever is now next in order commits.
+    fn installed(&mut self, shell: &mut Shell, now: SimTime, out: &mut Vec<ServerAction>) {
+        let csn = self.my_csn;
+        self.commit_ready.retain(|&g, _| g > csn);
+        self.gsn_assignments.retain(|_, &mut g| g > csn);
+        self.last_progress = now;
+        shell.mark_synced(now);
+        self.try_commit(shell, now, out);
+    }
+}
+
+impl Discipline for Sequential {
+    const ORDERING: OrderingGuarantee = OrderingGuarantee::Sequential;
+
+    fn position(&self) -> Position {
+        Position {
+            csn: self.my_csn,
+            applied_csn: self.applied_csn,
+            gsn: self.my_gsn,
+        }
+    }
+
+    /// The sequencer is the leader of the primary group.
+    fn is_sequencer(&self, shell: &Shell) -> bool {
+        shell.leads_primary()
+    }
+
+    fn started(&mut self, _shell: &Shell, now: SimTime, restarted: bool) {
+        self.last_progress = now;
+        self.last_seq_activity = now;
+        self.recover_when_leading = restarted;
+    }
+
+    fn rebuild(&mut self, shell: &mut Shell, summary: &ReplaySummary) {
+        if let Some(snap) = &summary.snapshot {
+            shell
+                .object
+                .install_snapshot(&bytes::Bytes::from(snap.data.clone()));
+            self.my_csn = snap.csn;
+            self.applied_csn = snap.csn;
+            self.my_gsn = self.my_gsn.max(snap.gsn);
+        }
+        for (gsn, update) in &summary.commits {
+            shell.reapply(&update.op);
+            self.my_csn = *gsn;
+            self.applied_csn = *gsn;
+            self.my_gsn = self.my_gsn.max(*gsn);
+            push_bounded(
+                &mut self.committed_log,
+                (*gsn, update.id),
+                shell.config.committed_log,
+            );
+        }
+    }
+
+    fn request_recovery(&mut self, shell: &mut Shell, replayed: bool, out: &mut Vec<ServerAction>) {
+        // A replayed replica knows exactly where it stands in the global
+        // order and only needs the committed tail above its CSN.
+        if let Some(donor) = shell.next_donor() {
+            out.push(ServerAction::SendDirect {
+                to: donor,
+                payload: if replayed {
+                    Payload::DeltaRequest {
+                        have_csn: self.my_csn,
                     }
-                } else if self.recovering && new_leader != self.me {
-                    // Lost leadership mid-round: abandon it. The new leader
-                    // runs its own round, and any reads queued here will be
-                    // re-requested from it by their serving primaries.
-                    self.recovering = false;
-                    self.awaiting_reports.clear();
-                    self.reported_csns.clear();
-                    self.reported_assignments.clear();
-                    self.queued_snapshot_reqs.clear();
-                }
-                if self.is_publisher() && !was_publisher {
-                    // Freshly designated publisher: start a new lazy period.
-                    self.updates_since_lazy = 0;
-                    self.last_lazy_at = now;
-                    self.arm_lazy(&mut actions);
-                }
+                } else {
+                    Payload::StateRequest
+                },
+            });
+        }
+    }
+
+    fn on_payload(
+        &mut self,
+        shell: &mut Shell,
+        from: ActorId,
+        payload: Payload,
+        now: SimTime,
+        out: &mut Vec<ServerAction>,
+    ) {
+        match payload {
+            Payload::Update(u) => self.on_update(shell, u, now, out),
+            Payload::Read(req) => {
+                let read = PendingRead {
+                    req,
+                    client: from,
+                    deps: Vec::new(),
+                    arrived_at: now,
+                };
+                self.on_read(shell, read, now, out);
             }
-            if new_leader != old_leader {
-                // Reads orphaned by the sequencer failure: ask the new
-                // sequencer for their GSN snapshots.
-                for req in self.pending_reads.keys() {
-                    actions.push(ServerAction::SendDirect {
-                        to: new_leader,
-                        payload: Payload::GsnRequest { req: *req },
-                    });
-                }
+            Payload::GsnAssign { req, gsn } => self.on_gsn_assign(shell, from, req, gsn, now, out),
+            Payload::GsnSnapshot { req, gsn } => {
+                self.on_gsn_snapshot(shell, from, req, gsn, now, out);
             }
-        } else if view.group == SECONDARY_GROUP {
-            self.secondary_view = view;
+            Payload::GsnRequest { req } => self.on_gsn_request(shell, req, out),
+            Payload::LazyUpdate { csn, snapshot } => {
+                self.on_lazy_update(shell, csn, &snapshot, now, out);
+            }
+            Payload::GsnQuery { csn } => self.on_gsn_query(shell, from, csn, out),
+            Payload::GsnReport {
+                max_gsn,
+                csn,
+                assignments,
+            } => self.on_gsn_report(shell, from, max_gsn, csn, assignments, now, out),
+            Payload::StateRequest => shell.on_state_request(self, from, out),
+            Payload::StateResponse { csn, gsn, snapshot } => {
+                self.on_state_response(shell, csn, gsn, &snapshot, now, out);
+            }
+            Payload::DeltaRequest { have_csn } => self.on_delta_request(shell, from, have_csn, out),
+            Payload::DeltaResponse { from_csn, ops } => {
+                self.on_delta_response(shell, from_csn, ops, now, out);
+            }
+            Payload::PromoteQuery => self.on_promote_query(shell, from, out),
+            Payload::PromoteReport { csn, gsn } => {
+                self.on_promote_report(shell, from, csn, gsn, now, out);
+            }
+            Payload::Promote => self.on_promote(shell, from, now, out),
+            // Replies and perf broadcasts are client-bound, and FIFO/causal
+            // handler traffic has no meaning here; ignore them.
+            Payload::Reply(_)
+            | Payload::Busy { .. }
+            | Payload::Perf(_)
+            | Payload::FifoLazyUpdate { .. }
+            | Payload::CausalUpdate { .. }
+            | Payload::CausalRead { .. }
+            | Payload::CausalLazyUpdate { .. } => {}
+        }
+    }
+
+    fn applied(
+        &mut self,
+        shell: &mut Shell,
+        _update: &UpdateRequest,
+        gsn: u64,
+        _now: SimTime,
+    ) -> bool {
+        self.applied_csn += 1;
+        debug_assert_eq!(self.applied_csn, gsn, "updates must apply in GSN order");
+        // The sequencer does not service client requests (§4.1): it
+        // applies updates to keep its state current but leaves replying to
+        // the other primaries, unless it is alone.
+        !self.is_sequencer(shell) || shell.primary_view.len() == 1
+    }
+
+    fn staleness(&self, _shell: &Shell, _now: SimTime) -> u64 {
+        self.lag()
+    }
+
+    fn lazy_update(&self, shell: &Shell, _rate_per_us: f64) -> Payload {
+        Payload::LazyUpdate {
+            csn: self.applied_csn,
+            snapshot: shell.object.snapshot(),
+        }
+    }
+
+    fn primary_view_changed(
+        &mut self,
+        shell: &mut Shell,
+        old: &View,
+        now: SimTime,
+        out: &mut Vec<ServerAction>,
+    ) {
+        if shell.role != ReplicaRole::Primary {
+            return;
+        }
+        // Log the membership a primary's subsequent commits belong to,
+        // so a recovering replica can place its tail in view history.
+        let view = shell.primary_view.clone();
+        if let Some(d) = shell.durability.as_mut() {
+            d.log_view(self.my_csn, view.id.0, view.members());
+        }
+        let leading = view.leader() == shell.me;
+        // Run the reconciliation round on any view change this replica
+        // ends up leading: a fresh takeover obviously, but also a
+        // membership change under a standing leader (a re-merged partition
+        // may carry assignments from an interim sequencer, and rejoined
+        // members may have gaps only a re-broadcast can fill). A round
+        // already in flight is restarted against the new membership —
+        // reports from a departed member never arrive, and a re-merged
+        // member was never queried; either would wedge the round open (and
+        // sequencing with it) for good.
+        if leading
+            && (old.leader() != shell.me
+                || old.members() != view.members()
+                || self.recover_when_leading)
+        {
+            self.recover_when_leading = false;
+            // Sequencer takeover (§4.1 failure handling).
+            self.recovering = true;
+            self.seq_gsn = self.seq_gsn.max(self.my_gsn);
+            self.reported_csns.clear();
+            self.reported_assignments.clear();
+            self.awaiting_reports = view
+                .members()
+                .iter()
+                .copied()
+                .filter(|m| *m != shell.me)
+                .collect();
+            self.last_gsn_query_at = now;
+            if self.awaiting_reports.is_empty() {
+                self.finish_recovery(shell, now, out);
+            } else {
+                out.push(ServerAction::MulticastPrimary(Payload::GsnQuery {
+                    csn: self.my_csn,
+                }));
+            }
+        } else if self.recovering && !leading {
+            // Lost leadership mid-round: abandon it. The new leader runs
+            // its own round, and any reads queued here will be
+            // re-requested from it by their serving primaries.
+            self.recovering = false;
+            self.awaiting_reports.clear();
+            self.reported_csns.clear();
+            self.reported_assignments.clear();
+            self.queued_snapshot_reqs.clear();
+        }
+    }
+
+    fn view_installed(
+        &mut self,
+        shell: &mut Shell,
+        old_primary: Option<&View>,
+        now: SimTime,
+        out: &mut Vec<ServerAction>,
+    ) {
+        let new_leader = shell.primary_view.leader();
+        if old_primary.is_some_and(|old| old.leader() != new_leader) {
+            // Reads orphaned by the sequencer failure: ask the new
+            // sequencer for their GSN snapshots.
+            for req in self.pending_reads.keys() {
+                out.push(ServerAction::SendDirect {
+                    to: new_leader,
+                    payload: Payload::GsnRequest { req: *req },
+                });
+            }
         }
         // Either view changing may open (or close) a replenishment round:
         // the primary view defines the deficit, the secondary view the
         // candidates.
-        self.maybe_replenish(now, &mut actions);
-        actions
-    }
-}
-
-impl crate::protocol::ServerProtocol for ServerGateway {
-    fn ordering(&self) -> crate::qos::OrderingGuarantee {
-        crate::qos::OrderingGuarantee::Sequential
-    }
-
-    fn on_start(&mut self, now: SimTime) -> Vec<ServerAction> {
-        ServerGateway::on_start(self, now)
-    }
-
-    fn on_restart(
-        &mut self,
-        fresh_object: Box<dyn ReplicatedObject>,
-        now: SimTime,
-    ) -> Vec<ServerAction> {
-        ServerGateway::on_restart(self, fresh_object, now)
-    }
-
-    fn on_payload(&mut self, from: ActorId, payload: Payload, now: SimTime) -> Vec<ServerAction> {
-        ServerGateway::on_payload(self, from, payload, now)
-    }
-
-    fn on_service_start(&mut self, token: u64, now: SimTime) {
-        ServerGateway::on_service_start(self, token, now)
-    }
-
-    fn on_service_done(&mut self, token: u64, now: SimTime) -> Vec<ServerAction> {
-        ServerGateway::on_service_done(self, token, now)
-    }
-
-    fn on_lazy_timer(&mut self, now: SimTime) -> Vec<ServerAction> {
-        ServerGateway::on_lazy_timer(self, now)
-    }
-
-    fn on_view(&mut self, view: Arc<View>, now: SimTime) -> Vec<ServerAction> {
-        ServerGateway::on_view(self, view, now)
-    }
-
-    fn is_sequencer(&self) -> bool {
-        ServerGateway::is_sequencer(self)
-    }
-
-    fn is_publisher(&self) -> bool {
-        ServerGateway::is_publisher(self)
-    }
-
-    fn csn(&self) -> u64 {
-        ServerGateway::csn(self)
-    }
-
-    fn applied_csn(&self) -> u64 {
-        ServerGateway::applied_csn(self)
-    }
-
-    fn gsn(&self) -> u64 {
-        ServerGateway::gsn(self)
-    }
-
-    fn is_synced(&self) -> bool {
-        ServerGateway::is_synced(self)
-    }
-
-    fn stats(&self) -> ServerStats {
-        ServerGateway::stats(self)
-    }
-
-    fn set_obs(&mut self, obs: ObsHandle) {
-        ServerGateway::set_obs(self, obs)
-    }
-
-    fn crash_storage(&mut self) {
-        ServerGateway::crash_storage(self)
+        self.maybe_replenish(shell, now, out);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::object::VersionedRegister;
-    use crate::wire::Operation;
-    use aqf_group::ViewId;
-
-    fn a(i: usize) -> ActorId {
-        ActorId::from_index(i)
-    }
+    use crate::durability::{Durability, StorageConfig};
+    use crate::object::{ReplicatedObject, VersionedRegister};
+    use crate::protocol::ServerProtocol;
+    use crate::shell::conformance::{
+        self, a, drain, pview, register, replies, request, sends_state_request, sink, t,
+    };
+    use crate::shell::ServerConfig;
+    use crate::wire::{Operation, ReadRequest};
+    use std::sync::Arc;
 
     // Roster: 0 = sequencer, 1, 2 = primaries, 10, 11 = secondaries,
     // 20 = client.
-    fn pview() -> View {
-        View::new(PRIMARY_GROUP, ViewId(0), vec![a(0), a(1), a(2)])
-    }
-
-    fn sview() -> View {
-        View::new(SECONDARY_GROUP, ViewId(0), vec![a(10), a(11)])
-    }
-
     fn gw(i: usize) -> ServerGateway {
-        let config = ServerConfig {
-            clients: vec![a(20)],
-            ..ServerConfig::default()
-        };
-        ServerGateway::new(
-            a(i),
-            pview(),
-            sview(),
-            Box::new(VersionedRegister::new()),
-            config,
-        )
+        conformance::gw(i, conformance::config())
     }
 
-    fn upd(seq: u64) -> UpdateRequest {
-        UpdateRequest {
-            id: RequestId { client: a(20), seq },
+    fn upd(seq: u64) -> Payload {
+        Payload::Update(UpdateRequest {
+            id: request(seq),
             op: Operation::new("set", format!("v{seq}").into_bytes()),
             attempt: 1,
+        })
+    }
+
+    fn assign(seq: u64, gsn: u64) -> Payload {
+        Payload::GsnAssign {
+            req: request(seq),
+            gsn,
         }
     }
 
-    fn read(seq: u64, staleness: u32) -> ReadRequest {
-        ReadRequest {
-            id: RequestId { client: a(20), seq },
+    fn read(seq: u64, staleness: u32) -> Payload {
+        Payload::Read(ReadRequest {
+            id: request(seq),
             op: Operation::new("get", vec![]),
             staleness_threshold: staleness,
             deadline_us: 0,
             attempt: 1,
+        })
+    }
+
+    fn snapshot(seq: u64, gsn: u64) -> Payload {
+        Payload::GsnSnapshot {
+            req: request(seq),
+            gsn,
         }
     }
 
-    fn t(ms: u64) -> SimTime {
-        SimTime::from_millis(ms)
+    fn report(max_gsn: u64, csn: u64) -> Payload {
+        Payload::GsnReport {
+            max_gsn,
+            csn,
+            assignments: Vec::new(),
+        }
     }
 
-    /// Drives the service loop synchronously with a fixed service time.
-    fn drain_service(
-        gw: &mut ServerGateway,
-        actions: &mut Vec<ServerAction>,
-        mut now: SimTime,
-    ) -> SimTime {
-        loop {
-            let Some(pos) = actions
-                .iter()
-                .position(|x| matches!(x, ServerAction::StartService { .. }))
-            else {
-                return now;
-            };
-            let ServerAction::StartService { token } = actions.remove(pos) else {
-                unreachable!()
-            };
-            gw.on_service_start(token, now);
-            now += SimDuration::from_millis(10);
-            actions.extend(gw.on_service_done(token, now));
-        }
+    fn assigns(actions: &[ServerAction], wanted: u64) -> bool {
+        actions.iter().any(|x| {
+            matches!(
+                x,
+                ServerAction::MulticastPrimary(Payload::GsnAssign { gsn, .. }) if *gsn == wanted
+            )
+        })
+    }
+
+    /// The primary view after the sequencer (replica 0) crashed.
+    fn without_sequencer() -> Arc<View> {
+        Arc::new(pview().successor(&[a(0)], &[]).unwrap())
     }
 
     #[test]
@@ -2120,17 +1172,7 @@ mod tests {
         assert!(gw(0).is_sequencer());
         assert!(!gw(1).is_sequencer());
         assert_eq!(gw(0).role(), ReplicaRole::Primary);
-        assert_eq!(
-            ServerGateway::new(
-                a(10),
-                pview(),
-                sview(),
-                Box::new(VersionedRegister::new()),
-                ServerConfig::default()
-            )
-            .role(),
-            ReplicaRole::Secondary
-        );
+        assert_eq!(gw(10).role(), ReplicaRole::Secondary);
         // Publisher = highest-ranked primary (not the leader).
         assert!(gw(2).is_publisher());
         assert!(!gw(1).is_publisher());
@@ -2140,34 +1182,25 @@ mod tests {
     #[test]
     #[should_panic(expected = "exactly one replication group")]
     fn outsider_rejected() {
-        let _ = ServerGateway::new(
-            a(30),
-            pview(),
-            sview(),
-            Box::new(VersionedRegister::new()),
-            ServerConfig::default(),
-        );
+        let _ = gw(30);
     }
 
     #[test]
     fn sequencer_assigns_gsn_on_update() {
         let mut s = gw(0);
-        let actions = s.on_payload(a(20), Payload::Update(upd(0)), t(0));
-        assert!(actions.iter().any(|x| matches!(
-            x,
-            ServerAction::MulticastPrimary(Payload::GsnAssign { gsn: 1, .. })
-        )));
+        let actions = sink(|out| s.on_payload(a(20), upd(0), t(0), out));
+        assert!(assigns(&actions, 1));
         // Sequencer also commits and enqueues its own copy.
         assert_eq!(s.csn(), 1);
         assert_eq!(s.gsn(), 1);
-        assert_eq!(s.queue_depth(), 1);
+        assert_eq!(s.shell.queue_depth(), 1);
     }
 
     #[test]
     fn duplicate_update_not_reassigned() {
         let mut s = gw(0);
-        let _ = s.on_payload(a(20), Payload::Update(upd(0)), t(0));
-        let actions = s.on_payload(a(20), Payload::Update(upd(0)), t(1));
+        s.on_payload(a(20), upd(0), t(0), &mut Vec::new());
+        let actions = sink(|out| s.on_payload(a(20), upd(0), t(1), out));
         assert!(
             !actions
                 .iter()
@@ -2177,30 +1210,22 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_update_answered_from_reply_cache() {
+        conformance::duplicate_update_answered_from_reply_cache::<Sequential>();
+    }
+
+    #[test]
     fn primary_commits_in_gsn_order() {
         let mut p = gw(1);
+        let out = &mut Vec::new();
         // Updates arrive before assignments, out of order.
-        let _ = p.on_payload(a(20), Payload::Update(upd(0)), t(0));
-        let _ = p.on_payload(a(20), Payload::Update(upd(1)), t(0));
+        p.on_payload(a(20), upd(0), t(0), out);
+        p.on_payload(a(20), upd(1), t(0), out);
         assert_eq!(p.csn(), 0);
         // Assignment for the *second* request arrives first: must buffer.
-        let _ = p.on_payload(
-            a(0),
-            Payload::GsnAssign {
-                req: upd(1).id,
-                gsn: 2,
-            },
-            t(1),
-        );
+        p.on_payload(a(0), assign(1, 2), t(1), out);
         assert_eq!(p.csn(), 0);
-        let _ = p.on_payload(
-            a(0),
-            Payload::GsnAssign {
-                req: upd(0).id,
-                gsn: 1,
-            },
-            t(2),
-        );
+        p.on_payload(a(0), assign(0, 1), t(2), out);
         assert_eq!(p.csn(), 2, "both commit once the gap fills");
         assert_eq!(p.stats().updates_committed, 2);
     }
@@ -2208,30 +1233,16 @@ mod tests {
     #[test]
     fn assignment_before_update_buffers() {
         let mut p = gw(1);
-        let _ = p.on_payload(
-            a(0),
-            Payload::GsnAssign {
-                req: upd(0).id,
-                gsn: 1,
-            },
-            t(0),
-        );
+        p.on_payload(a(0), assign(0, 1), t(0), &mut Vec::new());
         assert_eq!(p.csn(), 0);
-        let _ = p.on_payload(a(20), Payload::Update(upd(0)), t(1));
+        p.on_payload(a(20), upd(0), t(1), &mut Vec::new());
         assert_eq!(p.csn(), 1);
     }
 
     #[test]
     fn stale_sequencer_assignment_rejected() {
         let mut p = gw(1);
-        let _ = p.on_payload(
-            a(2),
-            Payload::GsnAssign {
-                req: upd(0).id,
-                gsn: 1,
-            },
-            t(0),
-        );
+        p.on_payload(a(2), assign(0, 1), t(0), &mut Vec::new());
         assert_eq!(p.csn(), 0);
         assert_eq!(p.stats().stale_assigns, 1);
     }
@@ -2239,24 +1250,11 @@ mod tests {
     #[test]
     fn update_applies_and_replies() {
         let mut p = gw(1);
-        let mut actions = p.on_payload(a(20), Payload::Update(upd(0)), t(0));
-        actions.extend(p.on_payload(
-            a(0),
-            Payload::GsnAssign {
-                req: upd(0).id,
-                gsn: 1,
-            },
-            t(1),
-        ));
-        let _ = drain_service(&mut p, &mut actions, t(1));
-        let reply = actions.iter().find_map(|x| match x {
-            ServerAction::SendDirect {
-                to,
-                payload: Payload::Reply(r),
-            } => Some((*to, r.clone())),
-            _ => None,
-        });
-        let (to, reply) = reply.expect("primary replies to update");
+        let mut actions = Vec::new();
+        p.on_payload(a(20), upd(0), t(0), &mut actions);
+        p.on_payload(a(0), assign(0, 1), t(1), &mut actions);
+        let _ = drain(&mut p, &mut actions, t(1));
+        let (to, reply) = replies(&actions).next().expect("primary replies to update");
         assert_eq!(to, a(20));
         assert_eq!(reply.csn, 1);
         assert_eq!(p.applied_csn(), 1);
@@ -2265,16 +1263,10 @@ mod tests {
     #[test]
     fn sequencer_does_not_reply_to_updates() {
         let mut s = gw(0);
-        let mut actions = s.on_payload(a(20), Payload::Update(upd(0)), t(0));
-        let _ = drain_service(&mut s, &mut actions, t(0));
+        let mut actions = sink(|out| s.on_payload(a(20), upd(0), t(0), out));
+        let _ = drain(&mut s, &mut actions, t(0));
         assert!(
-            !actions.iter().any(|x| matches!(
-                x,
-                ServerAction::SendDirect {
-                    payload: Payload::Reply(_),
-                    ..
-                }
-            )),
+            replies(&actions).next().is_none(),
             "sequencer must not service client requests"
         );
         assert_eq!(s.applied_csn(), 1, "but it keeps its state current");
@@ -2283,8 +1275,8 @@ mod tests {
     #[test]
     fn sequencer_broadcasts_snapshot_without_advancing() {
         let mut s = gw(0);
-        let _ = s.on_payload(a(20), Payload::Update(upd(0)), t(0));
-        let actions = s.on_payload(a(20), Payload::Read(read(1, 0)), t(1));
+        s.on_payload(a(20), upd(0), t(0), &mut Vec::new());
+        let actions = sink(|out| s.on_payload(a(20), read(1, 0), t(1), out));
         let snaps: Vec<_> = actions
             .iter()
             .filter(|x| {
@@ -2302,27 +1294,11 @@ mod tests {
     #[test]
     fn fresh_primary_serves_read_immediately() {
         let mut p = gw(1);
-        let mut actions = p.on_payload(a(20), Payload::Read(read(0, 0)), t(0));
+        let mut actions = sink(|out| p.on_payload(a(20), read(0, 0), t(0), out));
         assert!(actions.is_empty(), "no snapshot yet: read waits");
-        actions.extend(p.on_payload(
-            a(0),
-            Payload::GsnSnapshot {
-                req: read(0, 0).id,
-                gsn: 0,
-            },
-            t(1),
-        ));
-        let _ = drain_service(&mut p, &mut actions, t(1));
-        let reply = actions
-            .iter()
-            .find_map(|x| match x {
-                ServerAction::SendDirect {
-                    payload: Payload::Reply(r),
-                    ..
-                } => Some(r.clone()),
-                _ => None,
-            })
-            .expect("read served");
+        p.on_payload(a(0), snapshot(0, 0), t(1), &mut actions);
+        let _ = drain(&mut p, &mut actions, t(1));
+        let (_, reply) = replies(&actions).next().expect("read served");
         assert!(!reply.deferred);
         assert_eq!(reply.staleness, 0);
         assert_eq!(p.stats().reads_served, 1);
@@ -2335,124 +1311,35 @@ mod tests {
     #[test]
     fn snapshot_before_read_is_cached() {
         let mut p = gw(1);
-        let _ = p.on_payload(
-            a(0),
-            Payload::GsnSnapshot {
-                req: read(0, 0).id,
-                gsn: 0,
-            },
-            t(0),
-        );
-        let mut actions = p.on_payload(a(20), Payload::Read(read(0, 0)), t(1));
-        let _ = drain_service(&mut p, &mut actions, t(1));
+        p.on_payload(a(0), snapshot(0, 0), t(0), &mut Vec::new());
+        let mut actions = sink(|out| p.on_payload(a(20), read(0, 0), t(1), out));
+        let _ = drain(&mut p, &mut actions, t(1));
         assert_eq!(p.stats().reads_served, 1);
-    }
-
-    fn secondary(i: usize) -> ServerGateway {
-        let config = ServerConfig {
-            clients: vec![a(20)],
-            ..ServerConfig::default()
-        };
-        ServerGateway::new(
-            a(i),
-            pview(),
-            sview(),
-            Box::new(VersionedRegister::new()),
-            config,
-        )
     }
 
     #[test]
     fn stale_secondary_defers_until_lazy_update() {
-        let mut s = secondary(10);
-        // Sequencer says the world is at GSN 3; the secondary is at CSN 0.
-        let actions = s.on_payload(
-            a(0),
-            Payload::GsnSnapshot {
-                req: read(0, 1).id,
-                gsn: 3,
-            },
-            t(0),
-        );
-        assert!(actions.is_empty());
-        let actions = s.on_payload(a(20), Payload::Read(read(0, 1)), t(1));
-        assert!(actions.is_empty(), "staleness 3 > threshold 1: defer");
-        assert_eq!(s.stats().reads_deferred, 1);
-
-        // The lazy update arrives at t=500 with a state snapshot at CSN 3.
-        let mut obj = VersionedRegister::new();
-        let op = Operation::new("set", b"x".to_vec());
-        obj.apply_update(&op);
-        obj.apply_update(&op);
-        obj.apply_update(&op);
-        let mut actions = s.on_payload(
-            a(2),
-            Payload::LazyUpdate {
-                csn: 3,
-                snapshot: obj.snapshot(),
-            },
-            t(500),
-        );
-        assert_eq!(s.csn(), 3);
-        let now = drain_service(&mut s, &mut actions, t(500));
-        let reply = actions
-            .iter()
-            .find_map(|x| match x {
-                ServerAction::SendDirect {
-                    payload: Payload::Reply(r),
-                    ..
-                } => Some(r.clone()),
-                _ => None,
-            })
-            .expect("deferred read served after lazy update");
-        assert!(reply.deferred);
-        // tb = 500 - 1 = 499ms; ts = 10ms (drain_service).
-        assert_eq!(reply.t1_us, SimDuration::from_millis(509).as_micros());
-        assert_eq!(s.stats().lazy_updates_applied, 1);
-        let _ = now;
+        conformance::stale_secondary_defers_until_lazy_update::<Sequential>();
     }
 
     #[test]
     fn fresh_secondary_serves_immediately() {
-        let mut s = secondary(10);
-        let mut actions = s.on_payload(
-            a(0),
-            Payload::GsnSnapshot {
-                req: read(0, 2).id,
-                gsn: 2,
-            },
-            t(0),
-        );
-        actions.extend(s.on_payload(a(20), Payload::Read(read(0, 2)), t(1)));
-        let _ = drain_service(&mut s, &mut actions, t(1));
-        assert_eq!(s.stats().reads_served, 1);
-        assert_eq!(s.stats().reads_deferred, 0);
+        conformance::fresh_secondary_serves_immediately::<Sequential>();
     }
 
     #[test]
     fn stale_lazy_update_ignored_but_releases() {
-        let mut s = secondary(10);
+        let mut s = gw(10);
         let mut obj = VersionedRegister::new();
         obj.apply_update(&Operation::new("set", b"x".to_vec()));
-        let snap = obj.snapshot();
-        let _ = s.on_payload(
-            a(2),
-            Payload::LazyUpdate {
-                csn: 1,
-                snapshot: snap.clone(),
-            },
-            t(0),
-        );
+        let lazy = Payload::LazyUpdate {
+            csn: 1,
+            snapshot: obj.snapshot(),
+        };
+        s.on_payload(a(2), lazy.clone(), t(0), &mut Vec::new());
         assert_eq!(s.csn(), 1);
         let before = s.stats().lazy_updates_applied;
-        let _ = s.on_payload(
-            a(2),
-            Payload::LazyUpdate {
-                csn: 1,
-                snapshot: snap,
-            },
-            t(10),
-        );
+        s.on_payload(a(2), lazy, t(10), &mut Vec::new());
         assert_eq!(s.stats().lazy_updates_applied, before, "duplicate ignored");
     }
 
@@ -2460,11 +1347,11 @@ mod tests {
     fn publisher_lazy_tick_broadcasts_state_and_info() {
         let mut p = gw(2);
         assert!(p.is_publisher());
-        let _ = p.on_start(t(0));
+        p.on_start(t(0), &mut Vec::new());
         // Two updates arrive (as counted by a primary).
-        let _ = p.on_payload(a(20), Payload::Update(upd(0)), t(100));
-        let _ = p.on_payload(a(20), Payload::Update(upd(1)), t(200));
-        let actions = p.on_lazy_timer(t(2000));
+        p.on_payload(a(20), upd(0), t(100), &mut Vec::new());
+        p.on_payload(a(20), upd(1), t(200), &mut Vec::new());
+        let actions = sink(|out| p.on_lazy_timer(t(2000), out));
         assert!(actions.iter().any(|x| matches!(
             x,
             ServerAction::MulticastSecondary(Payload::LazyUpdate { .. })
@@ -2492,54 +1379,28 @@ mod tests {
     #[test]
     fn non_publisher_lazy_timer_is_noop() {
         let mut p = gw(1);
-        assert!(p.on_lazy_timer(t(100)).is_empty());
+        assert!(sink(|out| p.on_lazy_timer(t(100), out)).is_empty());
     }
 
     #[test]
     fn sequencer_failover_recovers_gsn() {
         // Primary 1 becomes leader after 0 crashes; it saw GSN up to 2.
         let mut p = gw(1);
-        let _ = p.on_payload(a(20), Payload::Update(upd(0)), t(0));
-        let _ = p.on_payload(a(20), Payload::Update(upd(1)), t(0));
-        let _ = p.on_payload(
-            a(0),
-            Payload::GsnAssign {
-                req: upd(0).id,
-                gsn: 1,
-            },
-            t(1),
-        );
-        let _ = p.on_payload(
-            a(0),
-            Payload::GsnAssign {
-                req: upd(1).id,
-                gsn: 2,
-            },
-            t(1),
-        );
-        let new_view = pview().successor(&[a(0)], &[]).unwrap();
-        let actions = p.on_view(Arc::new(new_view), t(1000));
+        let out = &mut Vec::new();
+        p.on_payload(a(20), upd(0), t(0), out);
+        p.on_payload(a(20), upd(1), t(0), out);
+        p.on_payload(a(0), assign(0, 1), t(1), out);
+        p.on_payload(a(0), assign(1, 2), t(1), out);
+        let actions = sink(|out| p.on_view(without_sequencer(), t(1000), out));
         assert!(actions
             .iter()
             .any(|x| matches!(x, ServerAction::MulticastPrimary(Payload::GsnQuery { .. }))));
         // Peer 2 reports max_gsn 2.
-        let actions = p.on_payload(
-            a(2),
-            Payload::GsnReport {
-                max_gsn: 2,
-                csn: 2,
-                assignments: Vec::new(),
-            },
-            t(1001),
-        );
-        assert!(!actions.is_empty() || p.stats().recoveries == 1);
+        p.on_payload(a(2), report(2, 2), t(1001), out);
         assert_eq!(p.stats().recoveries, 1);
         // New update gets GSN 3, not a duplicate.
-        let actions = p.on_payload(a(20), Payload::Update(upd(2)), t(1002));
-        assert!(actions.iter().any(|x| matches!(
-            x,
-            ServerAction::MulticastPrimary(Payload::GsnAssign { gsn: 3, .. })
-        )));
+        let actions = sink(|out| p.on_payload(a(20), upd(2), t(1002), out));
+        assert!(assigns(&actions, 3));
     }
 
     #[test]
@@ -2548,66 +1409,31 @@ mod tests {
         // never saw it. After failover, 1 must re-broadcast it because 2's
         // reported CSN is 0.
         let mut p = gw(1);
-        let _ = p.on_payload(a(20), Payload::Update(upd(0)), t(0));
-        let _ = p.on_payload(
-            a(0),
-            Payload::GsnAssign {
-                req: upd(0).id,
-                gsn: 1,
-            },
-            t(1),
-        );
+        p.on_payload(a(20), upd(0), t(0), &mut Vec::new());
+        p.on_payload(a(0), assign(0, 1), t(1), &mut Vec::new());
         assert_eq!(p.csn(), 1);
-        let new_view = pview().successor(&[a(0)], &[]).unwrap();
-        let _ = p.on_view(Arc::new(new_view), t(1000));
-        let actions = p.on_payload(
-            a(2),
-            Payload::GsnReport {
-                max_gsn: 0,
-                csn: 0,
-                assignments: Vec::new(),
-            },
-            t(1001),
-        );
-        assert!(
-            actions.iter().any(|x| matches!(
-                x,
-                ServerAction::MulticastPrimary(Payload::GsnAssign { gsn: 1, .. })
-            )),
-            "missed assignment re-broadcast"
-        );
+        p.on_view(without_sequencer(), t(1000), &mut Vec::new());
+        let actions = sink(|out| p.on_payload(a(2), report(0, 0), t(1001), out));
+        assert!(assigns(&actions, 1), "missed assignment re-broadcast");
     }
 
     #[test]
     fn recovery_assigns_orphaned_updates() {
         // An update was never assigned by the failed sequencer.
         let mut p = gw(1);
-        let _ = p.on_payload(a(20), Payload::Update(upd(0)), t(0));
+        p.on_payload(a(20), upd(0), t(0), &mut Vec::new());
         assert_eq!(p.csn(), 0);
-        let new_view = pview().successor(&[a(0)], &[]).unwrap();
-        let _ = p.on_view(Arc::new(new_view), t(1000));
-        let actions = p.on_payload(
-            a(2),
-            Payload::GsnReport {
-                max_gsn: 0,
-                csn: 0,
-                assignments: Vec::new(),
-            },
-            t(1001),
-        );
-        assert!(actions.iter().any(|x| matches!(
-            x,
-            ServerAction::MulticastPrimary(Payload::GsnAssign { gsn: 1, .. })
-        )));
+        p.on_view(without_sequencer(), t(1000), &mut Vec::new());
+        let actions = sink(|out| p.on_payload(a(2), report(0, 0), t(1001), out));
+        assert!(assigns(&actions, 1));
         assert_eq!(p.csn(), 1, "orphan committed under the fresh GSN");
     }
 
     #[test]
     fn pending_reads_rerequested_after_failover() {
         let mut p = gw(2); // stays non-leader after 0 crashes (1 leads)
-        let _ = p.on_payload(a(20), Payload::Read(read(0, 0)), t(0));
-        let new_view = pview().successor(&[a(0)], &[]).unwrap();
-        let actions = p.on_view(Arc::new(new_view), t(1000));
+        p.on_payload(a(20), read(0, 0), t(0), &mut Vec::new());
+        let actions = sink(|out| p.on_view(without_sequencer(), t(1000), out));
         assert!(actions.iter().any(|x| matches!(
             x,
             ServerAction::SendDirect { to, payload: Payload::GsnRequest { .. } } if *to == a(1)
@@ -2621,48 +1447,39 @@ mod tests {
         // Publisher (replica 2) crashes: view becomes {0, 1}; 1 is now the
         // highest-ranked non-leader member.
         let new_view = pview().successor(&[a(2)], &[]).unwrap();
-        let actions = p.on_view(Arc::new(new_view), t(1000));
+        let actions = sink(|out| p.on_view(Arc::new(new_view), t(1000), out));
         assert!(p.is_publisher());
         assert!(actions
             .iter()
             .any(|x| matches!(x, ServerAction::ArmLazyTimer { .. })));
     }
 
+    /// The transfer `donor` serves to `payload` from replica 2.
+    fn served(donor: &mut ServerGateway, payload: Payload, now: SimTime) -> Payload {
+        let reply = sink(|out| donor.on_payload(a(2), payload, now, out));
+        let [ServerAction::SendDirect { to, payload }] = &reply[..] else {
+            panic!("expected one transfer, got {reply:?}");
+        };
+        assert_eq!(*to, a(2));
+        payload.clone()
+    }
+
     #[test]
     fn state_transfer_round_trip() {
         let mut donor = gw(1);
-        let _ = donor.on_payload(a(20), Payload::Update(upd(0)), t(0));
-        let mut actions = donor.on_payload(
-            a(0),
-            Payload::GsnAssign {
-                req: upd(0).id,
-                gsn: 1,
-            },
-            t(1),
-        );
-        let _ = drain_service(&mut donor, &mut actions, t(1));
-        let transfer = donor.on_state_request(a(2));
-        let (csn, gsn, snapshot) = transfer
-            .iter()
-            .find_map(|x| match x {
-                ServerAction::SendDirect {
-                    payload: Payload::StateResponse { csn, gsn, snapshot },
-                    ..
-                } => Some((*csn, *gsn, snapshot.clone())),
-                _ => None,
-            })
-            .expect("state served");
-        assert_eq!(csn, 1);
+        let _ = commit_n(&mut donor, 1, 0);
+        let transfer = served(&mut donor, Payload::StateRequest, t(50));
+        assert!(matches!(transfer, Payload::StateResponse { csn: 1, .. }));
 
         // A restarted replica installs it and becomes synced.
         let mut joiner = gw(2);
-        let actions = joiner.on_restart(Box::new(VersionedRegister::new()), t(100));
+        let actions = sink(|out| joiner.on_restart(register(), t(100), out));
         assert!(actions.iter().any(|x| matches!(
             x,
             ServerAction::SendDirect { to, payload: Payload::StateRequest } if *to == a(0)
         )));
         assert!(!joiner.is_synced());
-        let _ = joiner.on_payload(a(1), Payload::StateResponse { csn, gsn, snapshot }, t(200));
+        joiner.on_payload(a(1), transfer, t(200), &mut Vec::new());
         assert!(joiner.is_synced());
         assert_eq!(joiner.csn(), 1);
         assert_eq!(joiner.stats().state_transfers, 0);
@@ -2671,146 +1488,60 @@ mod tests {
 
     #[test]
     fn unsynced_replica_defers_reads() {
-        let mut joiner = secondary(10);
-        let _ = joiner.on_restart(Box::new(VersionedRegister::new()), t(0));
-        let _ = joiner.on_payload(
-            a(0),
-            Payload::GsnSnapshot {
-                req: read(0, 100).id,
-                gsn: 0,
-            },
-            t(1),
-        );
-        let actions = joiner.on_payload(a(20), Payload::Read(read(0, 100)), t(2));
+        let mut joiner = gw(10);
+        joiner.on_restart(register(), t(0), &mut Vec::new());
+        joiner.on_payload(a(0), snapshot(0, 0), t(1), &mut Vec::new());
+        let actions = sink(|out| joiner.on_payload(a(20), read(0, 100), t(2), out));
         assert!(actions.is_empty(), "read deferred until synced");
         assert_eq!(joiner.stats().reads_deferred, 1);
     }
 
     #[test]
     fn service_queue_is_sequential() {
-        let mut p = gw(1);
-        let mut actions = Vec::new();
-        for i in 0..3 {
-            actions.extend(p.on_payload(a(20), Payload::Update(upd(i)), t(0)));
-            actions.extend(p.on_payload(
-                a(0),
-                Payload::GsnAssign {
-                    req: upd(i).id,
-                    gsn: i + 1,
-                },
-                t(0),
-            ));
-        }
-        // Only one StartService outstanding at a time.
-        let starts = actions
-            .iter()
-            .filter(|x| matches!(x, ServerAction::StartService { .. }))
-            .count();
-        assert_eq!(starts, 1);
-        let _ = drain_service(&mut p, &mut actions, t(0));
-        assert_eq!(p.applied_csn(), 3);
+        conformance::service_queue_is_sequential::<Sequential>();
     }
 
     #[test]
     fn snapshot_cache_evicts() {
         let config = ServerConfig {
             snapshot_cache: 2,
-            clients: vec![a(20)],
-            ..ServerConfig::default()
+            ..conformance::config()
         };
-        let mut p = ServerGateway::new(
-            a(1),
-            pview(),
-            sview(),
-            Box::new(VersionedRegister::new()),
-            config,
-        );
+        let mut p: ServerGateway = conformance::gw(1, config);
         for i in 0..5 {
-            let _ = p.on_payload(
-                a(0),
-                Payload::GsnSnapshot {
-                    req: read(i, 0).id,
-                    gsn: 0,
-                },
-                t(0),
-            );
+            p.on_payload(a(0), snapshot(i, 0), t(0), &mut Vec::new());
         }
-        assert!(p.read_snapshot_gsn.len() <= 2);
+        assert!(p.discipline.read_snapshot_gsn.len() <= 2);
     }
 
-    /// Regression: the first service-time sample must seed the EWMA
-    /// directly. Folding it into the zero initial average would start the
-    /// estimate at `sample/8` and take many requests to warm up, blinding
-    /// deadline-aware shedding exactly when a burst arrives on a cold
-    /// server.
     #[test]
     fn ewma_seeds_with_first_sample() {
-        let mut s = gw(0);
-        s.config.overload = OverloadConfig::protective();
-        assert_eq!(s.avg_service_us, 0);
-        let mut actions = s.on_payload(a(20), Payload::Update(upd(0)), t(0));
-        let pos = actions
-            .iter()
-            .position(|x| matches!(x, ServerAction::StartService { .. }))
-            .unwrap();
-        let ServerAction::StartService { token } = actions.remove(pos) else {
-            unreachable!()
-        };
-        s.on_service_start(token, t(0));
-        let _ = s.on_service_done(token, t(10));
-        assert_eq!(s.avg_service_us, 10_000, "first sample seeds the average");
-        // Later samples blend 7:1 into the seeded average.
-        let mut actions = s.on_payload(a(20), Payload::Update(upd(1)), t(20));
-        let pos = actions
-            .iter()
-            .position(|x| matches!(x, ServerAction::StartService { .. }))
-            .unwrap();
-        let ServerAction::StartService { token } = actions.remove(pos) else {
-            unreachable!()
-        };
-        s.on_service_start(token, t(20));
-        let _ = s.on_service_done(token, t(22));
-        assert_eq!(s.avg_service_us, (10_000 * 7 + 2_000) / 8);
+        conformance::ewma_seeds_with_first_sample::<Sequential>();
     }
 
-    /// Regression: `deadline_us == 0` is the wire sentinel for "no deadline
-    /// advertised" and must never be treated as an already-expired deadline
-    /// by the shedding predicate.
     #[test]
     fn zero_deadline_never_sheds_on_deadline_grounds() {
-        let mut s = gw(0);
-        s.config.overload = OverloadConfig::protective();
-        s.avg_service_us = 50_000; // hot average: any tight deadline sheds
-        let no_deadline = read(0, 0); // helper sets deadline_us: 0
-        assert!(
-            !s.should_shed_read(&no_deadline),
-            "0 means no deadline, not an expired one"
-        );
-        let mut tight = read(1, 0);
-        tight.deadline_us = 1;
-        assert!(
-            s.should_shed_read(&tight),
-            "a positive deadline below the backlog estimate must shed"
-        );
+        conformance::zero_deadline_never_sheds_on_deadline_grounds::<Sequential>();
     }
 
-    /// A gateway with durable storage enabled.
-    fn durable_gw(i: usize) -> ServerGateway {
-        let config = ServerConfig {
-            clients: vec![a(20)],
-            storage: StorageConfig {
-                seed: 7,
-                ..StorageConfig::durable()
+    /// A gateway whose durable storage is `tune`d away from the
+    /// sync-before-ack preset.
+    fn durable_with(i: usize, seed: u64, tune: impl FnOnce(&mut StorageConfig)) -> ServerGateway {
+        let mut storage = StorageConfig::durable();
+        tune(&mut storage);
+        let mut s: ServerGateway = conformance::gw(
+            i,
+            ServerConfig {
+                storage: storage.clone(),
+                ..conformance::config()
             },
-            ..ServerConfig::default()
-        };
-        ServerGateway::new(
-            a(i),
-            pview(),
-            sview(),
-            Box::new(VersionedRegister::new()),
-            config,
-        )
+        );
+        s.shell.durability = Some(Durability::new(storage, seed));
+        s
+    }
+
+    fn durable_gw(i: usize) -> ServerGateway {
+        conformance::gw(i, conformance::durable_config())
     }
 
     /// Commits `n` updates synchronously on `s` (assign + service). A
@@ -2818,31 +1549,20 @@ mod tests {
     /// assignments.
     fn commit_n(s: &mut ServerGateway, n: u64, from_ms: u64) -> SimTime {
         let mut now = t(from_ms);
+        let mut actions = Vec::new();
         for seq in 0..n {
-            let mut actions = s.on_payload(a(20), Payload::Update(upd(seq)), now);
+            s.on_payload(a(20), upd(seq), now, &mut actions);
             if !s.is_sequencer() {
-                actions.extend(s.on_payload(
-                    a(0),
-                    Payload::GsnAssign {
-                        req: upd(seq).id,
-                        gsn: seq + 1,
-                    },
-                    now,
-                ));
+                s.on_payload(a(0), assign(seq, seq + 1), now, &mut actions);
             }
-            now = drain_service(s, &mut actions, now);
+            now = drain(s, &mut actions, now);
         }
         now
     }
 
     #[test]
     fn disabled_storage_has_no_sidecar() {
-        let s = gw(0);
-        assert!(
-            s.durability().is_none(),
-            "default config must stay seedlike"
-        );
-        assert_eq!(s.stats().wal_appends, 0);
+        conformance::disabled_storage_has_no_sidecar::<Sequential>();
     }
 
     #[test]
@@ -2861,7 +1581,7 @@ mod tests {
         let now = commit_n(&mut s, 5, 0);
         let committed: Vec<(u64, RequestId)> = s.committed_log().collect();
         s.crash_storage();
-        let actions = s.on_restart(Box::new(VersionedRegister::new()), now);
+        let actions = sink(|out| s.on_restart(register(), now, out));
         assert_eq!(s.csn(), 5, "all fsynced commits replayed");
         assert_eq!(s.applied_csn(), 5);
         assert!(s.is_synced(), "replay syncs locally");
@@ -2885,47 +1605,32 @@ mod tests {
 
     #[test]
     fn snapshot_compacts_and_replay_resumes_from_it() {
-        let mut s = durable_gw(0);
-        s.config.storage.snapshot_every = 4;
-        // Rebuild the sidecar with the tighter compaction interval.
-        s.durability = Some(Durability::new(s.config.storage.clone(), 7));
-        let now = commit_n(&mut s, 10, 0);
-        assert!(s.stats().snapshots_taken >= 1);
-        s.crash_storage();
-        let _ = s.on_restart(Box::new(VersionedRegister::new()), now);
-        assert_eq!(s.csn(), 10, "snapshot + tail replay reach the full state");
-        assert!(s.is_synced());
+        let _ = conformance::compaction_stages_snapshots_under_load::<Sequential>();
+    }
+
+    #[test]
+    fn durable_secondary_persists_lazy_installs() {
+        let _ = conformance::durable_secondary_persists_lazy_installs::<Sequential>();
     }
 
     #[test]
     fn empty_log_restart_falls_back_to_state_transfer() {
         let mut s = durable_gw(1);
         s.crash_storage();
-        let actions = s.on_restart(Box::new(VersionedRegister::new()), t(1));
+        let actions = sink(|out| s.on_restart(register(), t(1), out));
         assert!(!s.is_synced(), "nothing durable: plain restart semantics");
-        assert!(actions.iter().any(|x| matches!(
-            x,
-            ServerAction::SendDirect {
-                payload: Payload::StateRequest,
-                ..
-            }
-        )));
+        assert!(sends_state_request(&actions));
     }
 
     #[test]
     fn delta_request_served_from_mirror() {
         let mut donor = durable_gw(1);
-        let _ = commit_n(&mut donor, 6, 0);
-        let actions = donor.on_delta_request(a(2), 4);
-        let Some(ServerAction::SendDirect {
-            to,
-            payload: Payload::DeltaResponse { from_csn, ops },
-        }) = actions.first()
-        else {
-            panic!("expected a delta response, got {actions:?}");
+        let now = commit_n(&mut donor, 6, 0);
+        let delta = served(&mut donor, Payload::DeltaRequest { have_csn: 4 }, now);
+        let Payload::DeltaResponse { from_csn, ops } = delta else {
+            panic!("expected a delta response, got {delta:?}");
         };
-        assert_eq!(*to, a(2));
-        assert_eq!(*from_csn, 4);
+        assert_eq!(from_csn, 4);
         assert_eq!(
             ops.iter().map(|(g, _)| *g).collect::<Vec<_>>(),
             vec![5, 6],
@@ -2942,16 +1647,13 @@ mod tests {
     fn delta_response_repairs_tail_and_logs_it() {
         let mut donor = durable_gw(1);
         let now = commit_n(&mut donor, 6, 0);
-        let reply = donor.on_delta_request(a(2), 4);
+        let delta = served(&mut donor, Payload::DeltaRequest { have_csn: 4 }, now);
         let mut rec = durable_gw(2);
         let _ = commit_n(&mut rec, 4, 0);
         rec.crash_storage();
-        let _ = rec.on_restart(Box::new(VersionedRegister::new()), now);
+        rec.on_restart(register(), now, &mut Vec::new());
         assert_eq!(rec.csn(), 4);
-        let Some(ServerAction::SendDirect { payload, .. }) = reply.first() else {
-            panic!("no delta reply");
-        };
-        let _ = rec.on_payload(a(1), payload.clone(), now);
+        rec.on_payload(a(1), delta, now, &mut Vec::new());
         assert_eq!(rec.csn(), 6, "delta repairs the unseen tail");
         assert_eq!(rec.applied_csn(), 6);
         assert_eq!(
@@ -2961,20 +1663,18 @@ mod tests {
         );
         // The repaired tail is itself durable: crash again and replay.
         rec.crash_storage();
-        let _ = rec.on_restart(Box::new(VersionedRegister::new()), now);
+        rec.on_restart(register(), now, &mut Vec::new());
         assert_eq!(rec.csn(), 6, "repaired commits survive a second crash");
     }
 
     #[test]
     fn group_commit_crash_loses_unsynced_tail_only() {
-        let mut s = durable_gw(0);
-        s.config.storage.fsync_every = 100;
-        s.durability = Some(Durability::new(s.config.storage.clone(), 7));
+        let mut s = durable_with(0, 7, |storage| storage.fsync_every = 100);
         let now = commit_n(&mut s, 5, 0);
         // fsync_every = 100 means none of the five appends ever synced:
         // the crash wipes them and the replica must not claim durability.
         s.crash_storage();
-        let _ = s.on_restart(Box::new(VersionedRegister::new()), now);
+        s.on_restart(register(), now, &mut Vec::new());
         assert!(
             s.csn() < 5 || !s.is_synced(),
             "unsynced commits must not replay as if durable (csn={})",
@@ -2988,41 +1688,30 @@ mod tests {
         let now = commit_n(&mut donor, 3, 0);
         let mut rec = durable_gw(2);
         rec.crash_storage();
-        let _ = rec.on_restart(Box::new(VersionedRegister::new()), now);
+        rec.on_restart(register(), now, &mut Vec::new());
         assert!(!rec.is_synced(), "empty log: transfer-only path");
-        let transfer = donor.on_state_request(a(2));
-        let Some(ServerAction::SendDirect { payload, .. }) = transfer.first() else {
-            panic!("no transfer");
-        };
-        let _ = rec.on_payload(a(1), payload.clone(), now);
+        let transfer = served(&mut donor, Payload::StateRequest, now);
+        rec.on_payload(a(1), transfer, now, &mut Vec::new());
         assert!(rec.is_synced());
         assert_eq!(rec.csn(), 3);
         assert!(rec.stats().recovery_us < u64::MAX);
         // The installed snapshot is immediately durable.
         rec.crash_storage();
-        let _ = rec.on_restart(Box::new(VersionedRegister::new()), now);
+        rec.on_restart(register(), now, &mut Vec::new());
         assert_eq!(rec.csn(), 3, "installed baseline survives a crash");
         assert!(rec.is_synced());
     }
 
     #[test]
     fn corrupt_log_quarantines_and_falls_back() {
-        let mut s = durable_gw(0);
-        s.config.storage.bit_flip_probability = 1.0;
-        s.durability = Some(Durability::new(s.config.storage.clone(), 11));
+        let mut s = durable_with(0, 11, |storage| storage.bit_flip_probability = 1.0);
         let now = commit_n(&mut s, 8, 0);
         s.crash_storage();
-        let actions = s.on_restart(Box::new(VersionedRegister::new()), now);
+        let actions = sink(|out| s.on_restart(register(), now, out));
         let st = s.stats();
         if st.corrupt_logs > 0 {
             assert!(!s.is_synced(), "quarantined log must not claim sync");
-            assert!(actions.iter().any(|x| matches!(
-                x,
-                ServerAction::SendDirect {
-                    payload: Payload::StateRequest,
-                    ..
-                }
-            )));
+            assert!(sends_state_request(&actions));
         } else {
             // The flip landed in the tail frame: dropped, prefix replayed.
             assert!(st.torn_tails_dropped > 0 || s.csn() == 8);

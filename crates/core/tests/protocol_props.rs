@@ -8,14 +8,15 @@ use aqf_core::model::{
 };
 use aqf_core::monitor::MonitorConfig;
 use aqf_core::object::VersionedRegister;
-use aqf_core::server::{ServerAction, ServerConfig, ServerGateway};
+use aqf_core::protocol::{drive_service, ServerProtocol};
+use aqf_core::shell::{ServerAction, ServerConfig};
 use aqf_core::wire::{
     Operation, Payload, PerfBroadcast, ReadMeasurement, RequestId, UpdateRequest, PRIMARY_GROUP,
     SECONDARY_GROUP,
 };
 use aqf_core::{
     CausalServerGateway, ClientAction, ClientConfig, ClientGateway, FifoServerGateway,
-    InfoRepository, QosSpec, SelectionPolicy, Selector, TimerPurpose,
+    InfoRepository, QosSpec, SelectionPolicy, Selector, ServerGateway, TimerPurpose,
 };
 use aqf_group::{View, ViewId};
 use aqf_sim::{ActorId, SimDuration, SimTime};
@@ -47,46 +48,9 @@ fn primary() -> ServerGateway {
 }
 
 /// Drains StartService actions synchronously with a fixed 1 ms service
-/// time, returning all follow-up actions.
-fn drain(gw: &mut ServerGateway, actions: &mut Vec<ServerAction>, now: SimTime) {
-    while let Some(pos) = actions
-        .iter()
-        .position(|x| matches!(x, ServerAction::StartService { .. }))
-    {
-        let ServerAction::StartService { token } = actions.remove(pos) else {
-            unreachable!()
-        };
-        gw.on_service_start(token, now);
-        actions.extend(gw.on_service_done(token, now + SimDuration::from_millis(1)));
-    }
-}
-
-/// As [`drain`], for the FIFO gateway.
-fn drain_fifo(gw: &mut FifoServerGateway, actions: &mut Vec<ServerAction>, now: SimTime) {
-    while let Some(pos) = actions
-        .iter()
-        .position(|x| matches!(x, ServerAction::StartService { .. }))
-    {
-        let ServerAction::StartService { token } = actions.remove(pos) else {
-            unreachable!()
-        };
-        gw.on_service_start(token, now);
-        actions.extend(gw.on_service_done(token, now + SimDuration::from_millis(1)));
-    }
-}
-
-/// As [`drain`], for the causal gateway.
-fn drain_causal(gw: &mut CausalServerGateway, actions: &mut Vec<ServerAction>, now: SimTime) {
-    while let Some(pos) = actions
-        .iter()
-        .position(|x| matches!(x, ServerAction::StartService { .. }))
-    {
-        let ServerAction::StartService { token } = actions.remove(pos) else {
-            unreachable!()
-        };
-        gw.on_service_start(token, now);
-        actions.extend(gw.on_service_done(token, now + SimDuration::from_millis(1)));
-    }
+/// time; follow-up actions land in the same buffer.
+fn drain(gw: &mut dyn ServerProtocol, actions: &mut Vec<ServerAction>, now: SimTime) {
+    drive_service(gw, actions, now, SimDuration::from_millis(1));
 }
 
 fn update_payload(i: u64, attempt: u32) -> Payload {
@@ -263,7 +227,7 @@ proptest! {
                     attempt: 1,
                 })
             };
-            actions.extend(gw.on_payload(a(0), payload, now));
+            gw.on_payload(a(0), payload, now, &mut actions);
             csn_trace.push(gw.csn());
         }
         drain(&mut gw, &mut actions, SimTime::from_secs(1));
@@ -306,7 +270,7 @@ proptest! {
                         attempt: 1,
                     })
                 };
-                actions.extend(gw.on_payload(a(0), payload, now));
+                gw.on_payload(a(0), payload, now, &mut actions);
             }
             drain(&mut gw, &mut actions, SimTime::from_secs(1));
             gw.object().snapshot()
@@ -451,7 +415,7 @@ proptest! {
                     1 => Payload::GsnAssign { req: RequestId { client: a(20), seq: i }, gsn: i + 1 },
                     k => update_payload(i, if k == 2 { 2 } else { 1 }),
                 };
-                actions.extend(gw.on_payload(a(0), payload, now));
+                gw.on_payload(a(0), payload, now, &mut actions);
             }
             drain(&mut gw, &mut actions, SimTime::from_secs(1));
             let log: Vec<(u64, RequestId)> = gw.committed_log().collect();
@@ -501,10 +465,10 @@ proptest! {
             let mut actions = Vec::new();
             for (step, (i, attempt)) in events.into_iter().enumerate() {
                 let now = SimTime::from_millis(step as u64);
-                actions.extend(gw.on_payload(a(20), update_payload(i, attempt), now));
-                drain_fifo(&mut gw, &mut actions, now);
+                gw.on_payload(a(20), update_payload(i, attempt), now, &mut actions);
+                drain(&mut gw, &mut actions, now);
             }
-            drain_fifo(&mut gw, &mut actions, SimTime::from_secs(1));
+            drain(&mut gw, &mut actions, SimTime::from_secs(1));
             let log: Vec<RequestId> = gw.applied_log().collect();
             (gw.object().snapshot(), gw.version(), log, gw.stats().dedup_hits)
         };
@@ -560,10 +524,10 @@ proptest! {
                     update_seq: i,
                     deps: Vec::new(),
                 };
-                actions.extend(gw.on_payload(a(20), payload, now));
-                drain_causal(&mut gw, &mut actions, now);
+                gw.on_payload(a(20), payload, now, &mut actions);
+                drain(&mut gw, &mut actions, now);
             }
-            drain_causal(&mut gw, &mut actions, SimTime::from_secs(1));
+            drain(&mut gw, &mut actions, SimTime::from_secs(1));
             (gw.object().snapshot(), gw.version(), gw.vector_snapshot(), gw.stats().dedup_hits)
         };
 

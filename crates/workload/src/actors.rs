@@ -4,14 +4,14 @@ use crate::config::{ObjectKind, OpPattern};
 use crate::history::{HistoryEvent, HistoryHandle};
 use aqf_core::client::{ClientAction, ClientGateway, TimerPurpose};
 use aqf_core::protocol::ServerProtocol;
-use aqf_core::server::ServerAction;
+use aqf_core::shell::ServerAction;
 use aqf_core::wire::RequestId;
 use aqf_core::{
     AccountBook, Operation, Payload, QosSpec, ReplicatedObject, ResponseInfo, SharedDocument,
     TickerBoard, VersionedRegister, PRIMARY_GROUP, SECONDARY_GROUP,
 };
 use aqf_group::{Envelope, GroupEndpoint, GroupEvent, GroupId};
-use aqf_sim::{Actor, ActorId, Context, DelayModel, SimDuration, Timer, TimerId};
+use aqf_sim::{Actor, ActorId, Context, DelayModel, SimDuration, SimTime, Timer, TimerId};
 use aqf_stats::Summary;
 use rand::Rng;
 use std::collections::{BTreeMap, HashMap};
@@ -74,10 +74,13 @@ impl ObjectKind {
 
 /// A replica host: group endpoint + server gateway + service-time model.
 /// The gateway is any timed-consistency handler implementing
-/// [`ServerProtocol`] (sequential or FIFO).
+/// [`ServerProtocol`] (sequential, causal or FIFO).
 pub struct ReplicaActor {
     ep: GroupEndpoint<Payload>,
     gw: Box<dyn ServerProtocol>,
+    /// The sink every gateway callback appends its actions to: retained
+    /// across callbacks, so the action list costs no allocation per event.
+    actions: Vec<ServerAction>,
     service_delay: DelayModel,
     object_kind: ObjectKind,
     service_timers: HashMap<TimerId, u64>,
@@ -99,6 +102,7 @@ impl ReplicaActor {
         Self {
             ep,
             gw,
+            actions: Vec::new(),
             service_delay,
             object_kind,
             service_timers: HashMap::new(),
@@ -128,8 +132,16 @@ impl ReplicaActor {
         &self.ep
     }
 
-    fn apply(&mut self, actions: Vec<ServerAction>, ctx: &mut Context<'_, NetMsg>) {
-        for action in actions {
+    /// Runs one gateway callback against the retained sink, then executes
+    /// what it appended.
+    fn drive(
+        &mut self,
+        ctx: &mut Context<'_, NetMsg>,
+        callback: impl FnOnce(&mut dyn ServerProtocol, SimTime, &mut Vec<ServerAction>),
+    ) {
+        let mut actions = std::mem::take(&mut self.actions);
+        callback(&mut *self.gw, ctx.now(), &mut actions);
+        for action in actions.drain(..) {
             match action {
                 ServerAction::MulticastPrimary(p) => self.ep.multicast(PRIMARY_GROUP, p, ctx),
                 ServerAction::MulticastSecondary(p) => self.ep.multicast(SECONDARY_GROUP, p, ctx),
@@ -160,20 +172,22 @@ impl ReplicaActor {
                 ServerAction::LeaveGroup { group } => self.ep.leave(group, ctx),
             }
         }
+        self.actions = actions;
     }
 
     fn absorb(&mut self, events: Vec<GroupEvent<Payload>>, ctx: &mut Context<'_, NetMsg>) {
         for ev in events {
-            let actions = match ev {
+            match ev {
                 GroupEvent::Delivered {
                     sender, payload, ..
                 }
                 | GroupEvent::Direct { sender, payload } => {
-                    self.gw.on_payload(sender, payload, ctx.now())
+                    self.drive(ctx, |gw, now, out| gw.on_payload(sender, payload, now, out));
                 }
-                GroupEvent::ViewChanged { view, .. } => self.gw.on_view(view, ctx.now()),
-            };
-            self.apply(actions, ctx);
+                GroupEvent::ViewChanged { view, .. } => {
+                    self.drive(ctx, |gw, now, out| gw.on_view(view, now, out));
+                }
+            }
         }
     }
 }
@@ -181,8 +195,7 @@ impl ReplicaActor {
 impl Actor<NetMsg> for ReplicaActor {
     fn on_start(&mut self, ctx: &mut Context<'_, NetMsg>) {
         self.ep.on_start(ctx);
-        let actions = self.gw.on_start(ctx.now());
-        self.apply(actions, ctx);
+        self.drive(ctx, |gw, now, out| gw.on_start(now, out));
     }
 
     fn on_restart(&mut self, ctx: &mut Context<'_, NetMsg>) {
@@ -192,8 +205,8 @@ impl Actor<NetMsg> for ReplicaActor {
         // unsynced writes, possible torn tail), and whatever survived is
         // what the gateway's restart path gets to replay.
         self.gw.crash_storage();
-        let actions = self.gw.on_restart(self.object_kind.make(), ctx.now());
-        self.apply(actions, ctx);
+        let fresh = self.object_kind.make();
+        self.drive(ctx, |gw, now, out| gw.on_restart(fresh, now, out));
     }
 
     fn on_message(&mut self, from: ActorId, msg: NetMsg, ctx: &mut Context<'_, NetMsg>) {
@@ -209,14 +222,10 @@ impl Actor<NetMsg> for ReplicaActor {
         match timer.kind {
             SERVICE_TIMER => {
                 if let Some(token) = self.service_timers.remove(&timer.id) {
-                    let actions = self.gw.on_service_done(token, ctx.now());
-                    self.apply(actions, ctx);
+                    self.drive(ctx, |gw, now, out| gw.on_service_done(token, now, out));
                 }
             }
-            LAZY_TIMER => {
-                let actions = self.gw.on_lazy_timer(ctx.now());
-                self.apply(actions, ctx);
-            }
+            LAZY_TIMER => self.drive(ctx, |gw, now, out| gw.on_lazy_timer(now, out)),
             _ => {}
         }
     }

@@ -5,7 +5,7 @@ use crate::actors::{ClientActor, ClientRecord, NetMsg, ReplicaActor};
 use crate::config::{FaultEvent, FaultKind, FaultTarget, ScenarioConfig};
 use aqf_core::client::ClientConfig;
 use aqf_core::protocol::ServerProtocol;
-use aqf_core::server::{ServerConfig, ServerStats};
+use aqf_core::shell::{ServerConfig, ServerStats};
 use aqf_core::InfoRepository;
 use aqf_core::ObsHandle;
 use aqf_core::{

@@ -3,9 +3,9 @@
 //! on OS threads with channel-based messaging and wall-clock timers.
 
 use aqf::core::client::ClientConfig;
-use aqf::core::server::ServerConfig;
 use aqf::core::{
-    ClientGateway, Payload, QosSpec, SelectionPolicy, ServerGateway, PRIMARY_GROUP, SECONDARY_GROUP,
+    ClientGateway, Payload, QosSpec, SelectionPolicy, ServerConfig, ServerGateway, PRIMARY_GROUP,
+    SECONDARY_GROUP,
 };
 use aqf::group::endpoint::GroupMembership;
 use aqf::group::{EndpointConfig, GroupEndpoint, View, ViewId};
