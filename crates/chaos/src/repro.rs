@@ -734,4 +734,14 @@ mod tests {
         let bad = good.replace("\"sequential\"", "\"zigzag\"");
         assert!(config_from_json(&bad).is_err());
     }
+
+    /// The byte fence for repro files: parse -> serialize is the identity
+    /// on the checked-in artifact `chaos-smoke` replays.
+    #[test]
+    fn checked_in_repro_round_trips_to_the_same_bytes() {
+        let text = include_str!("../../../results/chaos_repro.json");
+        assert_eq!(text.len(), 1756);
+        let config = config_from_json(text).expect("checked-in repro parses");
+        assert_eq!(config_to_json(&config), text);
+    }
 }

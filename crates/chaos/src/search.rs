@@ -244,4 +244,50 @@ mod tests {
         assert_eq!(csv.lines().count(), 3);
         assert!(csv.starts_with("seed,digest,faults,violations,oracles"));
     }
+
+    /// The byte fence for the search report, string escaping included.
+    #[test]
+    fn report_json_matches_the_pinned_document() {
+        let report = SearchReport {
+            start_seed: 40,
+            outcomes: vec![
+                SeedOutcome {
+                    seed: 40,
+                    digest: u64::MAX,
+                    num_faults: 0,
+                    violations: Vec::new(),
+                },
+                SeedOutcome {
+                    seed: 41,
+                    digest: 7,
+                    num_faults: 3,
+                    violations: vec![
+                        Violation {
+                            oracle: OracleKind::Sequential,
+                            client: 12,
+                            seq: 48,
+                            detail: "two values at \"v48\": a\\b\nthen\ttab".into(),
+                        },
+                        Violation {
+                            oracle: OracleKind::Timed,
+                            client: 13,
+                            seq: 0,
+                            detail: "plain".into(),
+                        },
+                    ],
+                },
+            ],
+        };
+        assert_eq!(
+            report.to_json(),
+            concat!(
+                r#"{"start_seed":40,"seeds":2,"failing_seeds":1,"total_violations":2,"outcomes":["#,
+                r#"{"seed":40,"digest":18446744073709551615,"faults":0,"violations":[]},"#,
+                r#"{"seed":41,"digest":7,"faults":3,"violations":["#,
+                r#"{"oracle":"sequential","client":12,"seq":48,"#,
+                r#""detail":"two values at \"v48\": a\\b\nthen\u0009tab"},"#,
+                r#"{"oracle":"timed","client":13,"seq":0,"detail":"plain"}]}]}"#
+            )
+        );
+    }
 }

@@ -429,3 +429,139 @@ impl TraceRecord {
         s
     }
 }
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+
+    /// One record of every event kind, in declaration order.
+    pub(crate) fn one_of_each() -> Vec<TraceRecord> {
+        let a = ActorId::from_index;
+        let req = ReqId::new(a(9), 4);
+        let events = vec![
+            Event::RequestIssued {
+                req,
+                read: true,
+                deadline_us: 200_000,
+            },
+            Event::ReplicasSelected {
+                req,
+                attempt: 1,
+                targets: vec![a(2), a(5), a(3)],
+            },
+            Event::RetryScheduled {
+                req,
+                attempt: 2,
+                delay_us: 20_000,
+            },
+            Event::HedgeSent { req, target: a(6) },
+            Event::ReplyReceived {
+                req,
+                from: a(2),
+                timely: true,
+                deferred: false,
+                staleness_us: 1_500_000,
+            },
+            Event::BusyReceived { req, from: a(5) },
+            Event::Delivered {
+                req,
+                response_us: 104_250,
+                timely: false,
+            },
+            Event::GaveUp {
+                req,
+                response_us: 3_000_000,
+            },
+            Event::LocalShed { req },
+            Event::ShedRead {
+                req,
+                queue_depth: 17,
+            },
+            Event::ShedUpdate { req, backlog: 64 },
+            Event::ServiceDone {
+                req,
+                service_us: 98_765,
+            },
+            Event::Breaker {
+                replica: a(2),
+                from_state: "closed",
+                to_state: "half_open",
+            },
+            Event::Ladder {
+                from_level: 0,
+                to_level: 2,
+            },
+            Event::QosAlert {
+                observed_ppm: 125_000,
+                threshold_ppm: 100_000,
+            },
+            Event::Quarantine {
+                replica: a(3),
+                until_us: 65_000_000,
+            },
+            Event::QuarantineCleared { replica: a(3) },
+            Event::ViewChange {
+                view_id: 12,
+                members: 4,
+            },
+            Event::WalAppend { gsn: 48, bytes: 57 },
+            Event::Snapshot {
+                csn: 64,
+                wal_bytes: 0,
+            },
+            Event::RecoveryReplay {
+                records: 9,
+                csn: u64::MAX,
+            },
+            Event::RecoveryFallback {
+                reason: "corrupt-log",
+            },
+        ];
+        events
+            .into_iter()
+            .enumerate()
+            .map(|(i, event)| TraceRecord {
+                t_us: 1000 * (i as u64 + 1),
+                actor: a(7),
+                event,
+            })
+            .collect()
+    }
+
+    /// The byte fence for the trace format: one literal line per kind.
+    const ONE_OF_EACH_JSONL: &str = r#"{"t":1000,"actor":7,"type":"request_issued","client":9,"seq":4,"read":true,"deadline_us":200000}
+{"t":2000,"actor":7,"type":"replicas_selected","client":9,"seq":4,"attempt":1,"targets":[2,5,3]}
+{"t":3000,"actor":7,"type":"retry_scheduled","client":9,"seq":4,"attempt":2,"delay_us":20000}
+{"t":4000,"actor":7,"type":"hedge_sent","client":9,"seq":4,"target":6}
+{"t":5000,"actor":7,"type":"reply_received","client":9,"seq":4,"from":2,"timely":true,"deferred":false,"staleness_us":1500000}
+{"t":6000,"actor":7,"type":"busy_received","client":9,"seq":4,"from":5}
+{"t":7000,"actor":7,"type":"delivered","client":9,"seq":4,"response_us":104250,"timely":false}
+{"t":8000,"actor":7,"type":"gave_up","client":9,"seq":4,"response_us":3000000}
+{"t":9000,"actor":7,"type":"local_shed","client":9,"seq":4}
+{"t":10000,"actor":7,"type":"shed_read","client":9,"seq":4,"queue_depth":17}
+{"t":11000,"actor":7,"type":"shed_update","client":9,"seq":4,"backlog":64}
+{"t":12000,"actor":7,"type":"service_done","client":9,"seq":4,"service_us":98765}
+{"t":13000,"actor":7,"type":"breaker","replica":2,"from_state":"closed","to_state":"half_open"}
+{"t":14000,"actor":7,"type":"ladder","from_level":0,"to_level":2}
+{"t":15000,"actor":7,"type":"qos_alert","observed_ppm":125000,"threshold_ppm":100000}
+{"t":16000,"actor":7,"type":"quarantine","replica":3,"until_us":65000000}
+{"t":17000,"actor":7,"type":"quarantine_cleared","replica":3}
+{"t":18000,"actor":7,"type":"view_change","view_id":12,"members":4}
+{"t":19000,"actor":7,"type":"wal_append","gsn":48,"bytes":57}
+{"t":20000,"actor":7,"type":"snapshot","csn":64,"wal_bytes":0}
+{"t":21000,"actor":7,"type":"recovery_replay","records":9,"csn":18446744073709551615}
+{"t":22000,"actor":7,"type":"recovery_fallback","reason":"corrupt-log"}
+"#;
+
+    #[test]
+    fn every_kind_renders_its_pinned_line() {
+        let records = one_of_each();
+        let kinds: std::collections::BTreeSet<_> = records.iter().map(|r| r.event.kind()).collect();
+        assert_eq!(kinds.len(), 22, "one sample per event kind");
+        let mut jsonl = String::new();
+        for r in &records {
+            r.write_json_line(&mut jsonl);
+        }
+        assert_eq!(jsonl, ONE_OF_EACH_JSONL);
+    }
+}

@@ -258,4 +258,23 @@ mod tests {
             Some(1)
         );
     }
+
+    /// The byte fence for the metrics document.
+    #[test]
+    fn registry_json_matches_the_pinned_document() {
+        let mut m = MetricsRegistry::new();
+        m.add("client.busy_rejections", 3);
+        m.set_gauge("server.queue_depth", 17);
+        for v in [400, 900, 20_000_000] {
+            m.observe("read_us", &[500, 1_000, 10_000_000], v);
+        }
+        assert_eq!(
+            m.to_json(),
+            concat!(
+                r#"{"counters":{"client.busy_rejections":3},"gauges":{"server.queue_depth":17},"#,
+                r#""histograms":{"read_us":{"count":3,"sum":20001300,"min":400,"max":20000000,"#,
+                r#""p50":1000,"p99":20000000,"bounds":[500,1000,10000000],"counts":[1,1,0,1]}}}"#
+            )
+        );
+    }
 }
