@@ -2,8 +2,8 @@
 //!
 //! The benches regenerate the paper's Figure 3 (selection overhead) on real
 //! CPU time and add ablation measurements for the design choices called out
-//! in `DESIGN.md` (convolution cost, Poisson staleness factor, group
-//! multicast throughput, gateway pipeline, selection policies).
+//! in `DESIGN.md` (convolution cost, Poisson staleness factor, gateway
+//! pipeline, selection policies).
 
 pub use aqf_workload::{
     build_candidates, build_candidates_uncached, candidate_keys, synthetic_repository,
@@ -64,7 +64,7 @@ pub mod alloc_count {
 use aqf_core::object::VersionedRegister;
 use aqf_core::shell::{Discipline, Replica, ServerConfig};
 use aqf_core::{PRIMARY_GROUP, SECONDARY_GROUP};
-use aqf_group::{GroupId, View, ViewId};
+use aqf_group::{View, ViewId};
 use aqf_sim::ActorId;
 
 /// A primary view of `n + 1` members (ids 0..=n, 0 = sequencer/leader).
@@ -83,11 +83,6 @@ pub fn secondary_view(n: usize) -> View {
         ViewId(0),
         (100..100 + n).map(ActorId::from_index).collect(),
     )
-}
-
-/// A generic group view for the multicast benches.
-pub fn flat_view(group: GroupId, n: usize) -> View {
-    View::new(group, ViewId(0), (0..n).map(ActorId::from_index).collect())
 }
 
 /// A primary (non-leader for `me > 0`) server gateway under discipline `D`.

@@ -8,7 +8,7 @@
 //! `(base config, budget, seed)`, so a violating seed can be re-run — or
 //! handed to the shrinker — months later and fail identically.
 
-use aqf_obs::ObsHandle;
+use aqf_obs::{write_object, ObsHandle};
 use aqf_workload::{run_scenario_recorded, HistoryHandle, ScenarioConfig};
 
 use crate::generator::{generate_faults, ScheduleBudget};
@@ -50,41 +50,24 @@ impl SearchReport {
 
     /// Renders the report as one JSON object (deterministic field order).
     pub fn to_json(&self) -> String {
-        use std::fmt::Write as _;
         let mut s = String::new();
-        let _ = write!(
-            s,
-            "{{\"start_seed\":{},\"seeds\":{},\"failing_seeds\":{},\"total_violations\":{},\"outcomes\":[",
-            self.start_seed,
-            self.outcomes.len(),
-            self.failures().count(),
-            self.total_violations(),
-        );
-        for (i, o) in self.outcomes.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            let _ = write!(
-                s,
-                "{{\"seed\":{},\"digest\":{},\"faults\":{},\"violations\":[",
-                o.seed, o.digest, o.num_faults
-            );
-            for (j, v) in o.violations.iter().enumerate() {
-                if j > 0 {
-                    s.push(',');
-                }
-                let _ = write!(
-                    s,
-                    "{{\"oracle\":\"{}\",\"client\":{},\"seq\":{},\"detail\":{}}}",
-                    v.oracle.name(),
-                    v.client,
-                    v.seq,
-                    json_str(&v.detail)
-                );
-            }
-            s.push_str("]}");
-        }
-        s.push_str("]}");
+        write_object(&mut s, |o| {
+            o.u64("start_seed", self.start_seed);
+            o.u64("seeds", self.outcomes.len() as u64);
+            o.u64("failing_seeds", self.failures().count() as u64);
+            o.u64("total_violations", self.total_violations() as u64);
+            o.objs("outcomes", &self.outcomes, |outcome, o| {
+                o.u64("seed", outcome.seed);
+                o.u64("digest", outcome.digest);
+                o.u64("faults", outcome.num_faults as u64);
+                o.objs("violations", &outcome.violations, |v, o| {
+                    o.str("oracle", v.oracle.name());
+                    o.u64("client", v.client);
+                    o.u64("seq", v.seq);
+                    o.str("detail", &v.detail);
+                });
+            });
+        });
         s
     }
 
@@ -108,22 +91,6 @@ impl SearchReport {
         }
         s
     }
-}
-
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// Installs the schedule derived from `seed` into a copy of `base`.

@@ -12,10 +12,9 @@
 
 use crate::qos::{QosError, QosSpec};
 use aqf_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// A client's service class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Priority {
     /// Best-effort: tolerate frequent timing failures.
     Low,
@@ -28,7 +27,7 @@ pub enum Priority {
 }
 
 /// Maps service classes to minimum probabilities of timely response.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PriorityMap {
     /// Probability for [`Priority::Low`].
     pub low: f64,
@@ -92,7 +91,7 @@ impl PriorityMap {
 /// Paying nothing buys probability 0 (pure best-effort); each additional
 /// unit of spend buys less probability than the last; no spend reaches
 /// beyond `max_probability` (perfect timeliness is not for sale).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostCurve {
     /// Supremum of purchasable probability (e.g. 0.999).
     pub max_probability: f64,

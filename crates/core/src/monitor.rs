@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 
 /// How the staleness factor `P(A_s(t) <= a)` is estimated from the
 /// publisher's `<n_u, t_u>` history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StalenessModel {
     /// The paper's Eq. 4: Poisson arrivals at the pooled windowed rate.
     #[default]

@@ -32,7 +32,6 @@
 //! module.
 
 use aqf_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// One rung of the graceful-degradation ladder.
 ///
@@ -40,7 +39,7 @@ use serde::{Deserialize, Serialize};
 /// `widen_staleness` to the application's staleness threshold `a` and
 /// *subtracts* `relax_probability` from the requested `Pc(d)` (floored at
 /// zero). Levels beyond the last rung reject requests locally.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradeStep {
     /// Amount added to the staleness threshold `a` at this rung.
     pub widen_staleness: u32,
@@ -53,7 +52,7 @@ pub struct DegradeStep {
 ///
 /// Defaults to [`OverloadConfig::disabled`]: every mechanism off and the
 /// system bit-identical to one without overload protection.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OverloadConfig {
     /// Master switch. When `false` (the default) no queue bound, shedding,
     /// breaker, degradation, or admission re-evaluation runs.
@@ -196,7 +195,7 @@ impl OverloadConfig {
 
 /// A transition of the client's graceful-degradation controller, surfaced
 /// as a metrics event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DegradeTransition {
     /// Virtual time of the transition, in microseconds.
     pub at_us: u64,

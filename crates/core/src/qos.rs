@@ -8,14 +8,13 @@
 
 use crate::wire::MethodId;
 use aqf_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 use std::collections::HashSet;
 use std::fmt;
 
 /// Ordering guarantee offered by a replicated service to all of its clients
 /// (paper §2). This implementation provides handlers for sequential
 /// ordering; the enum records the service contract.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OrderingGuarantee {
     /// Total order: all replicas commit updates in the same sequence
     /// (implemented by the GSN protocol of §4.1).
@@ -39,7 +38,7 @@ impl fmt::Display for OrderingGuarantee {
 /// A client's QoS specification for read-only requests: "a copy ... that is
 /// not more than `a` versions old within `d` seconds with a probability of
 /// at least `Pc`" (paper §2).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QosSpec {
     /// Maximum staleness `a`, in versions, tolerable in the response.
     pub staleness_threshold: u32,
@@ -119,7 +118,7 @@ impl std::error::Error for QosError {}
 /// it invokes on an object by their names. If an operation is not specified
 /// as read-only, then our middleware considers it to be an update operation"
 /// (paper §2).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ReadOnlyRegistry {
     methods: HashSet<String>,
     /// Bitmap over interned [`MethodId`] indices, so classifying an
@@ -137,7 +136,7 @@ impl PartialEq for ReadOnlyRegistry {
 impl Eq for ReadOnlyRegistry {}
 
 /// Classification of an invocation by the request model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperationKind {
     /// Retrieves state only; eligible for QoS-driven replica selection.
     ReadOnly,

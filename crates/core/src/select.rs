@@ -18,10 +18,9 @@ use crate::model::{
 use aqf_sim::ActorId;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
-use serde::{Deserialize, Serialize};
 
 /// Which replica selection strategy a client gateway runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SelectionPolicy {
     /// The paper's state-based probabilistic selection (Algorithm 1).
     Probabilistic,

@@ -7,7 +7,6 @@
 use aqf_group::GroupId;
 use aqf_sim::{ActorId, SimDuration};
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Conventional group id of the primary replication group.
@@ -17,7 +16,7 @@ pub const SECONDARY_GROUP: GroupId = GroupId(2);
 
 /// Uniquely identifies a client request: the issuing client gateway and a
 /// per-client sequence number.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RequestId {
     /// The issuing client gateway's actor id.
     pub client: ActorId,
@@ -39,7 +38,7 @@ impl fmt::Display for RequestId {
 /// into an integer compare. The numeric value is an artifact of interning
 /// order (first come, first numbered) and must never be persisted,
 /// digested, or compared across processes — only the name is meaningful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MethodId(u16);
 
 /// Process-wide method name table. Names are leaked once per unique
@@ -126,12 +125,11 @@ impl From<&str> for MethodId {
 }
 
 /// An application-level invocation on the replicated object.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Operation {
     /// Interned method name (classified by the read-only registry).
     pub method: MethodId,
     /// Opaque argument payload.
-    #[serde(with = "serde_bytes_compat")]
     pub payload: Bytes,
 }
 
@@ -145,27 +143,8 @@ impl Operation {
     }
 }
 
-// Referenced by `#[serde(with = ...)]` expansions only; the vendored no-op
-// derive does not generate calls, so the helpers are unused until a real
-// format backend replaces the shim.
-#[allow(dead_code)]
-mod serde_bytes_compat {
-    //! `bytes::Bytes` serde helpers (the `serde` feature of `bytes` is not
-    //! enabled in the approved dependency set).
-    use bytes::Bytes;
-    use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
-    pub fn serialize<S: Serializer>(b: &Bytes, s: S) -> Result<S::Ok, S::Error> {
-        b.as_ref().serialize(s)
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<Bytes, D::Error> {
-        Vec::<u8>::deserialize(d).map(Bytes::from)
-    }
-}
-
 /// An update request multicast by a client gateway to the primary group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UpdateRequest {
     /// Request identity.
     pub id: RequestId,
@@ -178,7 +157,7 @@ pub struct UpdateRequest {
 }
 
 /// A read-only request sent to the sequencer and the selected replica set.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReadRequest {
     /// Request identity.
     pub id: RequestId,
@@ -212,12 +191,11 @@ pub struct ReadRequest {
 pub type VersionVector = Vec<(ActorId, u64)>;
 
 /// A reply from a replica gateway to a client gateway.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Reply {
     /// The request being answered.
     pub id: RequestId,
     /// Result payload produced by the replicated object.
-    #[serde(with = "serde_bytes_compat")]
     pub result: Bytes,
     /// Piggybacked server-side time `t1 = ts + tq + tb` (µs), used by the
     /// client to derive the two-way gateway delay (paper §5.4).
@@ -239,7 +217,7 @@ pub struct Reply {
 /// after servicing a read (paper §5.4). The lazy publisher additionally
 /// broadcasts on every lazy propagation (with `read` empty) so clients keep
 /// fresh staleness inputs even when the publisher serves no reads.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PerfBroadcast {
     /// Measurements of the just-completed read, absent for publisher-only
     /// announcements.
@@ -250,7 +228,7 @@ pub struct PerfBroadcast {
 }
 
 /// Server-side timing of one completed read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReadMeasurement {
     /// Service time `t_s` (µs).
     pub ts_us: u64,
@@ -261,7 +239,7 @@ pub struct ReadMeasurement {
 }
 
 /// The lazy publisher's extra broadcast fields (paper §5.4.1).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PublisherInfo {
     /// `n_u`: update requests received since the previous performance
     /// broadcast.
@@ -277,7 +255,7 @@ pub struct PublisherInfo {
 }
 
 /// All gateway-to-gateway payloads.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
     /// Client -> primary group: a state-modifying request.
     Update(UpdateRequest),
@@ -320,7 +298,6 @@ pub enum Payload {
         /// Commit sequence number captured by the snapshot.
         csn: u64,
         /// Serialized object state.
-        #[serde(with = "serde_bytes_compat")]
         snapshot: Bytes,
     },
     /// Lazy publisher -> secondary group, FIFO handler: state snapshot at
@@ -331,7 +308,6 @@ pub enum Payload {
         /// Updates applied by the publisher when the snapshot was taken.
         version: u64,
         /// Serialized object state.
-        #[serde(with = "serde_bytes_compat")]
         snapshot: Bytes,
         /// Publisher-estimated update arrival rate (arrivals/µs).
         rate_per_us: f64,
@@ -368,7 +344,6 @@ pub enum Payload {
         /// Highest GSN known.
         gsn: u64,
         /// Serialized object state.
-        #[serde(with = "serde_bytes_compat")]
         snapshot: Bytes,
     },
     /// Client -> primary group, causal handler: an update carrying its
@@ -402,7 +377,6 @@ pub enum Payload {
         /// The publisher's per-client applied vector.
         vector: VersionVector,
         /// Serialized object state.
-        #[serde(with = "serde_bytes_compat")]
         snapshot: Bytes,
         /// Publisher-estimated update arrival rate (arrivals/µs).
         rate_per_us: f64,

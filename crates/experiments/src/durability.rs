@@ -292,9 +292,10 @@ pub fn smoke(seed: u64) {
         aqf_obs::validate_trace_line(line)
             .unwrap_or_else(|e| panic!("recovery smoke: invalid trace line {line:?}: {e}"));
     }
+    let steps = aqf_obs::parse_trace(&jsonl).expect("recovery smoke: trace parses");
     for kind in ["wal_append", "snapshot", "recovery_replay"] {
         assert!(
-            jsonl.contains(&format!("\"type\":\"{kind}\"")),
+            steps.iter().any(|s| s.kind == kind),
             "recovery smoke: no {kind} event in trace"
         );
     }

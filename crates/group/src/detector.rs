@@ -29,14 +29,13 @@
 
 use aqf_sim::{SimDuration, SimTime};
 use aqf_stats::SlidingWindow;
-use serde::{Deserialize, Serialize};
 
 /// Failure-detection policy selector for a
 /// [`GroupEndpoint`](crate::GroupEndpoint).
 ///
 /// The default is the seed's fixed binary timeout, so existing
 /// configurations replay bit-identically; the φ-accrual mode is opt-in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum FailureDetector {
     /// Binary timeout: suspect a member silent for longer than the
     /// endpoint's `failure_timeout`.
@@ -49,7 +48,7 @@ pub enum FailureDetector {
 }
 
 /// Tuning knobs for the φ-accrual mode of [`FailureDetector`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhiAccrualConfig {
     /// Suspicion threshold. φ = 8 means "the chance a heartbeat is merely
     /// late is below 10⁻⁸ under the observed distribution" (≈ 5.3 standard
@@ -81,7 +80,7 @@ impl Default for PhiAccrualConfig {
 /// crash-and-restart rejoins immediately — but from the second flap on the
 /// member must stay quiet for `base_hold · 2^(flaps−2)` (capped at
 /// `max_hold`) before a join request or stray heartbeat is honored again.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlapDamping {
     /// Hold-down applied at the second flap; doubles per further flap.
     pub base_hold: SimDuration,

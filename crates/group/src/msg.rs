@@ -6,7 +6,6 @@
 //! copy. See DESIGN.md §13 for the ownership rules this relies on.
 
 use crate::view::{GroupId, View, ViewId};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// The unit the simulator's network plane carries: a sealed, shared,
@@ -16,7 +15,7 @@ use std::sync::Arc;
 pub type Envelope<A> = Arc<GroupMsg<A>>;
 
 /// A FIFO-sequenced application payload multicast into a group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataMsg<A> {
     /// The group this message is addressed to.
     pub group: GroupId,
@@ -33,7 +32,7 @@ pub struct DataMsg<A> {
 /// The transport envelope understood by [`crate::GroupEndpoint`]s.
 ///
 /// `A` is the application payload type carried by data messages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum GroupMsg<A> {
     /// FIFO-sequenced group multicast data (possibly a retransmission).
     Data(DataMsg<A>),

@@ -1,12 +1,11 @@
 //! Groups, views, and deterministic leader election.
 
 use aqf_sim::ActorId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a communication group (e.g. the primary replication group, the
 /// secondary replication group, or the QoS group of a service).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GroupId(pub u16);
 
 impl fmt::Display for GroupId {
@@ -16,9 +15,7 @@ impl fmt::Display for GroupId {
 }
 
 /// Monotonically increasing view number within a group.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct ViewId(pub u64);
 
 impl ViewId {
@@ -39,7 +36,7 @@ impl fmt::Display for ViewId {
 /// Members are kept sorted by [`ActorId`]; the *leader* is the lowest-ranked
 /// member, mirroring Ensemble's deterministic ranking ("for each group,
 /// Ensemble elects one of the members of the group as the leader", paper §3).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View {
     /// The group this view belongs to.
     pub group: GroupId,

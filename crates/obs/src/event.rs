@@ -5,9 +5,23 @@
 //! list (allocated only when a sink is installed). Every event serializes
 //! to one flat JSON object per line with three envelope fields — `t`
 //! (virtual microseconds), `actor` (emitting actor index), `type` — plus
-//! the event-specific fields listed in [`crate::json::validate_trace_line`].
+//! the event-specific fields the `events!` table below declares, which is
+//! also what [`crate::json::validate_trace_line`] checks a line against.
 
 use aqf_sim::ActorId;
+
+use crate::json::{write_object, Kind, ObjWriter};
+
+/// Envelope key: virtual time of the event, in microseconds.
+pub(crate) const T: &str = "t";
+/// Envelope key: index of the emitting actor.
+pub(crate) const ACTOR: &str = "actor";
+/// Envelope key: the event's [`Event::kind`] tag.
+pub(crate) const TYPE: &str = "type";
+/// Lifecycle key: the issuing client's actor index ([`ReqId::client`]).
+pub(crate) const CLIENT: &str = "client";
+/// Lifecycle key: the client-local sequence number ([`ReqId::seq`]).
+pub(crate) const SEQ: &str = "seq";
 
 /// A request identity as carried in the trace: the issuing client's actor
 /// index plus the client-local sequence number.
@@ -26,370 +40,269 @@ impl ReqId {
     }
 }
 
-/// One structured trace event.
-///
-/// The lifecycle events (`RequestIssued` … `GaveUp`) all carry a [`ReqId`]
-/// so per-request timelines can be reconstructed from the trace alone;
-/// control-plane events (breakers, ladder, quarantine, views, QoS alerts)
-/// describe the adaptive machinery.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Event {
-    /// A client accepted a request from the application.
-    RequestIssued {
-        /// Request identity.
-        req: ReqId,
-        /// `true` for reads, `false` for updates.
-        read: bool,
-        /// Advertised deadline in µs (0 = no deadline).
-        deadline_us: u64,
-    },
-    /// The selection algorithm chose the replica set for an attempt.
-    ReplicasSelected {
-        /// Request identity.
-        req: ReqId,
-        /// 1-based attempt number (1 = first transmission).
-        attempt: u64,
-        /// The selected replicas, in selection order.
-        targets: Vec<ActorId>,
-    },
-    /// A retry was scheduled after a deadline expiry.
-    RetryScheduled {
-        /// Request identity.
-        req: ReqId,
-        /// 1-based attempt number of the retry being scheduled.
-        attempt: u64,
-        /// Backoff delay until the retry fires, in µs.
-        delay_us: u64,
-    },
-    /// A hedge (duplicate read) was sent before the deadline expired.
-    HedgeSent {
-        /// Request identity.
-        req: ReqId,
-        /// The extra replica the hedge was sent to.
-        target: ActorId,
-    },
-    /// A reply arrived from a replica.
-    ReplyReceived {
-        /// Request identity.
-        req: ReqId,
-        /// The replying replica.
-        from: ActorId,
-        /// Whether the reply met the client's QoS deadline.
-        timely: bool,
-        /// Whether the replica answered in deferred (queued) mode.
-        deferred: bool,
-        /// Staleness of the returned value in µs.
-        staleness_us: u64,
-    },
-    /// A replica shed the request and answered `Busy`.
-    BusyReceived {
-        /// Request identity.
-        req: ReqId,
-        /// The shedding replica.
-        from: ActorId,
-    },
-    /// The request completed and its result was delivered.
-    Delivered {
-        /// Request identity.
-        req: ReqId,
-        /// End-to-end response time in µs.
-        response_us: u64,
-        /// Whether the response met the deadline.
-        timely: bool,
-    },
-    /// The client exhausted its recovery budget and gave up.
-    GaveUp {
-        /// Request identity.
-        req: ReqId,
-        /// Time spent before giving up, in µs.
-        response_us: u64,
-    },
-    /// The client rejected the request locally (deep degradation rung).
-    LocalShed {
-        /// Request identity.
-        req: ReqId,
-    },
-    /// A server gateway shed a read before service.
-    ShedRead {
-        /// Request identity.
-        req: ReqId,
-        /// Service-queue depth at the shed decision.
-        queue_depth: u64,
-    },
-    /// The sequencer shed an update past the commit-backlog watermark.
-    ShedUpdate {
-        /// Request identity.
-        req: ReqId,
-        /// Commit backlog at the shed decision.
-        backlog: u64,
-    },
-    /// A server finished servicing a request.
-    ServiceDone {
-        /// Request identity.
-        req: ReqId,
-        /// Service time in µs.
-        service_us: u64,
-    },
-    /// A client-side circuit breaker changed state.
-    Breaker {
-        /// The replica the breaker guards.
-        replica: ActorId,
-        /// State before the transition (`closed`/`open`/`half_open`).
-        from_state: &'static str,
-        /// State after the transition.
-        to_state: &'static str,
-    },
-    /// The graceful-degradation ladder moved.
-    Ladder {
-        /// Rung before the transition (0 = nominal).
-        from_level: u64,
-        /// Rung after the transition.
-        to_level: u64,
-    },
-    /// The timing-failure detector crossed the alert threshold (§5.4
-    /// callback).
-    QosAlert {
-        /// Observed timing-failure frequency, parts per million.
-        observed_ppm: u64,
-        /// Requested maximum frequency, parts per million.
-        threshold_ppm: u64,
-    },
-    /// A replica entered quarantine.
-    Quarantine {
-        /// The quarantined replica.
-        replica: ActorId,
-        /// Virtual time (µs) the quarantine window ends.
-        until_us: u64,
-    },
-    /// A quarantined replica answered a probe and was cleared.
-    QuarantineCleared {
-        /// The cleared replica.
-        replica: ActorId,
-    },
-    /// A new group view was installed.
-    ViewChange {
-        /// Monotonic view identifier.
-        view_id: u64,
-        /// Member count of the new view.
-        members: u64,
-    },
-    /// A replica appended a committed update to its write-ahead log.
-    WalAppend {
-        /// The committed global sequence number.
-        gsn: u64,
-        /// Framed record size in bytes.
-        bytes: u64,
-    },
-    /// A replica staged a durable snapshot (compacting its WAL).
-    Snapshot {
-        /// Commit sequence number captured by the snapshot.
-        csn: u64,
-        /// WAL bytes retained after truncation.
-        wal_bytes: u64,
-    },
-    /// A restarted replica replayed its durable log.
-    RecoveryReplay {
-        /// Valid WAL records replayed.
-        records: u64,
-        /// Commit sequence number reached by the replay.
-        csn: u64,
-    },
-    /// A restarted replica could not use its durable log and fell back to
-    /// a full state transfer.
-    RecoveryFallback {
-        /// Why the log was unusable (`corrupt-log`, `replay-disabled`).
-        reason: &'static str,
-    },
+/// How an event field's type reads on a trace line: the JSON type the
+/// schema demands and the writer call that produces it.
+trait TraceField {
+    const KIND: Kind;
+    fn put(&self, key: &str, o: &mut ObjWriter<'_>);
 }
 
-impl Event {
-    /// The snake_case type tag written to the `type` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Event::RequestIssued { .. } => "request_issued",
-            Event::ReplicasSelected { .. } => "replicas_selected",
-            Event::RetryScheduled { .. } => "retry_scheduled",
-            Event::HedgeSent { .. } => "hedge_sent",
-            Event::ReplyReceived { .. } => "reply_received",
-            Event::BusyReceived { .. } => "busy_received",
-            Event::Delivered { .. } => "delivered",
-            Event::GaveUp { .. } => "gave_up",
-            Event::LocalShed { .. } => "local_shed",
-            Event::ShedRead { .. } => "shed_read",
-            Event::ShedUpdate { .. } => "shed_update",
-            Event::ServiceDone { .. } => "service_done",
-            Event::Breaker { .. } => "breaker",
-            Event::Ladder { .. } => "ladder",
-            Event::QosAlert { .. } => "qos_alert",
-            Event::Quarantine { .. } => "quarantine",
-            Event::QuarantineCleared { .. } => "quarantine_cleared",
-            Event::ViewChange { .. } => "view_change",
-            Event::WalAppend { .. } => "wal_append",
-            Event::Snapshot { .. } => "snapshot",
-            Event::RecoveryReplay { .. } => "recovery_replay",
-            Event::RecoveryFallback { .. } => "recovery_fallback",
-        }
+impl TraceField for u64 {
+    const KIND: Kind = Kind::UInt;
+    fn put(&self, key: &str, o: &mut ObjWriter<'_>) {
+        o.u64(key, *self);
     }
+}
 
-    /// The request this event belongs to, if it is a lifecycle event.
-    pub fn req(&self) -> Option<ReqId> {
-        match self {
-            Event::RequestIssued { req, .. }
-            | Event::ReplicasSelected { req, .. }
-            | Event::RetryScheduled { req, .. }
-            | Event::HedgeSent { req, .. }
-            | Event::ReplyReceived { req, .. }
-            | Event::BusyReceived { req, .. }
-            | Event::Delivered { req, .. }
-            | Event::GaveUp { req, .. }
-            | Event::LocalShed { req }
-            | Event::ShedRead { req, .. }
-            | Event::ShedUpdate { req, .. }
-            | Event::ServiceDone { req, .. } => Some(*req),
-            _ => None,
-        }
+impl TraceField for bool {
+    const KIND: Kind = Kind::Bool;
+    fn put(&self, key: &str, o: &mut ObjWriter<'_>) {
+        o.bool(key, *self);
     }
+}
 
-    fn write_fields(&self, out: &mut String) {
-        use std::fmt::Write;
-        let req_fields = |out: &mut String, req: &ReqId| {
-            let _ = write!(
-                out,
-                ",\"client\":{},\"seq\":{}",
-                req.client.index(),
-                req.seq
-            );
-        };
-        match self {
-            Event::RequestIssued {
-                req,
-                read,
-                deadline_us,
-            } => {
-                req_fields(out, req);
-                let _ = write!(out, ",\"read\":{read},\"deadline_us\":{deadline_us}");
-            }
-            Event::ReplicasSelected {
-                req,
-                attempt,
-                targets,
-            } => {
-                req_fields(out, req);
-                let _ = write!(out, ",\"attempt\":{attempt},\"targets\":[");
-                for (i, t) in targets.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    let _ = write!(out, "{}", t.index());
+impl TraceField for &'static str {
+    const KIND: Kind = Kind::Str;
+    fn put(&self, key: &str, o: &mut ObjWriter<'_>) {
+        o.str(key, self);
+    }
+}
+
+impl TraceField for ActorId {
+    const KIND: Kind = Kind::UInt;
+    fn put(&self, key: &str, o: &mut ObjWriter<'_>) {
+        o.u64(key, self.index() as u64);
+    }
+}
+
+impl TraceField for Vec<ActorId> {
+    const KIND: Kind = Kind::UIntArr;
+    fn put(&self, key: &str, o: &mut ObjWriter<'_>) {
+        o.u64s(key, self.iter().map(|a| a.index() as u64));
+    }
+}
+
+/// Declares the event taxonomy once. A row — variant, `type` tag, fields —
+/// yields the enum variant, its [`Event::kind`] arm, its trace-line writer
+/// and its [`SCHEMA`] row: a field's name is its JSON key and its type
+/// fixes the JSON type ([`TraceField`]). `lifecycle` rows also carry the
+/// request's [`ReqId`], written as `client`, `seq` ahead of the row's own
+/// fields, and answer [`Event::req`].
+macro_rules! events {
+    (
+        lifecycle { $(
+            $(#[$lmeta:meta])*
+            $L:ident = $ltag:literal { $( $(#[$lfmeta:meta])* $lf:ident: $lty:ty, )* }
+        )* }
+        control { $(
+            $(#[$cmeta:meta])*
+            $C:ident = $ctag:literal { $( $(#[$cfmeta:meta])* $cf:ident: $cty:ty, )* }
+        )* }
+    ) => {
+        /// One structured trace event.
+        ///
+        /// The lifecycle events (`RequestIssued` … `ServiceDone`) all carry a
+        /// [`ReqId`] so per-request timelines can be reconstructed from the
+        /// trace alone; control-plane events (breakers, ladder, quarantine,
+        /// views, QoS alerts, storage) describe the adaptive machinery.
+        #[derive(Debug, Clone, PartialEq, Eq)]
+        pub enum Event {
+            $( $(#[$lmeta])* $L {
+                /// Request identity.
+                req: ReqId,
+                $( $(#[$lfmeta])* $lf: $lty, )*
+            }, )*
+            $( $(#[$cmeta])* $C { $( $(#[$cfmeta])* $cf: $cty, )* }, )*
+        }
+
+        impl Event {
+            /// The snake_case type tag written to the `type` field.
+            pub fn kind(&self) -> &'static str {
+                match self {
+                    $( Event::$L { .. } => $ltag, )*
+                    $( Event::$C { .. } => $ctag, )*
                 }
-                out.push(']');
             }
-            Event::RetryScheduled {
-                req,
-                attempt,
-                delay_us,
-            } => {
-                req_fields(out, req);
-                let _ = write!(out, ",\"attempt\":{attempt},\"delay_us\":{delay_us}");
+
+            /// The request this event belongs to, if it is a lifecycle event.
+            pub fn req(&self) -> Option<ReqId> {
+                match self {
+                    $( Event::$L { req, .. } )|* => Some(*req),
+                    _ => None,
+                }
             }
-            Event::HedgeSent { req, target } => {
-                req_fields(out, req);
-                let _ = write!(out, ",\"target\":{}", target.index());
+
+            fn write_fields(&self, o: &mut ObjWriter<'_>) {
+                match self {
+                    $( Event::$L { req, $( $lf, )* } => {
+                        o.u64(CLIENT, req.client.index() as u64);
+                        o.u64(SEQ, req.seq);
+                        $( $lf.put(stringify!($lf), o); )*
+                    } )*
+                    $( Event::$C { $( $cf, )* } => {
+                        $( $cf.put(stringify!($cf), o); )*
+                    } )*
+                }
             }
-            Event::ReplyReceived {
-                req,
-                from,
-                timely,
-                deferred,
-                staleness_us,
-            } => {
-                req_fields(out, req);
-                let _ = write!(
-                    out,
-                    ",\"from\":{},\"timely\":{timely},\"deferred\":{deferred},\"staleness_us\":{staleness_us}",
-                    from.index()
-                );
-            }
-            Event::BusyReceived { req, from } => {
-                req_fields(out, req);
-                let _ = write!(out, ",\"from\":{}", from.index());
-            }
-            Event::Delivered {
-                req,
-                response_us,
-                timely,
-            } => {
-                req_fields(out, req);
-                let _ = write!(out, ",\"response_us\":{response_us},\"timely\":{timely}");
-            }
-            Event::GaveUp { req, response_us } => {
-                req_fields(out, req);
-                let _ = write!(out, ",\"response_us\":{response_us}");
-            }
-            Event::LocalShed { req } => req_fields(out, req),
-            Event::ShedRead { req, queue_depth } => {
-                req_fields(out, req);
-                let _ = write!(out, ",\"queue_depth\":{queue_depth}");
-            }
-            Event::ShedUpdate { req, backlog } => {
-                req_fields(out, req);
-                let _ = write!(out, ",\"backlog\":{backlog}");
-            }
-            Event::ServiceDone { req, service_us } => {
-                req_fields(out, req);
-                let _ = write!(out, ",\"service_us\":{service_us}");
-            }
-            Event::Breaker {
-                replica,
-                from_state,
-                to_state,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"replica\":{},\"from_state\":\"{from_state}\",\"to_state\":\"{to_state}\"",
-                    replica.index()
-                );
-            }
-            Event::Ladder {
-                from_level,
-                to_level,
-            } => {
-                let _ = write!(out, ",\"from_level\":{from_level},\"to_level\":{to_level}");
-            }
-            Event::QosAlert {
-                observed_ppm,
-                threshold_ppm,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"observed_ppm\":{observed_ppm},\"threshold_ppm\":{threshold_ppm}"
-                );
-            }
-            Event::Quarantine { replica, until_us } => {
-                let _ = write!(
-                    out,
-                    ",\"replica\":{},\"until_us\":{until_us}",
-                    replica.index()
-                );
-            }
-            Event::QuarantineCleared { replica } => {
-                let _ = write!(out, ",\"replica\":{}", replica.index());
-            }
-            Event::ViewChange { view_id, members } => {
-                let _ = write!(out, ",\"view_id\":{view_id},\"members\":{members}");
-            }
-            Event::WalAppend { gsn, bytes } => {
-                let _ = write!(out, ",\"gsn\":{gsn},\"bytes\":{bytes}");
-            }
-            Event::Snapshot { csn, wal_bytes } => {
-                let _ = write!(out, ",\"csn\":{csn},\"wal_bytes\":{wal_bytes}");
-            }
-            Event::RecoveryReplay { records, csn } => {
-                let _ = write!(out, ",\"records\":{records},\"csn\":{csn}");
-            }
-            Event::RecoveryFallback { reason } => {
-                let _ = write!(out, ",\"reason\":\"{reason}\"");
-            }
+        }
+
+        /// Per `type` tag, the fields a trace line must carry beyond the
+        /// `t`/`actor`/`type` envelope, in line order.
+        pub(crate) const SCHEMA: &[(&str, &[(&str, Kind)])] = &[
+            $( ($ltag, &[
+                (CLIENT, Kind::UInt),
+                (SEQ, Kind::UInt),
+                $( (stringify!($lf), <$lty as TraceField>::KIND), )*
+            ]), )*
+            $( ($ctag, &[ $( (stringify!($cf), <$cty as TraceField>::KIND), )* ]), )*
+        ];
+    };
+}
+
+events! {
+    lifecycle {
+        /// A client accepted a request from the application.
+        RequestIssued = "request_issued" {
+            /// `true` for reads, `false` for updates.
+            read: bool,
+            /// Advertised deadline in µs (0 = no deadline).
+            deadline_us: u64,
+        }
+        /// The selection algorithm chose the replica set for an attempt.
+        ReplicasSelected = "replicas_selected" {
+            /// 1-based attempt number (1 = first transmission).
+            attempt: u64,
+            /// The selected replicas, in selection order.
+            targets: Vec<ActorId>,
+        }
+        /// A retry was scheduled after a deadline expiry.
+        RetryScheduled = "retry_scheduled" {
+            /// 1-based attempt number of the retry being scheduled.
+            attempt: u64,
+            /// Backoff delay until the retry fires, in µs.
+            delay_us: u64,
+        }
+        /// A hedge (duplicate read) was sent before the deadline expired.
+        HedgeSent = "hedge_sent" {
+            /// The extra replica the hedge was sent to.
+            target: ActorId,
+        }
+        /// A reply arrived from a replica.
+        ReplyReceived = "reply_received" {
+            /// The replying replica.
+            from: ActorId,
+            /// Whether the reply met the client's QoS deadline.
+            timely: bool,
+            /// Whether the replica answered in deferred (queued) mode.
+            deferred: bool,
+            /// Staleness of the returned value in µs.
+            staleness_us: u64,
+        }
+        /// A replica shed the request and answered `Busy`.
+        BusyReceived = "busy_received" {
+            /// The shedding replica.
+            from: ActorId,
+        }
+        /// The request completed and its result was delivered.
+        Delivered = "delivered" {
+            /// End-to-end response time in µs.
+            response_us: u64,
+            /// Whether the response met the deadline.
+            timely: bool,
+        }
+        /// The client exhausted its recovery budget and gave up.
+        GaveUp = "gave_up" {
+            /// Time spent before giving up, in µs.
+            response_us: u64,
+        }
+        /// The client rejected the request locally (deep degradation rung).
+        LocalShed = "local_shed" {}
+        /// A server gateway shed a read before service.
+        ShedRead = "shed_read" {
+            /// Service-queue depth at the shed decision.
+            queue_depth: u64,
+        }
+        /// The sequencer shed an update past the commit-backlog watermark.
+        ShedUpdate = "shed_update" {
+            /// Commit backlog at the shed decision.
+            backlog: u64,
+        }
+        /// A server finished servicing a request.
+        ServiceDone = "service_done" {
+            /// Service time in µs.
+            service_us: u64,
+        }
+    }
+    control {
+        /// A client-side circuit breaker changed state.
+        Breaker = "breaker" {
+            /// The replica the breaker guards.
+            replica: ActorId,
+            /// State before the transition (`closed`/`open`/`half_open`).
+            from_state: &'static str,
+            /// State after the transition.
+            to_state: &'static str,
+        }
+        /// The graceful-degradation ladder moved.
+        Ladder = "ladder" {
+            /// Rung before the transition (0 = nominal).
+            from_level: u64,
+            /// Rung after the transition.
+            to_level: u64,
+        }
+        /// The timing-failure detector crossed the alert threshold (§5.4
+        /// callback).
+        QosAlert = "qos_alert" {
+            /// Observed timing-failure frequency, parts per million.
+            observed_ppm: u64,
+            /// Requested maximum frequency, parts per million.
+            threshold_ppm: u64,
+        }
+        /// A replica entered quarantine.
+        Quarantine = "quarantine" {
+            /// The quarantined replica.
+            replica: ActorId,
+            /// Virtual time (µs) the quarantine window ends.
+            until_us: u64,
+        }
+        /// A quarantined replica answered a probe and was cleared.
+        QuarantineCleared = "quarantine_cleared" {
+            /// The cleared replica.
+            replica: ActorId,
+        }
+        /// A new group view was installed.
+        ViewChange = "view_change" {
+            /// Monotonic view identifier.
+            view_id: u64,
+            /// Member count of the new view.
+            members: u64,
+        }
+        /// A replica appended a committed update to its write-ahead log.
+        WalAppend = "wal_append" {
+            /// The committed global sequence number.
+            gsn: u64,
+            /// Framed record size in bytes.
+            bytes: u64,
+        }
+        /// A replica staged a durable snapshot (compacting its WAL).
+        Snapshot = "snapshot" {
+            /// Commit sequence number captured by the snapshot.
+            csn: u64,
+            /// WAL bytes retained after truncation.
+            wal_bytes: u64,
+        }
+        /// A restarted replica replayed its durable log.
+        RecoveryReplay = "recovery_replay" {
+            /// Valid WAL records replayed.
+            records: u64,
+            /// Commit sequence number reached by the replay.
+            csn: u64,
+        }
+        /// A restarted replica could not use its durable log and fell back to
+        /// a full state transfer.
+        RecoveryFallback = "recovery_fallback" {
+            /// Why the log was unusable (`corrupt-log`, `replay-disabled`).
+            reason: &'static str,
         }
     }
 }
@@ -409,30 +322,20 @@ impl TraceRecord {
     /// Appends the record's JSONL line (including the trailing newline)
     /// to `out`.
     pub fn write_json_line(&self, out: &mut String) {
-        use std::fmt::Write;
-        let _ = write!(
-            out,
-            "{{\"t\":{},\"actor\":{},\"type\":\"{}\"",
-            self.t_us,
-            self.actor.index(),
-            self.event.kind()
-        );
-        self.event.write_fields(out);
-        out.push_str("}\n");
-    }
-
-    /// Renders the record as a standalone JSON line (no trailing newline).
-    pub fn to_json_line(&self) -> String {
-        let mut s = String::new();
-        self.write_json_line(&mut s);
-        s.pop();
-        s
+        write_object(out, |o| {
+            o.u64(T, self.t_us);
+            o.u64(ACTOR, self.actor.index() as u64);
+            o.str(TYPE, self.event.kind());
+            self.event.write_fields(o);
+        });
+        out.push('\n');
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use crate::json::{parse_json, validate_trace_line, Json};
 
     /// One record of every event kind, in declaration order.
     pub(crate) fn one_of_each() -> Vec<TraceRecord> {
@@ -529,7 +432,7 @@ pub(crate) mod tests {
     }
 
     /// The byte fence for the trace format: one literal line per kind.
-    const ONE_OF_EACH_JSONL: &str = r#"{"t":1000,"actor":7,"type":"request_issued","client":9,"seq":4,"read":true,"deadline_us":200000}
+    pub(crate) const ONE_OF_EACH_JSONL: &str = r#"{"t":1000,"actor":7,"type":"request_issued","client":9,"seq":4,"read":true,"deadline_us":200000}
 {"t":2000,"actor":7,"type":"replicas_selected","client":9,"seq":4,"attempt":1,"targets":[2,5,3]}
 {"t":3000,"actor":7,"type":"retry_scheduled","client":9,"seq":4,"attempt":2,"delay_us":20000}
 {"t":4000,"actor":7,"type":"hedge_sent","client":9,"seq":4,"target":6}
@@ -563,5 +466,45 @@ pub(crate) mod tests {
             r.write_json_line(&mut jsonl);
         }
         assert_eq!(jsonl, ONE_OF_EACH_JSONL);
+    }
+
+    /// Both halves fall out of the table: every kind has a schema row, and
+    /// the row demands exactly the fields the writer emits.
+    #[test]
+    fn every_kind_has_a_schema_row_demanding_each_of_its_fields() {
+        let records = one_of_each();
+        assert_eq!(records.len(), SCHEMA.len());
+        for (record, (tag, rows)) in records.iter().zip(SCHEMA) {
+            assert_eq!(record.event.kind(), *tag);
+            let mut line = String::new();
+            record.write_json_line(&mut line);
+            validate_trace_line(&line).expect("the written line is schema-valid");
+            let Json::Obj(fields) = parse_json(&line).expect("json") else {
+                panic!("trace line is not an object");
+            };
+            assert_eq!(
+                fields.len(),
+                3 + rows.len(),
+                "{tag}: schema row != written fields"
+            );
+            for dropped in fields.keys() {
+                let mut cut = String::new();
+                write_object(&mut cut, |o| {
+                    for (key, value) in fields.iter().filter(|(key, _)| *key != dropped) {
+                        match value {
+                            Json::UInt(v) => o.u64(key, *v),
+                            Json::Bool(v) => o.bool(key, *v),
+                            Json::Str(v) => o.str(key, v),
+                            Json::Arr(v) => o.u64s(key, v.iter().filter_map(Json::as_u64)),
+                            other => panic!("{tag}.{key}: unexpected {other:?}"),
+                        }
+                    }
+                });
+                assert!(
+                    validate_trace_line(&cut).is_err(),
+                    "{tag} without {dropped}"
+                );
+            }
+        }
     }
 }

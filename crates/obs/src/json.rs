@@ -1,13 +1,18 @@
-//! A minimal JSON reader and the trace-line schema validator.
+//! The artifact codec: the one module that knows the JSON byte format.
 //!
-//! The workspace vendors `serde` as a no-op shim, so the trace tooling
-//! carries its own small parser: enough JSON to read back what
-//! [`crate::TraceRecord::write_json_line`] writes (objects, arrays,
-//! strings, unsigned integers, floats, booleans, null) plus a
-//! schema table declaring, per event type, which fields must be present
-//! and with which JSON type.
+//! Every artifact the workspace writes — trace lines, the metrics document,
+//! chaos repro files, search reports — is written through [`ObjWriter`] and
+//! read back through [`parse_json`] and [`Fields`]. The byte rules live
+//! here and nowhere else (DESIGN.md "Artifact codec"): compact output,
+//! fields in the order the caller writes them, `u64` in decimal, `f64`
+//! through `Display`, `null` for an absent value, every string escaped.
+//! The module also validates trace lines against the schema the event
+//! table in [`crate::event`] declares.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+use crate::event;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,6 +205,8 @@ impl<'a> Parser<'a> {
                         Some(b'n') => s.push('\n'),
                         Some(b't') => s.push('\t'),
                         Some(b'r') => s.push('\r'),
+                        Some(b'b') => s.push('\u{8}'),
+                        Some(b'f') => s.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
                                 .bytes
@@ -273,168 +280,227 @@ pub fn parse_json(s: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-/// Field type expected by the trace schema.
+/// Appends `{`, whatever fields `body` writes, and `}` to `out`.
+pub fn write_object(out: &mut String, body: impl FnOnce(&mut ObjWriter<'_>)) {
+    out.push('{');
+    let mut o = ObjWriter { out, first: true };
+    body(&mut o);
+    o.out.push('}');
+}
+
+/// Writes one JSON object's fields, in call order, onto the end of a string.
+///
+/// The scalar writers are `#[inline]` for the trace renderer's sake: at a
+/// call site whose key is a literal, the key's escape scan and its copy
+/// fold to constants, and keys are most of a trace line.
+pub struct ObjWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl ObjWriter<'_> {
+    #[inline]
+    fn key(&mut self, key: &str) {
+        let first = std::mem::take(&mut self.first);
+        self.out.push_str(if first { "\"" } else { ",\"" });
+        push_escaped(self.out, key);
+        self.out.push_str("\":");
+    }
+
+    /// An unsigned integer, in decimal.
+    #[inline]
+    pub fn u64(&mut self, key: &str, v: u64) {
+        self.key(key);
+        push_u64(self.out, v);
+    }
+
+    /// A float, through `Display`: Rust's shortest round-trip form, so an
+    /// integral value prints without a dot and parses back as
+    /// [`Json::UInt`], which [`Fields::f64`] widens again.
+    pub fn f64(&mut self, key: &str, v: f64) {
+        self.key(key);
+        let _ = write!(self.out, "{v}");
+    }
+
+    /// `true` or `false`.
+    #[inline]
+    pub fn bool(&mut self, key: &str, v: bool) {
+        self.key(key);
+        self.out.push_str(if v { "true" } else { "false" });
+    }
+
+    /// An escaped string.
+    #[inline]
+    pub fn str(&mut self, key: &str, v: &str) {
+        self.key(key);
+        self.out.push('"');
+        push_escaped(self.out, v);
+        self.out.push('"');
+    }
+
+    /// `null`, the encoding of an absent value.
+    pub fn null(&mut self, key: &str) {
+        self.key(key);
+        self.out.push_str("null");
+    }
+
+    /// A nested object whose fields `body` writes.
+    pub fn obj(&mut self, key: &str, body: impl FnOnce(&mut ObjWriter<'_>)) {
+        self.key(key);
+        write_object(self.out, body);
+    }
+
+    fn array<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut each: impl FnMut(&mut String, T),
+    ) {
+        self.key(key);
+        self.out.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            each(self.out, item);
+        }
+        self.out.push(']');
+    }
+
+    /// An array of objects, one per item, each written by `each`.
+    pub fn objs<T>(
+        &mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut each: impl FnMut(T, &mut ObjWriter<'_>),
+    ) {
+        self.array(key, items, |out, item| write_object(out, |o| each(item, o)));
+    }
+
+    /// An array of unsigned integers.
+    pub fn u64s(&mut self, key: &str, items: impl IntoIterator<Item = u64>) {
+        self.array(key, items, push_u64);
+    }
+}
+
+fn push_u64(out: &mut String, v: u64) {
+    let _ = write!(out, "{v}");
+}
+
+/// Appends `s` with `"`, `\`, newline (`\n`) and every other control
+/// character (`\u00XX`) escaped.
+#[inline]
+fn push_escaped(out: &mut String, s: &str) {
+    match s.bytes().position(|b| b < 0x20 || b == b'"' || b == b'\\') {
+        None => out.push_str(s),
+        Some(first) => push_escaped_from(out, s, first),
+    }
+}
+
+/// The rare string that does need escaping, from its first special byte;
+/// out of line so that [`push_escaped`] stays small enough to inline.
+#[cold]
+fn push_escaped_from(out: &mut String, s: &str, first: usize) {
+    out.push_str(&s[..first]);
+    for c in s[first..].chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+}
+
+/// Typed access to one parsed object's fields; every error names the key.
+#[derive(Debug, Clone, Copy)]
+pub struct Fields<'a>(pub &'a BTreeMap<String, Json>);
+
+impl<'a> Fields<'a> {
+    /// The fields of `v`, which must be an object.
+    pub fn of(v: &'a Json) -> Result<Self, String> {
+        v.as_obj()
+            .map(Fields)
+            .ok_or_else(|| "not a JSON object".to_string())
+    }
+
+    /// The raw value under `key`.
+    pub fn get(self, key: &str) -> Result<&'a Json, String> {
+        self.0
+            .get(key)
+            .ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    fn typed<T>(
+        self,
+        key: &str,
+        what: &str,
+        pick: impl FnOnce(&'a Json) -> Option<T>,
+    ) -> Result<T, String> {
+        pick(self.get(key)?).ok_or_else(|| format!("field {key:?} is not {what}"))
+    }
+
+    /// An unsigned integer, range-checked into `T` (`u64`, `u32`, `usize`).
+    pub fn uint<T: TryFrom<u64>>(self, key: &str) -> Result<T, String> {
+        let v = self.typed(key, "an unsigned integer", Json::as_u64)?;
+        T::try_from(v).map_err(|_| format!("field {key:?} is out of range: {v}"))
+    }
+
+    /// A number as `f64`; an integral value, which the writer prints
+    /// without a dot, is widened from [`Json::UInt`].
+    pub fn f64(self, key: &str) -> Result<f64, String> {
+        self.typed(key, "a number", |v| match v {
+            Json::UInt(v) => Some(*v as f64),
+            Json::Float(v) => Some(*v),
+            _ => None,
+        })
+    }
+
+    /// A bool.
+    pub fn bool(self, key: &str) -> Result<bool, String> {
+        self.typed(key, "a bool", Json::as_bool)
+    }
+
+    /// A string.
+    pub fn str(self, key: &str) -> Result<&'a str, String> {
+        self.typed(key, "a string", Json::as_str)
+    }
+
+    /// A nested object.
+    pub fn obj(self, key: &str) -> Result<Fields<'a>, String> {
+        self.typed(key, "an object", Json::as_obj).map(Fields)
+    }
+
+    /// An array.
+    pub fn arr(self, key: &str) -> Result<&'a [Json], String> {
+        self.typed(key, "an array", Json::as_arr)
+    }
+
+    /// An array of unsigned integers.
+    pub fn u64s(self, key: &str) -> Result<Vec<u64>, String> {
+        self.typed(key, "an array of unsigned integers", |v| {
+            v.as_arr()?.iter().map(Json::as_u64).collect()
+        })
+    }
+
+    /// Whether the value under `key` is `null` (an absent optional); a
+    /// missing key is still an error.
+    pub fn is_null(self, key: &str) -> Result<bool, String> {
+        Ok(matches!(self.get(key)?, Json::Null))
+    }
+}
+
+/// JSON type of one trace-line field, as the event table declares it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Kind {
+pub(crate) enum Kind {
     UInt,
     Bool,
     Str,
     UIntArr,
 }
-
-fn check(obj: &BTreeMap<String, Json>, field: &str, kind: Kind) -> Result<(), String> {
-    let v = obj
-        .get(field)
-        .ok_or_else(|| format!("missing field \"{field}\""))?;
-    let ok = match kind {
-        Kind::UInt => v.as_u64().is_some(),
-        Kind::Bool => v.as_bool().is_some(),
-        Kind::Str => v.as_str().is_some(),
-        Kind::UIntArr => v
-            .as_arr()
-            .is_some_and(|a| a.iter().all(|e| e.as_u64().is_some())),
-    };
-    if ok {
-        Ok(())
-    } else {
-        Err(format!("field \"{field}\" has the wrong type"))
-    }
-}
-
-/// Per-type required fields beyond the `t`/`actor`/`type` envelope.
-const SCHEMA: &[(&str, &[(&str, Kind)])] = &[
-    (
-        "request_issued",
-        &[
-            ("client", Kind::UInt),
-            ("seq", Kind::UInt),
-            ("read", Kind::Bool),
-            ("deadline_us", Kind::UInt),
-        ],
-    ),
-    (
-        "replicas_selected",
-        &[
-            ("client", Kind::UInt),
-            ("seq", Kind::UInt),
-            ("attempt", Kind::UInt),
-            ("targets", Kind::UIntArr),
-        ],
-    ),
-    (
-        "retry_scheduled",
-        &[
-            ("client", Kind::UInt),
-            ("seq", Kind::UInt),
-            ("attempt", Kind::UInt),
-            ("delay_us", Kind::UInt),
-        ],
-    ),
-    (
-        "hedge_sent",
-        &[
-            ("client", Kind::UInt),
-            ("seq", Kind::UInt),
-            ("target", Kind::UInt),
-        ],
-    ),
-    (
-        "reply_received",
-        &[
-            ("client", Kind::UInt),
-            ("seq", Kind::UInt),
-            ("from", Kind::UInt),
-            ("timely", Kind::Bool),
-            ("deferred", Kind::Bool),
-            ("staleness_us", Kind::UInt),
-        ],
-    ),
-    (
-        "busy_received",
-        &[
-            ("client", Kind::UInt),
-            ("seq", Kind::UInt),
-            ("from", Kind::UInt),
-        ],
-    ),
-    (
-        "delivered",
-        &[
-            ("client", Kind::UInt),
-            ("seq", Kind::UInt),
-            ("response_us", Kind::UInt),
-            ("timely", Kind::Bool),
-        ],
-    ),
-    (
-        "gave_up",
-        &[
-            ("client", Kind::UInt),
-            ("seq", Kind::UInt),
-            ("response_us", Kind::UInt),
-        ],
-    ),
-    ("local_shed", &[("client", Kind::UInt), ("seq", Kind::UInt)]),
-    (
-        "shed_read",
-        &[
-            ("client", Kind::UInt),
-            ("seq", Kind::UInt),
-            ("queue_depth", Kind::UInt),
-        ],
-    ),
-    (
-        "shed_update",
-        &[
-            ("client", Kind::UInt),
-            ("seq", Kind::UInt),
-            ("backlog", Kind::UInt),
-        ],
-    ),
-    (
-        "service_done",
-        &[
-            ("client", Kind::UInt),
-            ("seq", Kind::UInt),
-            ("service_us", Kind::UInt),
-        ],
-    ),
-    (
-        "breaker",
-        &[
-            ("replica", Kind::UInt),
-            ("from_state", Kind::Str),
-            ("to_state", Kind::Str),
-        ],
-    ),
-    (
-        "ladder",
-        &[("from_level", Kind::UInt), ("to_level", Kind::UInt)],
-    ),
-    (
-        "qos_alert",
-        &[("observed_ppm", Kind::UInt), ("threshold_ppm", Kind::UInt)],
-    ),
-    (
-        "quarantine",
-        &[("replica", Kind::UInt), ("until_us", Kind::UInt)],
-    ),
-    ("quarantine_cleared", &[("replica", Kind::UInt)]),
-    (
-        "view_change",
-        &[("view_id", Kind::UInt), ("members", Kind::UInt)],
-    ),
-    ("wal_append", &[("gsn", Kind::UInt), ("bytes", Kind::UInt)]),
-    (
-        "snapshot",
-        &[("csn", Kind::UInt), ("wal_bytes", Kind::UInt)],
-    ),
-    (
-        "recovery_replay",
-        &[("records", Kind::UInt), ("csn", Kind::UInt)],
-    ),
-    ("recovery_fallback", &[("reason", Kind::Str)]),
-];
 
 /// Validates one JSONL trace line against the event schema: the envelope
 /// (`t`, `actor`, `type`) must be present with the right types, the type
@@ -442,18 +508,22 @@ const SCHEMA: &[(&str, &[(&str, Kind)])] = &[
 /// with the declared JSON type.
 pub fn validate_trace_line(line: &str) -> Result<(), String> {
     let v = parse_json(line)?;
-    let obj = v.as_obj().ok_or("trace line is not a JSON object")?;
-    check(obj, "t", Kind::UInt)?;
-    check(obj, "actor", Kind::UInt)?;
-    check(obj, "type", Kind::Str)?;
-    let ty = obj["type"].as_str().expect("checked above");
-    let fields = SCHEMA
+    let f = Fields::of(&v).map_err(|e| format!("trace line is {e}"))?;
+    f.uint::<u64>(event::T)?;
+    f.uint::<u64>(event::ACTOR)?;
+    let ty = f.str(event::TYPE)?;
+    let (_, rows) = event::SCHEMA
         .iter()
-        .find(|(name, _)| *name == ty)
-        .map(|(_, f)| *f)
+        .find(|(tag, _)| *tag == ty)
         .ok_or_else(|| format!("unknown event type \"{ty}\""))?;
-    for (field, kind) in fields {
-        check(obj, field, *kind).map_err(|e| format!("{ty}: {e}"))?;
+    for &(key, kind) in *rows {
+        match kind {
+            Kind::UInt => f.uint::<u64>(key).map(drop),
+            Kind::Bool => f.bool(key).map(drop),
+            Kind::Str => f.str(key).map(drop),
+            Kind::UIntArr => f.u64s(key).map(drop),
+        }
+        .map_err(|e| format!("{ty}: {e}"))?;
     }
     Ok(())
 }
@@ -480,23 +550,58 @@ mod tests {
     }
 
     #[test]
+    fn accepts_every_standard_escape() {
+        let v = parse_json(r#""\" \\ \/ \b \f \n \r \t A""#).unwrap();
+        assert_eq!(v.as_str(), Some("\" \\ / \u{8} \u{c} \n \r \t A"));
+    }
+
+    #[test]
+    fn writer_output_reads_back_through_fields() {
+        let mut out = String::new();
+        write_object(&mut out, |o| {
+            o.u64("n", u64::MAX);
+            o.f64("whole", 100000.0);
+            o.f64("frac", 0.5);
+            o.bool("b", true);
+            o.str("s", "q\" b\\ nl\n bell\u{7} é");
+            o.null("none");
+            o.obj("inner", |o| o.u64("x", 1));
+            o.objs("items", [1, 2], |n, o| o.u64("n", n));
+            o.u64s("ns", [0, 10]);
+        });
+        assert_eq!(
+            out,
+            concat!(
+                r#"{"n":18446744073709551615,"whole":100000,"frac":0.5,"b":true,"#,
+                r#""s":"q\" b\\ nl\n bell\u0007 é","none":null,"inner":{"x":1},"#,
+                r#""items":[{"n":1},{"n":2}],"ns":[0,10]}"#
+            )
+        );
+        let doc = parse_json(&out).unwrap();
+        let f = Fields::of(&doc).unwrap();
+        assert_eq!(f.uint::<u64>("n"), Ok(u64::MAX));
+        assert_eq!(f.f64("whole"), Ok(100000.0), "UInt widens to f64");
+        assert_eq!(f.f64("frac"), Ok(0.5));
+        assert_eq!(f.bool("b"), Ok(true));
+        assert_eq!(f.str("s"), Ok("q\" b\\ nl\n bell\u{7} é"));
+        assert_eq!(f.is_null("none"), Ok(true));
+        assert_eq!(f.is_null("n"), Ok(false));
+        assert_eq!(f.obj("inner").unwrap().uint::<usize>("x"), Ok(1));
+        assert_eq!(f.arr("items").unwrap().len(), 2);
+        assert_eq!(f.u64s("ns"), Ok(vec![0, 10]));
+        // Errors name the key: missing, wrong type, out of range.
+        assert!(f.get("absent").unwrap_err().contains("\"absent\""));
+        assert!(f.bool("n").unwrap_err().contains("\"n\""));
+        assert!(f.uint::<u32>("n").unwrap_err().contains("\"n\""));
+        assert!(f.u64s("items").unwrap_err().contains("\"items\""));
+    }
+
+    #[test]
     fn validates_known_event_lines() {
-        validate_trace_line(
-            r#"{"t":10,"actor":1,"type":"request_issued","client":1,"seq":3,"read":true,"deadline_us":200000}"#,
-        )
-        .unwrap();
-        validate_trace_line(r#"{"t":10,"actor":1,"type":"ladder","from_level":0,"to_level":1}"#)
-            .unwrap();
-        validate_trace_line(r#"{"t":10,"actor":1,"type":"wal_append","gsn":7,"bytes":48}"#)
-            .unwrap();
-        validate_trace_line(r#"{"t":10,"actor":1,"type":"snapshot","csn":64,"wal_bytes":0}"#)
-            .unwrap();
-        validate_trace_line(r#"{"t":10,"actor":1,"type":"recovery_replay","records":9,"csn":9}"#)
-            .unwrap();
-        validate_trace_line(
-            r#"{"t":10,"actor":1,"type":"recovery_fallback","reason":"corrupt-log"}"#,
-        )
-        .unwrap();
+        // Literal lines, one per event kind: independent of the writer.
+        for line in event::tests::ONE_OF_EACH_JSONL.lines() {
+            validate_trace_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
+        }
     }
 
     #[test]

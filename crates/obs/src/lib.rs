@@ -33,7 +33,7 @@ pub mod sink;
 pub mod timeline;
 
 pub use event::{Event, ReqId, TraceRecord};
-pub use json::{parse_json, validate_trace_line, Json};
+pub use json::{parse_json, validate_trace_line, write_object, Fields, Json, ObjWriter};
 pub use metrics::{Histogram, MetricsRegistry, LATENCY_BOUNDS_US};
 pub use sink::{ObsHandle, ObsReport};
-pub use timeline::{build_timelines, timelines_from_jsonl, Step, Timeline};
+pub use timeline::{build_timelines, parse_trace, timelines_from_jsonl, Step, Timeline};

@@ -9,7 +9,8 @@
 //! hash seeds.
 
 use std::collections::BTreeMap;
-use std::fmt::Write;
+
+use crate::json::{write_object, ObjWriter};
 
 /// Default latency/staleness bucket upper bounds, in microseconds.
 ///
@@ -98,31 +99,15 @@ impl Histogram {
         self.max
     }
 
-    fn write_json(&self, out: &mut String) {
-        let _ = write!(
-            out,
-            "{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p99\":{},\"bounds\":[",
-            self.count,
-            self.sum,
-            if self.count == 0 { 0 } else { self.min },
-            self.max,
-            self.quantile(0.50),
-            self.quantile(0.99),
-        );
-        for (i, b) in self.bounds.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{b}");
-        }
-        out.push_str("],\"counts\":[");
-        for (i, c) in self.counts.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{c}");
-        }
-        out.push_str("]}");
+    fn write_json(&self, o: &mut ObjWriter<'_>) {
+        o.u64("count", self.count);
+        o.u64("sum", self.sum);
+        o.u64("min", if self.count == 0 { 0 } else { self.min });
+        o.u64("max", self.max);
+        o.u64("p50", self.quantile(0.50));
+        o.u64("p99", self.quantile(0.99));
+        o.u64s("bounds", self.bounds.iter().copied());
+        o.u64s("counts", self.counts.iter().copied());
     }
 }
 
@@ -179,29 +164,20 @@ impl MetricsRegistry {
     /// in lexicographic order.
     pub fn to_json(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\"counters\":{");
-        for (i, (k, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        write_object(&mut out, |o| {
+            for (key, scalars) in [("counters", &self.counters), ("gauges", &self.gauges)] {
+                o.obj(key, |o| {
+                    for (name, v) in scalars {
+                        o.u64(name, *v);
+                    }
+                });
             }
-            let _ = write!(out, "\"{k}\":{v}");
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (k, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":{v}");
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, (k, h)) in self.hists.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{k}\":");
-            h.write_json(&mut out);
-        }
-        out.push_str("}}");
+            o.obj("histograms", |o| {
+                for (name, h) in &self.hists {
+                    o.obj(name, |o| h.write_json(o));
+                }
+            });
+        });
         out
     }
 }
@@ -229,7 +205,7 @@ mod tests {
         let h = Histogram::new(LATENCY_BOUNDS_US);
         assert_eq!(h.quantile(0.5), 0);
         let mut s = String::new();
-        h.write_json(&mut s);
+        write_object(&mut s, |o| h.write_json(o));
         assert!(s.contains("\"count\":0"));
     }
 

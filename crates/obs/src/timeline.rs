@@ -5,7 +5,8 @@
 //! is the proof that the trace alone carries the full request lifecycle
 //! (issue → selections/retries/hedges → replies → deliver/give-up).
 
-use crate::json::{parse_json, Json};
+use crate::event::{ACTOR, CLIENT, SEQ, T, TYPE};
+use crate::json::{parse_json, Fields, Json};
 use std::collections::BTreeMap;
 
 /// One step of a request's lifecycle, in trace order.
@@ -77,10 +78,8 @@ impl Timeline {
 pub fn build_timelines(steps: Vec<Step>) -> BTreeMap<(u64, u64), Timeline> {
     let mut map: BTreeMap<(u64, u64), Timeline> = BTreeMap::new();
     for step in steps {
-        let (Some(client), Some(seq)) = (
-            step.fields.get("client").and_then(Json::as_u64),
-            step.fields.get("seq").and_then(Json::as_u64),
-        ) else {
+        let fields = Fields(&step.fields);
+        let (Ok(client), Ok(seq)) = (fields.uint(CLIENT), fields.uint(SEQ)) else {
             continue;
         };
         map.entry((client, seq)).or_default().steps.push(step);
@@ -95,36 +94,22 @@ pub fn build_timelines(steps: Vec<Step>) -> BTreeMap<(u64, u64), Timeline> {
 
 /// Parses a JSONL trace into steps, validating each line's envelope.
 pub fn parse_trace(jsonl: &str) -> Result<Vec<Step>, String> {
-    let mut steps = Vec::new();
-    for (i, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = parse_json(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let obj = v
-            .as_obj()
-            .ok_or_else(|| format!("line {}: not an object", i + 1))?;
-        let t_us = obj
-            .get("t")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("line {}: missing t", i + 1))?;
-        let actor = obj
-            .get("actor")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("line {}: missing actor", i + 1))?;
-        let kind = obj
-            .get("type")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("line {}: missing type", i + 1))?
-            .to_string();
-        steps.push(Step {
-            t_us,
-            actor,
-            kind,
-            fields: obj.clone(),
-        });
+    fn step(line: &str) -> Result<Step, String> {
+        let v = parse_json(line)?;
+        let fields = Fields::of(&v)?;
+        Ok(Step {
+            t_us: fields.uint(T)?,
+            actor: fields.uint(ACTOR)?,
+            kind: fields.str(TYPE)?.to_string(),
+            fields: fields.0.clone(),
+        })
     }
-    Ok(steps)
+    jsonl
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| step(line).map_err(|e| format!("line {}: {e}", i + 1)))
+        .collect()
 }
 
 /// Convenience: parses a JSONL trace and reconstructs every request
@@ -136,130 +121,42 @@ pub fn timelines_from_jsonl(jsonl: &str) -> Result<BTreeMap<(u64, u64), Timeline
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, ReqId, TraceRecord};
-    use aqf_sim::ActorId;
+    use crate::event::tests::one_of_each;
+    use crate::{ObsReport, TraceRecord};
 
-    fn rec(t_ms: u64, actor: usize, event: Event) -> TraceRecord {
-        TraceRecord {
-            t_us: t_ms * 1000,
-            actor: ActorId::from_index(actor),
-            event,
-        }
+    /// The sample trace is one request's whole lifecycle — `(client 9, seq
+    /// 4)`, a step every millisecond from 1 ms — followed by control-plane
+    /// noise that must not join its timeline.
+    fn timeline_of(records: Vec<TraceRecord>) -> Timeline {
+        let report = ObsReport {
+            records,
+            ..ObsReport::default()
+        };
+        let mut timelines = timelines_from_jsonl(&report.trace_jsonl()).unwrap();
+        assert_eq!(timelines.len(), 1);
+        timelines.remove(&(9, 4)).expect("the sample request")
     }
 
     #[test]
     fn reconstructs_lifecycle_from_jsonl() {
-        let c = ActorId::from_index(9);
-        let req = ReqId::new(c, 4);
-        let records = vec![
-            rec(
-                1,
-                9,
-                Event::RequestIssued {
-                    req,
-                    read: true,
-                    deadline_us: 200_000,
-                },
-            ),
-            rec(
-                1,
-                9,
-                Event::ReplicasSelected {
-                    req,
-                    attempt: 1,
-                    targets: vec![ActorId::from_index(2)],
-                },
-            ),
-            rec(
-                2,
-                2,
-                Event::ShedRead {
-                    req,
-                    queue_depth: 5,
-                },
-            ),
-            rec(
-                3,
-                9,
-                Event::BusyReceived {
-                    req,
-                    from: ActorId::from_index(2),
-                },
-            ),
-            rec(
-                4,
-                9,
-                Event::RetryScheduled {
-                    req,
-                    attempt: 2,
-                    delay_us: 1000,
-                },
-            ),
-            rec(
-                9,
-                9,
-                Event::Delivered {
-                    req,
-                    response_us: 8000,
-                    timely: true,
-                },
-            ),
-            // Control-plane noise that must not join the timeline.
-            rec(
-                5,
-                9,
-                Event::Ladder {
-                    from_level: 0,
-                    to_level: 1,
-                },
-            ),
-        ];
-        let mut jsonl = String::new();
-        for r in &records {
-            r.write_json_line(&mut jsonl);
-        }
-        let timelines = timelines_from_jsonl(&jsonl).unwrap();
-        assert_eq!(timelines.len(), 1);
-        let tl = &timelines[&(9, 4)];
-        assert_eq!(tl.steps.len(), 6);
+        let tl = timeline_of(one_of_each());
+        assert_eq!(tl.steps.len(), 12);
         assert_eq!(tl.issued_us(), Some(1000));
-        assert_eq!(tl.resolved_us(), Some(9000));
+        assert_eq!(tl.resolved_us(), Some(7000));
         assert!(tl.recovered_or_shed());
         assert!(tl.has("shed_read"));
         assert!(!tl.has("ladder"));
         let rendered = tl.render();
-        assert!(rendered.starts_with("1000:request_issued@9"));
-        assert!(rendered.ends_with("9000:delivered@9"));
+        assert!(rendered.starts_with("1000:request_issued@7"));
+        assert!(rendered.ends_with("12000:service_done@7"));
     }
 
     #[test]
     fn steps_sorted_by_time_even_if_interleaved() {
-        let c = ActorId::from_index(1);
-        let req = ReqId::new(c, 1);
-        let mut jsonl = String::new();
-        rec(
-            5,
-            1,
-            Event::Delivered {
-                req,
-                response_us: 1,
-                timely: false,
-            },
-        )
-        .write_json_line(&mut jsonl);
-        rec(
-            2,
-            1,
-            Event::RequestIssued {
-                req,
-                read: false,
-                deadline_us: 0,
-            },
-        )
-        .write_json_line(&mut jsonl);
-        let timelines = timelines_from_jsonl(&jsonl).unwrap();
-        let tl = &timelines[&(1, 1)];
+        let mut records = one_of_each();
+        records.reverse();
+        let tl = timeline_of(records);
         assert_eq!(tl.steps[0].kind, "request_issued");
-        assert_eq!(tl.steps[1].kind, "delivered");
+        assert_eq!(tl.steps[11].kind, "service_done");
     }
 }

@@ -3,11 +3,10 @@
 use crate::time::{SimDuration, SimTime};
 use crate::timer::TimerSlab;
 use rand::rngs::SmallRng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies an actor within a [`crate::World`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ActorId(pub(crate) u32);
 
 impl ActorId {

@@ -2,7 +2,6 @@
 
 use crate::time::SimDuration;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A distribution of non-negative delays, sampled in microseconds.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// having each replica respond to a request after a delay that was normally
 /// distributed" (§6); link latencies on the 100 Mbps LAN are modelled with
 /// small uniform or constant delays.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum DelayModel {
     /// Always exactly this delay.
     Constant(SimDuration),

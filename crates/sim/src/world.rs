@@ -141,11 +141,6 @@ impl<M: Clone + 'static> World<M> {
         self.now
     }
 
-    /// Number of actors ever added.
-    pub fn actor_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Whether `id` is currently alive (not crashed).
     ///
     /// # Panics

@@ -31,10 +31,9 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Tuning knobs for one replica's simulated storage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StorageConfig {
     /// Master switch. `false` (the default) means no disk exists at all:
     /// no logging, no replay, no RNG draws — the seed's behaviour,
@@ -279,11 +278,6 @@ impl VirtualDisk {
     /// The durable WAL bytes (what replay would read).
     pub fn durable_wal(&self) -> &[u8] {
         &self.durable
-    }
-
-    /// WAL bytes currently durable (diagnostics / compaction pressure).
-    pub fn durable_len(&self) -> usize {
-        self.durable.len()
     }
 
     /// Applies crash semantics: in-flight bytes are lost (modulo a torn

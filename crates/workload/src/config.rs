@@ -6,10 +6,9 @@ use aqf_core::{
 };
 use aqf_group::{FailureDetector, FlapDamping};
 use aqf_sim::{DelayModel, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
 /// Which sample replicated object the scenario hosts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ObjectKind {
     /// [`aqf_core::VersionedRegister`].
     Register,
@@ -23,7 +22,7 @@ pub enum ObjectKind {
 }
 
 /// The request mix a client issues.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OpPattern {
     /// Strictly alternating write, read, write, read, … (the paper's §6
     /// workload).
@@ -41,7 +40,7 @@ pub enum OpPattern {
 }
 
 /// One client of the replicated service.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClientSpec {
     /// The client's QoS specification for its reads.
     pub qos: QosSpec,
@@ -88,7 +87,7 @@ impl ClientSpec {
 }
 
 /// A scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
     /// When the fault strikes.
     pub at: SimTime,
@@ -100,7 +99,7 @@ pub struct FaultEvent {
 
 /// Which process a fault strikes (resolved to an actor when the world is
 /// built).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum FaultTarget {
     /// The initial sequencer (primary-group leader).
     Sequencer,
@@ -119,7 +118,7 @@ pub enum FaultTarget {
 }
 
 /// Crash, recover, or degrade (gray failure).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// Crash-stop the process.
     Crash,
@@ -161,7 +160,7 @@ pub enum FaultKind {
 }
 
 /// Full description of one simulated deployment and workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Master seed; every run with the same config is identical.
     pub seed: u64,
@@ -811,13 +810,5 @@ mod tests {
         assert_eq!(c.group_tick, SimDuration::from_millis(250));
         assert_eq!(c.failure_timeout, SimDuration::from_millis(900));
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn serde_round_trip_via_debug() {
-        // serde is exercised structurally: the config derives Serialize +
-        // Deserialize; equality after a clone guards against field drift.
-        let c = ScenarioConfig::paper_validation(120, 0.5, 2, 7);
-        assert_eq!(c.clone(), c);
     }
 }

@@ -3,18 +3,15 @@
 //! The chaos harness needs to know, for every client request, what was
 //! asked, what came back, and when — so oracles can replay the global
 //! history and check the ordering invariants of the configured consistency
-//! level. This module provides:
-//!
-//! - [`HistoryHandle`]: a cloneable, disabled-by-default recording switch
-//!   in the style of `aqf_obs::ObsHandle`. A disabled handle is a single
-//!   `None` branch per hook — zero allocation, zero behavior change — so
-//!   runs with recording off are bit-identical to runs without the hooks
-//!   (pinned by the digest property tests). An enabled handle appends
-//!   [`HistoryEvent`]s to a shared buffer; it is write-only, so recording
-//!   can observe but never steer the run.
-//! - A byte-stable JSONL serialization ([`to_jsonl`] / [`parse_jsonl`]):
-//!   serialize → parse → re-serialize reproduces the exact bytes, so
-//!   recorded histories can be diffed, checked in, and replayed.
+//! level. [`HistoryHandle`] is the cloneable, disabled-by-default
+//! recording switch, in the style of `aqf_obs::ObsHandle`. A disabled
+//! handle is a single `None` branch per hook — zero allocation, zero
+//! behavior change — so runs with recording off are bit-identical to runs
+//! without the hooks (pinned by the digest property tests). An enabled
+//! handle appends [`HistoryEvent`]s to a shared buffer; it is write-only,
+//! so recording can observe but never steer the run. The history lives in
+//! memory only: the oracles read it straight from the handle, and nothing
+//! writes it to a file.
 //!
 //! Events come in two kinds joined by `(client, seq)`: `Issue` (captured
 //! when the client hands the operation to its gateway) and `Complete`
@@ -22,10 +19,7 @@
 //! are closed-loop — one outstanding request each — so per-client
 //! completions arrive in issue order.
 
-use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
-
-use aqf_obs::{parse_json, Json};
 
 /// One recorded step of a client's interaction with the store.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -141,221 +135,19 @@ impl HistoryHandle {
     }
 }
 
-fn push_hex(out: &mut String, bytes: &[u8]) {
-    for b in bytes {
-        let _ = write!(out, "{b:02x}");
-    }
-}
-
-fn parse_hex(s: &str) -> Result<Vec<u8>, String> {
-    if !s.len().is_multiple_of(2) {
-        return Err(format!("odd-length hex string ({} chars)", s.len()));
-    }
-    (0..s.len())
-        .step_by(2)
-        .map(|i| u8::from_str_radix(&s[i..i + 2], 16).map_err(|e| format!("bad hex at {i}: {e}")))
-        .collect()
-}
-
-/// Serializes one event as a single JSON line (no trailing newline).
-/// Field order is fixed, numbers are plain integers, and byte payloads are
-/// lowercase hex — the byte-stable canonical form.
-pub fn event_to_json(e: &HistoryEvent) -> String {
-    let mut s = String::new();
-    match e {
-        HistoryEvent::Issue {
-            client,
-            seq,
-            at_us,
-            read,
-            method,
-            arg,
-        } => {
-            let _ = write!(
-                s,
-                "{{\"e\":\"issue\",\"client\":{client},\"seq\":{seq},\"at_us\":{at_us},\"read\":{read},\"method\":\"{method}\",\"arg\":\""
-            );
-            push_hex(&mut s, arg);
-            s.push_str("\"}");
-        }
-        HistoryEvent::Complete {
-            client,
-            seq,
-            at_us,
-            result,
-            timely,
-            deferred,
-            staleness,
-            timed_out,
-            shed,
-            degraded,
-            csn,
-            vector,
-        } => {
-            let _ = write!(
-                s,
-                "{{\"e\":\"complete\",\"client\":{client},\"seq\":{seq},\"at_us\":{at_us},\"result\":\""
-            );
-            push_hex(&mut s, result);
-            let _ = write!(
-                s,
-                "\",\"timely\":{timely},\"deferred\":{deferred},\"staleness\":{staleness},\"timed_out\":{timed_out},\"shed\":{shed},\"degraded\":{degraded},\"csn\":{csn},\"vector\":["
-            );
-            for (i, (actor, n)) in vector.iter().enumerate() {
-                if i > 0 {
-                    s.push(',');
-                }
-                let _ = write!(s, "[{actor},{n}]");
-            }
-            s.push_str("]}");
-        }
-    }
-    s
-}
-
-/// Serializes a history as JSONL: one [`event_to_json`] line per event,
-/// each terminated by `\n`.
-pub fn to_jsonl(events: &[HistoryEvent]) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&event_to_json(e));
-        out.push('\n');
-    }
-    out
-}
-
-fn get_u64(obj: &std::collections::BTreeMap<String, Json>, key: &str) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("missing or non-integer \"{key}\""))
-}
-
-fn get_bool(obj: &std::collections::BTreeMap<String, Json>, key: &str) -> Result<bool, String> {
-    obj.get(key)
-        .and_then(Json::as_bool)
-        .ok_or_else(|| format!("missing or non-bool \"{key}\""))
-}
-
-fn get_hex(obj: &std::collections::BTreeMap<String, Json>, key: &str) -> Result<Vec<u8>, String> {
-    parse_hex(
-        obj.get(key)
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("missing or non-string \"{key}\""))?,
-    )
-}
-
-/// Parses one [`event_to_json`] line.
-pub fn event_from_json(line: &str) -> Result<HistoryEvent, String> {
-    let v = parse_json(line)?;
-    let obj = v.as_obj().ok_or("history line is not an object")?;
-    let kind = obj
-        .get("e")
-        .and_then(Json::as_str)
-        .ok_or("missing event kind \"e\"")?;
-    match kind {
-        "issue" => Ok(HistoryEvent::Issue {
-            client: get_u64(obj, "client")?,
-            seq: get_u64(obj, "seq")?,
-            at_us: get_u64(obj, "at_us")?,
-            read: get_bool(obj, "read")?,
-            method: obj
-                .get("method")
-                .and_then(Json::as_str)
-                .ok_or("missing \"method\"")?
-                .to_owned(),
-            arg: get_hex(obj, "arg")?,
-        }),
-        "complete" => {
-            let vector = obj
-                .get("vector")
-                .and_then(Json::as_arr)
-                .ok_or("missing \"vector\"")?
-                .iter()
-                .map(|entry| {
-                    let pair = entry.as_arr().ok_or("vector entry is not a pair")?;
-                    match pair {
-                        [a, n] => Ok((
-                            a.as_u64().ok_or("non-integer vector actor")?,
-                            n.as_u64().ok_or("non-integer vector counter")?,
-                        )),
-                        _ => Err("vector entry is not a pair".to_owned()),
-                    }
-                })
-                .collect::<Result<Vec<_>, String>>()?;
-            Ok(HistoryEvent::Complete {
-                client: get_u64(obj, "client")?,
-                seq: get_u64(obj, "seq")?,
-                at_us: get_u64(obj, "at_us")?,
-                result: get_hex(obj, "result")?,
-                timely: get_bool(obj, "timely")?,
-                deferred: get_bool(obj, "deferred")?,
-                staleness: get_u64(obj, "staleness")?,
-                timed_out: get_bool(obj, "timed_out")?,
-                shed: get_bool(obj, "shed")?,
-                degraded: get_bool(obj, "degraded")?,
-                csn: get_u64(obj, "csn")?,
-                vector,
-            })
-        }
-        other => Err(format!("unknown history event kind {other:?}")),
-    }
-}
-
-/// Parses a JSONL history produced by [`to_jsonl`]. Blank lines are
-/// rejected — the format has no comments or padding.
-pub fn parse_jsonl(text: &str) -> Result<Vec<HistoryEvent>, String> {
-    text.lines()
-        .enumerate()
-        .map(|(i, line)| event_from_json(line).map_err(|e| format!("line {}: {e}", i + 1)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sample() -> Vec<HistoryEvent> {
-        vec![
-            HistoryEvent::Issue {
-                client: 3,
-                seq: 1,
-                at_us: 1_000_000,
-                read: false,
-                method: "set".into(),
-                arg: b"value-3-0".to_vec(),
-            },
-            HistoryEvent::Complete {
-                client: 3,
-                seq: 1,
-                at_us: 1_040_000,
-                result: vec![0, 0, 0, 0, 0, 0, 0, 1],
-                timely: true,
-                deferred: false,
-                staleness: 0,
-                timed_out: false,
-                shed: false,
-                degraded: false,
-                csn: 1,
-                vector: vec![(2, 1), (5, 3)],
-            },
-            HistoryEvent::Issue {
-                client: 3,
-                seq: 2,
-                at_us: 2_000_000,
-                read: true,
-                method: "get".into(),
-                arg: Vec::new(),
-            },
-        ]
-    }
-
-    #[test]
-    fn jsonl_round_trips_byte_stable() {
-        let events = sample();
-        let text = to_jsonl(&events);
-        let parsed = parse_jsonl(&text).expect("parse");
-        assert_eq!(parsed, events);
-        assert_eq!(to_jsonl(&parsed), text, "re-serialize is byte-stable");
+    fn issue(seq: u64) -> HistoryEvent {
+        HistoryEvent::Issue {
+            client: 3,
+            seq,
+            at_us: 1_000_000 * seq,
+            read: false,
+            method: "set".into(),
+            arg: b"value-3-0".to_vec(),
+        }
     }
 
     #[test]
@@ -370,19 +162,10 @@ mod tests {
     fn collecting_handle_is_shared_and_drains() {
         let h = HistoryHandle::collecting();
         let clone = h.clone();
-        clone.record(|| sample()[0].clone());
-        h.record(|| sample()[2].clone());
+        clone.record(|| issue(1));
+        h.record(|| issue(2));
         let events = h.take();
         assert_eq!(events.len(), 2);
         assert!(h.take().is_empty(), "take drains");
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(parse_jsonl("{\"e\":\"issue\"}").is_err());
-        assert!(parse_jsonl("not json").is_err());
-        assert!(parse_jsonl("{\"e\":\"nope\"}").is_err());
-        let odd = "{\"e\":\"issue\",\"client\":1,\"seq\":1,\"at_us\":1,\"read\":true,\"method\":\"m\",\"arg\":\"abc\"}";
-        assert!(parse_jsonl(odd).unwrap_err().contains("hex"));
     }
 }

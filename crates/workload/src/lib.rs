@@ -29,6 +29,7 @@ pub mod actors;
 pub mod bench_scenarios;
 pub mod config;
 pub mod history;
+pub mod repro;
 pub mod runner;
 pub mod synthetic;
 
@@ -40,6 +41,7 @@ pub use config::{
     ClientSpec, FaultEvent, FaultKind, FaultTarget, ObjectKind, OpPattern, ScenarioConfig,
 };
 pub use history::{HistoryEvent, HistoryHandle};
+pub use repro::{config_from_json, config_to_json};
 pub use runner::{
     build_scenario, run_scenario, run_scenario_observed, run_scenario_recorded, BuiltScenario,
     ClientOutcome, ScenarioMetrics, ServerOutcome,
