@@ -1,15 +1,20 @@
-//! Server-gateway pipeline cost: the protocol bookkeeping (not the
-//! simulated service time) of committing updates at each discipline's
+//! Gateway pipeline cost: on the server side, the protocol bookkeeping (not
+//! the simulated service time) of committing updates at each discipline's
 //! commit point and of admitting + servicing staleness-checked reads, for
-//! all three ordering disciplines through the one replica shell.
+//! all three ordering disciplines through the one replica shell; on the
+//! client side, one request's whole lifecycle through the client gateway.
 
-use aqf_bench::primary_gateway;
+use aqf_bench::{primary_gateway, primary_view, secondary_view};
 use aqf_core::causal::Causal;
 use aqf_core::fifo::Fifo;
 use aqf_core::protocol::{drive_service, ServerProtocol};
 use aqf_core::server::Sequential;
 use aqf_core::shell::ServerAction;
-use aqf_core::wire::{Operation, Payload, ReadRequest, RequestId, UpdateRequest};
+use aqf_core::wire::{
+    Operation, Payload, PerfBroadcast, ReadMeasurement, ReadRequest, Reply, RequestId,
+    UpdateRequest,
+};
+use aqf_core::{ClientAction, ClientConfig, ClientGateway, QosSpec, RecoveryPolicy, TimerPurpose};
 use aqf_sim::{ActorId, SimDuration, SimTime};
 use criterion::{criterion_group, Criterion};
 
@@ -157,6 +162,95 @@ fn bench_gateway(c: &mut Criterion) {
     }
 }
 
+/// A client gateway on the base path (recovery and overload off, as in every
+/// repo-benchmark workload) whose repository is warm, so Algorithm 1 picks a
+/// small set.
+fn client_gateway() -> ClientGateway {
+    let config = ClientConfig {
+        recovery: RecoveryPolicy::disabled(),
+        ..ClientConfig::default()
+    };
+    let (primaries, secondaries) = (primary_view(3), secondary_view(4));
+    let replicas: Vec<ActorId> = [primaries.members(), secondaries.members()].concat();
+    let mut gw = ClientGateway::new(ActorId::from_index(CLIENT), primaries, secondaries, config);
+    for (k, replica) in replicas.into_iter().enumerate() {
+        for sample in 0..20u64 {
+            let perf = PerfBroadcast {
+                read: Some(ReadMeasurement {
+                    ts_us: 5_000 + 500 * k as u64 + 50 * sample,
+                    tq_us: 0,
+                    tb_us: 0,
+                }),
+                publisher: None,
+            };
+            let _ = gw.on_payload(replica, Payload::Perf(perf), SimTime::ZERO);
+        }
+    }
+    gw
+}
+
+const CLIENT_OPS: [(&str, Op); 2] = [
+    ("read_lifecycle", Op::Read),
+    ("update_lifecycle", Op::Update),
+];
+
+/// One request through the client gateway, the way a host runs it — one
+/// retained action buffer — from submit to the give-up timer that forgets
+/// it: a read is selected, transmitted after the selection overhead and
+/// answered by its first target; an update is multicast and acknowledged.
+fn run_client_op(gw: &mut ClientGateway, op: Op, seq: u64, actions: &mut Vec<ClientAction>) {
+    let t0 = SimTime::from_micros(seq * 20_000_000);
+    let at = |ms: u64| t0 + SimDuration::from_millis(ms);
+    actions.clear();
+    let (id, replier) = match op {
+        Op::Read => {
+            let qos = QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid qos");
+            let (id, out) = gw.submit_read(Operation::new("get", Vec::new()), qos, t0);
+            actions.extend(out);
+            actions.clear();
+            actions.extend(gw.on_timer(id, TimerPurpose::Transmit, at(1)));
+            let Some(ClientAction::SendDirect { to, .. }) = actions.first() else {
+                panic!("a transmitted read goes somewhere");
+            };
+            (id, *to)
+        }
+        Op::Update => {
+            let (id, out) = gw.submit_update(Operation::new("set", b"value".to_vec()), t0);
+            actions.extend(out);
+            (id, ActorId::from_index(1))
+        }
+    };
+    actions.clear();
+    let reply = Reply {
+        id,
+        result: Default::default(),
+        t1_us: 3_000,
+        staleness: 0,
+        deferred: false,
+        csn: seq,
+        vector: Vec::new(),
+    };
+    actions.extend(gw.on_payload(replier, Payload::Reply(reply), at(6)));
+    assert!(matches!(actions.last(), Some(ClientAction::Completed(i)) if i.timely));
+    actions.clear();
+    actions.extend(gw.on_timer(id, TimerPurpose::GiveUp, at(10_001)));
+}
+
+fn bench_client(c: &mut Criterion) {
+    for (op_name, op) in CLIENT_OPS {
+        c.bench_function(&format!("client/{op_name}"), |b| {
+            let mut seq = 0u64;
+            let mut gw = client_gateway();
+            let mut actions = Vec::new();
+            b.iter(|| {
+                seq += 1;
+                run_client_op(&mut gw, op, seq, &mut actions);
+                std::hint::black_box(gw.stats().reads + gw.stats().updates)
+            })
+        });
+    }
+}
+
 /// Asserts allocations-per-operation ceilings on the gateway hot path
 /// (`--features alloc-counter`). The counts are exact, not timing, so each
 /// ceiling sits less than one allocation above what was measured with the
@@ -195,13 +289,37 @@ fn alloc_gates() {
             }
         }
     }
+    /// `[read, update]` lifecycles through the client gateway. Measured:
+    /// 11.00 and 4.00 per request.
+    const CLIENT_CEILINGS: [f64; 2] = [11.5, 4.5];
+    for ((op_name, op), ceiling) in CLIENT_OPS.into_iter().zip(CLIENT_CEILINGS) {
+        let mut gw = client_gateway();
+        let mut actions = Vec::new();
+        for seq in 1..=REQUESTS {
+            run_client_op(&mut gw, op, seq, &mut actions); // warm-up
+        }
+        let (allocs, ()) = aqf_bench::alloc_count::measure(|| {
+            for seq in REQUESTS + 1..=2 * REQUESTS {
+                run_client_op(&mut gw, op, seq, &mut actions);
+            }
+        });
+        let per_op = allocs as f64 / REQUESTS as f64;
+        let verdict = if per_op <= ceiling { "ok" } else { "FAIL" };
+        println!(
+            "client/allocs/{op_name}: {allocs} allocs / {REQUESTS} ops = {per_op:.2} per op \
+             (ceiling {ceiling}) {verdict}"
+        );
+        if per_op > ceiling {
+            failures.push(format!("client/{op_name}: {per_op:.2} > {ceiling}"));
+        }
+    }
     assert!(
         failures.is_empty(),
         "allocation ceilings exceeded: {failures:?}"
     );
 }
 
-criterion_group!(benches, bench_gateway);
+criterion_group!(benches, bench_gateway, bench_client);
 
 fn main() {
     benches();
