@@ -11,7 +11,7 @@ use aqf_core::protocol::{drive_service, ServerProtocol};
 use aqf_core::server::Sequential;
 use aqf_core::shell::ServerAction;
 use aqf_core::wire::{
-    Operation, Payload, PerfBroadcast, ReadMeasurement, ReadRequest, Reply, RequestId,
+    CausalStamp, Operation, Payload, PerfBroadcast, ReadMeasurement, ReadRequest, Reply, RequestId,
     UpdateRequest,
 };
 use aqf_core::{ClientAction, ClientConfig, ClientGateway, QosSpec, RecoveryPolicy, TimerPurpose};
@@ -61,8 +61,9 @@ impl Level {
         }
     }
 
-    /// Delivers request `seq` (1-based, one client) in this discipline's
-    /// wire dialect.
+    /// Delivers request `seq` (1-based, one client) up to its ordering
+    /// point: the request itself, plus the sequencer's broadcast where the
+    /// discipline waits for one.
     fn deliver(
         self,
         gw: &mut dyn ServerProtocol,
@@ -72,6 +73,7 @@ impl Level {
         out: &mut Vec<ServerAction>,
     ) {
         let (client, sequencer) = (ActorId::from_index(CLIENT), ActorId::from_index(SEQUENCER));
+        let sequential = matches!(self, Level::Sequential);
         match op {
             Op::Update => {
                 let update = UpdateRequest {
@@ -79,24 +81,17 @@ impl Level {
                     op: Operation::new("set", b"value".to_vec()),
                     attempt: 1,
                 };
-                match self {
-                    Level::Sequential => {
-                        gw.on_payload(client, Payload::Update(update), now, out);
-                        let assign = Payload::GsnAssign {
-                            req: request(seq),
-                            gsn: seq,
-                        };
-                        gw.on_payload(sequencer, assign, now, out);
-                    }
-                    Level::Causal => {
-                        let update = Payload::CausalUpdate {
-                            update,
-                            update_seq: seq - 1,
-                            deps: Vec::new(),
-                        };
-                        gw.on_payload(client, update, now, out);
-                    }
-                    Level::Fifo => gw.on_payload(client, Payload::Update(update), now, out),
+                let stamp = matches!(self, Level::Causal).then(|| CausalStamp {
+                    update_seq: seq - 1,
+                    deps: Vec::new(),
+                });
+                gw.on_payload(client, Payload::Update(update, stamp), now, out);
+                if sequential {
+                    let assign = Payload::GsnAssign {
+                        req: request(seq),
+                        gsn: seq,
+                    };
+                    gw.on_payload(sequencer, assign, now, out);
                 }
             }
             Op::Read => {
@@ -106,24 +101,15 @@ impl Level {
                     staleness_threshold: 2,
                     deadline_us: 0,
                     attempt: 1,
+                    deps: Vec::new(),
                 };
-                match self {
-                    Level::Sequential => {
-                        gw.on_payload(client, Payload::Read(read), now, out);
-                        let snapshot = Payload::GsnSnapshot {
-                            req: request(seq),
-                            gsn: gw.gsn(),
-                        };
-                        gw.on_payload(sequencer, snapshot, now, out);
-                    }
-                    Level::Causal => {
-                        let read = Payload::CausalRead {
-                            read,
-                            deps: Vec::new(),
-                        };
-                        gw.on_payload(client, read, now, out);
-                    }
-                    Level::Fifo => gw.on_payload(client, Payload::Read(read), now, out),
+                gw.on_payload(client, Payload::Read(read), now, out);
+                if sequential {
+                    let snapshot = Payload::GsnSnapshot {
+                        req: request(seq),
+                        gsn: gw.gsn(),
+                    };
+                    gw.on_payload(sequencer, snapshot, now, out);
                 }
             }
         }
@@ -183,7 +169,7 @@ fn client_gateway() -> ClientGateway {
                 }),
                 publisher: None,
             };
-            let _ = gw.on_payload(replica, Payload::Perf(perf), SimTime::ZERO);
+            gw.on_payload(replica, Payload::Perf(perf), SimTime::ZERO, &mut Vec::new());
         }
     }
     gw
@@ -205,19 +191,17 @@ fn run_client_op(gw: &mut ClientGateway, op: Op, seq: u64, actions: &mut Vec<Cli
     let (id, replier) = match op {
         Op::Read => {
             let qos = QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid qos");
-            let (id, out) = gw.submit_read(Operation::new("get", Vec::new()), qos, t0);
-            actions.extend(out);
+            let id = gw.submit_read(Operation::new("get", Vec::new()), qos, t0, actions);
             actions.clear();
-            actions.extend(gw.on_timer(id, TimerPurpose::Transmit, at(1)));
+            gw.on_timer(id, TimerPurpose::Transmit, at(1), actions);
             let Some(ClientAction::SendDirect { to, .. }) = actions.first() else {
                 panic!("a transmitted read goes somewhere");
             };
             (id, *to)
         }
         Op::Update => {
-            let (id, out) = gw.submit_update(Operation::new("set", b"value".to_vec()), t0);
-            actions.extend(out);
-            (id, ActorId::from_index(1))
+            let op = Operation::new("set", b"value".to_vec());
+            (gw.submit_update(op, t0, actions), ActorId::from_index(1))
         }
     };
     actions.clear();
@@ -230,10 +214,10 @@ fn run_client_op(gw: &mut ClientGateway, op: Op, seq: u64, actions: &mut Vec<Cli
         csn: seq,
         vector: Vec::new(),
     };
-    actions.extend(gw.on_payload(replier, Payload::Reply(reply), at(6)));
+    gw.on_payload(replier, Payload::Reply(reply), at(6), actions);
     assert!(matches!(actions.last(), Some(ClientAction::Completed(i)) if i.timely));
     actions.clear();
-    actions.extend(gw.on_timer(id, TimerPurpose::GiveUp, at(10_001)));
+    gw.on_timer(id, TimerPurpose::GiveUp, at(10_001), actions);
 }
 
 fn bench_client(c: &mut Criterion) {
@@ -289,10 +273,12 @@ fn alloc_gates() {
             }
         }
     }
-    /// `[read, update]` lifecycles through the client gateway. Measured:
-    /// 11.00 and 4.00 per request.
-    const CLIENT_CEILINGS: [f64; 2] = [11.5, 4.5];
-    for ((op_name, op), ceiling) in CLIENT_OPS.into_iter().zip(CLIENT_CEILINGS) {
+    /// `[read, update]` lifecycles through the client gateway, as `(ceiling,
+    /// count when every callback returned a fresh `Vec`)`. Measured: 6.00
+    /// and 2.00 per request (an update's two are the bench's own
+    /// `Operation`).
+    const CLIENT_CEILINGS: [(f64, f64); 2] = [(6.5, 11.0), (2.5, 4.0)];
+    for ((op_name, op), (ceiling, before)) in CLIENT_OPS.into_iter().zip(CLIENT_CEILINGS) {
         let mut gw = client_gateway();
         let mut actions = Vec::new();
         for seq in 1..=REQUESTS {
@@ -307,7 +293,7 @@ fn alloc_gates() {
         let verdict = if per_op <= ceiling { "ok" } else { "FAIL" };
         println!(
             "client/allocs/{op_name}: {allocs} allocs / {REQUESTS} ops = {per_op:.2} per op \
-             (ceiling {ceiling}) {verdict}"
+             (ceiling {ceiling}, {before:.2} before the sink) {verdict}"
         );
         if per_op > ceiling {
             failures.push(format!("client/{op_name}: {per_op:.2} > {ceiling}"));

@@ -36,7 +36,7 @@ use crate::fifo::LazyClock;
 use crate::object::ReplicatedObject;
 use crate::qos::OrderingGuarantee;
 use crate::shell::{Discipline, PendingRead, Position, Replica, ReplicaRole, ServerAction, Shell};
-use crate::wire::{Payload, UpdateRequest, VersionVector};
+use crate::wire::{CausalStamp, Payload, UpdateRequest, VersionVector};
 use aqf_sim::{ActorId, SimTime};
 use std::collections::BTreeMap;
 
@@ -69,11 +69,54 @@ pub fn merge_into(vector: &mut BTreeMap<ActorId, u64>, incoming: &VersionVector)
     }
 }
 
-#[derive(Debug, Clone)]
-struct WaitingUpdate {
-    update: UpdateRequest,
-    update_seq: u64,
-    deps: VersionVector,
+/// The client half of the protocol: what one client's session has observed
+/// (merged reply vectors + its own updates) and its update-only counter.
+#[derive(Debug, Default)]
+pub(crate) struct Session {
+    observed: BTreeMap<ActorId, u64>,
+    updates_issued: u64,
+    advanced_at: Option<SimTime>,
+}
+
+impl Session {
+    /// Numbers the client's next update and attaches everything observed so
+    /// far as its dependency set; the client has then (causally) observed
+    /// its own write.
+    pub(crate) fn stamp_update(&mut self, me: ActorId, now: SimTime) -> CausalStamp {
+        let update_seq = self.updates_issued;
+        self.updates_issued += 1;
+        let deps = self.stamp_read();
+        let own = self.observed.entry(me).or_insert(0);
+        *own = (*own).max(update_seq + 1);
+        self.advanced_at = Some(now);
+        CausalStamp { update_seq, deps }
+    }
+
+    /// The observed vector a read carries.
+    pub(crate) fn stamp_read(&self) -> VersionVector {
+        self.observed.iter().map(|(c, n)| (*c, *n)).collect()
+    }
+
+    /// Merges the vector a reply carried, so subsequent operations carry
+    /// the right dependencies.
+    pub(crate) fn observe(&mut self, vector: &VersionVector, now: SimTime) {
+        if vector.is_empty() {
+            return;
+        }
+        let before: u64 = self.observed.values().sum();
+        merge_into(&mut self.observed, vector);
+        if self.observed.values().sum::<u64>() > before {
+            self.advanced_at = Some(now);
+        }
+    }
+
+    /// Whether the observed vector grew after `t`. When `t` is the last
+    /// lazy propagation, no secondary can dominate the vector, and every one
+    /// of them will defer this client's reads whatever the staleness model
+    /// says.
+    pub(crate) fn advanced_after(&self, t: SimTime) -> bool {
+        self.advanced_at.is_some_and(|at| at > t)
+    }
 }
 
 /// The causal ordering discipline. See the [module docs](self).
@@ -86,7 +129,7 @@ pub struct Causal {
     version: u64,
     /// Updates whose program-order predecessor or dependencies are not yet
     /// committed.
-    waiting: Vec<WaitingUpdate>,
+    waiting: Vec<(UpdateRequest, CausalStamp)>,
     /// Secondary staleness estimation, same scheme as the FIFO handler.
     clock: LazyClock,
 }
@@ -111,8 +154,7 @@ impl Causal {
         &mut self,
         shell: &mut Shell,
         update: UpdateRequest,
-        update_seq: u64,
-        deps: VersionVector,
+        stamp: CausalStamp,
         now: SimTime,
         out: &mut Vec<ServerAction>,
     ) {
@@ -124,18 +166,16 @@ impl Causal {
         // bumps the vector immediately), and a copy may also still sit in
         // the causal waiting room. Either way, never admit it twice.
         let applied_of_client = self.vector.get(&update.id.client).copied().unwrap_or(0);
-        if update_seq < applied_of_client || self.waiting.iter().any(|w| w.update.id == update.id) {
+        if stamp.update_seq < applied_of_client
+            || self.waiting.iter().any(|(w, _)| w.id == update.id)
+        {
             return shell.answer_duplicate(update.id, out);
         }
         shell.note_update();
-        if self.try_admit_update(shell, &update, update_seq, &deps, now, out) {
+        if self.try_admit_update(shell, &update, &stamp, now, out) {
             self.drain_waiting(shell, now, out);
         } else {
-            self.waiting.push(WaitingUpdate {
-                update,
-                update_seq,
-                deps,
-            });
+            self.waiting.push((update, stamp));
         }
     }
 
@@ -145,14 +185,13 @@ impl Causal {
         &mut self,
         shell: &mut Shell,
         update: &UpdateRequest,
-        update_seq: u64,
-        deps: &VersionVector,
+        stamp: &CausalStamp,
         now: SimTime,
         out: &mut Vec<ServerAction>,
     ) -> bool {
         let client = update.id.client;
         let applied_of_client = self.vector.get(&client).copied().unwrap_or(0);
-        if applied_of_client != update_seq || !dominates(&self.vector, deps) {
+        if applied_of_client != stamp.update_seq || !dominates(&self.vector, &stamp.deps) {
             return false;
         }
         *self.vector.entry(client).or_insert(0) += 1;
@@ -171,7 +210,7 @@ impl Causal {
             let mut progressed = false;
             let mut still_waiting = Vec::with_capacity(self.waiting.len());
             for w in std::mem::take(&mut self.waiting) {
-                if self.try_admit_update(shell, &w.update, w.update_seq, &w.deps, now, out) {
+                if self.try_admit_update(shell, &w.0, &w.1, now, out) {
                     progressed = true;
                 } else {
                     still_waiting.push(w);
@@ -185,7 +224,7 @@ impl Causal {
         shell.release_deferred(self, false, now, out);
     }
 
-    #[allow(clippy::too_many_arguments)] // one per `CausalLazyUpdate` field
+    #[allow(clippy::too_many_arguments)] // one per `LazyUpdate` field
     fn on_lazy_update(
         &mut self,
         shell: &mut Shell,
@@ -324,21 +363,12 @@ impl Discipline for Causal {
         // sent after whatever it produced.
         let retry = shell.transfer_overdue(now);
         match payload {
-            Payload::CausalUpdate {
-                update,
-                update_seq,
-                deps,
-            } => self.on_update(shell, update, update_seq, deps, now, out),
-            Payload::CausalRead { read, deps } => {
-                let read = PendingRead {
-                    req: read,
-                    client: from,
-                    deps,
-                    arrived_at: now,
-                };
-                shell.admit_read(self, read, now, out);
+            // An update without a stamp has no place in the causal order.
+            Payload::Update(update, Some(stamp)) => self.on_update(shell, update, stamp, now, out),
+            Payload::Read(req) => {
+                shell.admit_read(self, PendingRead::new(req, from, now), now, out)
             }
-            Payload::CausalLazyUpdate {
+            Payload::LazyUpdate {
                 version,
                 vector,
                 snapshot,
@@ -378,15 +408,6 @@ impl Discipline for Causal {
 
     fn stamp(&self) -> VersionVector {
         self.vector.iter().map(|(c, n)| (*c, *n)).collect()
-    }
-
-    fn lazy_update(&self, shell: &Shell, rate_per_us: f64) -> Payload {
-        Payload::CausalLazyUpdate {
-            version: self.version,
-            vector: self.stamp(),
-            snapshot: shell.object.snapshot(),
-            rate_per_us,
-        }
     }
 
     /// `vector || object snapshot`, so a joiner (or a replayed replica)
@@ -444,34 +465,29 @@ mod tests {
     }
 
     fn update(client: usize, update_seq: u64, text: &str, deps: VersionVector) -> Payload {
-        Payload::CausalUpdate {
-            update: UpdateRequest {
-                id: RequestId {
-                    client: a(client),
-                    seq: update_seq * 2,
-                },
-                op: Operation::new("append", text.as_bytes().to_vec()),
-                attempt: 1,
+        let update = UpdateRequest {
+            id: RequestId {
+                client: a(client),
+                seq: update_seq * 2,
             },
-            update_seq,
-            deps,
-        }
+            op: Operation::new("append", text.as_bytes().to_vec()),
+            attempt: 1,
+        };
+        Payload::Update(update, Some(CausalStamp { update_seq, deps }))
     }
 
     fn read(client: usize, seq: u64, deps: VersionVector) -> Payload {
-        Payload::CausalRead {
-            read: ReadRequest {
-                id: RequestId {
-                    client: a(client),
-                    seq,
-                },
-                op: Operation::new("fetch", vec![]),
-                staleness_threshold: 1000,
-                deadline_us: 0,
-                attempt: 1,
+        Payload::Read(ReadRequest {
+            id: RequestId {
+                client: a(client),
+                seq,
             },
+            op: Operation::new("fetch", vec![]),
+            staleness_threshold: 1000,
+            deadline_us: 0,
+            attempt: 1,
             deps,
-        }
+        })
     }
 
     fn text(p: &CausalServerGateway) -> Vec<u8> {
@@ -572,7 +588,7 @@ mod tests {
         sink(|out| publisher.on_lazy_timer(t(2000), out))
             .into_iter()
             .find_map(|x| match x {
-                ServerAction::MulticastSecondary(p @ Payload::CausalLazyUpdate { .. }) => Some(p),
+                ServerAction::MulticastSecondary(p @ Payload::LazyUpdate { .. }) => Some(p),
                 _ => None,
             })
             .expect("causal lazy update")
@@ -583,7 +599,7 @@ mod tests {
         let mut publisher = gw(2);
         assert!(publisher.is_publisher());
         let lazy = lazy_after_one_update(&mut publisher);
-        let Payload::CausalLazyUpdate {
+        let Payload::LazyUpdate {
             version,
             vector,
             rate_per_us,
@@ -652,11 +668,12 @@ mod tests {
             client: a(20),
             seq: 0,
         };
-        let update = Payload::Update(UpdateRequest {
+        let update = UpdateRequest {
             id: req,
             op: Operation::new("append", b"x".to_vec()),
             attempt: 1,
-        });
+        };
+        let update = Payload::Update(update, None);
         for (from, payload) in [(a(0), Payload::GsnAssign { req, gsn: 1 }), (a(20), update)] {
             assert!(sink(|out| p.on_payload(from, payload, t(0), out)).is_empty());
         }

@@ -9,21 +9,31 @@
 //! elapsed, delivers the first reply to the application, and feeds the
 //! timing failure detector.
 //!
-//! Like the server gateway, this is a sans-IO state machine: the host
-//! executes the returned [`ClientAction`]s and feeds back payloads and
-//! timer expirations.
+//! Like the server gateway, this is a sans-IO state machine: hosts feed it
+//! requests, payloads, timer expirations and view changes, and execute the
+//! [`ClientAction`]s it appends to the caller-owned sink. Every callback and
+//! every helper below writes into that one `&mut Vec<ClientAction>`; nothing
+//! returns a fresh `Vec`, so a host that reuses its buffer pays no
+//! allocation for the action list.
+//!
+//! One request has one lifecycle — tracked, selected, transmitted, timed,
+//! completed, forgotten — whatever is layered on it. Retry/hedging
+//! ([`RecoveryPolicy`]) adds attempts to that lifecycle; the overload state
+//! ([`crate::overload`]) and the causal session ([`crate::causal`]) are
+//! each an `Option` the gateway holds only while the feature is on, so the
+//! disabled default has no state to consult.
 
 use crate::admission::{AdmissionConfig, AdmissionController};
+use crate::causal::Session;
 use crate::model::{Candidate, CandidateKey, Selection};
 use crate::monitor::{InfoRepository, MonitorConfig, StalenessModel};
 use crate::obs::{req_ref, ObsEvent, ObsHandle};
-use crate::overload::{DegradeTransition, OverloadConfig};
+use crate::overload::{ClientOverload, DegradeTransition, OverloadConfig};
 use crate::qos::{OperationKind, OrderingGuarantee, QosSpec};
 use crate::select::{SelectionPolicy, Selector};
 use crate::timing::TimingFailureDetector;
 use crate::wire::{
-    Operation, Payload, ReadRequest, RequestId, UpdateRequest, VersionVector, PRIMARY_GROUP,
-    SECONDARY_GROUP,
+    Operation, Payload, ReadRequest, RequestId, UpdateRequest, PRIMARY_GROUP, SECONDARY_GROUP,
 };
 use aqf_group::View;
 use aqf_sim::{ActorId, SimDuration, SimTime};
@@ -117,7 +127,7 @@ pub struct RecoveryPolicy {
     /// Cap on the exponential backoff.
     pub max_backoff: SimDuration,
     /// When `Some(h)`, a hedged read fires once `h` of the deadline has
-    /// been consumed with no reply (`0 < h < 1`).
+    /// been consumed with no reply (`0 <= h < 1`).
     pub hedge_fraction: Option<f64>,
     /// How long an update may go unacknowledged before it is
     /// retransmitted (updates have no QoS deadline).
@@ -215,6 +225,27 @@ pub struct ResponseInfo {
     pub vector: crate::wire::VersionVector,
 }
 
+impl ResponseInfo {
+    /// A completion with no reply behind it (local shed, give-up).
+    fn unanswered(req: RequestId, kind: OperationKind) -> Self {
+        Self {
+            req,
+            kind,
+            result: Bytes::new(),
+            response_time: SimDuration::ZERO,
+            timely: false,
+            deferred: false,
+            staleness: 0,
+            timed_out: false,
+            shed: false,
+            degraded: false,
+            replicas_selected: 0,
+            csn: 0,
+            vector: Vec::new(),
+        }
+    }
+}
+
 /// Instructions for the host actor.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ClientAction {
@@ -310,13 +341,20 @@ pub struct ClientStats {
     pub breaker_opens: u64,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Pending {
     kind: OperationKind,
     qos: Option<QosSpec>,
     t0: SimTime,
-    tm: Option<SimTime>,
-    prepared: Vec<(ActorId, Payload)>,
+    /// When the request was transmitted; `t0` until then.
+    tm: SimTime,
+    /// The request as first sent, kept for as long as it may be sent again
+    /// (always for a read, which is transmitted after the selection
+    /// overhead; for an update only under a retry policy). Every
+    /// transmission is this payload with only the attempt counter set —
+    /// causal updates in particular MUST reuse their original stamp so
+    /// retries stay idempotent.
+    payload: Option<Payload>,
     replied: bool,
     outcome_recorded: bool,
     selected: usize,
@@ -328,10 +366,6 @@ struct Pending {
     /// Targets of the current attempt that have not replied; drained
     /// into quarantine strikes when the attempt expires.
     unacked: Vec<ActorId>,
-    /// The exact payload of attempt 1, retransmitted with only the
-    /// attempt counter bumped. Causal updates in particular MUST reuse
-    /// their original `update_seq`/`deps` so retries stay idempotent.
-    template: Option<Payload>,
     /// The next [`TimerPurpose::Retry`] fire retransmits (backoff
     /// elapsed) rather than checking the current attempt for expiry.
     retry_pending: bool,
@@ -342,36 +376,32 @@ struct Pending {
     degraded: bool,
 }
 
-/// Per-replica circuit breaker: closed → open after consecutive strikes →
-/// half-open probing → closed again on a timely reply.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BreakerState {
-    /// Normal operation; the replica is selectable.
-    Closed,
-    /// Tripped: the replica is excluded from selection until the open
-    /// window elapses.
-    Open { since: SimTime },
-    /// Open window elapsed: one probe request per `probe_interval` is let
-    /// through; a timely reply recloses, a strike re-opens.
-    HalfOpen { last_probe: Option<SimTime> },
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Breaker {
-    /// Consecutive busy/timeout strikes since the last timely reply.
-    strikes: u32,
-    state: BreakerState,
-}
-
-impl BreakerState {
-    /// The state name written to breaker trace events.
-    fn obs_name(self) -> &'static str {
-        match self {
-            BreakerState::Closed => "closed",
-            BreakerState::Open { .. } => "open",
-            BreakerState::HalfOpen { .. } => "half_open",
+impl Pending {
+    /// The specification a read's outcome is still to be judged by — at
+    /// most once per request; an update has none.
+    fn take_unjudged(&mut self) -> Option<QosSpec> {
+        if std::mem::replace(&mut self.outcome_recorded, true) {
+            None
+        } else {
+            self.qos
         }
     }
+}
+
+fn arm(out: &mut Vec<ClientAction>, req: RequestId, purpose: TimerPurpose, after: SimDuration) {
+    out.push(ClientAction::ArmTimer {
+        req,
+        purpose,
+        after,
+    });
+}
+
+/// Sends `payload` to each of `targets`.
+fn send(out: &mut Vec<ClientAction>, targets: &[ActorId], payload: &Payload) {
+    out.extend(targets.iter().map(|&to| ClientAction::SendDirect {
+        to,
+        payload: payload.clone(),
+    }));
 }
 
 /// The client-side gateway state machine. See the [module docs](self).
@@ -393,30 +423,12 @@ pub struct ClientGateway {
     selection_counts: HashMap<ActorId, u64>,
     /// Sum of `P_K(d)` predictions over all reads (model calibration).
     predicted_sum: f64,
-    // Causal-mode session state: what this client has observed (merged
-    // reply vectors + its own updates) and its update-only counter.
-    observed: std::collections::BTreeMap<ActorId, u64>,
-    updates_issued: u64,
-    /// When the observed vector last grew (causal mode): if it grew after
-    /// the last lazy propagation, no secondary can serve this client's
-    /// reads immediately, whatever the Poisson model says.
-    observed_advanced_at: Option<SimTime>,
+    /// Session causality; `None` unless the ordering is causal.
+    session: Option<Session>,
+    /// Circuit breakers and the degradation ladder; `None` unless
+    /// `config.overload.enabled`.
+    overload: Option<ClientOverload>,
     stats: ClientStats,
-    // Overload-protection state (inert unless `config.overload.enabled`).
-    /// Per-replica circuit breakers, keyed deterministically.
-    breakers: std::collections::BTreeMap<ActorId, Breaker>,
-    /// Current graceful-degradation level: 0 = nominal, `1..=ladder.len()`
-    /// = that rung of the ladder, `ladder.len() + 1` = local rejection.
-    degrade_level: u32,
-    /// Read outcomes recorded since the last level transition (hysteresis).
-    outcomes_since_transition: u32,
-    /// Every level transition, in order (metrics/audit).
-    transitions: Vec<DegradeTransition>,
-    /// The most recent *requested* (un-degraded) specification — the
-    /// recovery target the controller steps back up toward.
-    last_requested: Option<QosSpec>,
-    /// When the rejection rung last admitted a probe read.
-    last_reject_probe_at: Option<SimTime>,
     /// Observability sink (disabled by default; recording only, never
     /// steering — see [`crate::obs`]).
     obs: ObsHandle,
@@ -432,21 +444,22 @@ impl ClientGateway {
         secondary_view: impl Into<Arc<View>>,
         config: ClientConfig,
     ) -> Self {
-        let primary_view: Arc<View> = primary_view.into();
-        let secondary_view: Arc<View> = secondary_view.into();
         let monitor = MonitorConfig {
             window_size: config.window_size,
             rate_window: config.rate_window,
             staleness_model: config.staleness_model,
             cdf_bin_us: config.cdf_bin_us,
         };
+        let overload = config
+            .overload
+            .enabled
+            .then(|| ClientOverload::new(config.overload.clone(), me));
         // With overload protection on, the detector gains a sliding window
         // sized to the recovery hysteresis; otherwise the lifetime-only
         // detector keeps the original (seed) alert behavior.
-        let detector = if config.overload.enabled {
-            TimingFailureDetector::with_window(config.overload.recover_window)
-        } else {
-            TimingFailureDetector::new()
+        let detector = match &overload {
+            Some(_) => TimingFailureDetector::with_window(config.overload.recover_window),
+            None => TimingFailureDetector::new(),
         };
         Self {
             me,
@@ -454,26 +467,19 @@ impl ClientGateway {
             selector: Selector::new(config.policy),
             detector,
             rng: SmallRng::seed_from_u64(config.seed),
-            config,
             next_seq: 0,
             pending: HashMap::new(),
-            primary_view,
-            secondary_view,
+            primary_view: primary_view.into(),
+            secondary_view: secondary_view.into(),
             alerted: false,
             last_selection: None,
             last_stale_factor: 1.0,
             selection_counts: HashMap::new(),
             predicted_sum: 0.0,
-            observed: std::collections::BTreeMap::new(),
-            updates_issued: 0,
-            observed_advanced_at: None,
+            session: (config.ordering == OrderingGuarantee::Causal).then(Session::default),
+            overload,
+            config,
             stats: ClientStats::default(),
-            breakers: std::collections::BTreeMap::new(),
-            degrade_level: 0,
-            outcomes_since_transition: 0,
-            transitions: Vec::new(),
-            last_requested: None,
-            last_reject_probe_at: None,
             obs: ObsHandle::disabled(),
         }
     }
@@ -483,6 +489,9 @@ impl ClientGateway {
     /// disabled handle keeps the gateway un-instrumented.
     pub fn set_obs(&mut self, obs: ObsHandle) {
         self.repo.set_obs(self.me, obs.clone());
+        if let Some(overload) = &mut self.overload {
+            overload.set_obs(obs.clone());
+        }
         self.obs = obs;
     }
 
@@ -531,20 +540,17 @@ impl ClientGateway {
         (self.stats.reads > 0).then(|| self.predicted_sum / self.stats.reads as f64)
     }
 
-    /// The staleness factor used for the most recent selection.
-    pub fn last_stale_factor(&self) -> f64 {
-        self.last_stale_factor
-    }
-
     /// The current graceful-degradation level (0 = nominal; each rung of
     /// the ladder widens the QoS; `ladder.len() + 1` rejects locally).
     pub fn degrade_level(&self) -> u32 {
-        self.degrade_level
+        self.overload.as_ref().map_or(0, ClientOverload::level)
     }
 
     /// Every degradation-level transition so far, in order.
     pub fn degrade_transitions(&self) -> &[DegradeTransition] {
-        &self.transitions
+        self.overload
+            .as_ref()
+            .map_or(&[], ClientOverload::transitions)
     }
 
     /// The current sequencer (leader of the primary group).
@@ -552,91 +558,86 @@ impl ClientGateway {
         self.primary_view.leader()
     }
 
-    fn next_id(&mut self) -> RequestId {
+    /// Issues a request — a read when it has a `deadline` — its id, its
+    /// counter, its trace event.
+    fn issue(&mut self, deadline: Option<SimDuration>, now: SimTime) -> RequestId {
         let id = RequestId {
             client: self.me,
             seq: self.next_seq,
         };
         self.next_seq += 1;
+        match deadline {
+            Some(_) => self.stats.reads += 1,
+            None => self.stats.updates += 1,
+        }
+        self.obs.emit(now, self.me, || ObsEvent::RequestIssued {
+            req: req_ref(id),
+            read: deadline.is_some(),
+            deadline_us: deadline.map_or(0, SimDuration::as_micros),
+        });
         id
+    }
+
+    /// Starts tracking request `id` — a read when it carries a `qos` —
+    /// until its give-up timer forgets it.
+    fn track(
+        &mut self,
+        id: RequestId,
+        qos: Option<QosSpec>,
+        degraded: bool,
+        payload: Option<Payload>,
+        now: SimTime,
+    ) {
+        let pending = Pending {
+            kind: match qos {
+                Some(_) => OperationKind::ReadOnly,
+                None => OperationKind::Update,
+            },
+            qos,
+            t0: now,
+            tm: now,
+            outcome_recorded: false,
+            payload,
+            replied: false,
+            selected: 0,
+            attempt: 1,
+            tried: Vec::new(),
+            unacked: Vec::new(),
+            retry_pending: false,
+            hedged: false,
+            degraded,
+        };
+        self.pending.insert(id, pending);
+    }
+
+    fn tracked(&mut self, req: RequestId) -> &mut Pending {
+        self.pending.get_mut(&req).expect("request is pending")
     }
 
     /// Submits an update: multicast to the primary group, completion on the
     /// first reply (paper §5: "our selection algorithm handles an update
     /// request of a client by simply multicasting the request to all the
     /// primary replicas").
-    pub fn submit_update(&mut self, op: Operation, now: SimTime) -> (RequestId, Vec<ClientAction>) {
-        let id = self.next_id();
-        self.stats.updates += 1;
-        self.obs.emit(now, self.me, || ObsEvent::RequestIssued {
-            req: req_ref(id),
-            read: false,
-            deadline_us: 0,
-        });
-        let payload = if self.config.ordering == OrderingGuarantee::Causal {
-            // Causal mode: number the update and attach everything this
-            // client has observed as its dependency set.
-            let update_seq = self.updates_issued;
-            self.updates_issued += 1;
-            let deps = self.observed_snapshot();
-            // The client has now (causally) observed its own write.
-            let own = self.observed.entry(self.me).or_insert(0);
-            *own = (*own).max(update_seq + 1);
-            self.observed_advanced_at = Some(now);
-            Payload::CausalUpdate {
-                update: UpdateRequest { id, op, attempt: 1 },
-                update_seq,
-                deps,
-            }
-        } else {
-            Payload::Update(UpdateRequest { id, op, attempt: 1 })
-        };
+    pub fn submit_update(
+        &mut self,
+        op: Operation,
+        now: SimTime,
+        out: &mut Vec<ClientAction>,
+    ) -> RequestId {
+        let id = self.issue(None, now);
+        let stamp = self.session.as_mut().map(|s| s.stamp_update(self.me, now));
+        let payload = Payload::Update(UpdateRequest { id, op, attempt: 1 }, stamp);
         let recovery = self.config.recovery;
-        self.pending.insert(
-            id,
-            Pending {
-                kind: OperationKind::Update,
-                qos: None,
-                t0: now,
-                tm: Some(now),
-                prepared: Vec::new(),
-                replied: false,
-                outcome_recorded: true, // updates carry no deadline
-                selected: 0,
-                attempt: 1,
-                tried: Vec::new(),
-                unacked: Vec::new(),
-                template: recovery.enabled.then(|| payload.clone()),
-                retry_pending: false,
-                hedged: false,
-                degraded: false,
-            },
-        );
-        let mut actions = vec![
-            ClientAction::MulticastPrimary(payload),
-            ClientAction::ArmTimer {
-                req: id,
-                purpose: TimerPurpose::GiveUp,
-                after: self.config.give_up,
-            },
-        ];
+        let kept = recovery.enabled.then(|| payload.clone());
+        self.track(id, None, false, kept, now);
+        out.push(ClientAction::MulticastPrimary(payload));
+        arm(out, id, TimerPurpose::GiveUp, self.config.give_up);
         if recovery.enabled && recovery.max_attempts > 1 {
             // Updates have no QoS deadline; a dedicated timer checks the
             // attempt for expiry.
-            actions.push(ClientAction::ArmTimer {
-                req: id,
-                purpose: TimerPurpose::Retry,
-                after: recovery.update_retry_after,
-            });
+            arm(out, id, TimerPurpose::Retry, recovery.update_retry_after);
         }
-        (id, actions)
-    }
-
-    /// The client's observed vector in wire format (causal mode).
-    fn observed_snapshot(&self) -> VersionVector {
-        let mut v: VersionVector = self.observed.iter().map(|(c, n)| (*c, *n)).collect();
-        v.sort_unstable();
-        v
+        id
     }
 
     /// Submits a read with QoS specification `qos`: runs replica selection,
@@ -646,80 +647,81 @@ impl ClientGateway {
         op: Operation,
         qos: QosSpec,
         now: SimTime,
-    ) -> (RequestId, Vec<ClientAction>) {
-        let id = self.next_id();
-        self.stats.reads += 1;
-        self.obs.emit(now, self.me, || ObsEvent::RequestIssued {
-            req: req_ref(id),
-            read: true,
-            deadline_us: qos.deadline.as_micros(),
-        });
-
-        // Graceful degradation (when enabled): remember the requested spec
-        // as the recovery target, reject locally past the last rung, and
-        // otherwise run under the ladder-widened effective spec.
-        let requested = qos;
-        let qos = if self.config.overload.enabled {
-            self.last_requested = Some(requested);
-            if self.rejecting() {
-                let probe_due = self.last_reject_probe_at.is_none_or(|at| {
-                    now.saturating_since(at) >= self.config.overload.probe_interval
-                });
-                if !probe_due {
-                    // Ladder exhausted: answer "no" locally without
-                    // contacting (and further loading) any replica. Local
-                    // rejections are not service outcomes, so they do not
-                    // feed the timing-failure detector.
+        out: &mut Vec<ClientAction>,
+    ) -> RequestId {
+        let id = self.issue(Some(qos.deadline), now);
+        // Graceful degradation (when enabled): the read runs under the
+        // ladder-widened effective spec, or — ladder exhausted — not at all.
+        let (qos, degraded) = match &mut self.overload {
+            None => (qos, false),
+            Some(overload) => match overload.admit(qos, now) {
+                Some(effective) => (effective, overload.level() > 0),
+                None => {
+                    // Local rejections are not service outcomes, so they
+                    // do not feed the timing-failure detector.
                     self.stats.local_sheds += 1;
                     self.obs
                         .emit(now, self.me, || ObsEvent::LocalShed { req: req_ref(id) });
-                    return (
-                        id,
-                        vec![ClientAction::Completed(ResponseInfo {
-                            req: id,
-                            kind: OperationKind::ReadOnly,
-                            result: Bytes::new(),
-                            response_time: SimDuration::ZERO,
-                            timely: false,
-                            deferred: false,
-                            staleness: 0,
-                            timed_out: false,
-                            shed: true,
-                            degraded: true,
-                            replicas_selected: 0,
-                            csn: 0,
-                            vector: Vec::new(),
-                        })],
-                    );
+                    out.push(ClientAction::Completed(ResponseInfo {
+                        shed: true,
+                        degraded: true,
+                        ..ResponseInfo::unanswered(id, OperationKind::ReadOnly)
+                    }));
+                    return id;
                 }
-                self.last_reject_probe_at = Some(now);
-            }
-            self.effective_spec(requested)
-        } else {
-            qos
+            },
         };
-        let degraded = self.config.overload.enabled && self.degrade_level > 0;
-
-        let candidates = self.candidate_keys(now, &[]);
         let mut stale_factor = self.repo.staleness_factor(qos.staleness_threshold, now);
-        if self.config.ordering == OrderingGuarantee::Causal {
-            // Session-causality correction: if this client observed new
-            // state after the (estimated) last lazy propagation, the
-            // secondaries cannot dominate its session vector and will defer
-            // — force the model onto the deferred path.
-            if let (Some(advanced_at), Some(tl)) =
-                (self.observed_advanced_at, self.repo.time_since_lazy(now))
-            {
-                let last_lazy = now - tl;
-                if advanced_at > last_lazy {
-                    stale_factor = 0.0;
-                }
+        // Session-causality correction: if this client observed new state
+        // after the (estimated) last lazy propagation, the secondaries
+        // cannot dominate its session vector and will defer — force the
+        // model onto the deferred path.
+        if let (Some(session), Some(tl)) = (&self.session, self.repo.time_since_lazy(now)) {
+            if session.advanced_after(now - tl) {
+                stale_factor = 0.0;
             }
         }
-        let sequencer = match self.config.ordering {
-            OrderingGuarantee::Sequential => Some(self.sequencer()),
-            _ => None,
+        let read = ReadRequest {
+            id,
+            op,
+            staleness_threshold: qos.staleness_threshold,
+            deadline_us: qos.deadline.as_micros(),
+            attempt: 1,
+            deps: self
+                .session
+                .as_ref()
+                .map_or_else(Vec::new, Session::stamp_read),
         };
+        self.track(id, Some(qos), degraded, Some(Payload::Read(read)), now);
+        let selection = self.select_attempt(id, stale_factor, now);
+        self.tracked(id).selected = selection.replicas.len();
+        self.stats.selected_sum += selection.replicas.len() as u64;
+        self.last_stale_factor = stale_factor;
+        for r in &selection.replicas {
+            *self.selection_counts.entry(*r).or_insert(0) += 1;
+        }
+        self.predicted_sum += selection.predicted;
+        self.last_selection = Some(selection);
+        arm(
+            out,
+            id,
+            TimerPurpose::Transmit,
+            self.config.selection_overhead,
+        );
+        id
+    }
+
+    /// One attempt's replica selection (§5.3), first or retried: the
+    /// candidates the request has not tried → Algorithm 1 (the sequencer
+    /// re-included when the service has one) → the chosen targets recorded
+    /// as tried and as owing this attempt a reply.
+    fn select_attempt(&mut self, req: RequestId, stale_factor: f64, now: SimTime) -> Selection {
+        let p = self.tracked(req);
+        let (qos, attempt) = (p.qos.expect("reads carry qos"), p.attempt);
+        let mut tried = std::mem::take(&mut p.tried);
+        let candidates = self.candidate_keys(now, &tried);
+        let sequencer =
+            (self.config.ordering == OrderingGuarantee::Sequential).then(|| self.sequencer());
         let selection = self.selector.select_on_demand(
             &mut self.repo.on_demand(&candidates, qos.deadline),
             stale_factor,
@@ -727,71 +729,24 @@ impl ClientGateway {
             sequencer,
             &mut self.rng,
         );
-        self.stats.selected_sum += selection.replicas.len() as u64;
-        self.last_stale_factor = stale_factor;
-        for r in &selection.replicas {
-            *self.selection_counts.entry(*r).or_insert(0) += 1;
-        }
-        self.predicted_sum += selection.predicted;
-
-        let read = ReadRequest {
-            id,
-            op,
-            staleness_threshold: qos.staleness_threshold,
-            deadline_us: qos.deadline.as_micros(),
-            attempt: 1,
-        };
-        let read_payload = if self.config.ordering == OrderingGuarantee::Causal {
-            Payload::CausalRead {
-                read,
-                deps: self.observed_snapshot(),
-            }
-        } else {
-            Payload::Read(read)
-        };
-        let prepared: Vec<(ActorId, Payload)> = selection
-            .replicas
-            .iter()
-            .map(|&r| (r, read_payload.clone()))
-            .collect();
-        let selected = selection.replicas.len();
-        let targets: Vec<ActorId> = selection.replicas.clone();
         self.obs.emit(now, self.me, || ObsEvent::ReplicasSelected {
-            req: req_ref(id),
-            attempt: 1,
-            targets: targets.clone(),
+            req: req_ref(req),
+            attempt: attempt as u64,
+            targets: selection.replicas.clone(),
         });
-        self.last_selection = Some(selection);
-
-        let recovery = self.config.recovery;
-        self.pending.insert(
-            id,
-            Pending {
-                kind: OperationKind::ReadOnly,
-                qos: Some(qos),
-                t0: now,
-                tm: None,
-                prepared,
-                replied: false,
-                outcome_recorded: false,
-                selected,
-                attempt: 1,
-                tried: targets.clone(),
-                unacked: targets,
-                template: recovery.enabled.then(|| read_payload.clone()),
-                retry_pending: false,
-                hedged: false,
-                degraded,
-            },
-        );
-        (
-            id,
-            vec![ClientAction::ArmTimer {
-                req: id,
-                purpose: TimerPurpose::Transmit,
-                after: self.config.selection_overhead,
-            }],
-        )
+        let p = self.tracked(req);
+        tried.reserve(selection.replicas.len());
+        p.unacked.reserve(selection.replicas.len());
+        for &t in &selection.replicas {
+            if !tried.contains(&t) {
+                tried.push(t);
+            }
+            if !p.unacked.contains(&t) {
+                p.unacked.push(t);
+            }
+        }
+        p.tried = tried;
+        selection
     }
 
     /// Builds the candidate list: every primary replica (except the
@@ -805,10 +760,8 @@ impl ClientGateway {
     /// (quarantine/breakers first, then `exclude`) so a request can always
     /// be transmitted.
     fn candidate_keys(&mut self, now: SimTime, exclude: &[ActorId]) -> Vec<CandidateKey> {
-        let excluded = match self.config.ordering {
-            OrderingGuarantee::Sequential => Some(self.sequencer()),
-            _ => None,
-        };
+        let excluded =
+            (self.config.ordering == OrderingGuarantee::Sequential).then(|| self.sequencer());
         let mut all = Vec::with_capacity(self.primary_view.len() + self.secondary_view.len());
         for &m in self.primary_view.members() {
             if Some(m) == excluded {
@@ -819,7 +772,7 @@ impl ClientGateway {
         for &m in self.secondary_view.members() {
             all.push(self.repo.candidate_key(m, false, now));
         }
-        if !self.config.recovery.enabled && !self.config.overload.enabled {
+        if !self.config.recovery.enabled && self.overload.is_none() {
             return all;
         }
         // Open circuit breakers exclude a replica the same way quarantine
@@ -827,30 +780,26 @@ impl ClientGateway {
         // also advances open breakers to half-open and stamps probe times,
         // hence the pre-pass over the built list.
         let mut broken: Vec<ActorId> = Vec::new();
-        if self.config.overload.enabled {
+        if let Some(overload) = &mut self.overload {
             for c in &all {
-                if !self.breaker_allows(c.id, now) {
+                if !overload.allows(c.id, now) {
                     broken.push(c.id);
                 }
             }
         }
+        let untried = |c: &&CandidateKey| !exclude.contains(&c.id);
+        let healthy =
+            |c: &&CandidateKey| !self.repo.is_quarantined(c.id, now) && !broken.contains(&c.id);
         let healthy_untried: Vec<CandidateKey> = all
             .iter()
-            .filter(|c| {
-                !exclude.contains(&c.id)
-                    && !self.repo.is_quarantined(c.id, now)
-                    && !broken.contains(&c.id)
-            })
+            .filter(untried)
+            .filter(healthy)
             .cloned()
             .collect();
         if !healthy_untried.is_empty() {
             return healthy_untried;
         }
-        let untried: Vec<CandidateKey> = all
-            .iter()
-            .filter(|c| !exclude.contains(&c.id))
-            .cloned()
-            .collect();
+        let untried: Vec<CandidateKey> = all.iter().filter(untried).cloned().collect();
         if !untried.is_empty() {
             return untried;
         }
@@ -863,97 +812,132 @@ impl ClientGateway {
         req: RequestId,
         purpose: TimerPurpose,
         now: SimTime,
-    ) -> Vec<ClientAction> {
+        out: &mut Vec<ClientAction>,
+    ) {
         match purpose {
-            TimerPurpose::Transmit => self.on_transmit(req, now),
-            TimerPurpose::Deadline => self.on_deadline(req, now),
-            TimerPurpose::GiveUp => self.on_give_up(req, now),
-            TimerPurpose::Retry => self.on_retry(req, now),
-            TimerPurpose::Hedge => self.on_hedge(req, now),
+            TimerPurpose::Transmit => self.on_transmit(req, now, out),
+            TimerPurpose::Deadline => self.on_deadline(req, now, out),
+            TimerPurpose::GiveUp => self.on_give_up(req, now, out),
+            TimerPurpose::Retry => self.on_retry(req, now, out),
+            TimerPurpose::Hedge => self.on_hedge(req, now, out),
         }
     }
 
-    fn on_transmit(&mut self, req: RequestId, now: SimTime) -> Vec<ClientAction> {
+    fn on_transmit(&mut self, req: RequestId, now: SimTime, out: &mut Vec<ClientAction>) {
         let Some(p) = self.pending.get_mut(&req) else {
-            return Vec::new();
+            return;
         };
-        p.tm = Some(now);
-        let mut actions: Vec<ClientAction> = std::mem::take(&mut p.prepared)
-            .into_iter()
-            .map(|(to, payload)| ClientAction::SendDirect { to, payload })
-            .collect();
+        p.tm = now;
+        if let Some(payload) = &p.payload {
+            send(out, &p.tried, payload);
+        }
         if let Some(qos) = p.qos {
-            actions.push(ClientAction::ArmTimer {
-                req,
-                purpose: TimerPurpose::Deadline,
-                after: qos.deadline,
-            });
+            arm(out, req, TimerPurpose::Deadline, qos.deadline);
             let recovery = self.config.recovery;
-            if recovery.enabled {
-                if let Some(h) = recovery.hedge_fraction {
-                    actions.push(ClientAction::ArmTimer {
-                        req,
-                        purpose: TimerPurpose::Hedge,
-                        after: SimDuration::from_secs_f64(
-                            qos.deadline.as_secs_f64() * h.clamp(0.0, 1.0),
-                        ),
-                    });
-                }
+            if let (true, Some(h)) = (recovery.enabled, recovery.hedge_fraction) {
+                let after = qos.deadline.as_secs_f64() * h.clamp(0.0, 1.0);
+                arm(
+                    out,
+                    req,
+                    TimerPurpose::Hedge,
+                    SimDuration::from_secs_f64(after),
+                );
             }
         }
-        actions.push(ClientAction::ArmTimer {
-            req,
-            purpose: TimerPurpose::GiveUp,
-            after: self.config.give_up,
-        });
-        actions
+        arm(out, req, TimerPurpose::GiveUp, self.config.give_up);
     }
 
-    fn on_deadline(&mut self, req: RequestId, now: SimTime) -> Vec<ClientAction> {
-        let Some(p) = self.pending.get_mut(&req) else {
-            return Vec::new();
-        };
-        if p.replied || p.outcome_recorded {
-            return Vec::new();
+    /// Feeds the outcome of a read issued under `qos` to the timing failure
+    /// detector (§5.4) and to what hangs off it: the QoS alert and the
+    /// degradation ladder.
+    fn record_outcome(
+        &mut self,
+        timely: bool,
+        qos: QosSpec,
+        now: SimTime,
+        out: &mut Vec<ClientAction>,
+    ) {
+        let requested = qos.min_probability;
+        if timely {
+            self.detector.record_timely();
+        } else {
+            self.detector.record_failure();
+            self.stats.timing_failures += 1;
         }
+        // The §5.4 callback fires once per excursion below the requested
+        // probability.
+        if !self.detector.should_alert(requested) {
+            self.alerted = false;
+        } else if !self.alerted {
+            self.alerted = true;
+            let observed_timely = self.detector.timely_frequency().unwrap_or(0.0);
+            self.obs.emit(now, self.me, || ObsEvent::QosAlert {
+                observed_ppm: TimingFailureDetector::to_ppm(observed_timely),
+                threshold_ppm: TimingFailureDetector::to_ppm(requested),
+            });
+            out.push(ClientAction::QosAlert {
+                observed_timely,
+                requested,
+            });
+        }
+        let stepped = self
+            .overload
+            .as_mut()
+            .and_then(|o| o.on_outcome(&self.detector, now));
+        self.surface(stepped, out);
+    }
+
+    /// Surfaces a degradation-level transition to the host.
+    fn surface(&mut self, transition: Option<DegradeTransition>, out: &mut Vec<ClientAction>) {
+        if let Some(t) = transition {
+            self.stats.degrade_transitions += 1;
+            out.push(ClientAction::Degrade {
+                from_level: t.from_level,
+                to_level: t.to_level,
+            });
+        }
+    }
+
+    fn on_deadline(&mut self, req: RequestId, now: SimTime, out: &mut Vec<ClientAction>) {
+        let Some(p) = self.pending.get_mut(&req) else {
+            return;
+        };
+        if p.replied {
+            return;
+        }
+        let Some(qos) = p.take_unjudged() else {
+            return;
+        };
         // No reply within d: a timing failure (§5.4).
-        p.outcome_recorded = true;
-        let min_probability = p.qos.map(|q| q.min_probability);
-        self.detector.record_failure();
-        self.stats.timing_failures += 1;
-        let mut actions = self.maybe_alert(min_probability, now);
-        actions.extend(self.update_degradation(now));
+        self.record_outcome(false, qos, now, out);
         // The deadline doubles as attempt 1's expiry: charge the silent
         // replicas and schedule a retransmission if budget remains.
-        actions.extend(self.schedule_retry(req, now));
-        actions
+        self.schedule_retry(req, now, out);
     }
 
     /// The current attempt failed (deadline or expiry-check fire with no
     /// reply): charge quarantine strikes against the replicas that stayed
     /// silent, then arm the backoff timer for the next attempt if the
     /// attempt budget and the give-up horizon allow one.
-    fn schedule_retry(&mut self, req: RequestId, now: SimTime) -> Vec<ClientAction> {
+    fn schedule_retry(&mut self, req: RequestId, now: SimTime, out: &mut Vec<ClientAction>) {
         let recovery = self.config.recovery;
         if !recovery.enabled {
-            return Vec::new();
+            return;
         }
         let Some(p) = self.pending.get_mut(&req) else {
-            return Vec::new();
+            return;
         };
         if p.replied || p.retry_pending {
-            return Vec::new();
+            return;
         }
         let unacked = std::mem::take(&mut p.unacked);
         let attempt = p.attempt;
-        let horizon = p.tm.unwrap_or(p.t0) + self.config.give_up;
-        let charge = p.kind == OperationKind::ReadOnly;
-        let mut actions = Vec::new();
-        if charge {
-            actions.extend(self.charge_timeouts(&unacked, now));
+        let horizon = p.tm + self.config.give_up;
+        if p.kind == OperationKind::ReadOnly {
+            self.charge_timeouts(&unacked, now, out);
         }
         if attempt >= recovery.max_attempts {
-            return actions;
+            return;
         }
         // Capped exponential backoff with deterministic jitter in
         // [backoff/2, backoff), from the gateway's seeded RNG.
@@ -966,29 +950,23 @@ impl ClientGateway {
         let jittered = SimDuration::from_micros(self.rng.gen_range(exp / 2..exp.max(2)));
         if now + jittered >= horizon {
             // No room left before give-up; let the give-up timer settle it.
-            return actions;
+            return;
         }
-        let p = self.pending.get_mut(&req).expect("checked above");
-        p.retry_pending = true;
+        self.tracked(req).retry_pending = true;
         self.obs.emit(now, self.me, || ObsEvent::RetryScheduled {
             req: req_ref(req),
             attempt: attempt as u64 + 1,
             delay_us: jittered.as_micros(),
         });
-        actions.push(ClientAction::ArmTimer {
-            req,
-            purpose: TimerPurpose::Retry,
-            after: jittered,
-        });
-        actions
+        arm(out, req, TimerPurpose::Retry, jittered);
     }
 
     /// Charges one timeout strike per silent replica, opening quarantine
-    /// windows when a replica crosses the threshold. Silent replicas also
-    /// take a circuit-breaker strike, and an opened quarantine triggers an
-    /// admission re-evaluation (the capacity the client planned around is
-    /// gone) — both only when overload protection is enabled.
-    fn charge_timeouts(&mut self, silent: &[ActorId], now: SimTime) -> Vec<ClientAction> {
+    /// windows when a replica crosses the threshold. Under overload
+    /// protection silent replicas also take a circuit-breaker strike, and
+    /// an opened quarantine triggers an admission re-evaluation (the
+    /// capacity the client planned around is gone).
+    fn charge_timeouts(&mut self, silent: &[ActorId], now: SimTime, out: &mut Vec<ClientAction>) {
         let recovery = self.config.recovery;
         let mut opened = false;
         for &r in silent {
@@ -1002,126 +980,77 @@ impl ClientGateway {
                 self.stats.quarantines += 1;
                 opened = true;
             }
-            self.record_breaker_strike(r, now);
+            self.strike_breaker(r, now);
         }
         if opened {
-            self.reevaluate_admission(now)
-        } else {
-            Vec::new()
+            self.reevaluate_admission(now, out);
         }
     }
 
-    fn on_retry(&mut self, req: RequestId, now: SimTime) -> Vec<ClientAction> {
-        let recovery = self.config.recovery;
-        if !recovery.enabled {
-            return Vec::new();
+    fn strike_breaker(&mut self, replica: ActorId, now: SimTime) {
+        if self
+            .overload
+            .as_mut()
+            .is_some_and(|o| o.strike(replica, now))
+        {
+            self.stats.breaker_opens += 1;
         }
+    }
+
+    /// A Retry timer fired: either the backoff before the next attempt
+    /// elapsed, or the current attempt's response window did.
+    fn on_retry(&mut self, req: RequestId, now: SimTime, out: &mut Vec<ClientAction>) {
+        let recovery = self.config.recovery;
         let Some(p) = self.pending.get_mut(&req) else {
-            return Vec::new();
+            return;
         };
-        if p.replied {
-            return Vec::new();
+        if p.replied || !recovery.enabled {
+            return;
         }
         if !p.retry_pending {
             // Expiry check for the current attempt: no reply yet, so fail
             // the attempt and (maybe) back off into the next one.
-            return self.schedule_retry(req, now);
+            return self.schedule_retry(req, now, out);
         }
-        // Backoff elapsed: retransmit.
+        // Backoff elapsed: retransmit the original request (same id and,
+        // in causal mode, the same stamp — the server reply caches make
+        // this idempotent) with only the attempt counter bumped.
         p.retry_pending = false;
         p.attempt += 1;
-        let attempt = p.attempt;
-        let kind = p.kind;
-        let Some(template) = p.template.clone() else {
-            return Vec::new();
-        };
+        let payload = p.payload.clone().expect("kept under a retry policy");
+        let payload = payload.with_attempt(p.attempt);
+        let horizon = p.tm + self.config.give_up;
         self.stats.retries += 1;
-        let payload = template.with_attempt(attempt);
-        let mut actions = Vec::new();
-        match kind {
-            OperationKind::Update => {
-                // Updates re-multicast the original payload (same id and,
-                // in causal mode, the same update_seq/deps — the server
-                // reply caches make this idempotent).
-                actions.push(ClientAction::MulticastPrimary(payload));
-                actions.push(ClientAction::ArmTimer {
-                    req,
-                    purpose: TimerPurpose::Retry,
-                    after: recovery.update_retry_after,
-                });
-            }
-            OperationKind::ReadOnly => {
-                let (qos, tried) = {
-                    let p = self.pending.get(&req).expect("checked above");
-                    (p.qos.expect("reads carry qos"), p.tried.clone())
-                };
-                // Re-run selection over the replicas not yet tried (and
-                // not quarantined); the sequencer is re-included by the
-                // selector when the service has one.
-                let candidates = self.candidate_keys(now, &tried);
-                let stale_factor = self.last_stale_factor;
-                let sequencer = match self.config.ordering {
-                    OrderingGuarantee::Sequential => Some(self.sequencer()),
-                    _ => None,
-                };
-                let selection = self.selector.select_on_demand(
-                    &mut self.repo.on_demand(&candidates, qos.deadline),
-                    stale_factor,
-                    qos.min_probability,
-                    sequencer,
-                    &mut self.rng,
-                );
-                let targets = selection.replicas;
-                self.obs.emit(now, self.me, || ObsEvent::ReplicasSelected {
-                    req: req_ref(req),
-                    attempt: attempt as u64,
-                    targets: targets.clone(),
-                });
-                let p = self.pending.get_mut(&req).expect("checked above");
-                for &t in &targets {
-                    if !p.tried.contains(&t) {
-                        p.tried.push(t);
-                    }
-                    if !p.unacked.contains(&t) {
-                        p.unacked.push(t);
-                    }
-                    actions.push(ClientAction::SendDirect {
-                        to: t,
-                        payload: payload.clone(),
-                    });
-                }
-                // This attempt gets a fresh response window, clipped to
-                // the give-up horizon.
-                let horizon = p.tm.unwrap_or(p.t0) + self.config.give_up;
-                let window = qos.deadline.min(horizon.saturating_since(now));
-                if window > SimDuration::ZERO {
-                    actions.push(ClientAction::ArmTimer {
-                        req,
-                        purpose: TimerPurpose::Retry,
-                        after: window,
-                    });
-                }
-            }
+        let Some(qos) = p.qos else {
+            out.push(ClientAction::MulticastPrimary(payload));
+            arm(out, req, TimerPurpose::Retry, recovery.update_retry_after);
+            return;
+        };
+        // Re-run selection over the replicas not yet tried (and not
+        // quarantined).
+        let selection = self.select_attempt(req, self.last_stale_factor, now);
+        send(out, &selection.replicas, &payload);
+        // This attempt gets a fresh response window, clipped to the
+        // give-up horizon.
+        let window = qos.deadline.min(horizon.saturating_since(now));
+        if window > SimDuration::ZERO {
+            arm(out, req, TimerPurpose::Retry, window);
         }
-        actions
     }
 
     /// `hedge_fraction` of the deadline elapsed with no reply: fire one
     /// extra copy of the read at the best replica not yet tried.
-    fn on_hedge(&mut self, req: RequestId, now: SimTime) -> Vec<ClientAction> {
-        if !self.config.recovery.enabled {
-            return Vec::new();
-        }
+    fn on_hedge(&mut self, req: RequestId, now: SimTime, out: &mut Vec<ClientAction>) {
         let Some(p) = self.pending.get(&req) else {
-            return Vec::new();
+            return;
         };
-        if p.replied || p.hedged || p.kind != OperationKind::ReadOnly {
-            return Vec::new();
+        let (Some(qos), Some(payload)) = (p.qos, &p.payload) else {
+            return;
+        };
+        if p.replied || p.hedged || !self.config.recovery.enabled {
+            return;
         }
-        let Some(template) = p.template.clone() else {
-            return Vec::new();
-        };
-        let (qos, tried, attempt) = (p.qos.expect("reads carry qos"), p.tried.clone(), p.attempt);
+        let (payload, tried) = (payload.clone().with_attempt(p.attempt), p.tried.clone());
         // Best untried replica by immediate-response probability, ties
         // broken toward the least-recently-heard (freshest probe value).
         // Only `F^I` is read, so no deferred path is evaluated.
@@ -1131,91 +1060,51 @@ impl ClientGateway {
             .filter(|c| !tried.contains(&c.id))
             .map(|c| (self.repo.immediate_cdf(c.id, qos.deadline), c))
             .max_by(|(fa, a), (fb, b)| fa.total_cmp(fb).then(b.ert_us.cmp(&a.ert_us)))
-            .map(|(_, c)| c);
-        let Some(target) = target else {
-            return Vec::new();
+            .map(|(_, c)| c.id);
+        let Some(to) = target else {
+            return;
         };
-        let p = self.pending.get_mut(&req).expect("checked above");
+        let p = self.tracked(req);
         p.hedged = true;
-        p.tried.push(target.id);
-        p.unacked.push(target.id);
+        p.tried.push(to);
+        p.unacked.push(to);
         self.stats.hedges += 1;
         self.obs.emit(now, self.me, || ObsEvent::HedgeSent {
             req: req_ref(req),
-            target: target.id,
+            target: to,
         });
-        vec![ClientAction::SendDirect {
-            to: target.id,
-            payload: template.with_attempt(attempt),
-        }]
+        out.push(ClientAction::SendDirect { to, payload });
     }
 
-    fn on_give_up(&mut self, req: RequestId, now: SimTime) -> Vec<ClientAction> {
-        let Some(p) = self.pending.get(&req) else {
-            return Vec::new();
+    fn on_give_up(&mut self, req: RequestId, now: SimTime, out: &mut Vec<ClientAction>) {
+        let Some(mut p) = self.pending.remove(&req) else {
+            return;
         };
         if p.replied {
             // Completed long ago; this timer only garbage-collects.
-            self.pending.remove(&req);
-            return Vec::new();
+            return;
         }
-        let p = self.pending.remove(&req).expect("checked above");
         self.stats.give_ups += 1;
+        let response_time = now.saturating_since(p.t0);
         self.obs.emit(now, self.me, || ObsEvent::GaveUp {
             req: req_ref(req),
-            response_us: now.saturating_since(p.t0).as_micros(),
+            response_us: response_time.as_micros(),
         });
-        let mut actions = Vec::new();
         if p.kind == OperationKind::ReadOnly && self.config.recovery.enabled {
             // The replicas still silent at give-up never answered any
             // attempt; charge them before forgetting the request.
-            actions.extend(self.charge_timeouts(&p.unacked, now));
+            self.charge_timeouts(&p.unacked, now, out);
         }
-        if !p.outcome_recorded && p.kind == OperationKind::ReadOnly {
-            self.detector.record_failure();
-            self.stats.timing_failures += 1;
-            actions.extend(self.maybe_alert(p.qos.map(|q| q.min_probability), now));
-            actions.extend(self.update_degradation(now));
+        if let Some(qos) = p.take_unjudged() {
+            self.record_outcome(false, qos, now, out);
         }
-        actions.push(ClientAction::Completed(ResponseInfo {
-            req,
-            kind: p.kind,
-            result: Bytes::new(),
-            response_time: now.saturating_since(p.t0),
-            timely: false,
-            deferred: false,
-            staleness: 0,
+        out.push(ClientAction::Completed(ResponseInfo {
+            response_time,
             timed_out: true,
-            shed: false,
             degraded: p.degraded,
             replicas_selected: p.selected,
-            csn: 0,
-            vector: Vec::new(),
+            ..ResponseInfo::unanswered(req, p.kind)
         }));
-        actions
-    }
-
-    fn maybe_alert(&mut self, min_probability: Option<f64>, now: SimTime) -> Vec<ClientAction> {
-        let Some(requested) = min_probability else {
-            return Vec::new();
-        };
-        if self.detector.should_alert(requested) {
-            if !self.alerted {
-                self.alerted = true;
-                let observed_timely = self.detector.timely_frequency().unwrap_or(0.0);
-                self.obs.emit(now, self.me, || ObsEvent::QosAlert {
-                    observed_ppm: TimingFailureDetector::to_ppm(observed_timely),
-                    threshold_ppm: TimingFailureDetector::to_ppm(requested),
-                });
-                return vec![ClientAction::QosAlert {
-                    observed_timely,
-                    requested,
-                }];
-            }
-        } else {
-            self.alerted = false;
-        }
-        Vec::new()
     }
 
     /// Handles a payload addressed to this client (replies and performance
@@ -1225,15 +1114,13 @@ impl ClientGateway {
         from: ActorId,
         payload: Payload,
         now: SimTime,
-    ) -> Vec<ClientAction> {
+        out: &mut Vec<ClientAction>,
+    ) {
         match payload {
-            Payload::Reply(r) => self.on_reply(from, r, now),
-            Payload::Busy { req } => self.on_busy(from, req, now),
-            Payload::Perf(p) => {
-                self.repo.record_perf(from, &p, now);
-                Vec::new()
-            }
-            _ => Vec::new(),
+            Payload::Reply(r) => self.on_reply(from, r, now, out),
+            Payload::Busy { req } => self.on_busy(from, req, now, out),
+            Payload::Perf(p) => self.repo.record_perf(from, &p, now),
+            _ => {}
         }
     }
 
@@ -1244,25 +1131,30 @@ impl ClientGateway {
     /// attempt has refused — the retry machinery fires early rather than
     /// waiting for the deadline (re-selection excludes the shedders, which
     /// stay in `tried`).
-    fn on_busy(&mut self, from: ActorId, req: RequestId, now: SimTime) -> Vec<ClientAction> {
-        if !self.config.overload.enabled {
-            return Vec::new();
+    fn on_busy(
+        &mut self,
+        from: ActorId,
+        req: RequestId,
+        now: SimTime,
+        out: &mut Vec<ClientAction>,
+    ) {
+        if self.overload.is_none() {
+            return;
         }
         self.stats.busy_rejections += 1;
         self.obs.emit(now, self.me, || ObsEvent::BusyReceived {
             req: req_ref(req),
             from,
         });
-        self.record_breaker_strike(from, now);
+        self.strike_breaker(from, now);
         let Some(p) = self.pending.get_mut(&req) else {
-            return Vec::new();
+            return;
         };
         p.unacked.retain(|&a| a != from);
-        if p.replied || !p.unacked.is_empty() {
-            return Vec::new();
+        if !p.replied && p.unacked.is_empty() {
+            // Nobody is left to charge a timeout.
+            self.schedule_retry(req, now, out);
         }
-        // `unacked` is empty, so schedule_retry charges no timeouts.
-        self.schedule_retry(req, now)
     }
 
     fn on_reply(
@@ -1270,25 +1162,25 @@ impl ClientGateway {
         from: ActorId,
         r: crate::wire::Reply,
         now: SimTime,
-    ) -> Vec<ClientAction> {
+        out: &mut Vec<ClientAction>,
+    ) {
         let Some(p) = self.pending.get_mut(&r.id) else {
             self.stats.late_replies += 1;
-            return Vec::new();
+            return;
         };
         // Every reply refreshes the repository (ert and gateway delay),
         // not just the first one delivered — and clears any quarantine
         // suspicion against the sender.
-        let tm = p.tm.unwrap_or(p.t0);
+        let tm = p.tm;
         p.unacked.retain(|&a| a != from);
         self.repo.record_reply(from, r.t1_us, tm, now);
         // A reply within the request's deadline is a probe success and
         // clears quarantine suspicion. A late reply is not: it proves the
         // replica alive, but a gray-degraded replica answers late forever
         // and must stay suspect.
-        let probe_ok = match p.qos {
-            Some(qos) => now.saturating_since(tm) <= qos.deadline,
-            None => true,
-        };
+        let probe_ok = p
+            .qos
+            .is_none_or(|qos| now.saturating_since(tm) <= qos.deadline);
         self.obs.emit(now, self.me, || ObsEvent::ReplyReceived {
             req: req_ref(r.id),
             from,
@@ -1298,72 +1190,39 @@ impl ClientGateway {
         });
         if probe_ok {
             self.repo.record_probe_success(from, now);
-            // A timely reply recloses the sender's circuit breaker (the
-            // half-open → closed transition; also clears pending strikes).
-            if self.config.overload.enabled {
-                if let Some(b) = self.breakers.remove(&from) {
-                    let from_state = b.state.obs_name();
-                    if from_state != "closed" {
-                        self.obs.emit(now, self.me, || ObsEvent::Breaker {
-                            replica: from,
-                            from_state,
-                            to_state: "closed",
-                        });
-                    }
-                }
+            if let Some(overload) = &mut self.overload {
+                overload.reclose(from, now);
             }
         }
-        // Causal mode: merge the replica's vector into the session state so
-        // subsequent operations carry the right dependencies.
-        if !r.vector.is_empty() {
-            let before: u64 = self.observed.values().sum();
-            crate::causal::merge_into(&mut self.observed, &r.vector);
-            if self.observed.values().sum::<u64>() > before {
-                self.observed_advanced_at = Some(now);
-            }
+        if let Some(session) = &mut self.session {
+            session.observe(&r.vector, now);
         }
         if p.replied {
-            return Vec::new();
+            return;
         }
         p.replied = true;
         let tr = now.saturating_since(p.t0);
-        let mut actions = Vec::new();
-        let timely = match p.qos {
-            Some(qos) => tr <= qos.deadline,
-            None => true,
-        };
-        let min_probability = p.qos.map(|q| q.min_probability);
-        let record_outcome = p.kind == OperationKind::ReadOnly && !p.outcome_recorded;
-        if record_outcome {
-            p.outcome_recorded = true;
-        }
-        if record_outcome {
-            if timely {
-                self.detector.record_timely();
-            } else {
-                self.detector.record_failure();
-                self.stats.timing_failures += 1;
-            }
-            actions.extend(self.maybe_alert(min_probability, now));
-            actions.extend(self.update_degradation(now));
+        let timely = p.qos.is_none_or(|qos| tr <= qos.deadline);
+        let (kind, degraded, selected) = (p.kind, p.degraded, p.selected);
+        if let Some(qos) = p.take_unjudged() {
+            self.record_outcome(timely, qos, now, out);
         }
         if r.deferred {
             self.stats.deferred_replies += 1;
         }
-        let p = self.pending.get(&r.id).expect("still pending");
         self.obs.emit(now, self.me, || ObsEvent::Delivered {
             req: req_ref(r.id),
             response_us: tr.as_micros(),
             timely,
         });
         if self.obs.is_enabled() {
-            let name = match p.kind {
+            let name = match kind {
                 OperationKind::ReadOnly => "client.read_response_us",
                 OperationKind::Update => "client.update_response_us",
             };
             self.obs
                 .observe(name, aqf_obs::LATENCY_BOUNDS_US, tr.as_micros());
-            if p.kind == OperationKind::ReadOnly {
+            if kind == OperationKind::ReadOnly {
                 self.obs.observe(
                     "client.staleness_us",
                     aqf_obs::LATENCY_BOUNDS_US,
@@ -1371,9 +1230,9 @@ impl ClientGateway {
                 );
             }
         }
-        actions.push(ClientAction::Completed(ResponseInfo {
+        out.push(ClientAction::Completed(ResponseInfo {
             req: r.id,
-            kind: p.kind,
+            kind,
             result: r.result,
             response_time: tr,
             timely,
@@ -1381,136 +1240,51 @@ impl ClientGateway {
             staleness: r.staleness,
             timed_out: false,
             shed: false,
-            degraded: p.degraded,
-            replicas_selected: p.selected,
+            degraded,
+            replicas_selected: selected,
             csn: r.csn,
             vector: r.vector,
         }));
-        actions
     }
 
     /// Tracks replication-group views announced to this client (as an
     /// observer of both groups). When the membership actually changes —
     /// a replica crashed out or rejoined — the admission decision is
-    /// re-evaluated against the new capacity (returned actions surface a
-    /// degradation step when the requested QoS is no longer attainable).
-    pub fn on_view(&mut self, view: Arc<View>, now: SimTime) -> Vec<ClientAction> {
+    /// re-evaluated against the new capacity (a degradation step is
+    /// surfaced when the requested QoS is no longer attainable).
+    pub fn on_view(&mut self, view: Arc<View>, now: SimTime, out: &mut Vec<ClientAction>) {
         let (view_id, members) = (view.id.0, view.members().len() as u64);
-        let mut changed = false;
-        if view.group == PRIMARY_GROUP {
-            if view.id >= self.primary_view.id {
-                changed = view.id > self.primary_view.id;
-                self.primary_view = view;
-            }
-        } else if view.group == SECONDARY_GROUP && view.id >= self.secondary_view.id {
-            changed = view.id > self.secondary_view.id;
-            self.secondary_view = view;
+        let current = if view.group == PRIMARY_GROUP {
+            &mut self.primary_view
+        } else if view.group == SECONDARY_GROUP {
+            &mut self.secondary_view
+        } else {
+            return;
+        };
+        if view.id < current.id {
+            return;
         }
+        let changed = view.id > current.id;
+        *current = view;
         if changed {
             self.obs
                 .emit(now, self.me, || ObsEvent::ViewChange { view_id, members });
-            self.reevaluate_admission(now)
-        } else {
-            Vec::new()
+            self.reevaluate_admission(now, out);
         }
-    }
-
-    /// True when the degradation controller is past the last rung of the
-    /// ladder (local-rejection mode).
-    fn rejecting(&self) -> bool {
-        self.config.overload.enabled
-            && (self.degrade_level as usize) > self.config.overload.ladder.len()
-    }
-
-    /// The QoS specification in force at the current degradation level:
-    /// rung `L` of the ladder widens the staleness threshold and relaxes
-    /// `Pc(d)`; level 0 returns the requested spec unchanged. Past the
-    /// ladder (rejection mode) the last rung's spec applies to the probe
-    /// reads that are still admitted.
-    fn effective_spec(&self, requested: QosSpec) -> QosSpec {
-        let ladder = &self.config.overload.ladder;
-        if !self.config.overload.enabled || self.degrade_level == 0 || ladder.is_empty() {
-            return requested;
-        }
-        let step = ladder[(self.degrade_level as usize).min(ladder.len()) - 1];
-        QosSpec {
-            staleness_threshold: requested
-                .staleness_threshold
-                .saturating_add(step.widen_staleness),
-            deadline: requested.deadline,
-            min_probability: (requested.min_probability - step.relax_probability).max(0.0),
-        }
-    }
-
-    /// Re-assesses the degradation level after a recorded read outcome:
-    /// steps *down* the ladder when the windowed timely frequency falls
-    /// below the currently effective `Pc(d)`, and back *up* once the
-    /// window clears the client's original requirement. Transitions are
-    /// separated by at least `recover_window` outcomes (and the window
-    /// must be full), so one bad burst cannot walk the whole ladder.
-    fn update_degradation(&mut self, now: SimTime) -> Vec<ClientAction> {
-        if !self.config.overload.enabled {
-            return Vec::new();
-        }
-        let Some(requested) = self.last_requested else {
-            return Vec::new();
-        };
-        self.outcomes_since_transition = self.outcomes_since_transition.saturating_add(1);
-        let recover_window = self.config.overload.recover_window;
-        if !self.detector.window_full() || self.outcomes_since_transition < recover_window {
-            return Vec::new();
-        }
-        let Some(freq) = self.detector.window_frequency() else {
-            return Vec::new();
-        };
-        let max_level = self.config.overload.ladder.len() as u32 + 1;
-        let effective_pc = self.effective_spec(requested).min_probability;
-        let to = if freq < effective_pc && self.degrade_level < max_level {
-            self.degrade_level + 1
-        } else if freq >= requested.min_probability && self.degrade_level > 0 {
-            self.degrade_level - 1
-        } else {
-            return Vec::new();
-        };
-        self.transition_to(to, now)
-    }
-
-    /// Moves the degradation controller to `to`, recording the transition
-    /// and emitting the metrics event.
-    fn transition_to(&mut self, to: u32, now: SimTime) -> Vec<ClientAction> {
-        let from = self.degrade_level;
-        self.degrade_level = to;
-        self.outcomes_since_transition = 0;
-        self.stats.degrade_transitions += 1;
-        self.transitions.push(DegradeTransition {
-            at_us: now.as_micros(),
-            from_level: from,
-            to_level: to,
-        });
-        self.obs.emit(now, self.me, || ObsEvent::Ladder {
-            from_level: from as u64,
-            to_level: to as u64,
-        });
-        vec![ClientAction::Degrade {
-            from_level: from,
-            to_level: to,
-        }]
     }
 
     /// Re-runs the §7 admission check against the current candidate set
     /// (after a view change or a quarantine opening). When the requested
     /// specification is no longer attainable, the degradation ladder steps
-    /// down proactively instead of waiting for the windowed frequency to
-    /// confirm the capacity loss request by request.
-    fn reevaluate_admission(&mut self, now: SimTime) -> Vec<ClientAction> {
-        if !self.config.overload.enabled {
-            return Vec::new();
-        }
-        let Some(requested) = self.last_requested else {
-            return Vec::new();
+    /// down proactively.
+    fn reevaluate_admission(&mut self, now: SimTime, out: &mut Vec<ClientAction>) {
+        let target = self
+            .overload
+            .as_ref()
+            .and_then(ClientOverload::admission_target);
+        let Some((requested, headroom)) = target else {
+            return;
         };
-        let headroom = self.config.overload.admission_headroom;
-        let max_level = self.config.overload.ladder.len() as u32 + 1;
         self.stats.admission_reevals += 1;
         // The bound is over the whole candidate set: every value is needed.
         let candidates: Vec<Candidate> = self
@@ -1524,82 +1298,11 @@ impl ClientGateway {
         let controller = AdmissionController::new(AdmissionConfig { headroom });
         let decision = controller.decide(&candidates, self.last_stale_factor, &requested);
         if decision.admit {
-            return Vec::new();
-        }
-        self.stats.admission_rejects += 1;
-        if self.degrade_level < max_level {
-            self.transition_to(self.degrade_level + 1, now)
-        } else {
-            Vec::new()
-        }
-    }
-
-    /// Registers a busy/timeout strike against `replica`'s breaker:
-    /// `breaker_threshold` consecutive strikes trip it open, and a strike
-    /// against a half-open breaker (a failed probe) re-opens it.
-    fn record_breaker_strike(&mut self, replica: ActorId, now: SimTime) {
-        if !self.config.overload.enabled {
             return;
         }
-        let threshold = self.config.overload.breaker_threshold;
-        let b = self.breakers.entry(replica).or_insert(Breaker {
-            strikes: 0,
-            state: BreakerState::Closed,
-        });
-        b.strikes = b.strikes.saturating_add(1);
-        let tripped_from = match b.state {
-            BreakerState::Closed if b.strikes >= threshold => Some("closed"),
-            BreakerState::HalfOpen { .. } => Some("half_open"),
-            _ => None,
-        };
-        if let Some(from_state) = tripped_from {
-            b.state = BreakerState::Open { since: now };
-            self.stats.breaker_opens += 1;
-            self.obs.emit(now, self.me, || ObsEvent::Breaker {
-                replica,
-                from_state,
-                to_state: "open",
-            });
-        }
-    }
-
-    /// Whether `replica`'s breaker admits a request right now, advancing
-    /// open breakers to half-open once `breaker_open` has elapsed and
-    /// spacing half-open probes by `probe_interval`.
-    fn breaker_allows(&mut self, replica: ActorId, now: SimTime) -> bool {
-        let open_for = self.config.overload.breaker_open;
-        let probe_every = self.config.overload.probe_interval;
-        let Some(b) = self.breakers.get_mut(&replica) else {
-            return true;
-        };
-        match b.state {
-            BreakerState::Closed => true,
-            BreakerState::Open { since } => {
-                if now.saturating_since(since) >= open_for {
-                    // Open window over: this request is the probe.
-                    b.state = BreakerState::HalfOpen {
-                        last_probe: Some(now),
-                    };
-                    self.obs.emit(now, self.me, || ObsEvent::Breaker {
-                        replica,
-                        from_state: "open",
-                        to_state: "half_open",
-                    });
-                    true
-                } else {
-                    false
-                }
-            }
-            BreakerState::HalfOpen { last_probe } => {
-                let due = last_probe.is_none_or(|at| now.saturating_since(at) >= probe_every);
-                if due {
-                    b.state = BreakerState::HalfOpen {
-                        last_probe: Some(now),
-                    };
-                }
-                due
-            }
-        }
+        self.stats.admission_rejects += 1;
+        let stepped = self.overload.as_mut().and_then(|o| o.step_down(now));
+        self.surface(stepped, out);
     }
 }
 
@@ -1634,30 +1337,41 @@ mod tests {
         SimTime::from_millis(ms)
     }
 
+    /// What one callback appends to a fresh sink.
+    fn sink(callback: impl FnOnce(&mut Vec<ClientAction>)) -> Vec<ClientAction> {
+        let mut out = Vec::new();
+        callback(&mut out);
+        out
+    }
+
     fn feed_perf(c: &mut ClientGateway, replica: ActorId, ts_ms: u64, n: usize) {
         for _ in 0..n {
-            c.on_payload(
-                replica,
-                Payload::Perf(PerfBroadcast {
-                    read: Some(ReadMeasurement {
-                        ts_us: ts_ms * 1000,
-                        tq_us: 0,
-                        tb_us: 0,
+            sink(|out| {
+                c.on_payload(
+                    replica,
+                    Payload::Perf(PerfBroadcast {
+                        read: Some(ReadMeasurement {
+                            ts_us: ts_ms * 1000,
+                            tq_us: 0,
+                            tb_us: 0,
+                        }),
+                        publisher: None,
                     }),
-                    publisher: None,
-                }),
-                t(0),
-            );
+                    t(0),
+                    out,
+                )
+            });
         }
     }
 
     #[test]
     fn update_multicasts_immediately() {
         let mut c = client();
-        let (id, actions) = c.submit_update(Operation::new("set", vec![1]), t(0));
+        let mut actions = Vec::new();
+        let id = c.submit_update(Operation::new("set", vec![1]), t(0), &mut actions);
         assert!(matches!(
             &actions[0],
-            ClientAction::MulticastPrimary(Payload::Update(u)) if u.id == id
+            ClientAction::MulticastPrimary(Payload::Update(u, None)) if u.id == id
         ));
         assert!(matches!(
             &actions[1],
@@ -1672,7 +1386,13 @@ mod tests {
     #[test]
     fn read_transmits_after_selection_overhead() {
         let mut c = client();
-        let (id, actions) = c.submit_read(Operation::new("get", vec![]), qos(200, 0.5), t(0));
+        let mut actions = Vec::new();
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(200, 0.5),
+            t(0),
+            &mut actions,
+        );
         // Only the transmit timer is armed at submit time.
         assert_eq!(actions.len(), 1);
         assert!(matches!(
@@ -1682,7 +1402,7 @@ mod tests {
                 ..
             }
         ));
-        let actions = c.on_timer(id, TimerPurpose::Transmit, t(1));
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::Transmit, t(1), out));
         let sends: Vec<&ActorId> = actions
             .iter()
             .filter_map(|x| match x {
@@ -1712,7 +1432,12 @@ mod tests {
         for r in [a(1), a(2), a(10), a(11)] {
             feed_perf(&mut c, r, 10, 10);
         }
-        let (_, _) = c.submit_read(Operation::new("get", vec![]), qos(200, 0.5), t(0));
+        c.submit_read(
+            Operation::new("get", vec![]),
+            qos(200, 0.5),
+            t(0),
+            &mut Vec::new(),
+        );
         let sel = c.last_selection().unwrap();
         assert!(sel.satisfied);
         assert!(
@@ -1725,21 +1450,29 @@ mod tests {
     #[test]
     fn timely_reply_counts_success() {
         let mut c = client();
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(200, 0.9), t(0));
-        let _ = c.on_timer(id, TimerPurpose::Transmit, t(1));
-        let actions = c.on_payload(
-            a(1),
-            Payload::Reply(Reply {
-                id,
-                result: Bytes::from_static(b"v"),
-                t1_us: 50_000,
-                staleness: 0,
-                deferred: false,
-                csn: 1,
-                vector: Vec::new(),
-            }),
-            t(100),
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(200, 0.9),
+            t(0),
+            &mut Vec::new(),
         );
+        c.on_timer(id, TimerPurpose::Transmit, t(1), &mut Vec::new());
+        let actions = sink(|out| {
+            c.on_payload(
+                a(1),
+                Payload::Reply(Reply {
+                    id,
+                    result: Bytes::from_static(b"v"),
+                    t1_us: 50_000,
+                    staleness: 0,
+                    deferred: false,
+                    csn: 1,
+                    vector: Vec::new(),
+                }),
+                t(100),
+                out,
+            )
+        });
         let done = actions
             .iter()
             .find_map(|x| match x {
@@ -1756,25 +1489,33 @@ mod tests {
     #[test]
     fn deadline_expiry_records_failure_once() {
         let mut c = client();
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(100, 0.9), t(0));
-        let _ = c.on_timer(id, TimerPurpose::Transmit, t(1));
-        let _ = c.on_timer(id, TimerPurpose::Deadline, t(101));
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(100, 0.9),
+            t(0),
+            &mut Vec::new(),
+        );
+        c.on_timer(id, TimerPurpose::Transmit, t(1), &mut Vec::new());
+        c.on_timer(id, TimerPurpose::Deadline, t(101), &mut Vec::new());
         assert_eq!(c.detector().failures(), 1);
         // A late reply still completes the request but does not double
         // count.
-        let actions = c.on_payload(
-            a(1),
-            Payload::Reply(Reply {
-                id,
-                result: Bytes::new(),
-                t1_us: 0,
-                staleness: 0,
-                deferred: false,
-                csn: 0,
-                vector: Vec::new(),
-            }),
-            t(150),
-        );
+        let actions = sink(|out| {
+            c.on_payload(
+                a(1),
+                Payload::Reply(Reply {
+                    id,
+                    result: Bytes::new(),
+                    t1_us: 0,
+                    staleness: 0,
+                    deferred: false,
+                    csn: 0,
+                    vector: Vec::new(),
+                }),
+                t(150),
+                out,
+            )
+        });
         assert!(actions
             .iter()
             .any(|x| matches!(x, ClientAction::Completed(info) if !info.timely)));
@@ -1787,9 +1528,15 @@ mod tests {
         let mut c = client();
         let mut alerts = 0;
         for i in 0..4 {
-            let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(100, 0.9), t(i * 1000));
-            let _ = c.on_timer(id, TimerPurpose::Transmit, t(i * 1000 + 1));
-            let actions = c.on_timer(id, TimerPurpose::Deadline, t(i * 1000 + 101));
+            let id = c.submit_read(
+                Operation::new("get", vec![]),
+                qos(100, 0.9),
+                t(i * 1000),
+                &mut Vec::new(),
+            );
+            c.on_timer(id, TimerPurpose::Transmit, t(i * 1000 + 1), &mut Vec::new());
+            let actions =
+                sink(|out| c.on_timer(id, TimerPurpose::Deadline, t(i * 1000 + 101), out));
             alerts += actions
                 .iter()
                 .filter(|x| matches!(x, ClientAction::QosAlert { .. }))
@@ -1801,10 +1548,15 @@ mod tests {
     #[test]
     fn give_up_times_out_request() {
         let mut c = client();
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(100, 0.5), t(0));
-        let _ = c.on_timer(id, TimerPurpose::Transmit, t(1));
-        let _ = c.on_timer(id, TimerPurpose::Deadline, t(101));
-        let actions = c.on_timer(id, TimerPurpose::GiveUp, t(10_001));
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(100, 0.5),
+            t(0),
+            &mut Vec::new(),
+        );
+        c.on_timer(id, TimerPurpose::Transmit, t(1), &mut Vec::new());
+        c.on_timer(id, TimerPurpose::Deadline, t(101), &mut Vec::new());
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::GiveUp, t(10_001), out));
         let info = actions
             .iter()
             .find_map(|x| match x {
@@ -1817,7 +1569,7 @@ mod tests {
         // Failure was already recorded at the deadline; not doubled.
         assert_eq!(c.detector().failures(), 1);
         // A reply after give-up is "late".
-        let _ = c.on_payload(
+        c.on_payload(
             a(1),
             Payload::Reply(Reply {
                 id,
@@ -1829,6 +1581,7 @@ mod tests {
                 vector: Vec::new(),
             }),
             t(10_100),
+            &mut Vec::new(),
         );
         assert_eq!(c.stats().late_replies, 1);
     }
@@ -1836,8 +1589,13 @@ mod tests {
     #[test]
     fn later_replies_update_repository_silently() {
         let mut c = client();
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(200, 0.5), t(0));
-        let _ = c.on_timer(id, TimerPurpose::Transmit, t(1));
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(200, 0.5),
+            t(0),
+            &mut Vec::new(),
+        );
+        c.on_timer(id, TimerPurpose::Transmit, t(1), &mut Vec::new());
         let reply = |_from: ActorId| Reply {
             id,
             result: Bytes::new(),
@@ -1847,7 +1605,7 @@ mod tests {
             csn: 0,
             vector: Vec::new(),
         };
-        let first = c.on_payload(a(1), Payload::Reply(reply(a(1))), t(50));
+        let first = sink(|out| c.on_payload(a(1), Payload::Reply(reply(a(1))), t(50), out));
         assert_eq!(
             first
                 .iter()
@@ -1855,7 +1613,7 @@ mod tests {
                 .count(),
             1
         );
-        let second = c.on_payload(a(2), Payload::Reply(reply(a(2))), t(60));
+        let second = sink(|out| c.on_payload(a(2), Payload::Reply(reply(a(2))), t(60), out));
         assert!(second.is_empty(), "only first reply delivered");
         // Both replicas' ert were refreshed.
         assert!(c.repository().ert_us(a(1), t(100)) < u64::MAX);
@@ -1865,9 +1623,14 @@ mod tests {
     #[test]
     fn deferred_reply_counted() {
         let mut c = client();
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(500, 0.5), t(0));
-        let _ = c.on_timer(id, TimerPurpose::Transmit, t(1));
-        let _ = c.on_payload(
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(500, 0.5),
+            t(0),
+            &mut Vec::new(),
+        );
+        c.on_timer(id, TimerPurpose::Transmit, t(1), &mut Vec::new());
+        c.on_payload(
             a(10),
             Payload::Reply(Reply {
                 id,
@@ -1879,6 +1642,7 @@ mod tests {
                 vector: Vec::new(),
             }),
             t(400),
+            &mut Vec::new(),
         );
         assert_eq!(c.stats().deferred_replies, 1);
     }
@@ -1889,15 +1653,20 @@ mod tests {
         // Sequencer a(0) fails; a(1) leads. Candidates: a(2) + secondaries.
         let (p, _) = views();
         let newer = p.successor(&[a(0)], &[]).unwrap();
-        let _ = c.on_view(Arc::new(newer), t(0));
+        c.on_view(Arc::new(newer), t(0), &mut Vec::new());
         assert_eq!(c.sequencer(), a(1));
-        let (_, _) = c.submit_read(Operation::new("get", vec![]), qos(200, 0.99), t(0));
+        c.submit_read(
+            Operation::new("get", vec![]),
+            qos(200, 0.99),
+            t(0),
+            &mut Vec::new(),
+        );
         let sel = c.last_selection().unwrap().clone();
         assert!(!sel.replicas.contains(&a(0)));
         assert!(sel.replicas.contains(&a(1)), "new sequencer appended");
         // Stale view replay is ignored.
         let (old_p, _) = views();
-        let _ = c.on_view(Arc::new(old_p), t(0));
+        c.on_view(Arc::new(old_p), t(0), &mut Vec::new());
         assert_eq!(c.sequencer(), a(1));
     }
 
@@ -1908,10 +1677,20 @@ mod tests {
         for r in [a(1), a(2), a(10), a(11)] {
             feed_perf(&mut c, r, 10, 10);
         }
-        let (_, _) = c.submit_read(Operation::new("get", vec![]), qos(200, 0.5), t(0));
+        c.submit_read(
+            Operation::new("get", vec![]),
+            qos(200, 0.5),
+            t(0),
+            &mut Vec::new(),
+        );
         let predicted = c.last_selection().unwrap().predicted;
         assert_eq!(c.mean_predicted(), Some(predicted));
-        let (_, _) = c.submit_read(Operation::new("get", vec![]), qos(200, 0.5), t(1000));
+        c.submit_read(
+            Operation::new("get", vec![]),
+            qos(200, 0.5),
+            t(1000),
+            &mut Vec::new(),
+        );
         let mean = c.mean_predicted().unwrap();
         assert!(mean > 0.0 && mean <= 1.0);
     }
@@ -1919,8 +1698,8 @@ mod tests {
     #[test]
     fn request_ids_are_unique_and_ordered() {
         let mut c = client();
-        let (id1, _) = c.submit_update(Operation::new("set", vec![]), t(0));
-        let (id2, _) = c.submit_update(Operation::new("set", vec![]), t(1));
+        let id1 = c.submit_update(Operation::new("set", vec![]), t(0), &mut Vec::new());
+        let id2 = c.submit_update(Operation::new("set", vec![]), t(1), &mut Vec::new());
         assert!(id1 < id2);
         assert_eq!(id1.client, a(20));
     }
@@ -1954,15 +1733,20 @@ mod tests {
     #[test]
     fn deadline_schedules_backoff_then_retransmits_elsewhere() {
         let mut c = client();
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(100, 0.9), t(0));
-        let first = c.on_timer(id, TimerPurpose::Transmit, t(1));
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(100, 0.9),
+            t(0),
+            &mut Vec::new(),
+        );
+        let first = sink(|out| c.on_timer(id, TimerPurpose::Transmit, t(1), out));
         let tried_first: Vec<ActorId> = sends_of(&first).iter().map(|&(to, _)| to).collect();
-        let actions = c.on_timer(id, TimerPurpose::Deadline, t(101));
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::Deadline, t(101), out));
         let backoff = retry_timer(&actions).expect("backoff armed after deadline");
         assert!(backoff > SimDuration::ZERO);
         assert_eq!(c.stats().retries, 0, "backoff alone is not yet a retry");
         // Backoff elapsed: attempt 2 goes out.
-        let actions = c.on_timer(id, TimerPurpose::Retry, t(130));
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::Retry, t(130), out));
         let resends = sends_of(&actions);
         assert!(!resends.is_empty(), "retry retransmits the read");
         assert!(resends.iter().all(|&(_, attempt)| attempt == 2));
@@ -1980,24 +1764,32 @@ mod tests {
     #[test]
     fn retry_success_avoids_give_up() {
         let mut c = client();
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(100, 0.9), t(0));
-        let _ = c.on_timer(id, TimerPurpose::Transmit, t(1));
-        let _ = c.on_timer(id, TimerPurpose::Deadline, t(101));
-        let _ = c.on_timer(id, TimerPurpose::Retry, t(130));
-        // The retried attempt is answered late but before give-up.
-        let actions = c.on_payload(
-            a(2),
-            Payload::Reply(Reply {
-                id,
-                result: Bytes::from_static(b"v"),
-                t1_us: 0,
-                staleness: 0,
-                deferred: false,
-                csn: 1,
-                vector: Vec::new(),
-            }),
-            t(200),
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(100, 0.9),
+            t(0),
+            &mut Vec::new(),
         );
+        c.on_timer(id, TimerPurpose::Transmit, t(1), &mut Vec::new());
+        c.on_timer(id, TimerPurpose::Deadline, t(101), &mut Vec::new());
+        c.on_timer(id, TimerPurpose::Retry, t(130), &mut Vec::new());
+        // The retried attempt is answered late but before give-up.
+        let actions = sink(|out| {
+            c.on_payload(
+                a(2),
+                Payload::Reply(Reply {
+                    id,
+                    result: Bytes::from_static(b"v"),
+                    t1_us: 0,
+                    staleness: 0,
+                    deferred: false,
+                    csn: 1,
+                    vector: Vec::new(),
+                }),
+                t(200),
+                out,
+            )
+        });
         let done = actions
             .iter()
             .find_map(|x| match x {
@@ -2007,7 +1799,7 @@ mod tests {
             .expect("retried read completes");
         assert!(!done.timely, "completed after the deadline");
         assert!(!done.timed_out);
-        let gc = c.on_timer(id, TimerPurpose::GiveUp, t(10_001));
+        let gc = sink(|out| c.on_timer(id, TimerPurpose::GiveUp, t(10_001), out));
         assert!(gc.is_empty());
         assert_eq!(c.stats().give_ups, 0, "recovered before give-up");
     }
@@ -2018,15 +1810,20 @@ mod tests {
         let mut config = ClientConfig::default();
         config.recovery.max_attempts = 2;
         let mut c = ClientGateway::new(a(20), p, s, config);
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(100, 0.9), t(0));
-        let _ = c.on_timer(id, TimerPurpose::Transmit, t(1));
-        let actions = c.on_timer(id, TimerPurpose::Deadline, t(101));
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(100, 0.9),
+            t(0),
+            &mut Vec::new(),
+        );
+        c.on_timer(id, TimerPurpose::Transmit, t(1), &mut Vec::new());
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::Deadline, t(101), out));
         assert!(retry_timer(&actions).is_some());
-        let actions = c.on_timer(id, TimerPurpose::Retry, t(130));
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::Retry, t(130), out));
         assert_eq!(c.stats().retries, 1);
         let expiry = retry_timer(&actions).expect("attempt 2 expiry window");
         // Attempt 2 expires too: budget exhausted, no further retry.
-        let actions = c.on_timer(id, TimerPurpose::Retry, t(130) + expiry);
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::Retry, t(130) + expiry, out));
         assert!(retry_timer(&actions).is_none(), "budget of 2 exhausted");
         assert!(sends_of(&actions).is_empty());
         assert_eq!(c.stats().retries, 1);
@@ -2040,8 +1837,13 @@ mod tests {
             ..ClientConfig::default()
         };
         let mut c = ClientGateway::new(a(20), p, s, config);
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(100, 0.9), t(0));
-        let actions = c.on_timer(id, TimerPurpose::Transmit, t(1));
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(100, 0.9),
+            t(0),
+            &mut Vec::new(),
+        );
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::Transmit, t(1), out));
         assert!(
             !actions.iter().any(|x| matches!(
                 x,
@@ -2052,7 +1854,7 @@ mod tests {
             )),
             "no hedge timer when disabled"
         );
-        let actions = c.on_timer(id, TimerPurpose::Deadline, t(101));
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::Deadline, t(101), out));
         assert!(retry_timer(&actions).is_none(), "no retry when disabled");
         assert_eq!(c.stats().retries + c.stats().hedges, 0);
     }
@@ -2065,27 +1867,37 @@ mod tests {
         for r in [a(1), a(2), a(10), a(11)] {
             feed_perf(&mut c, r, 10, 10);
         }
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(200, 0.5), t(0));
-        let transmit = c.on_timer(id, TimerPurpose::Transmit, t(1));
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(200, 0.5),
+            t(0),
+            &mut Vec::new(),
+        );
+        let transmit = sink(|out| c.on_timer(id, TimerPurpose::Transmit, t(1), out));
         let tried: Vec<ActorId> = sends_of(&transmit).iter().map(|&(to, _)| to).collect();
         assert!(tried.len() < 5, "warm selection leaves untried replicas");
-        let actions = c.on_timer(id, TimerPurpose::Hedge, t(101));
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::Hedge, t(101), out));
         let hedges = sends_of(&actions);
         assert_eq!(hedges.len(), 1, "exactly one hedged copy");
         assert!(!tried.contains(&hedges[0].0), "hedge goes elsewhere");
         assert_eq!(hedges[0].1, 1, "hedge reuses the current attempt");
         assert_eq!(c.stats().hedges, 1);
         // A second hedge timer (or replay) does nothing.
-        assert!(c.on_timer(id, TimerPurpose::Hedge, t(102)).is_empty());
+        assert!(sink(|out| c.on_timer(id, TimerPurpose::Hedge, t(102), out)).is_empty());
         assert_eq!(c.stats().hedges, 1);
     }
 
     #[test]
     fn hedge_skipped_after_reply() {
         let mut c = client();
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(200, 0.5), t(0));
-        let _ = c.on_timer(id, TimerPurpose::Transmit, t(1));
-        let _ = c.on_payload(
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(200, 0.5),
+            t(0),
+            &mut Vec::new(),
+        );
+        c.on_timer(id, TimerPurpose::Transmit, t(1), &mut Vec::new());
+        c.on_payload(
             a(1),
             Payload::Reply(Reply {
                 id,
@@ -2097,8 +1909,9 @@ mod tests {
                 vector: Vec::new(),
             }),
             t(50),
+            &mut Vec::new(),
         );
-        assert!(c.on_timer(id, TimerPurpose::Hedge, t(101)).is_empty());
+        assert!(sink(|out| c.on_timer(id, TimerPurpose::Hedge, t(101), out)).is_empty());
         assert_eq!(c.stats().hedges, 0);
     }
 
@@ -2112,11 +1925,30 @@ mod tests {
         let mut c = ClientGateway::new(a(20), p, s, config);
         // Two straight rounds where every selected replica stays silent.
         for i in 0..2u64 {
-            let (id, _) =
-                c.submit_read(Operation::new("get", vec![]), qos(100, 0.9), t(i * 20_000));
-            let _ = c.on_timer(id, TimerPurpose::Transmit, t(i * 20_000 + 1));
-            let _ = c.on_timer(id, TimerPurpose::Deadline, t(i * 20_000 + 101));
-            let _ = c.on_timer(id, TimerPurpose::GiveUp, t(i * 20_000 + 10_001));
+            let id = c.submit_read(
+                Operation::new("get", vec![]),
+                qos(100, 0.9),
+                t(i * 20_000),
+                &mut Vec::new(),
+            );
+            c.on_timer(
+                id,
+                TimerPurpose::Transmit,
+                t(i * 20_000 + 1),
+                &mut Vec::new(),
+            );
+            c.on_timer(
+                id,
+                TimerPurpose::Deadline,
+                t(i * 20_000 + 101),
+                &mut Vec::new(),
+            );
+            c.on_timer(
+                id,
+                TimerPurpose::GiveUp,
+                t(i * 20_000 + 10_001),
+                &mut Vec::new(),
+            );
         }
         assert!(c.stats().quarantines > 0, "silence opens quarantines");
         // Strike 2 landed at the round-2 deadline (~t=20.1s); the default
@@ -2130,9 +1962,14 @@ mod tests {
         // A reply from a quarantined replica lifts its quarantine (probe
         // success).
         let victim = quarantined[0];
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(100, 0.9), t(21_000));
-        let _ = c.on_timer(id, TimerPurpose::Transmit, t(21_001));
-        let _ = c.on_payload(
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(100, 0.9),
+            t(21_000),
+            &mut Vec::new(),
+        );
+        c.on_timer(id, TimerPurpose::Transmit, t(21_001), &mut Vec::new());
+        c.on_payload(
             victim,
             Payload::Reply(Reply {
                 id,
@@ -2144,6 +1981,7 @@ mod tests {
                 vector: Vec::new(),
             }),
             t(21_050),
+            &mut Vec::new(),
         );
         assert!(!c.repository().is_quarantined(victim, t(21_060)));
     }
@@ -2156,15 +1994,14 @@ mod tests {
             ..ClientConfig::default()
         };
         let mut c = ClientGateway::new(a(20), p, s, config);
-        let (id, actions) = c.submit_update(Operation::new("set", vec![1]), t(0));
+        let mut actions = Vec::new();
+        let id = c.submit_update(Operation::new("set", vec![1]), t(0), &mut actions);
         let original = actions
             .iter()
             .find_map(|x| match x {
-                ClientAction::MulticastPrimary(Payload::CausalUpdate {
-                    update,
-                    update_seq,
-                    deps,
-                }) => Some((update.clone(), *update_seq, deps.clone())),
+                ClientAction::MulticastPrimary(Payload::Update(update, Some(stamp))) => {
+                    Some((update.clone(), stamp.clone()))
+                }
                 _ => None,
             })
             .expect("causal update multicast");
@@ -2176,23 +2013,20 @@ mod tests {
             }
         )));
         // Expiry check fires (no ack), then the backoff timer fires.
-        let actions = c.on_timer(id, TimerPurpose::Retry, t(1_000));
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::Retry, t(1_000), out));
         let backoff = retry_timer(&actions).expect("update backoff armed");
-        let actions = c.on_timer(id, TimerPurpose::Retry, t(1_000) + backoff);
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::Retry, t(1_000) + backoff, out));
         let resent = actions
             .iter()
             .find_map(|x| match x {
-                ClientAction::MulticastPrimary(Payload::CausalUpdate {
-                    update,
-                    update_seq,
-                    deps,
-                }) => Some((update.clone(), *update_seq, deps.clone())),
+                ClientAction::MulticastPrimary(Payload::Update(update, Some(stamp))) => {
+                    Some((update.clone(), stamp.clone()))
+                }
                 _ => None,
             })
             .expect("update retransmitted");
         assert_eq!(resent.0.id, original.0.id);
-        assert_eq!(resent.1, original.1, "same update_seq on retry");
-        assert_eq!(resent.2, original.2, "same deps on retry");
+        assert_eq!(resent.1, original.1, "same update_seq and deps on retry");
         assert_eq!(resent.0.attempt, 2);
         assert_eq!(c.stats().retries, 1);
     }
@@ -2211,7 +2045,7 @@ mod tests {
     }
 
     fn timely_reply(c: &mut ClientGateway, from: ActorId, id: RequestId, at: SimTime) {
-        let _ = c.on_payload(
+        c.on_payload(
             from,
             Payload::Reply(Reply {
                 id,
@@ -2223,6 +2057,7 @@ mod tests {
                 vector: Vec::new(),
             }),
             at,
+            &mut Vec::new(),
         );
     }
 
@@ -2237,8 +2072,13 @@ mod tests {
         for r in [a(1), a(2), a(10), a(11)] {
             feed_perf(&mut c, r, 10, 10);
         }
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(200, 0.5), t(0));
-        let first = c.on_timer(id, TimerPurpose::Transmit, t(1));
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(200, 0.5),
+            t(0),
+            &mut Vec::new(),
+        );
+        let first = sink(|out| c.on_timer(id, TimerPurpose::Transmit, t(1), out));
         let shedders: Vec<ActorId> = sends_of(&first).iter().map(|&(to, _)| to).collect();
         assert!(
             shedders.len() < 5,
@@ -2249,7 +2089,7 @@ mod tests {
         // deadline.
         let mut backoff = None;
         for &s in &shedders {
-            let actions = c.on_payload(s, Payload::Busy { req: id }, t(2));
+            let actions = sink(|out| c.on_payload(s, Payload::Busy { req: id }, t(2), out));
             if let Some(b) = retry_timer(&actions) {
                 backoff = Some(b);
             }
@@ -2261,7 +2101,7 @@ mod tests {
             "Busy is a healthy no, never a quarantine strike"
         );
         let backoff = backoff.expect("accelerated retry armed once all targets refused");
-        let actions = c.on_timer(id, TimerPurpose::Retry, t(2) + backoff);
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::Retry, t(2) + backoff, out));
         let resent = sends_of(&actions);
         assert!(!resent.is_empty(), "retry retransmits the read");
         // The sequencer is structurally re-included by Sequential-mode
@@ -2291,30 +2131,59 @@ mod tests {
         });
         // Two Busy strikes from a(1) on separate requests trip its breaker.
         for round in 0..2u64 {
-            let (id, _) =
-                c.submit_read(Operation::new("get", vec![]), qos(200, 0.5), t(round * 10));
-            let _ = c.on_timer(id, TimerPurpose::Transmit, t(round * 10 + 1));
-            let _ = c.on_payload(a(1), Payload::Busy { req: id }, t(round * 10 + 2));
+            let id = c.submit_read(
+                Operation::new("get", vec![]),
+                qos(200, 0.5),
+                t(round * 10),
+                &mut Vec::new(),
+            );
+            c.on_timer(
+                id,
+                TimerPurpose::Transmit,
+                t(round * 10 + 1),
+                &mut Vec::new(),
+            );
+            c.on_payload(
+                a(1),
+                Payload::Busy { req: id },
+                t(round * 10 + 2),
+                &mut Vec::new(),
+            );
         }
         assert_eq!(c.stats().breaker_opens, 1);
         // While open, a(1) is excluded from selection.
-        let (_, _) = c.submit_read(Operation::new("get", vec![]), qos(200, 0.5), t(50));
+        c.submit_read(
+            Operation::new("get", vec![]),
+            qos(200, 0.5),
+            t(50),
+            &mut Vec::new(),
+        );
         let sel = c.last_selection().unwrap().clone();
         assert!(
             !sel.replicas.contains(&a(1)),
             "open breaker excludes the replica"
         );
         // After the open window elapses, one half-open probe is admitted.
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), qos(200, 0.5), t(600));
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            qos(200, 0.5),
+            t(600),
+            &mut Vec::new(),
+        );
         let sel = c.last_selection().unwrap().clone();
         assert!(
             sel.replicas.contains(&a(1)),
             "half-open breaker admits a probe"
         );
-        let _ = c.on_timer(id, TimerPurpose::Transmit, t(601));
+        c.on_timer(id, TimerPurpose::Transmit, t(601), &mut Vec::new());
         // A timely reply from the probed replica recloses the breaker.
         timely_reply(&mut c, a(1), id, t(650));
-        let (_, _) = c.submit_read(Operation::new("get", vec![]), qos(200, 0.5), t(660));
+        c.submit_read(
+            Operation::new("get", vec![]),
+            qos(200, 0.5),
+            t(660),
+            &mut Vec::new(),
+        );
         let sel = c.last_selection().unwrap().clone();
         assert!(
             sel.replicas.contains(&a(1)),
@@ -2340,9 +2209,9 @@ mod tests {
         let mut stepped = false;
         for round in 0..4u64 {
             let at = round * 1000;
-            let (id, _) = c.submit_read(Operation::new("get", vec![]), spec, t(at));
-            let _ = c.on_timer(id, TimerPurpose::Transmit, t(at + 1));
-            let actions = c.on_timer(id, TimerPurpose::Deadline, t(at + 201));
+            let id = c.submit_read(Operation::new("get", vec![]), spec, t(at), &mut Vec::new());
+            c.on_timer(id, TimerPurpose::Transmit, t(at + 1), &mut Vec::new());
+            let actions = sink(|out| c.on_timer(id, TimerPurpose::Deadline, t(at + 201), out));
             stepped |= actions.iter().any(|x| {
                 matches!(
                     x,
@@ -2357,8 +2226,13 @@ mod tests {
         assert_eq!(c.degrade_level(), 1);
         assert_eq!(c.stats().degrade_transitions, 1);
         // Reads now carry the widened staleness threshold (2 + 2).
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), spec, t(5000));
-        let actions = c.on_timer(id, TimerPurpose::Transmit, t(5001));
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            spec,
+            t(5000),
+            &mut Vec::new(),
+        );
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::Transmit, t(5001), out));
         let widened = actions.iter().any(|x| {
             matches!(
                 x,
@@ -2374,14 +2248,19 @@ mod tests {
         // and the controller steps back up.
         for round in 0..3u64 {
             let at = 6000 + round * 1000;
-            let (id, _) = c.submit_read(Operation::new("get", vec![]), spec, t(at));
-            let _ = c.on_timer(id, TimerPurpose::Transmit, t(at + 1));
+            let id = c.submit_read(Operation::new("get", vec![]), spec, t(at), &mut Vec::new());
+            c.on_timer(id, TimerPurpose::Transmit, t(at + 1), &mut Vec::new());
             timely_reply(&mut c, a(1), id, t(at + 50));
         }
         assert_eq!(c.degrade_level(), 0, "recovered to the nominal level");
         assert_eq!(c.stats().degrade_transitions, 2);
-        let (id, _) = c.submit_read(Operation::new("get", vec![]), spec, t(20_000));
-        let actions = c.on_timer(id, TimerPurpose::Transmit, t(20_001));
+        let id = c.submit_read(
+            Operation::new("get", vec![]),
+            spec,
+            t(20_000),
+            &mut Vec::new(),
+        );
+        let actions = sink(|out| c.on_timer(id, TimerPurpose::Transmit, t(20_001), out));
         let restored = actions.iter().any(|x| {
             matches!(
                 x,
@@ -2408,14 +2287,15 @@ mod tests {
         let spec = qos(200, 0.9);
         for round in 0..2u64 {
             let at = round * 1000;
-            let (id, _) = c.submit_read(Operation::new("get", vec![]), spec, t(at));
-            let _ = c.on_timer(id, TimerPurpose::Transmit, t(at + 1));
-            let _ = c.on_timer(id, TimerPurpose::Deadline, t(at + 201));
+            let id = c.submit_read(Operation::new("get", vec![]), spec, t(at), &mut Vec::new());
+            c.on_timer(id, TimerPurpose::Transmit, t(at + 1), &mut Vec::new());
+            c.on_timer(id, TimerPurpose::Deadline, t(at + 201), &mut Vec::new());
         }
         assert_eq!(c.degrade_level(), 1, "empty ladder rejects immediately");
         let outcomes_before = c.detector().total();
         // First read in rejection mode is the probe: it goes out normally.
-        let (_, actions) = c.submit_read(Operation::new("get", vec![]), spec, t(3000));
+        let mut actions = Vec::new();
+        c.submit_read(Operation::new("get", vec![]), spec, t(3000), &mut actions);
         assert!(matches!(
             actions[0],
             ClientAction::ArmTimer {
@@ -2424,7 +2304,8 @@ mod tests {
             }
         ));
         // A second read inside the probe interval is shed locally.
-        let (_, actions) = c.submit_read(Operation::new("get", vec![]), spec, t(3100));
+        let mut actions = Vec::new();
+        c.submit_read(Operation::new("get", vec![]), spec, t(3100), &mut actions);
         let info = actions
             .iter()
             .find_map(|x| match x {
@@ -2457,10 +2338,15 @@ mod tests {
         for r in [a(1), a(2), a(10), a(11)] {
             feed_perf(&mut c, r, 1000, 10);
         }
-        let (_, _) = c.submit_read(Operation::new("get", vec![]), qos(200, 0.9), t(0));
+        c.submit_read(
+            Operation::new("get", vec![]),
+            qos(200, 0.9),
+            t(0),
+            &mut Vec::new(),
+        );
         let (p, _) = views();
         let newer = p.successor(&[a(2)], &[]).unwrap();
-        let actions = c.on_view(Arc::new(newer), t(10));
+        let actions = sink(|out| c.on_view(Arc::new(newer), t(10), out));
         assert_eq!(c.stats().admission_reevals, 1);
         assert_eq!(c.stats().admission_rejects, 1);
         assert!(actions.iter().any(|x| matches!(

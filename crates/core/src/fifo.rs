@@ -18,7 +18,7 @@
 //!   *estimate* their staleness: with no sequencer there is no exact global
 //!   version, so a secondary bounds the number of updates it is missing by
 //!   `rate * (now - last lazy update)`, using the update-arrival rate the
-//!   lazy publisher ships inside each [`Payload::FifoLazyUpdate`]. If the
+//!   lazy publisher ships inside each [`Payload::LazyUpdate`]. If the
 //!   estimate exceeds the client's threshold the read is deferred until the
 //!   next lazy update, exactly like the sequential handler's deferred
 //!   reads.
@@ -239,20 +239,15 @@ impl Discipline for Fifo {
         // sent after whatever it produced.
         let retry = shell.transfer_overdue(now);
         match payload {
-            Payload::Update(u) => self.on_update(shell, u, now, out),
+            Payload::Update(u, _) => self.on_update(shell, u, now, out),
             Payload::Read(req) => {
-                let read = PendingRead {
-                    req,
-                    client: from,
-                    deps: Vec::new(),
-                    arrived_at: now,
-                };
-                shell.admit_read(self, read, now, out);
+                shell.admit_read(self, PendingRead::new(req, from, now), now, out)
             }
-            Payload::FifoLazyUpdate {
+            Payload::LazyUpdate {
                 version,
                 snapshot,
                 rate_per_us,
+                ..
             } => self.on_lazy_update(shell, version, &snapshot, rate_per_us, now, out),
             Payload::StateRequest => shell.on_state_request(self, from, out),
             Payload::StateResponse { csn, snapshot, .. } => {
@@ -283,14 +278,6 @@ impl Discipline for Fifo {
     fn staleness(&self, shell: &Shell, now: SimTime) -> u64 {
         self.clock.staleness(shell.role, now)
     }
-
-    fn lazy_update(&self, shell: &Shell, rate_per_us: f64) -> Payload {
-        Payload::FifoLazyUpdate {
-            version: self.version,
-            snapshot: shell.object.snapshot(),
-            rate_per_us,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -314,14 +301,15 @@ mod tests {
     }
 
     fn upd(client: usize, seq: u64) -> Payload {
-        Payload::Update(UpdateRequest {
+        let update = UpdateRequest {
             id: RequestId {
                 client: a(client),
                 seq,
             },
             op: Operation::new("deposit", AccountBook::encode_tx("acct", 100)),
             attempt: 1,
-        })
+        };
+        Payload::Update(update, None)
     }
 
     fn read(seq: u64, staleness: u32) -> Payload {
@@ -331,12 +319,14 @@ mod tests {
             staleness_threshold: staleness,
             deadline_us: 0,
             attempt: 1,
+            deps: Vec::new(),
         })
     }
 
     fn lazy(version: u64, rate_per_us: f64) -> Payload {
-        Payload::FifoLazyUpdate {
+        Payload::LazyUpdate {
             version,
+            vector: Vec::new(),
             snapshot: AccountBook::new().snapshot(),
             rate_per_us,
         }
@@ -413,7 +403,7 @@ mod tests {
         let (version, rate) = actions
             .iter()
             .find_map(|x| match x {
-                ServerAction::MulticastSecondary(Payload::FifoLazyUpdate {
+                ServerAction::MulticastSecondary(Payload::LazyUpdate {
                     version,
                     rate_per_us,
                     ..
@@ -494,14 +484,15 @@ mod tests {
             Box::new(VersionedRegister::new()),
             conformance::config(),
         );
-        let set = Payload::Update(UpdateRequest {
+        let set = UpdateRequest {
             id: RequestId {
                 client: a(20),
                 seq: 0,
             },
             op: Operation::new("set", b"x".to_vec()),
             attempt: 1,
-        });
+        };
+        let set = Payload::Update(set, None);
         let mut actions = sink(|out| p.on_payload(a(20), set, t(0), out));
         let _ = drain(&mut p, &mut actions, t(0));
         assert_eq!(p.version(), 1);

@@ -29,9 +29,15 @@
 //!
 //! Everything is gated behind [`OverloadConfig::enabled`]; the default is
 //! off and the framework behaves bit-identically to a build without this
-//! module.
+//! module. On the client side the gate is a type: the gateway holds its
+//! breakers and ladder position (`ClientOverload`) as an `Option` that is
+//! `None` while disabled.
 
-use aqf_sim::SimDuration;
+use crate::obs::{ObsEvent, ObsHandle};
+use crate::qos::QosSpec;
+use crate::timing::TimingFailureDetector;
+use aqf_sim::{ActorId, SimDuration, SimTime};
+use std::collections::BTreeMap;
 
 /// One rung of the graceful-degradation ladder.
 ///
@@ -203,6 +209,242 @@ pub struct DegradeTransition {
     pub from_level: u32,
     /// Level after the transition.
     pub to_level: u32,
+}
+
+/// Per-replica circuit breaker: closed → open after consecutive strikes →
+/// half-open probing → closed again on a timely reply (which forgets the
+/// breaker altogether).
+#[derive(Debug, Clone, Copy)]
+enum Breaker {
+    /// Normal operation; the replica is selectable. Counts consecutive
+    /// busy/timeout strikes since the last timely reply.
+    Closed { strikes: u32 },
+    /// Tripped: the replica is excluded from selection until the open
+    /// window elapses.
+    Open { since: SimTime },
+    /// Open window elapsed: one probe request per `probe_interval` is let
+    /// through; a timely reply recloses, a strike re-opens.
+    HalfOpen { last_probe: SimTime },
+}
+
+/// The client gateway's overload-protection state: per-replica circuit
+/// breakers and the degradation controller. A gateway holds one only while
+/// [`OverloadConfig::enabled`] is set, so a disabled subsystem has no state
+/// to consult and no code path to take.
+#[derive(Debug)]
+pub(crate) struct ClientOverload {
+    config: OverloadConfig,
+    owner: ActorId,
+    obs: ObsHandle,
+    /// Keyed deterministically.
+    breakers: BTreeMap<ActorId, Breaker>,
+    /// Current degradation level: 0 = nominal, `1..=ladder.len()` = that
+    /// rung of the ladder, `ladder.len() + 1` = local rejection.
+    level: u32,
+    /// Read outcomes recorded since the last level transition (hysteresis).
+    outcomes_since_transition: u32,
+    /// Every level transition, in order (metrics/audit).
+    transitions: Vec<DegradeTransition>,
+    /// The most recent *requested* (un-degraded) specification — the
+    /// recovery target the controller steps back up toward.
+    requested: Option<QosSpec>,
+    /// When the rejection rung last admitted a probe read.
+    last_reject_probe_at: Option<SimTime>,
+}
+
+impl ClientOverload {
+    pub(crate) fn new(config: OverloadConfig, owner: ActorId) -> Self {
+        Self {
+            config,
+            owner,
+            obs: ObsHandle::disabled(),
+            breakers: BTreeMap::new(),
+            level: 0,
+            outcomes_since_transition: 0,
+            transitions: Vec::new(),
+            requested: None,
+            last_reject_probe_at: None,
+        }
+    }
+
+    pub(crate) fn set_obs(&mut self, obs: ObsHandle) {
+        self.obs = obs;
+    }
+
+    pub(crate) fn level(&self) -> u32 {
+        self.level
+    }
+
+    pub(crate) fn transitions(&self) -> &[DegradeTransition] {
+        &self.transitions
+    }
+
+    /// The specification and headroom an admission re-evaluation judges
+    /// by, once a read has been submitted.
+    pub(crate) fn admission_target(&self) -> Option<(QosSpec, f64)> {
+        Some((self.requested?, self.config.admission_headroom))
+    }
+
+    fn max_level(&self) -> u32 {
+        self.config.ladder.len() as u32 + 1
+    }
+
+    /// A read is submitted under `requested`: remembers it as the recovery
+    /// target and returns the specification in force at the current level.
+    /// `None` when the ladder is exhausted and no probe is due: the read is
+    /// answered "no" locally, without contacting (and further loading) any
+    /// replica.
+    pub(crate) fn admit(&mut self, requested: QosSpec, now: SimTime) -> Option<QosSpec> {
+        self.requested = Some(requested);
+        if self.level == self.max_level() {
+            let probe_due = self
+                .last_reject_probe_at
+                .is_none_or(|at| now.saturating_since(at) >= self.config.probe_interval);
+            if !probe_due {
+                return None;
+            }
+            self.last_reject_probe_at = Some(now);
+        }
+        Some(self.effective_spec(requested))
+    }
+
+    /// The QoS specification in force at the current degradation level:
+    /// rung `L` of the ladder widens the staleness threshold and relaxes
+    /// `Pc(d)`; level 0 returns the requested spec unchanged. Past the
+    /// ladder (rejection mode) the last rung's spec applies to the probe
+    /// reads that are still admitted.
+    fn effective_spec(&self, requested: QosSpec) -> QosSpec {
+        let ladder = &self.config.ladder;
+        if self.level == 0 || ladder.is_empty() {
+            return requested;
+        }
+        let step = ladder[(self.level as usize).min(ladder.len()) - 1];
+        QosSpec {
+            staleness_threshold: requested
+                .staleness_threshold
+                .saturating_add(step.widen_staleness),
+            min_probability: (requested.min_probability - step.relax_probability).max(0.0),
+            ..requested
+        }
+    }
+
+    /// Re-assesses the degradation level after a recorded read outcome:
+    /// steps *down* the ladder when the windowed timely frequency falls
+    /// below the currently effective `Pc(d)`, and back *up* once the
+    /// window clears the client's original requirement. Transitions are
+    /// separated by at least `recover_window` outcomes (and the window
+    /// must be full), so one bad burst cannot walk the whole ladder.
+    pub(crate) fn on_outcome(
+        &mut self,
+        detector: &TimingFailureDetector,
+        now: SimTime,
+    ) -> Option<DegradeTransition> {
+        let requested = self.requested?;
+        self.outcomes_since_transition = self.outcomes_since_transition.saturating_add(1);
+        if !detector.window_full() || self.outcomes_since_transition < self.config.recover_window {
+            return None;
+        }
+        let freq = detector.window_frequency()?;
+        let effective_pc = self.effective_spec(requested).min_probability;
+        let to = if freq < effective_pc && self.level < self.max_level() {
+            self.level + 1
+        } else if freq >= requested.min_probability && self.level > 0 {
+            self.level - 1
+        } else {
+            return None;
+        };
+        Some(self.transition_to(to, now))
+    }
+
+    /// An admission re-evaluation found the requested specification no
+    /// longer attainable: step down proactively instead of waiting for the
+    /// windowed frequency to confirm the capacity loss request by request.
+    pub(crate) fn step_down(&mut self, now: SimTime) -> Option<DegradeTransition> {
+        (self.level < self.max_level()).then(|| self.transition_to(self.level + 1, now))
+    }
+
+    fn transition_to(&mut self, to: u32, now: SimTime) -> DegradeTransition {
+        let transition = DegradeTransition {
+            at_us: now.as_micros(),
+            from_level: self.level,
+            to_level: to,
+        };
+        self.level = to;
+        self.outcomes_since_transition = 0;
+        self.transitions.push(transition);
+        self.obs.emit(now, self.owner, || ObsEvent::Ladder {
+            from_level: transition.from_level as u64,
+            to_level: to as u64,
+        });
+        transition
+    }
+
+    fn breaker_event(&self, replica: ActorId, from: &'static str, to: &'static str, now: SimTime) {
+        self.obs.emit(now, self.owner, || ObsEvent::Breaker {
+            replica,
+            from_state: from,
+            to_state: to,
+        });
+    }
+
+    /// Registers a busy/timeout strike against `replica`'s breaker:
+    /// `breaker_threshold` consecutive strikes trip it open, and a strike
+    /// against a half-open breaker (a failed probe) re-opens it. Returns
+    /// whether this strike opened the breaker.
+    pub(crate) fn strike(&mut self, replica: ActorId, now: SimTime) -> bool {
+        let b = self
+            .breakers
+            .entry(replica)
+            .or_insert(Breaker::Closed { strikes: 0 });
+        let from = match b {
+            Breaker::Closed { strikes } => {
+                *strikes = strikes.saturating_add(1);
+                if *strikes < self.config.breaker_threshold {
+                    return false;
+                }
+                "closed"
+            }
+            Breaker::HalfOpen { .. } => "half_open",
+            Breaker::Open { .. } => return false,
+        };
+        *b = Breaker::Open { since: now };
+        self.breaker_event(replica, from, "open", now);
+        true
+    }
+
+    /// Whether `replica`'s breaker admits a request right now, advancing
+    /// open breakers to half-open once `breaker_open` has elapsed (this
+    /// request is then the probe) and spacing half-open probes by
+    /// `probe_interval`.
+    pub(crate) fn allows(&mut self, replica: ActorId, now: SimTime) -> bool {
+        let Some(b) = self.breakers.get_mut(&replica) else {
+            return true;
+        };
+        let (waited, needed, opening) = match *b {
+            Breaker::Closed { .. } => return true,
+            Breaker::Open { since } => (since, self.config.breaker_open, true),
+            Breaker::HalfOpen { last_probe } => (last_probe, self.config.probe_interval, false),
+        };
+        let due = now.saturating_since(waited) >= needed;
+        if due {
+            *b = Breaker::HalfOpen { last_probe: now };
+            if opening {
+                self.breaker_event(replica, "open", "half_open", now);
+            }
+        }
+        due
+    }
+
+    /// A timely reply recloses the sender's breaker (the half-open → closed
+    /// transition) and clears its pending strikes.
+    pub(crate) fn reclose(&mut self, replica: ActorId, now: SimTime) {
+        let from = match self.breakers.remove(&replica) {
+            None | Some(Breaker::Closed { .. }) => return,
+            Some(Breaker::Open { .. }) => "open",
+            Some(Breaker::HalfOpen { .. }) => "half_open",
+        };
+        self.breaker_event(replica, from, "closed", now);
+    }
 }
 
 #[cfg(test)]

@@ -931,24 +931,16 @@ impl Discipline for Sequential {
         out: &mut Vec<ServerAction>,
     ) {
         match payload {
-            Payload::Update(u) => self.on_update(shell, u, now, out),
-            Payload::Read(req) => {
-                let read = PendingRead {
-                    req,
-                    client: from,
-                    deps: Vec::new(),
-                    arrived_at: now,
-                };
-                self.on_read(shell, read, now, out);
-            }
+            Payload::Update(u, _) => self.on_update(shell, u, now, out),
+            Payload::Read(req) => self.on_read(shell, PendingRead::new(req, from, now), now, out),
             Payload::GsnAssign { req, gsn } => self.on_gsn_assign(shell, from, req, gsn, now, out),
             Payload::GsnSnapshot { req, gsn } => {
                 self.on_gsn_snapshot(shell, from, req, gsn, now, out);
             }
             Payload::GsnRequest { req } => self.on_gsn_request(shell, req, out),
-            Payload::LazyUpdate { csn, snapshot } => {
-                self.on_lazy_update(shell, csn, &snapshot, now, out);
-            }
+            Payload::LazyUpdate {
+                version, snapshot, ..
+            } => self.on_lazy_update(shell, version, &snapshot, now, out),
             Payload::GsnQuery { csn } => self.on_gsn_query(shell, from, csn, out),
             Payload::GsnReport {
                 max_gsn,
@@ -968,15 +960,8 @@ impl Discipline for Sequential {
                 self.on_promote_report(shell, from, csn, gsn, now, out);
             }
             Payload::Promote => self.on_promote(shell, from, now, out),
-            // Replies and perf broadcasts are client-bound, and FIFO/causal
-            // handler traffic has no meaning here; ignore them.
-            Payload::Reply(_)
-            | Payload::Busy { .. }
-            | Payload::Perf(_)
-            | Payload::FifoLazyUpdate { .. }
-            | Payload::CausalUpdate { .. }
-            | Payload::CausalRead { .. }
-            | Payload::CausalLazyUpdate { .. } => {}
+            // Replies and perf broadcasts are client-bound; ignore them.
+            Payload::Reply(_) | Payload::Busy { .. } | Payload::Perf(_) => {}
         }
     }
 
@@ -997,13 +982,6 @@ impl Discipline for Sequential {
 
     fn staleness(&self, _shell: &Shell, _now: SimTime) -> u64 {
         self.lag()
-    }
-
-    fn lazy_update(&self, shell: &Shell, _rate_per_us: f64) -> Payload {
-        Payload::LazyUpdate {
-            csn: self.applied_csn,
-            snapshot: shell.object.snapshot(),
-        }
     }
 
     fn primary_view_changed(
@@ -1114,11 +1092,12 @@ mod tests {
     }
 
     fn upd(seq: u64) -> Payload {
-        Payload::Update(UpdateRequest {
+        let update = UpdateRequest {
             id: request(seq),
             op: Operation::new("set", format!("v{seq}").into_bytes()),
             attempt: 1,
-        })
+        };
+        Payload::Update(update, None)
     }
 
     fn assign(seq: u64, gsn: u64) -> Payload {
@@ -1135,6 +1114,7 @@ mod tests {
             staleness_threshold: staleness,
             deadline_us: 0,
             attempt: 1,
+            deps: Vec::new(),
         })
     }
 
@@ -1333,8 +1313,10 @@ mod tests {
         let mut obj = VersionedRegister::new();
         obj.apply_update(&Operation::new("set", b"x".to_vec()));
         let lazy = Payload::LazyUpdate {
-            csn: 1,
+            version: 1,
+            vector: Vec::new(),
             snapshot: obj.snapshot(),
+            rate_per_us: 0.0,
         };
         s.on_payload(a(2), lazy.clone(), t(0), &mut Vec::new());
         assert_eq!(s.csn(), 1);

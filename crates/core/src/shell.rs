@@ -282,10 +282,6 @@ pub trait Discipline: Default + Send {
         Vec::new()
     }
 
-    /// The lazy update the publisher multicasts to the secondary group;
-    /// `rate_per_us` is the shell's estimate of the update arrival rate.
-    fn lazy_update(&self, shell: &Shell, rate_per_us: f64) -> Payload;
-
     /// Encodes the transferable state: what a state transfer ships and a
     /// durable snapshot stores.
     fn encode_state(&self, object: &dyn ReplicatedObject) -> bytes::Bytes {
@@ -332,10 +328,17 @@ pub trait Discipline: Default + Send {
 pub(crate) struct PendingRead {
     pub(crate) req: ReadRequest,
     pub(crate) client: ActorId,
-    /// What the client had observed when it issued the read (empty unless
-    /// the discipline tracks a version vector).
-    pub(crate) deps: VersionVector,
     pub(crate) arrived_at: SimTime,
+}
+
+impl PendingRead {
+    pub(crate) fn new(req: ReadRequest, client: ActorId, arrived_at: SimTime) -> Self {
+        Self {
+            req,
+            client,
+            arrived_at,
+        }
+    }
 }
 
 #[derive(Debug)]
@@ -708,7 +711,7 @@ impl Shell {
         }
         let staleness = discipline.staleness(self, now);
         if self.synced
-            && discipline.read_ready(&pending.deps)
+            && discipline.read_ready(&pending.req.deps)
             && staleness <= u64::from(pending.req.staleness_threshold)
         {
             let kind = WorkKind::Read {
@@ -744,7 +747,7 @@ impl Shell {
         for (read, deferred_at) in std::mem::take(&mut self.deferred) {
             if all
                 || (self.synced
-                    && discipline.read_ready(&read.deps)
+                    && discipline.read_ready(&read.req.deps)
                     && staleness <= u64::from(read.req.staleness_threshold))
             {
                 let kind = WorkKind::Read {
@@ -1134,9 +1137,12 @@ impl<D: Discipline> ServerProtocol for Replica<D> {
         } else {
             0.0
         };
-        out.push(ServerAction::MulticastSecondary(
-            discipline.lazy_update(shell, rate),
-        ));
+        out.push(ServerAction::MulticastSecondary(Payload::LazyUpdate {
+            version: discipline.position().applied_csn,
+            vector: discipline.stamp(),
+            snapshot: shell.object.snapshot(),
+            rate_per_us: rate,
+        }));
         shell.updates_since_lazy = 0;
         shell.publisher_lazy_at = now;
         // Keep the rate estimate fresh: restart the accumulation window

@@ -12,6 +12,7 @@ use crate::fifo::Fifo;
 use crate::object::VersionedRegister;
 use crate::protocol::drive_service;
 use crate::server::Sequential;
+use crate::wire::CausalStamp;
 use aqf_group::ViewId;
 
 pub(crate) fn a(i: usize) -> ActorId {
@@ -133,6 +134,7 @@ fn get(seq: u64, staleness_threshold: u32) -> ReadRequest {
         staleness_threshold,
         deadline_us: 0,
         attempt: 1,
+        deps: Vec::new(),
     }
 }
 
@@ -145,16 +147,29 @@ fn register_at(n: u64) -> bytes::Bytes {
     reg.snapshot()
 }
 
-/// How to speak one discipline's wire dialect, as `(sender, payload)`
-/// deliveries at a non-leader replica.
+/// What it takes to order a request under one discipline, as `(sender,
+/// payload)` deliveries at a non-leader replica.
 pub(crate) trait Fixture: Discipline {
     /// Client 20's `n`-th update (0-based), through to its commit point.
-    fn update(n: u64) -> Vec<(ActorId, Payload)>;
+    fn update(n: u64) -> Vec<(ActorId, Payload)> {
+        vec![(a(20), Payload::Update(set(n), None))]
+    }
     /// A read by client 20 arriving while the primary group is at version
     /// `world` (disciplines without a sequencer cannot know, and estimate).
-    fn read(seq: u64, staleness_threshold: u32, world: u64) -> Vec<(ActorId, Payload)>;
-    /// The lazy update a publisher at `version` multicasts.
-    fn lazy(version: u64, snapshot: bytes::Bytes, rate_per_us: f64) -> Payload;
+    fn read(seq: u64, staleness_threshold: u32, _world: u64) -> Vec<(ActorId, Payload)> {
+        vec![(a(20), Payload::Read(get(seq, staleness_threshold)))]
+    }
+}
+
+/// The lazy update a publisher multicasts after `version` updates, all of
+/// them client 20's.
+fn lazy(version: u64, snapshot: bytes::Bytes, rate_per_us: f64) -> Payload {
+    Payload::LazyUpdate {
+        version,
+        vector: vec![(a(20), version)],
+        snapshot,
+        rate_per_us,
+    }
 }
 
 impl Fixture for Sequential {
@@ -163,7 +178,7 @@ impl Fixture for Sequential {
             req: request(n),
             gsn: n + 1,
         };
-        vec![(a(20), Payload::Update(set(n))), (a(0), assign)]
+        vec![(a(20), Payload::Update(set(n), None)), (a(0), assign)]
     }
 
     fn read(seq: u64, staleness_threshold: u32, world: u64) -> Vec<(ActorId, Payload)> {
@@ -174,55 +189,17 @@ impl Fixture for Sequential {
         let read = Payload::Read(get(seq, staleness_threshold));
         vec![(a(0), snapshot), (a(20), read)]
     }
-
-    fn lazy(csn: u64, snapshot: bytes::Bytes, _rate_per_us: f64) -> Payload {
-        Payload::LazyUpdate { csn, snapshot }
-    }
 }
 
-impl Fixture for Fifo {
-    fn update(n: u64) -> Vec<(ActorId, Payload)> {
-        vec![(a(20), Payload::Update(set(n)))]
-    }
-
-    fn read(seq: u64, staleness_threshold: u32, _world: u64) -> Vec<(ActorId, Payload)> {
-        vec![(a(20), Payload::Read(get(seq, staleness_threshold)))]
-    }
-
-    fn lazy(version: u64, snapshot: bytes::Bytes, rate_per_us: f64) -> Payload {
-        Payload::FifoLazyUpdate {
-            version,
-            snapshot,
-            rate_per_us,
-        }
-    }
-}
+impl Fixture for Fifo {}
 
 impl Fixture for Causal {
     fn update(n: u64) -> Vec<(ActorId, Payload)> {
-        let update = Payload::CausalUpdate {
-            update: set(n),
+        let stamp = CausalStamp {
             update_seq: n,
             deps: Vec::new(),
         };
-        vec![(a(20), update)]
-    }
-
-    fn read(seq: u64, staleness_threshold: u32, _world: u64) -> Vec<(ActorId, Payload)> {
-        let read = Payload::CausalRead {
-            read: get(seq, staleness_threshold),
-            deps: Vec::new(),
-        };
-        vec![(a(20), read)]
-    }
-
-    fn lazy(version: u64, snapshot: bytes::Bytes, rate_per_us: f64) -> Payload {
-        Payload::CausalLazyUpdate {
-            version,
-            vector: vec![(a(20), version)],
-            snapshot,
-            rate_per_us,
-        }
+        vec![(a(20), Payload::Update(set(n), Some(stamp)))]
     }
 }
 
@@ -302,12 +279,7 @@ pub(crate) fn stale_secondary_defers_until_lazy_update<D: Fixture>() {
     let mut s = gw::<D>(10, config());
     s.on_start(t(0), &mut Vec::new());
     // The publisher advertises 10 updates/s.
-    s.on_payload(
-        a(2),
-        D::lazy(1, register_at(1), 1e-5),
-        t(0),
-        &mut Vec::new(),
-    );
+    s.on_payload(a(2), lazy(1, register_at(1), 1e-5), t(0), &mut Vec::new());
     // 2 s later the primary group is (about) 20 versions ahead; a
     // threshold of 3 defers.
     let mut actions = Vec::new();
@@ -315,12 +287,7 @@ pub(crate) fn stale_secondary_defers_until_lazy_update<D: Fixture>() {
     assert!(actions.is_empty(), "too stale: defer");
     assert_eq!(s.stats().reads_deferred, 1);
     // The next lazy update releases it.
-    s.on_payload(
-        a(2),
-        D::lazy(20, register_at(20), 1e-5),
-        t(2500),
-        &mut actions,
-    );
+    s.on_payload(a(2), lazy(20, register_at(20), 1e-5), t(2500), &mut actions);
     assert_eq!(s.csn(), 20);
     assert_eq!(s.stats().lazy_updates_applied, 2);
     let _ = drain(&mut s, &mut actions, t(2500));
@@ -333,12 +300,7 @@ pub(crate) fn stale_secondary_defers_until_lazy_update<D: Fixture>() {
 pub(crate) fn fresh_secondary_serves_immediately<D: Fixture>() {
     let mut s = gw::<D>(10, config());
     s.on_start(t(0), &mut Vec::new());
-    s.on_payload(
-        a(2),
-        D::lazy(3, register_at(3), 1e-6),
-        t(100),
-        &mut Vec::new(),
-    );
+    s.on_payload(a(2), lazy(3, register_at(3), 1e-6), t(100), &mut Vec::new());
     let mut actions = Vec::new();
     feed(&mut s, D::read(0, 2, 5), t(200), &mut actions);
     let _ = drain(&mut s, &mut actions, t(200));
@@ -385,7 +347,7 @@ pub(crate) fn durable_secondary_persists_lazy_installs<D: Fixture>() -> Replica<
     let snapshot = register_at(7);
     s.on_payload(
         a(2),
-        D::lazy(7, snapshot.clone(), 1e-6),
+        lazy(7, snapshot.clone(), 1e-6),
         t(100),
         &mut Vec::new(),
     );

@@ -184,11 +184,27 @@ pub struct ReadRequest {
     /// Transmission attempt, starting at 1; retries and hedges of the same
     /// `id` carry higher attempts (hedges reuse the current attempt).
     pub attempt: u32,
+    /// What the client had observed when it issued the read (causal
+    /// ordering; empty otherwise): the read must not be served from a state
+    /// older than this (read-your-writes + monotonic reads).
+    pub deps: VersionVector,
 }
 
 /// A dependency/version vector: per-client applied-update counts. Used by
 /// the causal handler; empty for the other handlers.
 pub type VersionVector = Vec<(ActorId, u64)>;
+
+/// A causal update's place in its client's session.
+#[derive(Debug, Clone, PartialEq)]
+pub struct CausalStamp {
+    /// This client's update-only sequence number (0-based): a replica
+    /// applies the update only after the client's previous `update_seq`
+    /// updates.
+    pub update_seq: u64,
+    /// Everything else the client had observed: the update may not be
+    /// applied before these.
+    pub deps: VersionVector,
+}
 
 /// A reply from a replica gateway to a client gateway.
 #[derive(Debug, Clone, PartialEq)]
@@ -257,8 +273,9 @@ pub struct PublisherInfo {
 /// All gateway-to-gateway payloads.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Payload {
-    /// Client -> primary group: a state-modifying request.
-    Update(UpdateRequest),
+    /// Client -> primary group: a state-modifying request, stamped with its
+    /// session position under causal ordering (`None` otherwise).
+    Update(UpdateRequest, Option<CausalStamp>),
     /// Client -> sequencer + selected replicas: a read-only request.
     Read(ReadRequest),
     /// Sequencer -> primary group: GSN assignment for an update.
@@ -293,23 +310,20 @@ pub enum Payload {
         /// The request being rejected.
         req: RequestId,
     },
-    /// Lazy publisher -> secondary group: state snapshot at commit `csn`.
+    /// Lazy publisher -> secondary group: state snapshot at `version`,
+    /// with what a secondary without a sequencer needs to judge itself by.
     LazyUpdate {
-        /// Commit sequence number captured by the snapshot.
-        csn: u64,
-        /// Serialized object state.
-        snapshot: Bytes,
-    },
-    /// Lazy publisher -> secondary group, FIFO handler: state snapshot at
-    /// `version` together with the publisher's update-rate estimate, from
-    /// which secondaries bound their own expected staleness (there is no
-    /// sequencer to provide an exact global version in FIFO mode).
-    FifoLazyUpdate {
-        /// Updates applied by the publisher when the snapshot was taken.
+        /// Updates applied by the publisher when the snapshot was taken
+        /// (its applied CSN, under sequential ordering).
         version: u64,
+        /// The publisher's per-client applied vector (causal ordering;
+        /// empty otherwise).
+        vector: VersionVector,
         /// Serialized object state.
         snapshot: Bytes,
-        /// Publisher-estimated update arrival rate (arrivals/µs).
+        /// Publisher-estimated update arrival rate (arrivals/µs), from
+        /// which FIFO and causal secondaries bound their expected
+        /// staleness; a sequential secondary knows the exact GSN instead.
         rate_per_us: f64,
     },
     /// Server -> clients: performance broadcast.
@@ -345,41 +359,6 @@ pub enum Payload {
         gsn: u64,
         /// Serialized object state.
         snapshot: Bytes,
-    },
-    /// Client -> primary group, causal handler: an update carrying its
-    /// per-client sequence number and the dependencies the client had
-    /// observed when issuing it.
-    CausalUpdate {
-        /// The update body.
-        update: UpdateRequest,
-        /// This client's update-only sequence number (0-based): a replica
-        /// applies the update only after the client's previous
-        /// `update_seq` updates.
-        update_seq: u64,
-        /// Everything else the client had observed: the update may not be
-        /// applied before these.
-        deps: VersionVector,
-    },
-    /// Client -> selected replicas, causal handler: a read that must not
-    /// be served from a state older than what the client has already
-    /// observed (read-your-writes + monotonic reads).
-    CausalRead {
-        /// The read body.
-        read: ReadRequest,
-        /// The client's observed vector.
-        deps: VersionVector,
-    },
-    /// Lazy publisher -> secondary group, causal handler: state snapshot
-    /// with its version vector and the publisher's update-rate estimate.
-    CausalLazyUpdate {
-        /// Total updates applied by the publisher at snapshot time.
-        version: u64,
-        /// The publisher's per-client applied vector.
-        vector: VersionVector,
-        /// Serialized object state.
-        snapshot: Bytes,
-        /// Publisher-estimated update arrival rate (arrivals/µs).
-        rate_per_us: f64,
     },
     /// Recovering replica -> a primary: request only the committed updates
     /// above `have_csn`. Sent after a local write-ahead-log replay restored
@@ -419,67 +398,18 @@ pub enum Payload {
 }
 
 impl Payload {
-    /// Short tag for tracing and debugging.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            Payload::Update(_) => "update",
-            Payload::Read(_) => "read",
-            Payload::GsnAssign { .. } => "gsn-assign",
-            Payload::GsnSnapshot { .. } => "gsn-snapshot",
-            Payload::GsnRequest { .. } => "gsn-request",
-            Payload::Reply(_) => "reply",
-            Payload::Busy { .. } => "busy",
-            Payload::LazyUpdate { .. } => "lazy-update",
-            Payload::FifoLazyUpdate { .. } => "fifo-lazy-update",
-            Payload::Perf(_) => "perf",
-            Payload::GsnQuery { .. } => "gsn-query",
-            Payload::GsnReport { .. } => "gsn-report",
-            Payload::StateRequest => "state-request",
-            Payload::StateResponse { .. } => "state-response",
-            Payload::CausalUpdate { .. } => "causal-update",
-            Payload::CausalRead { .. } => "causal-read",
-            Payload::CausalLazyUpdate { .. } => "causal-lazy-update",
-            Payload::DeltaRequest { .. } => "delta-request",
-            Payload::DeltaResponse { .. } => "delta-response",
-            Payload::PromoteQuery => "promote-query",
-            Payload::PromoteReport { .. } => "promote-report",
-            Payload::Promote => "promote",
-        }
-    }
-
     /// Returns the payload with its attempt counter set to `attempt`,
-    /// leaving everything else — ids, operations, and in particular a
-    /// causal update's `update_seq`/`deps` — untouched, so a
-    /// retransmission is byte-for-byte the same request. Non-request
-    /// payloads are returned unchanged.
-    pub fn with_attempt(self, attempt: u32) -> Payload {
-        match self {
-            Payload::Update(mut u) => {
-                u.attempt = attempt;
-                Payload::Update(u)
-            }
-            Payload::Read(mut r) => {
-                r.attempt = attempt;
-                Payload::Read(r)
-            }
-            Payload::CausalUpdate {
-                mut update,
-                update_seq,
-                deps,
-            } => {
-                update.attempt = attempt;
-                Payload::CausalUpdate {
-                    update,
-                    update_seq,
-                    deps,
-                }
-            }
-            Payload::CausalRead { mut read, deps } => {
-                read.attempt = attempt;
-                Payload::CausalRead { read, deps }
-            }
-            other => other,
+    /// leaving everything else — ids, operations, and in particular an
+    /// update's causal stamp — untouched, so a retransmission is
+    /// byte-for-byte the same request. Non-request payloads are returned
+    /// unchanged.
+    pub fn with_attempt(mut self, attempt: u32) -> Payload {
+        match &mut self {
+            Payload::Update(u, _) => u.attempt = attempt,
+            Payload::Read(r) => r.attempt = attempt,
+            _ => {}
         }
+        self
     }
 }
 
@@ -523,119 +453,5 @@ mod tests {
         let cloned = op.clone();
         assert_eq!(cloned.method, op.method);
         assert_eq!(cloned.method, "wire-test-method");
-    }
-
-    #[test]
-    fn payload_tags_are_distinct() {
-        let tags = [
-            Payload::Update(UpdateRequest {
-                id: rid(0, 0),
-                op: Operation::new("m", vec![]),
-                attempt: 1,
-            })
-            .tag(),
-            Payload::Read(ReadRequest {
-                id: rid(0, 0),
-                op: Operation::new("m", vec![]),
-                staleness_threshold: 0,
-                deadline_us: 0,
-                attempt: 1,
-            })
-            .tag(),
-            Payload::Busy { req: rid(0, 0) }.tag(),
-            Payload::GsnAssign {
-                req: rid(0, 0),
-                gsn: 0,
-            }
-            .tag(),
-            Payload::GsnSnapshot {
-                req: rid(0, 0),
-                gsn: 0,
-            }
-            .tag(),
-            Payload::GsnRequest { req: rid(0, 0) }.tag(),
-            Payload::GsnQuery { csn: 0 }.tag(),
-            Payload::GsnReport {
-                max_gsn: 0,
-                csn: 0,
-                assignments: Vec::new(),
-            }
-            .tag(),
-            Payload::StateRequest.tag(),
-            Payload::StateResponse {
-                csn: 0,
-                gsn: 0,
-                snapshot: Bytes::new(),
-            }
-            .tag(),
-            Payload::LazyUpdate {
-                csn: 0,
-                snapshot: Bytes::new(),
-            }
-            .tag(),
-            Payload::Perf(PerfBroadcast {
-                read: None,
-                publisher: None,
-            })
-            .tag(),
-            Payload::Reply(Reply {
-                id: rid(0, 0),
-                result: Bytes::new(),
-                t1_us: 0,
-                staleness: 0,
-                deferred: false,
-                csn: 0,
-                vector: Vec::new(),
-            })
-            .tag(),
-        ];
-        let causal = [
-            Payload::CausalUpdate {
-                update: UpdateRequest {
-                    id: rid(0, 0),
-                    op: Operation::new("m", vec![]),
-                    attempt: 1,
-                },
-                update_seq: 0,
-                deps: Vec::new(),
-            }
-            .tag(),
-            Payload::CausalRead {
-                read: ReadRequest {
-                    id: rid(0, 0),
-                    op: Operation::new("m", vec![]),
-                    staleness_threshold: 0,
-                    deadline_us: 0,
-                    attempt: 1,
-                },
-                deps: Vec::new(),
-            }
-            .tag(),
-            Payload::CausalLazyUpdate {
-                version: 0,
-                vector: Vec::new(),
-                snapshot: Bytes::new(),
-                rate_per_us: 0.0,
-            }
-            .tag(),
-            Payload::FifoLazyUpdate {
-                version: 0,
-                snapshot: Bytes::new(),
-                rate_per_us: 0.0,
-            }
-            .tag(),
-            Payload::DeltaRequest { have_csn: 0 }.tag(),
-            Payload::DeltaResponse {
-                from_csn: 0,
-                ops: Vec::new(),
-            }
-            .tag(),
-            Payload::PromoteQuery.tag(),
-            Payload::PromoteReport { csn: 0, gsn: 0 }.tag(),
-            Payload::Promote.tag(),
-        ];
-        let tags: Vec<_> = tags.iter().chain(causal.iter()).collect();
-        let unique: std::collections::HashSet<_> = tags.iter().collect();
-        assert_eq!(unique.len(), tags.len());
     }
 }

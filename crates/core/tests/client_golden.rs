@@ -13,11 +13,12 @@
 //!
 //! What is hashed is a *semantic projection* (kind, target, request id,
 //! attempt, timer purpose and delay, every `ResponseInfo` field, the causal
-//! stamp), not `Debug` of a payload: the values were recorded on the
-//! gateway whose callbacks each returned a fresh `Vec<ClientAction>` and
-//! whose causal requests travelled as their own payload variants, and the
-//! gateway that replaced it must reproduce them. Only the two functions
-//! under "calling convention" know either of those things. Re-baseline only
+//! stamp), not `Debug` of a payload: the values were recorded on a gateway
+//! whose callbacks each returned a fresh `Vec<ClientAction>` and whose
+//! causal requests travelled as their own payload variants, and the gateway
+//! that replaced it (caller-owned sink, one request dialect) must reproduce
+//! them. Only the two functions under "calling convention" know either of
+//! those things, and only they were edited for it. Re-baseline only
 //! for a deliberate protocol change, using the ignored printer at the
 //! bottom.
 //!
@@ -31,8 +32,8 @@
 
 use aqf_core::client::{ClientAction, ClientConfig, ClientGateway, RecoveryPolicy, TimerPurpose};
 use aqf_core::wire::{
-    Operation, Payload, PerfBroadcast, PublisherInfo, ReadMeasurement, ReadRequest, Reply,
-    RequestId, UpdateRequest, PRIMARY_GROUP, SECONDARY_GROUP,
+    Operation, Payload, PerfBroadcast, PublisherInfo, ReadMeasurement, Reply, RequestId,
+    PRIMARY_GROUP, SECONDARY_GROUP,
 };
 use aqf_core::{ObsHandle, OperationKind, OrderingGuarantee, OverloadConfig, QosSpec};
 use aqf_group::{View, ViewId};
@@ -55,20 +56,29 @@ enum Call {
 /// Makes `call` at `now`: the request id a submit allocated, and every
 /// action the gateway emitted.
 fn acts(c: &mut ClientGateway, call: Call, now: SimTime) -> (Option<RequestId>, Vec<ClientAction>) {
-    match call {
+    let mut out = Vec::new();
+    let id = match call {
         Call::Read(qos) => {
-            let (id, out) = c.submit_read(Operation::new("get", Vec::new()), qos, now);
-            (Some(id), out)
+            Some(c.submit_read(Operation::new("get", Vec::new()), qos, now, &mut out))
         }
         Call::Update(n) => {
             let op = Operation::new("set", format!("v{n}").into_bytes());
-            let (id, out) = c.submit_update(op, now);
-            (Some(id), out)
+            Some(c.submit_update(op, now, &mut out))
         }
-        Call::Timer(req, purpose) => (None, c.on_timer(req, purpose, now)),
-        Call::Deliver(from, payload) => (None, c.on_payload(from, payload, now)),
-        Call::View(view) => (None, c.on_view(Arc::new(view), now)),
-    }
+        Call::Timer(req, purpose) => {
+            c.on_timer(req, purpose, now, &mut out);
+            None
+        }
+        Call::Deliver(from, payload) => {
+            c.on_payload(from, payload, now, &mut out);
+            None
+        }
+        Call::View(view) => {
+            c.on_view(Arc::new(view), now, &mut out);
+            None
+        }
+    };
+    (id, out)
 }
 
 /// What a request payload says, whichever variant carries it.
@@ -83,9 +93,9 @@ struct Request<'a> {
     deps: &'a [(ActorId, u64)],
 }
 
-impl<'a> Request<'a> {
-    fn read(r: &'a ReadRequest, deps: &'a [(ActorId, u64)]) -> Self {
-        Request {
+fn request(payload: &Payload) -> Request<'_> {
+    match payload {
+        Payload::Read(r) => Request {
             read: true,
             id: r.id,
             op: &r.op,
@@ -93,34 +103,18 @@ impl<'a> Request<'a> {
             staleness_threshold: r.staleness_threshold,
             deadline_us: r.deadline_us,
             update_seq: None,
-            deps,
-        }
-    }
-
-    fn update(u: &'a UpdateRequest, update_seq: Option<u64>, deps: &'a [(ActorId, u64)]) -> Self {
-        Request {
+            deps: &r.deps,
+        },
+        Payload::Update(u, stamp) => Request {
             read: false,
             id: u.id,
             op: &u.op,
             attempt: u.attempt,
             staleness_threshold: 0,
             deadline_us: 0,
-            update_seq,
-            deps,
-        }
-    }
-}
-
-fn request(payload: &Payload) -> Request<'_> {
-    match payload {
-        Payload::Read(r) => Request::read(r, &[]),
-        Payload::CausalRead { read, deps } => Request::read(read, deps),
-        Payload::Update(u) => Request::update(u, None, &[]),
-        Payload::CausalUpdate {
-            update,
-            update_seq,
-            deps,
-        } => Request::update(update, Some(*update_seq), deps),
+            update_seq: stamp.as_ref().map(|s| s.update_seq),
+            deps: stamp.as_ref().map_or(&[], |s| &s.deps),
+        },
         other => panic!("a client gateway sends only requests, not {other:?}"),
     }
 }

@@ -11,16 +11,19 @@ use aqf_core::object::VersionedRegister;
 use aqf_core::protocol::{drive_service, ServerProtocol};
 use aqf_core::shell::{ServerAction, ServerConfig};
 use aqf_core::wire::{
-    Operation, Payload, PerfBroadcast, ReadMeasurement, RequestId, UpdateRequest, PRIMARY_GROUP,
-    SECONDARY_GROUP,
+    CausalStamp, Operation, Payload, PerfBroadcast, ReadMeasurement, RequestId, UpdateRequest,
+    PRIMARY_GROUP, SECONDARY_GROUP,
 };
 use aqf_core::{
-    CausalServerGateway, ClientAction, ClientConfig, ClientGateway, FifoServerGateway,
-    InfoRepository, QosSpec, SelectionPolicy, Selector, ServerGateway, TimerPurpose,
+    CausalServerGateway, ClientAction, ClientConfig, ClientGateway, DegradeStep, FifoServerGateway,
+    InfoRepository, OrderingGuarantee, OverloadConfig, QosSpec, RecoveryPolicy, SelectionPolicy,
+    Selector, ServerGateway, TimerPurpose,
 };
 use aqf_group::{View, ViewId};
 use aqf_sim::{ActorId, SimDuration, SimTime};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 
 fn a(i: usize) -> ActorId {
     ActorId::from_index(i)
@@ -54,14 +57,15 @@ fn drain(gw: &mut dyn ServerProtocol, actions: &mut Vec<ServerAction>, now: SimT
 }
 
 fn update_payload(i: u64, attempt: u32) -> Payload {
-    Payload::Update(UpdateRequest {
+    let update = UpdateRequest {
         id: RequestId {
             client: a(20),
             seq: i,
         },
         op: Operation::new("set", format!("v{i}").into_bytes()),
         attempt,
-    })
+    };
+    Payload::Update(update, None)
 }
 
 /// A pre-evaluated slice that counts what the selection asks for.
@@ -190,6 +194,207 @@ fn assert_same_selection(actual: &Selection, expected: &Selection) {
     assert_eq!(actual.satisfied, expected.satisfied);
 }
 
+/// `RecoveryPolicy::disabled()` and `OverloadConfig::disabled()` with every
+/// field but `enabled` drawn at random — zero durations, an unsorted
+/// ladder, a window the detector could not hold: none of it may matter.
+fn disabled_with_random_knobs(rng: &mut SmallRng) -> (RecoveryPolicy, OverloadConfig) {
+    let dur = |rng: &mut SmallRng| SimDuration::from_micros(rng.gen_range(0..5_000_000));
+    let recovery = RecoveryPolicy {
+        enabled: false,
+        max_attempts: rng.gen_range(0..8),
+        base_backoff: dur(rng),
+        max_backoff: dur(rng),
+        hedge_fraction: rng.gen_bool(0.7).then(|| rng.gen_range(0.0..1.0)),
+        update_retry_after: dur(rng),
+        quarantine_threshold: rng.gen_range(0..5),
+        quarantine_base: dur(rng),
+        quarantine_max: dur(rng),
+    };
+    let overload = OverloadConfig {
+        enabled: false,
+        queue_bound: rng.gen_range(0..100),
+        deadline_shedding: rng.gen_bool(0.5),
+        sequencer_watermark: rng.gen_range(0..200),
+        breaker_threshold: rng.gen_range(0..5),
+        breaker_open: dur(rng),
+        probe_interval: dur(rng),
+        ladder: (0..rng.gen_range(0..4))
+            .map(|_| DegradeStep {
+                widen_staleness: rng.gen_range(0..8),
+                relax_probability: rng.gen_range(0.0..1.0),
+            })
+            .collect(),
+        recover_window: rng.gen_range(0..100),
+        admission_headroom: rng.gen_range(0.0..2.0),
+    };
+    (recovery, overload)
+}
+
+/// Drives `steps` random callbacks (submit, armed and spurious timers,
+/// replies, `Busy`, perf broadcasts, view changes) into two gateways that
+/// differ only in the knobs of their disabled layers, and checks that the
+/// layers are not there: equal action streams and counters, no layer timer,
+/// no `Degrade`, no layer counter off zero.
+fn assert_disabled_layers_inert(ordering: OrderingGuarantee, seed: u64, steps: usize) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let (recovery, overload) = disabled_with_random_knobs(&mut rng);
+    let gateway = |recovery, overload| {
+        let primaries = View::new(PRIMARY_GROUP, ViewId(0), (0..4).map(a).collect());
+        let secondaries = View::new(SECONDARY_GROUP, ViewId(0), (10..14).map(a).collect());
+        let config = ClientConfig {
+            seed,
+            ordering,
+            recovery,
+            overload,
+            ..ClientConfig::default()
+        };
+        ClientGateway::new(a(20), primaries, secondaries, config)
+    };
+    let mut plain = gateway(RecoveryPolicy::disabled(), OverloadConfig::disabled());
+    let mut knobbed = gateway(recovery, overload);
+
+    let replicas: Vec<ActorId> = (0..4).chain(10..14).map(a).collect();
+    let mut now = SimTime::ZERO;
+    let mut armed: Vec<(SimTime, RequestId, TimerPurpose)> = Vec::new();
+    let mut submitted = 0u64;
+    let mut view_ids = [0u64; 2];
+    let (mut out, mut expected) = (Vec::new(), Vec::new());
+    for _ in 0..steps {
+        now += SimDuration::from_micros(rng.gen_range(0..30_000));
+        let some_request = |rng: &mut SmallRng| RequestId {
+            client: a(20),
+            seq: rng.gen_range(0..submitted + 2),
+        };
+        let from = replicas[rng.gen_range(0..replicas.len())];
+        let step = rng.gen_range(0..12);
+        // Each arm makes the same call on both gateways.
+        let mut both = |call: &mut dyn FnMut(&mut ClientGateway, &mut Vec<ClientAction>)| {
+            call(&mut plain, &mut expected);
+            call(&mut knobbed, &mut out);
+        };
+        match step {
+            0..=2 => {
+                let qos = QosSpec::new(
+                    rng.gen_range(0..4),
+                    SimDuration::from_millis(rng.gen_range(20..300)),
+                    rng.gen_range(0.05..0.99),
+                )
+                .unwrap();
+                both(&mut |c, out| {
+                    c.submit_read(get_op(), qos, now, out);
+                });
+                submitted += 1;
+            }
+            3 => {
+                both(&mut |c, out| {
+                    c.submit_update(get_op(), now, out);
+                });
+                submitted += 1;
+            }
+            4..=6 if !armed.is_empty() => {
+                let (due, req, purpose) = armed.remove(rng.gen_range(0..armed.len()));
+                now = now.max(due);
+                both(&mut |c, out| c.on_timer(req, purpose, now, out));
+            }
+            7 => {
+                // A timer of a layer that is off, for a request that may
+                // or may not exist.
+                let req = some_request(&mut rng);
+                let purpose = [TimerPurpose::Retry, TimerPurpose::Hedge][rng.gen_range(0..2usize)];
+                both(&mut |c, out| c.on_timer(req, purpose, now, out));
+                assert!(expected.is_empty(), "{purpose:?} timer acted: {expected:?}");
+            }
+            8 => {
+                let reply = aqf_core::wire::Reply {
+                    id: some_request(&mut rng),
+                    result: Default::default(),
+                    t1_us: rng.gen_range(0..20_000),
+                    staleness: rng.gen_range(0..3),
+                    deferred: rng.gen_bool(0.3),
+                    csn: rng.gen_range(0..50),
+                    vector: (0..rng.gen_range(0..3))
+                        .map(|k| (a(20 + k), rng.gen_range(0..9)))
+                        .collect(),
+                };
+                both(&mut |c, out| c.on_payload(from, Payload::Reply(reply.clone()), now, out));
+            }
+            9 => {
+                let req = some_request(&mut rng);
+                both(&mut |c, out| c.on_payload(from, Payload::Busy { req }, now, out));
+                assert!(expected.is_empty(), "Busy acted: {expected:?}");
+            }
+            10 => {
+                let perf = PerfBroadcast {
+                    read: Some(ReadMeasurement {
+                        ts_us: rng.gen_range(1_000..400_000),
+                        tq_us: rng.gen_range(0..5_000),
+                        tb_us: if rng.gen_bool(0.3) { 100_000 } else { 0 },
+                    }),
+                    publisher: rng.gen_bool(0.3).then(|| aqf_core::wire::PublisherInfo {
+                        n_u: rng.gen_range(0..5),
+                        t_u: SimDuration::from_millis(rng.gen_range(1..2_000)),
+                        n_l: rng.gen_range(0..5),
+                        t_l: SimDuration::from_millis(rng.gen_range(0..2_000)),
+                        period: SimDuration::from_secs(2),
+                    }),
+                };
+                both(&mut |c, out| c.on_payload(from, Payload::Perf(perf), now, out));
+            }
+            _ => {
+                // Replica `3` (or `13`) leaves and rejoins, view by view.
+                let g = rng.gen_range(0..2usize);
+                view_ids[g] += 1;
+                let (group, base) = [(PRIMARY_GROUP, 0), (SECONDARY_GROUP, 10)][g];
+                let size = 4 - (view_ids[g] % 2) as usize;
+                let members = (base..base + size).map(a).collect();
+                let view = std::sync::Arc::new(View::new(group, ViewId(view_ids[g]), members));
+                both(&mut |c, out| c.on_view(view.clone(), now, out));
+            }
+        }
+        assert_eq!(out, expected, "action streams diverged at step kind {step}");
+        for action in out.drain(..) {
+            match action {
+                ClientAction::ArmTimer {
+                    req,
+                    purpose,
+                    after,
+                } => {
+                    assert!(
+                        matches!(
+                            purpose,
+                            TimerPurpose::Transmit | TimerPurpose::Deadline | TimerPurpose::GiveUp
+                        ),
+                        "a disabled layer armed a {purpose:?} timer"
+                    );
+                    armed.push((now + after, req, purpose));
+                }
+                ClientAction::Degrade { .. } => panic!("a disabled ladder moved"),
+                _ => {}
+            }
+        }
+        expected.clear();
+    }
+    let stats = knobbed.stats();
+    assert_eq!(stats, plain.stats());
+    assert_eq!(knobbed.degrade_level(), 0);
+    let layer_counters = [
+        stats.retries,
+        stats.hedges,
+        stats.quarantines,
+        stats.busy_rejections,
+        stats.local_sheds,
+        stats.breaker_opens,
+        stats.admission_reevals,
+        stats.admission_rejects,
+        stats.degrade_transitions,
+    ];
+    assert_eq!(layer_counters, [0; 9], "{stats:?}");
+}
+
+fn get_op() -> Operation {
+    Operation::new("get", Vec::new())
+}
+
 proptest! {
     /// Feed a primary replica a random interleaving of update bodies and
     /// GSN assignments (each body and each assignment exactly once, in any
@@ -221,11 +426,7 @@ proptest! {
                     gsn: i + 1,
                 }
             } else {
-                Payload::Update(UpdateRequest {
-                    id: RequestId { client: a(20), seq: i },
-                    op: Operation::new("set", format!("v{i}").into_bytes()),
-                    attempt: 1,
-                })
+                update_payload(i, 1)
             };
             gw.on_payload(a(0), payload, now, &mut actions);
             csn_trace.push(gw.csn());
@@ -264,11 +465,7 @@ proptest! {
                 let payload = if is_assign {
                     Payload::GsnAssign { req: RequestId { client: a(20), seq: i }, gsn: i + 1 }
                 } else {
-                    Payload::Update(UpdateRequest {
-                        id: RequestId { client: a(20), seq: i },
-                        op: Operation::new("set", format!("v{i}").into_bytes()),
-                        attempt: 1,
-                    })
+                    update_payload(i, 1)
                 };
                 gw.on_payload(a(0), payload, now, &mut actions);
             }
@@ -515,15 +712,11 @@ proptest! {
             let mut actions = Vec::new();
             for (step, (i, attempt)) in events.into_iter().enumerate() {
                 let now = SimTime::from_millis(step as u64);
-                let payload = Payload::CausalUpdate {
-                    update: UpdateRequest {
-                        id: RequestId { client: a(20), seq: i },
-                        op: Operation::new("set", format!("v{i}").into_bytes()),
-                        attempt,
-                    },
-                    update_seq: i,
-                    deps: Vec::new(),
+                let Payload::Update(update, _) = update_payload(i, attempt) else {
+                    unreachable!()
                 };
+                let stamp = CausalStamp { update_seq: i, deps: Vec::new() };
+                let payload = Payload::Update(update, Some(stamp));
                 gw.on_payload(a(20), payload, now, &mut actions);
                 drain(&mut gw, &mut actions, now);
             }
@@ -678,6 +871,23 @@ proptest! {
             prev_d = cd;
         }
     }
+
+    /// "Disabled is inert", pinned directly rather than through digests:
+    /// with recovery and overload off, no other field of either config can
+    /// change what the client gateway does, under any ordering.
+    #[test]
+    fn disabled_layers_are_inert(
+        seed in 0u64..1_000_000,
+        steps in 20usize..250,
+    ) {
+        for ordering in [
+            OrderingGuarantee::Sequential,
+            OrderingGuarantee::Fifo,
+            OrderingGuarantee::Causal,
+        ] {
+            assert_disabled_layers_inert(ordering, seed, steps);
+        }
+    }
 }
 
 /// A warm client over ten replicas, two of which are enough for `Pc`: the
@@ -706,8 +916,9 @@ fn warm_read_evaluates_only_the_replicas_it_visits() {
     // replica its own `ert` (least recently heard: a primary, a secondary,
     // a primary), and each then reports a history in which 7 reads of 10
     // make the deadline, on the immediate and on the deferred path.
-    let (id, _) = c.submit_read(get(), qos, SimTime::from_millis(0));
-    let _ = c.on_timer(id, TimerPurpose::Transmit, SimTime::from_millis(1));
+    let sink = &mut Vec::new();
+    let id = c.submit_read(get(), qos, SimTime::from_millis(0), sink);
+    c.on_timer(id, TimerPurpose::Transmit, SimTime::from_millis(1), sink);
     let replicas = [1, 10, 2, 3, 4, 11, 12, 13, 14, 15].map(a);
     for (k, &r) in replicas.iter().enumerate() {
         let reply = aqf_core::wire::Reply {
@@ -719,19 +930,20 @@ fn warm_read_evaluates_only_the_replicas_it_visits() {
             csn: 0,
             vector: Vec::new(),
         };
-        let _ = c.on_payload(
+        c.on_payload(
             r,
             Payload::Reply(reply),
             SimTime::from_millis(20 + k as u64),
+            sink,
         );
         for n in 0..10 {
             let ts_us = if n < 7 { 10_000 + 100 * n } else { 400_000 };
-            let _ = c.on_payload(r, perf(ts_us), SimTime::from_millis(40));
+            c.on_payload(r, perf(ts_us), SimTime::from_millis(40), sink);
         }
     }
 
     let before = c.repository().cache_stats();
-    let (id, _) = c.submit_read(get(), qos, SimTime::from_millis(1_000));
+    let id = c.submit_read(get(), qos, SimTime::from_millis(1_000), sink);
     let selection = c.last_selection().unwrap();
     assert!(selection.satisfied);
     // The excluded best, the two that reach 1 − 0.3² ≥ 0.9, the sequencer.
@@ -743,8 +955,19 @@ fn warm_read_evaluates_only_the_replicas_it_visits() {
 
     // The hedge ranks the seven untried replicas by `F^I`: their `S⊛W` is
     // convolved here for the first time, their deferred path not at all.
-    let _ = c.on_timer(id, TimerPurpose::Transmit, SimTime::from_millis(1_001));
-    let hedge = c.on_timer(id, TimerPurpose::Hedge, SimTime::from_millis(1_101));
+    c.on_timer(
+        id,
+        TimerPurpose::Transmit,
+        SimTime::from_millis(1_001),
+        sink,
+    );
+    let mut hedge = Vec::new();
+    c.on_timer(
+        id,
+        TimerPurpose::Hedge,
+        SimTime::from_millis(1_101),
+        &mut hedge,
+    );
     assert!(hedge
         .iter()
         .any(|x| matches!(x, ClientAction::SendDirect { .. })));

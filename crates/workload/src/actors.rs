@@ -266,6 +266,9 @@ pub struct ClientRecord {
 pub struct ClientActor {
     ep: GroupEndpoint<Payload>,
     gw: ClientGateway,
+    /// The sink every gateway callback appends its actions to: retained
+    /// across callbacks, so the action list costs no allocation per event.
+    actions: Vec<ClientAction>,
     qos: QosSpec,
     pattern: OpPattern,
     request_delay: SimDuration,
@@ -296,6 +299,7 @@ impl ClientActor {
         Self {
             ep,
             gw,
+            actions: Vec::new(),
             qos,
             pattern,
             request_delay,
@@ -370,41 +374,33 @@ impl ClientActor {
         }
         let is_read = self.next_is_read(ctx);
         self.issued += 1;
-        let now = ctx.now();
         let me = self.gw.me().index() as u64;
-        let actions = if is_read {
-            let op = self.object_kind.read_op(me);
-            let recorded = self.history.is_enabled().then(|| op.clone());
-            let (id, actions) = self.gw.submit_read(op, self.qos, now);
-            if let Some(op) = recorded {
-                self.history.record(|| HistoryEvent::Issue {
-                    client: me,
-                    seq: id.seq,
-                    at_us: now.as_micros(),
-                    read: true,
-                    method: op.method.as_str().to_owned(),
-                    arg: op.payload.to_vec(),
-                });
-            }
-            actions
+        let op = if is_read {
+            self.object_kind.read_op(me)
         } else {
             let op = self.object_kind.write_op(me, self.writes_issued);
             self.writes_issued += 1;
-            let recorded = self.history.is_enabled().then(|| op.clone());
-            let (id, actions) = self.gw.submit_update(op, now);
+            op
+        };
+        let recorded = self.history.is_enabled().then(|| op.clone());
+        let (qos, history) = (self.qos, self.history.clone());
+        self.drive(ctx, |gw, now, out| {
+            let id = if is_read {
+                gw.submit_read(op, qos, now, out)
+            } else {
+                gw.submit_update(op, now, out)
+            };
             if let Some(op) = recorded {
-                self.history.record(|| HistoryEvent::Issue {
+                history.record(|| HistoryEvent::Issue {
                     client: me,
                     seq: id.seq,
                     at_us: now.as_micros(),
-                    read: false,
+                    read: is_read,
                     method: op.method.as_str().to_owned(),
                     arg: op.payload.to_vec(),
                 });
             }
-            actions
-        };
-        self.apply(actions, ctx);
+        });
     }
 
     fn on_completed(&mut self, info: ResponseInfo, ctx: &mut Context<'_, NetMsg>) {
@@ -471,8 +467,16 @@ impl ClientActor {
         ctx.set_timer(REQUEST_TIMER, self.next_request_delay());
     }
 
-    fn apply(&mut self, actions: Vec<ClientAction>, ctx: &mut Context<'_, NetMsg>) {
-        for action in actions {
+    /// Runs one gateway callback against the retained sink, then executes
+    /// what it appended.
+    fn drive(
+        &mut self,
+        ctx: &mut Context<'_, NetMsg>,
+        callback: impl FnOnce(&mut ClientGateway, SimTime, &mut Vec<ClientAction>),
+    ) {
+        let mut actions = std::mem::take(&mut self.actions);
+        callback(&mut self.gw, ctx.now(), &mut actions);
+        for action in actions.drain(..) {
             match action {
                 ClientAction::MulticastPrimary(p) => self.ep.multicast(PRIMARY_GROUP, p, ctx),
                 ClientAction::SendDirect { to, payload } => self.ep.send_direct(to, payload, ctx),
@@ -489,6 +493,7 @@ impl ClientActor {
                 ClientAction::Degrade { .. } => self.record.overload_transitions += 1,
             }
         }
+        self.actions = actions;
     }
 
     fn absorb(&mut self, events: Vec<GroupEvent<Payload>>, ctx: &mut Context<'_, NetMsg>) {
@@ -498,12 +503,10 @@ impl ClientActor {
                     sender, payload, ..
                 }
                 | GroupEvent::Direct { sender, payload } => {
-                    let actions = self.gw.on_payload(sender, payload, ctx.now());
-                    self.apply(actions, ctx);
+                    self.drive(ctx, |gw, now, out| gw.on_payload(sender, payload, now, out));
                 }
                 GroupEvent::ViewChanged { view, .. } => {
-                    let actions = self.gw.on_view(view, ctx.now());
-                    self.apply(actions, ctx);
+                    self.drive(ctx, |gw, now, out| gw.on_view(view, now, out));
                 }
             }
         }
@@ -529,8 +532,7 @@ impl Actor<NetMsg> for ClientActor {
         match timer.kind {
             GATEWAY_TIMER => {
                 if let Some((req, purpose)) = self.timers.remove(&timer.id) {
-                    let actions = self.gw.on_timer(req, purpose, ctx.now());
-                    self.apply(actions, ctx);
+                    self.drive(ctx, |gw, now, out| gw.on_timer(req, purpose, now, out));
                 }
             }
             REQUEST_TIMER => self.issue_next(ctx),
