@@ -24,6 +24,8 @@ struct Host {
     next: usize,
     delivered: Vec<(ActorId, u64)>,
     views: Vec<Arc<View>>,
+    /// When each entry of `views` was installed (or observed).
+    view_at: Vec<SimTime>,
     directs: Vec<(ActorId, u64)>,
 }
 
@@ -36,11 +38,12 @@ impl Host {
             next: 0,
             delivered: Vec::new(),
             views: Vec::new(),
+            view_at: Vec::new(),
             directs: Vec::new(),
         }
     }
 
-    fn absorb(&mut self, events: Vec<GroupEvent<u64>>) {
+    fn absorb(&mut self, events: Vec<GroupEvent<u64>>, now: SimTime) {
         for ev in events {
             match ev {
                 GroupEvent::Delivered {
@@ -48,7 +51,10 @@ impl Host {
                 } => {
                     self.delivered.push((sender, payload));
                 }
-                GroupEvent::ViewChanged { view, .. } => self.views.push(view),
+                GroupEvent::ViewChanged { view, .. } => {
+                    self.views.push(view);
+                    self.view_at.push(now);
+                }
                 GroupEvent::Direct { sender, payload } => self.directs.push((sender, payload)),
             }
         }
@@ -72,12 +78,12 @@ impl Actor<Msg> for Host {
 
     fn on_message(&mut self, from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
         let events = self.ep.handle_message(from, msg, ctx);
-        self.absorb(events);
+        self.absorb(events, ctx.now());
     }
 
     fn on_timer(&mut self, timer: Timer, ctx: &mut Context<'_, Msg>) {
         if let Some(events) = self.ep.handle_timer(timer, ctx) {
-            self.absorb(events);
+            self.absorb(events, ctx.now());
             return;
         }
         if timer.kind == APP_TIMER_SEND {
@@ -662,5 +668,244 @@ fn slow_host_does_not_stall_others() {
     assert_eq!(
         fast.delivered.iter().filter(|(s, _)| *s == ids[0]).count(),
         20
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Liveness outcomes: what a crash, a cut link, a restart or a lossy member
+// does to the installed views, and by when. Written against views,
+// membership and times only — never against which messages carry the
+// evidence — so they hold for any heartbeat topology.
+// ---------------------------------------------------------------------------
+
+fn tick() -> SimDuration {
+    EndpointConfig::default().tick_interval
+}
+
+fn failure_timeout() -> SimDuration {
+    EndpointConfig::default().failure_timeout
+}
+
+/// `n` members with `config`, nobody multicasting.
+fn build_with(n: usize, config: &EndpointConfig, seed: u64) -> (World<Msg>, Vec<ActorId>) {
+    let mut world: World<Msg> = World::new(seed);
+    let ids: Vec<ActorId> = (0..n).map(ActorId::from_index).collect();
+    for &id in &ids {
+        let ep = GroupEndpoint::new(
+            id,
+            config.clone(),
+            vec![GroupMembership {
+                view: View::new(GROUP, ViewId(0), ids.clone()),
+                observers: vec![],
+            }],
+            vec![],
+        );
+        world.add_actor(Box::new(Host::new(
+            ep,
+            vec![],
+            SimDuration::from_millis(10),
+        )));
+    }
+    (world, ids)
+}
+
+fn host(world: &World<Msg>, id: ActorId) -> &Host {
+    world.actor::<Host>(id).unwrap()
+}
+
+/// When `at` first installed a view without `gone`.
+fn excluded_at(world: &World<Msg>, at: ActorId, gone: ActorId) -> Option<SimTime> {
+    let h = host(world, at);
+    h.views
+        .iter()
+        .zip(&h.view_at)
+        .find(|(v, _)| !v.contains(gone))
+        .map(|(_, t)| *t)
+}
+
+/// Everyone in `ids` holds the same full view, and exactly one of them
+/// leads it.
+fn assert_one_full_view(world: &World<Msg>, ids: &[ActorId]) {
+    let reference = host(world, ids[0]).ep.view(GROUP).unwrap().clone();
+    assert_eq!(reference.len(), ids.len(), "full view");
+    for &id in ids {
+        assert_eq!(host(world, id).ep.view(GROUP).unwrap(), &reference);
+        assert!(host(world, id).ep.is_member(GROUP), "{id} is a member");
+    }
+    let leaders = ids
+        .iter()
+        .filter(|&&id| host(world, id).ep.is_leader(GROUP))
+        .count();
+    assert_eq!(leaders, 1, "exactly one leader");
+}
+
+/// Crashes the members at `victims` (ranks) together, mid-tick, and checks
+/// that every survivor installs a view without any of them within `bound`
+/// of the crash.
+fn crash_excluded_within(
+    n: usize,
+    victims: &[usize],
+    bound: SimDuration,
+    config: &EndpointConfig,
+    seed: u64,
+) {
+    let (mut world, ids) = build_with(n, config, seed);
+    let crash = SimTime::from_millis(2_100);
+    for &v in victims {
+        world.schedule_crash(ids[v], crash);
+    }
+    world.run_until(crash + bound + SimDuration::from_secs(2));
+    let survivors: Vec<ActorId> = (0..n)
+        .filter(|r| !victims.contains(r))
+        .map(|r| ids[r])
+        .collect();
+    for &s in &survivors {
+        for &v in victims {
+            let at = excluded_at(&world, s, ids[v])
+                .unwrap_or_else(|| panic!("n={n}: {s} never excluded crashed {}", ids[v]));
+            assert!(
+                at <= crash + bound,
+                "n={n}: {s} excluded {} after {} (bound {bound})",
+                ids[v],
+                at.saturating_since(crash),
+            );
+        }
+        let latest = host(&world, s).ep.view(GROUP).unwrap();
+        assert_eq!(latest.len(), n - victims.len(), "nobody else excluded");
+    }
+    let lowest = survivors[0];
+    assert!(host(&world, lowest).ep.is_leader(GROUP));
+}
+
+fn leader_crash_scenario(config: &EndpointConfig) {
+    for (seed, n) in [(41, 5), (42, 17), (43, 41)] {
+        crash_excluded_within(n, &[0], failure_timeout() + tick() * 3, config, seed);
+    }
+}
+
+fn junior_crash_scenario(config: &EndpointConfig) {
+    for (seed, n) in [(44, 5), (45, 17), (46, 41)] {
+        crash_excluded_within(n, &[n / 2], failure_timeout() + tick() * 3, config, seed);
+    }
+}
+
+/// Cuts the link between the leader and one junior (rank 3 of 5) for 7 s.
+/// The leader excludes the junior; the junior — which still hears everyone
+/// but the leader — learns the view that excludes it while the link is
+/// still down, and is re-admitted once it heals.
+fn leader_junior_cut_scenario(config: &EndpointConfig) {
+    let (mut world, ids) = build_with(5, config, 47);
+    let (leader, junior) = (ids[0], ids[3]);
+    let (cut, heal) = (SimTime::from_secs(2), SimTime::from_secs(9));
+    world.schedule_partition(leader, junior, cut);
+    world.schedule_heal(leader, junior, heal);
+    world.run_until(heal - SimDuration::from_millis(1));
+    for &id in &ids {
+        if id != junior {
+            let v = host(&world, id).ep.view(GROUP).unwrap();
+            assert!(!v.contains(junior), "{id} still counts the cut-off junior");
+            assert_eq!(v.len(), 4, "{id}: only the junior is excluded");
+            assert_eq!(v.leader(), leader);
+        }
+    }
+    let learned =
+        excluded_at(&world, junior, junior).expect("junior never learned of its exclusion");
+    assert!(learned < heal);
+    assert!(!host(&world, junior).ep.is_member(GROUP));
+    world.run_until(heal + SimDuration::from_secs(5));
+    assert_one_full_view(&world, &ids);
+    assert!(host(&world, leader).ep.is_leader(GROUP));
+}
+
+/// Crashes and restarts the lowest-id member: it is re-admitted, leads
+/// again, and its return costs nobody else their membership.
+fn lowest_member_restart_scenario(config: &EndpointConfig) {
+    let n = 5;
+    let (mut world, ids) = build_with(n, config, 48);
+    let restart = SimTime::from_secs(6);
+    world.schedule_crash(ids[0], SimTime::from_secs(2));
+    world.schedule_restart(ids[0], restart);
+    world.run_until(SimTime::from_secs(12));
+    let h = host(&world, ids[0]);
+    let readmitted = h
+        .views
+        .iter()
+        .zip(&h.view_at)
+        .find(|(v, t)| **t >= restart && v.contains(ids[0]))
+        .map(|(_, t)| *t)
+        .expect("restarted member never re-admitted");
+    assert!(
+        readmitted <= restart + tick() * 4,
+        "re-admitted at {readmitted}"
+    );
+    let settle = readmitted + failure_timeout() * 2;
+    for &id in &ids {
+        let h = host(&world, id);
+        for (v, t) in h.views.iter().zip(&h.view_at) {
+            if *t > readmitted && *t <= settle {
+                assert_eq!(v.len(), n, "{id} saw {v} at {t}: somebody wrongly excluded");
+            }
+        }
+    }
+    assert_one_full_view(&world, &ids);
+    assert!(host(&world, ids[0]).ep.is_leader(GROUP));
+}
+
+/// One member (rank 2 of 5) loses 15 % of its messages, both ways, for
+/// 60 s. Returns the views installed, summed over members and over
+/// `seeds`; every run must end re-merged.
+fn lossy_member_views(config: &EndpointConfig, seeds: std::ops::RangeInclusive<u64>) -> u64 {
+    let mut total = 0;
+    for seed in seeds {
+        let (mut world, ids) = build_with(5, config, seed);
+        world.schedule_lossy(ids[2], 0.15, SimTime::from_secs(5));
+        world.schedule_restore(ids[2], SimTime::from_secs(65));
+        world.run_until(SimTime::from_secs(75));
+        assert_one_full_view(&world, &ids);
+        total += ids
+            .iter()
+            .map(|&id| host(&world, id).ep.stats().views_installed)
+            .sum::<u64>();
+    }
+    total
+}
+
+#[test]
+fn leader_crash_is_excluded_within_timeout_plus_three_ticks() {
+    leader_crash_scenario(&EndpointConfig::default());
+}
+
+#[test]
+fn junior_crash_is_excluded_within_timeout_plus_three_ticks() {
+    junior_crash_scenario(&EndpointConfig::default());
+}
+
+#[test]
+fn junior_cut_off_from_leader_learns_its_exclusion_and_returns() {
+    leader_junior_cut_scenario(&EndpointConfig::default());
+}
+
+#[test]
+fn restarted_lowest_member_leads_again_without_collateral() {
+    lowest_member_restart_scenario(&EndpointConfig::default());
+}
+
+/// Views installed under the lossy-member scenario, seeds 1..=1000, when
+/// every member heartbeat every other member (the design this file was
+/// first written against; seeds 1..=8 alone gave 7). A false exclusion
+/// needs four consecutive losses on one link (about one run in eight) and
+/// costs about ten installs across the group, so the count over a handful
+/// of seeds is a coin toss: it is summed over enough runs to hold ~85
+/// exclusions, and a liveness scheme that sends less may not churn more
+/// than a quarter above it.
+const LOSSY_MEMBER_VIEWS_ALL_TO_ALL: u64 = 859;
+
+#[test]
+fn lossy_member_does_not_churn_views() {
+    let views = lossy_member_views(&EndpointConfig::default(), 1..=1000);
+    println!("lossy member: {views} views installed over seeds 1..=1000");
+    assert!(
+        4 * views <= 5 * LOSSY_MEMBER_VIEWS_ALL_TO_ALL,
+        "{views} views against {LOSSY_MEMBER_VIEWS_ALL_TO_ALL}"
     );
 }
