@@ -6,7 +6,7 @@
 //! is evicted, re-merged, and evicted again, churning the sequencer and
 //! publisher roles. The φ-accrual detector (Hayashibara et al., SRDS 2004)
 //! instead keeps a sliding window of observed heartbeat inter-arrival times
-//! per peer and converts the current silence into a *continuous* suspicion
+//! per monitored peer and converts the current silence into a *continuous* suspicion
 //! level
 //!
 //! ```text

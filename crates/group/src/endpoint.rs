@@ -1,16 +1,23 @@
 //! The per-node group communication endpoint.
 //!
 //! A [`GroupEndpoint`] lives inside a host actor and implements, for every
-//! group the node belongs to or observes: heartbeat liveness, leader-driven
-//! view installation, reliable FIFO multicast (holdback + nack
+//! group the node belongs to or observes: leader-rooted liveness,
+//! leader-driven view installation, reliable FIFO multicast (holdback + nack
 //! retransmission), open-group multicast for non-members, and rejoin with a
 //! fresh incarnation after a crash.
+//!
+//! Liveness is rooted at the leader (DESIGN.md §3.2): every tick the leader
+//! announces its view to members and observers, and every other member
+//! sends one heartbeat, to the most senior member it has not given up on.
+//! A member judges silence only along the rank chain ahead of it, and the
+//! node at the head of its own chain leads.
 
 use crate::channel::ReceiveChannel;
 use crate::detector::{FailureDetector, FlapDamping, PhiAccrual};
 use crate::msg::{DataMsg, Envelope, GroupMsg, SharedPayload};
-use crate::view::{GroupId, View};
+use crate::view::{GroupId, View, ViewId};
 use aqf_sim::{ActorId, Context, SimDuration, SimTime, Timer};
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
@@ -18,18 +25,18 @@ use std::sync::Arc;
 /// host actors must keep their own timer kinds below it.
 pub const GROUP_TIMER_KIND_BASE: u32 = 0xFFFF_0000;
 
-/// The single periodic maintenance timer (heartbeats, failure checks, join
-/// retries).
+/// The single periodic maintenance timer (heartbeat or view announce,
+/// failure checks, join retries).
 const TICK_TIMER: u32 = GROUP_TIMER_KIND_BASE;
 
 /// Tuning knobs for a [`GroupEndpoint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EndpointConfig {
-    /// Period of the maintenance tick: heartbeats are sent and failures
-    /// checked once per tick.
+    /// Period of the maintenance tick: the heartbeat (or, on the leader,
+    /// the view announce) is sent and failures checked once per tick.
     pub tick_interval: SimDuration,
-    /// A member silent for longer than this is suspected and excluded from
-    /// the next view.
+    /// A monitored member silent for longer than this is suspected: given
+    /// up on by its juniors, excluded from the next view by the leader.
     pub failure_timeout: SimDuration,
     /// How many recently multicast messages are retained per group for
     /// nack-driven retransmission.
@@ -111,20 +118,152 @@ struct MemberState {
     /// a minority side of a network partition cannot form its own
     /// authoritative views and split the brain.
     roster_size: usize,
+    /// No liveness clock of this group starts earlier: the instant this
+    /// node started, restarted, began joining or received `view` from
+    /// another node — or, for a view it installed itself, began leading.
+    /// A peer owes this node no traffic before it.
+    since: SimTime,
     last_heard: BTreeMap<ActorId, SimTime>,
+    /// When each member last sent this node a `Heartbeat` carrying the
+    /// current view id, i.e. last declared this node the head of its rank
+    /// chain: the positive evidence a leader needs to install a view.
+    followers: BTreeMap<ActorId, SimTime>,
+    /// A reconfiguration is waiting for a majority of followers; the
+    /// heartbeat that completes it installs the view without waiting for
+    /// the next tick.
+    awaiting_followers: bool,
     observers: Vec<ActorId>,
     join_requests: BTreeSet<ActorId>,
-    /// Per-peer arrival histories (φ-accrual mode only; empty otherwise).
+    /// Arrival histories of the peers this node monitors (φ-accrual mode
+    /// only): the rank chain ahead of it up to the member it follows, or
+    /// every junior while it leads. Primed when a peer enters that set.
     accrual: BTreeMap<ActorId, PhiAccrual>,
     /// Members that announced a voluntary [`GroupMsg::Leave`]; excluded
     /// from the next view like suspects even though they keep talking.
     departing: BTreeSet<ActorId>,
-    /// When each currently suspected member first crossed the suspicion
-    /// threshold (SLO bookkeeping; cleared when the member is heard from
-    /// again or excluded).
-    suspected_since: BTreeMap<ActorId, SimTime>,
+    /// Monitored members currently past the suspicion threshold (cleared
+    /// when the member is heard from again, leaves the monitored set, or is
+    /// excluded).
+    suspected: BTreeMap<ActorId, Suspicion>,
     /// Leader-side flap history for re-admission hold-down.
     flaps: BTreeMap<ActorId, FlapRecord>,
+}
+
+/// One monitored member's current suspicion.
+#[derive(Debug, Clone, Copy)]
+struct Suspicion {
+    /// Onset of the silence that was judged.
+    silent_from: SimTime,
+    /// When the silence crossed the suspicion threshold. The next member
+    /// of the rank chain is judged from this instant on: until then it
+    /// owed this node no traffic.
+    at: SimTime,
+}
+
+impl MemberState {
+    fn new(view: Arc<View>, in_view: bool, roster_size: usize, observers: Vec<ActorId>) -> Self {
+        Self {
+            view,
+            in_view,
+            roster_size,
+            since: SimTime::ZERO,
+            last_heard: BTreeMap::new(),
+            followers: BTreeMap::new(),
+            awaiting_followers: false,
+            observers,
+            join_requests: BTreeSet::new(),
+            accrual: BTreeMap::new(),
+            departing: BTreeSet::new(),
+            suspected: BTreeMap::new(),
+            flaps: BTreeMap::new(),
+        }
+    }
+
+    /// Starts every liveness clock afresh at `now`.
+    fn restart_clocks(&mut self, now: SimTime) {
+        self.since = now;
+        self.followers.clear();
+        self.awaiting_followers = false;
+        self.suspected.clear();
+    }
+
+    /// Whether this node leads `view` as installed (rank 0, in view).
+    fn leads_view(&self, me: ActorId) -> bool {
+        self.in_view && self.view.leader() == me
+    }
+
+    /// Whether `m`, whose clock started no earlier than `floor`, is suspect
+    /// at `now`. Stamps the first crossing of the threshold and forgets it
+    /// once the member is heard from again.
+    fn judge(
+        &mut self,
+        config: &EndpointConfig,
+        stats: &mut GroupStats,
+        m: ActorId,
+        floor: SimTime,
+        now: SimTime,
+    ) -> bool {
+        let silent_from = self.last_heard.get(&m).map_or(floor, |t| (*t).max(floor));
+        let suspect = match config.detector {
+            FailureDetector::FixedTimeout => {
+                now.saturating_since(silent_from) > config.failure_timeout
+            }
+            FailureDetector::PhiAccrual(cfg) => self
+                .accrual
+                .entry(m)
+                .or_insert_with(|| PhiAccrual::new(&cfg, config.tick_interval, silent_from))
+                .is_suspect(now, &cfg),
+        };
+        if !suspect {
+            self.suspected.remove(&m);
+        } else if let Entry::Vacant(slot) = self.suspected.entry(m) {
+            slot.insert(Suspicion {
+                silent_from,
+                at: now,
+            });
+            stats.suspicions += 1;
+            let silence = now.saturating_since(silent_from).as_micros();
+            stats.max_suspect_silence_us = stats.max_suspect_silence_us.max(silence);
+        }
+        suspect
+    }
+
+    /// Walks the rank chain ahead of `me`: the leader is judged from when
+    /// it was last heard, each further member only from the instant its
+    /// predecessor became suspect. Returns the most senior member not given
+    /// up on, or `None` if `me` is the head of its own chain and leads.
+    fn chain_head(
+        &mut self,
+        config: &EndpointConfig,
+        stats: &mut GroupStats,
+        me: ActorId,
+        now: SimTime,
+    ) -> Option<ActorId> {
+        let view = Arc::clone(&self.view);
+        let mut floor = self.since;
+        for &m in view.members().iter().take_while(|m| **m < me) {
+            if !self.judge(config, stats, m, floor, now) {
+                // Everyone junior to the head owes this node nothing.
+                self.suspected.retain(|s, _| *s < m);
+                self.accrual.retain(|s, _| *s <= m);
+                self.awaiting_followers = false;
+                return Some(m);
+            }
+            floor = floor.max(self.suspected[&m].at);
+        }
+        None
+    }
+
+    /// The instant `me` became the head of its own chain — `since` for the
+    /// leader of the view, the moment the last senior was given up on for a
+    /// successor — or `None` while some senior is not suspected.
+    fn leading_since(&self, me: ActorId) -> Option<SimTime> {
+        let mut since = self.since;
+        for m in self.view.members().iter().take_while(|m| **m < me) {
+            since = since.max(self.suspected.get(m)?.at);
+        }
+        Some(since)
+    }
 }
 
 /// One member's suspect/re-merge history, as tracked by the leader.
@@ -173,13 +312,14 @@ pub struct GroupStats {
     pub views_installed: u64,
     /// Members this node re-merged after partitions/restarts (leader only).
     pub merges: u64,
-    /// Members that newly crossed the suspicion threshold.
+    /// Monitored members (seniors on this node's rank chain; every junior
+    /// while it leads) that newly crossed the suspicion threshold.
     pub suspicions: u64,
     /// Join requests / stray heartbeats ignored because the member was in
     /// a flap-damping hold-down (leader only).
     pub joins_damped: u64,
-    /// Longest silence at the moment a member became suspect, in µs
-    /// (time-to-suspect SLO).
+    /// Longest silence at the moment a monitored member became suspect, in
+    /// µs (time-to-suspect SLO).
     pub max_suspect_silence_us: u64,
     /// Longest lag from the start of a suspect member's silence to a view
     /// excluding it being installed, in µs (time-to-new-view SLO; leader
@@ -234,20 +374,10 @@ impl<A: Clone> GroupEndpoint<A> {
                 m.view.group
             );
             let view = Arc::new(m.view);
+            let roster_size = view.len();
             let prev = groups.insert(
                 view.group,
-                MemberState {
-                    in_view: true,
-                    roster_size: view.len(),
-                    last_heard: BTreeMap::new(),
-                    observers: m.observers,
-                    join_requests: BTreeSet::new(),
-                    accrual: BTreeMap::new(),
-                    departing: BTreeSet::new(),
-                    suspected_since: BTreeMap::new(),
-                    flaps: BTreeMap::new(),
-                    view,
-                },
+                MemberState::new(view, true, roster_size, m.observers),
             );
             assert!(prev.is_none(), "duplicate membership declaration");
         }
@@ -328,9 +458,7 @@ impl<A: Clone> GroupEndpoint<A> {
     pub fn on_start(&mut self, ctx: &mut Context<'_, Envelope<A>>) {
         let now = ctx.now();
         for state in self.groups.values_mut() {
-            for m in state.view.members().to_vec() {
-                state.last_heard.insert(m, now);
-            }
+            state.restart_clocks(now);
         }
         ctx.set_timer(TICK_TIMER, self.config.tick_interval);
     }
@@ -344,22 +472,19 @@ impl<A: Clone> GroupEndpoint<A> {
         self.sends.clear();
         self.fast_forward_new_channels = true;
         let now = ctx.now();
+        let me = self.me;
         for (group, state) in self.groups.iter_mut() {
             // Assume we were excluded; ask to be let back in. If we were
             // never excluded, the leader's announce simply confirms the view.
             state.in_view = false;
             state.join_requests.clear();
-            for m in state.view.members().to_vec() {
-                state.last_heard.insert(m, now);
-            }
-            let knock: Vec<ActorId> = state
-                .view
-                .members()
-                .iter()
-                .copied()
-                .filter(|m| *m != self.me)
-                .collect();
-            ctx.multicast(&knock, GroupMsg::JoinRequest { group: *group }.seal());
+            state.last_heard.clear();
+            state.accrual.clear();
+            state.restart_clocks(now);
+            ctx.multicast(
+                state.view.members().iter().filter(|m| **m != me),
+                GroupMsg::JoinRequest { group: *group }.seal(),
+            );
         }
         ctx.set_timer(TICK_TIMER, self.config.tick_interval);
     }
@@ -374,14 +499,6 @@ impl<A: Clone> GroupEndpoint<A> {
     ///
     /// Panics if the group is neither a membership nor observed.
     pub fn multicast(&mut self, group: GroupId, payload: A, ctx: &mut Context<'_, Envelope<A>>) {
-        let targets: Vec<ActorId> = self
-            .view(group)
-            .unwrap_or_else(|| panic!("multicast into unknown {group}"))
-            .members()
-            .iter()
-            .copied()
-            .filter(|m| *m != self.me)
-            .collect();
         let send = self.sends.entry(group).or_default();
         let seq = send.next_seq;
         send.next_seq += 1;
@@ -399,7 +516,10 @@ impl<A: Clone> GroupEndpoint<A> {
             send.buffer.pop_front();
         }
         self.stats.multicasts_sent += 1;
-        ctx.multicast(&targets, env);
+        let view = self
+            .view(group)
+            .unwrap_or_else(|| panic!("multicast into unknown {group}"));
+        ctx.multicast(view.members().iter().filter(|m| **m != self.me), env);
     }
 
     /// Sends an unordered point-to-point payload (reply, state transfer).
@@ -422,13 +542,8 @@ impl<A: Clone> GroupEndpoint<A> {
             if let Some(state) = self.groups.get_mut(&group) {
                 let now = ctx.now();
                 state.last_heard.insert(from, now);
-                if let FailureDetector::PhiAccrual(cfg) = self.config.detector {
-                    let expected = self.config.tick_interval;
-                    state
-                        .accrual
-                        .entry(from)
-                        .or_insert_with(|| PhiAccrual::new(&cfg, expected, now))
-                        .heartbeat(now);
+                if let Some(window) = state.accrual.get_mut(&from) {
+                    window.heartbeat(now);
                 }
             }
         }
@@ -454,16 +569,7 @@ impl<A: Clone> GroupEndpoint<A> {
             }
             GroupMsg::Heartbeat { group, view_id } => {
                 let (group, view_id) = (*group, *view_id);
-                // A peer with a newer view than ours: ask to be resynced by
-                // requesting (re-)membership from it.
-                if let Some(state) = self.groups.get(&group) {
-                    if view_id > state.view.id {
-                        ctx.send(from, GroupMsg::JoinRequest { group }.seal());
-                    }
-                }
-                // A heartbeat from a node outside our current view is a
-                // partitioned member coming back: the leader re-merges it.
-                self.merge_strayed(from, group, ctx)
+                self.handle_heartbeat(from, group, view_id, ctx)
             }
             GroupMsg::ViewAnnounce(view) => {
                 // An announce from a stale leader on the minority side of a
@@ -471,7 +577,7 @@ impl<A: Clone> GroupEndpoint<A> {
                 let view = Arc::clone(view);
                 let group = view.group;
                 let stale_id = view.id;
-                let mut events = self.handle_view(view);
+                let mut events = self.handle_view(view, ctx.now());
                 events.extend(self.merge_strayed(from, group, ctx));
                 // A stale announce from an ex-leader we have excluded: it
                 // does not know the successor view (which omits it, so the
@@ -525,6 +631,55 @@ impl<A: Clone> GroupEndpoint<A> {
                     .collect()
             }
         }
+    }
+
+    /// A heartbeat declares this node the head of the sender's rank chain.
+    fn handle_heartbeat(
+        &mut self,
+        from: ActorId,
+        group: GroupId,
+        view_id: ViewId,
+        ctx: &mut Context<'_, Envelope<A>>,
+    ) -> Vec<GroupEvent<A>> {
+        let (me, now) = (self.me, ctx.now());
+        let Some(state) = self.groups.get_mut(&group) else {
+            return Vec::new();
+        };
+        if view_id > state.view.id {
+            // A peer with a newer view than ours: ask to be resynced by
+            // requesting (re-)membership from it.
+            ctx.send(from, GroupMsg::JoinRequest { group }.seal());
+            return Vec::new();
+        }
+        if state.leads_view(me) {
+            if !state.view.contains(from) {
+                // A node outside our current view is a partitioned member
+                // coming back: the leader re-merges it.
+                return self.merge_strayed(from, group, ctx);
+            }
+            // (A member behind our view id gets the next per-tick announce.)
+        } else if !state.view.contains(from) || view_id < state.view.id {
+            // Redirect: the sender takes us for the head of its chain under
+            // a view that has been replaced. Nobody else tells a member cut
+            // off from the leader alone that it was excluded — its juniors
+            // hear the leader and send it nothing.
+            ctx.send(from, GroupMsg::ViewAnnounce(state.view.clone()).seal());
+            return Vec::new();
+        }
+        let mut events = Vec::new();
+        if state.in_view && view_id == state.view.id {
+            state.followers.insert(from, now);
+            // The heartbeat that completes a majority installs the pending
+            // view without waiting for the next tick.
+            if state.awaiting_followers
+                && state
+                    .chain_head(&self.config, &mut self.stats, me, now)
+                    .is_none()
+            {
+                self.reconfigure(group, ctx, &mut events);
+            }
+        }
+        events
     }
 
     fn handle_stream_status(
@@ -669,7 +824,7 @@ impl<A: Clone> GroupEndpoint<A> {
         }
     }
 
-    fn handle_view(&mut self, view: Arc<View>) -> Vec<GroupEvent<A>> {
+    fn handle_view(&mut self, view: Arc<View>, ctx_now: SimTime) -> Vec<GroupEvent<A>> {
         let group = view.group;
         if let Some(state) = self.groups.get_mut(&group) {
             if view.id <= state.view.id {
@@ -678,11 +833,16 @@ impl<A: Clone> GroupEndpoint<A> {
             let departed = state.view.departed(&view);
             state.join_requests.retain(|j| !view.contains(*j));
             state.in_view = view.contains(self.me);
-            // Reset liveness clocks so fresh members are not instantly
-            // suspected; forget departed members entirely.
+            // A view this node did not create: whoever it now monitors —
+            // the leader, or as the new leader every junior — owes it
+            // traffic only from here on. Forget departed members entirely;
+            // only an unchanged leader's arrival history still applies.
+            state.restart_clocks(ctx_now);
+            let leader = view.leader();
             state.last_heard.retain(|m, _| view.contains(*m));
-            state.accrual.retain(|m, _| view.contains(*m));
-            state.suspected_since.retain(|m, _| view.contains(*m));
+            state
+                .accrual
+                .retain(|m, _| *m == leader && leader != self.me);
             state.departing.retain(|m| view.contains(*m));
             state.view = Arc::clone(&view);
             for d in departed {
@@ -723,7 +883,7 @@ impl<A: Clone> GroupEndpoint<A> {
         let Some(state) = self.groups.get_mut(&group) else {
             return Vec::new();
         };
-        if !state.in_view || state.view.leader() != self.me || state.view.contains(from) {
+        if !state.leads_view(self.me) || state.view.contains(from) {
             return Vec::new();
         }
         if Self::readmission_held(&self.config, state, from, ctx.now()) {
@@ -761,7 +921,7 @@ impl<A: Clone> GroupEndpoint<A> {
         let Some(state) = self.groups.get_mut(&group) else {
             return Vec::new();
         };
-        if !state.in_view || state.view.leader() != self.me {
+        if !state.leads_view(self.me) {
             // Not the leader: point the joiner at the current view so it can
             // retry against the right node.
             ctx.send(joiner, GroupMsg::ViewAnnounce(state.view.clone()).seal());
@@ -804,7 +964,7 @@ impl<A: Clone> GroupEndpoint<A> {
         }
         state.departing.insert(from);
         state.join_requests.remove(&from);
-        if !state.in_view || state.view.leader() != self.me {
+        if !state.leads_view(self.me) {
             return Vec::new();
         }
         match self.install_successor(group, &[from], ctx) {
@@ -824,14 +984,10 @@ impl<A: Clone> GroupEndpoint<A> {
         let Some(state) = self.groups.remove(&group) else {
             return;
         };
-        let targets: Vec<ActorId> = state
-            .view
-            .members()
-            .iter()
-            .copied()
-            .filter(|m| *m != self.me)
-            .collect();
-        ctx.multicast(&targets, GroupMsg::Leave { group }.seal());
+        ctx.multicast(
+            state.view.members().iter().filter(|m| **m != self.me),
+            GroupMsg::Leave { group }.seal(),
+        );
         self.observed.insert(group, state.view);
     }
 
@@ -860,27 +1016,14 @@ impl<A: Clone> GroupEndpoint<A> {
         // stream prefix; application-level state transfer covers the gap
         // (same contract as a post-crash rejoin).
         self.fast_forward_new_channels = true;
-        let state = MemberState {
-            in_view: false,
-            roster_size: view.len() + 1,
-            last_heard: view.members().iter().map(|&m| (m, now)).collect(),
-            observers,
-            join_requests: BTreeSet::new(),
-            accrual: BTreeMap::new(),
-            departing: BTreeSet::new(),
-            suspected_since: BTreeMap::new(),
-            flaps: BTreeMap::new(),
-            view,
-        };
-        let knock: Vec<ActorId> = state
-            .view
-            .members()
-            .iter()
-            .copied()
-            .filter(|m| *m != self.me)
-            .collect();
+        let roster_size = view.len() + 1;
+        let mut state = MemberState::new(view, false, roster_size, observers);
+        state.restart_clocks(now);
+        ctx.multicast(
+            state.view.members().iter().filter(|m| **m != self.me),
+            GroupMsg::JoinRequest { group }.seal(),
+        );
         self.groups.insert(group, state);
-        ctx.multicast(&knock, GroupMsg::JoinRequest { group }.seal());
     }
 
     /// Installs `view.successor(suspects, pending joiners)` for `group` and
@@ -891,7 +1034,9 @@ impl<A: Clone> GroupEndpoint<A> {
         suspects: &[ActorId],
         ctx: &mut Context<'_, Envelope<A>>,
     ) -> Option<Arc<View>> {
+        let me = self.me;
         let state = self.groups.get_mut(&group)?;
+        let leading_since = state.leading_since(me)?;
         let added: Vec<ActorId> = state.join_requests.iter().copied().collect();
         let new_view = Arc::new(state.view.successor(suspects, &added)?);
         // Primary-partition rule: only a side retaining a majority of the
@@ -901,24 +1046,40 @@ impl<A: Clone> GroupEndpoint<A> {
         if 2 * new_view.len() <= state.roster_size {
             return None;
         }
-        let mut recipients: BTreeSet<ActorId> = state.view.members().iter().copied().collect();
-        recipients.extend(new_view.members().iter().copied());
-        recipients.extend(state.observers.iter().copied());
-        recipients.remove(&self.me);
+        // Positive evidence: silence alone proves nothing about members
+        // that were never due to write to this node, so a majority of the
+        // roster must be following it — heartbeating it as the head of
+        // their chain — since it began leading, and recently. A successor
+        // cut off from the leader alone never collects one.
         let now = ctx.now();
+        let timeout = self.config.failure_timeout;
+        let following = new_view
+            .members()
+            .iter()
+            .filter(|m| {
+                state
+                    .followers
+                    .get(m)
+                    .is_some_and(|t| *t >= leading_since && now.saturating_since(*t) <= timeout)
+            })
+            .count();
+        if 2 * (following + 1) <= state.roster_size {
+            state.awaiting_followers = true;
+            return None;
+        }
+        state.awaiting_followers = false;
         // Record the flap history of every *suspected* exclusion (voluntary
         // leavers are not flaps) and the suspect-to-new-view SLO lag.
         for s in suspects {
             if new_view.contains(*s) {
                 continue;
             }
-            if let Some(since) = state.suspected_since.remove(s) {
+            if let Some(suspicion) = state.suspected.remove(s) {
                 // Time-to-new-view runs from the onset of silence, not the
                 // suspicion threshold: suspicion and exclusion land in the
                 // same tick on the leader, so the threshold-to-view gap
                 // alone would read zero.
-                let silent_from = state.last_heard.get(s).copied().unwrap_or(since).min(since);
-                let lag = now.saturating_since(silent_from).as_micros();
+                let lag = now.saturating_since(suspicion.silent_from).as_micros();
                 self.stats.max_suspect_to_view_us = self.stats.max_suspect_to_view_us.max(lag);
             }
             if let Some(damping) = self.config.damping {
@@ -938,25 +1099,31 @@ impl<A: Clone> GroupEndpoint<A> {
             }
         }
         state.join_requests.clear();
-        state.in_view = new_view.contains(self.me);
+        state.in_view = new_view.contains(me);
+        // This node's leadership, and with it the juniors' clocks, carries
+        // over into the view it created.
+        state.since = leading_since;
         state.last_heard.retain(|m, _| new_view.contains(*m));
+        state.followers.retain(|m, _| new_view.contains(*m));
         state.accrual.retain(|m, _| new_view.contains(*m));
-        state.suspected_since.retain(|m, _| new_view.contains(*m));
+        state.suspected.retain(|m, _| new_view.contains(*m));
         state.departing.retain(|m| new_view.contains(*m));
         for m in new_view.members() {
             state.last_heard.entry(*m).or_insert(now);
         }
-        let departed = state.view.departed(&new_view);
-        state.view = Arc::clone(&new_view);
-        for d in departed {
+        let old_view = std::mem::replace(&mut state.view, Arc::clone(&new_view));
+        for d in old_view.departed(&new_view) {
             if let Some(ch) = self.channels.get_mut(&(group, d)) {
                 ch.abandon_gaps();
             }
         }
-        let recipients: Vec<ActorId> = recipients.into_iter().collect();
         // One shared View and one envelope for the whole announce round:
         // every recipient's delivered copy, its installed member state,
         // and this node's own state all reference the same allocation.
+        let mut recipients: BTreeSet<ActorId> = old_view.members().iter().copied().collect();
+        recipients.extend(new_view.members().iter().copied());
+        recipients.extend(state.observers.iter().copied());
+        recipients.remove(&me);
         ctx.multicast(
             &recipients,
             GroupMsg::ViewAnnounce(Arc::clone(&new_view)).seal(),
@@ -964,190 +1131,103 @@ impl<A: Clone> GroupEndpoint<A> {
         Some(new_view)
     }
 
+    /// The leader's failure check for `group`: excludes the seniors this
+    /// node gave up on, the juniors that fell silent since it began
+    /// leading, and voluntary leavers, and admits pending joiners. The
+    /// caller has established that this node is the head of its chain.
+    fn reconfigure(
+        &mut self,
+        group: GroupId,
+        ctx: &mut Context<'_, Envelope<A>>,
+        events: &mut Vec<GroupEvent<A>>,
+    ) {
+        let (me, now) = (self.me, ctx.now());
+        let state = self.groups.get_mut(&group).expect("group exists");
+        let Some(leading_since) = state.leading_since(me) else {
+            return;
+        };
+        let view = Arc::clone(&state.view);
+        let mut suspects = Vec::new();
+        for &m in view.members() {
+            // Voluntary leavers are excluded like suspects, however alive
+            // their liveness clock looks.
+            if m < me
+                || (m > me
+                    && (state.departing.contains(&m)
+                        || state.judge(&self.config, &mut self.stats, m, leading_since, now)))
+            {
+                suspects.push(m);
+            }
+        }
+        if suspects.is_empty() && state.join_requests.is_empty() {
+            state.awaiting_followers = false;
+            return;
+        }
+        if let Some(new_view) = self.install_successor(group, &suspects, ctx) {
+            let is_member = new_view.contains(me);
+            events.push(GroupEvent::ViewChanged {
+                view: new_view,
+                is_member,
+            });
+        }
+    }
+
     fn tick(&mut self, ctx: &mut Context<'_, Envelope<A>>, events: &mut Vec<GroupEvent<A>>) {
+        let (me, now) = (self.me, ctx.now());
         // Advertise the tip of every multicast stream we originate, so
         // receivers can detect tail losses and nack them.
-        let statuses: Vec<(GroupId, u64)> =
-            self.sends.iter().map(|(g, s)| (*g, s.next_seq)).collect();
-        for (group, next_seq) in statuses {
-            if next_seq == 0 {
+        for (&group, send) in &self.sends {
+            if send.next_seq == 0 {
                 continue;
             }
-            let targets: Vec<ActorId> = match self.view(group) {
-                Some(v) => v
-                    .members()
-                    .iter()
-                    .copied()
-                    .filter(|m| *m != self.me)
-                    .collect(),
-                None => continue,
+            let Some(view) = self.view(group) else {
+                continue;
             };
             ctx.multicast(
-                &targets,
+                view.members().iter().filter(|m| **m != me),
                 GroupMsg::StreamStatus {
                     group,
                     incarnation: self.incarnation,
-                    next_seq,
+                    next_seq: send.next_seq,
                 }
                 .seal(),
             );
         }
-        let now = ctx.now();
-        let timeout = self.config.failure_timeout;
-        let me = self.me;
-        if let FailureDetector::PhiAccrual(cfg) = self.config.detector {
-            // Prime an arrival record for every in-view peer we have not
-            // heard from yet, so a member that never speaks still accrues
-            // suspicion (silence measured from this tick).
-            let expected = self.config.tick_interval;
-            for state in self.groups.values_mut() {
-                for m in state.view.members().to_vec() {
-                    if m == me {
-                        continue;
-                    }
-                    state
-                        .accrual
-                        .entry(m)
-                        .or_insert_with(|| PhiAccrual::new(&cfg, expected, now));
-                }
-            }
-        }
-        let group_ids: Vec<GroupId> = self.groups.keys().copied().collect();
-        for group in group_ids {
-            let (in_view, am_leader, members, observers, view, suspects, rejoin_targets) = {
-                let state = &self.groups[&group];
-                let mut suspects: Vec<ActorId> = if state.in_view {
-                    match self.config.detector {
-                        FailureDetector::FixedTimeout => state
-                            .view
-                            .members()
-                            .iter()
-                            .copied()
-                            .filter(|m| {
-                                *m != self.me
-                                    && now.saturating_since(
-                                        state.last_heard.get(m).copied().unwrap_or(now),
-                                    ) > timeout
-                            })
-                            .collect(),
-                        FailureDetector::PhiAccrual(cfg) => state
-                            .view
-                            .members()
-                            .iter()
-                            .copied()
-                            .filter(|m| {
-                                *m != self.me
-                                    && state
-                                        .accrual
-                                        .get(m)
-                                        .is_some_and(|d| d.is_suspect(now, &cfg))
-                            })
-                            .collect(),
-                    }
-                } else {
-                    Vec::new()
-                };
-                // Voluntary leavers are excluded like suspects, however
-                // alive their liveness clock looks.
-                if !state.departing.is_empty() && state.in_view {
-                    for m in state.view.members() {
-                        if state.departing.contains(m) && !suspects.contains(m) && *m != self.me {
-                            suspects.push(*m);
-                        }
-                    }
-                    suspects.sort_unstable();
-                }
-                // Acting leader: lowest-ranked member that is not suspected.
-                let am_leader = state.in_view
-                    && state
-                        .view
-                        .members()
-                        .iter()
-                        .find(|m| !suspects.contains(m))
-                        .copied()
-                        == Some(self.me);
-                let rejoin: Vec<ActorId> = if state.in_view {
-                    Vec::new()
-                } else {
-                    state
-                        .view
-                        .members()
-                        .iter()
-                        .copied()
-                        .filter(|m| *m != self.me)
-                        .collect()
-                };
-                (
-                    state.in_view,
-                    am_leader,
-                    state.view.members().to_vec(),
-                    state.observers.clone(),
-                    state.view.clone(),
-                    suspects,
-                    rejoin,
-                )
-            };
-
-            // SLO bookkeeping: stamp newly crossed suspicion thresholds and
-            // clear records of members that have been heard from again.
-            {
-                let state = self.groups.get_mut(&group).expect("group exists");
-                state
-                    .suspected_since
-                    .retain(|m, _| suspects.contains(m) && !state.departing.contains(m));
-                for s in &suspects {
-                    if state.departing.contains(s) || state.suspected_since.contains_key(s) {
-                        continue;
-                    }
-                    state.suspected_since.insert(*s, now);
-                    self.stats.suspicions += 1;
-                    let silence = now
-                        .saturating_since(state.last_heard.get(s).copied().unwrap_or(now))
-                        .as_micros();
-                    self.stats.max_suspect_silence_us =
-                        self.stats.max_suspect_silence_us.max(silence);
-                }
-            }
-
-            if !in_view {
+        for i in 0..self.groups.len() {
+            let (&group, state) = self.groups.iter_mut().nth(i).expect("index in range");
+            if !state.in_view {
                 // Keep knocking until a leader lets us back in.
-                ctx.multicast(&rejoin_targets, GroupMsg::JoinRequest { group }.seal());
+                ctx.multicast(
+                    state.view.members().iter().filter(|m| **m != me),
+                    GroupMsg::JoinRequest { group }.seal(),
+                );
                 continue;
             }
-
-            if am_leader {
-                // The leader's heartbeat is a full view announce, which also
-                // resynchronizes lagging members and observers. One shared
-                // envelope for the whole round: every delivered copy is a
-                // refcount bump on the same `View`.
-                let announce_to: Vec<ActorId> = members
-                    .iter()
-                    .chain(observers.iter())
-                    .copied()
-                    .filter(|m| *m != self.me)
-                    .collect();
-                ctx.multicast(&announce_to, GroupMsg::ViewAnnounce(view.clone()).seal());
-                let has_joiners = !self.groups[&group].join_requests.is_empty();
-                if !suspects.is_empty() || has_joiners {
-                    if let Some(new_view) = self.install_successor(group, &suspects, ctx) {
-                        let is_member = new_view.contains(self.me);
-                        events.push(GroupEvent::ViewChanged {
-                            view: new_view,
-                            is_member,
-                        });
-                    }
-                }
-            } else {
-                let heartbeat_to: Vec<ActorId> =
-                    members.iter().copied().filter(|m| *m != self.me).collect();
-                ctx.multicast(
-                    &heartbeat_to,
+            match state.chain_head(&self.config, &mut self.stats, me, now) {
+                Some(head) => ctx.send(
+                    head,
                     GroupMsg::Heartbeat {
                         group,
-                        view_id: view.id,
+                        view_id: state.view.id,
                     }
                     .seal(),
-                );
+                ),
+                None => {
+                    // The leader's heartbeat is a full view announce, which
+                    // also resynchronizes lagging members and observers.
+                    // One shared envelope for the whole round: every
+                    // delivered copy is a refcount bump on the same `View`.
+                    ctx.multicast(
+                        state
+                            .view
+                            .members()
+                            .iter()
+                            .chain(&state.observers)
+                            .filter(|m| **m != me),
+                        GroupMsg::ViewAnnounce(Arc::clone(&state.view)).seal(),
+                    );
+                    self.reconfigure(group, ctx, events);
+                }
             }
         }
     }
@@ -1231,12 +1311,12 @@ mod tests {
     fn stale_view_announce_ignored() {
         let mut ep = endpoint(0, &[0, 1, 2]);
         let newer = View::new(GroupId(1), crate::view::ViewId(2), vec![a(0), a(1)]);
-        let events = ep.handle_view(Arc::new(newer.clone()));
+        let events = ep.handle_view(Arc::new(newer.clone()), SimTime::ZERO);
         assert_eq!(events.len(), 1);
         assert_eq!(ep.view(GroupId(1)).unwrap().id, crate::view::ViewId(2));
         // Replaying an older view does nothing.
         let older = View::new(GroupId(1), crate::view::ViewId(1), vec![a(0), a(1), a(2)]);
-        assert!(ep.handle_view(Arc::new(older)).is_empty());
+        assert!(ep.handle_view(Arc::new(older), SimTime::ZERO).is_empty());
         assert_eq!(ep.view(GroupId(1)).unwrap(), &newer);
     }
 
@@ -1244,7 +1324,7 @@ mod tests {
     fn exclusion_flips_in_view() {
         let mut ep = endpoint(2, &[0, 1, 2]);
         let without_me = View::new(GroupId(1), crate::view::ViewId(1), vec![a(0), a(1)]);
-        let events = ep.handle_view(Arc::new(without_me));
+        let events = ep.handle_view(Arc::new(without_me), SimTime::ZERO);
         assert_eq!(events.len(), 1);
         assert!(matches!(
             &events[0],
@@ -1256,7 +1336,7 @@ mod tests {
         assert!(!ep.is_member(GroupId(1)));
         // Rejoin announce flips it back.
         let with_me = View::new(GroupId(1), crate::view::ViewId(2), vec![a(0), a(1), a(2)]);
-        let events = ep.handle_view(Arc::new(with_me));
+        let events = ep.handle_view(Arc::new(with_me), SimTime::ZERO);
         assert!(matches!(
             &events[0],
             GroupEvent::ViewChanged {
@@ -1275,7 +1355,7 @@ mod tests {
         assert_eq!(ep.view(GroupId(1)).unwrap().len(), 5);
         let mut ep = ep;
         let smaller = View::new(GroupId(1), crate::view::ViewId(1), vec![a(0), a(1), a(2)]);
-        let _ = ep.handle_view(Arc::new(smaller));
+        let _ = ep.handle_view(Arc::new(smaller), SimTime::ZERO);
         // Majority of the original 5 is 3: the current 3-member view is the
         // smallest view a leader could still have installed.
         assert_eq!(ep.view(GroupId(1)).unwrap().len(), 3);
@@ -1288,7 +1368,7 @@ mod tests {
         assert!(!ep.is_member(GroupId(5)));
         assert_eq!(ep.leader(GroupId(5)), Some(a(1)));
         let newer = View::new(GroupId(5), crate::view::ViewId(3), vec![a(2)]);
-        let events = ep.handle_view(Arc::new(newer));
+        let events = ep.handle_view(Arc::new(newer), SimTime::ZERO);
         assert_eq!(events.len(), 1);
         assert_eq!(ep.leader(GroupId(5)), Some(a(2)));
     }

@@ -10,9 +10,11 @@
 //!   changes are captured as monotonically numbered [`View`]s. The leader of
 //!   a view is its lowest-ranked live member, matching Ensemble's
 //!   deterministic ranking.
-//! * **Failure detection** — every member heartbeats its groups; the leader
-//!   excludes silent members by installing a new view. If the leader itself
-//!   fails, the next-ranked member takes over.
+//! * **Failure detection** — liveness is rooted at the leader: each member
+//!   heartbeats the most senior member it has not given up on, the leader
+//!   announces its view to everyone every tick and excludes silent members
+//!   by installing a new view. If the leader itself fails, the next-ranked
+//!   member takes over once a majority of the roster follows it.
 //! * **Reliable FIFO multicast** — per-sender sequence numbers with a
 //!   holdback queue for reordering, nack-driven retransmission for loss, and
 //!   sender incarnation numbers so a restarted process starts a fresh FIFO

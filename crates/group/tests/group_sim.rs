@@ -2,8 +2,8 @@
 
 use aqf_group::endpoint::GroupMembership;
 use aqf_group::{
-    EndpointConfig, Envelope, FlapDamping, GroupEndpoint, GroupEvent, GroupId, GroupMsg, View,
-    ViewId,
+    EndpointConfig, Envelope, FailureDetector, FlapDamping, GroupEndpoint, GroupEvent, GroupId,
+    GroupMsg, PhiAccrualConfig, View, ViewId,
 };
 use aqf_sim::{Actor, ActorId, Context, DelayModel, SimDuration, SimTime, Timer, World};
 use proptest::prelude::*;
@@ -27,6 +27,9 @@ struct Host {
     /// When each entry of `views` was installed (or observed).
     view_at: Vec<SimTime>,
     directs: Vec<(ActorId, u64)>,
+    /// Envelopes delivered to this host: heartbeats, view announces, and
+    /// everything else.
+    received: [u64; 3],
 }
 
 impl Host {
@@ -40,6 +43,7 @@ impl Host {
             views: Vec::new(),
             view_at: Vec::new(),
             directs: Vec::new(),
+            received: [0; 3],
         }
     }
 
@@ -77,6 +81,11 @@ impl Actor<Msg> for Host {
     }
 
     fn on_message(&mut self, from: ActorId, msg: Msg, ctx: &mut Context<'_, Msg>) {
+        self.received[match &*msg {
+            GroupMsg::Heartbeat { .. } => 0,
+            GroupMsg::ViewAnnounce(_) => 1,
+            _ => 2,
+        }] += 1;
         let events = self.ep.handle_message(from, msg, ctx);
         self.absorb(events, ctx.now());
     }
@@ -688,18 +697,31 @@ fn failure_timeout() -> SimDuration {
 
 /// `n` members with `config`, nobody multicasting.
 fn build_with(n: usize, config: &EndpointConfig, seed: u64) -> (World<Msg>, Vec<ActorId>) {
+    build_observed(n, 0, config, seed)
+}
+
+/// `n` members (the first `n` ids returned) watched by `o` observers (the
+/// rest), all with `config`, nobody multicasting.
+fn build_observed(
+    n: usize,
+    o: usize,
+    config: &EndpointConfig,
+    seed: u64,
+) -> (World<Msg>, Vec<ActorId>) {
     let mut world: World<Msg> = World::new(seed);
-    let ids: Vec<ActorId> = (0..n).map(ActorId::from_index).collect();
+    let ids: Vec<ActorId> = (0..n + o).map(ActorId::from_index).collect();
+    let (members, observers) = ids.split_at(n);
+    let view = View::new(GROUP, ViewId(0), members.to_vec());
     for &id in &ids {
-        let ep = GroupEndpoint::new(
-            id,
-            config.clone(),
-            vec![GroupMembership {
-                view: View::new(GROUP, ViewId(0), ids.clone()),
-                observers: vec![],
-            }],
-            vec![],
-        );
+        let ep = if members.contains(&id) {
+            let membership = GroupMembership {
+                view: view.clone(),
+                observers: observers.to_vec(),
+            };
+            GroupEndpoint::new(id, config.clone(), vec![membership], vec![])
+        } else {
+            GroupEndpoint::new(id, config.clone(), vec![], vec![view.clone()])
+        };
         world.add_actor(Box::new(Host::new(
             ep,
             vec![],
@@ -908,4 +930,172 @@ fn lossy_member_does_not_churn_views() {
         4 * views <= 5 * LOSSY_MEMBER_VIEWS_ALL_TO_ALL,
         "{views} views against {LOSSY_MEMBER_VIEWS_ALL_TO_ALL}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// Leader-rooted liveness (DESIGN.md §3.2): what only a design in which
+// members heartbeat the head of their rank chain, and a leader needs a
+// majority of followers to install a view, can promise.
+// ---------------------------------------------------------------------------
+
+/// An idle stable group of `n` members and `o` observers delivers, per
+/// tick, exactly one heartbeat per non-leader (all to the leader), one view
+/// announce per non-leader and observer (all from the leader), and nothing
+/// else.
+fn message_budget_scenario(config: &EndpointConfig) {
+    for (seed, n, o) in [(51, 5, 0), (52, 17, 3), (53, 41, 6)] {
+        let (mut world, ids) = build_observed(n, o, config, seed);
+        let received = |world: &World<Msg>| {
+            ids.iter().fold([0u64; 3], |mut sum, &id| {
+                for (total, count) in sum.iter_mut().zip(host(world, id).received) {
+                    *total += count;
+                }
+                sum
+            })
+        };
+        // Sample between ticks, so every tick's fan-out has landed.
+        world.run_until(SimTime::from_millis(10_100));
+        let before = received(&world);
+        let ticks = 10;
+        world.run_for(tick() * ticks);
+        let after = received(&world);
+        let (n, o) = (n as u64, o as u64);
+        assert_eq!(after[0] - before[0], ticks * (n - 1), "heartbeats, n={n}");
+        assert_eq!(
+            after[1] - before[1],
+            ticks * (n - 1 + o),
+            "announces, n={n}"
+        );
+        assert_eq!(after[2] - before[2], 0, "anything else, n={n}");
+        assert_eq!(
+            host(&world, ids[0]).received[0],
+            after[0],
+            "every heartbeat goes to the leader"
+        );
+    }
+}
+
+/// The leader and the next-ranked member crash in the same tick. Rank 2
+/// owes rank 1 a full timeout of its own once it has given up on rank 0,
+/// so `k` simultaneous senior failures cost `k` timeouts (all-to-all
+/// heartbeats resolved this in one).
+fn senior_cascade_scenario(config: &EndpointConfig) {
+    for (seed, n) in [(54, 5), (55, 17)] {
+        crash_excluded_within(n, &[0, 1], failure_timeout() * 2 + tick() * 4, config, seed);
+    }
+}
+
+/// A member cut off from everyone, whatever its rank, installs no view —
+/// silence proves nothing, and nobody follows it — and re-merges once the
+/// network heals.
+fn isolated_member_scenario(config: &EndpointConfig) {
+    for (seed, rank) in [(56, 0), (57, 1), (58, 2), (59, 4)] {
+        let (mut world, ids) = build_with(5, config, seed);
+        let heal = SimTime::from_secs(12);
+        world.schedule_isolation(ids[rank], SimTime::from_secs(2));
+        world.schedule_reconnection(ids[rank], heal);
+        world.run_until(heal - SimDuration::from_millis(1));
+        let isolated = host(&world, ids[rank]);
+        assert!(
+            isolated.views.is_empty(),
+            "rank {rank} forged {:?}",
+            isolated.views
+        );
+        assert_eq!(isolated.ep.stats().views_installed, 0);
+        for &id in &ids {
+            if id != ids[rank] {
+                let v = host(&world, id).ep.view(GROUP).unwrap();
+                assert_eq!(v.len(), 4, "{id}: the majority excludes rank {rank} alone");
+                assert!(!v.contains(ids[rank]));
+            }
+        }
+        world.run_until(heal + SimDuration::from_secs(8));
+        assert_one_full_view(&world, &ids);
+    }
+}
+
+/// Cuts the link between the leader and rank 1 for 7 s. Rank 1 gives up on
+/// the leader and offers to lead, but everyone else still follows the
+/// leader, so it never collects a majority: at no instant do two members
+/// lead installed views with the same id (with all-to-all heartbeats both
+/// installed their own `v1` — two sequencers). After the heal there is one
+/// view with everyone.
+fn leader_successor_cut_scenario(config: &EndpointConfig) {
+    let (mut world, ids) = build_with(5, config, 60);
+    let (cut, heal) = (SimTime::from_secs(2), SimTime::from_secs(9));
+    world.schedule_partition(ids[0], ids[1], cut);
+    world.schedule_heal(ids[0], ids[1], heal);
+    let end = heal + SimDuration::from_secs(6);
+    while world.now() < end {
+        world.run_for(SimDuration::from_millis(50));
+        let mut led: Vec<ViewId> = ids
+            .iter()
+            .map(|&id| &host(&world, id).ep)
+            .filter(|ep| ep.is_leader(GROUP))
+            .map(|ep| ep.view(GROUP).unwrap().id)
+            .collect();
+        let leaders = led.len();
+        led.dedup();
+        assert_eq!(
+            led.len(),
+            leaders,
+            "two leaders of one view id at {}",
+            world.now()
+        );
+    }
+    assert_eq!(
+        host(&world, ids[1]).ep.stats().views_installed,
+        host(&world, ids[1]).views.len() as u64
+    );
+    assert!(excluded_at(&world, ids[0], ids[1]).is_some_and(|t| t < heal));
+    assert_one_full_view(&world, &ids);
+    assert!(host(&world, ids[0]).ep.is_leader(GROUP));
+}
+
+/// Every liveness scenario of this file under `config`.
+fn liveness_suite(config: &EndpointConfig) {
+    leader_crash_scenario(config);
+    junior_crash_scenario(config);
+    leader_junior_cut_scenario(config);
+    lowest_member_restart_scenario(config);
+    message_budget_scenario(config);
+    senior_cascade_scenario(config);
+    isolated_member_scenario(config);
+    leader_successor_cut_scenario(config);
+}
+
+#[test]
+fn idle_group_delivers_exactly_one_heartbeat_and_one_announce_per_member_and_tick() {
+    message_budget_scenario(&EndpointConfig::default());
+}
+
+#[test]
+fn simultaneous_senior_crashes_cost_one_timeout_each() {
+    senior_cascade_scenario(&EndpointConfig::default());
+}
+
+#[test]
+fn isolated_member_of_any_rank_installs_nothing_and_remerges() {
+    isolated_member_scenario(&EndpointConfig::default());
+}
+
+#[test]
+fn successor_cut_off_from_leader_alone_cannot_form_a_second_view() {
+    leader_successor_cut_scenario(&EndpointConfig::default());
+}
+
+#[test]
+fn liveness_suite_holds_under_phi_accrual() {
+    liveness_suite(&EndpointConfig {
+        detector: FailureDetector::PhiAccrual(PhiAccrualConfig::default()),
+        ..EndpointConfig::default()
+    });
+}
+
+#[test]
+fn liveness_suite_holds_with_flap_damping() {
+    liveness_suite(&EndpointConfig {
+        damping: Some(FlapDamping::default()),
+        ..EndpointConfig::default()
+    });
 }
