@@ -40,7 +40,11 @@ fn sequential_profile() -> ScenarioConfig {
 }
 
 fn causal_profile() -> ScenarioConfig {
-    let mut c = corpus_base(202);
+    causal_base(202)
+}
+
+fn causal_base(seed: u64) -> ScenarioConfig {
+    let mut c = corpus_base(seed);
     c.ordering = OrderingGuarantee::Causal;
     // A generous staleness bound keeps the staleness deferral out of the
     // way, so reads are gated by causal dependencies (the interesting
@@ -132,4 +136,55 @@ fn repro_artifacts_replay_bit_identically() {
     );
     assert_eq!(viol_a.len(), viol_b.len());
     assert_eq!(viol_a.len(), outcome.violations.len());
+}
+
+/// Replays generated schedule `schedule` of `base` and returns its
+/// violations, rendered.
+fn violations_of(base: &ScenarioConfig, schedule: u64) -> Vec<String> {
+    let config = aqf_chaos::scenario_for_seed(base, &ScheduleBudget::quick(), schedule);
+    let (_, violations) = replay_and_judge(&config, &OracleOptions::default());
+    violations.iter().map(|v| format!("{v:?}")).collect()
+}
+
+/// ROADMAP defect (1), "two values at register version N": a sequencer <->
+/// `Primary(0)` `CutLink` let rank 1 of the primary group, unable to hear
+/// the leader, install a view of its own with the id the leader was also
+/// using — a second sequencer. Found by re-keying the corpus generator
+/// over 7 200 schedules; with all-to-all heartbeats these five showed
+/// 7 / 34 / 1 / 1 / 2 sequential-oracle violations. Under leader-rooted
+/// liveness a successor needs a majority of followers to install a view,
+/// and everyone who still hears the leader follows the leader.
+#[test]
+fn cut_off_successor_cannot_become_a_second_sequencer() {
+    for (base, schedule) in [
+        (7134611160154358618u64, 8113184762661060843u64),
+        (6872382845561230619, 3154009179793690148),
+        (7315317836182567543, 763280211468952342),
+        (7598109481980131276, 2863866023334820038),
+        (11335840072483301643, 10223220775828725711),
+    ] {
+        let violations = violations_of(&corpus_base(base), schedule);
+        assert!(
+            violations.is_empty(),
+            "base {base}, schedule {schedule}: {} violation(s): {violations:?}",
+            violations.len()
+        );
+    }
+}
+
+/// A replica that had installed the view excluding it, and was then
+/// crashed and restarted, used to re-derive its role from views it was no
+/// longer in and panic the whole run ("replica must belong to exactly one
+/// replication group"). A restart keeps the role.
+#[test]
+fn excluded_replica_survives_a_restart() {
+    let sequential = corpus_base(9124552842517897888);
+    let causal = causal_base(16518247390030083818);
+    for (base, schedule) in [
+        (&sequential, 17010637113342041486u64),
+        (&causal, 8888002149916109784),
+    ] {
+        let violations = violations_of(base, schedule);
+        assert!(violations.is_empty(), "schedule {schedule}: {violations:?}");
+    }
 }

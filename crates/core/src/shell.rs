@@ -434,31 +434,18 @@ pub struct Shell {
 }
 
 impl Shell {
-    /// # Panics
-    ///
-    /// Panics if `me` is a member of neither (or both) views.
     fn new(
         me: ActorId,
+        role: ReplicaRole,
         primary_view: Arc<View>,
         secondary_view: Arc<View>,
         object: Box<dyn ReplicatedObject>,
         config: ServerConfig,
         durability: Option<Durability>,
-        obs: ObsHandle,
     ) -> Self {
-        let in_p = primary_view.contains(me);
-        let in_s = secondary_view.contains(me);
-        assert!(
-            in_p ^ in_s,
-            "replica must belong to exactly one replication group"
-        );
         Self {
             me,
-            role: if in_p {
-                ReplicaRole::Primary
-            } else {
-                ReplicaRole::Secondary
-            },
+            role,
             reply_cache: ReplyCache::new(config.reply_cache),
             config,
             object,
@@ -483,7 +470,7 @@ impl Shell {
             restarted_at: None,
             synced: true,
             stats: ServerStats::default(),
-            obs,
+            obs: ObsHandle::disabled(),
         }
     }
 
@@ -914,15 +901,25 @@ impl<D: Discipline> Replica<D> {
                 .wrapping_add((me.index() as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             Durability::new(config.storage.clone(), seed)
         });
+        let (primary_view, secondary_view) = (primary_view.into(), secondary_view.into());
+        let in_primary = primary_view.contains(me);
+        assert!(
+            in_primary ^ secondary_view.contains(me),
+            "replica must belong to exactly one replication group"
+        );
         Self {
             shell: Shell::new(
                 me,
-                primary_view.into(),
-                secondary_view.into(),
+                if in_primary {
+                    ReplicaRole::Primary
+                } else {
+                    ReplicaRole::Secondary
+                },
+                primary_view,
+                secondary_view,
                 object,
                 config,
                 durability,
-                ObsHandle::disabled(),
             ),
             discipline: D::default(),
         }
@@ -967,20 +964,24 @@ impl<D: Discipline> ServerProtocol for Replica<D> {
         out: &mut Vec<ServerAction>,
     ) {
         let old = &mut self.shell;
-        // Two things survive the wipe. The durability sidecar *is* the
+        // Three things survive the wipe. The durability sidecar *is* the
         // stable storage (the host already applied crash damage via
         // `crash_storage`). The obs handle is the host's, not the
         // process's: observation is write-only, and the windows right
-        // after a restart are the ones a trace is read for.
+        // after a restart are the ones a trace is read for. The role is
+        // carried over, not re-derived from the views: a replica that
+        // installed the view excluding it before crashing is in neither
+        // until it is re-admitted.
         let mut shell = Shell::new(
             old.me,
+            old.role,
             old.primary_view.clone(),
             old.secondary_view.clone(),
             fresh_object,
             std::mem::take(&mut old.config),
             old.durability.take(),
-            old.obs.clone(),
         );
+        shell.obs = old.obs.clone();
         shell.synced = false;
         shell.restarted_at = Some(now);
         shell.last_transfer_request = now;
