@@ -223,7 +223,7 @@ fn duplicate_delivery_never_double_applies() {
 /// heartbeats intact) plus 2% message loss. With retries and quarantine
 /// enabled, clients must resolve strictly more requests within QoS than
 /// fire-and-forget clients — fewer give-ups *and* fewer timing failures
-/// under the same seed. (Hedging stays off here: it reshuffles server
+/// under the same seeds. (Hedging stays off here: it reshuffles server
 /// load and adds run-to-run variance that would blur the A/B margin.)
 #[test]
 fn recovery_reduces_give_ups_and_timing_failures_under_gray_failure() {
@@ -245,41 +245,46 @@ fn recovery_reduces_give_ups_and_timing_failures_under_gray_failure() {
         run_scenario(&config)
     }
 
-    let seed = 515;
-    let base = gray_scenario(seed, RecoveryPolicy::disabled());
-    let with = gray_scenario(
-        seed,
-        RecoveryPolicy {
-            hedge_fraction: None,
-            ..RecoveryPolicy::default()
-        },
-    );
-
-    let give_ups = |m: &ScenarioMetrics| m.clients.iter().map(|c| c.give_ups).sum::<u64>();
-    let failures = |m: &ScenarioMetrics| m.clients.iter().map(|c| c.timing_failures).sum::<u64>();
-    let retries: u64 = with.clients.iter().map(|c| c.retries).sum();
-    let quarantines: u64 = with.clients.iter().map(|c| c.quarantines).sum();
-    assert!(retries > 0, "recovery run must actually retransmit");
-    assert!(quarantines > 0, "recovery run must open quarantines");
-    assert!(
-        give_ups(&with) < give_ups(&base),
-        "give-ups must drop with recovery on: {} -> {}",
-        give_ups(&base),
-        give_ups(&with)
-    );
-    assert!(
-        failures(&with) < failures(&base),
-        "timing failures must drop with recovery on: {} -> {}",
-        failures(&base),
-        failures(&with)
-    );
-    // Recovery must not cost correctness: both runs complete everything.
-    for m in [&base, &with] {
-        for c in &m.clients {
-            assert_eq!(c.record.completed, 400);
-            assert_eq!(c.record.staleness_violations, 0);
+    // Summed over eight seeds: at any single one the margin is a handful
+    // of requests, and which way it falls depends on the RNG draw order.
+    let (mut base_give_ups, mut with_give_ups) = (0, 0);
+    let (mut base_failures, mut with_failures) = (0, 0);
+    let (mut retries, mut quarantines) = (0, 0);
+    for seed in 515..=522 {
+        let base = gray_scenario(seed, RecoveryPolicy::disabled());
+        let with = gray_scenario(
+            seed,
+            RecoveryPolicy {
+                hedge_fraction: None,
+                ..RecoveryPolicy::default()
+            },
+        );
+        for (m, give_ups, failures) in [
+            (&base, &mut base_give_ups, &mut base_failures),
+            (&with, &mut with_give_ups, &mut with_failures),
+        ] {
+            for c in &m.clients {
+                *give_ups += c.give_ups;
+                *failures += c.timing_failures;
+                // Recovery must not cost correctness: both runs complete
+                // everything.
+                assert_eq!(c.record.completed, 400, "seed {seed}");
+                assert_eq!(c.record.staleness_violations, 0, "seed {seed}");
+            }
         }
+        retries += with.clients.iter().map(|c| c.retries).sum::<u64>();
+        quarantines += with.clients.iter().map(|c| c.quarantines).sum::<u64>();
     }
+    assert!(retries > 0, "recovery runs must actually retransmit");
+    assert!(quarantines > 0, "recovery runs must open quarantines");
+    assert!(
+        with_give_ups < base_give_ups,
+        "give-ups must drop with recovery on: {base_give_ups} -> {with_give_ups}"
+    );
+    assert!(
+        with_failures < base_failures,
+        "timing failures must drop with recovery on: {base_failures} -> {with_failures}"
+    );
 }
 
 #[test]
