@@ -138,12 +138,22 @@ fn repro_artifacts_replay_bit_identically() {
     assert_eq!(viol_a.len(), outcome.violations.len());
 }
 
-/// Replays generated schedule `schedule` of `base` and returns its
-/// violations, rendered.
-fn violations_of(base: &ScenarioConfig, schedule: u64) -> Vec<String> {
-    let config = aqf_chaos::scenario_for_seed(base, &ScheduleBudget::quick(), schedule);
-    let (_, violations) = replay_and_judge(&config, &OracleOptions::default());
-    violations.iter().map(|v| format!("{v:?}")).collect()
+/// Asserts that generated schedule `schedule` of `base` (through
+/// `scenario_for_seed` + `replay_and_judge`) replays clean.
+fn assert_schedule_clean(base: &ScenarioConfig, schedule: u64) {
+    let outcome = run_seed(
+        base,
+        &ScheduleBudget::quick(),
+        schedule,
+        &OracleOptions::default(),
+    );
+    assert!(
+        outcome.violations.is_empty(),
+        "base {}, schedule {schedule}: {} violation(s): {:?}",
+        base.seed,
+        outcome.violations.len(),
+        outcome.violations
+    );
 }
 
 /// ROADMAP defect (1), "two values at register version N": a sequencer <->
@@ -163,12 +173,7 @@ fn cut_off_successor_cannot_become_a_second_sequencer() {
         (7598109481980131276, 2863866023334820038),
         (11335840072483301643, 10223220775828725711),
     ] {
-        let violations = violations_of(&corpus_base(base), schedule);
-        assert!(
-            violations.is_empty(),
-            "base {base}, schedule {schedule}: {} violation(s): {violations:?}",
-            violations.len()
-        );
+        assert_schedule_clean(&corpus_base(base), schedule);
     }
 }
 
@@ -184,7 +189,6 @@ fn excluded_replica_survives_a_restart() {
         (&sequential, 17010637113342041486u64),
         (&causal, 8888002149916109784),
     ] {
-        let violations = violations_of(base, schedule);
-        assert!(violations.is_empty(), "schedule {schedule}: {violations:?}");
+        assert_schedule_clean(base, schedule);
     }
 }

@@ -17,6 +17,7 @@ use crate::detector::{FailureDetector, FlapDamping, PhiAccrual};
 use crate::msg::{DataMsg, Envelope, GroupMsg, SharedPayload};
 use crate::view::{GroupId, View, ViewId};
 use aqf_sim::{ActorId, Context, SimDuration, SimTime, Timer};
+use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
@@ -444,8 +445,7 @@ impl<A: Clone> GroupEndpoint<A> {
     pub fn is_leader(&self, group: GroupId) -> bool {
         self.groups
             .get(&group)
-            .map(|s| s.in_view && s.view.leader() == self.me)
-            .unwrap_or(false)
+            .is_some_and(|s| s.leads_view(self.me))
     }
 
     /// Whether this node is currently a member of `group`'s view.
@@ -824,7 +824,7 @@ impl<A: Clone> GroupEndpoint<A> {
         }
     }
 
-    fn handle_view(&mut self, view: Arc<View>, ctx_now: SimTime) -> Vec<GroupEvent<A>> {
+    fn handle_view(&mut self, view: Arc<View>, now: SimTime) -> Vec<GroupEvent<A>> {
         let group = view.group;
         if let Some(state) = self.groups.get_mut(&group) {
             if view.id <= state.view.id {
@@ -837,7 +837,7 @@ impl<A: Clone> GroupEndpoint<A> {
             // the leader, or as the new leader every junior — owes it
             // traffic only from here on. Forget departed members entirely;
             // only an unchanged leader's arrival history still applies.
-            state.restart_clocks(ctx_now);
+            state.restart_clocks(now);
             let leader = view.leader();
             state.last_heard.retain(|m, _| view.contains(*m));
             state
@@ -1149,13 +1149,18 @@ impl<A: Clone> GroupEndpoint<A> {
         let view = Arc::clone(&state.view);
         let mut suspects = Vec::new();
         for &m in view.members() {
-            // Voluntary leavers are excluded like suspects, however alive
-            // their liveness clock looks.
-            if m < me
-                || (m > me
-                    && (state.departing.contains(&m)
-                        || state.judge(&self.config, &mut self.stats, m, leading_since, now)))
-            {
+            let excluded = match m.cmp(&me) {
+                // Given up on by the chain walk.
+                Ordering::Less => true,
+                Ordering::Equal => false,
+                // Voluntary leavers are excluded like suspects, however
+                // alive their liveness clock looks.
+                Ordering::Greater => {
+                    state.departing.contains(&m)
+                        || state.judge(&self.config, &mut self.stats, m, leading_since, now)
+                }
+            };
+            if excluded {
                 suspects.push(m);
             }
         }

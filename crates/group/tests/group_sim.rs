@@ -530,28 +530,11 @@ fn churn_scenario(
     seed: u64,
     damping: Option<FlapDamping>,
 ) -> u64 {
-    let mut world: World<Msg> = World::new(seed);
-    let ids: Vec<ActorId> = (0..n).map(ActorId::from_index).collect();
     let config = EndpointConfig {
         damping,
         ..EndpointConfig::default()
     };
-    for &id in &ids {
-        let ep = GroupEndpoint::new(
-            id,
-            config.clone(),
-            vec![GroupMembership {
-                view: View::new(GROUP, ViewId(0), ids.clone()),
-                observers: vec![],
-            }],
-            vec![],
-        );
-        world.add_actor(Box::new(Host::new(
-            ep,
-            vec![],
-            SimDuration::from_millis(10),
-        )));
-    }
+    let (mut world, ids) = build_with(n, &config, seed);
     let victim = ids[victim];
     let start = SimTime::from_secs(5);
     let heal = start + SimDuration::from_secs(fault_secs);
@@ -735,14 +718,23 @@ fn host(world: &World<Msg>, id: ActorId) -> &Host {
     world.actor::<Host>(id).unwrap()
 }
 
-/// When `at` first installed a view without `gone`.
-fn excluded_at(world: &World<Msg>, at: ActorId, gone: ActorId) -> Option<SimTime> {
+/// When `at` first installed a view satisfying `pred`.
+fn first_view_at(
+    world: &World<Msg>,
+    at: ActorId,
+    pred: impl Fn(&View, SimTime) -> bool,
+) -> Option<SimTime> {
     let h = host(world, at);
     h.views
         .iter()
         .zip(&h.view_at)
-        .find(|(v, _)| !v.contains(gone))
+        .find(|(v, t)| pred(v, **t))
         .map(|(_, t)| *t)
+}
+
+/// When `at` first installed a view without `gone`.
+fn excluded_at(world: &World<Msg>, at: ActorId, gone: ActorId) -> Option<SimTime> {
+    first_view_at(world, at, |v, _| !v.contains(gone))
 }
 
 /// Everyone in `ids` holds the same full view, and exactly one of them
@@ -848,13 +840,7 @@ fn lowest_member_restart_scenario(config: &EndpointConfig) {
     world.schedule_crash(ids[0], SimTime::from_secs(2));
     world.schedule_restart(ids[0], restart);
     world.run_until(SimTime::from_secs(12));
-    let h = host(&world, ids[0]);
-    let readmitted = h
-        .views
-        .iter()
-        .zip(&h.view_at)
-        .find(|(v, t)| **t >= restart && v.contains(ids[0]))
-        .map(|(_, t)| *t)
+    let readmitted = first_view_at(&world, ids[0], |v, t| t >= restart && v.contains(ids[0]))
         .expect("restarted member never re-admitted");
     assert!(
         readmitted <= restart + tick() * 4,
@@ -946,12 +932,13 @@ fn message_budget_scenario(config: &EndpointConfig) {
     for (seed, n, o) in [(51, 5, 0), (52, 17, 3), (53, 41, 6)] {
         let (mut world, ids) = build_observed(n, o, config, seed);
         let received = |world: &World<Msg>| {
-            ids.iter().fold([0u64; 3], |mut sum, &id| {
+            let mut sum = [0u64; 3];
+            for &id in &ids {
                 for (total, count) in sum.iter_mut().zip(host(world, id).received) {
                     *total += count;
                 }
-                sum
-            })
+            }
+            sum
         };
         // Sample between ticks, so every tick's fan-out has landed.
         world.run_until(SimTime::from_millis(10_100));
