@@ -62,21 +62,21 @@ const BASELINES: [Baseline; 6] = [
     Baseline {
         actors: 16,
         faults: false,
-        events_per_run: 8_866,
+        events_per_run: 7_237,
         baseline_events_per_run: 8_866,
         baseline_events_per_sec: 58_313.0,
     },
     Baseline {
         actors: 16,
         faults: true,
-        events_per_run: 13_925,
+        events_per_run: 7_079,
         baseline_events_per_run: 13_925,
         baseline_events_per_sec: 87_540.0,
     },
     Baseline {
         actors: 64,
         faults: false,
-        events_per_run: 170_327,
+        events_per_run: 108_979,
         baseline_events_per_run: 170_327,
         baseline_events_per_sec: 32_830.0,
     },
@@ -90,7 +90,7 @@ const BASELINES: [Baseline; 6] = [
     Baseline {
         actors: 64,
         faults: true,
-        events_per_run: 164_659,
+        events_per_run: 125_811,
         baseline_events_per_run: 164_659,
         baseline_events_per_sec: 106_000.0,
     },

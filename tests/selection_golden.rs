@@ -66,11 +66,12 @@ fn selection_digests_unchanged() {
     }
 }
 
-// --- Recorded digests (unbounded CDF cache, commit preceding the bounded engine) ---
+// --- Recorded digests (unbounded CDF cache, commit preceding the bounded
+// --- engine; re-recorded once when group liveness became leader-rooted) ---
 
-const SEQUENTIAL_DIGEST: u64 = 0x9d8c_c188_2eb2_2669;
-const CAUSAL_DIGEST: u64 = 0x9800_51b6_f44c_a239;
-const FIFO_BANK_DIGEST: u64 = 0x3d9b_6bd2_0d76_36c3;
+const SEQUENTIAL_DIGEST: u64 = 0xefaa_b54f_fc90_0022;
+const CAUSAL_DIGEST: u64 = 0x932b_507f_f30c_92dc;
+const FIFO_BANK_DIGEST: u64 = 0x6e6f_97b6_2ba4_acd3;
 
 /// Re-baselining tool: prints the digests the constants above pin.
 /// `cargo test --release -p aqf --test selection_golden -- --ignored --nocapture`
