@@ -17,8 +17,8 @@ use std::fmt;
 /// the full state, since lazy updates replace the state of secondary
 /// replicas wholesale.
 ///
-/// Objects must be [`Send`] so replicas can be hosted on real threads (the
-/// `aqf_sim::rt` runtime) as well as in the simulator.
+/// Objects must be [`Send`]: the gateways are sans-IO state machines that
+/// assume nothing about their host, including which thread drives them.
 pub trait ReplicatedObject: fmt::Debug + Send {
     /// Applies a committed state-modifying operation, returning the reply
     /// payload for the issuing client.

@@ -21,9 +21,9 @@
 //! them all; the demand-driven cost grows with the selected set `|K|`,
 //! which at `Pc = 0.9` is three to five replicas (the excluded best plus
 //! the two to four that reach it) however many are available.
-//! The four, plus the acceptance point at window 20 / 16 replicas, are
-//! emitted as machine-readable `BENCH_selection.json` so the perf
-//! trajectory is tracked across PRs.
+//! With `--csv DIR` the sweep is written as `fig3_selection_overhead.csv`;
+//! the repo benchmark's `core.client.select_us.*` rows track three of its
+//! points on every run.
 
 use crate::table::{Output, Table};
 use aqf_core::{select_on_demand, select_replicas, CandidateOrder};
@@ -155,49 +155,7 @@ pub fn measure_point(replicas: usize, window: usize, iters: u32) -> OverheadPoin
     }
 }
 
-/// Renders the `BENCH_selection.json` payload: the full before/after sweep
-/// plus the acceptance point (window 20, 16 replicas). Hand-formatted —
-/// the workspace deliberately carries no JSON dependency.
-pub fn render_bench_json(points: &[OverheadPoint], acceptance: &OverheadPoint) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"benchmark\": \"selection_overhead\",\n");
-    out.push_str("  \"source\": \"aqf-experiments fig3\",\n");
-    out.push_str("  \"units\": \"us_mean_per_call\",\n");
-    out.push_str(&format!(
-        "  \"acceptance\": {{\"window\": {}, \"replicas\": {}, \"before_model_us\": {:.3}, \"cold_model_us\": {:.3}, \"demand_model_us\": {:.3}, \"after_model_us\": {:.3}, \"algorithm_us\": {:.3}, \"speedup\": {:.1}}},\n",
-        acceptance.window,
-        acceptance.replicas,
-        acceptance.model_uncached_us,
-        acceptance.model_cold_us,
-        acceptance.model_demand_us,
-        acceptance.model_us,
-        acceptance.algorithm_us,
-        acceptance.speedup(),
-    ));
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"replicas\": {}, \"window\": {}, \"before_model_us\": {:.3}, \"cold_model_us\": {:.3}, \"demand_model_us\": {:.3}, \"after_model_us\": {:.3}, \"algorithm_us\": {:.3}, \"speedup\": {:.1}}}{}\n",
-            p.replicas,
-            p.window,
-            p.model_uncached_us,
-            p.model_cold_us,
-            p.model_demand_us,
-            p.model_us,
-            p.algorithm_us,
-            p.speedup(),
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n");
-    out.push_str("}\n");
-    out
-}
-
-/// Runs the full Figure 3 sweep and prints the series; emits
-/// `BENCH_selection.json` next to the CSVs (or under `results/` when no
-/// `--csv` directory is configured).
+/// Runs the full Figure 3 sweep and prints the series.
 pub fn run(iters: u32, out: &Output) -> Vec<OverheadPoint> {
     let mut points = Vec::new();
     let mut table = Table::new(
@@ -249,21 +207,6 @@ pub fn run(iters: u32, out: &Output) -> Vec<OverheadPoint> {
         acceptance.speedup(),
     );
 
-    let json = render_bench_json(&points, &acceptance);
-    let dir = out
-        .csv_dir()
-        .map(std::path::Path::to_path_buf)
-        .unwrap_or_else(|| std::path::PathBuf::from("results"));
-    if let Err(e) = std::fs::create_dir_all(&dir) {
-        eprintln!("cannot create {}: {e}", dir.display());
-    } else {
-        let path = dir.join("BENCH_selection.json");
-        match std::fs::write(&path, &json) {
-            Ok(()) => eprintln!("[json] wrote {}", path.display()),
-            Err(e) => eprintln!("cannot write {}: {e}", path.display()),
-        }
-    }
-
     println!(
         "paper shape: overhead grows with replicas and window size; the\n\
          distribution-function computation dominates (~90% in the paper)\n\
@@ -291,28 +234,5 @@ mod tests {
             "and so does a demand-driven one"
         );
         assert!(p.algorithm_us < p.total_us);
-    }
-
-    #[test]
-    fn bench_json_is_well_formed() {
-        let p = OverheadPoint {
-            replicas: 16,
-            window: 20,
-            total_us: 2.0,
-            model_us: 1.5,
-            model_cold_us: 6.0,
-            model_demand_us: 2.5,
-            model_uncached_us: 30.0,
-            algorithm_us: 0.5,
-        };
-        let json = render_bench_json(&[p, p], &p);
-        assert!(json.starts_with("{\n"));
-        assert!(json.ends_with("}\n"));
-        assert!(json.contains("\"acceptance\""));
-        assert!(json.contains("\"speedup\": 20.0"));
-        assert!(json.contains("\"demand_model_us\": 2.500"));
-        // Exactly one trailing-comma-free final array element.
-        assert_eq!(json.matches("\"replicas\": 16").count(), 3);
-        assert!(!json.contains(",\n  ]"));
     }
 }

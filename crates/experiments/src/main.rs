@@ -20,6 +20,8 @@
 //!   overload       overload-protection goodput retention (EXT-OVL)
 //!   overload-smoke short asserting EXT-OVL subset for CI
 //!   trace-smoke    observability purity + artifact reconstruction gate for CI
+//!   durability     crash recovery with and without the write-ahead log (EXT-DUR)
+//!   recovery-smoke short asserting EXT-DUR subset for CI
 //!   chaos-search   seeded fault-schedule search judged by oracles (EXT-CHAOS)
 //!   chaos-smoke    fixed-seed chaos corpus + repro replay gate for CI
 //!   all            everything above

@@ -105,7 +105,7 @@ impl Output {
     }
 
     /// The configured CSV directory, if any. Experiments that emit extra
-    /// machine-readable artifacts (e.g. `BENCH_selection.json`) write them
+    /// machine-readable artifacts (the chaos search's reports) write them
     /// next to the CSVs.
     pub fn csv_dir(&self) -> Option<&std::path::Path> {
         self.csv_dir.as_deref()

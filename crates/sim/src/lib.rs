@@ -18,9 +18,6 @@
 //!   partitions.
 //! * [`world`] — the event queue and scheduler, plus crash/restart fault
 //!   injection.
-//! * [`rt`] — a real-concurrency runtime hosting the identical actors on OS
-//!   threads (crossbeam channels, wall-clock timers); demonstrates that the
-//!   protocol stack is runtime-agnostic.
 //!
 //! # Determinism
 //!
@@ -65,7 +62,6 @@ pub mod actor;
 pub mod delay;
 pub mod digest;
 pub mod net;
-pub mod rt;
 pub mod time;
 mod timer;
 pub mod world;

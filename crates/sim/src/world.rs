@@ -320,48 +320,6 @@ impl<M: Clone + 'static> World<M> {
         self.run_until(until)
     }
 
-    /// Runs the simulation for `d` of virtual time, pacing event execution
-    /// against the wall clock so that one second of virtual time takes
-    /// `1 / speedup` seconds of real time. With `speedup = 1.0` the
-    /// middleware runs "live", as it would on a real deployment; larger
-    /// values fast-forward, values below 1 run in slow motion.
-    ///
-    /// Event handlers still execute instantaneously with respect to virtual
-    /// time — pacing only inserts real sleeps between events — so results
-    /// are bit-identical to [`World::run_for`] with the same seed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speedup` is not finite and positive.
-    pub fn run_realtime(&mut self, d: SimDuration, speedup: f64) -> u64 {
-        assert!(
-            speedup.is_finite() && speedup > 0.0,
-            "speedup must be finite and positive"
-        );
-        self.ensure_started();
-        let until = self.now + d;
-        let wall_start = std::time::Instant::now();
-        let virtual_start = self.now;
-        let mut n = 0;
-        while let Some(head) = self.queue.peek() {
-            if head.time > until {
-                break;
-            }
-            let due = std::time::Duration::from_secs_f64(
-                head.time.saturating_since(virtual_start).as_secs_f64() / speedup,
-            );
-            let elapsed = wall_start.elapsed();
-            if due > elapsed {
-                std::thread::sleep(due - elapsed);
-            }
-            if self.step_inner() {
-                n += 1;
-            }
-        }
-        self.now = self.now.max(until);
-        n
-    }
-
     /// Processes a single event. Returns `false` when the queue is empty.
     pub fn step(&mut self) -> bool {
         self.ensure_started();
@@ -797,55 +755,6 @@ mod tests {
         world.schedule_reconnection(echo, SimTime::from_millis(10));
         world.run_for(SimDuration::from_millis(10));
         assert!(!world.net().is_partitioned(echo, other));
-    }
-
-    #[test]
-    fn realtime_paces_against_wall_clock() {
-        let mut world: World<Msg> = World::new(12);
-        let echo = world.add_actor(Box::new(Echo::default()));
-        for i in 1..=5 {
-            world.send_external(echo, Msg::Ping, SimTime::from_millis(i * 100));
-        }
-        // 500 ms of virtual time at 10x speedup ~ 50 ms of wall time.
-        let wall = std::time::Instant::now();
-        let n = world.run_realtime(SimDuration::from_millis(500), 10.0);
-        let elapsed = wall.elapsed();
-        assert_eq!(n, 5);
-        assert!(
-            elapsed >= std::time::Duration::from_millis(45),
-            "{elapsed:?}"
-        );
-        assert!(
-            elapsed < std::time::Duration::from_millis(500),
-            "{elapsed:?}"
-        );
-        assert_eq!(world.actor::<Echo>(echo).unwrap().pings, 5);
-    }
-
-    #[test]
-    fn realtime_matches_virtual_results() {
-        fn run(realtime: bool) -> u32 {
-            let mut world: World<Msg> = World::new(13);
-            let echo = world.add_actor(Box::new(Echo::default()));
-            let _ = world.add_actor(Box::new(Starter {
-                peer: echo,
-                replies: 0,
-            }));
-            if realtime {
-                world.run_realtime(SimDuration::from_millis(50), 1000.0);
-            } else {
-                world.run_for(SimDuration::from_millis(50));
-            }
-            world.actor::<Echo>(echo).unwrap().pings
-        }
-        assert_eq!(run(true), run(false));
-    }
-
-    #[test]
-    #[should_panic(expected = "speedup")]
-    fn realtime_rejects_bad_speedup() {
-        let mut world: World<Msg> = World::new(0);
-        world.run_realtime(SimDuration::from_millis(1), 0.0);
     }
 
     #[test]

@@ -1,15 +1,15 @@
-//! Canonical scenario configurations for the simulator-core benchmarks.
+//! Canonical scenario configurations for the simulator-core measurements.
 //!
-//! The `world_core` bench and `results/BENCH_world.json` report events/sec
-//! on exactly these configurations, so the "before" numbers captured prior
-//! to the event-core overhaul and the "after" numbers measured by the bench
-//! stay comparable across PRs. Keep these definitions stable: changing a
-//! workload invalidates every previously recorded baseline.
+//! The allocation gate on the 16-actor faulty world
+//! (`crates/bench/benches/alloc_gates.rs`) and the event-count and
+//! trace-digest pins of `tests/msgplane.rs` run exactly these
+//! configurations. Keep these definitions stable: changing a workload
+//! invalidates every recorded number and pin.
 
 use crate::config::{ClientSpec, FaultEvent, FaultKind, FaultTarget, ScenarioConfig};
 use aqf_sim::{SimDuration, SimTime};
 
-/// Deployment sizes measured by the world-core benchmark, expressed as the
+/// Deployment sizes of the canonical worlds, expressed as the
 /// total actor count (sequencer + primaries + secondaries + clients).
 pub const WORLD_BENCH_SIZES: [usize; 3] = [4, 16, 64];
 

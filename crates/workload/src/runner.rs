@@ -275,8 +275,8 @@ impl ScenarioMetrics {
 }
 
 /// A fully constructed scenario: the simulation world plus the actor ids
-/// of every process, ready to be driven by [`run_scenario`] or paced
-/// manually (e.g. with [`aqf_sim::World::run_realtime`]).
+/// of every process, ready to be driven by [`run_scenario`] or stepped
+/// manually (e.g. with [`aqf_sim::World::step`]).
 #[derive(Debug)]
 pub struct BuiltScenario {
     /// The simulation world hosting all gateways and clients.

@@ -106,7 +106,7 @@ pub fn candidate_keys(
 /// [`build_candidates`] evaluated through the repository's from-scratch
 /// (uncached) CDF path: every call re-runs the `S⊛W` convolution per
 /// replica, exactly as the seed implementation did. This is the "before"
-/// arm of the cached-CDF overhead study (Figure 3 / `BENCH_selection.json`);
+/// arm of the cached-CDF overhead study (Figure 3);
 /// production code always uses the cached [`build_candidates`].
 pub fn build_candidates_uncached(
     repo: &InfoRepository,

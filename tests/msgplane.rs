@@ -69,8 +69,7 @@ fn multicast_scenario(seed: u64) -> ScenarioConfig {
 
 /// The faulty 64-actor golden trace: crash + restart, gray degradation,
 /// per-actor loss, global loss and duplication, at the largest benched
-/// deployment. This is the same configuration whose event count the
-/// `world_core` bench asserts; here the full metrics digest is pinned.
+/// deployment, with the full metrics digest pinned.
 #[test]
 fn golden_64actor_faulty_trace_digest_unchanged() {
     let metrics = run_scenario(&world_bench_config(64, true));
@@ -80,6 +79,28 @@ fn golden_64actor_faulty_trace_digest_unchanged() {
         GOLDEN_64ACTOR_FAULTY_DIGEST,
         "zero-copy plane diverged from the recorded deep-clone trace"
     );
+}
+
+/// Seed-determined event counts of all six `world_bench_config` worlds: a
+/// change to the event core or to group traffic that replays a different
+/// history moves one of these before it moves anything timed.
+#[test]
+fn world_bench_event_counts_unchanged() {
+    const EVENTS: [(usize, bool, u64); 6] = [
+        (4, false, 1_013),
+        (4, true, 1_183),
+        (16, false, 7_237),
+        (16, true, 7_079),
+        (64, false, 108_979),
+        (64, true, 125_811),
+    ];
+    for (actors, faults, expected) in EVENTS {
+        let metrics = run_scenario(&world_bench_config(actors, faults));
+        assert_eq!(
+            metrics.events, expected,
+            "event history moved (actors={actors} faults={faults})"
+        );
+    }
 }
 
 #[test]
