@@ -21,8 +21,13 @@ struct Host {
     /// Payloads to multicast, one per send tick.
     to_send: Vec<u64>,
     send_interval: SimDuration,
+    /// Multicast all of `to_send` in the first send tick instead of one
+    /// payload per tick.
+    burst: bool,
     next: usize,
     delivered: Vec<(ActorId, u64)>,
+    /// When each entry of `delivered` was handed up.
+    delivered_at: Vec<SimTime>,
     views: Vec<Arc<View>>,
     /// When each entry of `views` was installed (or observed).
     view_at: Vec<SimTime>,
@@ -38,8 +43,10 @@ impl Host {
             ep,
             to_send,
             send_interval,
+            burst: false,
             next: 0,
             delivered: Vec::new(),
+            delivered_at: Vec::new(),
             views: Vec::new(),
             view_at: Vec::new(),
             directs: Vec::new(),
@@ -54,6 +61,7 @@ impl Host {
                     sender, payload, ..
                 } => {
                     self.delivered.push((sender, payload));
+                    self.delivered_at.push(now);
                 }
                 GroupEvent::ViewChanged { view, .. } => {
                     self.views.push(view);
@@ -96,9 +104,12 @@ impl Actor<Msg> for Host {
             return;
         }
         if timer.kind == APP_TIMER_SEND {
-            if let Some(&payload) = self.to_send.get(self.next) {
+            while let Some(&payload) = self.to_send.get(self.next) {
                 self.next += 1;
                 self.ep.multicast(GROUP, payload, ctx);
+                if !self.burst {
+                    break;
+                }
             }
             if self.next < self.to_send.len() {
                 ctx.set_timer(APP_TIMER_SEND, self.send_interval);
@@ -1085,4 +1096,155 @@ fn liveness_suite_holds_with_flap_damping() {
         damping: Some(FlapDamping::default()),
         ..EndpointConfig::default()
     });
+}
+
+// ---------------------------------------------------------------------------
+// Soft state: how often a stream tip and an unchanged view are re-sent, and
+// what a gap costs in nacks and retransmissions.
+// ---------------------------------------------------------------------------
+
+/// Payloads `receiver` got from `sender`, in delivery order.
+fn payloads_from(world: &World<Msg>, receiver: ActorId, sender: ActorId) -> Vec<u64> {
+    host(world, receiver)
+        .delivered
+        .iter()
+        .filter(|(s, _)| *s == sender)
+        .map(|&(_, p)| p)
+        .collect()
+}
+
+/// When `receiver` was handed `payload`.
+fn delivered_at(world: &World<Msg>, receiver: ActorId, payload: u64) -> Option<SimTime> {
+    let h = host(world, receiver);
+    h.delivered
+        .iter()
+        .zip(&h.delivered_at)
+        .find(|((_, p), _)| *p == payload)
+        .map(|(_, t)| *t)
+}
+
+/// Pins both directions of the link `a`–`b` to exactly 500 µs.
+fn fix_link_delay(world: &mut World<Msg>, a: ActorId, b: ActorId) {
+    let half_ms = DelayModel::Constant(SimDuration::from_micros(500));
+    world.net_mut().set_link_delay(a, b, half_ms.clone());
+    world.net_mut().set_link_delay(b, a, half_ms);
+}
+
+/// A burst of 64 payloads leaves member 0 in one instant and reaches three
+/// receivers in random order (uniform 200–800 µs links), nothing lost.
+/// Every out-of-order arrival nacks the whole missing prefix again and the
+/// sender serves each nack in full, so reordering alone costs several
+/// retransmissions per message.
+#[test]
+fn reorder_only_burst_retransmissions() {
+    let (burst, receivers) = (64u64, 3u64);
+    let (mut world, ids) = build(receivers as usize + 1, burst, 71);
+    world.actor_mut::<Host>(ids[0]).unwrap().burst = true;
+    world.run_for(SimDuration::from_secs(2));
+    let mut nacks = 0;
+    for &id in &ids[1..] {
+        assert_eq!(
+            payloads_from(&world, id, ids[0]),
+            (0..burst).collect::<Vec<_>>(),
+            "receiver {id}"
+        );
+        nacks += host(&world, id).ep.stats().nacks_sent;
+    }
+    let sender = host(&world, ids[0]).ep.stats();
+    assert_eq!(sender.multicasts_sent, burst);
+    assert_eq!((nacks, sender.retransmissions), (174, 5_576));
+}
+
+/// The last message of a stream and the first stream-tip advert after it
+/// are lost on one link: the second advert, two ticks after the last
+/// multicast, reveals the gap, and one nack round trip later it is filled.
+#[test]
+fn tail_loss_with_one_advert_lost_recovers_two_ticks_after_the_last_multicast() {
+    let (mut world, ids) = build(3, 30, 72);
+    // Payloads leave at 10, 20, …, 300 ms; ticks fall on multiples of 250 ms.
+    world.schedule_partition(ids[0], ids[2], SimTime::from_millis(295));
+    world.schedule_heal(ids[0], ids[2], SimTime::from_millis(510));
+    world.run_for(SimDuration::from_secs(3));
+    assert_eq!(payloads_from(&world, ids[1], ids[0]).len(), 30);
+    assert_eq!(
+        payloads_from(&world, ids[2], ids[0]),
+        (0..30).collect::<Vec<_>>()
+    );
+    let recovered = delivered_at(&world, ids[2], 29).unwrap();
+    let second_tick = SimTime::from_millis(750);
+    assert!(
+        recovered > second_tick && recovered <= second_tick + SimDuration::from_millis(3),
+        "tail recovered at {recovered}"
+    );
+}
+
+/// A retransmission that is itself lost is asked for again by the next
+/// stream-tip advert.
+#[test]
+fn lost_retransmission_is_requested_again_by_the_next_advert() {
+    let (mut world, ids) = build(3, 30, 74);
+    fix_link_delay(&mut world, ids[0], ids[2]);
+    // The last payload (300 ms) is lost. The advert of the 500 ms tick
+    // arrives at 500.5 ms, the nack at 501 ms — and the retransmission it
+    // triggers leaves into a cut link.
+    world.schedule_partition(ids[0], ids[2], SimTime::from_millis(295));
+    world.schedule_heal(ids[0], ids[2], SimTime::from_millis(310));
+    world.schedule_partition(ids[0], ids[2], SimTime::from_micros(500_750));
+    world.schedule_heal(ids[0], ids[2], SimTime::from_micros(501_500));
+    world.run_for(SimDuration::from_secs(3));
+    assert_eq!(host(&world, ids[0]).ep.stats().retransmissions, 2);
+    // Advert at 750 ms, nack back, retransmission: three half-millisecond hops.
+    assert_eq!(
+        delivered_at(&world, ids[2], 29),
+        Some(SimTime::from_micros(751_500))
+    );
+}
+
+/// An observer cut off from the leader while a view is installed learns
+/// that view within `failure_timeout` of the link healing.
+#[test]
+fn observer_that_missed_an_install_converges_within_the_failure_timeout() {
+    let (mut world, ids) = build_observed(5, 2, &EndpointConfig::default(), 75);
+    let (leader, observer) = (ids[0], ids[5]);
+    // The junior's last heartbeat is the 2 s one; the leader's 3.25 s tick
+    // is the first to find it silent for more than a second.
+    world.schedule_crash(ids[3], SimTime::from_millis(2_100));
+    let heal = SimTime::from_secs(5);
+    world.schedule_partition(leader, observer, SimTime::from_millis(3_200));
+    world.schedule_heal(leader, observer, heal);
+    world.run_until(SimTime::from_secs(8));
+    let installed = excluded_at(&world, leader, ids[3]).unwrap();
+    assert_eq!(installed, SimTime::from_millis(3_250));
+    let prompt = excluded_at(&world, ids[6], ids[3]).unwrap();
+    assert!(prompt <= installed + SimDuration::from_millis(1));
+    let late = excluded_at(&world, observer, ids[3]).expect("observer never learned the view");
+    assert!(
+        late > heal && late <= heal + failure_timeout() + SimDuration::from_millis(1),
+        "observer learned the view at {late}"
+    );
+}
+
+/// An idle stable group's leader re-announces its unchanged view to every
+/// observer on every tick, and the observer's endpoint hands each copy to
+/// its host as a view change.
+#[test]
+fn observer_announces_and_view_callbacks_of_an_unchanged_view() {
+    let (n, o) = (5, 3);
+    let (mut world, ids) = build_observed(n, o, &EndpointConfig::default(), 73);
+    world.run_until(SimTime::from_millis(10_100));
+    let sample = |world: &World<Msg>| -> Vec<(u64, usize)> {
+        ids[n..]
+            .iter()
+            .map(|&id| (host(world, id).received[1], host(world, id).views.len()))
+            .collect()
+    };
+    let before = sample(&world);
+    let ticks = 10;
+    world.run_for(tick() * ticks);
+    for (before, after) in before.iter().zip(sample(&world)) {
+        assert_eq!(after.0 - before.0, ticks, "announces per observer");
+        assert_eq!(after.1 - before.1, ticks as usize, "view callbacks");
+    }
+    let observer = host(&world, ids[n]);
+    assert!(observer.views.iter().all(|v| v.id == ViewId(0)));
 }

@@ -106,6 +106,28 @@ fn sequential_handler_survives_chaos() {
     }
 }
 
+/// Sweep behind ROADMAP defect (6): how many of 300 sequential chaos runs
+/// end with an update that no live replica ever committed.
+/// `cargo test --release --test chaos -- --ignored --nocapture never_committed`
+#[test]
+#[ignore = "300 scenarios; prints the seeds that leave an update uncommitted"]
+fn never_committed_sweep() {
+    let mut short = Vec::new();
+    for seed in 1000u64..1300 {
+        let metrics = run_scenario(&chaos_config(seed, OrderingGuarantee::Sequential));
+        let live = metrics.servers.iter().filter(|s| s.alive);
+        let max_applied = live.map(|s| s.applied_csn).max().unwrap();
+        let total_writes: u64 = metrics.clients.iter().map(|c| c.updates).sum();
+        if max_applied != total_writes {
+            short.push((seed, total_writes - max_applied));
+        }
+    }
+    println!(
+        "{} of 300 runs left updates uncommitted: {short:?}",
+        short.len()
+    );
+}
+
 #[test]
 fn fifo_handler_survives_chaos() {
     for seed in [44u64, 55] {
@@ -220,12 +242,18 @@ fn duplicate_delivery_never_double_applies() {
     }
 }
 
-/// The PR's acceptance scenario: one gray-degraded primary (5× latency,
-/// heartbeats intact) plus 2% message loss. With retries and quarantine
-/// enabled, clients must resolve strictly more requests within QoS than
-/// fire-and-forget clients — fewer give-ups *and* fewer timing failures
-/// under the same seeds. (Hedging stays off here: it reshuffles server
-/// load and adds run-to-run variance that would blur the A/B margin.)
+/// One gray-degraded primary (5× latency, heartbeats intact) plus 2% message
+/// loss, with and without client-side recovery (retries and quarantine;
+/// hedging stays off: it reshuffles server load and would blur the A/B).
+/// Recovery removes the give-ups — every request is answered — and leaves
+/// the number of *late* answers where it was: over seeds 515..=578 the runs
+/// without it give up on 552 requests and miss 552 deadlines, the runs with
+/// it give up on none and miss 546. (The test's name predates that
+/// measurement: over its first eight seeds the misses read 67 → 63, which
+/// was asserted as a reduction; over 64 it is no effect.) Each sum is a
+/// count of ~550 rare events, so the difference of two has a standard
+/// deviation of ~33, 6 % of either, and any change to group traffic
+/// redraws both: "where it was" is asserted as within 15 %.
 #[test]
 fn recovery_reduces_give_ups_and_timing_failures_under_gray_failure() {
     fn gray_scenario(seed: u64, recovery: RecoveryPolicy) -> ScenarioMetrics {
@@ -246,8 +274,8 @@ fn recovery_reduces_give_ups_and_timing_failures_under_gray_failure() {
         run_scenario(&config)
     }
 
-    // Summed over eight seeds: at any single one the margin is a handful
-    // of requests, and which way it falls depends on the RNG draw order.
+    // Summed over 64 seeds: at any single one the margin is a handful of
+    // requests, and which way it falls depends on the RNG draw order.
     // Give-ups and timing failures of one run. Recovery must not cost
     // correctness: every run completes everything.
     let tally = |m: &ScenarioMetrics| {
@@ -261,7 +289,7 @@ fn recovery_reduces_give_ups_and_timing_failures_under_gray_failure() {
     let (mut base_give_ups, mut base_failures) = (0, 0);
     let (mut with_give_ups, mut with_failures) = (0, 0);
     let (mut retries, mut quarantines) = (0, 0);
-    for seed in 515..=522 {
+    for seed in 515..=578 {
         let (give_ups, failures) = tally(&gray_scenario(seed, RecoveryPolicy::disabled()));
         base_give_ups += give_ups;
         base_failures += failures;
@@ -278,15 +306,18 @@ fn recovery_reduces_give_ups_and_timing_failures_under_gray_failure() {
         retries += with.clients.iter().map(|c| c.retries).sum::<u64>();
         quarantines += with.clients.iter().map(|c| c.quarantines).sum::<u64>();
     }
+    println!(
+        "give-ups {base_give_ups} -> {with_give_ups}, timing failures {base_failures} -> {with_failures}"
+    );
     assert!(retries > 0, "recovery runs must actually retransmit");
     assert!(quarantines > 0, "recovery runs must open quarantines");
     assert!(
-        with_give_ups < base_give_ups,
-        "give-ups must drop with recovery on: {base_give_ups} -> {with_give_ups}"
+        base_give_ups >= 400 && 20 * with_give_ups <= base_give_ups,
+        "give-ups must all but vanish with recovery on: {base_give_ups} -> {with_give_ups}"
     );
     assert!(
-        with_failures < base_failures,
-        "timing failures must drop with recovery on: {base_failures} -> {with_failures}"
+        20 * with_failures.abs_diff(base_failures) <= 3 * base_failures,
+        "timing failures must stay within 15 %: {base_failures} -> {with_failures}"
     );
 }
 
