@@ -7,9 +7,13 @@ use std::collections::BTreeMap;
 pub struct Accepted<A> {
     /// Payloads now deliverable to the application, in FIFO order.
     pub deliverable: Vec<A>,
-    /// If a gap was detected, the inclusive range of missing sequence
-    /// numbers to nack.
+    /// The inclusive range of missing sequence numbers to nack: the part of
+    /// the gap in front of this message that has not been requested yet.
+    /// `None` for a parked message whose whole gap was already asked for.
     pub nack: Option<(u64, u64)>,
+    /// The message was dropped: already delivered, already parked, or from
+    /// a previous life of the sender.
+    pub duplicate: bool,
 }
 
 impl<A> Default for Accepted<A> {
@@ -17,6 +21,16 @@ impl<A> Default for Accepted<A> {
         Self {
             deliverable: Vec::new(),
             nack: None,
+            duplicate: false,
+        }
+    }
+}
+
+impl<A> Accepted<A> {
+    fn duplicate() -> Self {
+        Self {
+            duplicate: true,
+            ..Self::default()
         }
     }
 }
@@ -24,14 +38,20 @@ impl<A> Default for Accepted<A> {
 /// FIFO receive state for one `(group, sender)` pair.
 ///
 /// Messages are delivered in sequence-number order; out-of-order arrivals
-/// wait in a holdback queue and trigger a nack for the missing range.
-/// A higher sender incarnation resets the channel (the sender restarted).
+/// wait in a holdback queue. A missing sequence number is asked for once
+/// when a later arrival first reveals it, and again by every stream-tip
+/// advert ([`ReceiveChannel::observe_tip`]) that finds it still missing —
+/// the advert is the only retry clock. A higher sender incarnation resets
+/// the channel (the sender restarted).
 #[derive(Debug, Clone, Default)]
 pub struct ReceiveChannel<A> {
     incarnation: u64,
     /// Next sequence number expected for contiguous delivery.
     expected: u64,
     holdback: BTreeMap<u64, A>,
+    /// Every sequence number below this has arrived or been nacked since
+    /// the last advert.
+    requested: u64,
 }
 
 impl<A> ReceiveChannel<A> {
@@ -41,6 +61,7 @@ impl<A> ReceiveChannel<A> {
             incarnation: 0,
             expected: 0,
             holdback: BTreeMap::new(),
+            requested: 0,
         }
     }
 
@@ -59,25 +80,25 @@ impl<A> ReceiveChannel<A> {
         self.holdback.len()
     }
 
+    /// Tracks `inc`; false if it is a previous life of the sender. A newer
+    /// life abandons the old channel state entirely.
+    fn follow(&mut self, inc: u64) -> bool {
+        if inc > self.incarnation {
+            self.fast_forward_to(inc, 0);
+        }
+        inc == self.incarnation
+    }
+
     /// Accepts a message with sequence number `seq` from incarnation `inc`.
     ///
     /// Returns the payloads that became deliverable (possibly none) and an
     /// optional nack range. Duplicates and messages from stale incarnations
-    /// are silently dropped.
+    /// are dropped and reported as such.
     pub fn accept(&mut self, inc: u64, seq: u64, payload: A) -> Accepted<A> {
-        if inc < self.incarnation {
-            return Accepted::default();
-        }
-        if inc > self.incarnation {
-            // Sender restarted: abandon the old channel state entirely.
-            self.incarnation = inc;
-            self.expected = 0;
-            self.holdback.clear();
+        if !self.follow(inc) || seq < self.expected || self.holdback.contains_key(&seq) {
+            return Accepted::duplicate();
         }
         let mut out = Accepted::default();
-        if seq < self.expected || self.holdback.contains_key(&seq) {
-            return out; // duplicate
-        }
         if seq == self.expected {
             out.deliverable.push(payload);
             self.expected += 1;
@@ -87,32 +108,28 @@ impl<A> ReceiveChannel<A> {
                 self.expected += 1;
             }
         } else {
-            // Gap: park and request the missing range.
-            out.nack = Some((self.expected, seq - 1));
+            // Gap: park, and ask for what nobody has asked for yet.
+            let unasked = self.expected.max(self.requested);
+            if unasked < seq {
+                out.nack = Some((unasked, seq - 1));
+            }
             self.holdback.insert(seq, payload);
         }
+        self.requested = self.requested.max(seq + 1);
         out
     }
 
     /// Compares the channel against an advertised stream tip: the sender
     /// claims to have multicast everything below `next_seq` of `inc`.
-    /// Returns the inclusive range to nack if the channel is missing a
-    /// suffix, or `None` if it is caught up (or the advertisement is
-    /// stale).
+    /// Returns the inclusive range to nack if the channel is missing
+    /// anything below the tip — whether or not it was asked for before —
+    /// or `None` if it is caught up (or the advertisement is stale).
     pub fn observe_tip(&mut self, inc: u64, next_seq: u64) -> Option<(u64, u64)> {
-        if inc < self.incarnation {
+        if !self.follow(inc) || self.expected >= next_seq {
             return None;
         }
-        if inc > self.incarnation {
-            self.incarnation = inc;
-            self.expected = 0;
-            self.holdback.clear();
-        }
-        if self.expected < next_seq {
-            Some((self.expected, next_seq - 1))
-        } else {
-            None
-        }
+        self.requested = self.requested.max(next_seq);
+        Some((self.expected, next_seq - 1))
     }
 
     /// Fast-forwards past an unfillable gap: the sender declared it can no
@@ -142,6 +159,7 @@ impl<A> ReceiveChannel<A> {
     pub fn fast_forward_to(&mut self, inc: u64, seq: u64) {
         self.incarnation = inc;
         self.expected = seq;
+        self.requested = seq;
         self.holdback.clear();
     }
 
@@ -151,14 +169,9 @@ impl<A> ReceiveChannel<A> {
     pub fn abandon_gaps(&mut self) -> usize {
         let n = self.holdback.len();
         self.holdback.clear();
+        // The discarded messages are missing again.
+        self.requested = self.expected;
         n
-    }
-
-    /// Fully resets the channel to expect a fresh incarnation from scratch.
-    pub fn reset(&mut self) {
-        self.incarnation = 0;
-        self.expected = 0;
-        self.holdback.clear();
     }
 }
 
@@ -199,10 +212,36 @@ mod tests {
     fn duplicates_dropped() {
         let mut ch = ReceiveChannel::new();
         assert_eq!(ch.accept(0, 0, 1).deliverable, vec![1]);
-        assert!(ch.accept(0, 0, 1).deliverable.is_empty());
-        let _ = ch.accept(0, 2, 3); // parked
-        assert!(ch.accept(0, 2, 3).deliverable.is_empty());
+        assert_eq!(ch.accept(0, 0, 1), Accepted::duplicate());
+        assert!(!ch.accept(0, 2, 3).duplicate); // parked
+        assert_eq!(ch.accept(0, 2, 3), Accepted::duplicate());
         assert_eq!(ch.holdback_len(), 1);
+    }
+
+    #[test]
+    fn a_gap_is_asked_for_once_until_the_next_advert() {
+        let mut ch = ReceiveChannel::new();
+        assert_eq!(ch.accept(0, 5, "f").nack, Some((0, 4)));
+        // Parked behind a gap that was already requested: nothing new to
+        // ask, and not a duplicate either.
+        assert_eq!(ch.accept(0, 3, "d"), Accepted::default());
+        // Only the part beyond what arrived or was asked for.
+        assert_eq!(ch.accept(0, 8, "i").nack, Some((6, 7)));
+        assert_eq!(ch.accept(0, 7, "h"), Accepted::default());
+        assert_eq!(ch.holdback_len(), 4);
+        // The advert is the retry clock: everything still missing, again.
+        assert_eq!(ch.observe_tip(0, 10), Some((0, 9)));
+        assert_eq!(ch.accept(0, 9, "j"), Accepted::default());
+        assert_eq!(ch.accept(0, 11, "l").nack, Some((10, 10)));
+        assert_eq!(ch.observe_tip(0, 12), Some((0, 11)));
+    }
+
+    #[test]
+    fn abandoned_holdback_is_asked_for_again() {
+        let mut ch = ReceiveChannel::new();
+        assert_eq!(ch.accept(0, 2, "c").nack, Some((0, 1)));
+        assert_eq!(ch.abandon_gaps(), 1);
+        assert_eq!(ch.accept(0, 3, "d").nack, Some((0, 2)));
     }
 
     #[test]

@@ -7,10 +7,15 @@
 //! fresh incarnation after a crash.
 //!
 //! Liveness is rooted at the leader (DESIGN.md §3.2): every tick the leader
-//! announces its view to members and observers, and every other member
-//! sends one heartbeat, to the most senior member it has not given up on.
-//! A member judges silence only along the rank chain ahead of it, and the
-//! node at the head of its own chain leads.
+//! announces its view to the members, and every other member sends one
+//! heartbeat, to the most senior member it has not given up on. A member
+//! judges silence only along the rank chain ahead of it, and the node at
+//! the head of its own chain leads.
+//!
+//! Facts that only need repeating in case they were lost — a stream's tip,
+//! a view in the eyes of its observers — follow one `Refresh` schedule:
+//! re-sent 1, 2, 4, … ticks after they last changed, then once per
+//! `failure_timeout`.
 
 use crate::channel::ReceiveChannel;
 use crate::detector::{FailureDetector, FlapDamping, PhiAccrual};
@@ -62,6 +67,35 @@ impl Default for EndpointConfig {
             detector: FailureDetector::FixedTimeout,
             damping: None,
         }
+    }
+}
+
+/// When a fact that has not changed is next re-sent: 1, 2, 4, … ticks after
+/// it last changed, the gap doubling until it reaches the endpoint's cap —
+/// `failure_timeout / tick_interval` ticks, so a receiver that lost every
+/// earlier copy is never staler than the detection time of a failure — and
+/// staying there.
+#[derive(Debug, Clone, Copy)]
+struct Refresh {
+    /// Ticks until the next copy goes out.
+    due_in: u32,
+    /// The gap after that one.
+    gap: u32,
+}
+
+impl Refresh {
+    /// The schedule of a fact that has just changed.
+    const FRESH: Self = Self { due_in: 1, gap: 1 };
+
+    /// Counts one tick; whether a copy is due on it.
+    fn tick(&mut self, cap: u32) -> bool {
+        self.due_in -= 1;
+        if self.due_in > 0 {
+            return false;
+        }
+        self.due_in = self.gap;
+        self.gap = (self.gap * 2).min(cap);
+        true
     }
 }
 
@@ -134,6 +168,10 @@ struct MemberState {
     /// the next tick.
     awaiting_followers: bool,
     observers: Vec<ActorId>,
+    /// When the observers next get a copy of the view this node leads,
+    /// counted from its installation or from this node's first tick as the
+    /// head of its chain.
+    observer_refresh: Refresh,
     join_requests: BTreeSet<ActorId>,
     /// Arrival histories of the peers this node monitors (φ-accrual mode
     /// only): the rank chain ahead of it up to the member it follows, or
@@ -172,6 +210,7 @@ impl MemberState {
             followers: BTreeMap::new(),
             awaiting_followers: false,
             observers,
+            observer_refresh: Refresh::FRESH,
             join_requests: BTreeSet::new(),
             accrual: BTreeMap::new(),
             departing: BTreeSet::new(),
@@ -186,6 +225,7 @@ impl MemberState {
         self.followers.clear();
         self.awaiting_followers = false;
         self.suspected.clear();
+        self.observer_refresh = Refresh::FRESH;
     }
 
     /// Whether this node leads `view` as installed (rank 0, in view).
@@ -284,6 +324,9 @@ struct FlapRecord {
 struct SendState<A> {
     next_seq: u64,
     buffer: VecDeque<(u64, Envelope<A>)>,
+    /// When the stream's tip is next advertised, counted from the last
+    /// multicast.
+    advert: Refresh,
 }
 
 impl<A> Default for SendState<A> {
@@ -291,6 +334,7 @@ impl<A> Default for SendState<A> {
         Self {
             next_seq: 0,
             buffer: VecDeque::new(),
+            advert: Refresh::FRESH,
         }
     }
 }
@@ -341,6 +385,8 @@ pub struct GroupStats {
 pub struct GroupEndpoint<A> {
     me: ActorId,
     config: EndpointConfig,
+    /// Longest gap of a [`Refresh`] schedule, in ticks.
+    refresh_cap: u32,
     incarnation: u64,
     groups: BTreeMap<GroupId, MemberState>,
     observed: BTreeMap<GroupId, Arc<View>>,
@@ -351,6 +397,18 @@ pub struct GroupEndpoint<A> {
     /// application-level state transfer covers the gap.
     fast_forward_new_channels: bool,
     stats: GroupStats,
+}
+
+/// The view of `group` held as a member or, failing that, as an observer.
+fn view_of<'a>(
+    groups: &'a BTreeMap<GroupId, MemberState>,
+    observed: &'a BTreeMap<GroupId, Arc<View>>,
+    group: GroupId,
+) -> Option<&'a View> {
+    groups
+        .get(&group)
+        .map(|s| &*s.view)
+        .or_else(|| observed.get(&group).map(|v| &**v))
 }
 
 impl<A: Clone> GroupEndpoint<A> {
@@ -391,8 +449,11 @@ impl<A: Clone> GroupEndpoint<A> {
             );
             observed.insert(v.group, Arc::new(v));
         }
+        let ticks_per_timeout =
+            config.failure_timeout.as_micros() / config.tick_interval.as_micros().max(1);
         Self {
             me,
+            refresh_cap: u32::try_from(ticks_per_timeout).unwrap_or(u32::MAX).max(1),
             config,
             incarnation: 0,
             groups,
@@ -430,10 +491,7 @@ impl<A: Clone> GroupEndpoint<A> {
     /// The current view of `group`, whether this node is a member or an
     /// observer.
     pub fn view(&self, group: GroupId) -> Option<&View> {
-        self.groups
-            .get(&group)
-            .map(|s| &*s.view)
-            .or_else(|| self.observed.get(&group).map(|v| &**v))
+        view_of(&self.groups, &self.observed, group)
     }
 
     /// The leader of `group`'s current view.
@@ -502,6 +560,7 @@ impl<A: Clone> GroupEndpoint<A> {
         let send = self.sends.entry(group).or_default();
         let seq = send.next_seq;
         send.next_seq += 1;
+        send.advert = Refresh::FRESH;
         // Seal once; the retransmission buffer, every fan-out copy, and
         // every receiver's holdback entry all share this one allocation.
         let env = GroupMsg::Data(DataMsg {
@@ -766,7 +825,7 @@ impl<A: Clone> GroupEndpoint<A> {
                 .seal(),
             );
         }
-        if accepted.deliverable.is_empty() && accepted.nack.is_none() {
+        if accepted.duplicate {
             self.stats.duplicates_dropped += 1;
         }
         self.stats.delivered += accepted.deliverable.len() as u64;
@@ -854,19 +913,16 @@ impl<A: Clone> GroupEndpoint<A> {
             self.stats.views_installed += 1;
             vec![GroupEvent::ViewChanged { view, is_member }]
         } else {
-            let entry = self
-                .observed
-                .entry(group)
-                .or_insert_with(|| Arc::clone(&view));
-            if view.id >= entry.id {
-                *entry = Arc::clone(&view);
-                vec![GroupEvent::ViewChanged {
-                    view,
-                    is_member: false,
-                }]
-            } else {
-                Vec::new()
+            // Strictly newer only: a refresh of the view already held is
+            // not a change, and the host is told of each view once.
+            if self.observed.get(&group).is_some_and(|v| view.id <= v.id) {
+                return Vec::new();
             }
+            self.observed.insert(group, Arc::clone(&view));
+            vec![GroupEvent::ViewChanged {
+                view,
+                is_member: false,
+            }]
         }
     }
 
@@ -1108,6 +1164,7 @@ impl<A: Clone> GroupEndpoint<A> {
         state.accrual.retain(|m, _| new_view.contains(*m));
         state.suspected.retain(|m, _| new_view.contains(*m));
         state.departing.retain(|m| new_view.contains(*m));
+        state.observer_refresh = Refresh::FRESH;
         for m in new_view.members() {
             state.last_heard.entry(*m).or_insert(now);
         }
@@ -1178,14 +1235,16 @@ impl<A: Clone> GroupEndpoint<A> {
     }
 
     fn tick(&mut self, ctx: &mut Context<'_, Envelope<A>>, events: &mut Vec<GroupEvent<A>>) {
-        let (me, now) = (self.me, ctx.now());
+        let (me, now, cap) = (self.me, ctx.now(), self.refresh_cap);
         // Advertise the tip of every multicast stream we originate, so
-        // receivers can detect tail losses and nack them.
-        for (&group, send) in &self.sends {
-            if send.next_seq == 0 {
+        // receivers can detect tail losses and ask again for whatever a
+        // nack or a retransmission lost: on the first tick after each
+        // multicast, then backing off while the stream stays idle.
+        for (&group, send) in &mut self.sends {
+            if !send.advert.tick(cap) {
                 continue;
             }
-            let Some(view) = self.view(group) else {
+            let Some(view) = view_of(&self.groups, &self.observed, group) else {
                 continue;
             };
             ctx.multicast(
@@ -1209,25 +1268,35 @@ impl<A: Clone> GroupEndpoint<A> {
                 continue;
             }
             match state.chain_head(&self.config, &mut self.stats, me, now) {
-                Some(head) => ctx.send(
-                    head,
-                    GroupMsg::Heartbeat {
-                        group,
-                        view_id: state.view.id,
-                    }
-                    .seal(),
-                ),
+                Some(head) => {
+                    state.observer_refresh = Refresh::FRESH;
+                    ctx.send(
+                        head,
+                        GroupMsg::Heartbeat {
+                            group,
+                            view_id: state.view.id,
+                        }
+                        .seal(),
+                    );
+                }
                 None => {
                     // The leader's heartbeat is a full view announce, which
-                    // also resynchronizes lagging members and observers.
+                    // also resynchronizes lagging members. Observers owe
+                    // the leader no judgement of its silence, so they get a
+                    // copy only in case they lost the one sent at install.
                     // One shared envelope for the whole round: every
                     // delivered copy is a refcount bump on the same `View`.
+                    let observers: &[ActorId] = if state.observer_refresh.tick(cap) {
+                        &state.observers
+                    } else {
+                        &[]
+                    };
                     ctx.multicast(
                         state
                             .view
                             .members()
                             .iter()
-                            .chain(&state.observers)
+                            .chain(observers)
                             .filter(|m| **m != me),
                         GroupMsg::ViewAnnounce(Arc::clone(&state.view)).seal(),
                     );

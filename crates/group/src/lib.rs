@@ -12,16 +12,18 @@
 //!   deterministic ranking.
 //! * **Failure detection** — liveness is rooted at the leader: each member
 //!   heartbeats the most senior member it has not given up on, the leader
-//!   announces its view to everyone every tick and excludes silent members
-//!   by installing a new view. If the leader itself fails, the next-ranked
+//!   announces its view to every member every tick and excludes silent
+//!   members by installing a new view. If the leader itself fails, the next-ranked
 //!   member takes over once a majority of the roster follows it.
 //! * **Reliable FIFO multicast** — per-sender sequence numbers with a
-//!   holdback queue for reordering, nack-driven retransmission for loss, and
-//!   sender incarnation numbers so a restarted process starts a fresh FIFO
-//!   channel.
+//!   holdback queue for reordering, nack-driven retransmission for loss
+//!   (each gap asked for once, and again on the sender's next stream-tip
+//!   advert), and sender incarnation numbers so a restarted process starts
+//!   a fresh FIFO channel.
 //! * **Open groups** — non-members ("observers", e.g. the clients of a
-//!   replicated service) receive view announcements and may multicast into a
-//!   group, exactly as AQuA's QoS group lets clients address the replication
+//!   replicated service) receive view announcements — when a view is
+//!   installed, then at a backed-off refresh period — and may multicast into
+//!   a group, exactly as AQuA's QoS group lets clients address the replication
 //!   groups.
 //!
 //! The guarantees are deliberately scoped to what the paper's protocols

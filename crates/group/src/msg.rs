@@ -40,7 +40,10 @@ pub enum GroupMsg<A> {
     /// transfer). Delivery is subject only to the network model.
     Direct(A),
     /// Receiver-driven retransmission request for sequence numbers
-    /// `[from_seq, to_seq]` of the addressed sender's channel.
+    /// `[from_seq, to_seq]` of the addressed sender's channel. A receiver
+    /// asks for a missing message once when a later arrival reveals the
+    /// gap, and again on every [`GroupMsg::StreamStatus`] that finds it
+    /// still missing.
     Nack {
         /// The group whose channel has the gap.
         group: GroupId,
@@ -59,8 +62,11 @@ pub enum GroupMsg<A> {
         /// The sender's installed view id.
         view_id: ViewId,
     },
-    /// Announcement (by the leader) of a newly installed view; also sent to
-    /// observers and lagging members. The view is `Arc`-shared: one announce
+    /// Announcement (by the leader) of its view: to members, old and new,
+    /// and observers when it is installed; to members on every tick after,
+    /// as the leader's heartbeat; to observers again 1, 2, 4, … ticks after
+    /// the installation and then once per `failure_timeout`, in case they
+    /// lost it. The view is `Arc`-shared: one announce
     /// round references a single `View` allocation across every recipient
     /// and every local copy (`observed` maps, member state, host events).
     ViewAnnounce(Arc<View>),
@@ -90,9 +96,11 @@ pub enum GroupMsg<A> {
         /// Oldest sequence number the sender can still retransmit.
         resume_at: u64,
     },
-    /// Periodic advertisement of the sender's multicast stream tip, so
-    /// receivers can detect and nack tail losses (losses of the last
-    /// messages of a stream, which no later arrival would reveal).
+    /// Advertisement of the sender's multicast stream tip, so receivers
+    /// can detect and nack tail losses (losses of the last messages of a
+    /// stream, which no later arrival would reveal) and ask again for
+    /// retransmissions that were themselves lost. Sent 1, 2, 4, … ticks
+    /// after the stream's last multicast, then once per `failure_timeout`.
     StreamStatus {
         /// The group whose stream is advertised.
         group: GroupId,
