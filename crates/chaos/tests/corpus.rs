@@ -192,3 +192,32 @@ fn excluded_replica_survives_a_restart() {
         assert_schedule_clean(base, schedule);
     }
 }
+
+/// ROADMAP defect (5): a sequencer takeover's reconciliation round that
+/// lost one `GsnReport` to the network stayed open until a blocked client
+/// gave up ten seconds later, because only arriving requests polled its
+/// watchdog. Under 2 % loss ten of the first 300 schedules of this base
+/// lose one; these four read 10.9 / 11.2 / 11.2 / 10.9 s of sequencer
+/// unavailability without the round's own timer and 3.2 / 3.4 / 3.6 /
+/// 3.9 s with it — the stall timeout plus the re-query's round trip.
+#[test]
+fn takeover_round_that_lost_a_report_closes_on_its_own_timer() {
+    let mut base = corpus_base(101);
+    base.loss_probability = 0.02;
+    let stall = aqf_core::ServerConfig::default().commit_stall_timeout;
+    let bound = base.failure_timeout + stall + base.group_tick * 2;
+    for schedule in [80u64, 81, 194, 221] {
+        let config = aqf_chaos::scenario_for_seed(&base, &ScheduleBudget::quick(), schedule);
+        let history = HistoryHandle::collecting();
+        let metrics = run_scenario_recorded(&config, &ObsHandle::disabled(), &history);
+        let violations =
+            aqf_chaos::check_history(&config, &history.take(), &OracleOptions::default());
+        assert!(violations.is_empty(), "schedule {schedule}: {violations:?}");
+        let servers = metrics.servers.iter();
+        let unavailable = servers.map(|s| s.stats.seq_unavail_us).max().unwrap();
+        assert!(
+            unavailable > stall.as_micros() && unavailable <= bound.as_micros(),
+            "schedule {schedule}: sequencer unavailable for {unavailable} µs"
+        );
+    }
+}

@@ -87,6 +87,8 @@ pub struct Sequential {
     /// Last time this replica observed the sequencer function working (an
     /// accepted assignment/snapshot, or its own sequencing).
     last_seq_activity: SimTime,
+    /// The deadline the host's watchdog timer is armed for, if any.
+    watchdog_due: Option<SimTime>,
 }
 
 /// The sequential server gateway: the replica shell under [`Sequential`].
@@ -140,11 +142,12 @@ impl Sequential {
     }
 
     /// Reconciliation-round watchdog: a leader stuck awaiting `GsnReport`s
-    /// past the stall timeout prunes departed members from the waiting set
+    /// for the stall timeout prunes departed members from the waiting set
     /// and re-queries the stragglers. Reports lost to a lossy network (the
     /// round's only unreliable leg — replies travel point-to-point, outside
     /// the NACK-recovered multicast) would otherwise leave the round open,
-    /// and sequencing suspended, forever.
+    /// and sequencing suspended, forever. The round's own timer runs this
+    /// (`on_watchdog`): the clients whose requests would are blocked on it.
     fn check_recovery_stall(
         &mut self,
         shell: &mut Shell,
@@ -154,7 +157,7 @@ impl Sequential {
         if !self.recovering || shell.primary_view.leader() != shell.me {
             return;
         }
-        if now.saturating_since(self.last_gsn_query_at) <= shell.config.commit_stall_timeout {
+        if now.saturating_since(self.last_gsn_query_at) < shell.config.commit_stall_timeout {
             return;
         }
         self.last_gsn_query_at = now;
@@ -166,6 +169,41 @@ impl Sequential {
             out.push(ServerAction::MulticastPrimary(Payload::GsnQuery {
                 csn: self.my_csn,
             }));
+            self.arm_watchdog(shell, now, out);
+        }
+    }
+
+    /// How long the sequencer waits for freshness reports, and for an
+    /// issued promotion to show up in the primary view, before starting
+    /// over.
+    fn replenish_timeout(shell: &Shell) -> SimDuration {
+        shell.config.lazy_interval.max(SimDuration::from_secs(2))
+    }
+
+    /// Arms the watchdog for the earliest expiry among the open rounds —
+    /// reconciliation, freshness probe, promotion in flight — unless it is
+    /// armed for that instant already. Every one of them waits for answers
+    /// to point-to-point sends, so none may rely on other traffic to notice
+    /// that an answer was lost.
+    fn arm_watchdog(&mut self, shell: &Shell, now: SimTime, out: &mut Vec<ServerAction>) {
+        let replenish = Self::replenish_timeout(shell);
+        let reconciliation = self
+            .recovering
+            .then(|| self.last_gsn_query_at + shell.config.commit_stall_timeout);
+        let probe = self.promote_round.map(|opened| opened + replenish);
+        let promotion = self.promotion_inflight.map(|(_, at)| at + replenish);
+        let Some(due) = [reconciliation, probe, promotion]
+            .into_iter()
+            .flatten()
+            .min()
+        else {
+            return;
+        };
+        if self.watchdog_due != Some(due) {
+            self.watchdog_due = Some(due);
+            out.push(ServerAction::ArmWatchdog {
+                after: due.saturating_since(now),
+            });
         }
     }
 
@@ -605,14 +643,11 @@ impl Sequential {
         if !self.is_sequencer(shell) || self.recovering {
             return;
         }
-        // How long the sequencer waits for freshness reports, and for an
-        // issued promotion to show up in the primary view, before starting
-        // over.
-        let timeout = shell.config.lazy_interval.max(SimDuration::from_secs(2));
+        let timeout = Self::replenish_timeout(shell);
         if let Some((cand, at)) = self.promotion_inflight {
             if shell.primary_view.contains(cand) {
                 self.promotion_inflight = None;
-            } else if now.saturating_since(at) <= timeout {
+            } else if now.saturating_since(at) < timeout {
                 return; // give the promotee time to join
             } else {
                 self.promotion_inflight = None; // candidate failed; retry
@@ -628,44 +663,42 @@ impl Sequential {
         if candidates.is_empty() {
             return;
         }
-        match self.promote_round {
-            None => {
-                self.promote_reports.clear();
-                self.promote_round = Some(now);
-                for c in &candidates {
-                    out.push(ServerAction::SendDirect {
-                        to: *c,
-                        payload: Payload::PromoteQuery,
-                    });
-                }
+        if let Some(opened) = self.promote_round {
+            let all_in = candidates
+                .iter()
+                .all(|c| self.promote_reports.contains_key(c));
+            let expired = now.saturating_since(opened) >= timeout;
+            if !all_in && !expired {
+                return;
             }
-            Some(opened) => {
-                let all_in = candidates
-                    .iter()
-                    .all(|c| self.promote_reports.contains_key(c));
-                let expired = now.saturating_since(opened) > timeout;
-                if all_in || (expired && !self.promote_reports.is_empty()) {
-                    let best = self
-                        .promote_reports
-                        .iter()
-                        .filter(|(c, _)| candidates.contains(c))
-                        .min_by_key(|(c, &(stale, csn))| (stale, u64::MAX - csn, **c))
-                        .map(|(c, _)| *c);
-                    self.promote_round = None;
-                    self.promote_reports.clear();
-                    if let Some(best) = best {
-                        shell.stats.promotions += 1;
-                        self.promotion_inflight = Some((best, now));
-                        out.push(ServerAction::SendDirect {
-                            to: best,
-                            payload: Payload::Promote,
-                        });
-                    }
-                } else if expired {
-                    self.promote_round = None; // nobody answered; reopen later
-                }
+            let best = self
+                .promote_reports
+                .iter()
+                .filter(|(c, _)| candidates.contains(c))
+                .min_by_key(|(c, &(stale, csn))| (stale, u64::MAX - csn, **c))
+                .map(|(c, _)| *c);
+            self.promote_round = None;
+            self.promote_reports.clear();
+            if let Some(best) = best {
+                shell.stats.promotions += 1;
+                self.promotion_inflight = Some((best, now));
+                out.push(ServerAction::SendDirect {
+                    to: best,
+                    payload: Payload::Promote,
+                });
+                self.arm_watchdog(shell, now, out);
+                return;
             }
+            // Nobody (still eligible) answered: start over.
         }
+        self.promote_round = Some(now);
+        for c in &candidates {
+            out.push(ServerAction::SendDirect {
+                to: *c,
+                payload: Payload::PromoteQuery,
+            });
+        }
+        self.arm_watchdog(shell, now, out);
     }
 
     /// A secondary answers the sequencer's freshness probe.
@@ -1034,6 +1067,7 @@ impl Discipline for Sequential {
                 out.push(ServerAction::MulticastPrimary(Payload::GsnQuery {
                     csn: self.my_csn,
                 }));
+                self.arm_watchdog(shell, now, out);
             }
         } else if self.recovering && !leading {
             // Lost leadership mid-round: abandon it. The new leader runs
@@ -1045,6 +1079,14 @@ impl Discipline for Sequential {
             self.reported_assignments.clear();
             self.queued_snapshot_reqs.clear();
         }
+    }
+
+    fn on_watchdog(&mut self, shell: &mut Shell, now: SimTime, out: &mut Vec<ServerAction>) {
+        self.watchdog_due = None;
+        self.check_recovery_stall(shell, now, out);
+        self.maybe_replenish(shell, now, out);
+        // Whatever did not expire just now is still waiting.
+        self.arm_watchdog(shell, now, out);
     }
 
     fn view_installed(
@@ -1383,6 +1425,103 @@ mod tests {
         // New update gets GSN 3, not a duplicate.
         let actions = sink(|out| p.on_payload(a(20), upd(2), t(1002), out));
         assert!(assigns(&actions, 3));
+    }
+
+    fn armed(actions: &[ServerAction]) -> Option<SimDuration> {
+        actions.iter().find_map(|x| match x {
+            ServerAction::ArmWatchdog { after } => Some(*after),
+            _ => None,
+        })
+    }
+
+    fn sent_to(actions: &[ServerAction], wanted: impl Fn(&Payload) -> bool) -> Vec<ActorId> {
+        actions
+            .iter()
+            .filter_map(|x| match x {
+                ServerAction::SendDirect { to, payload } if wanted(payload) => Some(*to),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reconciliation_round_arms_its_own_timer_and_requeries() {
+        let stall = conformance::config().commit_stall_timeout;
+        let requeried = |actions: &[ServerAction]| {
+            actions
+                .iter()
+                .any(|x| matches!(x, ServerAction::MulticastPrimary(Payload::GsnQuery { .. })))
+        };
+        // Primary 1 takes over from a three-member view: it waits for 2.
+        let mut p = gw(1);
+        let actions = sink(|out| p.on_view(without_sequencer(), t(1000), out));
+        assert!(requeried(&actions));
+        assert_eq!(armed(&actions), Some(stall));
+        // The report is lost. Nothing else arrives; the timer fires.
+        let fired = t(1000) + stall;
+        let actions = sink(|out| p.on_watchdog(fired, out));
+        assert!(requeried(&actions), "the straggler is asked again");
+        assert_eq!(armed(&actions), Some(stall), "and the round re-armed");
+        assert_eq!(p.stats().recoveries, 0);
+        // The second answer arrives; the timer left behind finds nothing.
+        p.on_payload(
+            a(2),
+            report(0, 0),
+            fired + SimDuration::from_millis(1),
+            &mut Vec::new(),
+        );
+        assert_eq!(p.stats().recoveries, 1);
+        assert!(sink(|out| p.on_watchdog(fired + stall, out)).is_empty());
+    }
+
+    /// The sequencer of a view that lost primary 2, told to keep three.
+    fn deficient_sequencer() -> (ServerGateway, Vec<ServerAction>) {
+        let mut s = conformance::gw(
+            0,
+            ServerConfig {
+                min_primary_size: 3,
+                ..conformance::config()
+            },
+        );
+        let shrunk = Arc::new(pview().successor(&[a(2)], &[]).unwrap());
+        let mut actions = sink(|out| s.on_view(shrunk, t(1000), out));
+        // Its reconciliation round closes first (replenishment waits for it).
+        s.on_payload(a(1), report(0, 0), t(1001), &mut actions);
+        (s, actions)
+    }
+
+    #[test]
+    fn unanswered_freshness_probe_is_reopened_by_the_watchdog() {
+        let timeout = SimDuration::from_secs(2);
+        let probed =
+            |actions: &[ServerAction]| sent_to(actions, |p| matches!(p, Payload::PromoteQuery));
+        let (mut s, actions) = deficient_sequencer();
+        assert_eq!(probed(&actions), [a(10), a(11)]);
+        // No report comes back, and no view is re-announced either.
+        let actions = sink(|out| s.on_watchdog(t(1001) + timeout, out));
+        assert_eq!(probed(&actions), [a(10), a(11)], "a new round opens");
+        assert_eq!(armed(&actions), Some(timeout));
+        assert_eq!(s.stats().promotions, 0);
+    }
+
+    #[test]
+    fn lost_promotion_is_retried_by_the_watchdog() {
+        let timeout = SimDuration::from_secs(2);
+        let promoted =
+            |actions: &[ServerAction]| sent_to(actions, |p| matches!(p, Payload::Promote));
+        let (mut s, _) = deficient_sequencer();
+        let fresh = Payload::PromoteReport { csn: 0, gsn: 0 };
+        s.on_payload(a(10), fresh.clone(), t(1002), &mut Vec::new());
+        let actions = sink(|out| s.on_payload(a(11), fresh.clone(), t(1003), out));
+        assert_eq!(promoted(&actions), [a(10)]);
+        assert_eq!(armed(&actions), Some(timeout));
+        // The promotee never joins: start over with a fresh probe.
+        let actions = sink(|out| s.on_watchdog(t(1003) + timeout, out));
+        assert_eq!(
+            sent_to(&actions, |p| matches!(p, Payload::PromoteQuery)),
+            [a(10), a(11)]
+        );
+        assert_eq!(armed(&actions), Some(timeout));
     }
 
     #[test]

@@ -127,6 +127,14 @@ pub enum ServerAction {
         /// Delay until the next lazy propagation.
         after: SimDuration,
     },
+    /// Arm the watchdog timer, replacing a pending one: the host calls
+    /// [`ServerProtocol::on_watchdog`] when it elapses. A round that waits
+    /// for answers over lossy point-to-point sends arms it, so its expiry
+    /// never waits for unrelated traffic to poll it.
+    ArmWatchdog {
+        /// Delay until the earliest open round expires.
+        after: SimDuration,
+    },
     /// Join `group`: the host's endpoint converts its observed view of the
     /// group into a (not yet admitted) membership and knocks. Emitted by a
     /// secondary promoted into the primary group.
@@ -310,6 +318,9 @@ pub trait Discipline: Default + Send {
         _out: &mut Vec<ServerAction>,
     ) {
     }
+
+    /// The watchdog timer ([`ServerAction::ArmWatchdog`]) elapsed.
+    fn on_watchdog(&mut self, _shell: &mut Shell, _now: SimTime, _out: &mut Vec<ServerAction>) {}
 
     /// A view of either group was installed and the publisher
     /// re-designated; `old_primary` is set when it was the primary view.
@@ -1160,6 +1171,10 @@ impl<D: Discipline> ServerProtocol for Replica<D> {
         };
         shell.broadcast_perf(perf, out);
         shell.arm_lazy(out);
+    }
+
+    fn on_watchdog(&mut self, now: SimTime, out: &mut Vec<ServerAction>) {
+        self.discipline.on_watchdog(&mut self.shell, now, out);
     }
 
     fn on_view(&mut self, view: Arc<View>, now: SimTime, out: &mut Vec<ServerAction>) {

@@ -24,6 +24,7 @@ const SERVICE_TIMER: u32 = 1;
 const LAZY_TIMER: u32 = 2;
 const GATEWAY_TIMER: u32 = 3;
 const REQUEST_TIMER: u32 = 4;
+const WATCHDOG_TIMER: u32 = 5;
 
 impl ObjectKind {
     /// Instantiates a fresh object of this kind.
@@ -84,6 +85,8 @@ pub struct ReplicaActor {
     service_delay: DelayModel,
     object_kind: ObjectKind,
     service_timers: HashMap<TimerId, u64>,
+    /// The pending watchdog timer, if the gateway armed one.
+    watchdog: Option<TimerId>,
     /// Observer rosters per group, consulted when the gateway asks to join
     /// a group it only observed so far (promotion): should this replica
     /// ever lead that group, these are the non-members it announces views
@@ -106,6 +109,7 @@ impl ReplicaActor {
             service_delay,
             object_kind,
             service_timers: HashMap::new(),
+            watchdog: None,
             group_observers: BTreeMap::new(),
         }
     }
@@ -160,6 +164,12 @@ impl ReplicaActor {
                 }
                 ServerAction::ArmLazyTimer { after } => {
                     ctx.set_timer(LAZY_TIMER, after);
+                }
+                ServerAction::ArmWatchdog { after } => {
+                    if let Some(pending) = self.watchdog.take() {
+                        ctx.cancel_timer(pending);
+                    }
+                    self.watchdog = Some(ctx.set_timer(WATCHDOG_TIMER, after));
                 }
                 ServerAction::JoinGroup { group } => {
                     let observers = self
@@ -226,6 +236,7 @@ impl Actor<NetMsg> for ReplicaActor {
                 }
             }
             LAZY_TIMER => self.drive(ctx, |gw, now, out| gw.on_lazy_timer(now, out)),
+            WATCHDOG_TIMER => self.drive(ctx, |gw, now, out| gw.on_watchdog(now, out)),
             _ => {}
         }
     }

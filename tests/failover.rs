@@ -3,7 +3,10 @@
 //! the single-failure tolerance of the selected sets (§5.3).
 
 use aqf::sim::{SimDuration, SimTime};
-use aqf::workload::{run_scenario, FaultEvent, FaultKind, FaultTarget, ScenarioConfig};
+use aqf::workload::{
+    build_scenario, run_scenario, BuiltScenario, FaultEvent, FaultKind, FaultTarget, ReplicaActor,
+    ScenarioConfig,
+};
 
 fn faulty_config(seed: u64, faults: Vec<FaultEvent>) -> ScenarioConfig {
     let mut config = ScenarioConfig::paper_validation(200, 0.5, 2, seed);
@@ -192,4 +195,52 @@ fn double_fault_sequencer_then_publisher() {
     assert!(live.iter().any(|s| s.is_publisher));
     assert_eq!(metrics.max_applied_divergence(), 0);
     assert!(metrics.servers.iter().all(|s| s.stats.gsn_conflicts == 0));
+}
+
+/// ROADMAP defect (5): the takeover's reconciliation round collects one
+/// `GsnReport` per primary over plain point-to-point sends, and its
+/// watchdog used to run only when a client request reached the sequencer —
+/// whose clients were blocked on that very round. One lost report kept
+/// sequencing suspended until a client gave up ten seconds later. The round
+/// arms its own timer: with no client traffic at all, it re-queries the
+/// straggler and closes within two ticks of the stall timeout.
+#[test]
+fn reconciliation_round_that_lost_a_report_closes_without_client_traffic() {
+    let mut config = faulty_config(7, Vec::new());
+    for c in &mut config.clients {
+        c.start_offset = SimDuration::from_secs(3_600);
+    }
+    let stall = aqf::core::ServerConfig::default().commit_stall_timeout;
+    let tick = config.group_tick;
+    let mut built = build_scenario(&config);
+    let (old, new, straggler) = (
+        built.primary_ids[0],
+        built.primary_ids[1],
+        built.primary_ids[2],
+    );
+    let gateway = |built: &BuiltScenario, id| {
+        let actor = built.world.actor::<ReplicaActor>(id).expect("a replica");
+        (actor.gateway().is_sequencer(), actor.gateway().stats())
+    };
+    built.world.schedule_crash(old, SimTime::from_secs(5));
+    // The view that makes `new` the sequencer carries its `GsnQuery` with
+    // it; the answers leave 0.2-0.8 ms later. Lose exactly the straggler's.
+    while !gateway(&built, new).0 {
+        built.world.run_for(SimDuration::from_micros(100));
+    }
+    let opened = built.world.now();
+    built.world.net_mut().set_link_loss(straggler, new, 1.0);
+    built.world.run_for(SimDuration::from_millis(2));
+    built.world.net_mut().set_link_loss(straggler, new, 0.0);
+    assert_eq!(gateway(&built, new).1.recoveries, 0, "the round is open");
+
+    // Nothing but the round's own timer can notice: the clients are idle.
+    built
+        .world
+        .run_until(opened + stall - SimDuration::from_millis(1));
+    assert_eq!(gateway(&built, new).1.recoveries, 0, "the round is open");
+    built.world.run_until(opened + stall + tick * 2);
+    let (leads, stats) = gateway(&built, new);
+    assert!(leads);
+    assert_eq!(stats.recoveries, 1, "the round never closed");
 }
