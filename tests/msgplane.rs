@@ -86,14 +86,6 @@ fn golden_64actor_faulty_trace_digest_unchanged() {
 /// history moves one of these before it moves anything timed.
 #[test]
 fn world_bench_event_counts_unchanged() {
-    const EVENTS: [(usize, bool, u64); 6] = [
-        (4, false, 1_013),
-        (4, true, 1_183),
-        (16, false, 7_237),
-        (16, true, 7_079),
-        (64, false, 108_979),
-        (64, true, 125_811),
-    ];
     for (actors, faults, expected) in EVENTS {
         let metrics = run_scenario(&world_bench_config(actors, faults));
         assert_eq!(
@@ -138,6 +130,15 @@ fn zero_copy_plane_is_same_seed_deterministic() {
     assert_eq!(a.events, b.events);
 }
 
+const EVENTS: [(usize, bool, u64); 6] = [
+    (4, false, 1_013),
+    (4, true, 1_183),
+    (16, false, 7_237),
+    (16, true, 7_079),
+    (64, false, 108_979),
+    (64, true, 125_811),
+];
+
 // --- Recorded digests (deep-clone plane, commit preceding the rebuild;
 // --- re-recorded once when group liveness became leader-rooted) ---
 
@@ -163,6 +164,10 @@ fn print_golden_digests() {
         m.digest(),
         m.events
     );
+    for (actors, faults, _) in EVENTS {
+        let m = run_scenario(&world_bench_config(actors, faults));
+        println!("EVENTS ({actors}, {faults}): {}", m.events);
+    }
     for seed in [17u64, 29, 43] {
         let m = run_scenario(&churn_scenario(seed));
         println!("CHURN seed {seed}: {:#018x}", m.digest());
