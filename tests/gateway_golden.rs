@@ -210,30 +210,32 @@ fn traced_overload_durable_cells_unchanged() {
 }
 
 // --- Recorded on the parent's three stand-alone gateways; re-recorded once
-// --- when group liveness became leader-rooted (every run's heartbeat
-// --- traffic, and with it the RNG draw order, changed) ---
+// --- when group liveness became leader-rooted and once when stream tips
+// --- and observer announces went from per-tick to on-change (each time
+// --- every run's group traffic, and with it the RNG draw order, changed)
+// --- ---
 
 const OVERLOAD_DIGESTS: [u64; 3] = [
-    0xf556_f1de_fd1d_c934,
-    0x7d6f_6e1e_e1ca_df66,
-    0x008e_b9a8_56d5_e4a2,
+    0x3ec6_b8a9_9a44_4d82,
+    0xed7b_d92c_f065_13e6,
+    0x1b18_9221_d9f0_4c66,
 ];
-const WATERMARK_DIGEST: u64 = 0x3f7a_f6cd_cabe_7498;
-const REPLENISH_DIGEST: u64 = 0x7aab_7041_9108_2f96;
+const WATERMARK_DIGEST: u64 = 0x48a9_1f03_3be1_e5d2;
+const REPLENISH_DIGEST: u64 = 0x5d7e_6c0b_fc92_1f5b;
 const DURABLE_SECONDARY_DIGESTS: [u64; 3] = [
-    0x4a5d_85ed_5b80_8ce4,
-    0x5919_caa8_aab9_1a5c,
-    0x2f9c_17ec_4cd6_779a,
+    0x2a24_9553_bb01_1e83,
+    0x8856_06f7_a112_df95,
+    0xc0e2_e7ac_7fb7_8d21,
 ];
 const TRACED_DIGESTS: [u64; 3] = [
-    0xdc16_7d26_53cc_f64f,
-    0x20d6_a4fb_ed8a_98f7,
-    0x0a34_9952_f924_aa55,
+    0x49b0_13a0_d353_0b33,
+    0x4503_42a5_0418_591b,
+    0xaff4_67e8_ab55_ef43,
 ];
 const TRACE_HASHES: [u64; 3] = [
-    0xfc1f_dd1d_65b3_98e6,
-    0x237c_2d40_6b74_b742,
-    0xbe36_0b25_0b73_6655,
+    0xcd5d_aef9_3345_b581,
+    0x5369_70e3_be6d_cf31,
+    0x492e_cfdb_c26a_751e,
 ];
 
 /// Re-baselining tool: prints the values the constants above pin.

@@ -73,7 +73,7 @@ fn multicast_scenario(seed: u64) -> ScenarioConfig {
 #[test]
 fn golden_64actor_faulty_trace_digest_unchanged() {
     let metrics = run_scenario(&world_bench_config(64, true));
-    assert_eq!(metrics.events, 125_811, "event history moved");
+    assert_eq!(metrics.events, 106_684, "event history moved");
     assert_eq!(
         metrics.digest(),
         GOLDEN_64ACTOR_FAULTY_DIGEST,
@@ -131,27 +131,28 @@ fn zero_copy_plane_is_same_seed_deterministic() {
 }
 
 const EVENTS: [(usize, bool, u64); 6] = [
-    (4, false, 1_013),
-    (4, true, 1_183),
-    (16, false, 7_237),
-    (16, true, 7_079),
-    (64, false, 108_979),
-    (64, true, 125_811),
+    (4, false, 906),
+    (4, true, 884),
+    (16, false, 6_791),
+    (16, true, 6_868),
+    (64, false, 107_365),
+    (64, true, 106_684),
 ];
 
 // --- Recorded digests (deep-clone plane, commit preceding the rebuild;
-// --- re-recorded once when group liveness became leader-rooted) ---
+// --- re-recorded once when group liveness became leader-rooted and once
+// --- when stream tips and observer announces went on-change) ---
 
-const GOLDEN_64ACTOR_FAULTY_DIGEST: u64 = 0x6f24_2807_11c0_9302;
+const GOLDEN_64ACTOR_FAULTY_DIGEST: u64 = 0x154a_8a08_4481_4bbc;
 
 const CHURN_DIGESTS: [(u64, u64); 3] = [
-    (17, 0xe95d_fac9_c592_5f0a),
-    (29, 0xeea3_cf86_4b32_f933),
-    (43, 0xc9ef_1560_4e18_9019),
+    (17, 0x3704_ba35_fb7b_0994),
+    (29, 0x2e32_8590_a408_9ba9),
+    (43, 0x03e3_1c08_11b4_57d0),
 ];
 
 const MULTICAST_DIGESTS: [(u64, u64); 2] =
-    [(5, 0x4d9e_5d6e_bb1c_3e98), (61, 0x8c40_5a7e_aa1e_542f)];
+    [(5, 0xbede_4911_89bd_1ec9), (61, 0x63eb_284a_cb61_9c03)];
 
 /// Re-baselining tool: prints the digests the constants above pin.
 /// `cargo test --release -p aqf --test msgplane -- --ignored --nocapture`

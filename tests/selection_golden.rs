@@ -67,11 +67,12 @@ fn selection_digests_unchanged() {
 }
 
 // --- Recorded digests (unbounded CDF cache, commit preceding the bounded
-// --- engine; re-recorded once when group liveness became leader-rooted) ---
+// --- engine; re-recorded once when group liveness became leader-rooted and
+// --- once when stream tips and observer announces went on-change) ---
 
-const SEQUENTIAL_DIGEST: u64 = 0xefaa_b54f_fc90_0022;
-const CAUSAL_DIGEST: u64 = 0x932b_507f_f30c_92dc;
-const FIFO_BANK_DIGEST: u64 = 0x6e6f_97b6_2ba4_acd3;
+const SEQUENTIAL_DIGEST: u64 = 0x6703_9a98_713f_35d3;
+const CAUSAL_DIGEST: u64 = 0xace5_a5a9_eb85_b269;
+const FIFO_BANK_DIGEST: u64 = 0xdbf5_cde1_3b71_3a7f;
 
 /// Re-baselining tool: prints the digests the constants above pin.
 /// `cargo test --release -p aqf --test selection_golden -- --ignored --nocapture`
