@@ -128,7 +128,6 @@ impl Sequential {
         if shell.role != ReplicaRole::Primary {
             return;
         }
-        self.check_recovery_stall(shell, now, out);
         if self.lag() == 0 && shell.synced {
             return;
         }
@@ -146,8 +145,9 @@ impl Sequential {
     /// and re-queries the stragglers. Reports lost to a lossy network (the
     /// round's only unreliable leg — replies travel point-to-point, outside
     /// the NACK-recovered multicast) would otherwise leave the round open,
-    /// and sequencing suspended, forever. The round's own timer runs this
-    /// (`on_watchdog`): the clients whose requests would are blocked on it.
+    /// and sequencing suspended, forever. Only the round's own timer runs
+    /// this (`on_watchdog`): the clients whose requests could poll it are
+    /// blocked on the round.
     fn check_recovery_stall(
         &mut self,
         shell: &mut Shell,
@@ -353,14 +353,8 @@ impl Sequential {
         out: &mut Vec<ServerAction>,
     ) {
         if self.is_sequencer(shell) {
-            // The watchdog runs first (it may close a recovery round the
-            // read would otherwise queue behind), but whatever it sends
-            // goes out after the read's own GSN snapshot.
-            let mark = out.len();
-            self.check_commit_stall(shell, now, out);
-            let watchdog = out.len() - mark;
             self.sequencer_read(shell, pending, now, out);
-            out[mark..].rotate_left(watchdog);
+            self.check_commit_stall(shell, now, out);
             return;
         }
         match self.read_snapshot_gsn.remove(&pending.req.id) {

@@ -161,13 +161,7 @@ fn fifo_multicast_all_members_in_order() {
     let (mut world, ids) = build(4, 50, 1);
     world.run_for(SimDuration::from_secs(5));
     for &id in &ids[1..] {
-        let host = world.actor::<Host>(id).unwrap();
-        let from_a: Vec<u64> = host
-            .delivered
-            .iter()
-            .filter(|(s, _)| *s == ids[0])
-            .map(|&(_, p)| p)
-            .collect();
+        let from_a = payloads_from(&world, id, ids[0]);
         assert_eq!(from_a, (0..50).collect::<Vec<_>>(), "receiver {id}");
     }
     // The sender does not deliver to itself.
@@ -181,12 +175,7 @@ fn fifo_multicast_survives_heavy_loss() {
     world.run_for(SimDuration::from_secs(30));
     for &id in &ids[1..] {
         let host = world.actor::<Host>(id).unwrap();
-        let from_a: Vec<u64> = host
-            .delivered
-            .iter()
-            .filter(|(s, _)| *s == ids[0])
-            .map(|&(_, p)| p)
-            .collect();
+        let from_a = payloads_from(&world, id, ids[0]);
         assert_eq!(from_a, (0..40).collect::<Vec<_>>(), "receiver {id}");
         // Loss recovery visibly happened: gaps were nacked and the
         // receivers delivered exactly what they report.
@@ -318,13 +307,7 @@ fn observers_learn_views_and_can_open_group_multicast() {
 
     // Members got the observer's open-group multicasts in order.
     for &id in &members[..2] {
-        let host = world.actor::<Host>(id).unwrap();
-        let from_obs: Vec<u64> = host
-            .delivered
-            .iter()
-            .filter(|(s, _)| *s == observer_id)
-            .map(|&(_, p)| p)
-            .collect();
+        let from_obs = payloads_from(&world, id, observer_id);
         assert_eq!(from_obs, vec![41, 42, 43]);
     }
     // The observer learned about the crash through announced views.
@@ -394,13 +377,7 @@ fn tail_loss_recovered_by_stream_status() {
     world.net_mut().set_loss_probability(0.0);
     world.run_for(SimDuration::from_secs(20));
     for &id in &ids[1..] {
-        let host = world.actor::<Host>(id).unwrap();
-        let from_a: Vec<u64> = host
-            .delivered
-            .iter()
-            .filter(|(s, _)| *s == ids[0])
-            .map(|&(_, p)| p)
-            .collect();
+        let from_a = payloads_from(&world, id, ids[0]);
         assert_eq!(from_a, (0..30).collect::<Vec<_>>(), "receiver {id}");
     }
 }
@@ -449,13 +426,7 @@ fn buffer_overflow_gap_is_skipped_not_wedged() {
     world.schedule_heal(ids[1], ids[2], SimTime::from_secs(5));
     world.run_for(SimDuration::from_secs(20));
 
-    let cutoff = world.actor::<Host>(ids[2]).unwrap();
-    let from_a: Vec<u64> = cutoff
-        .delivered
-        .iter()
-        .filter(|(s, _)| *s == ids[0])
-        .map(|&(_, p)| p)
-        .collect();
+    let from_a = payloads_from(&world, ids[2], ids[0]);
     // The receiver skipped the unrecoverable middle but still received the
     // stream's tail (at least the last 4 buffered plus everything after
     // the heal), ending caught up rather than wedged.
@@ -465,13 +436,7 @@ fn buffer_overflow_gap_is_skipped_not_wedged() {
     );
     assert!(from_a.windows(2).all(|w| w[0] < w[1]), "FIFO order held");
     // And the healthy receiver got everything.
-    let healthy = world.actor::<Host>(ids[1]).unwrap();
-    let all: Vec<u64> = healthy
-        .delivered
-        .iter()
-        .filter(|(s, _)| *s == ids[0])
-        .map(|&(_, p)| p)
-        .collect();
+    let all = payloads_from(&world, ids[1], ids[0]);
     assert_eq!(all, (0..60).collect::<Vec<_>>());
 }
 
