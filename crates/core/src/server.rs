@@ -87,8 +87,6 @@ pub struct Sequential {
     /// Last time this replica observed the sequencer function working (an
     /// accepted assignment/snapshot, or its own sequencing).
     last_seq_activity: SimTime,
-    /// The deadline the host's watchdog timer is armed for, if any.
-    watchdog_due: Option<SimTime>,
 }
 
 /// The sequential server gateway: the replica shell under [`Sequential`].
@@ -154,7 +152,7 @@ impl Sequential {
         now: SimTime,
         out: &mut Vec<ServerAction>,
     ) {
-        if !self.recovering || shell.primary_view.leader() != shell.me {
+        if !self.reconciling(shell) {
             return;
         }
         if now.saturating_since(self.last_gsn_query_at) < shell.config.commit_stall_timeout {
@@ -169,8 +167,12 @@ impl Sequential {
             out.push(ServerAction::MulticastPrimary(Payload::GsnQuery {
                 csn: self.my_csn,
             }));
-            self.arm_watchdog(shell, now, out);
         }
+    }
+
+    /// Whether this replica leads a reconciliation round that is still open.
+    fn reconciling(&self, shell: &Shell) -> bool {
+        self.recovering && shell.primary_view.leader() == shell.me
     }
 
     /// How long the sequencer waits for freshness reports, and for an
@@ -180,27 +182,43 @@ impl Sequential {
         shell.config.lazy_interval.max(SimDuration::from_secs(2))
     }
 
-    /// Arms the watchdog for the earliest expiry among the open rounds —
-    /// reconciliation, freshness probe, promotion in flight — unless it is
-    /// armed for that instant already. Every one of them waits for answers
-    /// to point-to-point sends, so none may rely on other traffic to notice
-    /// that an answer was lost.
-    fn arm_watchdog(&mut self, shell: &Shell, now: SimTime, out: &mut Vec<ServerAction>) {
-        let replenish = Self::replenish_timeout(shell);
+    /// Whether refilling the primary group is this replica's job right now:
+    /// the view is short, it sequences, and no reconciliation round holds
+    /// sequencing (and replenishment with it) suspended.
+    fn replenishing(&self, shell: &Shell) -> bool {
+        shell.primary_view.len() < shell.config.min_primary_size
+            && self.is_sequencer(shell)
+            && !self.recovering
+    }
+
+    /// The earliest expiry among the open rounds `on_watchdog` would act
+    /// on at this moment: the reconciliation round of a leader; the
+    /// freshness probe and the promotion in flight of a replica that is
+    /// `replenishing`. A deadline nothing would expire is not counted — a
+    /// timer armed for it would find it still there, and past, each time it
+    /// fired.
+    fn watchdog_deadline(&self, shell: &Shell) -> Option<SimTime> {
         let reconciliation = self
-            .recovering
+            .reconciling(shell)
             .then(|| self.last_gsn_query_at + shell.config.commit_stall_timeout);
-        let probe = self.promote_round.map(|opened| opened + replenish);
-        let promotion = self.promotion_inflight.map(|(_, at)| at + replenish);
-        let Some(due) = [reconciliation, probe, promotion]
-            .into_iter()
-            .flatten()
-            .min()
-        else {
-            return;
-        };
-        if self.watchdog_due != Some(due) {
-            self.watchdog_due = Some(due);
+        let replenishment = [
+            self.promote_round,
+            self.promotion_inflight.map(|(_, issued)| issued),
+        ]
+        .into_iter()
+        .flatten()
+        .filter(|_| self.replenishing(shell))
+        .map(|opened| opened + Self::replenish_timeout(shell))
+        .min();
+        reconciliation.into_iter().chain(replenishment).min()
+    }
+
+    /// Arms the watchdog for `watchdog_deadline`, replacing whatever the
+    /// host had pending. Every open round waits for answers to
+    /// point-to-point sends, so none may rely on other traffic to notice
+    /// that an answer was lost.
+    fn arm_watchdog(&self, shell: &Shell, now: SimTime, out: &mut Vec<ServerAction>) {
+        if let Some(due) = self.watchdog_deadline(shell) {
             out.push(ServerAction::ArmWatchdog {
                 after: due.saturating_since(now),
             });
@@ -525,6 +543,8 @@ impl Sequential {
         self.awaiting_reports.remove(&from);
         if self.awaiting_reports.is_empty() {
             self.finish_recovery(shell, now, out);
+            // Replenishment resumes where the round interrupted it.
+            self.arm_watchdog(shell, now, out);
         }
     }
 
@@ -625,16 +645,13 @@ impl Sequential {
     /// `my_GSN − my_CSN`, then highest CSN, then lowest id), and wait for
     /// it to join the primary group via the restart state-transfer path.
     fn maybe_replenish(&mut self, shell: &mut Shell, now: SimTime, out: &mut Vec<ServerAction>) {
-        if shell.config.min_primary_size == 0 {
-            return;
-        }
         if shell.primary_view.len() >= shell.config.min_primary_size {
             self.promote_round = None;
             self.promote_reports.clear();
             self.promotion_inflight = None;
             return;
         }
-        if !self.is_sequencer(shell) || self.recovering {
+        if !self.replenishing(shell) {
             return;
         }
         let timeout = Self::replenish_timeout(shell);
@@ -655,6 +672,9 @@ impl Sequential {
             .filter(|m| !shell.primary_view.contains(*m) && *m != shell.me)
             .collect();
         if candidates.is_empty() {
+            // Nobody to ask; the next view change looks again.
+            self.promote_round = None;
+            self.promote_reports.clear();
             return;
         }
         if let Some(opened) = self.promote_round {
@@ -680,7 +700,6 @@ impl Sequential {
                     to: best,
                     payload: Payload::Promote,
                 });
-                self.arm_watchdog(shell, now, out);
                 return;
             }
             // Nobody (still eligible) answered: start over.
@@ -692,7 +711,6 @@ impl Sequential {
                 payload: Payload::PromoteQuery,
             });
         }
-        self.arm_watchdog(shell, now, out);
     }
 
     /// A secondary answers the sequencer's freshness probe.
@@ -726,6 +744,7 @@ impl Sequential {
         self.promote_reports
             .insert(from, (gsn.saturating_sub(csn), csn));
         self.maybe_replenish(shell, now, out);
+        self.arm_watchdog(shell, now, out);
     }
 
     /// A secondary accepts a promotion from the current sequencer: it
@@ -1061,7 +1080,6 @@ impl Discipline for Sequential {
                 out.push(ServerAction::MulticastPrimary(Payload::GsnQuery {
                     csn: self.my_csn,
                 }));
-                self.arm_watchdog(shell, now, out);
             }
         } else if self.recovering && !leading {
             // Lost leadership mid-round: abandon it. The new leader runs
@@ -1076,10 +1094,12 @@ impl Discipline for Sequential {
     }
 
     fn on_watchdog(&mut self, shell: &mut Shell, now: SimTime, out: &mut Vec<ServerAction>) {
-        self.watchdog_due = None;
         self.check_recovery_stall(shell, now, out);
         self.maybe_replenish(shell, now, out);
-        // Whatever did not expire just now is still waiting.
+        // Whatever did not expire just now is still waiting — and expires
+        // later than now, or this timer would refire without the clock
+        // moving.
+        debug_assert!(self.watchdog_deadline(shell).is_none_or(|due| due > now));
         self.arm_watchdog(shell, now, out);
     }
 
@@ -1105,6 +1125,9 @@ impl Discipline for Sequential {
         // the primary view defines the deficit, the secondary view the
         // candidates.
         self.maybe_replenish(shell, now, out);
+        // One arm for whatever this view opened: the reconciliation round
+        // (`primary_view_changed`) or a replenishment round.
+        self.arm_watchdog(shell, now, out);
     }
 }
 
@@ -1115,7 +1138,7 @@ mod tests {
     use crate::object::{ReplicatedObject, VersionedRegister};
     use crate::protocol::ServerProtocol;
     use crate::shell::conformance::{
-        self, a, drain, pview, register, replies, request, sends_state_request, sink, t,
+        self, a, drain, pview, register, replies, request, sends_state_request, sink, sview, t,
     };
     use crate::shell::ServerConfig;
     use crate::wire::{Operation, ReadRequest};
@@ -1422,7 +1445,8 @@ mod tests {
     }
 
     fn armed(actions: &[ServerAction]) -> Option<SimDuration> {
-        actions.iter().find_map(|x| match x {
+        // The host replaces a pending timer: the last arm is the one that counts.
+        actions.iter().rev().find_map(|x| match x {
             ServerAction::ArmWatchdog { after } => Some(*after),
             _ => None,
         })
@@ -1468,16 +1492,27 @@ mod tests {
         assert!(sink(|out| p.on_watchdog(fired + stall, out)).is_empty());
     }
 
-    /// The sequencer of a view that lost primary 2, told to keep three.
-    fn deficient_sequencer() -> (ServerGateway, Vec<ServerAction>) {
-        let mut s = conformance::gw(
-            0,
+    /// Replica `i`, told to keep the primary group at `min_primary_size`.
+    fn replenisher(i: usize, min_primary_size: usize) -> ServerGateway {
+        conformance::gw(
+            i,
             ServerConfig {
-                min_primary_size: 3,
+                min_primary_size,
                 ..conformance::config()
             },
-        );
-        let shrunk = Arc::new(pview().successor(&[a(2)], &[]).unwrap());
+        )
+    }
+
+    /// The primary view after primary 2 crashed.
+    fn without_primary_2() -> View {
+        pview().successor(&[a(2)], &[]).unwrap()
+    }
+
+    /// The sequencer of a view that lost primary 2, told to keep
+    /// `min_primary_size`, its freshness probe open since `t(1001)`.
+    fn deficient_sequencer(min_primary_size: usize) -> (ServerGateway, Vec<ServerAction>) {
+        let mut s = replenisher(0, min_primary_size);
+        let shrunk = Arc::new(without_primary_2());
         let mut actions = sink(|out| s.on_view(shrunk, t(1000), out));
         // Its reconciliation round closes first (replenishment waits for it).
         s.on_payload(a(1), report(0, 0), t(1001), &mut actions);
@@ -1489,7 +1524,7 @@ mod tests {
         let timeout = SimDuration::from_secs(2);
         let probed =
             |actions: &[ServerAction]| sent_to(actions, |p| matches!(p, Payload::PromoteQuery));
-        let (mut s, actions) = deficient_sequencer();
+        let (mut s, actions) = deficient_sequencer(3);
         assert_eq!(probed(&actions), [a(10), a(11)]);
         // No report comes back, and no view is re-announced either.
         let actions = sink(|out| s.on_watchdog(t(1001) + timeout, out));
@@ -1503,7 +1538,7 @@ mod tests {
         let timeout = SimDuration::from_secs(2);
         let promoted =
             |actions: &[ServerAction]| sent_to(actions, |p| matches!(p, Payload::Promote));
-        let (mut s, _) = deficient_sequencer();
+        let (mut s, _) = deficient_sequencer(3);
         let fresh = Payload::PromoteReport { csn: 0, gsn: 0 };
         s.on_payload(a(10), fresh.clone(), t(1002), &mut Vec::new());
         let actions = sink(|out| s.on_payload(a(11), fresh.clone(), t(1003), out));
@@ -1516,6 +1551,80 @@ mod tests {
             [a(10), a(11)]
         );
         assert_eq!(armed(&actions), Some(timeout));
+    }
+
+    #[test]
+    fn promotion_deadline_under_an_open_round_waits_for_the_round() {
+        let timeout = SimDuration::from_secs(2);
+        let stall = conformance::config().commit_stall_timeout;
+        let (mut s, _) = deficient_sequencer(4);
+        let fresh = Payload::PromoteReport { csn: 0, gsn: 0 };
+        s.on_payload(a(10), fresh.clone(), t(1002), &mut Vec::new());
+        let actions = sink(|out| s.on_payload(a(11), fresh.clone(), t(1003), out));
+        assert_eq!(armed(&actions), Some(timeout), "promotion in flight");
+        // The promotee joins, the group is still one short, and the view
+        // change opens a round: replenishment is suspended under it.
+        let joined = Arc::new(without_primary_2().successor(&[], &[a(10)]).unwrap());
+        let actions = sink(|out| s.on_view(joined, t(1500), out));
+        assert_eq!(armed(&actions), Some(stall), "only the round is waited for");
+        s.on_payload(a(1), report(0, 0), t(1501), &mut Vec::new());
+        // The promotee's report is lost. A timer left over from the
+        // promotion finds its deadline past and nothing it may expire: it
+        // must go back to sleep until the round's own deadline, not re-arm
+        // for now.
+        let stale = t(1003) + timeout;
+        let actions = sink(|out| s.on_watchdog(stale, out));
+        assert_eq!(
+            armed(&actions),
+            Some((t(1500) + stall).saturating_since(stale))
+        );
+        assert!(armed(&actions) > Some(SimDuration::ZERO));
+        let actions = sink(|out| s.on_watchdog(t(1500) + stall, out));
+        assert_eq!(armed(&actions), Some(stall), "the promotee is asked again");
+        // Its answer closes the round; replenishment resumes where it is
+        // now: the promotee has joined, the other secondary is probed.
+        let closed = t(1501) + stall;
+        let actions = sink(|out| s.on_payload(a(10), report(0, 0), closed, out));
+        assert_eq!(
+            sent_to(&actions, |p| matches!(p, Payload::PromoteQuery)),
+            [a(11)]
+        );
+        assert_eq!(armed(&actions), Some(timeout));
+    }
+
+    #[test]
+    fn probe_left_without_candidates_is_dropped() {
+        let timeout = SimDuration::from_secs(2);
+        let (mut s, _) = deficient_sequencer(4);
+        // Secondary 11 leaves its group, and secondary 10 turns up in the
+        // primary view (an earlier sequencer promoted it): still one short,
+        // and nobody left to probe.
+        let only_10 = Arc::new(sview().successor(&[a(11)], &[]).unwrap());
+        s.on_view(only_10, t(1100), &mut Vec::new());
+        let joined = Arc::new(without_primary_2().successor(&[], &[a(10)]).unwrap());
+        s.on_view(joined, t(1200), &mut Vec::new());
+        s.on_payload(a(1), report(0, 0), t(1201), &mut Vec::new());
+        let actions = sink(|out| s.on_payload(a(10), report(0, 0), t(1202), out));
+        assert_eq!(s.stats().recoveries, 2);
+        assert_eq!(armed(&actions), None, "no round is open any more");
+        // Whatever timer the probe left behind finds nothing to wait for.
+        assert!(sink(|out| s.on_watchdog(t(1001) + timeout, out)).is_empty());
+    }
+
+    #[test]
+    fn probe_of_a_deposed_sequencer_is_not_waited_for() {
+        let timeout = SimDuration::from_secs(2);
+        // Primary 1 takes over from the crashed sequencer and probes.
+        let mut p = replenisher(1, 4);
+        p.on_view(without_sequencer(), t(1000), &mut Vec::new());
+        let actions = sink(|out| p.on_payload(a(2), report(0, 0), t(1001), out));
+        assert_eq!(armed(&actions), Some(timeout), "probe open");
+        // Replica 0 re-merges and leads again: the group is still short,
+        // but filling it is no longer this replica's job.
+        let remerged = Arc::new(without_sequencer().successor(&[], &[a(0)]).unwrap());
+        let actions = sink(|out| p.on_view(remerged, t(1500), out));
+        assert_eq!(armed(&actions), None);
+        assert!(sink(|out| p.on_watchdog(t(1001) + timeout, out)).is_empty());
     }
 
     #[test]
