@@ -250,10 +250,16 @@ fn duplicate_delivery_never_double_applies() {
 /// without it give up on 552 requests and miss 552 deadlines, the runs with
 /// it give up on none and miss 546. (The test's name predates that
 /// measurement: over its first eight seeds the misses read 67 → 63, which
-/// was asserted as a reduction; over 64 it is no effect.) Each sum is a
-/// count of ~550 rare events, so the difference of two has a standard
-/// deviation of ~33, 6 % of either, and any change to group traffic
-/// redraws both: "where it was" is asserted as within 15 %.
+/// was asserted as a reduction; over 64 it is no effect.)
+///
+/// "Where it was" is a bound taken from the spread of the runs, not chosen
+/// to fit: per seed the difference (with − without) has a standard
+/// deviation of 4.00 misses on PR 24's code, so the sum over 64 seeds has
+/// one of 32, 5.6 % of either count, and any change to group traffic
+/// redraws both. The assertion is two standard deviations, 12 %. PR 24's
+/// issue asked for ±5 %: that is 0.9 σ — a bound an A/B with no effect at
+/// all misses in one redraw out of three — and PR 24's own traffic change
+/// reads 567 → 536, −5.5 %, outside it (ROADMAP, "gray-failure A/B").
 #[test]
 fn recovery_reduces_give_ups_and_timing_failures_under_gray_failure() {
     fn gray_scenario(seed: u64, recovery: RecoveryPolicy) -> ScenarioMetrics {
@@ -316,8 +322,8 @@ fn recovery_reduces_give_ups_and_timing_failures_under_gray_failure() {
         "give-ups must all but vanish with recovery on: {base_give_ups} -> {with_give_ups}"
     );
     assert!(
-        20 * with_failures.abs_diff(base_failures) <= 3 * base_failures,
-        "timing failures must stay within 15 %: {base_failures} -> {with_failures}"
+        25 * with_failures.abs_diff(base_failures) <= 3 * base_failures,
+        "timing failures must stay within 12 %: {base_failures} -> {with_failures}"
     );
 }
 
