@@ -221,7 +221,7 @@ const OVERLOAD_DIGESTS: [u64; 3] = [
     0x1b18_9221_d9f0_4c66,
 ];
 const WATERMARK_DIGEST: u64 = 0x48a9_1f03_3be1_e5d2;
-const REPLENISH_DIGEST: u64 = 0x5d7e_6c0b_fc92_1f5b;
+const REPLENISH_DIGEST: u64 = 0x5e35_f00b_fcd1_a4e1;
 const DURABLE_SECONDARY_DIGESTS: [u64; 3] = [
     0x2a24_9553_bb01_1e83,
     0x8856_06f7_a112_df95,
