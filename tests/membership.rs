@@ -190,3 +190,45 @@ fn sequencer_crash_replenishes_primary_group() {
     assert!(built.secondary_ids.contains(&promotee.id));
     assert!(view.contains(promotee.id));
 }
+
+/// Two primaries short at once, under 10 % loss: each promotee's join opens
+/// a reconciliation round while the group is still one short, so promotion
+/// deadlines pass under open rounds — the state in which the watchdog's
+/// first version re-armed with zero delay for ever (seed 2 stopped short of
+/// t = 19.25 s). Every run must reach its end with the group refilled.
+#[test]
+fn double_deficit_under_loss_is_refilled() {
+    for seed in 0..8 {
+        let mut config = ScenarioConfig::paper_validation(200, 0.5, 2, seed).with_fast_detection();
+        for c in &mut config.clients {
+            c.total_requests = 100;
+        }
+        config.min_primary_size = 5;
+        config.loss_probability = 0.10;
+        let crash = |target| FaultEvent {
+            at: SimTime::from_secs(10),
+            target,
+            kind: FaultKind::Crash,
+        };
+        config.faults = vec![
+            crash(FaultTarget::Sequencer),
+            crash(FaultTarget::Primary(2)),
+        ];
+        let mut built = build_scenario(&config);
+        built.run_until_with_faults(SimTime::from_secs(120));
+        let m = built.metrics();
+        let promoted: u64 = m.servers.iter().map(|s| s.stats.promoted).sum();
+        assert!(promoted >= 2, "seed {seed}: {promoted} promoted");
+        let seq = m
+            .servers
+            .iter()
+            .find(|s| s.alive && s.is_sequencer)
+            .expect("a live sequencer");
+        let view = built
+            .world
+            .actor::<ReplicaActor>(seq.id)
+            .and_then(|a| a.endpoint().view(PRIMARY_GROUP))
+            .expect("primary view known");
+        assert!(view.len() >= 5, "seed {seed}: {:?}", view.members());
+    }
+}
