@@ -39,10 +39,11 @@ impl<A> Accepted<A> {
 ///
 /// Messages are delivered in sequence-number order; out-of-order arrivals
 /// wait in a holdback queue. A missing sequence number is asked for once
-/// when a later arrival first reveals it, and again by every stream-tip
-/// advert ([`ReceiveChannel::observe_tip`]) that finds it still missing —
-/// the advert is the only retry clock. A higher sender incarnation resets
-/// the channel (the sender restarted).
+/// when a later arrival first reveals it, and again by every stream tip
+/// ([`ReceiveChannel::observe_tip`]: the sender's advert at the leader, the
+/// leader's relay at every other member) that finds it still missing — the
+/// tip is the only retry clock. A higher sender incarnation resets the
+/// channel (the sender restarted).
 #[derive(Debug, Clone, Default)]
 pub struct ReceiveChannel<A> {
     incarnation: u64,
@@ -78,6 +79,14 @@ impl<A> ReceiveChannel<A> {
     /// Number of messages parked in the holdback queue.
     pub fn holdback_len(&self) -> usize {
         self.holdback.len()
+    }
+
+    /// One past the highest sequence number received, holdback included:
+    /// the tip of the sender's stream as far as this channel knows it.
+    pub fn tip(&self) -> u64 {
+        self.holdback
+            .last_key_value()
+            .map_or(self.expected, |(&seq, _)| seq + 1)
     }
 
     /// Tracks `inc`; false if it is a previous life of the sender. A newer
@@ -340,6 +349,25 @@ mod tests {
         assert_eq!(ch.holdback_len(), 1);
         let acc = ch.accept(0, 11, "k");
         assert_eq!(acc.deliverable, vec!["k", "l"]);
+    }
+
+    #[test]
+    fn tip_counts_the_holdback() {
+        let mut ch = ReceiveChannel::new();
+        assert_eq!(ch.tip(), 0);
+        let _ = ch.accept(0, 0, "a");
+        let _ = ch.accept(0, 1, "b");
+        assert_eq!(ch.tip(), 2);
+        // 4 and 6 wait behind the gaps at 2..=3 and 5.
+        let _ = ch.accept(0, 6, "g");
+        let _ = ch.accept(0, 4, "e");
+        assert_eq!((ch.expected(), ch.tip()), (2, 7));
+        // A relayed tip is what another receiver nacks against.
+        let mut behind = ReceiveChannel::<&str>::new();
+        assert_eq!(behind.observe_tip(0, ch.tip()), Some((0, 6)));
+        // A fast-forwarded channel vouches for what it skipped.
+        ch.fast_forward_to(1, 9);
+        assert_eq!(ch.tip(), 9);
     }
 
     #[test]

@@ -12,14 +12,17 @@
 //! judges silence only along the rank chain ahead of it, and the node at
 //! the head of its own chain leads.
 //!
-//! Facts that only need repeating in case they were lost — a stream's tip,
-//! a view in the eyes of its observers — follow one `Refresh` schedule:
-//! re-sent 1, 2, 4, … ticks after they last changed, then once per
-//! `failure_timeout`.
+//! Stream tips ride the leader's per-tick announce: it carries the tip of
+//! every stream into the group that the leader knows, and a sender other
+//! than the leader advertises its own tip to the leader alone. Facts that
+//! only need repeating in case they were lost — a stream's tip at the
+//! leader, a view in the eyes of its observers — follow one `Refresh`
+//! schedule: re-sent 1, 2, 4, … ticks after they last changed, then once
+//! per `failure_timeout`.
 
 use crate::channel::ReceiveChannel;
 use crate::detector::{FailureDetector, FlapDamping, PhiAccrual};
-use crate::msg::{DataMsg, Envelope, GroupMsg, SharedPayload};
+use crate::msg::{DataMsg, Envelope, GroupMsg, SharedPayload, StreamTip};
 use crate::view::{GroupId, View, ViewId};
 use aqf_sim::{ActorId, Context, SimDuration, SimTime, Timer};
 use std::cmp::Ordering;
@@ -324,8 +327,8 @@ struct FlapRecord {
 struct SendState<A> {
     next_seq: u64,
     buffer: VecDeque<(u64, Envelope<A>)>,
-    /// When the stream's tip is next advertised, counted from the last
-    /// multicast.
+    /// When the stream's tip is next advertised to the leader, counted from
+    /// the last multicast or from the first view naming a new leader.
     advert: Refresh,
 }
 
@@ -409,6 +412,48 @@ fn view_of<'a>(
         .get(&group)
         .map(|s| &*s.view)
         .or_else(|| observed.get(&group).map(|v| &**v))
+}
+
+/// The stream tips the leader of `group` relays on its per-tick announce:
+/// its `own` stream's, and that of every stream it receives from a member
+/// of its view or an observer of the group — never from a sender outside
+/// that roster, which the members may have no way to reach.
+fn relayed_tips<A>(
+    group: GroupId,
+    own: Option<StreamTip>,
+    channels: &BTreeMap<(GroupId, ActorId), ReceiveChannel<A>>,
+    state: &MemberState,
+) -> Vec<StreamTip> {
+    let received = channels
+        .range((group, ActorId::from_index(0))..)
+        .take_while(|((g, _), _)| *g == group)
+        .filter(|((_, sender), _)| state.view.contains(*sender) || state.observers.contains(sender))
+        .map(|(&(_, sender), channel)| StreamTip {
+            sender,
+            incarnation: channel.incarnation(),
+            next_seq: channel.tip(),
+        });
+    own.into_iter().chain(received).collect()
+}
+
+/// A new leader of a group has heard none of this node's adverts into it:
+/// the stream's tip is news again, and its advert schedule starts afresh.
+fn advertise_to_new_leader<A>(sends: &mut BTreeMap<GroupId, SendState<A>>, old: &View, new: &View) {
+    if old.leader() != new.leader() {
+        if let Some(send) = sends.get_mut(&new.group) {
+            send.advert = Refresh::FRESH;
+        }
+    }
+}
+
+/// An announce of `view` that relays no stream tips: every announce but
+/// the leader's per-tick one.
+fn announce<A>(view: &Arc<View>) -> Envelope<A> {
+    GroupMsg::ViewAnnounce {
+        view: Arc::clone(view),
+        tips: Vec::new(),
+    }
+    .seal()
 }
 
 impl<A: Clone> GroupEndpoint<A> {
@@ -630,7 +675,7 @@ impl<A: Clone> GroupEndpoint<A> {
                 let (group, view_id) = (*group, *view_id);
                 self.handle_heartbeat(from, group, view_id, ctx)
             }
-            GroupMsg::ViewAnnounce(view) => {
+            GroupMsg::ViewAnnounce { view, tips } => {
                 // An announce from a stale leader on the minority side of a
                 // healed partition: re-merge the sender.
                 let view = Arc::clone(view);
@@ -638,6 +683,10 @@ impl<A: Clone> GroupEndpoint<A> {
                 let stale_id = view.id;
                 let mut events = self.handle_view(view, ctx.now());
                 events.extend(self.merge_strayed(from, group, ctx));
+                let Some(state) = self.groups.get(&group) else {
+                    // Observers ignore the relayed tips.
+                    return events;
+                };
                 // A stale announce from an ex-leader we have excluded: it
                 // does not know the successor view (which omits it, so the
                 // new leader never announces to it, and its own announces
@@ -645,10 +694,20 @@ impl<A: Clone> GroupEndpoint<A> {
                 // new leader). Echo the current view back so it steps down
                 // and rejoins; without this, two disjoint-leader views can
                 // deadlock forever.
-                if let Some(state) = self.groups.get(&group) {
-                    if state.in_view && stale_id < state.view.id && !state.view.contains(from) {
-                        ctx.send(from, GroupMsg::ViewAnnounce(state.view.clone()).seal());
-                    }
+                if state.in_view && stale_id < state.view.id && !state.view.contains(from) {
+                    ctx.send(from, announce(&state.view));
+                }
+                // Each relayed tip is that sender's advert, as if it had
+                // come straight from the sender.
+                let me = self.me;
+                for tip in tips.iter().filter(|t| t.sender != me) {
+                    self.handle_stream_status(
+                        tip.sender,
+                        group,
+                        tip.incarnation,
+                        tip.next_seq,
+                        ctx,
+                    );
                 }
                 events
             }
@@ -722,7 +781,7 @@ impl<A: Clone> GroupEndpoint<A> {
             // a view that has been replaced. Nobody else tells a member cut
             // off from the leader alone that it was excluded — its juniors
             // hear the leader and send it nothing.
-            ctx.send(from, GroupMsg::ViewAnnounce(state.view.clone()).seal());
+            ctx.send(from, announce(&state.view));
             return Vec::new();
         }
         let mut events = Vec::new();
@@ -741,16 +800,19 @@ impl<A: Clone> GroupEndpoint<A> {
         events
     }
 
+    /// A tip of `sender`'s stream, advertised by the sender itself or
+    /// relayed by the leader: nacks whatever this node still misses below
+    /// it, straight from the sender.
     fn handle_stream_status(
         &mut self,
-        from: ActorId,
+        sender: ActorId,
         group: GroupId,
         incarnation: u64,
         next_seq: u64,
         ctx: &mut Context<'_, Envelope<A>>,
     ) {
         let fast_forward = self.fast_forward_new_channels;
-        let channel = self.channels.entry((group, from)).or_insert_with(|| {
+        let channel = self.channels.entry((group, sender)).or_insert_with(|| {
             let mut ch = ReceiveChannel::new();
             if fast_forward {
                 // Skip the unrecoverable prefix; application-level state
@@ -761,7 +823,7 @@ impl<A: Clone> GroupEndpoint<A> {
         });
         if let Some((from_seq, to_seq)) = channel.observe_tip(incarnation, next_seq) {
             ctx.send(
-                from,
+                sender,
                 GroupMsg::Nack {
                     group,
                     incarnation,
@@ -903,7 +965,8 @@ impl<A: Clone> GroupEndpoint<A> {
                 .accrual
                 .retain(|m, _| *m == leader && leader != self.me);
             state.departing.retain(|m| view.contains(*m));
-            state.view = Arc::clone(&view);
+            let old = std::mem::replace(&mut state.view, Arc::clone(&view));
+            advertise_to_new_leader(&mut self.sends, &old, &view);
             for d in departed {
                 if let Some(ch) = self.channels.get_mut(&(group, d)) {
                     ch.abandon_gaps();
@@ -918,7 +981,9 @@ impl<A: Clone> GroupEndpoint<A> {
             if self.observed.get(&group).is_some_and(|v| view.id <= v.id) {
                 return Vec::new();
             }
-            self.observed.insert(group, Arc::clone(&view));
+            if let Some(old) = self.observed.insert(group, Arc::clone(&view)) {
+                advertise_to_new_leader(&mut self.sends, &old, &view);
+            }
             vec![GroupEvent::ViewChanged {
                 view,
                 is_member: false,
@@ -980,12 +1045,12 @@ impl<A: Clone> GroupEndpoint<A> {
         if !state.leads_view(self.me) {
             // Not the leader: point the joiner at the current view so it can
             // retry against the right node.
-            ctx.send(joiner, GroupMsg::ViewAnnounce(state.view.clone()).seal());
+            ctx.send(joiner, announce(&state.view));
             return Vec::new();
         }
         if state.view.contains(joiner) {
             // Already in: refresh the joiner's view.
-            ctx.send(joiner, GroupMsg::ViewAnnounce(state.view.clone()).seal());
+            ctx.send(joiner, announce(&state.view));
             return Vec::new();
         }
         if Self::readmission_held(&self.config, state, joiner, ctx.now()) {
@@ -1181,10 +1246,7 @@ impl<A: Clone> GroupEndpoint<A> {
         recipients.extend(new_view.members().iter().copied());
         recipients.extend(state.observers.iter().copied());
         recipients.remove(&me);
-        ctx.multicast(
-            &recipients,
-            GroupMsg::ViewAnnounce(Arc::clone(&new_view)).seal(),
-        );
+        ctx.multicast(&recipients, announce(&new_view));
         Some(new_view)
     }
 
@@ -1236,10 +1298,12 @@ impl<A: Clone> GroupEndpoint<A> {
 
     fn tick(&mut self, ctx: &mut Context<'_, Envelope<A>>, events: &mut Vec<GroupEvent<A>>) {
         let (me, now, cap) = (self.me, ctx.now(), self.refresh_cap);
-        // Advertise the tip of every multicast stream we originate, so
+        // Advertise the tip of every multicast stream we originate to the
+        // leader, which relays it to the members on its announces, so
         // receivers can detect tail losses and ask again for whatever a
         // nack or a retransmission lost: on the first tick after each
-        // multicast, then backing off while the stream stays idle.
+        // multicast, then backing off while the stream stays idle. The
+        // leader's own tip rides every one of its announces.
         for (&group, send) in &mut self.sends {
             if !send.advert.tick(cap) {
                 continue;
@@ -1247,15 +1311,17 @@ impl<A: Clone> GroupEndpoint<A> {
             let Some(view) = view_of(&self.groups, &self.observed, group) else {
                 continue;
             };
-            ctx.multicast(
-                view.members().iter().filter(|m| **m != me),
-                GroupMsg::StreamStatus {
-                    group,
-                    incarnation: self.incarnation,
-                    next_seq: send.next_seq,
-                }
-                .seal(),
-            );
+            if view.leader() != me {
+                ctx.send(
+                    view.leader(),
+                    GroupMsg::StreamStatus {
+                        group,
+                        incarnation: self.incarnation,
+                        next_seq: send.next_seq,
+                    }
+                    .seal(),
+                );
+            }
         }
         for i in 0..self.groups.len() {
             let (&group, state) = self.groups.iter_mut().nth(i).expect("index in range");
@@ -1281,11 +1347,18 @@ impl<A: Clone> GroupEndpoint<A> {
                 }
                 None => {
                     // The leader's heartbeat is a full view announce, which
-                    // also resynchronizes lagging members. Observers owe
-                    // the leader no judgement of its silence, so they get a
-                    // copy only in case they lost the one sent at install.
-                    // One shared envelope for the whole round: every
+                    // also resynchronizes lagging members and relays every
+                    // stream tip it knows. Observers owe the leader no
+                    // judgement of its silence, so they get a copy only in
+                    // case they lost the one sent at install, and ignore its
+                    // tips. One shared envelope for the whole round: every
                     // delivered copy is a refcount bump on the same `View`.
+                    let own = self.sends.get(&group).map(|send| StreamTip {
+                        sender: me,
+                        incarnation: self.incarnation,
+                        next_seq: send.next_seq,
+                    });
+                    let tips = relayed_tips(group, own, &self.channels, state);
                     let observers: &[ActorId] = if state.observer_refresh.tick(cap) {
                         &state.observers
                     } else {
@@ -1298,7 +1371,11 @@ impl<A: Clone> GroupEndpoint<A> {
                             .iter()
                             .chain(observers)
                             .filter(|m| **m != me),
-                        GroupMsg::ViewAnnounce(Arc::clone(&state.view)).seal(),
+                        GroupMsg::ViewAnnounce {
+                            view: Arc::clone(&state.view),
+                            tips,
+                        }
+                        .seal(),
                     );
                     self.reconfigure(group, ctx, events);
                 }
