@@ -196,17 +196,21 @@ fn excluded_replica_survives_a_restart() {
 /// ROADMAP defect (5): a sequencer takeover's reconciliation round that
 /// lost one `GsnReport` to the network stayed open until a blocked client
 /// gave up ten seconds later, because only arriving requests polled its
-/// watchdog. Under 2 % loss ten of the first 300 schedules of this base
-/// lose one; these four read 10.9 / 11.2 / 11.2 / 10.9 s of sequencer
-/// unavailability without the round's own timer and 3.2 / 3.4 / 3.6 /
-/// 3.9 s with it — the stall timeout plus the re-query's round trip.
+/// watchdog. Under 2 % loss 28 of the first 300 schedules of this base
+/// re-query a round; these are the first four that re-query it once and
+/// close within the bound, at 3.0 / 3.1 / 3.3 / 3.0 s of sequencer
+/// unavailability — the stall timeout plus the re-query's round trip.
+/// Which messages the loss takes depends on all the traffic before them:
+/// until stream tips rode the leader's announce, schedules 80, 81, 194
+/// and 221 were the ones (3.2 / 3.4 / 3.6 / 3.9 s; 10.9–11.2 s without
+/// the round's own timer), and none of them loses a report now.
 #[test]
 fn takeover_round_that_lost_a_report_closes_on_its_own_timer() {
     let mut base = corpus_base(101);
     base.loss_probability = 0.02;
     let stall = aqf_core::ServerConfig::default().commit_stall_timeout;
     let bound = base.failure_timeout + stall + base.group_tick * 2;
-    for schedule in [80u64, 81, 194, 221] {
+    for schedule in [24u64, 44, 79, 93] {
         let config = aqf_chaos::scenario_for_seed(&base, &ScheduleBudget::quick(), schedule);
         let history = HistoryHandle::collecting();
         let metrics = run_scenario_recorded(&config, &ObsHandle::disabled(), &history);
