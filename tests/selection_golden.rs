@@ -67,12 +67,13 @@ fn selection_digests_unchanged() {
 }
 
 // --- Recorded digests (unbounded CDF cache, commit preceding the bounded
-// --- engine; re-recorded once when group liveness became leader-rooted and
-// --- once when stream tips and observer announces went on-change) ---
+// --- engine; re-recorded once when group liveness became leader-rooted,
+// --- once when stream tips and observer announces went on-change, and once
+// --- when stream tips moved onto the leader's announce) ---
 
-const SEQUENTIAL_DIGEST: u64 = 0x6703_9a98_713f_35d3;
-const CAUSAL_DIGEST: u64 = 0xace5_a5a9_eb85_b269;
-const FIFO_BANK_DIGEST: u64 = 0xdbf5_cde1_3b71_3a7f;
+const SEQUENTIAL_DIGEST: u64 = 0x16b8_16a7_a9f4_e363;
+const CAUSAL_DIGEST: u64 = 0x466e_750d_0afe_5f53;
+const FIFO_BANK_DIGEST: u64 = 0xfc21_4b8e_a734_46bd;
 
 /// Re-baselining tool: prints the digests the constants above pin.
 /// `cargo test --release -p aqf --test selection_golden -- --ignored --nocapture`
