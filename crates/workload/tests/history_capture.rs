@@ -1,45 +1,179 @@
-//! Integration test for the history recorder: enabling recording must not
-//! perturb the simulation (bit-identical [`ScenarioMetrics::digest`] on the
-//! 16-actor faulty golden scenario).
+//! The per-request history the chaos oracles judge, captured from a run and
+//! pinned: what each request asked, when, and how it resolved. Capture must
+//! not perturb the simulation, and the history of five faulty, overloaded
+//! and durable scenarios must hash to one pinned value.
 
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
+
+use aqf_core::{OrderingGuarantee, OverloadConfig, QosSpec, RecoveryPolicy, SelectionPolicy};
+use aqf_sim::{Digest, SimDuration, SimTime};
 use aqf_workload::{
-    run_scenario, run_scenario_recorded, world_bench_config, HistoryEvent, HistoryHandle, ObsHandle,
+    run_scenario, run_scenario_recorded, world_bench_config, ClientSpec, FaultEvent, FaultKind,
+    FaultTarget, HistoryEvent, HistoryHandle, ObjectKind, ObsHandle, OpPattern, ScenarioConfig,
 };
 
-/// Recording is write-only: the 16-actor faulty golden scenario produces
-/// the identical metrics digest whether or not a collector is installed,
-/// and the collected history is a well-formed closed-loop log (every
-/// completion matches an earlier issue of the same request).
+/// One request: what was asked and when, then how it resolved. The fields
+/// are read through `Debug`, the rendering the pinned hash covers.
+#[allow(dead_code)]
+#[derive(Debug, Default)]
+struct Request {
+    issued_us: u64,
+    read: bool,
+    method: String,
+    arg: Vec<u8>,
+    resolved_us: Option<u64>,
+    result: Vec<u8>,
+    timely: bool,
+    deferred: bool,
+    staleness: u64,
+    timed_out: bool,
+    shed: bool,
+    degraded: bool,
+    csn: u64,
+    vector: Vec<(u64, u64)>,
+}
+
+/// Runs `config` capturing its history; returns the run's digest and every
+/// request, keyed by `(client, seq)`.
+fn capture(config: &ScenarioConfig) -> (u64, BTreeMap<(u64, u64), Request>) {
+    let history = HistoryHandle::collecting();
+    let metrics = run_scenario_recorded(config, &ObsHandle::disabled(), &history);
+    let mut requests = BTreeMap::new();
+    for e in history.take() {
+        let r: &mut Request = requests.entry(e.key()).or_default();
+        *r = match e {
+            HistoryEvent::Issue {
+                at_us,
+                read,
+                method,
+                arg,
+                ..
+            } => Request {
+                issued_us: at_us,
+                read,
+                method,
+                arg,
+                ..Request::default()
+            },
+            HistoryEvent::Complete {
+                at_us,
+                result,
+                timely,
+                deferred,
+                staleness,
+                timed_out,
+                shed,
+                degraded,
+                csn,
+                vector,
+                ..
+            } => Request {
+                resolved_us: Some(at_us),
+                result,
+                timely,
+                deferred,
+                staleness,
+                timed_out,
+                shed,
+                degraded,
+                csn,
+                vector,
+                ..std::mem::take(r)
+            },
+        };
+    }
+    (metrics.digest(), requests)
+}
+
+/// `tests/gateway_golden.rs`'s traced cell — protective overload at ~4x the
+/// paper's load, durable storage, a primary crash/restart — at a think time
+/// of `think_ms` (250 there; at 100 the degradation ladder runs out and
+/// reads are shed locally).
+fn traced_cell(
+    ordering: OrderingGuarantee,
+    object: ObjectKind,
+    seed: u64,
+    think_ms: u64,
+) -> ScenarioConfig {
+    let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, seed)
+        .with_fast_detection()
+        .with_durability();
+    config.ordering = ordering;
+    config.object = object;
+    config.overload = OverloadConfig::protective();
+    config.recovery = RecoveryPolicy {
+        hedge_fraction: None,
+        ..RecoveryPolicy::default()
+    };
+    config.clients = (0..8)
+        .map(|i| ClientSpec {
+            qos: QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid qos"),
+            request_delay: SimDuration::from_millis(think_ms),
+            total_requests: 60,
+            pattern: if i < 6 {
+                OpPattern::ReadFraction(0.8)
+            } else {
+                OpPattern::WriteBurst(48)
+            },
+            policy: SelectionPolicy::Probabilistic,
+            start_offset: SimDuration::from_millis(50 * i as u64),
+        })
+        .collect();
+    config.faults = [(8, FaultKind::Crash), (12, FaultKind::Restart)]
+        .map(|(at, kind)| FaultEvent {
+            at: SimTime::from_secs(at),
+            target: FaultTarget::Primary(0),
+            kind,
+        })
+        .to_vec();
+    config
+}
+
+/// Capture is write-only: the 16-actor faulty golden scenario produces the
+/// identical metrics digest whether or not it is captured.
 #[test]
 fn recording_never_steers_the_golden_scenario() {
     let config = world_bench_config(16, true);
-    let baseline = run_scenario(&config);
+    let (captured, requests) = capture(&config);
+    assert_eq!(run_scenario(&config).digest(), captured);
+    assert!(requests.values().any(|r| r.resolved_us.is_some()));
+}
 
-    let history = HistoryHandle::collecting();
-    let recorded = run_scenario_recorded(&config, &ObsHandle::disabled(), &history);
-    assert_eq!(
-        baseline.digest(),
-        recorded.digest(),
-        "enabling history recording changed the simulation"
-    );
-
-    let events = history.take();
-    assert!(!events.is_empty(), "recorded run produced no history");
-    let mut outstanding = std::collections::BTreeSet::new();
-    let mut completes = 0u64;
-    for e in &events {
-        match e {
-            HistoryEvent::Issue { .. } => {
-                assert!(outstanding.insert(e.key()), "request issued twice: {e:?}");
-            }
-            HistoryEvent::Complete { .. } => {
-                assert!(
-                    outstanding.remove(&e.key()),
-                    "completion without a prior issue: {e:?}"
-                );
-                completes += 1;
-            }
+/// The history of the three traced cells, one at 100 ms think time and the
+/// 16-actor faulty world, one line per request in `(client, seq)` order,
+/// hashes to the pinned value; the scenarios resolve requests every way.
+#[test]
+fn captured_history_is_pinned() {
+    use {ObjectKind as K, OrderingGuarantee as O};
+    let mut rendered = String::new();
+    let mut all = Vec::new();
+    for config in [
+        traced_cell(O::Sequential, K::Register, 61, 250),
+        traced_cell(O::Causal, K::Document, 62, 250),
+        traced_cell(O::Fifo, K::Bank, 63, 250),
+        traced_cell(O::Sequential, K::Register, 61, 100),
+        world_bench_config(16, true),
+    ] {
+        for ((client, seq), request) in capture(&config).1 {
+            writeln!(rendered, "{client} {seq} {request:?}").unwrap();
+            all.push(request);
         }
     }
-    assert!(completes > 0, "no completions recorded");
+    let seen = |what: &str, pred: fn(&Request) -> bool| {
+        assert!(all.iter().any(pred), "no {what} in the scenarios");
+    };
+    seen("give-up", |r| r.timed_out && !r.degraded);
+    seen("degraded give-up", |r| r.timed_out && r.degraded);
+    seen("local shed", |r| r.shed);
+    seen("degraded read", |r| r.read && r.degraded && !r.shed);
+    seen("deferred read", |r| r.read && r.deferred);
+    seen("causal vector", |r| !r.vector.is_empty());
+    let mut d = Digest::new();
+    for byte in rendered.bytes() {
+        d.mix(u64::from(byte));
+    }
+    assert_eq!(d.value(), HISTORY_HASH, "captured history moved");
 }
+
+const HISTORY_HASH: u64 = 0xfc42_16a9_aae7_bb48;
