@@ -1,10 +1,13 @@
-//! Consistency oracles: machine checks over a recorded client history.
+//! Consistency oracles: machine checks over the client history a run's
+//! trace records.
 //!
-//! Each oracle replays the global [`HistoryEvent`] log and checks the
-//! invariant its consistency level promises. Every check is *sound* —
-//! it only uses information the history actually proves, so a reported
-//! violation is a real protocol bug, never an artifact of the oracle's
-//! reconstruction being incomplete:
+//! The history is a typed view over the [`TraceRecord`]s of an observed
+//! run: each client's `request_issued` joined, by its
+//! [`ReqId`](aqf_obs::ReqId), to the one event that resolved the request
+//! ([`RESOLVING_KINDS`]). Each oracle replays that history and checks the invariant its consistency level
+//! promises. Every check is *sound* — it only uses information the history
+//! actually proves, so a reported violation is a real protocol bug, never
+//! an artifact of the oracle's reconstruction being incomplete:
 //!
 //! - **Sequential** (register workload): all replicas commit updates in a
 //!   single total order. Concretely: (1) no two different values are ever
@@ -36,8 +39,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use aqf_core::OrderingGuarantee;
+use aqf_obs::{Event, TraceRecord, RESOLVING_KINDS};
+use aqf_sim::ActorId;
 use aqf_stats::BinomialCi;
-use aqf_workload::{HistoryEvent, ObjectKind, ScenarioConfig};
+use aqf_workload::{ObjectKind, ScenarioConfig};
 
 /// Which oracle flagged a violation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,22 +96,26 @@ pub struct OracleOptions {
     pub enforce_pc: bool,
 }
 
-/// One joined request: its issue record and, when one arrived, its
-/// completion.
+/// One joined request: what its `request_issued` recorded and, once it
+/// resolved, the time and event that resolved it ([`RESOLVING_KINDS`]).
 struct Op<'a> {
-    issue: &'a HistoryEvent,
-    complete: Option<&'a HistoryEvent>,
+    seq: u64,
+    issued_us: u64,
+    read: bool,
+    method: &'a str,
+    arg: &'a [u8],
+    resolved: Option<(u64, &'a Event)>,
 }
 
-/// Checks every applicable oracle over `events`, returning all violations
-/// found (empty = the history is consistent).
-pub fn check_history(
+/// Checks every applicable oracle over the history in `trace`, returning
+/// all violations found (empty = the history is consistent).
+pub fn check_trace(
     config: &ScenarioConfig,
-    events: &[HistoryEvent],
+    trace: &[TraceRecord],
     opts: &OracleOptions,
 ) -> Vec<Violation> {
     let mut violations = Vec::new();
-    let per_client = join_per_client(events);
+    let per_client = join_per_client(trace);
 
     match config.ordering {
         OrderingGuarantee::Sequential => {
@@ -125,51 +134,35 @@ pub fn check_history(
     violations
 }
 
-/// Joins issues to completions and groups by client, ordered by issue
-/// time (clients are closed-loop, so this is also completion order).
-fn join_per_client(events: &[HistoryEvent]) -> BTreeMap<u64, Vec<Op<'_>>> {
-    let mut completes: BTreeMap<(u64, u64), &HistoryEvent> = BTreeMap::new();
-    for e in events {
-        if matches!(e, HistoryEvent::Complete { .. }) {
-            completes.insert(e.key(), e);
-        }
-    }
+/// Joins each `request_issued` to the event that resolved it, grouped by
+/// client in trace order — issue order, and since clients are closed-loop
+/// also completion order.
+fn join_per_client(trace: &[TraceRecord]) -> BTreeMap<u64, Vec<Op<'_>>> {
     let mut per_client: BTreeMap<u64, Vec<Op<'_>>> = BTreeMap::new();
-    for e in events {
-        if matches!(e, HistoryEvent::Issue { .. }) {
-            per_client.entry(e.key().0).or_default().push(Op {
-                issue: e,
-                complete: completes.get(&e.key()).copied(),
+    for r in trace {
+        let Some(req) = r.event.req() else {
+            continue;
+        };
+        let ops = per_client.entry(req.client.index() as u64).or_default();
+        if let Event::RequestIssued {
+            read, method, arg, ..
+        } = &r.event
+        {
+            ops.push(Op {
+                seq: req.seq,
+                issued_us: r.t_us,
+                read: *read,
+                method,
+                arg,
+                resolved: None,
             });
+        } else if RESOLVING_KINDS.contains(&r.event.kind()) {
+            if let Some(op) = ops.iter_mut().rev().find(|op| op.seq == req.seq) {
+                op.resolved = Some((r.t_us, &r.event));
+            }
         }
-    }
-    for ops in per_client.values_mut() {
-        ops.sort_by_key(|op| op.issue.at_us());
     }
     per_client
-}
-
-fn issue_parts(e: &HistoryEvent) -> (bool, &str, &[u8], u64) {
-    match e {
-        HistoryEvent::Issue {
-            read,
-            method,
-            arg,
-            at_us,
-            ..
-        } => (*read, method, arg, *at_us),
-        HistoryEvent::Complete { .. } => unreachable!("issue_parts on a completion"),
-    }
-}
-
-/// A completion that carried a real reply (not a timeout or local shed).
-fn replied(e: &HistoryEvent) -> bool {
-    match e {
-        HistoryEvent::Complete {
-            timed_out, shed, ..
-        } => !timed_out && !shed,
-        HistoryEvent::Issue { .. } => false,
-    }
 }
 
 fn u64_be(bytes: &[u8]) -> Option<u64> {
@@ -181,12 +174,9 @@ fn check_sequential(per_client: &BTreeMap<u64, Vec<Op<'_>>>, out: &mut Vec<Viola
     let mut at_version: BTreeMap<u64, (Vec<u8>, String)> = BTreeMap::new();
     // Completion-time-ordered view of every op, for the issued-set bound.
     let mut set_issue_times: Vec<u64> = Vec::new();
-    for ops in per_client.values() {
-        for op in ops {
-            let (read, method, _, at) = issue_parts(op.issue);
-            if !read && method == "set" {
-                set_issue_times.push(at);
-            }
+    for op in per_client.values().flatten() {
+        if !op.read && op.method == "set" {
+            set_issue_times.push(op.issued_us);
         }
     }
     set_issue_times.sort_unstable();
@@ -219,22 +209,16 @@ fn check_sequential(per_client: &BTreeMap<u64, Vec<Op<'_>>>, out: &mut Vec<Viola
     for (&client, ops) in per_client {
         let mut last_ack_version = 0u64;
         for op in ops {
-            let Some(c) = op.complete.filter(|c| replied(c)) else {
+            let Some((at_us, Event::Delivered { result, .. })) = op.resolved else {
                 continue;
             };
-            let HistoryEvent::Complete {
-                seq, at_us, result, ..
-            } = c
-            else {
-                unreachable!()
-            };
-            let (read, method, arg, _) = issue_parts(op.issue);
-            if !read && method == "set" {
+            let seq = op.seq;
+            if !op.read && op.method == "set" {
                 let Some(version) = u64_be(result) else {
                     out.push(Violation {
                         oracle: OracleKind::Sequential,
                         client,
-                        seq: *seq,
+                        seq,
                         detail: format!("set ack is not a version: {result:?}"),
                     });
                     continue;
@@ -245,7 +229,7 @@ fn check_sequential(per_client: &BTreeMap<u64, Vec<Op<'_>>>, out: &mut Vec<Viola
                     out.push(Violation {
                         oracle: OracleKind::Sequential,
                         client,
-                        seq: *seq,
+                        seq,
                         detail: format!(
                             "set acked at version {version} after an earlier ack at {last_ack_version}"
                         ),
@@ -254,30 +238,30 @@ fn check_sequential(per_client: &BTreeMap<u64, Vec<Op<'_>>>, out: &mut Vec<Viola
                 last_ack_version = last_ack_version.max(version);
                 pin(
                     version,
-                    arg,
+                    op.arg,
                     format!("client {client} set #{seq}"),
                     client,
-                    *seq,
+                    seq,
                     out,
                 );
-            } else if read && method == "get" {
+            } else if op.read && op.method == "get" {
                 let Some(version) = u64_be(result) else {
                     out.push(Violation {
                         oracle: OracleKind::Sequential,
                         client,
-                        seq: *seq,
+                        seq,
                         detail: format!("get reply too short: {result:?}"),
                     });
                     continue;
                 };
                 // No reading the future: at most the sets issued before
                 // this read completed can have been applied anywhere.
-                let issued_before = set_issue_times.partition_point(|&t| t <= *at_us) as u64;
+                let issued_before = set_issue_times.partition_point(|&t| t <= at_us) as u64;
                 if version > issued_before {
                     out.push(Violation {
                         oracle: OracleKind::Sequential,
                         client,
-                        seq: *seq,
+                        seq,
                         detail: format!(
                             "read at version {version} but only {issued_before} sets were issued by then"
                         ),
@@ -289,13 +273,18 @@ fn check_sequential(per_client: &BTreeMap<u64, Vec<Op<'_>>>, out: &mut Vec<Viola
                         &result[8..],
                         format!("client {client} get #{seq}"),
                         client,
-                        *seq,
+                        seq,
                         out,
                     );
                 }
             }
         }
     }
+}
+
+/// A reply's version vector keyed by actor index.
+fn by_index(vector: &[(ActorId, u64)]) -> Vec<(u64, u64)> {
+    vector.iter().map(|&(a, n)| (a.index() as u64, n)).collect()
 }
 
 /// `a` dominates `b` when every entry of `b` is covered by `a`.
@@ -318,25 +307,22 @@ fn check_causal(per_client: &BTreeMap<u64, Vec<Op<'_>>>, out: &mut Vec<Violation
         // builds it: merge every reply vector as its completion lands.
         let mut observed: BTreeMap<u64, u64> = BTreeMap::new();
         for op in ops {
-            let Some(c) = op.complete.filter(|c| replied(c)) else {
+            let Some((_, Event::Delivered { vector, .. })) = op.resolved else {
                 continue;
             };
-            let HistoryEvent::Complete { seq, vector, .. } = c else {
-                unreachable!()
-            };
-            let (read, ..) = issue_parts(op.issue);
-            if read && !vector.is_empty() && !dominates(vector, &observed) {
+            let vector = by_index(vector);
+            if op.read && !vector.is_empty() && !dominates(&vector, &observed) {
                 out.push(Violation {
                     oracle: OracleKind::Causal,
                     client,
-                    seq: *seq,
+                    seq: op.seq,
                     detail: format!(
                         "causality inversion: reply vector {vector:?} does not dominate \
                          the client's observed past {observed:?}"
                     ),
                 });
             }
-            merge(&mut observed, vector);
+            merge(&mut observed, &vector);
         }
     }
 }
@@ -387,30 +373,32 @@ fn check_fifo(per_client: &BTreeMap<u64, Vec<Op<'_>>>, out: &mut Vec<Violation>)
         let mut reads: Vec<(u64, u64, u64)> = Vec::new(); // (seq, complete_at, balance)
         let mut write_index = 0usize;
         for op in ops {
-            let (read, method, arg, issued_at) = issue_parts(op.issue);
-            let acked = op.complete.filter(|c| replied(c));
+            let acked = match op.resolved {
+                Some((at_us, Event::Delivered { result, .. })) => Some((at_us, result)),
+                _ => None,
+            };
             let balance = match acked {
-                Some(HistoryEvent::Complete { seq, result, .. }) => match u64_be(result) {
-                    Some(b) => Some((*seq, b)),
+                Some((_, result)) => match u64_be(result) {
+                    Some(b) => Some((op.seq, b)),
                     None => {
                         out.push(Violation {
                             oracle: OracleKind::Fifo,
                             client,
-                            seq: *seq,
+                            seq: op.seq,
                             detail: format!("balance reply is not a u64: {result:?}"),
                         });
                         continue;
                     }
                 },
-                _ => None,
+                None => None,
             };
-            if read {
-                if let (Some(c), Some((seq, b))) = (acked, balance) {
-                    reads.push((seq, c.at_us(), b));
+            if op.read {
+                if let (Some((at_us, _)), Some((seq, b))) = (acked, balance) {
+                    reads.push((seq, at_us, b));
                 }
                 continue;
             }
-            let Some((deposit, amount)) = tx_amount(method, arg) else {
+            let Some((deposit, amount)) = tx_amount(op.method, op.arg) else {
                 continue;
             };
             write_index += 1;
@@ -434,7 +422,7 @@ fn check_fifo(per_client: &BTreeMap<u64, Vec<Op<'_>>>, out: &mut Vec<Violation>)
                 }
             }
             reachable.extend(applied);
-            snapshots.push((issued_at, reachable.clone()));
+            snapshots.push((op.issued_us, reachable.clone()));
         }
         for (seq, complete_at, balance) in reads {
             // Judge the read against the writes issued before it
@@ -479,36 +467,33 @@ fn check_timed(
         let bound = spec.qos.staleness_threshold as u64;
         let mut timely_reads = 0u64;
         let mut judged_reads = 0u64;
-        for op in ops {
-            let (read, ..) = issue_parts(op.issue);
-            if !read {
+        for op in ops.iter().filter(|op| op.read) {
+            // A local shed is no service outcome; a give-up is an untimely one.
+            let Some((_, event)) = op.resolved else {
+                continue;
+            };
+            if matches!(event, Event::LocalShed { .. }) {
                 continue;
             }
-            let Some(HistoryEvent::Complete {
-                seq,
-                timely,
+            judged_reads += 1;
+            let Event::Delivered {
+                timely: true,
                 deferred,
                 staleness,
-                shed,
                 degraded,
                 ..
-            }) = op.complete
+            } = event
             else {
                 continue;
             };
-            if !*shed {
-                judged_reads += 1;
-                if *timely {
-                    timely_reads += 1;
-                }
-            }
+            timely_reads += 1;
             // The hard half of the §3 guarantee — identical to what
             // `ClientRecord::staleness_violations` counts.
-            if *timely && !*deferred && !*degraded && *staleness > bound {
+            if !deferred && !degraded && *staleness > bound {
                 out.push(Violation {
                     oracle: OracleKind::Timed,
                     client,
-                    seq: *seq,
+                    seq: op.seq,
                     detail: format!(
                         "timely immediate read with staleness {staleness} > bound {bound}"
                     ),
@@ -533,38 +518,41 @@ fn check_timed(
     }
 }
 
-/// Per-client count of hard timed-oracle violations — the quantity
-/// [`aqf_workload::ClientRecord::staleness_violations`] tracks online.
-/// Exposed so tests can pin agreement between the counter and the oracle.
-pub fn timed_violations_by_client(
-    config: &ScenarioConfig,
-    events: &[HistoryEvent],
-) -> BTreeMap<u64, u64> {
-    let mut counts = BTreeMap::new();
-    for v in check_history(config, events, &OracleOptions::default()) {
-        if v.oracle == OracleKind::Timed {
-            *counts.entry(v.client).or_insert(0) += 1;
-        }
-    }
-    counts
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aqf_obs::ReqId;
 
-    fn issue(client: u64, seq: u64, at: u64, read: bool, method: &str, arg: &[u8]) -> HistoryEvent {
-        HistoryEvent::Issue {
-            client,
-            seq,
-            at_us: at,
-            read,
-            method: method.into(),
-            arg: arg.to_vec(),
+    /// `client`'s record at `at` µs of the event `make` builds for its
+    /// request `seq`.
+    fn record(client: u64, seq: u64, at: u64, make: impl FnOnce(ReqId) -> Event) -> TraceRecord {
+        let actor = ActorId::from_index(client as usize);
+        let event = make(ReqId::new(actor, seq));
+        TraceRecord {
+            t_us: at,
+            actor,
+            event,
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
+    fn issue(
+        client: u64,
+        seq: u64,
+        at: u64,
+        read: bool,
+        method: &'static str,
+        arg: &[u8],
+    ) -> TraceRecord {
+        record(client, seq, at, |req| Event::RequestIssued {
+            req,
+            read,
+            deadline_us: 0,
+            method,
+            arg: arg.to_vec(),
+        })
+    }
+
+    /// A timely, immediate delivery.
     fn complete(
         client: u64,
         seq: u64,
@@ -573,21 +561,21 @@ mod tests {
         staleness: u64,
         csn: u64,
         vector: Vec<(u64, u64)>,
-    ) -> HistoryEvent {
-        HistoryEvent::Complete {
-            client,
-            seq,
-            at_us: at,
-            result,
+    ) -> TraceRecord {
+        let vector = vector
+            .iter()
+            .map(|&(a, n)| (ActorId::from_index(a as usize), n));
+        record(client, seq, at, |req| Event::Delivered {
+            req,
+            response_us: 0,
             timely: true,
             deferred: false,
             staleness,
-            timed_out: false,
-            shed: false,
             degraded: false,
             csn,
-            vector,
-        }
+            vector: vector.collect(),
+            result,
+        })
     }
 
     fn seq_config() -> ScenarioConfig {
@@ -613,7 +601,7 @@ mod tests {
             issue(c, 2, 300, true, "get", b""),
             complete(c, 2, 400, ver_val(1, b"value-11-0"), 0, 1, vec![]),
         ];
-        assert!(check_history(&seq_config(), &events, &OracleOptions::default()).is_empty());
+        assert!(check_trace(&seq_config(), &events, &OracleOptions::default()).is_empty());
     }
 
     #[test]
@@ -626,7 +614,7 @@ mod tests {
             // Same version acked for a different payload: a fork.
             complete(c2, 1, 210, ver(1), 0, 1, vec![]),
         ];
-        let violations = check_history(&seq_config(), &events, &OracleOptions::default());
+        let violations = check_trace(&seq_config(), &events, &OracleOptions::default());
         assert!(
             violations
                 .iter()
@@ -644,7 +632,7 @@ mod tests {
             issue(c, 2, 300, true, "get", b""),
             complete(c, 2, 400, ver_val(1, b"zombie"), 0, 1, vec![]),
         ];
-        let violations = check_history(&seq_config(), &events, &OracleOptions::default());
+        let violations = check_trace(&seq_config(), &events, &OracleOptions::default());
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].oracle, OracleKind::Sequential);
     }
@@ -657,7 +645,7 @@ mod tests {
             // Read observes 3 applied sets before any set was issued.
             complete(c, 1, 200, ver_val(3, b"ghost"), 0, 3, vec![]),
         ];
-        let violations = check_history(&seq_config(), &events, &OracleOptions::default());
+        let violations = check_trace(&seq_config(), &events, &OracleOptions::default());
         assert!(
             violations
                 .iter()
@@ -678,7 +666,7 @@ mod tests {
             // Second read's vector regressed on actor 1: inversion.
             complete(c, 2, 400, ver_val(1, b"y"), 0, 1, vec![(1, 1), (2, 1)]),
         ];
-        let violations = check_history(&config, &events, &OracleOptions::default());
+        let violations = check_trace(&config, &events, &OracleOptions::default());
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].oracle, OracleKind::Causal);
     }
@@ -694,7 +682,7 @@ mod tests {
             issue(c, 2, 300, true, "get", b""),
             complete(c, 2, 400, ver_val(2, b"y"), 0, 2, vec![(1, 2), (2, 3)]),
         ];
-        assert!(check_history(&config, &events, &OracleOptions::default()).is_empty());
+        assert!(check_trace(&config, &events, &OracleOptions::default()).is_empty());
     }
 
     #[test]
@@ -714,12 +702,12 @@ mod tests {
             issue(c, 4, 400, true, "balance", b"acct-11"),
             complete(c, 4, 450, ver(100), 2, 1, vec![]), // stale but on-path
         ];
-        assert!(check_history(&config, &ok, &OracleOptions::default()).is_empty());
+        assert!(check_trace(&config, &ok, &OracleOptions::default()).is_empty());
 
         let mut bad = ok.clone();
         // An off-path balance: the second deposit was skipped or doubled.
         bad[3] = complete(c, 2, 250, ver(300), 0, 2, vec![]);
-        let violations = check_history(&config, &bad, &OracleOptions::default());
+        let violations = check_trace(&config, &bad, &OracleOptions::default());
         assert!(
             violations.iter().any(|v| v.oracle == OracleKind::Fifo),
             "{violations:?}"
@@ -736,7 +724,7 @@ mod tests {
             issue(c, 2, 100, true, "get", b""),
             complete(c, 2, 200, ver_val(1, b"x"), 7, 1, vec![]),
         ];
-        let violations = check_history(&config, &events, &OracleOptions::default());
+        let violations = check_trace(&config, &events, &OracleOptions::default());
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert_eq!(violations[0].oracle, OracleKind::Timed);
         assert!(violations[0].detail.contains("staleness 7 > bound 2"));
@@ -753,26 +741,25 @@ mod tests {
         // 40 untimely reads out of 40: frequency 0 « Pc 0.9.
         for i in 0..40u64 {
             events.push(issue(c, i + 2, 1000 * (i + 1), true, "get", b""));
-            events.push(HistoryEvent::Complete {
-                client: c,
-                seq: i + 2,
-                at_us: 1000 * (i + 1) + 500,
-                result: ver_val(1, b"x"),
-                timely: false,
-                deferred: false,
-                staleness: 0,
-                timed_out: false,
-                shed: false,
-                degraded: false,
-                csn: 1,
-                vector: vec![],
-            });
+            let mut late = complete(
+                c,
+                i + 2,
+                1000 * (i + 1) + 500,
+                ver_val(1, b"x"),
+                0,
+                1,
+                vec![],
+            );
+            if let Event::Delivered { timely, .. } = &mut late.event {
+                *timely = false;
+            }
+            events.push(late);
         }
         assert!(
-            check_history(&config, &events, &OracleOptions::default()).is_empty(),
+            check_trace(&config, &events, &OracleOptions::default()).is_empty(),
             "pc is not enforced by default"
         );
-        let violations = check_history(&config, &events, &OracleOptions { enforce_pc: true });
+        let violations = check_trace(&config, &events, &OracleOptions { enforce_pc: true });
         assert_eq!(violations.len(), 1, "{violations:?}");
         assert!(violations[0].detail.contains("below the requested Pc"));
     }

@@ -3,16 +3,16 @@
 //! [`search`] sweeps a contiguous block of schedule seeds. Each seed
 //! deterministically derives one fault schedule (via
 //! [`crate::generator::generate_faults`]) and one master RNG seed, replays
-//! the scenario with history recording on, and judges the recorded history
-//! with every applicable oracle. Everything is a pure function of
+//! the scenario traced, and judges the history the trace records with every
+//! applicable oracle. Everything is a pure function of
 //! `(base config, budget, seed)`, so a violating seed can be re-run — or
 //! handed to the shrinker — months later and fail identically.
 
 use aqf_obs::{write_object, ObsHandle};
-use aqf_workload::{run_scenario_recorded, HistoryHandle, ScenarioConfig};
+use aqf_workload::{run_scenario_observed, ScenarioConfig};
 
 use crate::generator::{generate_faults, ScheduleBudget};
-use crate::oracle::{check_history, OracleKind, OracleOptions, Violation};
+use crate::oracle::{check_trace, OracleKind, OracleOptions, Violation};
 use crate::shrink::{shrink, Shrunk};
 
 /// Outcome of replaying one seeded schedule.
@@ -109,13 +109,13 @@ pub fn scenario_for_seed(
     config
 }
 
-/// Replays `config` with history recording and returns the oracle verdict
+/// Replays `config` traced and returns the oracle verdict on its trace
 /// along with the run digest.
 pub fn replay_and_judge(config: &ScenarioConfig, opts: &OracleOptions) -> (u64, Vec<Violation>) {
-    let history = HistoryHandle::collecting();
-    let metrics = run_scenario_recorded(config, &ObsHandle::disabled(), &history);
-    let events = history.take();
-    (metrics.digest(), check_history(config, &events, opts))
+    let obs = ObsHandle::enabled();
+    let metrics = run_scenario_observed(config, &obs);
+    let trace = obs.take_report().expect("an enabled handle has a report");
+    (metrics.digest(), check_trace(config, &trace.records, opts))
 }
 
 /// Runs one seed end to end.

@@ -14,13 +14,20 @@
 #![cfg(not(feature = "mutation"))]
 
 use aqf_chaos::{
-    config_from_json, config_to_json, replay_and_judge, run_seed, search,
-    timed_violations_by_client, OracleOptions, ScheduleBudget,
+    check_trace, config_from_json, config_to_json, replay_and_judge, run_seed, search, OracleKind,
+    OracleOptions, ScheduleBudget, Violation,
 };
 use aqf_core::{OrderingGuarantee, StorageConfig};
-use aqf_obs::ObsHandle;
+use aqf_obs::{ObsHandle, TraceRecord};
 use aqf_sim::SimDuration;
-use aqf_workload::{run_scenario_recorded, HistoryHandle, ObjectKind, ScenarioConfig};
+use aqf_workload::{run_scenario_observed, ObjectKind, ScenarioConfig, ScenarioMetrics};
+
+/// Runs `config` traced: its metrics and the trace the oracles judge.
+fn traced(config: &ScenarioConfig) -> (ScenarioMetrics, Vec<TraceRecord>) {
+    let obs = ObsHandle::enabled();
+    let metrics = run_scenario_observed(config, &obs);
+    (metrics, obs.take_report().expect("enabled handle").records)
+}
 
 /// The corpus's shared deployment shape: the paper's 11-server layout
 /// with fast failure detection and a workload that spans the fault
@@ -99,13 +106,12 @@ fn staleness_counter_agrees_with_timed_oracle() {
         let mut config = sequential_profile();
         config.seed ^= seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         config.faults = aqf_chaos::generate_faults(&config, &budget, seed);
-        let history = HistoryHandle::collecting();
-        let metrics = run_scenario_recorded(&config, &ObsHandle::disabled(), &history);
-        let events = history.take();
-        let by_client = timed_violations_by_client(&config, &events);
+        let (metrics, trace) = traced(&config);
+        let violations = check_trace(&config, &trace, &OracleOptions::default());
         for (i, outcome) in metrics.clients.iter().enumerate() {
             let client_id = outcome.id.index() as u64;
-            let oracle_count = by_client.get(&client_id).copied().unwrap_or(0);
+            let timed = |v: &&Violation| v.oracle == OracleKind::Timed && v.client == client_id;
+            let oracle_count = violations.iter().filter(timed).count() as u64;
             assert_eq!(
                 outcome.record.staleness_violations, oracle_count,
                 "seed {seed}, client {i} (actor {client_id}): online counter and timed \
@@ -212,10 +218,8 @@ fn takeover_round_that_lost_a_report_closes_on_its_own_timer() {
     let bound = base.failure_timeout + stall + base.group_tick * 2;
     for schedule in [24u64, 44, 79, 93] {
         let config = aqf_chaos::scenario_for_seed(&base, &ScheduleBudget::quick(), schedule);
-        let history = HistoryHandle::collecting();
-        let metrics = run_scenario_recorded(&config, &ObsHandle::disabled(), &history);
-        let violations =
-            aqf_chaos::check_history(&config, &history.take(), &OracleOptions::default());
+        let (metrics, trace) = traced(&config);
+        let violations = check_trace(&config, &trace, &OracleOptions::default());
         assert!(violations.is_empty(), "schedule {schedule}: {violations:?}");
         let servers = metrics.servers.iter();
         let unavailable = servers.map(|s| s.stats.seq_unavail_us).max().unwrap();

@@ -558,9 +558,9 @@ impl ClientGateway {
         self.primary_view.leader()
     }
 
-    /// Issues a request — a read when it has a `deadline` — its id, its
+    /// Issues `op` — a read when it has a `deadline` — its id, its
     /// counter, its trace event.
-    fn issue(&mut self, deadline: Option<SimDuration>, now: SimTime) -> RequestId {
+    fn issue(&mut self, op: &Operation, deadline: Option<SimDuration>, now: SimTime) -> RequestId {
         let id = RequestId {
             client: self.me,
             seq: self.next_seq,
@@ -574,6 +574,8 @@ impl ClientGateway {
             req: req_ref(id),
             read: deadline.is_some(),
             deadline_us: deadline.map_or(0, SimDuration::as_micros),
+            method: op.method.as_str(),
+            arg: op.payload.to_vec(),
         });
         id
     }
@@ -624,7 +626,7 @@ impl ClientGateway {
         now: SimTime,
         out: &mut Vec<ClientAction>,
     ) -> RequestId {
-        let id = self.issue(None, now);
+        let id = self.issue(&op, None, now);
         let stamp = self.session.as_mut().map(|s| s.stamp_update(self.me, now));
         let payload = Payload::Update(UpdateRequest { id, op, attempt: 1 }, stamp);
         let recovery = self.config.recovery;
@@ -649,7 +651,7 @@ impl ClientGateway {
         now: SimTime,
         out: &mut Vec<ClientAction>,
     ) -> RequestId {
-        let id = self.issue(Some(qos.deadline), now);
+        let id = self.issue(&op, Some(qos.deadline), now);
         // Graceful degradation (when enabled): the read runs under the
         // ladder-widened effective spec, or — ladder exhausted — not at all.
         let (qos, degraded) = match &mut self.overload {
@@ -1089,6 +1091,7 @@ impl ClientGateway {
         self.obs.emit(now, self.me, || ObsEvent::GaveUp {
             req: req_ref(req),
             response_us: response_time.as_micros(),
+            degraded: p.degraded,
         });
         if p.kind == OperationKind::ReadOnly && self.config.recovery.enabled {
             // The replicas still silent at give-up never answered any
@@ -1186,7 +1189,7 @@ impl ClientGateway {
             from,
             timely: probe_ok,
             deferred: r.deferred,
-            staleness_us: r.staleness,
+            staleness: r.staleness,
         });
         if probe_ok {
             self.repo.record_probe_success(from, now);
@@ -1214,6 +1217,12 @@ impl ClientGateway {
             req: req_ref(r.id),
             response_us: tr.as_micros(),
             timely,
+            deferred: r.deferred,
+            staleness: r.staleness,
+            degraded,
+            csn: r.csn,
+            vector: r.vector.clone(),
+            result: r.result.to_vec(),
         });
         if self.obs.is_enabled() {
             let name = match kind {
@@ -1224,8 +1233,8 @@ impl ClientGateway {
                 .observe(name, aqf_obs::LATENCY_BOUNDS_US, tr.as_micros());
             if kind == OperationKind::ReadOnly {
                 self.obs.observe(
-                    "client.staleness_us",
-                    aqf_obs::LATENCY_BOUNDS_US,
+                    "client.staleness_versions",
+                    aqf_obs::STALENESS_BOUNDS_VERSIONS,
                     r.staleness,
                 );
             }
@@ -1618,6 +1627,34 @@ mod tests {
         // Both replicas' ert were refreshed.
         assert!(c.repository().ert_us(a(1), t(100)) < u64::MAX);
         assert!(c.repository().ert_us(a(2), t(100)) < u64::MAX);
+    }
+
+    /// Staleness is a count of versions, binned on the version scale: 0 and
+    /// 3 versions land in different buckets.
+    #[test]
+    fn staleness_histogram_bins_versions() {
+        let mut c = client();
+        let obs = ObsHandle::enabled();
+        c.set_obs(obs.clone());
+        for (at, staleness) in [(0, 0), (1000, 3)] {
+            let op = Operation::new("get", vec![]);
+            let id = c.submit_read(op, qos(200, 0.5), t(at), &mut Vec::new());
+            c.on_timer(id, TimerPurpose::Transmit, t(at + 1), &mut Vec::new());
+            let reply = Reply {
+                id,
+                result: Bytes::new(),
+                t1_us: 0,
+                staleness,
+                deferred: false,
+                csn: 0,
+                vector: Vec::new(),
+            };
+            c.on_payload(a(1), Payload::Reply(reply), t(at + 50), &mut Vec::new());
+        }
+        let report = obs.take_report().expect("enabled handle");
+        let h = report.metrics.histogram("client.staleness_versions");
+        let h = h.expect("read staleness is observed");
+        assert_eq!((h.quantile(0.5), h.quantile(1.0)), (0, 3));
     }
 
     #[test]

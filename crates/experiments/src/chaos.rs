@@ -3,8 +3,8 @@
 //!
 //! `chaos-search` sweeps `--iters` schedule seeds per ordering profile
 //! (sequential register, causal register, FIFO banking with durable
-//! storage), replays each generated schedule with history recording on,
-//! and judges the recorded history with every applicable oracle. On an
+//! storage), replays each generated schedule traced, and judges the
+//! history its trace records with every applicable oracle. On an
 //! unmutated build every seed must replay clean; any violation is printed
 //! with enough detail to re-run and shrink it.
 //!

@@ -1,8 +1,9 @@
 //! The trace event taxonomy and its JSONL encoding.
 //!
-//! Events are deliberately compact: fixed-size enums of integers and
-//! `ActorId`s, no strings or owned buffers except the per-selection target
-//! list (allocated only when a sink is installed). Every event serializes
+//! Events are deliberately compact: integers and `ActorId`s, plus the few
+//! owned buffers a request's history needs — a selection's targets, an
+//! issued request's argument, a delivered reply's result and version
+//! vector — built only when a sink is installed. Every event serializes
 //! to one flat JSON object per line with three envelope fields — `t`
 //! (virtual microseconds), `actor` (emitting actor index), `type` — plus
 //! the event-specific fields the `events!` table below declares, which is
@@ -81,6 +82,26 @@ impl TraceField for Vec<ActorId> {
         o.u64s(key, self.iter().map(|a| a.index() as u64));
     }
 }
+
+/// Opaque bytes (an argument or a result), written as a lowercase hex string.
+impl TraceField for Vec<u8> {
+    const KIND: Kind = Kind::Str;
+    fn put(&self, key: &str, o: &mut ObjWriter<'_>) {
+        o.hex(key, self);
+    }
+}
+
+/// A version vector, written flat: `[actor, counter, actor, counter, …]`.
+impl TraceField for Vec<(ActorId, u64)> {
+    const KIND: Kind = Kind::UIntArr;
+    fn put(&self, key: &str, o: &mut ObjWriter<'_>) {
+        o.u64s(key, self.iter().flat_map(|&(a, n)| [a.index() as u64, n]));
+    }
+}
+
+/// The kinds that resolve a request, one per request: the reply reached
+/// the application, the client gave up, or the client shed it locally.
+pub const RESOLVING_KINDS: [&str; 3] = ["delivered", "gave_up", "local_shed"];
 
 /// Declares the event taxonomy once. A row — variant, `type` tag, fields —
 /// yields the enum variant, its [`Event::kind`] arm, its trace-line writer
@@ -167,6 +188,10 @@ events! {
             read: bool,
             /// Advertised deadline in µs (0 = no deadline).
             deadline_us: u64,
+            /// The invoked method (e.g. `set`, `get`, `deposit`).
+            method: &'static str,
+            /// The argument payload.
+            arg: Vec<u8>,
         }
         /// The selection algorithm chose the replica set for an attempt.
         ReplicasSelected = "replicas_selected" {
@@ -195,25 +220,39 @@ events! {
             timely: bool,
             /// Whether the replica answered in deferred (queued) mode.
             deferred: bool,
-            /// Staleness of the returned value in µs.
-            staleness_us: u64,
+            /// Staleness of the returned value, in versions.
+            staleness: u64,
         }
         /// A replica shed the request and answered `Busy`.
         BusyReceived = "busy_received" {
             /// The shedding replica.
             from: ActorId,
         }
-        /// The request completed and its result was delivered.
+        /// The request completed and the winning reply was delivered.
         Delivered = "delivered" {
             /// End-to-end response time in µs.
             response_us: u64,
             /// Whether the response met the deadline.
             timely: bool,
+            /// Whether the serving replica answered in deferred mode.
+            deferred: bool,
+            /// Staleness of the delivered value, in versions.
+            staleness: u64,
+            /// Whether the read ran under a ladder-widened QoS spec.
+            degraded: bool,
+            /// Commit/version number on the reply.
+            csn: u64,
+            /// Version vector on the reply (causal ordering only).
+            vector: Vec<(ActorId, u64)>,
+            /// The result payload.
+            result: Vec<u8>,
         }
         /// The client exhausted its recovery budget and gave up.
         GaveUp = "gave_up" {
             /// Time spent before giving up, in µs.
             response_us: u64,
+            /// Whether the read ran under a ladder-widened QoS spec.
+            degraded: bool,
         }
         /// The client rejected the request locally (deep degradation rung).
         LocalShed = "local_shed" {}
@@ -346,6 +385,8 @@ pub(crate) mod tests {
                 req,
                 read: true,
                 deadline_us: 200_000,
+                method: "get",
+                arg: b"acct-9".to_vec(),
             },
             Event::ReplicasSelected {
                 req,
@@ -363,17 +404,24 @@ pub(crate) mod tests {
                 from: a(2),
                 timely: true,
                 deferred: false,
-                staleness_us: 1_500_000,
+                staleness: 3,
             },
             Event::BusyReceived { req, from: a(5) },
             Event::Delivered {
                 req,
                 response_us: 104_250,
                 timely: false,
+                deferred: true,
+                staleness: 1,
+                degraded: true,
+                csn: 12,
+                vector: vec![(a(1), 5), (a(3), 2)],
+                result: vec![0, 0x2a, 0xff],
             },
             Event::GaveUp {
                 req,
                 response_us: 3_000_000,
+                degraded: false,
             },
             Event::LocalShed { req },
             Event::ShedRead {
@@ -461,6 +509,10 @@ pub(crate) mod tests {
         let records = one_of_each();
         let kinds: std::collections::BTreeSet<_> = records.iter().map(|r| r.event.kind()).collect();
         assert_eq!(kinds.len(), 22, "one sample per event kind");
+        for kind in RESOLVING_KINDS {
+            let sample = records.iter().find(|r| r.event.kind() == kind);
+            assert!(sample.is_some_and(|r| r.event.req().is_some()), "{kind}");
+        }
         let mut jsonl = String::new();
         for r in &records {
             r.write_json_line(&mut jsonl);

@@ -338,6 +338,16 @@ impl ObjWriter<'_> {
         self.out.push('"');
     }
 
+    /// Bytes as a string of lowercase hex digits, two per byte.
+    pub fn hex(&mut self, key: &str, bytes: &[u8]) {
+        self.key(key);
+        self.out.push('"');
+        for b in bytes {
+            let _ = write!(self.out, "{b:02x}");
+        }
+        self.out.push('"');
+    }
+
     /// `null`, the encoding of an absent value.
     pub fn null(&mut self, key: &str) {
         self.key(key);
@@ -568,13 +578,14 @@ mod tests {
             o.obj("inner", |o| o.u64("x", 1));
             o.objs("items", [1, 2], |n, o| o.u64("n", n));
             o.u64s("ns", [0, 10]);
+            o.hex("h", &[0, 0x2a, 0xff]);
         });
         assert_eq!(
             out,
             concat!(
                 r#"{"n":18446744073709551615,"whole":100000,"frac":0.5,"b":true,"#,
                 r#""s":"q\" b\\ nl\n bell\u0007 é","none":null,"inner":{"x":1},"#,
-                r#""items":[{"n":1},{"n":2}],"ns":[0,10]}"#
+                r#""items":[{"n":1},{"n":2}],"ns":[0,10],"h":"002aff"}"#
             )
         );
         let doc = parse_json(&out).unwrap();
@@ -589,6 +600,7 @@ mod tests {
         assert_eq!(f.obj("inner").unwrap().uint::<usize>("x"), Ok(1));
         assert_eq!(f.arr("items").unwrap().len(), 2);
         assert_eq!(f.u64s("ns"), Ok(vec![0, 10]));
+        assert_eq!(f.str("h"), Ok("002aff"));
         // Errors name the key: missing, wrong type, out of range.
         assert!(f.get("absent").unwrap_err().contains("\"absent\""));
         assert!(f.bool("n").unwrap_err().contains("\"n\""));

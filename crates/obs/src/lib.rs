@@ -9,7 +9,7 @@
 //! 2. **A metrics registry** — fixed-bucket histograms, counters, and
 //!    gauges ([`MetricsRegistry`]) with a deterministic JSON rendering.
 //! 3. **Per-request timelines** — the issue → selection/retry/hedge →
-//!    reply → deliver/give-up lifecycle of every request, reconstructed
+//!    reply → deliver/give-up/shed lifecycle of every request, reconstructed
 //!    from the trace alone ([`build_timelines`]).
 //!
 //! # Determinism contract
@@ -32,8 +32,8 @@ pub mod metrics;
 pub mod sink;
 pub mod timeline;
 
-pub use event::{Event, ReqId, TraceRecord};
+pub use event::{Event, ReqId, TraceRecord, RESOLVING_KINDS};
 pub use json::{parse_json, validate_trace_line, write_object, Fields, Json, ObjWriter};
-pub use metrics::{Histogram, MetricsRegistry, LATENCY_BOUNDS_US};
+pub use metrics::{Histogram, MetricsRegistry, LATENCY_BOUNDS_US, STALENESS_BOUNDS_VERSIONS};
 pub use sink::{ObsHandle, ObsReport};
 pub use timeline::{build_timelines, parse_trace, timelines_from_jsonl, Step, Timeline};

@@ -12,7 +12,7 @@ use std::collections::BTreeMap;
 
 use crate::json::{write_object, ObjWriter};
 
-/// Default latency/staleness bucket upper bounds, in microseconds.
+/// Default latency bucket upper bounds, in microseconds.
 ///
 /// Spans 500 µs … 10 s in roughly 1-2-5 steps — wide enough for the
 /// paper's 100 ms–2 s deadline range with resolution below the deadline.
@@ -20,6 +20,10 @@ pub const LATENCY_BOUNDS_US: &[u64] = &[
     500, 1_000, 2_000, 5_000, 10_000, 20_000, 50_000, 100_000, 200_000, 300_000, 500_000, 750_000,
     1_000_000, 2_000_000, 5_000_000, 10_000_000,
 ];
+
+/// Staleness bucket upper bounds, in versions: one bucket per version up
+/// to the paper's small thresholds `a`, then coarser.
+pub const STALENESS_BOUNDS_VERSIONS: &[u64] = &[0, 1, 2, 3, 4, 5, 6, 8, 10, 15, 20, 50, 100];
 
 /// A fixed-bucket histogram: `counts[i]` counts observations `<= bounds[i]`,
 /// with one implicit overflow bucket at the end.

@@ -110,13 +110,6 @@ impl ObsHandle {
             .set_gauge(name, value);
     }
 
-    /// Clones out the current report, or `None` when disabled.
-    pub fn report(&self) -> Option<ObsReport> {
-        self.inner
-            .as_ref()
-            .map(|i| i.lock().expect("obs collector poisoned").clone())
-    }
-
     /// Drains the collector, leaving it empty; `None` when disabled.
     pub fn take_report(&self) -> Option<ObsReport> {
         self.inner
@@ -142,7 +135,7 @@ mod tests {
             }
         });
         assert!(!ran);
-        assert!(h.report().is_none());
+        assert!(h.take_report().is_none());
         assert!(!h.is_enabled());
     }
 
@@ -151,10 +144,8 @@ mod tests {
         let h = ObsHandle::enabled();
         let h2 = h.clone();
         h.emit(SimTime::from_millis(1), ActorId::from_index(3), || {
-            Event::RequestIssued {
+            Event::LocalShed {
                 req: ReqId::new(ActorId::from_index(3), 1),
-                read: true,
-                deadline_us: 200_000,
             }
         });
         h2.add("x", 2);
@@ -180,7 +171,7 @@ mod tests {
             from_state: "closed",
             to_state: "open",
         });
-        let report = h.report().unwrap();
+        let report = h.take_report().unwrap();
         let jsonl = report.trace_jsonl();
         assert_eq!(jsonl.lines().count(), 2);
         for line in jsonl.lines() {

@@ -3,9 +3,9 @@
 //! Timelines are rebuilt from the serialized artifact, not from in-memory
 //! records: the round-trip through [`crate::validate_trace_line`]'s schema
 //! is the proof that the trace alone carries the full request lifecycle
-//! (issue → selections/retries/hedges → replies → deliver/give-up).
+//! (issue → selections/retries/hedges → replies → deliver/give-up/shed).
 
-use crate::event::{ACTOR, CLIENT, SEQ, T, TYPE};
+use crate::event::{ACTOR, CLIENT, RESOLVING_KINDS, SEQ, T, TYPE};
 use crate::json::{parse_json, Fields, Json};
 use std::collections::BTreeMap;
 
@@ -43,11 +43,12 @@ impl Timeline {
             .map(|s| s.t_us)
     }
 
-    /// Virtual time the request resolved (delivered or gave up), if it did.
+    /// Virtual time the request resolved (delivered, gave up or shed
+    /// locally: [`RESOLVING_KINDS`]), if it did.
     pub fn resolved_us(&self) -> Option<u64> {
         self.steps
             .iter()
-            .find(|s| s.kind == "delivered" || s.kind == "gave_up")
+            .find(|s| RESOLVING_KINDS.contains(&s.kind.as_str()))
             .map(|s| s.t_us)
     }
 
@@ -149,6 +150,15 @@ mod tests {
         let rendered = tl.render();
         assert!(rendered.starts_with("1000:request_issued@7"));
         assert!(rendered.ends_with("12000:service_done@7"));
+    }
+
+    /// A read the client rejected locally never reaches a replica, yet it
+    /// resolves: its completion is the `local_shed` step.
+    #[test]
+    fn locally_shed_request_resolves() {
+        let mut records = one_of_each();
+        records.retain(|r| matches!(r.event.kind(), "request_issued" | "local_shed"));
+        assert_eq!(timeline_of(records).resolved_us(), Some(9000));
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Host actors embedding the gateways into the discrete-event simulator.
 
 use crate::config::{ObjectKind, OpPattern};
-use crate::history::{HistoryEvent, HistoryHandle};
 use aqf_core::client::{ClientAction, ClientGateway, TimerPurpose};
 use aqf_core::protocol::ServerProtocol;
 use aqf_core::shell::ServerAction;
@@ -290,7 +289,6 @@ pub struct ClientActor {
     writes_issued: u64,
     timers: HashMap<TimerId, (RequestId, TimerPurpose)>,
     record: ClientRecord,
-    history: HistoryHandle,
     done: bool,
 }
 
@@ -321,7 +319,6 @@ impl ClientActor {
             writes_issued: 0,
             timers: HashMap::new(),
             record: ClientRecord::default(),
-            history: HistoryHandle::disabled(),
             done: false,
         }
     }
@@ -345,13 +342,6 @@ impl ClientActor {
     /// Installs an observability handle into the hosted gateway.
     pub fn set_obs(&mut self, obs: aqf_core::ObsHandle) {
         self.gw.set_obs(obs);
-    }
-
-    /// Installs a history recording handle. A disabled handle (the
-    /// default) keeps the issue/completion paths bit-identical to a build
-    /// without the hooks.
-    pub fn set_history(&mut self, history: HistoryHandle) {
-        self.history = history;
     }
 
     fn next_is_read(&mut self, ctx: &mut Context<'_, NetMsg>) -> bool {
@@ -393,50 +383,17 @@ impl ClientActor {
             self.writes_issued += 1;
             op
         };
-        let recorded = self.history.is_enabled().then(|| op.clone());
-        let (qos, history) = (self.qos, self.history.clone());
+        let qos = self.qos;
         self.drive(ctx, |gw, now, out| {
-            let id = if is_read {
-                gw.submit_read(op, qos, now, out)
+            if is_read {
+                gw.submit_read(op, qos, now, out);
             } else {
-                gw.submit_update(op, now, out)
-            };
-            if let Some(op) = recorded {
-                history.record(|| HistoryEvent::Issue {
-                    client: me,
-                    seq: id.seq,
-                    at_us: now.as_micros(),
-                    read: is_read,
-                    method: op.method.as_str().to_owned(),
-                    arg: op.payload.to_vec(),
-                });
+                gw.submit_update(op, now, out);
             }
         });
     }
 
     fn on_completed(&mut self, info: ResponseInfo, ctx: &mut Context<'_, NetMsg>) {
-        if self.history.is_enabled() {
-            let me = self.gw.me().index() as u64;
-            let now = ctx.now();
-            self.history.record(|| HistoryEvent::Complete {
-                client: me,
-                seq: info.req.seq,
-                at_us: now.as_micros(),
-                result: info.result.to_vec(),
-                timely: info.timely,
-                deferred: info.deferred,
-                staleness: info.staleness,
-                timed_out: info.timed_out,
-                shed: info.shed,
-                degraded: info.degraded,
-                csn: info.csn,
-                vector: info
-                    .vector
-                    .iter()
-                    .map(|&(a, n)| (a.index() as u64, n))
-                    .collect(),
-            });
-        }
         self.record.completed += 1;
         if info.shed {
             // Locally rejected by the degradation controller: no replica

@@ -28,7 +28,6 @@
 pub mod actors;
 pub mod bench_scenarios;
 pub mod config;
-pub mod history;
 pub mod repro;
 pub mod runner;
 pub mod synthetic;
@@ -40,11 +39,10 @@ pub use bench_scenarios::{world_bench_config, WORLD_BENCH_SIZES};
 pub use config::{
     ClientSpec, FaultEvent, FaultKind, FaultTarget, ObjectKind, OpPattern, ScenarioConfig,
 };
-pub use history::{HistoryEvent, HistoryHandle};
 pub use repro::{config_from_json, config_to_json};
 pub use runner::{
-    build_scenario, run_scenario, run_scenario_observed, run_scenario_recorded, BuiltScenario,
-    ClientOutcome, ScenarioMetrics, ServerOutcome,
+    build_scenario, run_scenario, run_scenario_observed, BuiltScenario, ClientOutcome,
+    ScenarioMetrics, ServerOutcome,
 };
 pub use synthetic::{
     build_candidates, build_candidates_uncached, candidate_keys, synthetic_repository,

@@ -334,16 +334,6 @@ impl BuiltScenario {
         }
     }
 
-    /// Installs one shared history recording handle into every client
-    /// host. Installing a disabled handle is a no-op by construction.
-    pub fn install_history(&mut self, history: &crate::history::HistoryHandle) {
-        for &id in &self.client_ids.clone() {
-            if let Some(c) = self.world.actor_mut::<ClientActor>(id) {
-                c.set_history(history.clone());
-            }
-        }
-    }
-
     /// Whether every client has issued and resolved its full workload.
     pub fn all_clients_done(&self) -> bool {
         self.client_ids.iter().all(|&c| {
@@ -725,31 +715,9 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioMetrics {
 ///
 /// Panics if the configuration fails validation.
 pub fn run_scenario_observed(config: &ScenarioConfig, obs: &ObsHandle) -> ScenarioMetrics {
-    run_scenario_recorded(config, obs, &crate::history::HistoryHandle::disabled())
-}
-
-/// [`run_scenario_observed`] with a history recording handle additionally
-/// installed into every client host. A disabled handle makes this
-/// event-for-event identical to `run_scenario_observed`; an enabled
-/// handle fills the shared buffer with the per-client operation history
-/// the chaos oracles replay. Recording is write-only and cannot perturb
-/// the run: the digest is unchanged whether or not it is enabled (pinned
-/// by the history property tests).
-///
-/// # Panics
-///
-/// Panics if the configuration fails validation.
-pub fn run_scenario_recorded(
-    config: &ScenarioConfig,
-    obs: &ObsHandle,
-    history: &crate::history::HistoryHandle,
-) -> ScenarioMetrics {
     let mut built = build_scenario(config);
     if obs.is_enabled() {
         built.install_obs(obs);
-    }
-    if history.is_enabled() {
-        built.install_history(history);
     }
     // Drive until every client finished its workload (or the safety limit).
     // Chunked `run_until_with_faults` is event-for-event identical to the

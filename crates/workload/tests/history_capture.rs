@@ -1,16 +1,17 @@
-//! The per-request history the chaos oracles judge, captured from a run and
-//! pinned: what each request asked, when, and how it resolved. Capture must
-//! not perturb the simulation, and the history of five faulty, overloaded
-//! and durable scenarios must hash to one pinned value.
+//! The per-request history the chaos oracles judge, read off a run's trace
+//! and pinned: what each request asked, when, and how it resolved. Capture
+//! must not perturb the simulation, and the history of five faulty,
+//! overloaded and durable scenarios must hash to one pinned value.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use aqf_core::{OrderingGuarantee, OverloadConfig, QosSpec, RecoveryPolicy, SelectionPolicy};
+use aqf_obs::Event;
 use aqf_sim::{Digest, SimDuration, SimTime};
 use aqf_workload::{
-    run_scenario, run_scenario_recorded, world_bench_config, ClientSpec, FaultEvent, FaultKind,
-    FaultTarget, HistoryEvent, HistoryHandle, ObjectKind, ObsHandle, OpPattern, ScenarioConfig,
+    run_scenario, run_scenario_observed, world_bench_config, ClientSpec, FaultEvent, FaultKind,
+    FaultTarget, ObjectKind, ObsHandle, OpPattern, ScenarioConfig,
 };
 
 /// One request: what was asked and when, then how it resolved. The fields
@@ -34,53 +35,65 @@ struct Request {
     vector: Vec<(u64, u64)>,
 }
 
-/// Runs `config` capturing its history; returns the run's digest and every
-/// request, keyed by `(client, seq)`.
+/// Runs `config` traced; returns the run's digest and every request the
+/// trace shows, keyed by `(client, seq)`: its `request_issued` joined to
+/// the event that resolved it.
 fn capture(config: &ScenarioConfig) -> (u64, BTreeMap<(u64, u64), Request>) {
-    let history = HistoryHandle::collecting();
-    let metrics = run_scenario_recorded(config, &ObsHandle::disabled(), &history);
+    let obs = ObsHandle::enabled();
+    let metrics = run_scenario_observed(config, &obs);
     let mut requests = BTreeMap::new();
-    for e in history.take() {
-        let r: &mut Request = requests.entry(e.key()).or_default();
-        *r = match e {
-            HistoryEvent::Issue {
-                at_us,
-                read,
-                method,
-                arg,
-                ..
+    for record in obs.take_report().expect("enabled handle").records {
+        let Some(req) = record.event.req() else {
+            continue;
+        };
+        let r: &mut Request = requests
+            .entry((req.client.index() as u64, req.seq))
+            .or_default();
+        let resolved_us = Some(record.t_us);
+        *r = match record.event {
+            Event::RequestIssued {
+                read, method, arg, ..
             } => Request {
-                issued_us: at_us,
+                issued_us: record.t_us,
                 read,
-                method,
+                method: method.to_owned(),
                 arg,
                 ..Request::default()
             },
-            HistoryEvent::Complete {
-                at_us,
-                result,
+            Event::Delivered {
                 timely,
                 deferred,
                 staleness,
-                timed_out,
-                shed,
                 degraded,
                 csn,
                 vector,
+                result,
                 ..
             } => Request {
-                resolved_us: Some(at_us),
+                resolved_us,
                 result,
                 timely,
                 deferred,
                 staleness,
-                timed_out,
-                shed,
                 degraded,
                 csn,
-                vector,
+                vector: vector.iter().map(|&(a, n)| (a.index() as u64, n)).collect(),
                 ..std::mem::take(r)
             },
+            Event::GaveUp { degraded, .. } => Request {
+                resolved_us,
+                timed_out: true,
+                degraded,
+                ..std::mem::take(r)
+            },
+            // The gateway sheds locally only past the ladder's last rung.
+            Event::LocalShed { .. } => Request {
+                resolved_us,
+                shed: true,
+                degraded: true,
+                ..std::mem::take(r)
+            },
+            _ => continue,
         };
     }
     (metrics.digest(), requests)
