@@ -776,18 +776,18 @@ fn stale_deadline_timer_fails_the_next_read_attempt_early() {
 /// In [`cells`] order: sequential, FIFO, causal; within each, recovery off
 /// then on; within each, overload off then on.
 const HASHES: [u64; 12] = [
-    0xfc0e_d7e6_878b_42b7,
-    0x7530_c297_2113_66eb,
-    0x2b08_0aa8_278b_f267,
-    0x4020_6aa0_241d_8982,
-    0x6c3c_1386_7b0a_4112,
-    0xb3c7_b4f4_3a12_b36c,
-    0xd351_791e_3b67_3b02,
-    0x6cea_6f3b_b3d7_65e9,
-    0xbf63_a4ed_d83d_9da9,
-    0x2c0d_6a8f_6a2d_c453,
-    0x0ab8_9525_c8ce_f9da,
-    0x6fbe_c283_384f_e547,
+    0x0b37_f4b3_d8ed_1f28,
+    0x46d1_2280_7cc1_8ac7,
+    0x87d4_2757_e7f0_9456,
+    0xc058_3350_80e1_bb46,
+    0x3afb_c992_eed1_be77,
+    0x4723_1901_3e11_5b86,
+    0xf336_393e_c04c_87a3,
+    0xa064_ac9a_e424_6e91,
+    0xdef2_3f2b_6f26_007b,
+    0x9a4c_a5c7_8f3e_8a30,
+    0x3f78_3ccf_6570_a7a8,
+    0x5dfe_1314_cbfc_fc8a,
 ];
 
 /// Re-baselining and diffing tool: prints every cell's hash and transcript.

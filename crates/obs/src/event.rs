@@ -480,14 +480,14 @@ pub(crate) mod tests {
     }
 
     /// The byte fence for the trace format: one literal line per kind.
-    pub(crate) const ONE_OF_EACH_JSONL: &str = r#"{"t":1000,"actor":7,"type":"request_issued","client":9,"seq":4,"read":true,"deadline_us":200000}
+    pub(crate) const ONE_OF_EACH_JSONL: &str = r#"{"t":1000,"actor":7,"type":"request_issued","client":9,"seq":4,"read":true,"deadline_us":200000,"method":"get","arg":"616363742d39"}
 {"t":2000,"actor":7,"type":"replicas_selected","client":9,"seq":4,"attempt":1,"targets":[2,5,3]}
 {"t":3000,"actor":7,"type":"retry_scheduled","client":9,"seq":4,"attempt":2,"delay_us":20000}
 {"t":4000,"actor":7,"type":"hedge_sent","client":9,"seq":4,"target":6}
-{"t":5000,"actor":7,"type":"reply_received","client":9,"seq":4,"from":2,"timely":true,"deferred":false,"staleness_us":1500000}
+{"t":5000,"actor":7,"type":"reply_received","client":9,"seq":4,"from":2,"timely":true,"deferred":false,"staleness":3}
 {"t":6000,"actor":7,"type":"busy_received","client":9,"seq":4,"from":5}
-{"t":7000,"actor":7,"type":"delivered","client":9,"seq":4,"response_us":104250,"timely":false}
-{"t":8000,"actor":7,"type":"gave_up","client":9,"seq":4,"response_us":3000000}
+{"t":7000,"actor":7,"type":"delivered","client":9,"seq":4,"response_us":104250,"timely":false,"deferred":true,"staleness":1,"degraded":true,"csn":12,"vector":[1,5,3,2],"result":"002aff"}
+{"t":8000,"actor":7,"type":"gave_up","client":9,"seq":4,"response_us":3000000,"degraded":false}
 {"t":9000,"actor":7,"type":"local_shed","client":9,"seq":4}
 {"t":10000,"actor":7,"type":"shed_read","client":9,"seq":4,"queue_depth":17}
 {"t":11000,"actor":7,"type":"shed_update","client":9,"seq":4,"backlog":64}
