@@ -40,7 +40,6 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use aqf_core::OrderingGuarantee;
 use aqf_obs::{Event, TraceRecord, RESOLVING_KINDS};
-use aqf_sim::ActorId;
 use aqf_stats::BinomialCi;
 use aqf_workload::{ObjectKind, ScenarioConfig};
 
@@ -282,11 +281,6 @@ fn check_sequential(per_client: &BTreeMap<u64, Vec<Op<'_>>>, out: &mut Vec<Viola
     }
 }
 
-/// A reply's version vector keyed by actor index.
-fn by_index(vector: &[(ActorId, u64)]) -> Vec<(u64, u64)> {
-    vector.iter().map(|&(a, n)| (a.index() as u64, n)).collect()
-}
-
 /// `a` dominates `b` when every entry of `b` is covered by `a`.
 fn dominates(a: &[(u64, u64)], b: &BTreeMap<u64, u64>) -> bool {
     let a: BTreeMap<u64, u64> = a.iter().copied().collect();
@@ -310,7 +304,8 @@ fn check_causal(per_client: &BTreeMap<u64, Vec<Op<'_>>>, out: &mut Vec<Violation
             let Some((_, Event::Delivered { vector, .. })) = op.resolved else {
                 continue;
             };
-            let vector = by_index(vector);
+            let vector: Vec<(u64, u64)> =
+                vector.iter().map(|&(a, n)| (a.index() as u64, n)).collect();
             if op.read && !vector.is_empty() && !dominates(&vector, &observed) {
                 out.push(Violation {
                     oracle: OracleKind::Causal,
@@ -522,6 +517,7 @@ fn check_timed(
 mod tests {
     use super::*;
     use aqf_obs::ReqId;
+    use aqf_sim::ActorId;
 
     /// `client`'s record at `at` µs of the event `make` builds for its
     /// request `seq`.

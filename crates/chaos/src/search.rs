@@ -4,9 +4,9 @@
 //! deterministically derives one fault schedule (via
 //! [`crate::generator::generate_faults`]) and one master RNG seed, replays
 //! the scenario traced, and judges the history the trace records with every
-//! applicable oracle. Everything is a pure function of
-//! `(base config, budget, seed)`, so a violating seed can be re-run — or
-//! handed to the shrinker — months later and fail identically.
+//! applicable oracle. Everything is a pure function of `(base config,
+//! budget, seed)`, so a violating seed can be re-run — or handed to the
+//! shrinker — months later and fail identically.
 
 use aqf_obs::{write_object, ObsHandle};
 use aqf_workload::{run_scenario_observed, ScenarioConfig};

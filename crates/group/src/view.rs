@@ -69,7 +69,8 @@ impl View {
         self.members.len()
     }
 
-    /// Whether the view has exactly one member. Views are never empty.
+    /// Whether the view has no members: always `false`, since [`View::new`]
+    /// and [`View::successor`] never build an empty view.
     pub fn is_empty(&self) -> bool {
         false
     }

@@ -339,12 +339,12 @@ impl ObjWriter<'_> {
     }
 
     /// Bytes as a string of lowercase hex digits, two per byte.
-    pub fn hex(&mut self, key: &str, bytes: &[u8]) {
+    pub(crate) fn hex(&mut self, key: &str, bytes: &[u8]) {
         self.key(key);
         self.out.push('"');
-        for b in bytes {
-            let _ = write!(self.out, "{b:02x}");
-        }
+        let digit = |d: u8| char::from_digit(d.into(), 16).expect("a nibble is one hex digit");
+        let digits = bytes.iter().flat_map(|&b| [digit(b >> 4), digit(b & 0xf)]);
+        self.out.extend(digits);
         self.out.push('"');
     }
 
