@@ -1651,9 +1651,8 @@ mod tests {
             };
             c.on_payload(a(1), Payload::Reply(reply), t(at + 50), &mut Vec::new());
         }
-        let report = obs.take_report().expect("enabled handle");
-        let h = report.metrics.histogram("client.staleness_versions");
-        let h = h.expect("read staleness is observed");
+        let metrics = obs.take_report().expect("enabled handle").metrics;
+        let h = metrics.histogram("client.staleness_versions").unwrap();
         assert_eq!((h.quantile(0.5), h.quantile(1.0)), (0, 3));
     }
 

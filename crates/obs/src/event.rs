@@ -510,8 +510,8 @@ pub(crate) mod tests {
         let kinds: std::collections::BTreeSet<_> = records.iter().map(|r| r.event.kind()).collect();
         assert_eq!(kinds.len(), 22, "one sample per event kind");
         for kind in RESOLVING_KINDS {
-            let sample = records.iter().find(|r| r.event.kind() == kind);
-            assert!(sample.is_some_and(|r| r.event.req().is_some()), "{kind}");
+            let lifecycle = |r: &TraceRecord| r.event.kind() == kind && r.event.req().is_some();
+            assert!(records.iter().any(lifecycle), "{kind} is a lifecycle kind");
         }
         let mut jsonl = String::new();
         for r in &records {

@@ -68,15 +68,13 @@ impl ObsHandle {
 
     /// Records a trace event. `make` runs only when enabled, so building
     /// the event (including any `Vec` it carries) costs nothing on the
-    /// disabled path.
+    /// disabled path, whose one branch is inlined at every call site
+    /// however large the event; the append itself stays out of line.
+    #[inline(always)]
     pub fn emit(&self, now: SimTime, actor: ActorId, make: impl FnOnce() -> Event) {
-        let Some(inner) = &self.inner else { return };
-        let mut report = inner.lock().expect("obs collector poisoned");
-        report.records.push(TraceRecord {
-            t_us: now.as_micros(),
-            actor,
-            event: make(),
-        });
+        if let Some(inner) = &self.inner {
+            append(inner, now, actor, make());
+        }
     }
 
     /// Records one histogram observation under `name` (created over
@@ -118,6 +116,13 @@ impl ObsHandle {
     }
 }
 
+/// Appends one record to an enabled collector.
+fn append(inner: &Mutex<ObsReport>, now: SimTime, actor: ActorId, event: Event) {
+    let t_us = now.as_micros();
+    let mut report = inner.lock().expect("obs collector poisoned");
+    report.records.push(TraceRecord { t_us, actor, event });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -143,10 +148,9 @@ mod tests {
     fn clones_share_one_collector() {
         let h = ObsHandle::enabled();
         let h2 = h.clone();
-        h.emit(SimTime::from_millis(1), ActorId::from_index(3), || {
-            Event::LocalShed {
-                req: ReqId::new(ActorId::from_index(3), 1),
-            }
+        let req = ReqId::new(ActorId::from_index(3), 1);
+        h.emit(SimTime::from_millis(1), req.client, || Event::LocalShed {
+            req,
         });
         h2.add("x", 2);
         let report = h.take_report().unwrap();
