@@ -4,10 +4,11 @@
 //! The history is a typed view over the [`TraceRecord`]s of an observed
 //! run: each client's `request_issued` joined, by its
 //! [`ReqId`](aqf_obs::ReqId), to the one event that resolved the request
-//! ([`RESOLVING_KINDS`]). Each oracle replays that history and checks the invariant its consistency level
-//! promises. Every check is *sound* — it only uses information the history
-//! actually proves, so a reported violation is a real protocol bug, never
-//! an artifact of the oracle's reconstruction being incomplete:
+//! ([`RESOLVING_KINDS`]). Each oracle replays that history and checks the
+//! invariant its consistency level promises. Every check is *sound* — it
+//! only uses information the history actually proves, so a reported
+//! violation is a real protocol bug, never an artifact of the oracle's
+//! reconstruction being incomplete:
 //!
 //! - **Sequential** (register workload): all replicas commit updates in a
 //!   single total order. Concretely: (1) no two different values are ever
