@@ -1,16 +1,26 @@
-//! Cost of the discrete convolutions at the heart of the response-time
-//! model (paper §5.2): `S (*) W` for immediate reads, `S (*) W (*) U` for
-//! deferred reads, across sliding-window sizes.
+//! Cost of the discrete convolutions of the paper's response-time model
+//! (§5.2): `S (*) W` for immediate reads, `S (*) W (*) U` for deferred
+//! reads, across sliding-window sizes — and of the counts over sorted
+//! windows that give the client the same CDF values without convolving.
 
 use aqf_sim::DelayModel;
-use aqf_stats::Pmf;
+use aqf_stats::{count_pairs_le, Pmf};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-fn window_pmf(model: &DelayModel, window: usize, seed: u64) -> Pmf {
+/// A window's samples, sorted.
+fn window_samples(model: &DelayModel, window: usize, seed: u64) -> Vec<u64> {
     let mut rng = SmallRng::seed_from_u64(seed);
-    Pmf::from_samples((0..window).map(|_| model.sample(&mut rng).as_micros()))
+    let mut samples: Vec<u64> = (0..window)
+        .map(|_| model.sample(&mut rng).as_micros())
+        .collect();
+    samples.sort_unstable();
+    samples
+}
+
+fn window_pmf(model: &DelayModel, window: usize, seed: u64) -> Pmf {
+    Pmf::from_samples(window_samples(model, window, seed).into_iter())
 }
 
 /// The pre-merge convolution: materialize every pairwise term, stable-sort
@@ -108,20 +118,25 @@ fn bench_convolution(c: &mut Criterion) {
         ab.bench_with_input(BenchmarkId::new("kway_sw_u", window), &window, |b, _| {
             b.iter(|| std::hint::black_box(sw.convolve(&u)))
         });
-        // The same merge stopped at a deadline: what the monitor's cache
-        // runs. Deferred waits span seconds and deadlines ~100 ms, so the
-        // limit sits low in the distribution — here its 5th percentile.
-        let full = sw.convolve(&u);
-        let limit = full
-            .iter()
-            .map(|(v, _)| v)
-            .find(|&v| full.cdf(v) >= 0.05)
-            .expect("a non-empty pmf reaches every percentile");
-        ab.bench_with_input(
-            BenchmarkId::new("kway_sw_u_upto_p5", window),
-            &window,
-            |b, _| b.iter(|| std::hint::black_box(sw.convolve_upto(&u, limit))),
+        // The deferred CDF at one deadline, counted over the sorted
+        // windows: what the client's response-time model runs in place of
+        // the two merges above.
+        let (s, w, u) = (
+            window_samples(&service, window, 1),
+            window_samples(&queue, window, 2),
+            window_samples(&deferred, window, 3),
         );
+        ab.bench_with_input(BenchmarkId::new("count_s_w_u", window), &window, |b, _| {
+            b.iter(|| {
+                let x = 150_000u64 - 1_000;
+                let triples: u64 = u
+                    .iter()
+                    .map_while(|&u| x.checked_sub(u))
+                    .map(|x| count_pairs_le(&s, &w, x))
+                    .sum();
+                std::hint::black_box(triples)
+            })
+        });
     }
     ab.finish();
 }

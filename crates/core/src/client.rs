@@ -63,8 +63,8 @@ pub struct ClientConfig {
     /// How the staleness factor is estimated (Eq. 4's Poisson form or the
     /// §5.1.3 empirical rate mixture).
     pub staleness_model: StalenessModel,
-    /// Optional bin width (µs) for the cached response-time distributions;
-    /// `None` keeps them exact. See [`MonitorConfig::cdf_bin_us`].
+    /// Optional bin width (µs) of the response-time distributions; `None`
+    /// keeps them exact. See [`MonitorConfig::cdf_bin_us`].
     pub cdf_bin_us: Option<u64>,
     /// The service's ordering guarantee: with [`OrderingGuarantee::Sequential`]
     /// reads go through the sequencer (leader of the primary group) and the
@@ -313,15 +313,9 @@ pub struct ClientStats {
     pub hedges: u64,
     /// Quarantine windows opened against suspected replicas.
     pub quarantines: u64,
-    /// CDF-engine queries answered from cache (no convolution work).
-    pub cdf_cache_hits: u64,
-    /// CDF-engine evaluator refreshes (cache misses requiring a shift
-    /// and/or convolution).
-    pub cdf_cache_misses: u64,
-    /// `S⊛W` base convolutions performed — at most one per window
-    /// generation per replica; the quantity Figure 3 bills at ~90% of the
-    /// selection overhead.
-    pub cdf_base_rebuilds: u64,
+    /// Response-time CDF evaluations (`F^I` or `F^D` of one replica at one
+    /// deadline, each a count over the sorted windows).
+    pub cdf_evaluations: u64,
     /// Explicit `Busy` rejections received from shedding replicas
     /// (classified apart from timeouts and gray faults; they never charge
     /// quarantine strikes).
@@ -510,13 +504,10 @@ impl ClientGateway {
         &self.detector
     }
 
-    /// Counters, with the repository's CDF-cache activity folded in.
+    /// Counters, with the repository's CDF evaluations folded in.
     pub fn stats(&self) -> ClientStats {
-        let cache = self.repo.cache_stats();
         ClientStats {
-            cdf_cache_hits: cache.hits,
-            cdf_cache_misses: cache.misses,
-            cdf_base_rebuilds: cache.base_rebuilds,
+            cdf_evaluations: self.repo.cdf_evaluations(),
             ..self.stats
         }
     }

@@ -9,16 +9,18 @@
 //! arrival rate and the time since the last lazy update.
 //!
 //! From this history the repository evaluates the conditional response-time
-//! distribution functions `F^I_Ri(d)` and `F^D_Ri(d)` by discrete
-//! convolution (Eqs. 5 and 6) and the staleness factor `P(A_s(t) <= a)`
-//! (Eq. 4).
+//! distribution functions `F^I_Ri(d)` and `F^D_Ri(d)` of Eqs. 5 and 6 and
+//! the staleness factor `P(A_s(t) <= a)` (Eq. 4). Every sample of a window
+//! has the same mass, so the convolutions' CDFs are counts of sample pairs
+//! (triples, deferred) over the sorted windows, divided once; no pmf is
+//! built on the read path.
 
 use crate::model::{Candidate, CandidateKey, CandidateSource};
 use crate::obs::{ObsEvent, ObsHandle};
 use crate::wire::{PerfBroadcast, PublisherInfo};
 use aqf_sim::{ActorId, SimDuration, SimTime};
-use aqf_stats::{poisson_cdf, Pmf, RateEstimator, SlidingWindow};
-use std::cell::{Cell, RefCell};
+use aqf_stats::{count_pairs_le, poisson_cdf, Pmf, RateEstimator, SlidingWindow};
+use std::cell::Cell;
 use std::collections::BTreeMap;
 
 /// How the staleness factor `P(A_s(t) <= a)` is estimated from the
@@ -47,14 +49,12 @@ pub struct MonitorConfig {
     pub rate_window: usize,
     /// The staleness-factor estimator.
     pub staleness_model: StalenessModel,
-    /// Optional bin width (µs) applied to cached response-time pmfs.
-    ///
-    /// An `S⊛W` convolution of two windows of size `l` has up to `l²`
-    /// support points and the deferred path convolves once more (up to
-    /// `l³`); binning onto multiples of this width caps that growth for
-    /// large windows. Rounding up makes every binned CDF a lower bound of
-    /// the exact one, so selection stays conservative. `None` (the
-    /// default) keeps the exact distributions.
+    /// Optional bin width (µs, positive) of the response-time
+    /// distributions: `S + W`, and on the deferred path the whole response
+    /// time, are rounded up to a multiple of it ([`Pmf::binned`]'s rule)
+    /// before they are compared with the deadline. Rounding up makes every
+    /// binned CDF a lower bound of the exact one, so selection stays
+    /// conservative. `None` (the default) keeps the exact distributions.
     pub cdf_bin_us: Option<u64>,
 }
 
@@ -68,67 +68,6 @@ impl Default for MonitorConfig {
         }
     }
 }
-
-/// Counters of the memoized CDF engine, exposed through client stats and
-/// scenario metrics so the cache's effectiveness on the selection hot path
-/// is observable end to end.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CdfCacheStats {
-    /// CDF evaluations answered entirely from a cached pmf (a binary-search
-    /// prefix-sum lookup, no convolution).
-    pub hits: u64,
-    /// CDF evaluations that had to rebuild `base`, `deferred` or both —
-    /// counted once per evaluation, however many layers it rebuilt.
-    pub misses: u64,
-    /// `S⊛W` base convolutions performed (at most one per window
-    /// generation — the paper's "computation of the response time
-    /// distribution function", ~90% of Figure 3's overhead).
-    pub base_rebuilds: u64,
-    /// Deferred evaluator refreshes (one `⊛U` convolution over the cached
-    /// base — never re-running the `S⊛W` convolution).
-    pub deferred_rebuilds: u64,
-}
-
-impl CdfCacheStats {
-    /// Total CDF evaluations served from the cache layers (hits + misses).
-    /// Evaluations of a replica without history return 0 before reaching
-    /// the cache and are not counted.
-    pub fn lookups(&self) -> u64 {
-        self.hits + self.misses
-    }
-}
-
-/// Memoized response-time distributions for one replica, keyed by the
-/// sliding-window generations (and gateway delay) they were computed from.
-///
-/// Two layers: `base = S⊛W` serves the immediate path directly — the
-/// gateway delay `G` is a point mass, so `F^I(d)` is `base.cdf(d − G)` and
-/// no shifted copy is kept — and `deferred = (base + G) ⊛ U` adds the
-/// deferred-wait window, with `G` entering as the merge's row offset. A new
-/// gateway delay therefore costs the immediate path nothing and the
-/// deferred path one `⊛U`, never an `S⊛W`.
-///
-/// Both layers hold only the part of their distribution at or below the
-/// `horizon`: Algorithm 1 reads `F(d)` and nothing else, so mass beyond the
-/// largest deadline asked about is never convolved.
-#[derive(Debug, Clone, Default)]
-struct CdfCache {
-    /// Response time (µs) up to which the layers are built: at least the
-    /// largest deadline this replica has been queried at. It outlives
-    /// window generations and only grows — to `max(d, 2 × horizon)` when a
-    /// deadline `d` beyond it arrives, so any order of deadlines costs a
-    /// logarithmic number of rebuilds per generation.
-    horizon: u64,
-    /// Cached `S⊛W` (binned when configured) and the key it was computed
-    /// at.
-    base: Option<(BaseKey, Pmf)>,
-    /// Cached `(base + G) ⊛ U` (binned when configured), keyed by the base
-    /// key, `gateway_us` and `u.generation`.
-    deferred: Option<((BaseKey, u64, u64), Pmf)>,
-}
-
-/// `(s.generation, w.generation, horizon)`.
-type BaseKey = (u64, u64, u64);
 
 /// Per-replica performance history.
 #[derive(Debug, Clone)]
@@ -154,10 +93,6 @@ pub struct ReplicaRecord {
     /// How many times the replica has been quarantined without an
     /// intervening reply; each level doubles the quarantine duration.
     quarantine_level: u32,
-    /// Memoized response-time distributions (interior-mutable: CDF queries
-    /// take `&self` throughout the selection path, and a warm cache must
-    /// be able to refresh itself during them).
-    cache: RefCell<CdfCache>,
 }
 
 impl ReplicaRecord {
@@ -171,7 +106,6 @@ impl ReplicaRecord {
             consecutive_timeouts: 0,
             quarantined_until: None,
             quarantine_level: 0,
-            cache: RefCell::new(CdfCache::default()),
         }
     }
 }
@@ -192,7 +126,8 @@ pub struct InfoRepository {
     replicas: BTreeMap<ActorId, ReplicaRecord>,
     rate: RateEstimator,
     publisher: Option<PublisherObservation>,
-    cache_stats: Cell<CdfCacheStats>,
+    /// Response-time CDF evaluations (see [`Self::cdf_evaluations`]).
+    evaluations: Cell<u64>,
     obs: ObsHandle,
     obs_owner: ActorId,
 }
@@ -205,7 +140,7 @@ impl InfoRepository {
             replicas: BTreeMap::new(),
             rate: RateEstimator::new(config.rate_window),
             publisher: None,
-            cache_stats: Cell::new(CdfCacheStats::default()),
+            evaluations: Cell::new(0),
             obs: ObsHandle::disabled(),
             obs_owner: ActorId::from_index(0),
         }
@@ -371,8 +306,8 @@ impl InfoRepository {
     }
 
     /// The candidates named by `keys` as a [`CandidateSource`]: `F^I(d)` and
-    /// `F^D(d)` are evaluated (through the cache) when the selection asks
-    /// for them, so replicas it never reaches cost no convolution.
+    /// `F^D(d)` are evaluated when the selection asks for them, so replicas
+    /// it never reaches cost nothing.
     pub fn on_demand<'a>(
         &'a self,
         keys: &'a [CandidateKey],
@@ -408,99 +343,56 @@ impl InfoRepository {
         }
     }
 
-    /// Evaluates the (cached) response-time distribution of `replica` at
-    /// `d_us` — the core of the memoized CDF engine.
+    /// Evaluates the response-time distribution of `replica` at `d_us` by
+    /// counting over the sorted windows.
     ///
-    /// The cache is a two-layer pipeline keyed by window generations:
+    /// Every sample of a window of `l` carries mass `1/l`, so the CDF of
+    /// the paper's convolution is exact integer counting:
     ///
-    /// 1. `base = S⊛W`, keyed by `(s.generation, w.generation, horizon)` —
-    ///    the only `O(l²)` convolution on the immediate path, performed at
-    ///    most once per window change and shared with the deferred path.
-    ///    The immediate path reads it in place: `F^I(d) = base.cdf(d − G)`,
-    ///    0 when `d < G` — the prefix sum a copy shifted by `G` returns at
-    ///    `d`, for every deadline below `u64::MAX` µs (at which a saturated
-    ///    sum could not be told from a real one);
-    /// 2. `deferred = (base + G) ⊛ U`, additionally keyed by the most recent
-    ///    gateway delay and `u.generation` — one merge over the cached base
-    ///    with `G` as its row offset ([`Pmf::shift_convolve_upto`]).
+    /// - immediate: `#{(s, w): s + w <= d − G} / (l_s·l_w)`, 0 when `d < G`;
+    /// - deferred: `Σ_u #{(s, w): s + w <= d − G − u} / (l_s·l_w·l_u)`, the
+    ///   sum running over sorted `U` until `d − G − u` goes negative.
     ///
-    /// Both convolutions stop at the replica's horizon (see [`CdfCache`]),
-    /// which is part of the base key: a deadline beyond it grows it and
-    /// rebuilds the layers. What is cached is a *prefix* of the full pmf —
-    /// the same support points with the same probabilities and prefix sums,
-    /// because [`Pmf::convolve_upto`] accumulates them in the same order —
-    /// and every layer reaches at least the horizon (`G` and `U` only move
-    /// mass up). With binning the limit is the horizon rounded up to a bin
-    /// boundary, so every cached bin holds all of its mass.
-    ///
-    /// A query against unchanged windows therefore costs one key compare
-    /// plus a binary-searched prefix-sum lookup. Results are bit-identical
-    /// to the from-scratch computation (see
-    /// [`Self::response_pmf_uncached`]) at every deadline.
+    /// With a bin width `b` the thresholds are floored, which is exactly
+    /// what rounding the sums up to bins does to the CDF: `s + w <=
+    /// ⌊(d − G)/b⌋·b` immediate, `s + w <= ⌊(⌊d/b⌋·b − G − u)/b⌋·b`
+    /// deferred. The result agrees with [`Self::response_pmf_uncached`]'s
+    /// CDF to rounding (the count is divided once, the convolution sums
+    /// products) wherever no sum reaches `u64::MAX`, where the convolution
+    /// saturates.
     fn response_cdf(&self, replica: ActorId, deferred: bool, d_us: u64) -> f64 {
         let Some(rec) = self.replicas.get(&replica) else {
             return 0.0;
         };
-        if rec.s.is_empty() || rec.w.is_empty() || (deferred && rec.u.is_empty()) {
+        let (s, w, u) = (rec.s.sorted(), rec.w.sorted(), rec.u.sorted());
+        if s.is_empty() || w.is_empty() || (deferred && u.is_empty()) {
             return 0.0;
         }
-        let mut cache = rec.cache.borrow_mut();
-        let cache = &mut *cache;
-        let mut stats = self.cache_stats.get();
-        if d_us > cache.horizon {
-            cache.horizon = d_us.max(cache.horizon.saturating_mul(2));
-        }
-        let bin = self.config.cdf_bin_us;
-        let limit = match bin {
-            Some(bin) => cache.horizon.div_ceil(bin).saturating_mul(bin),
-            None => cache.horizon,
-        };
-        let binned = |pmf: Pmf| match bin {
-            Some(bin) => pmf.binned(bin),
-            None => pmf,
-        };
-        let mut rebuilt = false;
-        let base_key = (rec.s.generation(), rec.w.generation(), cache.horizon);
-        if !matches!(cache.base, Some((key, _)) if key == base_key) {
-            let s = Pmf::from_samples(rec.s.iter());
-            let w = Pmf::from_samples(rec.w.iter());
-            cache.base = Some((base_key, binned(s.convolve_upto(&w, limit))));
-            stats.base_rebuilds += 1;
-            rebuilt = true;
-        }
-        let (_, base) = cache.base.as_ref().expect("base ensured above");
+        self.evaluations.set(self.evaluations.get() + 1);
+        let bin = self.config.cdf_bin_us.unwrap_or(1);
+        let floor = |x: u64| x / bin * bin;
+        let pairs = |x: u64| count_pairs_le(s, w, floor(x));
         let gateway = rec.last_gateway_us.unwrap_or(0);
-        let value = if deferred {
-            let deferred_key = (base_key, gateway, rec.u.generation());
-            if !matches!(cache.deferred, Some((key, _)) if key == deferred_key) {
-                let u = Pmf::from_samples(rec.u.iter());
-                let pmf = binned(base.shift_convolve_upto(gateway, &u, limit));
-                cache.deferred = Some((deferred_key, pmf));
-                stats.deferred_rebuilds += 1;
-                rebuilt = true;
-            }
-            let (_, pmf) = cache.deferred.as_ref().expect("deferred ensured above");
-            pmf.cdf(d_us)
-        } else {
-            d_us.checked_sub(gateway).map_or(0.0, |x| base.cdf(x))
-        };
-        if rebuilt {
-            stats.misses += 1;
-        } else {
-            stats.hits += 1;
+        let scale = (s.len() * w.len()) as f64;
+        if !deferred {
+            return d_us
+                .checked_sub(gateway)
+                .map_or(0.0, |x| pairs(x) as f64 / scale);
         }
-        self.cache_stats.set(stats);
-        value
+        let Some(x) = floor(d_us).checked_sub(gateway) else {
+            return 0.0;
+        };
+        let triples: u64 = u.iter().map_while(|&u| x.checked_sub(u)).map(pairs).sum();
+        triples as f64 / (scale * u.len() as f64)
     }
 
-    /// From-scratch recomputation of the response-time pmf, bypassing (and
-    /// never touching) the cache: fresh empirical pmfs from the windows,
-    /// one `S⊛W` convolution, the gateway shift, and — for the deferred
-    /// path — the `⊛U` convolution.
+    /// The response-time pmf as the paper computes it: fresh empirical pmfs
+    /// from the windows, one `S⊛W` convolution, the gateway shift, and —
+    /// for the deferred path — the `⊛U` convolution.
     ///
-    /// This is the seed's original evaluation path, kept as the reference
-    /// the cache is property-tested against (bit-identical results) and as
-    /// the "before" measurement in the Figure 3 overhead study.
+    /// Kept as the reference the counting evaluators are property-tested
+    /// against and as the "before" measurement in the Figure 3 overhead
+    /// study.
     pub fn response_pmf_uncached(&self, rec: &ReplicaRecord, deferred: bool) -> Option<Pmf> {
         let s = Pmf::from_samples(rec.s.iter());
         let w = Pmf::from_samples(rec.w.iter());
@@ -525,7 +417,7 @@ impl InfoRepository {
         Some(pmf)
     }
 
-    /// `F^I_Ri(d)` recomputed from scratch (no cache) — reference path for
+    /// `F^I_Ri(d)` through the paper's convolution — reference path for
     /// property tests and before/after benchmarks.
     pub fn immediate_cdf_uncached(&self, replica: ActorId, d: SimDuration) -> f64 {
         self.replicas
@@ -535,7 +427,7 @@ impl InfoRepository {
             .unwrap_or(0.0)
     }
 
-    /// `F^D_Ri(d)` recomputed from scratch (no cache) — reference path for
+    /// `F^D_Ri(d)` through the paper's convolution — reference path for
     /// property tests and before/after benchmarks.
     pub fn deferred_cdf_uncached(&self, replica: ActorId, d: SimDuration) -> f64 {
         let Some(rec) = self.replicas.get(&replica) else {
@@ -549,9 +441,11 @@ impl InfoRepository {
             .unwrap_or(0.0)
     }
 
-    /// Counters of the memoized CDF engine.
-    pub fn cache_stats(&self) -> CdfCacheStats {
-        self.cache_stats.get()
+    /// Response-time CDF evaluations made so far (`F^I` and `F^D` alike).
+    /// An evaluation of a replica without the history it needs returns 0
+    /// without counting.
+    pub fn cdf_evaluations(&self) -> u64 {
+        self.evaluations.get()
     }
 
     /// Direct access to a replica's record (diagnostics, benchmarks).
@@ -726,43 +620,6 @@ mod tests {
         assert_eq!(repo.deferred_cdf(r(1), SimDuration::from_millis(599)), 0.0);
         // 100 (S) + 0 (W) + 500 (U) = 600ms: all deferred mass is there.
         assert_eq!(repo.deferred_cdf(r(1), SimDuration::from_millis(600)), 1.0);
-    }
-
-    #[test]
-    fn cached_layers_are_prefixes_reaching_the_horizon() {
-        for bin in [None, Some(7_000)] {
-            let mut repo = InfoRepository::new(MonitorConfig {
-                cdf_bin_us: bin,
-                ..MonitorConfig::default()
-            });
-            let now = SimTime::from_secs(1);
-            for k in 0..20u64 {
-                let tb = if k % 2 == 0 { 2_000 + 9_100 * k } else { 0 };
-                repo.record_perf(r(1), &perf(40_000 + 6_300 * k, 650 * (k % 9), tb), now);
-            }
-            repo.record_reply(r(1), 20_000, now - SimDuration::from_micros(21_234), now);
-            let horizon = 123_457;
-            repo.deferred_cdf(r(1), SimDuration::from_micros(horizon));
-            let rec = repo.replica_record(r(1)).unwrap();
-            let cache = rec.cache.borrow();
-            assert_eq!(cache.horizon, horizon);
-            // The immediate layer is the base read `G` lower; shifting it
-            // here gives what the reference materializes.
-            let gateway = rec.last_gateway_us.unwrap();
-            let immediate = cache.base.as_ref().unwrap().1.shift(gateway);
-            let deferred = &cache.deferred.as_ref().unwrap().1;
-            for (cached, deferred) in [(&immediate, false), (deferred, true)] {
-                let full = repo.response_pmf_uncached(rec, deferred).unwrap();
-                let kept = cached.support_len();
-                assert!(
-                    kept < full.support_len(),
-                    "mass beyond the horizon left out"
-                );
-                assert!(cached.iter().eq(full.iter().take(kept)));
-                let (first_left_out, _) = full.iter().nth(kept).unwrap();
-                assert!(first_left_out > horizon);
-            }
-        }
     }
 
     #[test]

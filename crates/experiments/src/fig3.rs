@@ -8,19 +8,17 @@
 //! modern hardware, but the growth with replica count and window size, and
 //! the 90/10 split, are the reproduced shape.
 //!
-//! Since the memoized CDF engine landed, the model phase is measured twice:
-//! once through the from-scratch path (`build_candidates_uncached`, the
-//! seed's behaviour and the paper's cost model) and once through the cached
-//! path under repeated selections against unchanged windows (the steady
-//! state between measurement arrivals). In between sits the *cold* cached
-//! call — the first selection after the windows changed, which rebuilds
-//! every replica's layers, but only up to the deadline — measured both ways:
-//! evaluating every available replica, and demand-driven, where Algorithm 1
-//! pulls `F^I`/`F^D` only for the replicas its scan visits. The paper's
-//! curve grows with the number of *available* replicas because it evaluates
-//! them all; the demand-driven cost grows with the selected set `|K|`,
-//! which at `Pc = 0.9` is three to five replicas (the excluded best plus
-//! the two to four that reach it) however many are available.
+//! The model phase is measured three ways: through the paper's convolution
+//! (`model_uncached_us`, `build_candidates_uncached`: one `S⊛W` and, for
+//! secondaries, one `⊛U` per replica per call — the paper's cost model),
+//! through the client's count model evaluating every available replica
+//! (`model_us`: pair counts over the sorted windows, no pmf built), and
+//! demand-driven (`model_demand_us`), where Algorithm 1 pulls `F^I`/`F^D`
+//! through the count model only for the replicas its scan visits. The
+//! paper's curve grows with the number of *available* replicas because it
+//! evaluates them all; the demand-driven cost grows with the selected set
+//! `|K|`, which at `Pc = 0.9` is three to five replicas (the excluded best
+//! plus the two to four that reach it) however many are available.
 //! With `--csv DIR` the sweep is written as `fig3_selection_overhead.csv`;
 //! the repo benchmark's `core.client.select_us.*` rows track three of its
 //! points on every run.
@@ -40,29 +38,25 @@ pub struct OverheadPoint {
     pub replicas: usize,
     /// Sliding-window size.
     pub window: usize,
-    /// Mean total selection overhead (µs): cached model + Algorithm 1.
+    /// Mean total selection overhead (µs): count model + Algorithm 1.
     pub total_us: f64,
-    /// Mean distribution-function computation time (µs), cached engine,
-    /// repeated selections over unchanged windows.
+    /// Mean distribution-function computation time (µs) of the count model,
+    /// every available replica evaluated.
     pub model_us: f64,
-    /// Mean distribution-function computation time (µs), cached engine,
-    /// first selection on an empty cache: every layer of every replica is
-    /// rebuilt, bounded by the deadline.
-    pub model_cold_us: f64,
-    /// Mean time (µs) of a demand-driven selection on an empty cache:
-    /// Algorithm 1 at `Pc = 0.9` pulling `F^I`/`F^D` for the replicas it
-    /// visits — the scan decides what is evaluated, so its own (small) cost
-    /// is inside this number.
+    /// Mean time (µs) of a demand-driven selection: Algorithm 1 at
+    /// `Pc = 0.9` pulling `F^I`/`F^D` from the count model for the replicas
+    /// it visits — the scan decides what is evaluated, so its own (small)
+    /// cost is inside this number.
     pub model_demand_us: f64,
-    /// Mean distribution-function computation time (µs) through the
-    /// from-scratch path (one `S⊛W` convolution per replica per call).
+    /// Mean distribution-function computation time (µs) through the paper's
+    /// convolution (one `S⊛W` convolution per replica per call).
     pub model_uncached_us: f64,
     /// Mean Algorithm 1 time (µs).
     pub algorithm_us: f64,
 }
 
 impl OverheadPoint {
-    /// Speedup of the cached model phase over the from-scratch one.
+    /// Speedup of the count model over the paper's convolution.
     pub fn speedup(&self) -> f64 {
         self.model_uncached_us / self.model_us
     }
@@ -77,8 +71,8 @@ pub fn measure_point(replicas: usize, window: usize, iters: u32) -> OverheadPoin
     let n_primaries = replicas.div_ceil(3);
     let sequencer = ActorId::from_index(0);
 
-    // "Before": evaluating F^I and F^D for every replica from scratch,
-    // re-running the S⊛W convolutions on every call (seed behaviour).
+    // "Before": evaluating F^I and F^D for every replica through the paper's
+    // convolution, re-running the S⊛W convolutions on every call.
     let t0 = Instant::now();
     for _ in 0..iters {
         let c = build_candidates_uncached(&repo, replicas, n_primaries, deadline, now);
@@ -86,47 +80,24 @@ pub fn measure_point(replicas: usize, window: usize, iters: u32) -> OverheadPoin
     }
     let model_uncached_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
 
-    // Cold cache: the uncached path above never touches it, so every clone
-    // starts empty and the timed call rebuilds all layers up to `deadline`.
-    let mut cold = std::time::Duration::ZERO;
-    for _ in 0..iters {
-        let fresh = repo.clone();
-        let t0 = Instant::now();
-        let c = build_candidates(&fresh, replicas, n_primaries, deadline, now);
-        cold += t0.elapsed();
-        std::hint::black_box(&c);
-    }
-    let model_cold_us = cold.as_secs_f64() * 1e6 / iters as f64;
-
-    // The same cold start, demand-driven: only what the scan visits before
-    // reaching Pc = 0.9 is evaluated.
+    // Demand-driven: only what the scan visits before reaching Pc = 0.9 is
+    // evaluated.
     let keys = candidate_keys(&repo, replicas, n_primaries, now);
     let stale_factor = repo.staleness_factor(2, now);
-    let mut demand = std::time::Duration::ZERO;
+    let t0 = Instant::now();
     for _ in 0..iters {
-        let fresh = repo.clone();
-        let t0 = Instant::now();
         let s = select_on_demand(
-            &mut fresh.on_demand(&keys, deadline),
+            &mut repo.on_demand(&keys, deadline),
             stale_factor,
             0.9,
             Some(sequencer),
             CandidateOrder::LeastRecentlyUsed,
         );
-        demand += t0.elapsed();
         std::hint::black_box(&s);
     }
-    let model_demand_us = demand.as_secs_f64() * 1e6 / iters as f64;
+    let model_demand_us = t0.elapsed().as_secs_f64() * 1e6 / iters as f64;
 
-    // "After": the cached engine under repeated selections against
-    // unchanged windows. Warm once so every timed iteration is a repeat.
-    std::hint::black_box(build_candidates(
-        &repo,
-        replicas,
-        n_primaries,
-        deadline,
-        now,
-    ));
+    // "After": the count model over every replica.
     let t0 = Instant::now();
     for _ in 0..iters {
         let c = build_candidates(&repo, replicas, n_primaries, deadline, now);
@@ -148,7 +119,6 @@ pub fn measure_point(replicas: usize, window: usize, iters: u32) -> OverheadPoin
         window,
         total_us: model_us + algorithm_us,
         model_us,
-        model_cold_us,
         model_demand_us,
         model_uncached_us,
         algorithm_us,
@@ -165,10 +135,9 @@ pub fn run(iters: u32, out: &Output) -> Vec<OverheadPoint> {
             "window=10 total",
             "window=20 total",
             "w20 model(uncached)",
-            "w20 model(cold)",
             "w10 demand_model_us",
             "w20 demand_model_us",
-            "w20 model(cached)",
+            "w20 model(count)",
             "w20 alg1",
             "w20 speedup",
         ],
@@ -183,7 +152,6 @@ pub fn run(iters: u32, out: &Output) -> Vec<OverheadPoint> {
             format!("{:.1}", p10.total_us),
             format!("{:.1}", p20.total_us),
             format!("{:.1}", p20.model_uncached_us),
-            format!("{:.1}", p20.model_cold_us),
             format!("{:.1}", p10.model_demand_us),
             format!("{:.1}", p20.model_demand_us),
             format!("{:.2}", p20.model_us),
@@ -195,13 +163,11 @@ pub fn run(iters: u32, out: &Output) -> Vec<OverheadPoint> {
     }
     out.emit(&table, "fig3_selection_overhead");
 
-    // The ISSUE-2 acceptance point: repeated selections over unchanged
-    // windows, window size 20, 16 replicas — the sweep's last point.
+    // The headline point: window size 20, 16 replicas — the sweep's last.
     let acceptance = *points.last().expect("the sweep is not empty");
     println!(
-        "\nacceptance (window 20, 16 replicas): model {:.1} us uncached, {:.1} us cold ({:.1} us demand-driven) -> {:.2} us, {:.0}x speedup",
+        "\nwindow 20, 16 replicas: model {:.1} us convolved, {:.1} us demand-driven, {:.2} us counted for all, {:.0}x speedup",
         acceptance.model_uncached_us,
-        acceptance.model_cold_us,
         acceptance.model_demand_us,
         acceptance.model_us,
         acceptance.speedup(),
@@ -210,8 +176,8 @@ pub fn run(iters: u32, out: &Output) -> Vec<OverheadPoint> {
     println!(
         "paper shape: overhead grows with replicas and window size; the\n\
          distribution-function computation dominates (~90% in the paper)\n\
-         on the from-scratch path; the cached engine removes it from the\n\
-         steady-state request path, and evaluating on demand makes what is\n\
+         through the convolution; counting over sorted windows removes it\n\
+         from the request path, and evaluating on demand makes what is\n\
          left grow with the selected set, not with the available replicas."
     );
     points
@@ -227,11 +193,10 @@ mod tests {
         assert_eq!((p.replicas, p.window), (4, 10));
         assert!(p.total_us > 0.0);
         assert!(p.model_us <= p.total_us);
-        assert!(p.model_uncached_us > 0.0);
-        assert!(p.model_cold_us > p.model_us, "a cold call rebuilds");
+        assert!(p.model_demand_us > 0.0);
         assert!(
-            p.model_demand_us > p.model_us,
-            "and so does a demand-driven one"
+            p.model_uncached_us > p.model_us,
+            "counting is cheaper than convolving"
         );
         assert!(p.algorithm_us < p.total_us);
     }

@@ -5,10 +5,13 @@
 //!
 //! * [`SlidingWindow`] — fixed-capacity windows of recent performance
 //!   measurements (the paper's "information repository" windows of size `l`),
+//!   each with a sorted view,
 //! * [`Pmf`] — empirical probability mass functions over integer-valued
 //!   samples (microsecond durations), with the discrete convolution used to
 //!   combine service time, queueing delay, gateway delay, and deferred-wait
-//!   distributions into a response-time distribution (paper §5.2),
+//!   distributions into a response-time distribution (paper §5.2), and
+//!   [`count_pairs_le`], which reads the same distribution's CDF off two
+//!   sorted windows by counting,
 //! * [`poisson`] — the Poisson cumulative distribution used for the
 //!   staleness factor `P(A_s(t) <= a)` (paper Eq. 4),
 //! * [`RateEstimator`] — the windowed arrival-rate estimator
@@ -50,7 +53,7 @@ pub mod summary;
 pub mod window;
 
 pub use ci::BinomialCi;
-pub use pmf::Pmf;
+pub use pmf::{count_pairs_le, Pmf};
 pub use poisson::poisson_cdf;
 pub use rate::RateEstimator;
 pub use summary::Summary;

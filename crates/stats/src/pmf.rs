@@ -8,23 +8,27 @@
 //! in the sliding window". The value of the response-time distribution
 //! function `F_{R_i}(d)` is then read off the accumulated pmf.
 //!
+//! [`Pmf::convolve`] is that computation, kept as the paper's reference:
+//! Figure 3's "before" and the oracle the client's model is tested against.
+//! The client itself no longer convolves. Every sample of a window of `l`
+//! has mass `1/l`, so the convolution's CDF at `x` is a count of sample
+//! pairs whose sum is at most `x`, divided once; [`count_pairs_le`] counts
+//! them over two sorted windows in `O(l)`.
+//!
 //! Samples are `u64` microsecond counts. The pmf is stored sparsely as a
 //! sorted vector of `(value, probability)` pairs, so convolving two windows
-//! of size `l` costs `O(l^2 log l)` — this cost is exactly what the paper's
-//! Figure 3 measures as "computation of the response time distribution
-//! function" (90% of the selection overhead). The convolution runs as a
-//! k-way merge over the lines of the product grid's shorter side, so it
-//! never materializes the `l^2` pair table that a sort-based implementation
-//! needs.
+//! of size `l` costs `O(l^2 log l)`. The convolution runs as a k-way merge
+//! over the lines of the product grid's shorter side, so it never
+//! materializes the `l^2` pair table that a sort-based implementation needs.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Upper bound on the output reservation [`Pmf::convolve_upto`] makes. The
-/// support size is at most the number of product terms within the limit
-/// but usually far smaller (sums collide); capping the guess keeps a pair
-/// of wide pmfs from reserving quadratic memory up front, while `Vec`
-/// growth amortizes the rare larger result.
+/// Upper bound on the output reservation [`Pmf::convolve`] makes. The
+/// support size is at most the number of product terms but usually far
+/// smaller (sums collide); capping the guess keeps a pair of wide pmfs from
+/// reserving quadratic memory up front, while `Vec` growth amortizes the
+/// rare larger result.
 const CONVOLVE_RESERVE_CAP: usize = 4096;
 
 /// A sparse empirical probability mass function over `u64` sample values.
@@ -45,9 +49,7 @@ pub struct Pmf {
     points: Vec<(u64, f64)>,
     /// Prefix sums of the probabilities: `cum[i] = sum(points[..=i].1)`.
     /// Precomputed once at construction so every CDF query is a binary
-    /// search plus one lookup instead of a linear accumulation — the hot
-    /// operation of the cached CDF engine, which evaluates a memoized
-    /// response-time pmf at many deadlines between window changes.
+    /// search plus one lookup instead of a linear accumulation.
     cum: Vec<f64>,
 }
 
@@ -173,8 +175,7 @@ impl Pmf {
     /// Cumulative distribution function `P(X <= x)`.
     ///
     /// A binary search over the support plus one prefix-sum lookup —
-    /// `O(log n)` rather than a linear accumulation, so repeated deadline
-    /// queries against a cached response-time pmf stay cheap.
+    /// `O(log n)` rather than a linear accumulation.
     ///
     /// An empty pmf returns 0 for every `x` ("no information recorded yet"),
     /// which makes a replica with no history look unable to meet any
@@ -204,33 +205,13 @@ impl Pmf {
     /// Convolving with an empty pmf yields an empty pmf (the sum of an
     /// unknown quantity is unknown).
     pub fn convolve(&self, other: &Pmf) -> Pmf {
-        self.convolve_upto(other, u64::MAX)
-    }
-
-    /// The part of [`Self::convolve`] at or below `limit`: every support
-    /// point `<= limit` of the full convolution, with bit-identical
-    /// probabilities and prefix sums, and nothing above it.
-    ///
-    /// A caller that only reads `cdf(x)` for `x <= limit` — Algorithm 1
-    /// reads one value, at the client's deadline — gets the same answers
-    /// without paying for the mass beyond it; the cost is proportional to
-    /// the product terms at or below `limit`, not to `l1 * l2`.
-    pub fn convolve_upto(&self, other: &Pmf, limit: u64) -> Pmf {
-        self.shift_convolve_upto(0, other, limit)
-    }
-
-    /// `self.shift(offset).convolve_upto(other, limit)` without building the
-    /// shifted copy: `offset` is added to every row value as the merge reads
-    /// it. This is how the gateway delay `G` enters the deferred-read
-    /// distribution `(S ⊛ W + G) ⊛ U`.
-    pub fn shift_convolve_upto(&self, offset: u64, other: &Pmf, limit: u64) -> Pmf {
-        // Term `(i, j)` of the product grid is `(v1_i + offset + v2_j,
-        // p1_i * p2_j)`. Both sides are sorted, so the grid is sorted along
-        // each row and along each column, and a k-way merge over the lines
-        // of either direction emits the sums in order without materializing
-        // (or sorting) the `l1 * l2` pair table. The lines are taken along
-        // the side with fewer points — the heap holds one entry per line,
-        // so `250 x 3` merges 3 lines, not 250.
+        // Term `(i, j)` of the product grid is `(v1_i + v2_j, p1_i * p2_j)`.
+        // Both sides are sorted, so the grid is sorted along each row and
+        // along each column, and a k-way merge over the lines of either
+        // direction emits the sums in order without materializing (or
+        // sorting) the `l1 * l2` pair table. The lines are taken along the
+        // side with fewer points — the heap holds one entry per line, so
+        // `250 x 3` merges 3 lines, not 250.
         //
         // Equal sums must accumulate in `(i, j)` generation order, the order
         // the former stable sort (and the `BTreeMap` before it) added them
@@ -238,38 +219,14 @@ impl Pmf {
         // therefore `(sum, i, j)` whichever side supplies the lines: the
         // lines are each ascending in it, so the merge is too. Below
         // saturation equal sums have distinct `i` (and `j` strictly
-        // decreasing as `i` grows, which is why popping column lines by
-        // *descending* column is the same rule); at `u64::MAX` several terms
-        // of one row can tie and `j` decides. Leaving out the terms above
-        // `limit` removes nothing from that order below it, so the bounded
-        // result is a prefix of the unbounded one. This is the hottest
-        // function of the whole evaluation pipeline (response-time model
-        // rebuilds).
-        let sum = |v1: u64, v2: u64| v1.saturating_add(offset).saturating_add(v2);
-        let (Some(&(first_row, _)), Some(&(first_col, _))) =
-            (self.points.first(), other.points.first())
-        else {
+        // decreasing as `i` grows); at `u64::MAX` several terms of one row
+        // can tie and `j` decides.
+        let sum = |v1: u64, v2: u64| v1.saturating_add(v2);
+        let (rows, cols) = (&self.points, &other.points);
+        let (Some(&(first_row, _)), Some(&(first_col, _))) = (rows.first(), cols.first()) else {
             return Pmf::with_points(Vec::new());
         };
-        // The rows and columns whose first sum is within the limit form a
-        // prefix of each side, and only they enter the merge.
-        let rows = &self.points[..self
-            .points
-            .partition_point(|&(v1, _)| sum(v1, first_col) <= limit)];
-        let cols = &other.points[..other
-            .points
-            .partition_point(|&(v2, _)| sum(first_row, v2) <= limit)];
-        // Terms at or below the limit, counted with one backwards walk over
-        // the columns (a later row admits no more columns than an earlier
-        // one): the most points the result can have.
-        let mut terms = 0usize;
-        let mut row_cols = cols.len();
-        for &(v1, _) in rows {
-            while sum(v1, cols[row_cols - 1].0) > limit {
-                row_cols -= 1;
-            }
-            terms += row_cols;
-        }
+        let terms = rows.len() * cols.len();
         let mut points: Vec<(u64, f64)> = Vec::with_capacity(terms.min(CONVOLVE_RESERVE_CAP));
         // One heap entry per line, holding the line's next term.
         let along_rows = rows.len() <= cols.len();
@@ -292,11 +249,9 @@ impl Pmf {
                 Some(last) if last.0 == s => last.1 += p,
                 _ => points.push((s, p)),
             }
-            // The line retires at its end or as soon as its next sum passes
-            // the limit (the ones after it are larger still).
             let (i, j) = if along_rows { (i, j + 1) } else { (i + 1, j) };
             match (rows.get(i), cols.get(j)) {
-                (Some(&(v1, _)), Some(&(v2, _))) if sum(v1, v2) <= limit => {
+                (Some(&(v1, _)), Some(&(v2, _))) => {
                     *top = Reverse((sum(v1, v2), i, j));
                     // `top` drops here and sifts the replaced entry down.
                 }
@@ -350,6 +305,39 @@ impl Pmf {
     pub fn total_mass(&self) -> f64 {
         self.points.iter().map(|&(_, p)| p).sum()
     }
+}
+
+/// The number of pairs `(i, j)` with `a[i] + b[j] <= x`, for `a` and `b`
+/// sorted ascending: `|a| · |b|` times the CDF at `x` of
+/// `Pmf::from_samples(a).convolve(&Pmf::from_samples(b))`, as an exact
+/// integer.
+///
+/// Two pointers, `O(|a| + |b|)`: as `a[i]` grows the largest admissible
+/// `b[j]` can only shrink. Sums are exact — they do not saturate at
+/// `u64::MAX` as [`Pmf::convolve`]'s do.
+///
+/// ```
+/// use aqf_stats::count_pairs_le;
+///
+/// // 1+10, 1+20 and 2+10 are within 21; 2+20 is not.
+/// assert_eq!(count_pairs_le(&[1, 2], &[10, 20], 21), 3);
+/// ```
+pub fn count_pairs_le(a: &[u64], b: &[u64], x: u64) -> u64 {
+    let mut admitted = b.len();
+    let mut count = 0u64;
+    for &ai in a {
+        let Some(rest) = x.checked_sub(ai) else {
+            break;
+        };
+        while admitted > 0 && b[admitted - 1] > rest {
+            admitted -= 1;
+        }
+        if admitted == 0 {
+            break;
+        }
+        count += admitted as u64;
+    }
+    count
 }
 
 /// Error returned by [`Pmf::from_points`].
@@ -422,59 +410,6 @@ mod tests {
         for ((va, pa), &(ve, pe)) in actual.iter().zip(expected) {
             assert_eq!(va, ve);
             assert_eq!(pa.to_bits(), pe.to_bits(), "probability at {va} differs");
-        }
-    }
-
-    /// Checks, at limits on every side of the support, that the bounded
-    /// convolution is the part of the full one at or below the limit — bit
-    /// for bit in the points and in the prefix sums `cdf` reads.
-    fn assert_bounded_is_prefix(a: &Pmf, b: &Pmf, pick: usize) {
-        let full = a.convolve(b);
-        let (smallest, largest) = (full.points[0].0, full.points[full.points.len() - 1].0);
-        let on_point = full.points[pick % full.points.len()].0;
-        for limit in [
-            0,
-            smallest.saturating_sub(1),
-            on_point,
-            on_point.saturating_add(1),
-            largest.saturating_add(1),
-            u64::MAX - 1,
-            u64::MAX,
-        ] {
-            let bounded = a.convolve_upto(b, limit);
-            let kept = full.points.partition_point(|&(v, _)| v <= limit);
-            assert_bit_identical(&bounded, &full.points[..kept]);
-            let bits = |cum: &[f64]| cum.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&bounded.cum), bits(&full.cum[..kept]), "limit {limit}");
-        }
-    }
-
-    /// Checks the offset merge against both things it must equal — the
-    /// merge of a materialized shifted copy, and the `BTreeMap` accumulator
-    /// over that copy cut at the limit — bit for bit in the points and in
-    /// the prefix sums, at limits on every side of the support.
-    fn assert_offset_merge_matches_reference(a: &Pmf, offset: u64, b: &Pmf, pick: usize) {
-        let shifted = a.shift(offset);
-        let full = Pmf::with_points(convolve_btree_reference(&shifted, b));
-        let (smallest, largest) = (full.points[0].0, full.points[full.points.len() - 1].0);
-        let on_point = full.points[pick % full.points.len()].0;
-        for limit in [
-            0,
-            smallest.saturating_sub(1),
-            on_point,
-            on_point.saturating_add(1),
-            largest.saturating_add(1),
-            u64::MAX,
-        ] {
-            let kept = full.points.partition_point(|&(v, _)| v <= limit);
-            let bits = |cum: &[f64]| cum.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
-            for merged in [
-                a.shift_convolve_upto(offset, b, limit),
-                shifted.convolve_upto(b, limit),
-            ] {
-                assert_bit_identical(&merged, &full.points[..kept]);
-                assert_eq!(bits(&merged.cum), bits(&full.cum[..kept]), "limit {limit}");
-            }
         }
     }
 
@@ -650,43 +585,24 @@ mod tests {
         }
 
         #[test]
-        fn convolve_upto_is_bit_identical_prefix_of_convolve(
-            a in proptest::collection::vec(0u64..5_000, 1..40),
-            b in proptest::collection::vec(0u64..5_000, 1..40),
-            pick in 0usize..2_000,
-            // The second offset pushes part of the sums into saturation.
-            offset in [0u64, u64::MAX - 6_000],
+        fn count_pairs_le_is_the_scaled_convolution_cdf(
+            // A narrow range, so duplicates and colliding sums are the rule.
+            a in proptest::collection::vec(0u64..200, 1..=20),
+            b in proptest::collection::vec(0u64..200, 1..=20),
+            x in 0u64..450,
         ) {
-            let pa = Pmf::from_samples(a.into_iter().map(|v| v + offset));
-            let single = Pmf::point_mass(b[0]);
-            let pb = Pmf::from_samples(b.into_iter());
-            assert_bounded_is_prefix(&pa, &pb, pick);
-            assert_bounded_is_prefix(&pb, &pa, pick);
-            // One column on the right: the shift-and-scale fast path.
-            assert_bounded_is_prefix(&pa, &single, pick);
-        }
-
-        #[test]
-        fn offset_merge_bit_identical_where_ties_are_the_rule(
-            // Multiples of 50 below 1000: twenty lattice points a side, so
-            // most sums collide three or more ways and the tie order decides
-            // nearly every probability.
-            a in proptest::collection::vec(0u64..20, 1..=40),
-            b in proptest::collection::vec(0u64..20, 1..=40),
-            pick in 0usize..2_000,
-            // The last offset pushes part of the sums into saturation, where
-            // several terms of one row tie at `u64::MAX`.
-            offset in [0u64, 50, 175, u64::MAX - 1_500],
-        ) {
-            let single = Pmf::point_mass(b[0] * 50);
-            let pa = Pmf::from_samples(a.into_iter().map(|v| v * 50));
-            let pb = Pmf::from_samples(b.into_iter().map(|v| v * 50));
-            // Either side shorter, both the same length, one column.
-            assert_offset_merge_matches_reference(&pa, offset, &pb, pick);
-            assert_offset_merge_matches_reference(&pb, offset, &pa, pick);
-            assert_offset_merge_matches_reference(&pa, offset, &pa, pick);
-            assert_offset_merge_matches_reference(&pa, offset, &single, pick);
-            assert_offset_merge_matches_reference(&single, offset, &pa, pick);
+            let (mut a, mut b) = (a, b);
+            a.sort_unstable();
+            b.sort_unstable();
+            let brute = a.iter().flat_map(|&ai| b.iter().map(move |&bj| ai + bj))
+                .filter(|&sum| sum <= x)
+                .count() as u64;
+            prop_assert_eq!(count_pairs_le(&a, &b, x), brute);
+            let cdf = Pmf::from_samples(a.iter().copied())
+                .convolve(&Pmf::from_samples(b.iter().copied()))
+                .cdf(x);
+            let counted = brute as f64 / (a.len() * b.len()) as f64;
+            prop_assert!((cdf - counted).abs() < 1e-12, "{} vs {}", cdf, counted);
         }
 
         #[test]

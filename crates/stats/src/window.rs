@@ -11,7 +11,9 @@ use std::collections::VecDeque;
 /// A fixed-capacity window retaining only the most recent measurements.
 ///
 /// Pushing beyond the capacity evicts the oldest entry. The window never
-/// allocates beyond its capacity.
+/// allocates beyond its capacity. Beside the arrival-order ring it keeps the
+/// same measurements sorted, which is what the response-time model counts
+/// over ([`crate::count_pairs_le`]).
 ///
 /// # Example
 ///
@@ -23,12 +25,15 @@ use std::collections::VecDeque;
 ///     w.push(v);
 /// }
 /// assert_eq!(w.iter().collect::<Vec<_>>(), vec![3, 4, 5]);
+/// w.push(1);
+/// assert_eq!(w.sorted(), &[1, 4, 5]);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlidingWindow {
     buf: VecDeque<u64>,
+    /// The contents of `buf` in ascending order.
+    sorted: Vec<u64>,
     capacity: usize,
-    generation: u64,
 }
 
 impl SlidingWindow {
@@ -41,26 +46,23 @@ impl SlidingWindow {
         assert!(capacity > 0, "sliding window capacity must be positive");
         Self {
             buf: VecDeque::with_capacity(capacity),
+            sorted: Vec::with_capacity(capacity),
             capacity,
-            generation: 0,
         }
     }
 
     /// Records a new measurement, evicting the oldest if the window is full.
+    /// Keeping the sorted view costs one `O(l)` remove and one `O(l)` insert.
     pub fn push(&mut self, value: u64) {
         if self.buf.len() == self.capacity {
-            self.buf.pop_front();
+            if let Some(evicted) = self.buf.pop_front() {
+                let at = self.sorted.partition_point(|&v| v < evicted);
+                self.sorted.remove(at);
+            }
         }
         self.buf.push_back(value);
-        self.generation += 1;
-    }
-
-    /// Monotone counter bumped by every content change ([`Self::push`] and
-    /// [`Self::clear`]). Two reads of the same window with equal generations
-    /// are guaranteed to see identical contents, which is what lets derived
-    /// quantities (empirical pmfs, convolutions) be memoized against it.
-    pub fn generation(&self) -> u64 {
-        self.generation
+        let at = self.sorted.partition_point(|&v| v <= value);
+        self.sorted.insert(at, value);
     }
 
     /// Number of measurements currently held.
@@ -81,6 +83,11 @@ impl SlidingWindow {
     /// Iterates over the retained measurements from oldest to newest.
     pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
         self.buf.iter().copied()
+    }
+
+    /// The retained measurements in ascending order.
+    pub fn sorted(&self) -> &[u64] {
+        &self.sorted
     }
 
     /// The most recently recorded measurement, if any.
@@ -105,7 +112,7 @@ impl SlidingWindow {
     /// Removes all retained measurements.
     pub fn clear(&mut self) {
         self.buf.clear();
-        self.generation += 1;
+        self.sorted.clear();
     }
 }
 
@@ -167,19 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn generation_tracks_every_content_change() {
-        let mut w = SlidingWindow::new(2);
-        assert_eq!(w.generation(), 0);
-        w.push(1);
-        w.push(2);
-        assert_eq!(w.generation(), 2);
-        w.push(3); // eviction still changes contents
-        assert_eq!(w.generation(), 3);
-        w.clear();
-        assert_eq!(w.generation(), 4);
-    }
-
-    #[test]
     fn extend_beyond_capacity() {
         let mut w = SlidingWindow::new(3);
         w.extend(0..100u64);
@@ -202,6 +196,24 @@ mod tests {
             w.extend(values.iter().copied());
             let start = values.len().saturating_sub(cap);
             prop_assert_eq!(w.iter().collect::<Vec<_>>(), values[start..].to_vec());
+        }
+
+        #[test]
+        fn sorted_view_tracks_contents(
+            cap in 1usize..32,
+            // A narrow range, so duplicates are the rule; 16 clears.
+            ops in proptest::collection::vec(0u64..=16, 0..160),
+        ) {
+            let mut w = SlidingWindow::new(cap);
+            for op in ops {
+                match op {
+                    16 => w.clear(),
+                    v => w.push(v),
+                }
+                let mut expected: Vec<u64> = w.iter().collect();
+                expected.sort_unstable();
+                prop_assert_eq!(w.sorted(), &expected[..]);
+            }
         }
     }
 }

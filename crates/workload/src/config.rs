@@ -172,9 +172,9 @@ pub struct ScenarioConfig {
     pub lazy_interval: SimDuration,
     /// Sliding-window size `l` of the client repositories.
     pub window_size: usize,
-    /// Optional bin width (µs) for the cached response-time pmfs of the
-    /// client repositories; `None` keeps exact support. Bounds memory for
-    /// long-tailed windows at a small resolution cost.
+    /// Optional bin width (µs) of the client repositories' response-time
+    /// distributions (positive); `None` keeps them exact. See
+    /// `MonitorConfig::cdf_bin_us`.
     pub cdf_bin_us: Option<u64>,
     /// Virtual cost of each selection (Figure 3 territory).
     pub selection_overhead: SimDuration,
@@ -311,6 +311,9 @@ impl ScenarioConfig {
         }
         if self.window_size == 0 {
             return Err("window size must be positive".into());
+        }
+        if self.cdf_bin_us == Some(0) {
+            return Err("CDF bin width must be positive".into());
         }
         if !(0.0..=1.0).contains(&self.loss_probability) {
             return Err("loss probability must be in [0, 1]".into());
@@ -536,6 +539,12 @@ mod tests {
         let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
         c.window_size = 0;
         assert!(c.validate().is_err());
+
+        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
+        c.cdf_bin_us = Some(0);
+        assert!(c.validate().is_err());
+        c.cdf_bin_us = Some(1);
+        assert!(c.validate().is_ok());
 
         let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
         c.failure_timeout = SimDuration::from_millis(1500); // < 2 ticks

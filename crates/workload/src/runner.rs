@@ -49,13 +49,12 @@ pub struct ClientOutcome {
     pub hedges: u64,
     /// Quarantine windows opened against suspected replicas.
     pub quarantines: u64,
-    /// Response-time CDF queries answered from the repository's memoized
-    /// pmf (no convolution performed).
+    /// Response-time CDF evaluations. Each is a count over the sorted
+    /// windows with nothing to rebuild first, so every evaluation is a hit.
     pub cdf_cache_hits: u64,
-    /// CDF queries that had to rebuild at least one cached layer.
+    /// Always 0: the response-time model keeps no cache to miss.
     pub cdf_cache_misses: u64,
-    /// Full `S⊛W` base convolutions performed (at most one per replica per
-    /// window generation).
+    /// Always 0: the response-time model convolves nothing.
     pub cdf_base_rebuilds: u64,
     /// Explicit `Busy` rejections received from shedding replicas.
     pub busy_rejections: u64,
@@ -874,9 +873,9 @@ fn collect(
             retries: stats.retries,
             hedges: stats.hedges,
             quarantines: stats.quarantines,
-            cdf_cache_hits: stats.cdf_cache_hits,
-            cdf_cache_misses: stats.cdf_cache_misses,
-            cdf_base_rebuilds: stats.cdf_base_rebuilds,
+            cdf_cache_hits: stats.cdf_evaluations,
+            cdf_cache_misses: 0,
+            cdf_base_rebuilds: 0,
             busy_rejections: stats.busy_rejections,
             local_sheds: stats.local_sheds,
             breaker_opens: stats.breaker_opens,

@@ -103,11 +103,11 @@ pub fn candidate_keys(
         .collect()
 }
 
-/// [`build_candidates`] evaluated through the repository's from-scratch
-/// (uncached) CDF path: every call re-runs the `S⊛W` convolution per
-/// replica, exactly as the seed implementation did. This is the "before"
-/// arm of the cached-CDF overhead study (Figure 3);
-/// production code always uses the cached [`build_candidates`].
+/// [`build_candidates`] evaluated through the paper's convolution (the
+/// repository's `*_uncached` CDFs): every call re-runs the `S⊛W`
+/// convolution per replica. This is the "before" arm of the Figure 3
+/// overhead study; production code uses [`build_candidates`], which counts
+/// over the sorted windows.
 pub fn build_candidates_uncached(
     repo: &InfoRepository,
     n: usize,
@@ -176,11 +176,23 @@ mod tests {
         let repo = synthetic_repository(8, 20, 3);
         let d = SimDuration::from_millis(250);
         let now = SimTime::from_secs(100);
-        let cached = build_candidates(&repo, 8, 3, d, now);
-        let uncached = build_candidates_uncached(&repo, 8, 3, d, now);
-        assert_eq!(cached, uncached);
-        // And again with the cache warm.
-        assert_eq!(build_candidates(&repo, 8, 3, d, now), uncached);
+        let counted = build_candidates(&repo, 8, 3, d, now);
+        let convolved = build_candidates_uncached(&repo, 8, 3, d, now);
+        assert_eq!(counted.len(), convolved.len());
+        for (c, v) in counted.iter().zip(&convolved) {
+            assert_eq!(
+                (c.id, c.is_primary, c.ert_us),
+                (v.id, v.is_primary, v.ert_us)
+            );
+            assert!(
+                (c.immediate_cdf - v.immediate_cdf).abs() < 1e-12,
+                "{c:?} vs {v:?}"
+            );
+            assert!(
+                (c.deferred_cdf - v.deferred_cdf).abs() < 1e-12,
+                "{c:?} vs {v:?}"
+            );
+        }
     }
 
     #[test]
