@@ -771,23 +771,26 @@ fn stale_deadline_timer_fails_the_next_read_attempt_early() {
     assert_eq!(r.c.stats().retries, 2, "attempt 3 is out already");
 }
 
-// --- Recorded on the gateway described in the module docs ---
+// --- Recorded on the gateway described in the module docs; re-recorded
+// --- once when `ClientStats`' three CDF-cache counters became
+// --- `cdf_evaluations` (the transcripts print the stats; no action or
+// --- trace line moved) ---
 
 /// In [`cells`] order: sequential, FIFO, causal; within each, recovery off
 /// then on; within each, overload off then on.
 const HASHES: [u64; 12] = [
-    0x0b37_f4b3_d8ed_1f28,
-    0x46d1_2280_7cc1_8ac7,
-    0x87d4_2757_e7f0_9456,
-    0xc058_3350_80e1_bb46,
-    0x3afb_c992_eed1_be77,
-    0x4723_1901_3e11_5b86,
-    0xf336_393e_c04c_87a3,
-    0xa064_ac9a_e424_6e91,
-    0xdef2_3f2b_6f26_007b,
-    0x9a4c_a5c7_8f3e_8a30,
-    0x3f78_3ccf_6570_a7a8,
-    0x5dfe_1314_cbfc_fc8a,
+    0x6ecf_73cb_abbb_0610,
+    0xcac0_47d7_5b20_2404,
+    0x1db6_ad26_d88d_0a2f,
+    0x6257_b9fb_5b58_a012,
+    0x02cf_9d79_418d_b53a,
+    0x978b_eb52_ed6c_7dfa,
+    0x10f9_bd40_0126_d0a1,
+    0xff3b_5400_0f3b_a285,
+    0x742b_4fae_10f4_17b0,
+    0x5768_a9f4_55e5_0dfa,
+    0xe7a5_ceaf_7561_0bbe,
+    0x75ff_4965_47f0_d80e,
 ];
 
 /// Re-baselining and diffing tool: prints every cell's hash and transcript.

@@ -217,12 +217,15 @@ fn traced_overload_durable_cells_unchanged() {
 // --- when group liveness became leader-rooted, once when stream tips and
 // --- observer announces went from per-tick to on-change, and once when stream
 // --- tips moved onto the leader's announce (each time every run's group
-// --- traffic, and with it the RNG draw order, changed) ---
+// --- traffic, and with it the RNG draw order, changed); the FIFO overload
+// --- cell and the causal and FIFO traced cells, and all three trace hashes,
+// --- once more when the response-time model became a count (exact `F^I`
+// --- ties no longer flip Algorithm 1's exclusion swap) ---
 
 const OVERLOAD_DIGESTS: [u64; 3] = [
     0xdf36_613c_6281_376d,
     0xb613_abde_2fa1_fdda,
-    0xaa6a_9342_f57e_e788,
+    0xe287_c97a_528a_efbc,
 ];
 const WATERMARK_DIGEST: u64 = 0x663a_bc2c_52e2_33ad;
 const REPLENISH_DIGEST: u64 = 0x1ad3_f34e_fd1d_2fb8;
@@ -233,13 +236,13 @@ const DURABLE_SECONDARY_DIGESTS: [u64; 3] = [
 ];
 const TRACED_DIGESTS: [u64; 3] = [
     0x9aaa_0d00_5248_7fbf,
-    0x5798_8b9b_9f68_89b8,
-    0x8b8b_ab88_3b49_afd0,
+    0x1f07_628e_5579_bff7,
+    0x2395_a4c5_d4df_3781,
 ];
 const TRACE_HASHES: [u64; 3] = [
-    0xcb3d_cec3_7850_9af4,
-    0x38d1_2376_2ec4_84b4,
-    0x086f_0d7d_f6fb_aa76,
+    0xe715_bfa7_92f5_c3f4,
+    0x67a9_49b9_517b_cbcb,
+    0xb961_5b0e_15c4_0f2d,
 ];
 
 /// Re-baselining tool: prints the values the constants above pin.

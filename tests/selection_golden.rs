@@ -1,13 +1,11 @@
-//! Golden pins for the read path: replica selection must stay bit-identical
-//! however the client's response-time model is computed. Each cell is
-//! read-heavy, so its [`ScenarioMetrics::digest`] depends on every
-//! `F_Ri(d)` Algorithm 1 read — a CDF value off by one ulp that flips a
-//! single selection moves event order, RNG draws and the digest with it.
+//! Golden pins for the read path: replica selection must not move unless
+//! the selection model does. Each cell is read-heavy, so its
+//! [`ScenarioMetrics::digest`] depends on every `F_Ri(d)` Algorithm 1
+//! read — a CDF value off by one ulp that flips a single selection moves
+//! event order, RNG draws and the digest with it.
 //!
-//! The digests were recorded with the unbounded CDF cache (every cached
-//! pmf carried its full support); the deadline-bounded engine must
-//! reproduce them. Re-baseline only for a deliberate change to the
-//! selection model, using the ignored printer test at the bottom.
+//! Re-baseline only for a deliberate change to the selection model, using
+//! the ignored printer test at the bottom.
 
 use aqf::core::OrderingGuarantee;
 use aqf::workload::{run_scenario, ObjectKind, ScenarioConfig};
@@ -69,10 +67,13 @@ fn selection_digests_unchanged() {
 // --- Recorded digests (unbounded CDF cache, commit preceding the bounded
 // --- engine; re-recorded once when group liveness became leader-rooted,
 // --- once when stream tips and observer announces went on-change, and once
-// --- when stream tips moved onto the leader's announce) ---
+// --- when stream tips moved onto the leader's announce, and once when the
+// --- response-time model became a count: an exact tie in `F^I` between a
+// --- primary and a secondary no longer flips Algorithm 1's exclusion swap
+// --- on the convolution's rounding) ---
 
-const SEQUENTIAL_DIGEST: u64 = 0x16b8_16a7_a9f4_e363;
-const CAUSAL_DIGEST: u64 = 0x466e_750d_0afe_5f53;
+const SEQUENTIAL_DIGEST: u64 = 0x4e50_4a9e_32ca_1bb5;
+const CAUSAL_DIGEST: u64 = 0x9755_c062_4006_1b46;
 const FIFO_BANK_DIGEST: u64 = 0xfc21_4b8e_a734_46bd;
 
 /// Re-baselining tool: prints the digests the constants above pin.
