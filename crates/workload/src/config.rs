@@ -306,8 +306,11 @@ impl ScenarioConfig {
     ///
     /// Returns a message describing the first violated invariant.
     pub fn validate(&self) -> Result<(), String> {
-        if self.num_secondaries > 0 && self.lazy_interval.is_zero() {
-            return Err("lazy interval must be positive with secondaries".into());
+        if self.num_secondaries == 0 {
+            return Err("need at least one secondary".into());
+        }
+        if self.lazy_interval.is_zero() {
+            return Err("lazy interval must be positive".into());
         }
         if self.window_size == 0 {
             return Err("window size must be positive".into());
@@ -538,6 +541,12 @@ mod tests {
 
         let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
         c.window_size = 0;
+        assert!(c.validate().is_err());
+
+        // Every replica belongs to exactly one group, and the secondary
+        // view cannot be empty.
+        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
+        c.num_secondaries = 0;
         assert!(c.validate().is_err());
 
         let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);

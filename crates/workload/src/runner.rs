@@ -406,20 +406,7 @@ impl BuiltScenario {
                     | FaultTarget::AllServers => {}
                 }
             }
-            match fault.kind {
-                FaultKind::Crash => self.world.schedule_crash(target, fault.at),
-                FaultKind::Restart => self.world.schedule_restart(target, fault.at),
-                FaultKind::Isolate => self.world.schedule_isolation(target, fault.at),
-                FaultKind::Reconnect => self.world.schedule_reconnection(target, fault.at),
-                FaultKind::Degrade { factor } => {
-                    self.world.schedule_degrade(target, factor, fault.at);
-                }
-                FaultKind::Lossy { p } => self.world.schedule_lossy(target, p, fault.at),
-                FaultKind::RestoreGray => self.world.schedule_restore(target, fault.at),
-                FaultKind::CutLink { .. } | FaultKind::HealLink { .. } => {
-                    unreachable!("link faults handled above")
-                }
-            }
+            schedule_fault(&mut self.world, target, &fault);
         }
         self.world.run_until(until);
     }
@@ -448,13 +435,7 @@ impl BuiltScenario {
                 &|gw| gw.is_publisher(),
                 *self.primary_ids.last().expect("primary group non-empty"),
             ),
-            // Static targets never reach the pending list; correlated
-            // targets are expanded at build time.
-            FaultTarget::Primary(i) => self.primary_ids[i + 1],
-            FaultTarget::Secondary(i) => self.secondary_ids[i],
-            FaultTarget::AllPrimaries | FaultTarget::AllServers => {
-                unreachable!("correlated fault targets are expanded at build time")
-            }
+            target => static_target(&self.primary_ids, &self.secondary_ids, target),
         }
     }
 
@@ -480,9 +461,6 @@ pub fn build_scenario(config: &ScenarioConfig) -> BuiltScenario {
         .validate()
         .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
     let mut world: World<NetMsg> = World::new(config.seed);
-    world
-        .net_mut()
-        .set_loss_probability(config.loss_probability);
     *world.net_mut() = {
         let mut net = aqf_sim::NetworkModel::new(config.link_delay.clone());
         net.set_loss_probability(config.loss_probability);
@@ -492,7 +470,6 @@ pub fn build_scenario(config: &ScenarioConfig) -> BuiltScenario {
 
     let np = config.num_primaries;
     let ns = config.num_secondaries;
-    let sequencer = ActorId::from_index(0);
     let primary_ids: Vec<ActorId> = (0..=np).map(ActorId::from_index).collect();
     let secondary_ids: Vec<ActorId> = (np + 1..=np + ns).map(ActorId::from_index).collect();
     let client_ids: Vec<ActorId> = (np + ns + 1..np + ns + 1 + config.clients.len())
@@ -500,15 +477,7 @@ pub fn build_scenario(config: &ScenarioConfig) -> BuiltScenario {
         .collect();
 
     let primary_view = View::new(PRIMARY_GROUP, ViewId(0), primary_ids.clone());
-    let secondary_view = if ns > 0 {
-        View::new(SECONDARY_GROUP, ViewId(0), secondary_ids.clone())
-    } else {
-        // Degenerate single-group deployment: model an empty secondary
-        // group as a one-member view holding the sequencer is not possible
-        // (it would double-role); instead reuse the primary members so the
-        // view structure stays well-formed but unused.
-        View::new(SECONDARY_GROUP, ViewId(0), vec![sequencer])
-    };
+    let secondary_view = View::new(SECONDARY_GROUP, ViewId(0), secondary_ids.clone());
 
     let ep_config = EndpointConfig {
         tick_interval: config.group_tick,
@@ -618,19 +587,6 @@ pub fn build_scenario(config: &ScenarioConfig) -> BuiltScenario {
     // against whichever process holds the role when the fault fires —
     // after a failover the role has usually moved.
     let mut pending_faults: Vec<FaultEvent> = Vec::new();
-    let schedule = |world: &mut World<NetMsg>, target: ActorId, fault: &FaultEvent| match fault.kind
-    {
-        FaultKind::Crash => world.schedule_crash(target, fault.at),
-        FaultKind::Restart => world.schedule_restart(target, fault.at),
-        FaultKind::Isolate => world.schedule_isolation(target, fault.at),
-        FaultKind::Reconnect => world.schedule_reconnection(target, fault.at),
-        FaultKind::Degrade { factor } => world.schedule_degrade(target, factor, fault.at),
-        FaultKind::Lossy { p } => world.schedule_lossy(target, p, fault.at),
-        FaultKind::RestoreGray => world.schedule_restore(target, fault.at),
-        FaultKind::CutLink { .. } | FaultKind::HealLink { .. } => {
-            unreachable!("link faults are scheduled pairwise, not per target")
-        }
-    };
     for fault in &config.faults {
         if let FaultKind::CutLink { peer } | FaultKind::HealLink { peer } = fault.kind {
             // Pairwise faults: both endpoints static — sever/heal the link
@@ -641,11 +597,7 @@ pub fn build_scenario(config: &ScenarioConfig) -> BuiltScenario {
                 pending_faults.push(*fault);
                 continue;
             }
-            let resolve = |t: FaultTarget| match t {
-                FaultTarget::Primary(i) => primary_ids[i + 1],
-                FaultTarget::Secondary(i) => secondary_ids[i],
-                _ => unreachable!("validated: link endpoints are single processes"),
-            };
+            let resolve = |t| static_target(&primary_ids, &secondary_ids, t);
             let (a, b) = (resolve(fault.target), resolve(peer));
             if matches!(fault.kind, FaultKind::CutLink { .. }) {
                 world.schedule_partition(a, b, fault.at);
@@ -664,20 +616,19 @@ pub fn build_scenario(config: &ScenarioConfig) -> BuiltScenario {
             // role resolution.
             FaultTarget::AllPrimaries => {
                 for &id in &primary_ids {
-                    schedule(&mut world, id, fault);
+                    schedule_fault(&mut world, id, fault);
                 }
                 continue;
             }
             FaultTarget::AllServers => {
                 for &id in primary_ids.iter().chain(secondary_ids.iter()) {
-                    schedule(&mut world, id, fault);
+                    schedule_fault(&mut world, id, fault);
                 }
                 continue;
             }
-            FaultTarget::Primary(i) => primary_ids[i + 1],
-            FaultTarget::Secondary(i) => secondary_ids[i],
+            target => static_target(&primary_ids, &secondary_ids, target),
         };
-        schedule(&mut world, target, fault);
+        schedule_fault(&mut world, target, fault);
     }
     pending_faults.sort_by_key(|f| f.at);
 
@@ -833,6 +784,38 @@ fn make_gateway(
             config.object.make(),
             server_config,
         )),
+    }
+}
+
+/// The process a single-process target names; `primary_ids[0]` is the
+/// initial sequencer, so `Primary(i)` is `primary_ids[i + 1]`.
+fn static_target(
+    primary_ids: &[ActorId],
+    secondary_ids: &[ActorId],
+    target: FaultTarget,
+) -> ActorId {
+    match target {
+        FaultTarget::Primary(i) => primary_ids[i + 1],
+        FaultTarget::Secondary(i) => secondary_ids[i],
+        // Role targets resolve against the live role holder; correlated
+        // targets are expanded at build time.
+        _ => unreachable!("{target:?} names no single process"),
+    }
+}
+
+/// Schedules a single-process fault against `target` at its instant.
+fn schedule_fault(world: &mut World<NetMsg>, target: ActorId, fault: &FaultEvent) {
+    match fault.kind {
+        FaultKind::Crash => world.schedule_crash(target, fault.at),
+        FaultKind::Restart => world.schedule_restart(target, fault.at),
+        FaultKind::Isolate => world.schedule_isolation(target, fault.at),
+        FaultKind::Reconnect => world.schedule_reconnection(target, fault.at),
+        FaultKind::Degrade { factor } => world.schedule_degrade(target, factor, fault.at),
+        FaultKind::Lossy { p } => world.schedule_lossy(target, p, fault.at),
+        FaultKind::RestoreGray => world.schedule_restore(target, fault.at),
+        FaultKind::CutLink { .. } | FaultKind::HealLink { .. } => {
+            unreachable!("link faults are scheduled pairwise, not per target")
+        }
     }
 }
 
