@@ -425,61 +425,14 @@ impl<M: Clone + 'static> World<M> {
     fn apply_commands(&mut self, me: ActorId, commands: &mut Vec<Command<M>>) {
         for cmd in commands.drain(..) {
             match cmd {
-                Command::Send { to, msg } => {
-                    assert!(to.index() < self.slots.len(), "send to unknown actor {to}");
-                    let fate = self.net.deliveries(me, to, &mut self.net_rng);
-                    match fate.first {
-                        Some(delay) => {
-                            if let Some(dup_delay) = fate.duplicate {
-                                self.stats.duplicated += 1;
-                                self.push(
-                                    self.now + dup_delay,
-                                    EventKind::Deliver {
-                                        from: me,
-                                        to,
-                                        msg: msg.clone(),
-                                    },
-                                );
-                            }
-                            let at = self.now + delay;
-                            self.push(at, EventKind::Deliver { from: me, to, msg });
-                        }
-                        None => self.stats.dropped += 1,
-                    }
-                }
+                Command::Send { to, msg } => self.route(me, to, || msg),
                 Command::SendMany { targets, msg } => {
                     // One shared payload for the whole fan-out: each target
                     // resolves its own routing fate (identical RNG draws and
                     // event order to an equivalent run of `Send` commands),
                     // and the payload is cloned only per delivered copy.
                     for &to in &targets {
-                        assert!(to.index() < self.slots.len(), "send to unknown actor {to}");
-                        let fate = self.net.deliveries(me, to, &mut self.net_rng);
-                        match fate.first {
-                            Some(delay) => {
-                                if let Some(dup_delay) = fate.duplicate {
-                                    self.stats.duplicated += 1;
-                                    self.push(
-                                        self.now + dup_delay,
-                                        EventKind::Deliver {
-                                            from: me,
-                                            to,
-                                            msg: msg.clone(),
-                                        },
-                                    );
-                                }
-                                let at = self.now + delay;
-                                self.push(
-                                    at,
-                                    EventKind::Deliver {
-                                        from: me,
-                                        to,
-                                        msg: msg.clone(),
-                                    },
-                                );
-                            }
-                            None => self.stats.dropped += 1,
-                        }
+                        self.route(me, to, || msg.clone());
                     }
                 }
                 Command::Local { msg, delay } => {
@@ -511,6 +464,32 @@ impl<M: Clone + 'static> World<M> {
                 }
             }
         }
+    }
+
+    /// Sends one message from `me` to `to`: draws its fate from the network
+    /// model and queues the delivery, and its duplicate if any. `msg` is
+    /// called only for a delivered message, and the duplicate clones it.
+    fn route(&mut self, me: ActorId, to: ActorId, msg: impl FnOnce() -> M) {
+        assert!(to.index() < self.slots.len(), "send to unknown actor {to}");
+        let fate = self.net.deliveries(me, to, &mut self.net_rng);
+        let Some(delay) = fate.first else {
+            self.stats.dropped += 1;
+            return;
+        };
+        let msg = msg();
+        if let Some(dup_delay) = fate.duplicate {
+            self.stats.duplicated += 1;
+            let copy = msg.clone();
+            self.push(
+                self.now + dup_delay,
+                EventKind::Deliver {
+                    from: me,
+                    to,
+                    msg: copy,
+                },
+            );
+        }
+        self.push(self.now + delay, EventKind::Deliver { from: me, to, msg });
     }
 
     fn push(&mut self, time: SimTime, kind: EventKind<M>) {
