@@ -21,30 +21,15 @@ use std::fmt;
 /// assume nothing about their host, including which thread drives them.
 pub trait ReplicatedObject: fmt::Debug + Send {
     /// Applies a committed state-modifying operation, returning the reply
-    /// payload for the issuing client.
-    fn apply_update(&mut self, op: &Operation) -> Bytes;
+    /// payload for the issuing client. The reply is encoded through
+    /// `scratch`, a caller-retained staging buffer, so a gateway servicing
+    /// a stream of requests reuses one allocation instead of growing a
+    /// fresh buffer per reply.
+    fn apply_update(&mut self, op: &Operation, scratch: &mut BytesMut) -> Bytes;
 
-    /// Services a read-only operation against the current state.
-    fn read(&self, op: &Operation) -> Bytes;
-
-    /// Like [`ReplicatedObject::apply_update`], but encodes the reply
-    /// through a caller-retained scratch buffer so a gateway servicing a
-    /// stream of requests reuses one staging allocation instead of growing
-    /// a fresh buffer per reply. The returned bytes must be identical to
-    /// what `apply_update` would return; the default ignores the scratch
-    /// and delegates, so third-party objects stay correct unmodified.
-    fn apply_update_into(&mut self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
-        let _ = scratch;
-        self.apply_update(op)
-    }
-
-    /// Like [`ReplicatedObject::read`], but encodes the reply through a
-    /// caller-retained scratch buffer. Same contract as
-    /// [`ReplicatedObject::apply_update_into`].
-    fn read_into(&self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
-        let _ = scratch;
-        self.read(op)
-    }
+    /// Services a read-only operation against the current state, encoding
+    /// the reply through `scratch` like [`ReplicatedObject::apply_update`].
+    fn read(&self, op: &Operation, scratch: &mut BytesMut) -> Bytes;
 
     /// Serializes the full state.
     fn snapshot(&self) -> Bytes;
@@ -86,15 +71,7 @@ impl VersionedRegister {
 }
 
 impl ReplicatedObject for VersionedRegister {
-    fn apply_update(&mut self, op: &Operation) -> Bytes {
-        self.apply_update_into(op, &mut BytesMut::new())
-    }
-
-    fn read(&self, op: &Operation) -> Bytes {
-        self.read_into(op, &mut BytesMut::new())
-    }
-
-    fn apply_update_into(&mut self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
+    fn apply_update(&mut self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
         self.version += 1;
         self.value = op.payload.to_vec();
         scratch.clear();
@@ -102,7 +79,7 @@ impl ReplicatedObject for VersionedRegister {
         Bytes::copy_from_slice(scratch.as_ref())
     }
 
-    fn read_into(&self, _op: &Operation, scratch: &mut BytesMut) -> Bytes {
+    fn read(&self, _op: &Operation, scratch: &mut BytesMut) -> Bytes {
         scratch.clear();
         scratch.put_u64(self.version);
         scratch.put_slice(&self.value);
@@ -160,22 +137,14 @@ impl SharedDocument {
 }
 
 impl ReplicatedObject for SharedDocument {
-    fn apply_update(&mut self, op: &Operation) -> Bytes {
-        self.apply_update_into(op, &mut BytesMut::new())
-    }
-
-    fn read(&self, op: &Operation) -> Bytes {
-        self.read_into(op, &mut BytesMut::new())
-    }
-
-    fn apply_update_into(&mut self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
+    fn apply_update(&mut self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
         self.lines.push(op.payload.to_vec());
         scratch.clear();
         scratch.put_u64(self.version());
         Bytes::copy_from_slice(scratch.as_ref())
     }
 
-    fn read_into(&self, _op: &Operation, scratch: &mut BytesMut) -> Bytes {
+    fn read(&self, _op: &Operation, scratch: &mut BytesMut) -> Bytes {
         // `text()` lossy-converts each line; reply bytes must stay identical
         // to the pre-scratch encoding, so the conversion is kept as-is.
         let text = self.text();
@@ -249,15 +218,7 @@ impl TickerBoard {
 }
 
 impl ReplicatedObject for TickerBoard {
-    fn apply_update(&mut self, op: &Operation) -> Bytes {
-        self.apply_update_into(op, &mut BytesMut::new())
-    }
-
-    fn read(&self, op: &Operation) -> Bytes {
-        self.read_into(op, &mut BytesMut::new())
-    }
-
-    fn apply_update_into(&mut self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
+    fn apply_update(&mut self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
         let raw = op.payload.as_ref();
         let sep = raw
             .iter()
@@ -274,7 +235,7 @@ impl ReplicatedObject for TickerBoard {
         Bytes::copy_from_slice(scratch.as_ref())
     }
 
-    fn read_into(&self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
+    fn read(&self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
         let symbol = String::from_utf8_lossy(op.payload.as_ref());
         match self.prices.get(symbol.as_ref()) {
             Some(price) => {
@@ -372,21 +333,13 @@ impl AccountBook {
 }
 
 impl ReplicatedObject for AccountBook {
-    fn apply_update(&mut self, op: &Operation) -> Bytes {
-        self.apply_update_into(op, &mut BytesMut::new())
-    }
-
-    fn read(&self, op: &Operation) -> Bytes {
-        self.read_into(op, &mut BytesMut::new())
-    }
-
-    fn apply_update_into(&mut self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
+    fn apply_update(&mut self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
         let (account, amount) = Self::decode(op.payload.as_ref());
         let balance = self.balances.entry(account).or_insert(0);
         match op.method.as_str() {
             "withdraw" => *balance = balance.saturating_sub(amount),
-            // Anything that is not a withdrawal deposits; the read-only
-            // registry keeps reads away from apply_update entirely.
+            // Anything that is not a withdrawal deposits; reads never
+            // reach apply_update.
             _ => *balance = balance.saturating_add(amount),
         }
         self.transactions += 1;
@@ -395,7 +348,7 @@ impl ReplicatedObject for AccountBook {
         Bytes::copy_from_slice(scratch.as_ref())
     }
 
-    fn read_into(&self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
+    fn read(&self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
         let account = String::from_utf8_lossy(op.payload.as_ref());
         scratch.clear();
         scratch.put_u64(self.balance(account.as_ref()));
@@ -433,13 +386,21 @@ impl ReplicatedObject for AccountBook {
 mod tests {
     use super::*;
 
+    fn apply(object: &mut dyn ReplicatedObject, op: &Operation) -> Bytes {
+        object.apply_update(op, &mut BytesMut::new())
+    }
+
+    fn read(object: &dyn ReplicatedObject, op: &Operation) -> Bytes {
+        object.read(op, &mut BytesMut::new())
+    }
+
     #[test]
     fn register_update_read_roundtrip() {
         let mut reg = VersionedRegister::new();
         assert_eq!(reg.version(), 0);
-        let ack = reg.apply_update(&Operation::new("set", b"hello".to_vec()));
+        let ack = apply(&mut reg, &Operation::new("set", b"hello".to_vec()));
         assert_eq!(ack.as_ref(), &1u64.to_be_bytes());
-        let out = reg.read(&Operation::new("get", vec![]));
+        let out = read(&reg, &Operation::new("get", vec![]));
         assert_eq!(&out[..8], &1u64.to_be_bytes());
         assert_eq!(&out[8..], b"hello");
     }
@@ -447,8 +408,8 @@ mod tests {
     #[test]
     fn register_snapshot_roundtrip() {
         let mut reg = VersionedRegister::new();
-        reg.apply_update(&Operation::new("set", b"abc".to_vec()));
-        reg.apply_update(&Operation::new("set", b"defg".to_vec()));
+        apply(&mut reg, &Operation::new("set", b"abc".to_vec()));
+        apply(&mut reg, &Operation::new("set", b"defg".to_vec()));
         let snap = reg.snapshot();
         let mut other = VersionedRegister::new();
         other.install_snapshot(&snap);
@@ -467,11 +428,11 @@ mod tests {
     #[test]
     fn document_appends_and_versions() {
         let mut doc = SharedDocument::new();
-        doc.apply_update(&Operation::new("append", b"line one".to_vec()));
-        doc.apply_update(&Operation::new("append", b"line two".to_vec()));
+        apply(&mut doc, &Operation::new("append", b"line one".to_vec()));
+        apply(&mut doc, &Operation::new("append", b"line two".to_vec()));
         assert_eq!(doc.version(), 2);
         assert_eq!(doc.text(), "line one\nline two");
-        let out = doc.read(&Operation::new("fetch", vec![]));
+        let out = read(&doc, &Operation::new("fetch", vec![]));
         assert_eq!(&out[..8], &2u64.to_be_bytes());
         assert_eq!(&out[8..], b"line one\nline two");
     }
@@ -480,11 +441,14 @@ mod tests {
     fn document_snapshot_roundtrip() {
         let mut doc = SharedDocument::new();
         for i in 0..5 {
-            doc.apply_update(&Operation::new("append", format!("line {i}").into_bytes()));
+            apply(
+                &mut doc,
+                &Operation::new("append", format!("line {i}").into_bytes()),
+            );
         }
         let snap = doc.snapshot();
         let mut other = SharedDocument::new();
-        other.apply_update(&Operation::new("append", b"junk".to_vec()));
+        apply(&mut other, &Operation::new("append", b"junk".to_vec()));
         other.install_snapshot(&snap);
         assert_eq!(other, doc);
     }
@@ -492,33 +456,37 @@ mod tests {
     #[test]
     fn ticker_quotes_and_reads() {
         let mut board = TickerBoard::new();
-        board.apply_update(&Operation::new(
-            "quote",
-            TickerBoard::encode_quote("ACME", 1234),
-        ));
-        board.apply_update(&Operation::new(
-            "quote",
-            TickerBoard::encode_quote("WIDG", 42),
-        ));
-        board.apply_update(&Operation::new(
-            "quote",
-            TickerBoard::encode_quote("ACME", 1300),
-        ));
+        apply(
+            &mut board,
+            &Operation::new("quote", TickerBoard::encode_quote("ACME", 1234)),
+        );
+        apply(
+            &mut board,
+            &Operation::new("quote", TickerBoard::encode_quote("WIDG", 42)),
+        );
+        apply(
+            &mut board,
+            &Operation::new("quote", TickerBoard::encode_quote("ACME", 1300)),
+        );
         assert_eq!(board.price("ACME"), Some(1300));
         assert_eq!(board.price("WIDG"), Some(42));
         assert_eq!(board.updates(), 3);
-        let out = board.read(&Operation::new("price", b"ACME".to_vec()));
+        let out = read(&board, &Operation::new("price", b"ACME".to_vec()));
         assert_eq!(out.as_ref(), &1300u64.to_be_bytes());
-        assert!(board
-            .read(&Operation::new("price", b"NONE".to_vec()))
-            .is_empty());
+        assert!(read(&board, &Operation::new("price", b"NONE".to_vec())).is_empty());
     }
 
     #[test]
     fn ticker_snapshot_roundtrip() {
         let mut board = TickerBoard::new();
-        board.apply_update(&Operation::new("quote", TickerBoard::encode_quote("A", 1)));
-        board.apply_update(&Operation::new("quote", TickerBoard::encode_quote("B", 2)));
+        apply(
+            &mut board,
+            &Operation::new("quote", TickerBoard::encode_quote("A", 1)),
+        );
+        apply(
+            &mut board,
+            &Operation::new("quote", TickerBoard::encode_quote("B", 2)),
+        );
         let snap = board.snapshot();
         let mut other = TickerBoard::new();
         other.install_snapshot(&snap);
@@ -528,33 +496,39 @@ mod tests {
     #[test]
     fn account_book_deposits_and_withdrawals() {
         let mut book = AccountBook::new();
-        let ack = book.apply_update(&Operation::new(
-            "deposit",
-            AccountBook::encode_tx("alice", 500),
-        ));
+        let ack = apply(
+            &mut book,
+            &Operation::new("deposit", AccountBook::encode_tx("alice", 500)),
+        );
         assert_eq!(ack.as_ref(), &500u64.to_be_bytes());
-        book.apply_update(&Operation::new(
-            "withdraw",
-            AccountBook::encode_tx("alice", 200),
-        ));
+        apply(
+            &mut book,
+            &Operation::new("withdraw", AccountBook::encode_tx("alice", 200)),
+        );
         assert_eq!(book.balance("alice"), 300);
         // Overdraft clamps to zero.
-        book.apply_update(&Operation::new(
-            "withdraw",
-            AccountBook::encode_tx("alice", 9999),
-        ));
+        apply(
+            &mut book,
+            &Operation::new("withdraw", AccountBook::encode_tx("alice", 9999)),
+        );
         assert_eq!(book.balance("alice"), 0);
         assert_eq!(book.balance("bob"), 0);
         assert_eq!(book.transactions(), 3);
-        let out = book.read(&Operation::new("balance", b"alice".to_vec()));
+        let out = read(&book, &Operation::new("balance", b"alice".to_vec()));
         assert_eq!(out.as_ref(), &0u64.to_be_bytes());
     }
 
     #[test]
     fn account_book_snapshot_roundtrip() {
         let mut book = AccountBook::new();
-        book.apply_update(&Operation::new("deposit", AccountBook::encode_tx("a", 10)));
-        book.apply_update(&Operation::new("deposit", AccountBook::encode_tx("b", 20)));
+        apply(
+            &mut book,
+            &Operation::new("deposit", AccountBook::encode_tx("a", 10)),
+        );
+        apply(
+            &mut book,
+            &Operation::new("deposit", AccountBook::encode_tx("b", 20)),
+        );
         let snap = book.snapshot();
         let mut other = AccountBook::new();
         other.install_snapshot(&snap);
@@ -566,11 +540,11 @@ mod tests {
     fn account_ops_on_distinct_accounts_commute() {
         let d = |acc: &str, amt| Operation::new("deposit", AccountBook::encode_tx(acc, amt));
         let mut ab = AccountBook::new();
-        ab.apply_update(&d("a", 1));
-        ab.apply_update(&d("b", 2));
+        apply(&mut ab, &d("a", 1));
+        apply(&mut ab, &d("b", 2));
         let mut ba = AccountBook::new();
-        ba.apply_update(&d("b", 2));
-        ba.apply_update(&d("a", 1));
+        apply(&mut ba, &d("b", 2));
+        apply(&mut ba, &d("a", 1));
         assert_eq!(ab.balances, ba.balances);
     }
 
@@ -582,8 +556,8 @@ mod tests {
         let mut a = TickerBoard::new();
         let mut b = TickerBoard::new();
         for op in &ops {
-            a.apply_update(op);
-            b.apply_update(op);
+            apply(&mut a, op);
+            apply(&mut b, op);
         }
         assert_eq!(a, b);
         assert_eq!(a.snapshot(), b.snapshot());

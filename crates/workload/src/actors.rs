@@ -568,9 +568,10 @@ mod tests {
             ObjectKind::Bank,
         ] {
             let mut obj = kind.make();
-            let ack = obj.apply_update(&kind.write_op(7, 0));
+            let mut scratch = bytes::BytesMut::new();
+            let ack = obj.apply_update(&kind.write_op(7, 0), &mut scratch);
             assert!(!ack.is_empty());
-            let _ = obj.read(&kind.read_op(7));
+            let _ = obj.read(&kind.read_op(7), &mut scratch);
             let snap = obj.snapshot();
             let mut other = kind.make();
             other.install_snapshot(&snap);
