@@ -103,7 +103,7 @@ pub use object::{AccountBook, ReplicatedObject, SharedDocument, TickerBoard, Ver
 pub use obs::{req_ref, ObsEvent, ObsHandle};
 pub use overload::{DegradeStep, DegradeTransition, OverloadConfig};
 pub use protocol::ServerProtocol;
-pub use qos::{OperationKind, OrderingGuarantee, QosSpec, ReadOnlyRegistry};
+pub use qos::{OperationKind, OrderingGuarantee, QosSpec};
 pub use select::{SelectionPolicy, Selector};
 pub use server::ServerGateway;
 pub use shell::{ReplicaRole, ServerAction, ServerConfig};

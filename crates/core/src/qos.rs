@@ -6,9 +6,7 @@
 //! carry no timeliness constraint and are ordered by the service's
 //! guarantee (sequential, in this implementation).
 
-use crate::wire::MethodId;
 use aqf_sim::SimDuration;
-use std::collections::HashSet;
 use std::fmt;
 
 /// Ordering guarantee offered by a replicated service to all of its clients
@@ -112,29 +110,6 @@ impl fmt::Display for QosError {
 
 impl std::error::Error for QosError {}
 
-/// Registry of read-only method names.
-///
-/// "A client application has to explicitly specify all the read-only methods
-/// it invokes on an object by their names. If an operation is not specified
-/// as read-only, then our middleware considers it to be an update operation"
-/// (paper §2).
-#[derive(Debug, Clone, Default)]
-pub struct ReadOnlyRegistry {
-    methods: HashSet<String>,
-    /// Bitmap over interned [`MethodId`] indices, so classifying an
-    /// in-flight operation is an array probe instead of a string hash.
-    /// Derived from `methods`; not part of the registry's identity.
-    read_only_bits: Vec<bool>,
-}
-
-impl PartialEq for ReadOnlyRegistry {
-    fn eq(&self, other: &Self) -> bool {
-        self.methods == other.methods
-    }
-}
-
-impl Eq for ReadOnlyRegistry {}
-
 /// Classification of an invocation by the request model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperationKind {
@@ -143,68 +118,6 @@ pub enum OperationKind {
     /// Modifies state (write-only or read-write); multicast to the primary
     /// group and sequenced.
     Update,
-}
-
-impl ReadOnlyRegistry {
-    /// Creates an empty registry (every method is treated as an update).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Declares `method` as read-only.
-    pub fn declare_read_only(&mut self, method: impl Into<String>) {
-        let method = method.into();
-        let idx = MethodId::intern(&method).index();
-        if idx >= self.read_only_bits.len() {
-            self.read_only_bits.resize(idx + 1, false);
-        }
-        self.read_only_bits[idx] = true;
-        self.methods.insert(method);
-    }
-
-    /// Classifies an invocation: read-only if declared, update otherwise.
-    pub fn classify(&self, method: &str) -> OperationKind {
-        if self.methods.contains(method) {
-            OperationKind::ReadOnly
-        } else {
-            OperationKind::Update
-        }
-    }
-
-    /// Classifies an interned method id: a bounds-checked array probe, no
-    /// hashing or string comparison.
-    pub fn classify_id(&self, method: MethodId) -> OperationKind {
-        if self
-            .read_only_bits
-            .get(method.index())
-            .copied()
-            .unwrap_or(false)
-        {
-            OperationKind::ReadOnly
-        } else {
-            OperationKind::Update
-        }
-    }
-
-    /// Number of declared read-only methods.
-    pub fn len(&self) -> usize {
-        self.methods.len()
-    }
-
-    /// Whether no methods are declared.
-    pub fn is_empty(&self) -> bool {
-        self.methods.is_empty()
-    }
-}
-
-impl<S: Into<String>> FromIterator<S> for ReadOnlyRegistry {
-    fn from_iter<T: IntoIterator<Item = S>>(iter: T) -> Self {
-        let mut reg = Self::new();
-        for m in iter {
-            reg.declare_read_only(m);
-        }
-        reg
-    }
 }
 
 #[cfg(test)]
@@ -235,37 +148,6 @@ mod tests {
         assert_eq!(q.staleness_threshold, 5);
         assert_eq!(q.deadline, SimDuration::from_secs(2));
         assert_eq!(q.min_probability, 0.7);
-    }
-
-    #[test]
-    fn registry_classifies() {
-        let reg: ReadOnlyRegistry = ["get", "peek"].into_iter().collect();
-        assert_eq!(reg.classify("get"), OperationKind::ReadOnly);
-        assert_eq!(reg.classify("peek"), OperationKind::ReadOnly);
-        assert_eq!(reg.classify("set"), OperationKind::Update);
-        assert_eq!(reg.classify("GET"), OperationKind::Update); // case sensitive
-                                                                // The array probe agrees with the string path.
-        assert_eq!(
-            reg.classify_id(MethodId::intern("get")),
-            OperationKind::ReadOnly
-        );
-        assert_eq!(
-            reg.classify_id(MethodId::intern("peek")),
-            OperationKind::ReadOnly
-        );
-        assert_eq!(
-            reg.classify_id(MethodId::intern("set")),
-            OperationKind::Update
-        );
-        assert_eq!(reg.len(), 2);
-        assert!(!reg.is_empty());
-    }
-
-    #[test]
-    fn empty_registry_treats_all_as_updates() {
-        let reg = ReadOnlyRegistry::new();
-        assert!(reg.is_empty());
-        assert_eq!(reg.classify("anything"), OperationKind::Update);
     }
 
     #[test]

@@ -93,11 +93,6 @@ impl MethodId {
     pub fn as_str(self) -> &'static str {
         method_table().read().expect("method table poisoned").names[self.0 as usize]
     }
-
-    /// The raw table index (for array-probe classification).
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
 }
 
 impl fmt::Display for MethodId {
@@ -443,7 +438,6 @@ mod tests {
         let a = MethodId::intern("wire-test-method");
         let b = MethodId::intern("wire-test-method");
         assert_eq!(a, b, "same name interns to the same id");
-        assert_eq!(a.index(), b.index());
         assert_eq!(a.as_str(), "wire-test-method");
         assert_eq!(a.to_string(), "wire-test-method");
         let c = MethodId::intern("wire-test-other");

@@ -111,43 +111,6 @@ impl Pmf {
         Self::with_points(vec![(value, 1.0)])
     }
 
-    /// Builds a pmf from explicit `(value, probability)` pairs.
-    ///
-    /// Total mass within `1e-6` of 1 is accepted and then renormalized to
-    /// exactly 1, so rounding drift in externally supplied probabilities
-    /// cannot compound through repeated convolutions.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any probability is negative or not finite, or if
-    /// the probabilities of a non-empty pmf do not sum to 1 within `1e-6`.
-    pub fn from_points(mut pairs: Vec<(u64, f64)>) -> Result<Self, PmfError> {
-        if pairs.iter().any(|&(_, p)| !p.is_finite() || p < 0.0) {
-            return Err(PmfError::InvalidProbability);
-        }
-        pairs.sort_by_key(|&(v, _)| v);
-        // Merge duplicate values.
-        let mut points: Vec<(u64, f64)> = Vec::with_capacity(pairs.len());
-        for (v, p) in pairs {
-            match points.last_mut() {
-                Some(last) if last.0 == v => last.1 += p,
-                _ => points.push((v, p)),
-            }
-        }
-        if !points.is_empty() {
-            let total: f64 = points.iter().map(|&(_, p)| p).sum();
-            if (total - 1.0).abs() > 1e-6 {
-                return Err(PmfError::NotNormalized { total });
-            }
-            if total != 1.0 {
-                for (_, p) in &mut points {
-                    *p /= total;
-                }
-            }
-        }
-        Ok(Self::with_points(points))
-    }
-
     /// Whether this pmf carries no mass (built from zero samples).
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
@@ -340,31 +303,6 @@ pub fn count_pairs_le(a: &[u64], b: &[u64], x: u64) -> u64 {
     count
 }
 
-/// Error returned by [`Pmf::from_points`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum PmfError {
-    /// A probability was negative, NaN, or infinite.
-    InvalidProbability,
-    /// The probabilities of a non-empty pmf did not sum to 1.
-    NotNormalized {
-        /// The observed total mass.
-        total: f64,
-    },
-}
-
-impl std::fmt::Display for PmfError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            PmfError::InvalidProbability => write!(f, "probability was negative or not finite"),
-            PmfError::NotNormalized { total } => {
-                write!(f, "probabilities sum to {total}, expected 1")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PmfError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -496,34 +434,6 @@ mod tests {
     }
 
     #[test]
-    fn from_points_rejects_bad_probabilities() {
-        assert_eq!(
-            Pmf::from_points(vec![(1, -0.5), (2, 1.5)]),
-            Err(PmfError::InvalidProbability)
-        );
-        assert!(matches!(
-            Pmf::from_points(vec![(1, 0.3), (2, 0.3)]),
-            Err(PmfError::NotNormalized { .. })
-        ));
-    }
-
-    #[test]
-    fn from_points_merges_duplicates() {
-        let pmf = Pmf::from_points(vec![(5, 0.25), (5, 0.25), (6, 0.5)]).unwrap();
-        assert_close(pmf.probability(5), 0.5);
-        assert_eq!(pmf.support_len(), 2);
-    }
-
-    #[test]
-    fn from_points_renormalizes_drift() {
-        // Off by 5e-7: accepted, then renormalized back onto mass 1 (to
-        // within one ulp of the division) instead of carrying the drift.
-        let pmf = Pmf::from_points(vec![(1, 0.5), (2, 0.5 - 5e-7)]).unwrap();
-        assert!((pmf.total_mass() - 1.0).abs() < 1e-15);
-        assert!((pmf.cdf(2) - 1.0).abs() < 1e-15);
-    }
-
-    #[test]
     fn saturating_convolution_does_not_overflow() {
         let a = Pmf::point_mass(u64::MAX - 1);
         let b = Pmf::point_mass(10);
@@ -647,41 +557,6 @@ mod tests {
                     acc += p;
                 }
                 prop_assert_eq!(pmf.cdf(x), acc.min(1.0));
-            }
-        }
-
-        #[test]
-        fn renormalized_mass_stable_under_chained_convolve(
-            weights in proptest::collection::vec((0u64..2_000, 1u32..1000), 2..12),
-            rounds in 1usize..5,
-        ) {
-            // Feed from_points probabilities that are deliberately off by up
-            // to ~1e-6 (rounded to 6 decimal places), then convolve the
-            // result with itself repeatedly: renormalization at construction
-            // must keep the total mass pinned to 1 instead of letting the
-            // drift compound exponentially in the number of convolutions.
-            let total: u32 = weights.iter().map(|&(_, w)| w).sum();
-            let pairs: Vec<(u64, f64)> = weights
-                .iter()
-                .map(|&(v, w)| {
-                    let p = w as f64 / total as f64;
-                    (v, (p * 1e7).round() / 1e7) // inject rounding drift
-                })
-                .collect();
-            // <= 12 entries each off by <= 5e-8: total drift stays within
-            // the 1e-6 acceptance band.
-            let drifted_total: f64 = pairs.iter().map(|&(_, p)| p).sum();
-            prop_assert!((drifted_total - 1.0).abs() <= 1e-6);
-            let pmf = Pmf::from_points(pairs).unwrap();
-            prop_assert!((pmf.total_mass() - 1.0).abs() < 1e-12);
-            let mut chained = pmf.clone();
-            for _ in 0..rounds {
-                chained = chained.convolve(&pmf);
-                prop_assert!(
-                    (chained.total_mass() - 1.0).abs() < 1e-9,
-                    "mass drifted to {}",
-                    chained.total_mass()
-                );
             }
         }
     }
