@@ -3,8 +3,8 @@
 //!
 //! The gateways are sans-IO state machines; this module gives each of them
 //! a *durability sidecar*: a [`VirtualDisk`] holding a CRC-framed
-//! write-ahead log of committed `(gsn, update)` assignments plus view
-//! metadata, compacted by staged snapshots with atomic-rename semantics.
+//! write-ahead log of committed `(gsn, update)` assignments, compacted by
+//! staged snapshots with atomic-rename semantics.
 //! Recovery then becomes "replay the local log, then fetch only the delta
 //! over the network" instead of a full state transfer:
 //!
@@ -48,20 +48,9 @@ pub enum WalRecord {
         /// The committed update body.
         update: UpdateRequest,
     },
-    /// View metadata observed at commit sequence number `csn`, logged so a
-    /// recovering replica knows which membership its tail belongs to.
-    View {
-        /// Commit sequence number when the view was installed.
-        csn: u64,
-        /// Monotonic view identifier.
-        view_id: u64,
-        /// The view membership.
-        members: Vec<ActorId>,
-    },
 }
 
 const COMMIT_TAG: u8 = 1;
-const VIEW_TAG: u8 = 2;
 
 fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
@@ -119,19 +108,6 @@ impl WalRecord {
                 put_bytes(&mut out, update.op.method.as_str().as_bytes());
                 put_bytes(&mut out, &update.op.payload);
             }
-            WalRecord::View {
-                csn,
-                view_id,
-                members,
-            } => {
-                out.push(VIEW_TAG);
-                out.extend_from_slice(&csn.to_le_bytes());
-                out.extend_from_slice(&view_id.to_le_bytes());
-                out.extend_from_slice(&(members.len() as u32).to_le_bytes());
-                for m in members {
-                    out.extend_from_slice(&(m.index() as u32).to_le_bytes());
-                }
-            }
         }
         out
     }
@@ -164,20 +140,6 @@ impl WalRecord {
                     },
                 }
             }
-            VIEW_TAG => {
-                let csn = c.u64()?;
-                let view_id = c.u64()?;
-                let n = c.u32()? as usize;
-                let mut members = Vec::with_capacity(n.min(1024));
-                for _ in 0..n {
-                    members.push(ActorId::from_index(c.u32()? as usize));
-                }
-                WalRecord::View {
-                    csn,
-                    view_id,
-                    members,
-                }
-            }
             _ => return None,
         };
         c.done().then_some(record)
@@ -191,9 +153,7 @@ pub struct ReplaySummary {
     pub snapshot: Option<SnapshotFile>,
     /// The dense committed tail above the snapshot, in commit order.
     pub commits: Vec<(u64, UpdateRequest)>,
-    /// The last logged view metadata `(csn, view_id)`, informational.
-    pub last_view: Option<(u64, u64)>,
-    /// Valid WAL records replayed (commits + views).
+    /// Valid WAL records replayed.
     pub replayed_records: u64,
     /// Torn-tail frames dropped by the CRC check.
     pub torn_records: u64,
@@ -257,19 +217,6 @@ impl Durability {
         self.mirror.push_back((gsn, update.clone()));
         self.commits_since_snapshot += 1;
         (bytes, synced)
-    }
-
-    /// Appends view metadata (never mirrored; informational at replay).
-    pub fn log_view(&mut self, csn: u64, view_id: u64, members: &[ActorId]) {
-        let body = WalRecord::View {
-            csn,
-            view_id,
-            members: members.to_vec(),
-        }
-        .encode();
-        let mut framed = Vec::new();
-        encode_record(&body, &mut framed);
-        self.disk.append_record(framed);
     }
 
     /// Whether enough commits accumulated since the last snapshot to be
@@ -368,10 +315,6 @@ impl Durability {
                     summary.commits.push((gsn, update));
                     next += 1;
                 }
-                Some(WalRecord::View { csn, view_id, .. }) => {
-                    summary.replayed_records += 1;
-                    summary.last_view = Some((csn, view_id));
-                }
                 None => break, // CRC-valid but untyped: stop, keep prefix
             }
         }
@@ -429,12 +372,6 @@ mod tests {
             update: upd(7),
         };
         assert_eq!(WalRecord::decode(&rec.encode()), Some(rec));
-        let view = WalRecord::View {
-            csn: 9,
-            view_id: 3,
-            members: vec![ActorId::from_index(0), ActorId::from_index(2)],
-        };
-        assert_eq!(WalRecord::decode(&view.encode()), Some(view));
         assert_eq!(WalRecord::decode(&[]), None);
         assert_eq!(WalRecord::decode(&[9, 1, 2, 3]), None);
     }
@@ -578,17 +515,5 @@ mod tests {
             "install is durable immediately"
         );
         assert!(summary.commits.is_empty(), "old tail superseded");
-    }
-
-    #[test]
-    fn view_records_replay_as_metadata() {
-        let mut d = durable(13);
-        d.log_commit(1, &upd(0));
-        d.log_view(1, 4, &[ActorId::from_index(0), ActorId::from_index(1)]);
-        d.crash();
-        let summary = d.replay();
-        assert_eq!(summary.last_view, Some((1, 4)));
-        assert_eq!(summary.commits.len(), 1);
-        assert_eq!(summary.replayed_records, 2);
     }
 }
