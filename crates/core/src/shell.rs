@@ -535,12 +535,12 @@ impl Shell {
         self.role == ReplicaRole::Primary && self.primary_view.leader() == self.me
     }
 
-    /// Whether this replica is the lazy publisher: the highest-ranked
-    /// member of the primary view (the leader only when it is alone). All
-    /// replicas compute this locally, so no designation protocol is needed.
+    /// Whether this replica is the lazy publisher: the member of the
+    /// primary view with the highest id, whatever its rank. All replicas
+    /// compute this locally, so no designation protocol is needed.
     pub(crate) fn is_publisher(&self) -> bool {
         self.role == ReplicaRole::Primary
-            && *self.primary_view.members().last().expect("non-empty view") == self.me
+            && self.primary_view.members().iter().max() == Some(&self.me)
     }
 
     /// Number of queued + in-flight service units.

@@ -7,9 +7,10 @@
 //! actor runtime:
 //!
 //! * **Groups and views** — named groups ([`GroupId`]) of actors; membership
-//!   changes are captured as monotonically numbered [`View`]s. The leader of
-//!   a view is its lowest-ranked live member, matching Ensemble's
-//!   deterministic ranking.
+//!   changes are captured as monotonically numbered [`View`]s. A view ranks
+//!   its members by admission — the founders by id, then each member let in
+//!   since — and its leader is rank 0, matching Ensemble's deterministic
+//!   ranking: a member that rejoins is the most junior.
 //! * **Failure detection** — liveness is rooted at the leader: each member
 //!   heartbeats the most senior member it has not given up on, the leader
 //!   announces its view to every member every tick and excludes silent

@@ -33,21 +33,25 @@ impl fmt::Display for ViewId {
 
 /// One installed membership view of a group.
 ///
-/// Members are kept sorted by [`ActorId`]; the *leader* is the lowest-ranked
-/// member, mirroring Ensemble's deterministic ranking ("for each group,
-/// Ensemble elects one of the members of the group as the leader", paper §3).
+/// Members are kept in rank order: the founders by [`ActorId`], then every
+/// member admitted since, in the order it was admitted. The *leader* is
+/// rank 0, mirroring Ensemble's deterministic ranking ("for each group,
+/// Ensemble elects one of the members of the group as the leader", paper
+/// §3). A member that rejoins is the most junior, so leadership moves only
+/// when the leader leaves the view.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View {
     /// The group this view belongs to.
     pub group: GroupId,
     /// The view number; strictly increasing across installs.
     pub id: ViewId,
-    /// Current members, sorted ascending (rank order).
+    /// Current members in rank order.
     members: Vec<ActorId>,
 }
 
 impl View {
-    /// Creates a view, sorting and deduplicating the member list.
+    /// Creates a group's founding view, ranking the members by id
+    /// (duplicates dropped).
     ///
     /// # Panics
     ///
@@ -59,7 +63,7 @@ impl View {
         Self { group, id, members }
     }
 
-    /// The members in rank order (ascending actor id).
+    /// The members in rank order.
     pub fn members(&self) -> &[ActorId] {
         &self.members
     }
@@ -75,23 +79,30 @@ impl View {
         false
     }
 
-    /// The leader: the lowest-ranked member.
+    /// The leader: the member of rank 0.
     pub fn leader(&self) -> ActorId {
         self.members[0]
     }
 
     /// Whether `actor` is a member of this view.
     pub fn contains(&self, actor: ActorId) -> bool {
-        self.members.binary_search(&actor).is_ok()
+        self.members.contains(&actor)
     }
 
     /// The rank (0 = leader) of `actor` in this view, if a member.
     pub fn rank_of(&self, actor: ActorId) -> Option<usize> {
-        self.members.binary_search(&actor).ok()
+        self.members.iter().position(|m| *m == actor)
+    }
+
+    /// The members ranked ahead of `actor`, most senior first: all of them
+    /// if it is not a member.
+    pub fn seniors(&self, actor: ActorId) -> &[ActorId] {
+        &self.members[..self.rank_of(actor).unwrap_or(self.members.len())]
     }
 
     /// A successor view with `removed` members excluded and `added` members
-    /// included, numbered `self.id.next()`.
+    /// appended as the most junior, in the order given, numbered
+    /// `self.id.next()`.
     ///
     /// Returns `None` if the result would be empty.
     pub fn successor(&self, removed: &[ActorId], added: &[ActorId]) -> Option<View> {
@@ -101,9 +112,11 @@ impl View {
             .copied()
             .filter(|m| !removed.contains(m))
             .collect();
-        members.extend_from_slice(added);
-        members.sort_unstable();
-        members.dedup();
+        for &a in added {
+            if !members.contains(&a) {
+                members.push(a);
+            }
+        }
         if members.is_empty() {
             None
         } else {
@@ -186,6 +199,22 @@ mod tests {
         assert_eq!(s.members(), &[a(1), a(3), a(4)]);
         assert_eq!(v.departed(&s), vec![a(2)]);
         assert_eq!(v.joined(&s), vec![a(4)]);
+    }
+
+    #[test]
+    fn rejoiner_ranks_most_junior() {
+        let v = View::new(GroupId(1), ViewId(0), vec![a(1), a(2), a(3)]);
+        let back = v
+            .successor(&[a(1)], &[])
+            .unwrap()
+            .successor(&[], &[a(1), a(2)])
+            .unwrap();
+        assert_eq!(back.members(), &[a(2), a(3), a(1)]);
+        assert_eq!(back.leader(), a(2));
+        assert_eq!(back.rank_of(a(1)), Some(2));
+        assert_eq!(back.seniors(a(1)), &[a(2), a(3)]);
+        assert_eq!(back.seniors(a(2)), &[] as &[ActorId]);
+        assert_eq!(back.seniors(a(9)), back.members());
     }
 
     #[test]
