@@ -16,20 +16,10 @@
 //! them over two sorted windows in `O(l)`.
 //!
 //! Samples are `u64` microsecond counts. The pmf is stored sparsely as a
-//! sorted vector of `(value, probability)` pairs, so convolving two windows
-//! of size `l` costs `O(l^2 log l)`. The convolution runs as a k-way merge
-//! over the lines of the product grid's shorter side, so it never
-//! materializes the `l^2` pair table that a sort-based implementation needs.
+//! sorted vector of `(value, probability)` pairs; convolving two windows of
+//! size `l` accumulates the `l^2` pair sums in a sorted map, `O(l^2 log l)`.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Upper bound on the output reservation [`Pmf::convolve`] makes. The
-/// support size is at most the number of product terms but usually far
-/// smaller (sums collide); capping the guess keeps a pair of wide pmfs from
-/// reserving quadratic memory up front, while `Vec` growth amortizes the
-/// rare larger result.
-const CONVOLVE_RESERVE_CAP: usize = 4096;
+use std::collections::BTreeMap;
 
 /// A sparse empirical probability mass function over `u64` sample values.
 ///
@@ -168,62 +158,13 @@ impl Pmf {
     /// Convolving with an empty pmf yields an empty pmf (the sum of an
     /// unknown quantity is unknown).
     pub fn convolve(&self, other: &Pmf) -> Pmf {
-        // Term `(i, j)` of the product grid is `(v1_i + v2_j, p1_i * p2_j)`.
-        // Both sides are sorted, so the grid is sorted along each row and
-        // along each column, and a k-way merge over the lines of either
-        // direction emits the sums in order without materializing (or
-        // sorting) the `l1 * l2` pair table. The lines are taken along the
-        // side with fewer points — the heap holds one entry per line, so
-        // `250 x 3` merges 3 lines, not 250.
-        //
-        // Equal sums must accumulate in `(i, j)` generation order, the order
-        // the former stable sort (and the `BTreeMap` before it) added them
-        // in, or the probabilities lose their bits. The heap key is
-        // therefore `(sum, i, j)` whichever side supplies the lines: the
-        // lines are each ascending in it, so the merge is too. Below
-        // saturation equal sums have distinct `i` (and `j` strictly
-        // decreasing as `i` grows); at `u64::MAX` several terms of one row
-        // can tie and `j` decides.
-        let sum = |v1: u64, v2: u64| v1.saturating_add(v2);
-        let (rows, cols) = (&self.points, &other.points);
-        let (Some(&(first_row, _)), Some(&(first_col, _))) = (rows.first(), cols.first()) else {
-            return Pmf::with_points(Vec::new());
-        };
-        let terms = rows.len() * cols.len();
-        let mut points: Vec<(u64, f64)> = Vec::with_capacity(terms.min(CONVOLVE_RESERVE_CAP));
-        // One heap entry per line, holding the line's next term.
-        let along_rows = rows.len() <= cols.len();
-        let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = if along_rows {
-            (0..rows.len())
-                .map(|i| Reverse((sum(rows[i].0, first_col), i, 0)))
-                .collect()
-        } else {
-            (0..cols.len())
-                .map(|j| Reverse((sum(first_row, cols[j].0), 0, j)))
-                .collect()
-        };
-        // Replace-top (`peek_mut`) instead of pop+push: one sift per emitted
-        // term instead of two, and a term whose line successor is still the
-        // minimum costs only the comparison against its children.
-        while let Some(mut top) = heap.peek_mut() {
-            let Reverse((s, i, j)) = *top;
-            let p = rows[i].1 * cols[j].1;
-            match points.last_mut() {
-                Some(last) if last.0 == s => last.1 += p,
-                _ => points.push((s, p)),
-            }
-            let (i, j) = if along_rows { (i, j + 1) } else { (i + 1, j) };
-            match (rows.get(i), cols.get(j)) {
-                (Some(&(v1, _)), Some(&(v2, _))) => {
-                    *top = Reverse((sum(v1, v2), i, j));
-                    // `top` drops here and sifts the replaced entry down.
-                }
-                _ => {
-                    std::collections::binary_heap::PeekMut::pop(top);
-                }
+        let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
+        for &(v1, p1) in &self.points {
+            for &(v2, p2) in &other.points {
+                *acc.entry(v1.saturating_add(v2)).or_insert(0.0) += p1 * p2;
             }
         }
-        Pmf::with_points(points)
+        Pmf::with_points(acc.into_iter().collect())
     }
 
     /// Shifts the distribution right by a constant (convolution with a point
@@ -307,24 +248,13 @@ pub fn count_pairs_le(a: &[u64], b: &[u64], x: u64) -> u64 {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use std::collections::BTreeMap;
 
     fn assert_close(a: f64, b: f64) {
         assert!((a - b).abs() < 1e-9, "{a} != {b}");
     }
 
-    /// The accumulation strategy the flat-vector paths replaced; kept as a
-    /// test oracle for the bit-identity proofs below.
-    fn convolve_btree_reference(a: &Pmf, b: &Pmf) -> Vec<(u64, f64)> {
-        let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
-        for (v1, p1) in a.iter() {
-            for (v2, p2) in b.iter() {
-                *acc.entry(v1.saturating_add(v2)).or_insert(0.0) += p1 * p2;
-            }
-        }
-        acc.into_iter().collect()
-    }
-
+    /// The map accumulators the flat-vector paths replaced, kept as test
+    /// oracles for the bit-identity proofs below.
     fn binned_btree_reference(pmf: &Pmf, bin: u64) -> Vec<(u64, f64)> {
         let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
         for (v, p) in pmf.iter() {
@@ -479,19 +409,6 @@ mod tests {
                 prop_assert_eq!(v1, v2);
                 prop_assert!((p1 - p2).abs() < 1e-12);
             }
-        }
-
-        #[test]
-        fn convolve_bit_identical_to_btree_accumulator(
-            a in proptest::collection::vec(0u64..5_000, 1..40),
-            b in proptest::collection::vec(0u64..5_000, 1..40),
-        ) {
-            // Duplicated sample values produce repeated sums, exercising the
-            // per-key accumulation order the stable sort must preserve.
-            let pa = Pmf::from_samples(a.into_iter());
-            let pb = Pmf::from_samples(b.into_iter());
-            let expected = convolve_btree_reference(&pa, &pb);
-            assert_bit_identical(&pa.convolve(&pb), &expected);
         }
 
         #[test]
