@@ -3,6 +3,7 @@
 
 use aqf_core::object::VersionedRegister;
 use aqf_core::shell::{Discipline, Replica, ServerConfig};
+use aqf_core::StorageConfig;
 use aqf_core::{PRIMARY_GROUP, SECONDARY_GROUP};
 use aqf_group::{View, ViewId};
 use aqf_sim::ActorId;
@@ -25,11 +26,13 @@ pub fn secondary_view(n: usize) -> View {
     )
 }
 
-/// A primary (non-leader for `me > 0`) server gateway under discipline `D`.
+/// A primary (non-leader for `me > 0`) server gateway under discipline `D`,
+/// on `storage`.
 pub fn primary_gateway<D: Discipline>(
     me: usize,
     primaries: usize,
     secondaries: usize,
+    storage: StorageConfig,
 ) -> Replica<D> {
     Replica::new(
         ActorId::from_index(me),
@@ -38,6 +41,7 @@ pub fn primary_gateway<D: Discipline>(
         Box::new(VersionedRegister::new()),
         ServerConfig {
             clients: vec![ActorId::from_index(999)],
+            storage,
             ..ServerConfig::default()
         },
     )
