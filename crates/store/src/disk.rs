@@ -3,12 +3,15 @@
 //!
 //! # Durability model
 //!
-//! * `append` places bytes in the *pending* (in-flight) region; `fsync`
-//!   moves pending into the *durable* region. A crash loses pending bytes
-//!   — except, with [`StorageConfig::torn_write_probability`], a random
-//!   strict prefix of the first in-flight record lands on the durable
-//!   tail (the classic torn write; the CRC framing of [`crate::wal`]
-//!   detects and drops it at replay).
+//! * [`VirtualDisk::append_with`] frames a record straight onto the end
+//!   of the *pending* (in-flight) region: one byte buffer holding every
+//!   record since the last fsync, plus the length of the first of them.
+//!   `fsync` moves pending into the *durable* region with one copy. A
+//!   crash loses pending bytes — except, with
+//!   [`StorageConfig::torn_write_probability`], a random strict prefix of
+//!   the first in-flight record lands on the durable tail (the classic
+//!   torn write; the CRC framing of [`crate::wal`] detects and drops it at
+//!   replay).
 //! * Snapshots follow the write-to-temp + atomic-rename discipline:
 //!   [`VirtualDisk::stage_snapshot`] writes the temp file, and the rename
 //!   commits at the *next* fsync. A crash inside that window discards the
@@ -182,8 +185,12 @@ pub struct VirtualDisk {
     config: StorageConfig,
     /// WAL bytes that survived an fsync.
     durable: Vec<u8>,
-    /// WAL bytes appended since the last fsync, as whole records.
-    pending: Vec<Vec<u8>>,
+    /// WAL bytes appended since the last fsync: `records_since_sync`
+    /// whole records, back to back.
+    pending: Vec<u8>,
+    /// Framed length of the first record in `pending` (the one a crash
+    /// can tear); 0 while nothing is in flight.
+    first_pending_len: usize,
     /// The committed snapshot, if any.
     snapshot: Option<SnapshotFile>,
     /// A snapshot written but not yet renamed over the old one, together
@@ -202,6 +209,7 @@ impl VirtualDisk {
             config,
             durable: Vec::new(),
             pending: Vec::new(),
+            first_pending_len: 0,
             snapshot: None,
             staged: None,
             records_since_sync: 0,
@@ -224,17 +232,37 @@ impl VirtualDisk {
     /// fsyncs if the group-commit threshold is reached. Returns `true`
     /// if this append carried an fsync (i.e. the record is now durable).
     pub fn append_record(&mut self, framed: Vec<u8>) -> bool {
-        self.stats.appends += 1;
-        self.stats.appended_bytes += framed.len() as u64;
-        self.stats.accounted_us += self.config.write_latency_us;
-        self.pending.push(framed);
-        self.records_since_sync += 1;
-        if self.records_since_sync >= self.config.fsync_every {
-            self.fsync();
-            true
-        } else {
-            false
+        self.append_with(|pending| pending.extend_from_slice(&framed))
+            .1
+    }
+
+    /// Appends one WAL record that `write` frames straight onto the end of
+    /// the in-flight region (see [`crate::wal::encode_record_with`]), and
+    /// fsyncs if the group-commit threshold is reached. Returns the framed
+    /// length `write` appended and whether this append carried an fsync.
+    pub fn append_with(&mut self, write: impl FnOnce(&mut Vec<u8>)) -> (usize, bool) {
+        let start = self.pending.len();
+        write(&mut self.pending);
+        let framed_len = self.pending.len() - start;
+        if self.records_since_sync == 0 {
+            self.first_pending_len = framed_len;
         }
+        self.stats.appends += 1;
+        self.stats.appended_bytes += framed_len as u64;
+        self.stats.accounted_us += self.config.write_latency_us;
+        self.records_since_sync += 1;
+        let synced = self.records_since_sync >= self.config.fsync_every;
+        if synced {
+            self.fsync();
+        }
+        (framed_len, synced)
+    }
+
+    /// Drops the in-flight region.
+    fn clear_pending(&mut self) {
+        self.pending.clear();
+        self.first_pending_len = 0;
+        self.records_since_sync = 0;
     }
 
     /// Flushes the in-flight region to durable storage and commits any
@@ -251,15 +279,15 @@ impl VirtualDisk {
         if let Some((file, truncated_wal)) = self.staged.take() {
             // The atomic rename: the new snapshot replaces the old one
             // and the WAL drops everything the snapshot now covers, in
-            // one indivisible step.
+            // one indivisible step. The durable buffer keeps its
+            // allocation.
             self.snapshot = Some(file);
-            self.durable = truncated_wal;
+            self.durable.clear();
+            self.durable.extend_from_slice(&truncated_wal);
             self.stats.snapshots_committed += 1;
         }
-        for rec in self.pending.drain(..) {
-            self.durable.extend_from_slice(&rec);
-        }
-        self.records_since_sync = 0;
+        self.durable.extend_from_slice(&self.pending);
+        self.clear_pending();
     }
 
     /// Writes a snapshot to the temp file and schedules its rename (plus
@@ -288,18 +316,16 @@ impl VirtualDisk {
         self.stats.crashes += 1;
         // Torn write: a strict prefix of the first in-flight record makes
         // it to the platter before power dies.
-        if let Some(first) = self.pending.first() {
-            if first.len() > 1
-                && self.config.torn_write_probability > 0.0
-                && self.rng.gen_bool(self.config.torn_write_probability)
-            {
-                let cut = self.rng.gen_range(1..first.len());
-                self.durable.extend_from_slice(&first[..cut]);
-                self.stats.torn_writes += 1;
-            }
+        let first = self.first_pending_len;
+        if first > 1
+            && self.config.torn_write_probability > 0.0
+            && self.rng.gen_bool(self.config.torn_write_probability)
+        {
+            let cut = self.rng.gen_range(1..first);
+            self.durable.extend_from_slice(&self.pending[..cut]);
+            self.stats.torn_writes += 1;
         }
-        self.pending.clear();
-        self.records_since_sync = 0;
+        self.clear_pending();
         // The crashed rename: the temp file is gone, the old snapshot and
         // the untruncated WAL remain.
         self.staged = None;
@@ -319,10 +345,9 @@ impl VirtualDisk {
     /// integrity check and nothing on this disk can be trusted).
     pub fn quarantine(&mut self) {
         self.durable.clear();
-        self.pending.clear();
+        self.clear_pending();
         self.snapshot = None;
         self.staged = None;
-        self.records_since_sync = 0;
     }
 }
 

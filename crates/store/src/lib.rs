@@ -28,4 +28,6 @@ pub mod wal;
 
 pub use crc::crc32;
 pub use disk::{DiskStats, SnapshotFile, StorageConfig, VirtualDisk};
-pub use wal::{decode_stream, encode_record, frame_len, DecodeOutcome, TailStatus};
+pub use wal::{
+    decode_stream, encode_record, encode_record_with, frame_len, DecodeOutcome, TailStatus,
+};

@@ -42,10 +42,29 @@ pub fn frame_len(body_len: usize) -> usize {
 /// Panics if `body` exceeds [`MAX_RECORD_LEN`] (a codec misuse, not a
 /// runtime condition).
 pub fn encode_record(body: &[u8], out: &mut Vec<u8>) {
-    assert!(body.len() <= MAX_RECORD_LEN, "WAL record too large");
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out.extend_from_slice(body);
+    encode_record_with(out, |out| out.extend_from_slice(body));
+}
+
+/// Appends one framed record to `out` whose body `body` writes in place:
+/// the header is reserved, `body` appends the body bytes after it, and the
+/// length and CRC are patched over the reservation. No body is staged
+/// anywhere else. Returns the framed length.
+///
+/// # Panics
+///
+/// Panics if the body exceeds [`MAX_RECORD_LEN`] (a codec misuse, not a
+/// runtime condition).
+pub fn encode_record_with(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> usize {
+    let start = out.len();
+    out.extend_from_slice(&[0; HEADER_LEN]);
+    body(out);
+    let body_start = start + HEADER_LEN;
+    let len = out.len() - body_start;
+    assert!(len <= MAX_RECORD_LEN, "WAL record too large");
+    let crc = crc32(&out[body_start..]);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+    out[start + 4..body_start].copy_from_slice(&crc.to_le_bytes());
+    frame_len(len)
 }
 
 /// How the decode of a log ended.
@@ -171,6 +190,19 @@ mod tests {
                 b"third record with more bytes".to_vec()
             ]
         );
+    }
+
+    #[test]
+    fn framing_in_place_matches_framing_a_copy() {
+        let mut copied = b"prefix".to_vec();
+        encode_record(b"body bytes", &mut copied);
+        let mut in_place = b"prefix".to_vec();
+        let framed = encode_record_with(&mut in_place, |out| {
+            out.extend_from_slice(b"body ");
+            out.extend_from_slice(b"bytes");
+        });
+        assert_eq!(in_place, copied);
+        assert_eq!(framed, frame_len(10));
     }
 
     #[test]
