@@ -29,13 +29,11 @@
 //!   replicas catch up from a peer. Leader failure needs no recovery round
 //!   at all — there is no sequencer state to restore.
 
+use crate::dedup::RequestLog;
 use crate::qos::OrderingGuarantee;
-use crate::shell::{
-    push_bounded, Discipline, PendingRead, Position, Replica, ReplicaRole, ServerAction, Shell,
-};
+use crate::shell::{Discipline, PendingRead, Position, Replica, ReplicaRole, ServerAction, Shell};
 use crate::wire::{Payload, RequestId, UpdateRequest, VersionVector};
 use aqf_sim::{ActorId, SimTime};
-use std::collections::VecDeque;
 
 /// The FIFO ordering discipline. See the [module docs](self).
 #[derive(Debug, Default)]
@@ -43,7 +41,7 @@ pub struct Fifo {
     /// Updates applied to the hosted object (the replica's version).
     version: u64,
     /// Per-client applied-update log retained for order audits (bounded).
-    applied_log: VecDeque<RequestId>,
+    applied_log: RequestLog<RequestId>,
 }
 
 /// The FIFO-ordering server gateway: the replica shell under [`Fifo`].
@@ -58,7 +56,7 @@ impl Replica<Fifo> {
     /// The applied-update log (most recent `committed_log` entries), for
     /// per-client FIFO order audits.
     pub fn applied_log(&self) -> impl Iterator<Item = RequestId> + '_ {
-        self.discipline.applied_log.iter().copied()
+        self.discipline.applied_log.iter()
     }
 }
 
@@ -121,7 +119,8 @@ impl Discipline for Fifo {
         now: SimTime,
     ) -> bool {
         self.version += 1;
-        push_bounded(&mut self.applied_log, update.id, shell.config.committed_log);
+        self.applied_log
+            .push_bounded(update.id, shell.config.committed_log);
         // In FIFO mode "commit" is the apply itself.
         shell.log_commit(self.version, update, now);
         true
@@ -133,7 +132,8 @@ impl Discipline for Fifo {
 
     fn replay_commit(&mut self, shell: &Shell, version: u64, update: &UpdateRequest) {
         self.version = version;
-        push_bounded(&mut self.applied_log, update.id, shell.config.committed_log);
+        self.applied_log
+            .push_bounded(update.id, shell.config.committed_log);
     }
 }
 

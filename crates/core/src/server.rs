@@ -21,12 +21,11 @@
 //! delta state transfers. Queueing, admission, lazy propagation, durability
 //! and everything else a replica does under any ordering live in the shell.
 
+use crate::dedup::RequestLog;
 use crate::durability::WalRecord;
 use crate::obs::{req_ref, ObsEvent};
 use crate::qos::OrderingGuarantee;
-use crate::shell::{
-    push_bounded, Discipline, PendingRead, Position, Replica, ReplicaRole, ServerAction, Shell,
-};
+use crate::shell::{Discipline, PendingRead, Position, Replica, ReplicaRole, ServerAction, Shell};
 use crate::wire::{
     Payload, RequestId, UpdateRequest, VersionVector, PRIMARY_GROUP, SECONDARY_GROUP,
 };
@@ -62,7 +61,7 @@ pub struct Sequential {
     unassigned_updates: BTreeMap<RequestId, UpdateRequest>,
     gsn_assignments: BTreeMap<RequestId, u64>,
     commit_ready: BTreeMap<u64, UpdateRequest>,
-    committed_log: VecDeque<(u64, RequestId)>,
+    committed_log: RequestLog<(u64, RequestId)>,
 
     // Read machinery: a read is admitted once both it and the sequencer's
     // GSN snapshot for it have arrived, in either order.
@@ -97,7 +96,7 @@ impl Replica<Sequential> {
     /// The retained committed log as `(GSN, request)` pairs, oldest first
     /// (bounded by [`crate::shell::ServerConfig::committed_log`]).
     pub fn committed_log(&self) -> impl Iterator<Item = (u64, RequestId)> + '_ {
-        self.discipline.committed_log.iter().copied()
+        self.discipline.committed_log.iter()
     }
 }
 
@@ -234,7 +233,7 @@ impl Sequential {
         if shell.role != ReplicaRole::Primary {
             return; // secondaries never receive updates directly
         }
-        if self.committed_log.iter().any(|&(_, r)| r == u.id)
+        if self.committed_log.contains(&u.id)
             || self.commit_ready.values().any(|c| c.id == u.id)
             || self.unassigned_updates.contains_key(&u.id)
         {
@@ -307,11 +306,9 @@ impl Sequential {
     /// Records that `req` committed at `gsn` in the committed log, which
     /// stays in GSN order, unless the log holds that GSN already.
     fn record_commit(&mut self, shell: &Shell, gsn: u64, req: RequestId) {
-        if let Err(at) = self.committed_log.binary_search_by_key(&gsn, |&(g, _)| g) {
-            self.committed_log.insert(at, (gsn, req));
-            while self.committed_log.len() > shell.config.committed_log {
-                self.committed_log.pop_front();
-            }
+        let log = &mut self.committed_log;
+        if let Err(at) = log.entries().binary_search_by_key(&gsn, |&(g, _)| g) {
+            log.insert_bounded(at, (gsn, req), shell.config.committed_log);
         }
     }
 
@@ -365,11 +362,8 @@ impl Sequential {
             self.my_csn = gsn;
             self.last_progress = now;
             shell.stats.updates_committed += 1;
-            push_bounded(
-                &mut self.committed_log,
-                (gsn, update.id),
-                shell.config.committed_log,
-            );
+            self.committed_log
+                .push_bounded((gsn, update.id), shell.config.committed_log);
             shell.log_commit(gsn, &update, now);
             shell.enqueue_update(update, gsn, now, out);
         }
@@ -500,7 +494,7 @@ impl Sequential {
                 assignments.insert(gsn, u.id);
             }
         }
-        for &(gsn, req) in &self.committed_log {
+        for (gsn, req) in self.committed_log.iter() {
             if gsn > querier_csn {
                 assignments.insert(gsn, req);
             }
@@ -582,7 +576,7 @@ impl Sequential {
         for (gsn, u) in &self.commit_ready {
             known.insert(*gsn, u.id);
         }
-        for &(gsn, req) in &self.committed_log {
+        for (gsn, req) in self.committed_log.iter() {
             known.insert(gsn, req);
         }
         // Adopt reconciled assignments this replica was missing: pairs
@@ -797,8 +791,7 @@ impl Sequential {
                     gsn: *gsn,
                     update: u.clone(),
                 }
-                .encode()
-                .len() as u64
+                .encoded_len() as u64
             })
             .sum();
         let full_bytes = shell.object.snapshot().len() as u64;
@@ -840,11 +833,8 @@ impl Sequential {
             self.applied_csn = gsn;
             self.my_gsn = self.my_gsn.max(gsn);
             shell.stats.updates_committed += 1;
-            push_bounded(
-                &mut self.committed_log,
-                (gsn, update.id),
-                shell.config.committed_log,
-            );
+            self.committed_log
+                .push_bounded((gsn, update.id), shell.config.committed_log);
             shell.log_commit(gsn, &update, now);
         }
         self.installed(shell, now, out);
@@ -994,11 +984,8 @@ impl Discipline for Sequential {
 
     fn replay_commit(&mut self, shell: &Shell, gsn: u64, update: &UpdateRequest) {
         self.adopt(gsn, gsn, None);
-        push_bounded(
-            &mut self.committed_log,
-            (gsn, update.id),
-            shell.config.committed_log,
-        );
+        self.committed_log
+            .push_bounded((gsn, update.id), shell.config.committed_log);
     }
 
     fn primary_view_changed(

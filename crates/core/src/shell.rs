@@ -413,14 +413,6 @@ struct Work {
     enqueued_at: SimTime,
 }
 
-/// Appends to a bounded log, evicting the oldest entries past `cap`.
-pub(crate) fn push_bounded<T>(log: &mut VecDeque<T>, item: T, cap: usize) {
-    log.push_back(item);
-    while log.len() > cap {
-        log.pop_front();
-    }
-}
-
 /// The ordering-independent state of a replica. Disciplines reach it
 /// through the `&mut Shell` every [`Discipline`] hook receives.
 pub struct Shell {
