@@ -50,7 +50,8 @@ pub trait ReplicatedObject: fmt::Debug + Send {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct VersionedRegister {
     version: u64,
-    value: Vec<u8>,
+    /// Shares the applied operation's payload; no copy per update.
+    value: Bytes,
 }
 
 impl VersionedRegister {
@@ -73,7 +74,7 @@ impl VersionedRegister {
 impl ReplicatedObject for VersionedRegister {
     fn apply_update(&mut self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
         self.version += 1;
-        self.value = op.payload.to_vec();
+        self.value = op.payload.clone();
         scratch.clear();
         scratch.put_u64(self.version);
         Bytes::copy_from_slice(scratch.as_ref())
@@ -100,7 +101,7 @@ impl ReplicatedObject for VersionedRegister {
         self.version = buf.get_u64();
         let len = buf.get_u64() as usize;
         assert!(buf.remaining() >= len, "register snapshot truncated");
-        self.value = buf.copy_to_bytes(len).to_vec();
+        self.value = buf.copy_to_bytes(len);
     }
 }
 
