@@ -104,16 +104,37 @@ impl<A> ReceiveChannel<A> {
     /// optional nack range. Duplicates and messages from stale incarnations
     /// are dropped and reported as such.
     pub fn accept(&mut self, inc: u64, seq: u64, payload: A) -> Accepted<A> {
+        let mut deliverable = Vec::new();
+        let Accepted {
+            nack, duplicate, ..
+        } = self.accept_with(inc, seq, payload, |a| deliverable.push(a));
+        Accepted {
+            deliverable,
+            nack,
+            duplicate,
+        }
+    }
+
+    /// [`ReceiveChannel::accept`], handing each payload that became
+    /// deliverable to `deliver`, in FIFO order, instead of collecting
+    /// them. The returned [`Accepted::deliverable`] is always empty.
+    pub fn accept_with(
+        &mut self,
+        inc: u64,
+        seq: u64,
+        payload: A,
+        mut deliver: impl FnMut(A),
+    ) -> Accepted<A> {
         if !self.follow(inc) || seq < self.expected || self.holdback.contains_key(&seq) {
             return Accepted::duplicate();
         }
         let mut out = Accepted::default();
         if seq == self.expected {
-            out.deliverable.push(payload);
+            deliver(payload);
             self.expected += 1;
             // Drain any now-contiguous holdback.
             while let Some(entry) = self.holdback.remove(&self.expected) {
-                out.deliverable.push(entry);
+                deliver(entry);
                 self.expected += 1;
             }
         } else {

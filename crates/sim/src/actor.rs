@@ -112,6 +112,8 @@ pub struct Context<'a, M> {
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) commands: &'a mut Vec<Command<M>>,
     pub(crate) timers: &'a mut TimerSlab,
+    /// Cleared target lists the world recycles between multicasts.
+    pub(crate) target_pool: &'a mut Vec<Vec<ActorId>>,
 }
 
 impl<M> Context<'_, M> {
@@ -155,11 +157,13 @@ impl<M> Context<'_, M> {
         M: Clone,
         I: IntoIterator<Item = &'t ActorId>,
     {
-        let targets: Vec<ActorId> = targets.into_iter().copied().collect();
-        if targets.is_empty() {
+        let mut list = self.target_pool.pop().unwrap_or_default();
+        list.extend(targets.into_iter().copied());
+        if list.is_empty() {
+            self.target_pool.push(list);
             return;
         }
-        self.commands.push(Command::SendMany { targets, msg });
+        self.commands.push(Command::SendMany { targets: list, msg });
     }
 
     /// Delivers `msg` back to this actor after `delay`, bypassing the network
@@ -193,6 +197,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let mut commands: Vec<Command<u32>> = Vec::new();
         let mut timers = TimerSlab::default();
+        let mut target_pool = Vec::new();
         let mut ctx = Context {
             me: ActorId(3),
             now: SimTime::from_millis(5),
@@ -200,6 +205,7 @@ mod tests {
             rng: &mut rng,
             commands: &mut commands,
             timers: &mut timers,
+            target_pool: &mut target_pool,
         };
         assert_eq!(ctx.me(), ActorId(3));
         assert_eq!(ctx.now(), SimTime::from_millis(5));
@@ -231,6 +237,7 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(0);
         let mut commands: Vec<Command<u32>> = Vec::new();
         let mut timers = TimerSlab::default();
+        let mut target_pool = Vec::new();
         let mut ctx = Context {
             me: ActorId(0),
             now: SimTime::ZERO,
@@ -238,6 +245,7 @@ mod tests {
             rng: &mut rng,
             commands: &mut commands,
             timers: &mut timers,
+            target_pool: &mut target_pool,
         };
         let a = ctx.set_timer(0, SimDuration::from_millis(1));
         let b = ctx.set_timer(0, SimDuration::from_millis(1));

@@ -90,6 +90,10 @@ pub struct World<M> {
     /// handler invocation and put back drained, so steady-state event
     /// processing does not allocate a fresh `Vec` per event.
     scratch: Vec<Command<M>>,
+    /// Target lists of applied `SendMany` commands, cleared, for
+    /// [`Context::multicast`] to fill again instead of allocating one per
+    /// multicast.
+    target_pool: Vec<Vec<ActorId>>,
     started: bool,
     seed: u64,
     stats: WorldStats,
@@ -109,6 +113,7 @@ impl<M: Clone + 'static> World<M> {
             net_rng,
             timers: TimerSlab::default(),
             scratch: Vec::new(),
+            target_pool: Vec::new(),
             started: false,
             seed,
             stats: WorldStats::default(),
@@ -359,6 +364,7 @@ impl<M: Clone + 'static> World<M> {
                 rng: &mut slot.rng,
                 commands: &mut commands,
                 timers: &mut self.timers,
+                target_pool: &mut self.target_pool,
             };
             f(&mut *slot.actor, &mut ctx);
         }
@@ -426,7 +432,7 @@ impl<M: Clone + 'static> World<M> {
         for cmd in commands.drain(..) {
             match cmd {
                 Command::Send { to, msg } => self.route(me, to, || msg),
-                Command::SendMany { targets, msg } => {
+                Command::SendMany { mut targets, msg } => {
                     // One shared payload for the whole fan-out: each target
                     // resolves its own routing fate (identical RNG draws and
                     // event order to an equivalent run of `Send` commands),
@@ -434,6 +440,8 @@ impl<M: Clone + 'static> World<M> {
                     for &to in &targets {
                         self.route(me, to, || msg.clone());
                     }
+                    targets.clear();
+                    self.target_pool.push(targets);
                 }
                 Command::Local { msg, delay } => {
                     let at = self.now + delay;
