@@ -434,7 +434,7 @@ fn run_client_op(gw: &mut ClientGateway, op: Op, seq: u64, actions: &mut Vec<Cli
             let qos = QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid qos");
             let id = gw.submit_read(Operation::new("get", Vec::new()), qos, t0, actions);
             actions.clear();
-            gw.on_timer(id, TimerPurpose::Transmit, at(1), actions);
+            gw.on_timer(id, TimerPurpose::Transmit, 1, at(1), actions);
             let Some(ClientAction::SendDirect { to, .. }) = actions.first() else {
                 panic!("a transmitted read goes somewhere");
             };
@@ -458,7 +458,7 @@ fn run_client_op(gw: &mut ClientGateway, op: Op, seq: u64, actions: &mut Vec<Cli
     gw.on_payload(replier, Payload::Reply(reply), at(6), actions);
     assert!(matches!(actions.last(), Some(ClientAction::Completed(i)) if i.timely));
     actions.clear();
-    gw.on_timer(id, TimerPurpose::GiveUp, at(10_001), actions);
+    gw.on_timer(id, TimerPurpose::GiveUp, 1, at(10_001), actions);
 }
 
 /// Replicas of the warm-windows gate: four primaries and six secondaries,

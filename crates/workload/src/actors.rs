@@ -287,7 +287,7 @@ pub struct ClientActor {
     object_kind: ObjectKind,
     issued: u64,
     writes_issued: u64,
-    timers: HashMap<TimerId, (RequestId, TimerPurpose)>,
+    timers: HashMap<TimerId, (RequestId, TimerPurpose, u32)>,
     record: ClientRecord,
     done: bool,
 }
@@ -451,10 +451,11 @@ impl ClientActor {
                 ClientAction::ArmTimer {
                     req,
                     purpose,
+                    attempt,
                     after,
                 } => {
                     let id = ctx.set_timer(GATEWAY_TIMER, after);
-                    self.timers.insert(id, (req, purpose));
+                    self.timers.insert(id, (req, purpose, attempt));
                 }
                 ClientAction::Completed(info) => self.on_completed(info, ctx),
                 ClientAction::QosAlert { .. } => self.record.alerts += 1,
@@ -499,8 +500,10 @@ impl Actor<NetMsg> for ClientActor {
         }
         match timer.kind {
             GATEWAY_TIMER => {
-                if let Some((req, purpose)) = self.timers.remove(&timer.id) {
-                    self.drive(ctx, |gw, now, out| gw.on_timer(req, purpose, now, out));
+                if let Some((req, purpose, attempt)) = self.timers.remove(&timer.id) {
+                    self.drive(ctx, |gw, now, out| {
+                        gw.on_timer(req, purpose, attempt, now, out)
+                    });
                 }
             }
             REQUEST_TIMER => self.issue_next(ctx),
