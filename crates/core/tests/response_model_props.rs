@@ -127,7 +127,7 @@ fn run_script(ops: &[(u8, usize, u64, u64)], bin: Option<u64>, window: usize) {
             }
             2 => {
                 // Threshold 1: quarantines at once, which the model ignores.
-                repo.record_timeout(
+                repo.record_strike(
                     id,
                     now,
                     1,

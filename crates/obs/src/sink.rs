@@ -170,10 +170,9 @@ mod tests {
             attempt: 1,
             targets: vec![ActorId::from_index(1), ActorId::from_index(4)],
         });
-        h.emit(SimTime::from_millis(3), a, || Event::Breaker {
+        h.emit(SimTime::from_millis(3), a, || Event::Quarantine {
             replica: ActorId::from_index(1),
-            from_state: "closed",
-            to_state: "open",
+            until_us: 5_003_000,
         });
         let report = h.take_report().unwrap();
         let jsonl = report.trace_jsonl();
