@@ -23,7 +23,6 @@
 
 use crate::dedup::RequestLog;
 use crate::durability::WalRecord;
-use crate::obs::{req_ref, ObsEvent};
 use crate::qos::OrderingGuarantee;
 use crate::shell::{Discipline, PendingRead, Position, Replica, ReplicaRole, ServerAction, Shell};
 use crate::wire::{
@@ -240,28 +239,6 @@ impl Sequential {
             return shell.answer_duplicate(u.id, out);
         }
         let sequencing = self.is_sequencer(shell) && !self.recovering;
-        // Sequencer commit-backlog watermark: shed *new* updates before the
-        // GSN pipeline wedges. Only the sequencer sheds — it alone gates
-        // GSN assignment, so a shed update never gets a number and the
-        // copies other primaries buffer stay harmless until a client
-        // retransmission is sequenced fresh. Duplicates were answered from
-        // the reply cache above.
-        let backlog = self.commit_ready.len() + self.unassigned_updates.len();
-        if shell.config.overload.enabled
-            && sequencing
-            && backlog >= shell.config.overload.sequencer_watermark
-        {
-            shell.stats.shed_updates += 1;
-            shell.obs.emit(now, shell.me, || ObsEvent::ShedUpdate {
-                req: req_ref(u.id),
-                backlog: backlog as u64,
-            });
-            out.push(ServerAction::SendDirect {
-                to: u.id.client,
-                payload: Payload::Busy { req: u.id },
-            });
-            return;
-        }
         shell.note_update();
         // Assign the next GSN and broadcast the assignment (§4.1.1).
         if sequencing
@@ -1391,36 +1368,6 @@ mod tests {
         // New update gets GSN 3, not a duplicate.
         let actions = sink(|out| p.on_payload(a(20), upd(2), t(1002), out));
         assert!(assigns(&actions, 3));
-    }
-
-    #[test]
-    fn successor_behind_a_gap_sheds_new_updates_at_the_watermark() {
-        let mut overload = crate::OverloadConfig::protective();
-        overload.sequencer_watermark = 2;
-        let config = ServerConfig {
-            overload,
-            ..conformance::config()
-        };
-        // Primary 1 takes over and learns request 9's GSN from a report,
-        // but never got its body: its commits wait behind GSN 1.
-        let mut p: ServerGateway = conformance::gw(1, config);
-        p.on_view(without_sequencer(), t(1000), &mut Vec::new());
-        let learned = Payload::GsnReport {
-            max_gsn: 1,
-            csn: 0,
-            assignments: vec![(1, request(9))],
-        };
-        p.on_payload(a(2), learned, t(1001), &mut Vec::new());
-        for seq in 0..2 {
-            let actions = sink(|out| p.on_payload(a(20), upd(seq), t(1002), out));
-            assert!(assigns(&actions, seq + 2), "sequenced behind the gap");
-        }
-        let actions = sink(|out| p.on_payload(a(20), upd(2), t(1003), out));
-        assert_eq!(
-            sent_to(&actions, |p| matches!(p, Payload::Busy { .. })),
-            [a(20)]
-        );
-        assert_eq!(p.stats().shed_updates, 1);
     }
 
     fn armed(actions: &[ServerAction]) -> Option<SimDuration> {

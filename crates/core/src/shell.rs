@@ -80,9 +80,9 @@ pub struct ServerConfig {
     /// promotes the freshest secondary (lowest `my_GSN − my_CSN`) into the
     /// primary group through the existing state-transfer path.
     pub min_primary_size: usize,
-    /// Overload protection: bounded admission queue, deadline-aware read
-    /// shedding, and the sequencer commit-backlog watermark. Disabled by
-    /// default (bit-identical to a gateway without the subsystem).
+    /// Overload protection: bounded admission queue and deadline-aware
+    /// read shedding. Disabled by default (bit-identical to a gateway
+    /// without the subsystem).
     pub overload: OverloadConfig,
     /// Simulated stable storage: per-replica write-ahead log + snapshots
     /// for crash recovery. Disabled by default (no disk exists at all; the
@@ -193,9 +193,6 @@ pub struct ServerStats {
     /// Reads shed with `Busy` by the bounded admission queue or the
     /// deadline-aware shedding predicate (overload protection only).
     pub shed_reads: u64,
-    /// Updates shed with `Busy` by the sequencer's commit-backlog
-    /// watermark (overload protection only).
-    pub shed_updates: u64,
     /// Write-ahead log records appended (durability only).
     pub wal_appends: u64,
     /// Durable snapshots staged (durability only).

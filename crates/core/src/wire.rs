@@ -296,11 +296,10 @@ pub enum Payload {
     },
     /// Replica -> client: reply to a read or update.
     Reply(Reply),
-    /// Overloaded replica -> client: explicit early rejection of a request
-    /// that was shed by the bounded admission queue, the deadline-aware
-    /// shedding predicate, or the sequencer's commit-backlog watermark.
-    /// A `Busy` is a *healthy* "no": it is classified apart from timeouts
-    /// and gray faults and must never contribute quarantine strikes.
+    /// Overloaded replica -> client: explicit early rejection of a read
+    /// that was shed by the bounded admission queue or the deadline-aware
+    /// shedding predicate. The client counts it as one quarantine strike
+    /// against the shedder, as it does a replica silent through an attempt.
     Busy {
         /// The request being rejected.
         req: RequestId,
