@@ -189,4 +189,4 @@ fn captured_history_is_pinned() {
     assert_eq!(d.value(), HISTORY_HASH, "captured history moved");
 }
 
-const HISTORY_HASH: u64 = 0x648e_76d2_3bca_54a9;
+const HISTORY_HASH: u64 = 0x4659_5552_c586_0962;
