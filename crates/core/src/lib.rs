@@ -35,7 +35,7 @@
 //! * [`timing`] — the timing failure detector.
 //! * [`admission`] — the admission-control extension (paper §7).
 //! * [`overload`] — overload protection: bounded admission queues,
-//!   deadline-aware shedding, circuit breakers, graceful degradation.
+//!   deadline-aware shedding, graceful degradation.
 //! * [`level`] — priority/cost-based higher-level specifications (paper §7).
 //! * [`fifo`] — the FIFO discipline (paper §4, Figure 2).
 //! * [`causal`] — the causal discipline (the third ordering guarantee of
