@@ -345,7 +345,7 @@ impl Discipline for Causal {
 
     /// Each logged commit admitted exactly one update of its client, so
     /// the vector is rebuilt by counting the replayed tail.
-    fn replay_commit(&mut self, _shell: &Shell, version: u64, update: &UpdateRequest) {
+    fn replay_commit(&mut self, version: u64, update: &UpdateRequest) {
         *self.vector.entry(update.id.client).or_insert(0) += 1;
         self.version = version;
     }

@@ -31,7 +31,9 @@
 
 use crate::dedup::RequestLog;
 use crate::qos::OrderingGuarantee;
-use crate::shell::{Discipline, PendingRead, Position, Replica, ReplicaRole, ServerAction, Shell};
+use crate::shell::{
+    Discipline, PendingRead, Position, Replica, ReplicaRole, ServerAction, Shell, COMMITTED_LOG,
+};
 use crate::wire::{Payload, RequestId, UpdateRequest, VersionVector};
 use aqf_sim::{ActorId, SimTime};
 
@@ -119,8 +121,7 @@ impl Discipline for Fifo {
         now: SimTime,
     ) -> bool {
         self.version += 1;
-        self.applied_log
-            .push_bounded(update.id, shell.config.committed_log);
+        self.applied_log.push_bounded(update.id, COMMITTED_LOG);
         // In FIFO mode "commit" is the apply itself.
         shell.log_commit(self.version, update, now);
         true
@@ -130,10 +131,9 @@ impl Discipline for Fifo {
         self.version = csn;
     }
 
-    fn replay_commit(&mut self, shell: &Shell, version: u64, update: &UpdateRequest) {
+    fn replay_commit(&mut self, version: u64, update: &UpdateRequest) {
         self.version = version;
-        self.applied_log
-            .push_bounded(update.id, shell.config.committed_log);
+        self.applied_log.push_bounded(update.id, COMMITTED_LOG);
     }
 }
 

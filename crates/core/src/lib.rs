@@ -101,7 +101,7 @@ pub use model::{
 pub use monitor::{InfoRepository, MonitorConfig, StalenessModel};
 pub use object::{AccountBook, ReplicatedObject, SharedDocument, TickerBoard, VersionedRegister};
 pub use obs::{req_ref, ObsEvent, ObsHandle};
-pub use overload::{DegradeStep, DegradeTransition, OverloadConfig};
+pub use overload::DegradeTransition;
 pub use protocol::ServerProtocol;
 pub use qos::{OperationKind, OrderingGuarantee, QosSpec};
 pub use select::{SelectionPolicy, Selector};

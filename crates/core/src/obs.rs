@@ -3,7 +3,7 @@
 //! The gateways emit [`aqf_obs::Event`]s through an [`aqf_obs::ObsHandle`]
 //! installed by the host (see [`crate::ServerProtocol::set_obs`] and
 //! [`crate::client::ClientGateway::set_obs`]). The handle defaults to
-//! disabled, under the same contract as [`crate::OverloadConfig::disabled`]:
+//! disabled, under the same contract as overload protection switched off:
 //! an uninstalled sink must leave every gateway decision, RNG draw, and
 //! action sequence bit-identical — observability records, it never steers.
 

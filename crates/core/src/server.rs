@@ -24,13 +24,20 @@
 use crate::dedup::RequestLog;
 use crate::durability::WalRecord;
 use crate::qos::OrderingGuarantee;
-use crate::shell::{Discipline, PendingRead, Position, Replica, ReplicaRole, ServerAction, Shell};
+use crate::shell::{
+    Discipline, PendingRead, Position, Replica, ReplicaRole, ServerAction, Shell, COMMITTED_LOG,
+    COMMIT_STALL_TIMEOUT,
+};
 use crate::wire::{
     Payload, RequestId, UpdateRequest, VersionVector, PRIMARY_GROUP, SECONDARY_GROUP,
 };
 use aqf_group::View;
 use aqf_sim::{ActorId, SimDuration, SimTime};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// How many read-GSN snapshot associations a primary retains for reads
+/// that have not arrived yet.
+const SNAPSHOT_CACHE: usize = 1024;
 
 /// The sequential ordering discipline. See the [module docs](self).
 #[derive(Debug, Default)]
@@ -93,7 +100,7 @@ pub type ServerGateway = Replica<Sequential>;
 
 impl Replica<Sequential> {
     /// The retained committed log as `(GSN, request)` pairs, oldest first
-    /// (bounded by [`crate::shell::ServerConfig::committed_log`]).
+    /// (the most recent `COMMITTED_LOG`, 1024).
     pub fn committed_log(&self) -> impl Iterator<Item = (u64, RequestId)> + '_ {
         self.discipline.committed_log.iter()
     }
@@ -126,7 +133,7 @@ impl Sequential {
         if shell.role != ReplicaRole::Primary || !shell.synced || self.lag() == 0 {
             return;
         }
-        let stall = shell.config.commit_stall_timeout;
+        let stall = COMMIT_STALL_TIMEOUT;
         if now.saturating_since(self.last_progress) <= stall
             || now.saturating_since(shell.last_transfer_request) <= stall
         {
@@ -152,7 +159,7 @@ impl Sequential {
         if !self.reconciling(shell) {
             return;
         }
-        if now.saturating_since(self.last_gsn_query_at) < shell.config.commit_stall_timeout {
+        if now.saturating_since(self.last_gsn_query_at) < COMMIT_STALL_TIMEOUT {
             return;
         }
         self.last_gsn_query_at = now;
@@ -197,7 +204,7 @@ impl Sequential {
     fn watchdog_deadline(&self, shell: &Shell) -> Option<SimTime> {
         let reconciliation = self
             .reconciling(shell)
-            .then(|| self.last_gsn_query_at + shell.config.commit_stall_timeout);
+            .then(|| self.last_gsn_query_at + COMMIT_STALL_TIMEOUT);
         let replenishment = [
             self.promote_round,
             self.promotion_inflight.map(|(_, issued)| issued),
@@ -270,7 +277,7 @@ impl Sequential {
         if gsn <= self.my_csn {
             // A re-broadcast of what this replica committed, or of what a
             // transfer covered: a record, not work to hold.
-            return self.record_commit(shell, gsn, req);
+            return self.record_commit(gsn, req);
         }
         match body {
             Some(u) => self.stage_commit(shell, gsn, u),
@@ -282,10 +289,10 @@ impl Sequential {
 
     /// Records that `req` committed at `gsn` in the committed log, which
     /// stays in GSN order, unless the log holds that GSN already.
-    fn record_commit(&mut self, shell: &Shell, gsn: u64, req: RequestId) {
+    fn record_commit(&mut self, gsn: u64, req: RequestId) {
         let log = &mut self.committed_log;
         if let Err(at) = log.entries().binary_search_by_key(&gsn, |&(g, _)| g) {
-            log.insert_bounded(at, (gsn, req), shell.config.committed_log);
+            log.insert_bounded(at, (gsn, req), COMMITTED_LOG);
         }
     }
 
@@ -340,7 +347,7 @@ impl Sequential {
             self.last_progress = now;
             shell.stats.updates_committed += 1;
             self.committed_log
-                .push_bounded((gsn, update.id), shell.config.committed_log);
+                .push_bounded((gsn, update.id), COMMITTED_LOG);
             shell.log_commit(gsn, &update, now);
             shell.enqueue_update(update, gsn, now, out);
         }
@@ -411,7 +418,7 @@ impl Sequential {
             None => {
                 self.read_snapshot_gsn.insert(req, gsn);
                 self.snapshot_order.push_back(req);
-                while self.snapshot_order.len() > shell.config.snapshot_cache {
+                while self.snapshot_order.len() > SNAPSHOT_CACHE {
                     if let Some(old) = self.snapshot_order.pop_front() {
                         self.read_snapshot_gsn.remove(&old);
                     }
@@ -811,7 +818,7 @@ impl Sequential {
             self.my_gsn = self.my_gsn.max(gsn);
             shell.stats.updates_committed += 1;
             self.committed_log
-                .push_bounded((gsn, update.id), shell.config.committed_log);
+                .push_bounded((gsn, update.id), COMMITTED_LOG);
             shell.log_commit(gsn, &update, now);
         }
         self.installed(shell, now, out);
@@ -834,7 +841,7 @@ impl Sequential {
             )
             .collect();
         for (gsn, req) in covered {
-            self.record_commit(shell, gsn, req);
+            self.record_commit(gsn, req);
         }
         self.last_progress = now;
         shell.mark_synced(now);
@@ -959,10 +966,10 @@ impl Discipline for Sequential {
         self.installed(shell, now, out);
     }
 
-    fn replay_commit(&mut self, shell: &Shell, gsn: u64, update: &UpdateRequest) {
+    fn replay_commit(&mut self, gsn: u64, update: &UpdateRequest) {
         self.adopt(gsn, gsn, None);
         self.committed_log
-            .push_bounded((gsn, update.id), shell.config.committed_log);
+            .push_bounded((gsn, update.id), COMMITTED_LOG);
     }
 
     fn primary_view_changed(
@@ -1390,7 +1397,7 @@ mod tests {
 
     #[test]
     fn reconciliation_round_arms_its_own_timer_and_requeries() {
-        let stall = conformance::config().commit_stall_timeout;
+        let stall = COMMIT_STALL_TIMEOUT;
         let requeried = |actions: &[ServerAction]| {
             actions
                 .iter()
@@ -1498,7 +1505,7 @@ mod tests {
     #[test]
     fn promotion_deadline_under_an_open_round_waits_for_the_round() {
         let timeout = SimDuration::from_secs(2);
-        let stall = conformance::config().commit_stall_timeout;
+        let stall = COMMIT_STALL_TIMEOUT;
         let (mut s, _) = deficient_successor();
         let fresh = Payload::PromoteReport { csn: 0, gsn: 0 };
         s.on_payload(a(10), fresh.clone(), t(1002), &mut Vec::new());
@@ -1719,15 +1726,15 @@ mod tests {
 
     #[test]
     fn snapshot_cache_evicts() {
-        let config = ServerConfig {
-            snapshot_cache: 2,
-            ..conformance::config()
-        };
-        let mut p: ServerGateway = conformance::gw(1, config);
-        for i in 0..5 {
+        let mut p: ServerGateway = conformance::gw(1, conformance::config());
+        let kept = SNAPSHOT_CACHE as u64;
+        for i in 0..kept + 3 {
             p.on_payload(a(0), snapshot(i, 0), t(0), &mut Vec::new());
         }
-        assert!(p.discipline.read_snapshot_gsn.len() <= 2);
+        let cached = &p.discipline.read_snapshot_gsn;
+        assert_eq!(cached.len(), SNAPSHOT_CACHE);
+        assert!(!cached.contains_key(&request(2)), "the oldest are evicted");
+        assert!(cached.contains_key(&request(3)));
     }
 
     #[test]

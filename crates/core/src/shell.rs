@@ -27,7 +27,6 @@ use crate::dedup::ReplyCache;
 use crate::durability::{Durability, StorageConfig};
 use crate::object::ReplicatedObject;
 use crate::obs::{req_ref, ObsEvent, ObsHandle};
-use crate::overload::OverloadConfig;
 use crate::protocol::ServerProtocol;
 use crate::qos::OrderingGuarantee;
 use crate::wire::{
@@ -60,30 +59,15 @@ pub struct ServerConfig {
     pub lazy_interval: SimDuration,
     /// The QoS-group client roster: recipients of performance broadcasts.
     pub clients: Vec<ActorId>,
-    /// How many read-GSN snapshot associations to retain for reads that
-    /// have not arrived yet.
-    pub snapshot_cache: usize,
-    /// How many committed `(GSN, request)` pairs to retain for sequencer
-    /// recovery reconciliation.
-    pub committed_log: usize,
-    /// If the commit sequence stalls (staleness positive but no CSN
-    /// progress) for this long, the replica assumes it missed assignments
-    /// it can never recover (e.g. during a rejoin window) and requests a
-    /// catch-up state transfer. An unsynced replica waits this long on a
-    /// transfer before asking the next donor.
-    pub commit_stall_timeout: SimDuration,
-    /// How many update replies to retain for answering retransmitted
-    /// requests without re-applying them.
-    pub reply_cache: usize,
     /// Primary-group replenishment threshold (0 disables, the default):
     /// when the sequencer's primary view shrinks below this size, it
     /// promotes the freshest secondary (lowest `my_GSN − my_CSN`) into the
     /// primary group through the existing state-transfer path.
     pub min_primary_size: usize,
-    /// Overload protection: bounded admission queue and deadline-aware
-    /// read shedding. Disabled by default (bit-identical to a gateway
-    /// without the subsystem).
-    pub overload: OverloadConfig,
+    /// Overload protection (see [`crate::overload`]): a bounded admission
+    /// queue and deadline-aware read shedding. Off by default
+    /// (bit-identical to a gateway without the subsystem).
+    pub overload: bool,
     /// Simulated stable storage: per-replica write-ahead log + snapshots
     /// for crash recovery. Disabled by default (no disk exists at all; the
     /// gateway behaves bit-identically to one without the subsystem).
@@ -95,16 +79,36 @@ impl Default for ServerConfig {
         Self {
             lazy_interval: SimDuration::from_secs(2),
             clients: Vec::new(),
-            snapshot_cache: 1024,
-            committed_log: 1024,
-            reply_cache: 1024,
-            commit_stall_timeout: SimDuration::from_secs(3),
             min_primary_size: 0,
-            overload: OverloadConfig::disabled(),
+            overload: false,
             storage: StorageConfig::disabled(),
         }
     }
 }
+
+/// How many committed updates a replica remembers (as `(GSN, request)`
+/// pairs under sequential ordering, request ids under FIFO) for duplicate
+/// detection and sequencer recovery reconciliation.
+pub(crate) const COMMITTED_LOG: usize = 1024;
+
+/// How many update replies a replica retains for answering retransmitted
+/// requests without re-applying them.
+const REPLY_CACHE: usize = 1024;
+
+/// If the commit sequence stalls (staleness positive but no CSN progress)
+/// for this long, the replica assumes it missed assignments it can never
+/// recover (e.g. during a rejoin window) and requests a catch-up state
+/// transfer. An unsynced replica waits this long on a transfer before
+/// asking the next donor, and a reconciliation round that lost a report
+/// re-queries after it.
+pub const COMMIT_STALL_TIMEOUT: SimDuration = SimDuration::from_secs(3);
+
+/// Hard bound on a server gateway's service queue (queued + in service)
+/// under overload protection: arriving reads beyond it are shed with
+/// `Busy`.
+pub(crate) const QUEUE_BOUND: usize = 8;
+
+const _: () = assert!(QUEUE_BOUND > 0);
 
 /// Instructions appended by the gateway for its host to execute.
 #[derive(Debug, Clone, PartialEq)]
@@ -339,7 +343,7 @@ pub trait Discipline: Default + Send {
 
     /// Replays one commit of the durable log at `position`, already
     /// re-applied to the object.
-    fn replay_commit(&mut self, shell: &Shell, position: u64, update: &UpdateRequest);
+    fn replay_commit(&mut self, position: u64, update: &UpdateRequest);
 
     /// The primary view changed (already installed in the shell; `old` is
     /// the one it replaced). Runs before the shell re-designates the lazy
@@ -489,7 +493,7 @@ impl Shell {
         Self {
             me,
             role,
-            reply_cache: ReplyCache::new(config.reply_cache),
+            reply_cache: ReplyCache::new(REPLY_CACHE),
             config,
             object,
             primary_view,
@@ -588,8 +592,7 @@ impl Shell {
     /// Whether an unsynchronized replica should ask for its state transfer
     /// again (the request or its response may have been lost).
     fn transfer_overdue(&self, now: SimTime) -> bool {
-        !self.synced
-            && now.saturating_since(self.last_transfer_request) > self.config.commit_stall_timeout
+        !self.synced && now.saturating_since(self.last_transfer_request) > COMMIT_STALL_TIMEOUT
     }
 
     /// Sends a state-transfer request to the next donor, if there is one.
@@ -720,15 +723,13 @@ impl Shell {
     /// Only reads are ever shed here: an update dropped at one primary
     /// would diverge the group.
     fn should_shed_read(&self, req: &ReadRequest) -> bool {
-        let ovl = &self.config.overload;
-        if !ovl.enabled {
+        if !self.config.overload {
             return false;
         }
-        if self.queue_depth() >= ovl.queue_bound {
+        if self.queue_depth() >= QUEUE_BOUND {
             return true;
         }
-        ovl.deadline_shedding
-            && req.deadline_us > 0
+        req.deadline_us > 0
             && self.avg_service_us > 0
             && (self.queue_depth() as u64 + 1).saturating_mul(self.avg_service_us) > req.deadline_us
     }
@@ -950,7 +951,7 @@ impl Shell {
         }
         for (position, update) in &summary.commits {
             self.reapply(&update.op);
-            discipline.replay_commit(self, *position, update);
+            discipline.replay_commit(*position, update);
         }
         self.stats.replayed_records += summary.replayed_records;
         self.mark_synced(now);
@@ -1192,7 +1193,7 @@ impl<D: Discipline> ServerProtocol for Replica<D> {
         let (t, work, started_at) = shell.in_service.take().expect("no work in service");
         assert_eq!(t, token, "service completion for unexpected token");
         let ts = now.saturating_since(started_at);
-        if shell.config.overload.enabled {
+        if shell.config.overload {
             // The first sample seeds the average; folding it into the zero
             // initial value would start at `sample/8` and blind deadline
             // shedding exactly when a burst hits a cold server.
@@ -1413,8 +1414,8 @@ mod tests {
     #[test]
     fn queue_bound_sheds_with_busy() {
         let mut config = config();
-        config.overload = OverloadConfig::protective();
-        let bound = config.overload.queue_bound as u64;
+        config.overload = true;
+        let bound = QUEUE_BOUND as u64;
         let mut p = gw::<Fifo>(1, config);
         let mut actions = Vec::new();
         for n in 0..bound {

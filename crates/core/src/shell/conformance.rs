@@ -233,7 +233,7 @@ pub(crate) fn feed<D: Discipline>(
 /// shedding exactly when a burst arrives on a cold server.
 pub(crate) fn ewma_seeds_with_first_sample<D: Fixture>() {
     let mut p = gw::<D>(1, config());
-    p.shell.config.overload = OverloadConfig::protective();
+    p.shell.config.overload = true;
     assert_eq!(p.shell.avg_service_us, 0);
     let mut actions = Vec::new();
     feed(&mut p, D::update(0), t(0), &mut actions);
@@ -257,7 +257,7 @@ pub(crate) fn ewma_seeds_with_first_sample<D: Fixture>() {
 /// by the shedding predicate.
 pub(crate) fn zero_deadline_never_sheds_on_deadline_grounds<D: Fixture>() {
     let mut p = gw::<D>(1, config());
-    p.shell.config.overload = OverloadConfig::protective();
+    p.shell.config.overload = true;
     p.shell.avg_service_us = 50_000; // hot average: any tight deadline sheds
     assert!(
         !p.shell.should_shed_read(&get(0, 1000)),
@@ -355,7 +355,7 @@ pub(crate) fn restart_requests_state_transfer<D: Fixture>() {
 /// A restarted leader's view still names itself the leader; it asks a
 /// peer, and keeps asking peers while nobody answers.
 pub(crate) fn restarted_leader_asks_a_peer<D: Fixture>() {
-    let stall = config().commit_stall_timeout;
+    let stall = COMMIT_STALL_TIMEOUT;
     let mut p = gw::<D>(0, config());
     let mut asked = transfer_requests(&sink(|out| p.on_restart(register(), t(100), out)));
     let mut now = t(100);
@@ -371,7 +371,7 @@ pub(crate) fn restarted_leader_asks_a_peer<D: Fixture>() {
 /// Nobody answers a restarted replica's request: any payload arriving a
 /// stall timeout after it asks the next donor, whatever the role.
 pub(crate) fn unsynced_replica_re_requests_from_the_next_donor<D: Fixture>() {
-    let stall = config().commit_stall_timeout;
+    let stall = COMMIT_STALL_TIMEOUT;
     // A primary's donors are its peers; a secondary's, the primary view.
     for (i, donors) in [(1, [a(0), a(2)]), (10, [a(0), a(1)])] {
         let mut p = gw::<D>(i, config());

@@ -1,9 +1,8 @@
 //! Properties of the client's response-time model: `immediate_cdf` and
 //! `deferred_cdf`, which count over the sorted windows, must agree with the
 //! paper's convolution (`*_uncached`) to rounding under arbitrary
-//! interleavings of measurements, replies, quarantines and queries — with
-//! and without binning, at deadlines below the gateway delay, on support
-//! points and at `u64::MAX`.
+//! interleavings of measurements, replies, quarantines and queries — at
+//! deadlines below the gateway delay, on support points and at `u64::MAX`.
 
 use aqf_core::monitor::{InfoRepository, MonitorConfig};
 use aqf_core::wire::{PerfBroadcast, ReadMeasurement};
@@ -30,10 +29,9 @@ fn perf(ts_us: u64, tq_us: u64, tb_us: u64) -> PerfBroadcast {
     }
 }
 
-fn repo_with(bin: Option<u64>, window: usize) -> InfoRepository {
+fn repo_with(window: usize) -> InfoRepository {
     InfoRepository::new(MonitorConfig {
         window_size: window,
-        cdf_bin_us: bin,
         ..MonitorConfig::default()
     })
 }
@@ -99,8 +97,8 @@ impl Shadow {
 
 /// Applies `ops` to a repository, checking both evaluators after every
 /// query and once more over every replica at the end.
-fn run_script(ops: &[(u8, usize, u64, u64)], bin: Option<u64>, window: usize) {
-    let repo = &mut repo_with(bin, window);
+fn run_script(ops: &[(u8, usize, u64, u64)], window: usize) {
+    let repo = &mut repo_with(window);
     let mut shadows: [Shadow; 3] = Default::default();
     let mut now_us = 1_000u64;
     for &(kind, replica, a, b) in ops {
@@ -126,14 +124,8 @@ fn run_script(ops: &[(u8, usize, u64, u64)], bin: Option<u64>, window: usize) {
                 shadow.gateway = (now_us - tm).saturating_sub(t1);
             }
             2 => {
-                // Threshold 1: quarantines at once, which the model ignores.
-                repo.record_strike(
-                    id,
-                    now,
-                    1,
-                    SimDuration::from_secs(5),
-                    SimDuration::from_secs(60),
-                );
+                // Strikes (and the quarantines they open) the model ignores.
+                repo.record_strike(id, now);
             }
             _ => assert_agrees(repo, id, shadow.deadline(b, a)),
         }
@@ -159,54 +151,16 @@ proptest! {
         ),
         window in 1usize..=20,
     ) {
-        run_script(&ops, None, window);
+        run_script(&ops, window);
     }
 
-    #[test]
-    fn count_cdf_agrees_with_convolution_binned(
-        ops in proptest::collection::vec(
-            (0u8..8, 0usize..3, 0u64..1_000_000, 0u64..1_000_000),
-            1..120,
-        ),
-        window in 1usize..=20,
-    ) {
-        run_script(&ops, Some(7_000), window);
-    }
-}
-
-/// With binning, a deadline inside a bin reads the bin below it: the
-/// floored thresholds agree with the binned convolution at every `x` up to
-/// an unaligned deadline, bin boundaries included.
-#[test]
-fn binned_count_matches_convolution_below_an_unaligned_deadline() {
-    let bin = 7_000u64;
-    let deadline_us = 123_457u64;
-    assert_ne!(deadline_us % bin, 0);
-    let mut repo = repo_with(Some(bin), 20);
-    let now = SimTime::from_secs(1);
-    for k in 0..20u64 {
-        let tb = if k % 2 == 0 { 1_000 + 3_100 * k } else { 0 };
-        repo.record_perf(r(1), &perf(40_000 + 3_300 * k, 650 * (k % 9), tb), now);
-    }
-    repo.record_reply(r(1), 20_000, now - SimDuration::from_micros(21_234), now);
-    let d = SimDuration::from_micros(deadline_us);
-    assert!(repo.immediate_cdf(r(1), d) > 0.0);
-    assert!(repo.deferred_cdf(r(1), d) > 0.0);
-    let boundaries = (0..=deadline_us / bin).flat_map(|b| [b * bin - b.min(1), b * bin]);
-    for x_us in (0..=deadline_us)
-        .step_by(997)
-        .chain(boundaries)
-        .chain([deadline_us])
-    {
-        assert_agrees(&repo, r(1), x_us);
-    }
 }
 
 /// Every evaluation with history counts once, whatever the path; one
 /// without the history it needs returns 0 and does not count.
 #[test]
 fn evaluations_count_queries_with_history() {
-    let mut repo = repo_with(None, 20);
+    let mut repo = repo_with(20);
     let d = SimDuration::from_millis(150);
     assert_eq!(repo.immediate_cdf(r(1), d), 0.0);
     repo.record_perf(r(1), &perf(100_000, 10_000, 0), SimTime::from_secs(1));

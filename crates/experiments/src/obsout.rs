@@ -11,7 +11,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use aqf_core::{OverloadConfig, QosSpec, RecoveryPolicy, SelectionPolicy};
+use aqf_core::{QosSpec, RecoveryPolicy, SelectionPolicy};
 use aqf_sim::SimDuration;
 use aqf_workload::{
     run_scenario, run_scenario_observed, ClientSpec, ObsHandle, OpPattern, ScenarioConfig,
@@ -74,7 +74,7 @@ impl ObsOut {
 /// rather than only the happy path.
 pub fn traced_config(seed: u64) -> ScenarioConfig {
     let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, seed).with_fast_detection();
-    config.overload = OverloadConfig::protective();
+    config.overload = true;
     config.recovery = RecoveryPolicy {
         hedge_fraction: None,
         ..RecoveryPolicy::default()

@@ -284,8 +284,8 @@ events! {
             threshold_ppm: u64,
         }
         /// A client excluded a replica from selection: it was struck
-        /// (silent or `Busy`) `quarantine_threshold` times, or once more on
-        /// probation.
+        /// (silent or `Busy`) as many times as the quarantine threshold, or
+        /// once more on probation.
         Quarantine = "quarantine" {
             /// The quarantined replica.
             replica: ActorId,

@@ -178,33 +178,6 @@ impl Pmf {
         )
     }
 
-    /// Re-bins the support onto multiples of `bin` (rounding up), merging
-    /// probabilities that land in the same bin.
-    ///
-    /// Binning bounds the support growth of repeated convolutions. Rounding
-    /// up makes the binned CDF a lower bound of the true CDF, so selection
-    /// decisions based on binned distributions stay conservative.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin` is zero.
-    pub fn binned(&self, bin: u64) -> Pmf {
-        assert!(bin > 0, "bin width must be positive");
-        // The support is sorted, and rounding up to a bin boundary is
-        // monotone, so the binned keys come out already sorted: merge runs
-        // directly, accumulating in support order (the same order a map
-        // accumulator would add them).
-        let mut points: Vec<(u64, f64)> = Vec::new();
-        for &(v, p) in &self.points {
-            let b = v.div_ceil(bin).saturating_mul(bin);
-            match points.last_mut() {
-                Some(last) if last.0 == b => last.1 += p,
-                _ => points.push((b, p)),
-            }
-        }
-        Pmf::with_points(points)
-    }
-
     /// Total probability mass (1 for non-empty pmfs, up to rounding).
     pub fn total_mass(&self) -> f64 {
         self.points.iter().map(|&(_, p)| p).sum()
@@ -255,15 +228,6 @@ mod tests {
 
     /// The map accumulators the flat-vector paths replaced, kept as test
     /// oracles for the bit-identity proofs below.
-    fn binned_btree_reference(pmf: &Pmf, bin: u64) -> Vec<(u64, f64)> {
-        let mut acc: BTreeMap<u64, f64> = BTreeMap::new();
-        for (v, p) in pmf.iter() {
-            *acc.entry(v.div_ceil(bin).saturating_mul(bin))
-                .or_insert(0.0) += p;
-        }
-        acc.into_iter().collect()
-    }
-
     fn from_samples_btree_reference(samples: &[u64]) -> Vec<(u64, f64)> {
         let mut counts: BTreeMap<u64, u64> = BTreeMap::new();
         for &s in samples {
@@ -346,24 +310,6 @@ mod tests {
     }
 
     #[test]
-    fn binned_rounds_up_and_conserves_mass() {
-        let pmf = Pmf::from_samples([1u64, 999, 1000, 1001].into_iter());
-        let binned = pmf.binned(1000);
-        assert_close(binned.probability(1000), 0.75);
-        assert_close(binned.probability(2000), 0.25);
-        assert_close(binned.total_mass(), 1.0);
-    }
-
-    #[test]
-    fn binned_cdf_is_lower_bound() {
-        let pmf = Pmf::from_samples([1u64, 500, 1500].into_iter());
-        let binned = pmf.binned(1000);
-        for x in [0u64, 1, 500, 999, 1000, 1500, 2000] {
-            assert!(binned.cdf(x) <= pmf.cdf(x) + 1e-12);
-        }
-    }
-
-    #[test]
     fn saturating_convolution_does_not_overflow() {
         let a = Pmf::point_mass(u64::MAX - 1);
         let b = Pmf::point_mass(10);
@@ -433,28 +379,11 @@ mod tests {
         }
 
         #[test]
-        fn binned_bit_identical_to_btree_accumulator(
-            samples in proptest::collection::vec(0u64..50_000, 1..64),
-            bin in 1u64..3_000,
-        ) {
-            let pmf = Pmf::from_samples(samples.into_iter());
-            let expected = binned_btree_reference(&pmf, bin);
-            assert_bit_identical(&pmf.binned(bin), &expected);
-        }
-
-        #[test]
         fn from_samples_bit_identical_to_btree_counter(
             samples in proptest::collection::vec(0u64..200, 1..64),
         ) {
             let expected = from_samples_btree_reference(&samples);
             assert_bit_identical(&Pmf::from_samples(samples.into_iter()), &expected);
-        }
-
-        #[test]
-        fn binning_conserves_mass(samples in proptest::collection::vec(0u64..100_000, 1..64), bin in 1u64..5000) {
-            let pmf = Pmf::from_samples(samples.into_iter());
-            let binned = pmf.binned(bin);
-            prop_assert!((binned.total_mass() - pmf.total_mass()).abs() < 1e-9);
         }
 
         #[test]

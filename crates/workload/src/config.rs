@@ -1,8 +1,7 @@
 //! Scenario configuration: replica deployment, workload shapes, faults.
 
 use aqf_core::{
-    OrderingGuarantee, OverloadConfig, QosSpec, RecoveryPolicy, SelectionPolicy, StalenessModel,
-    StorageConfig,
+    OrderingGuarantee, QosSpec, RecoveryPolicy, SelectionPolicy, StalenessModel, StorageConfig,
 };
 use aqf_group::{FailureDetector, FlapDamping};
 use aqf_sim::{DelayModel, SimDuration, SimTime};
@@ -172,12 +171,6 @@ pub struct ScenarioConfig {
     pub lazy_interval: SimDuration,
     /// Sliding-window size `l` of the client repositories.
     pub window_size: usize,
-    /// Optional bin width (µs) of the client repositories' response-time
-    /// distributions (positive); `None` keeps them exact. See
-    /// `MonitorConfig::cdf_bin_us`.
-    pub cdf_bin_us: Option<u64>,
-    /// Virtual cost of each selection (Figure 3 territory).
-    pub selection_overhead: SimDuration,
     /// Server service-time model (the paper's simulated background load:
     /// normal with mean 100 ms, spread 50 ms).
     pub service_delay: DelayModel,
@@ -191,11 +184,11 @@ pub struct ScenarioConfig {
     /// Client-side recovery policy (retries, hedged reads, quarantine);
     /// [`RecoveryPolicy::disabled`] reproduces fire-and-forget clients.
     pub recovery: RecoveryPolicy,
-    /// Overload protection: server admission queues and shedding, `Busy`
-    /// as a quarantine strike, and the graceful-degradation ladder;
-    /// [`OverloadConfig::disabled`] replays the unprotected seed
-    /// bit-identically.
-    pub overload: OverloadConfig,
+    /// Overload protection (`aqf_core::overload`) on every server and
+    /// client: server admission queues and shedding, `Busy` as a
+    /// quarantine strike, and the graceful-degradation ladder; `false`
+    /// replays the unprotected seed bit-identically.
+    pub overload: bool,
     /// Group-layer maintenance tick.
     pub group_tick: SimDuration,
     /// Group-layer failure timeout.
@@ -245,8 +238,6 @@ impl ScenarioConfig {
             num_secondaries: 6,
             lazy_interval: SimDuration::from_secs(lazy_secs),
             window_size: 20,
-            cdf_bin_us: None,
-            selection_overhead: SimDuration::from_millis(1),
             service_delay: DelayModel::normal_ms(100.0, 50.0),
             link_delay: DelayModel::Uniform {
                 lo: SimDuration::from_micros(200),
@@ -255,7 +246,7 @@ impl ScenarioConfig {
             loss_probability: 0.0,
             duplicate_probability: 0.0,
             recovery: RecoveryPolicy::disabled(),
-            overload: OverloadConfig::disabled(),
+            overload: false,
             group_tick: SimDuration::from_millis(1000),
             failure_timeout: SimDuration::from_millis(3500),
             detector: FailureDetector::FixedTimeout,
@@ -315,33 +306,17 @@ impl ScenarioConfig {
         if self.window_size == 0 {
             return Err("window size must be positive".into());
         }
-        if self.cdf_bin_us == Some(0) {
-            return Err("CDF bin width must be positive".into());
-        }
         if !(0.0..=1.0).contains(&self.loss_probability) {
             return Err("loss probability must be in [0, 1]".into());
         }
         if !(0.0..=1.0).contains(&self.duplicate_probability) {
             return Err("duplicate probability must be in [0, 1]".into());
         }
-        if self.recovery.max_attempts == 0 {
-            return Err("recovery needs at least one attempt".into());
-        }
         if let Some(h) = self.recovery.hedge_fraction {
             if !(0.0..1.0).contains(&h) {
                 return Err("hedge fraction must be in [0, 1)".into());
             }
         }
-        if self.recovery.quarantine_threshold == 0 {
-            return Err("recovery.quarantine_threshold must be > 0".into());
-        }
-        if self.recovery.quarantine_base.is_zero() {
-            return Err("recovery.quarantine_base must be non-zero".into());
-        }
-        if self.recovery.quarantine_max < self.recovery.quarantine_base {
-            return Err("recovery.quarantine_max must be at least quarantine_base".into());
-        }
-        self.overload.validate()?;
         self.storage.validate()?;
         if self.failure_timeout < self.group_tick * 2 {
             return Err("failure timeout must be at least two group ticks".into());
@@ -559,12 +534,6 @@ mod tests {
         assert!(c.validate().is_err());
 
         let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
-        c.cdf_bin_us = Some(0);
-        assert!(c.validate().is_err());
-        c.cdf_bin_us = Some(1);
-        assert!(c.validate().is_ok());
-
-        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
         c.failure_timeout = SimDuration::from_millis(1500); // < 2 ticks
         assert!(c.validate().is_err());
 
@@ -572,81 +541,6 @@ mod tests {
         c.min_primary_size = 6; // view starts at sequencer + 4 primaries
         assert!(c.validate().is_err());
         c.min_primary_size = 5;
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn validation_covers_overload_knobs() {
-        use aqf_core::DegradeStep;
-
-        // The protective preset passes end to end.
-        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
-        c.overload = OverloadConfig::protective();
-        assert!(c.validate().is_ok());
-
-        // Queue bounds must be positive.
-        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
-        c.overload = OverloadConfig::protective();
-        c.overload.queue_bound = 0;
-        assert!(c.validate().unwrap_err().contains("queue_bound"));
-
-        // The ladder must widen staleness monotonically.
-        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
-        c.overload = OverloadConfig::protective();
-        c.overload.ladder = vec![
-            DegradeStep {
-                widen_staleness: 4,
-                relax_probability: 0.0,
-            },
-            DegradeStep {
-                widen_staleness: 2,
-                relax_probability: 0.1,
-            },
-        ];
-        assert!(c.validate().unwrap_err().contains("monotone"));
-
-        // The reject-mode probe interval must be positive.
-        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
-        c.overload = OverloadConfig::protective();
-        c.overload.probe_interval = SimDuration::ZERO;
-        assert!(c.validate().unwrap_err().contains("probe_interval"));
-
-        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
-        c.overload = OverloadConfig::protective();
-        c.overload.recover_window = 65;
-        assert!(c.validate().unwrap_err().contains("recover_window"));
-
-        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
-        c.overload = OverloadConfig::protective();
-        c.overload.admission_headroom = 0.0;
-        assert!(c.validate().unwrap_err().contains("admission_headroom"));
-
-        // Disabled configs skip knob validation entirely (the seed path).
-        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
-        c.overload.queue_bound = 0;
-        assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn validation_rejects_a_zero_quarantine_threshold() {
-        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
-        c.recovery.quarantine_threshold = 0;
-        assert!(c.validate().unwrap_err().contains("quarantine_threshold"));
-    }
-
-    #[test]
-    fn validation_rejects_a_zero_quarantine_base() {
-        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
-        c.recovery.quarantine_base = SimDuration::ZERO;
-        assert!(c.validate().unwrap_err().contains("quarantine_base"));
-    }
-
-    #[test]
-    fn validation_rejects_a_quarantine_max_below_its_base() {
-        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
-        c.recovery.quarantine_max = c.recovery.quarantine_base - SimDuration::from_micros(1);
-        assert!(c.validate().unwrap_err().contains("quarantine_max"));
-        c.recovery.quarantine_max = c.recovery.quarantine_base;
         assert!(c.validate().is_ok());
     }
 

@@ -559,16 +559,12 @@ pub fn build_scenario(config: &ScenarioConfig) -> BuiltScenario {
             secondary_view.clone(),
             ClientConfig {
                 window_size: config.window_size,
-                cdf_bin_us: config.cdf_bin_us,
-                rate_window: 16,
-                selection_overhead: config.selection_overhead,
                 policy: spec.policy,
-                give_up: SimDuration::from_secs(10),
                 seed: config.seed ^ (i as u64 + 1),
                 staleness_model: config.staleness_model,
                 ordering: config.ordering,
                 recovery: config.recovery,
-                overload: config.overload.clone(),
+                overload: config.overload,
             },
         );
         let got = world.add_actor(Box::new(ClientActor::new(
@@ -759,9 +755,8 @@ fn make_gateway(
         lazy_interval: config.lazy_interval,
         clients: client_ids.to_vec(),
         min_primary_size: config.min_primary_size,
-        overload: config.overload.clone(),
+        overload: config.overload,
         storage,
-        ..ServerConfig::default()
     };
     match config.ordering {
         OrderingGuarantee::Fifo => Box::new(FifoServerGateway::new(

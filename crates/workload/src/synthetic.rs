@@ -17,7 +17,6 @@ use rand::SeedableRng;
 pub fn synthetic_repository(n: usize, window: usize, seed: u64) -> InfoRepository {
     let mut repo = InfoRepository::new(MonitorConfig {
         window_size: window,
-        rate_window: 16,
         ..MonitorConfig::default()
     });
     let mut rng = SmallRng::seed_from_u64(seed);

@@ -6,7 +6,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use aqf_core::{OrderingGuarantee, OverloadConfig, QosSpec, RecoveryPolicy, SelectionPolicy};
+use aqf_core::{OrderingGuarantee, QosSpec, RecoveryPolicy, SelectionPolicy};
 use aqf_obs::Event;
 use aqf_sim::{Digest, SimDuration, SimTime};
 use aqf_workload::{
@@ -114,7 +114,7 @@ fn traced_cell(
         .with_durability();
     config.ordering = ordering;
     config.object = object;
-    config.overload = OverloadConfig::protective();
+    config.overload = true;
     config.recovery = RecoveryPolicy {
         hedge_fraction: None,
         ..RecoveryPolicy::default()

@@ -5,7 +5,7 @@
 //! including overload recoveries and a degradation-ladder transition —
 //! reconstruct without any other source of truth.
 
-use aqf_core::{OverloadConfig, QosSpec, RecoveryPolicy, SelectionPolicy};
+use aqf_core::{QosSpec, RecoveryPolicy, SelectionPolicy};
 use aqf_obs::{parse_json, timelines_from_jsonl, validate_trace_line};
 use aqf_sim::SimDuration;
 use aqf_workload::{
@@ -18,7 +18,7 @@ use aqf_workload::{
 /// exactly the event classes the trace must capture.
 fn overloaded_config(seed: u64) -> ScenarioConfig {
     let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, seed).with_fast_detection();
-    config.overload = OverloadConfig::protective();
+    config.overload = true;
     config.recovery = RecoveryPolicy {
         hedge_fraction: None,
         ..RecoveryPolicy::default()

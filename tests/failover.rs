@@ -257,7 +257,7 @@ fn reconciliation_round_that_lost_a_report_closes_without_client_traffic() {
     for c in &mut config.clients {
         c.start_offset = SimDuration::from_secs(3_600);
     }
-    let stall = aqf::core::ServerConfig::default().commit_stall_timeout;
+    let stall = aqf::core::shell::COMMIT_STALL_TIMEOUT;
     let tick = config.group_tick;
     let mut built = build_scenario(&config);
     let (old, new, straggler) = (
@@ -334,7 +334,7 @@ fn leader_restart_cell(ordering: OrderingGuarantee, durable: bool, seed: u64) ->
 /// it was down.
 #[test]
 fn restarted_leader_catches_up_from_a_peer() {
-    let stall = aqf::core::ServerConfig::default().commit_stall_timeout;
+    let stall = aqf::core::shell::COMMIT_STALL_TIMEOUT;
     let mut failures = Vec::new();
     for ordering in [OrderingGuarantee::Fifo, OrderingGuarantee::Causal] {
         let (mut late, mut slowest, mut divergence) = (Vec::new(), 0, Vec::new());

@@ -11,9 +11,7 @@
 //! Re-baseline only for a deliberate protocol change, using the ignored
 //! printer test at the bottom.
 
-use aqf::core::{
-    ObsEvent, OrderingGuarantee, OverloadConfig, QosSpec, RecoveryPolicy, SelectionPolicy,
-};
+use aqf::core::{ObsEvent, OrderingGuarantee, QosSpec, RecoveryPolicy, SelectionPolicy};
 use aqf::sim::{Digest, SimDuration, SimTime};
 use aqf::workload::{
     run_scenario, run_scenario_observed, ClientSpec, FaultEvent, FaultKind, FaultTarget,
@@ -45,14 +43,14 @@ fn crash_restart(target: FaultTarget, at: u64, gap: u64) -> Vec<FaultEvent> {
     ]
 }
 
-/// `OverloadConfig::protective()` against ~4x the paper's offered load:
+/// Overload protection against ~4x the paper's offered load:
 /// six mixed readers that provoke queue-bound and deadline shedding, plus
 /// two burst writers keeping the commit path busy.
 fn overload_cell(ordering: OrderingGuarantee, object: ObjectKind, seed: u64) -> ScenarioConfig {
     let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, seed).with_fast_detection();
     config.ordering = ordering;
     config.object = object;
-    config.overload = OverloadConfig::protective();
+    config.overload = true;
     config.recovery = RecoveryPolicy {
         hedge_fraction: None,
         ..RecoveryPolicy::default()

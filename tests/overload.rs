@@ -3,7 +3,7 @@
 //! GSN uniqueness), must coexist with crash faults and view changes, and
 //! must stay bit-deterministic under a fixed seed.
 
-use aqf::core::{OverloadConfig, QosSpec, RecoveryPolicy, SelectionPolicy};
+use aqf::core::{QosSpec, RecoveryPolicy, SelectionPolicy};
 use aqf::sim::{SimDuration, SimTime};
 use aqf::workload::{
     run_scenario, ClientSpec, FaultEvent, FaultKind, FaultTarget, OpPattern, ScenarioConfig,
@@ -16,7 +16,7 @@ use aqf::workload::{
 /// degradation ladder.
 fn overloaded_config(clients: usize, requests: u64, seed: u64) -> ScenarioConfig {
     let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, seed).with_fast_detection();
-    config.overload = OverloadConfig::protective();
+    config.overload = true;
     config.recovery = RecoveryPolicy {
         hedge_fraction: None,
         ..RecoveryPolicy::default()
@@ -118,10 +118,7 @@ fn protection_retains_timely_goodput_over_seeds() {
     for seed in [1u64, 7, 21, 42] {
         for mult in [4usize, 8] {
             let mut goodput = [0.0; 2];
-            for (arm, overload) in [OverloadConfig::disabled(), OverloadConfig::protective()]
-                .into_iter()
-                .enumerate()
-            {
+            for (arm, overload) in [false, true].into_iter().enumerate() {
                 let mut config = overloaded_config(2 * mult, 200, seed);
                 config.overload = overload;
                 let m = run_scenario(&config);
