@@ -7,10 +7,11 @@
 //! ladder rather than panicking — plus the subsystem's two determinism
 //! contracts (same seed reproduces the run; disabled storage is inert).
 
+use aqf::core::ObsEvent;
 use aqf::sim::{SimDuration, SimTime};
 use aqf::workload::{
-    build_scenario, run_scenario, ClientSpec, FaultEvent, FaultKind, FaultTarget, ObjectKind,
-    OpPattern, ScenarioConfig, ScenarioMetrics,
+    build_scenario, run_scenario, run_scenario_observed, ClientSpec, FaultEvent, FaultKind,
+    FaultTarget, ObjectKind, ObsHandle, OpPattern, ScenarioConfig, ScenarioMetrics,
 };
 
 fn crash_restart(target: FaultTarget, at: u64, gap: u64) -> Vec<FaultEvent> {
@@ -116,6 +117,8 @@ fn whole_cluster_restart_recovers_every_committed_gsn() {
         );
         let replayed: u64 = m.servers.iter().map(|s| s.stats.replayed_records).sum();
         assert!(replayed > 0, "seed {seed}: recovery did not replay");
+        let corrupt: u64 = m.servers.iter().map(|s| s.stats.corrupt_logs).sum();
+        assert_eq!(corrupt, 0, "seed {seed}: corrupt log without media faults");
         assert_safety_floors(&m, &format!("seed {seed}"));
     }
 }
@@ -140,6 +143,30 @@ fn sequencer_crash_mid_snapshot_leaves_no_holes_or_dupes() {
             "seed {seed}: restarted sequencer did not replay"
         );
         assert_safety_floors(&m, &format!("seed {seed}"));
+    }
+}
+
+/// A sequencer that replayed its log asks its donor only for the suffix
+/// it missed, so it is shipped fewer bytes than with replay off, where it
+/// takes a full state transfer of the grown document. (At the snapshot
+/// cadence above, the donor has compacted past that suffix and both arms
+/// take the full transfer.)
+#[test]
+fn log_replay_ships_fewer_transfer_bytes_than_a_full_transfer() {
+    let sent = |config: &ScenarioConfig| -> u64 {
+        let m = run_scenario(config);
+        m.servers.iter().map(|s| s.stats.transfer_bytes_sent).sum()
+    };
+    for seed in [3u64, 23] {
+        let mut config = durable_config(seed);
+        config.faults = crash_restart(FaultTarget::Sequencer, 40, 3);
+        let replay = sent(&config);
+        config.storage.replay = false;
+        let full = sent(&config);
+        assert!(
+            replay < full,
+            "seed {seed}: replay shipped {replay} bytes, full transfer {full}"
+        );
     }
 }
 
@@ -180,7 +207,9 @@ fn torn_and_bitflip_faults_are_contained() {
 
 /// The RNG-driven disks do not break scenario determinism: the same
 /// seed replays the same correlated-crash run bit-for-bit (compared via
-/// the full Debug rendering, so any divergence diffs readably).
+/// the full Debug rendering, so any divergence diffs readably). Nor does
+/// tracing them: a run with a live sink has the same metrics digest, and
+/// its trace carries WAL, snapshot and replay events.
 #[test]
 fn durable_chaos_replays_identically() {
     let mut config = durable_config(13);
@@ -188,9 +217,22 @@ fn durable_chaos_replays_identically() {
     config.storage.torn_write_probability = 0.5;
     config.storage.bit_flip_probability = 0.25;
     config.faults = crash_restart(FaultTarget::AllServers, 40, 3);
-    let first = format!("{:#?}", run_scenario(&config));
+    let first = run_scenario(&config);
     let second = format!("{:#?}", run_scenario(&config));
-    assert_eq!(first, second, "durable chaos run is not reproducible");
+    assert_eq!(
+        format!("{first:#?}"),
+        second,
+        "durable chaos run is not reproducible"
+    );
+    let obs = ObsHandle::enabled();
+    let traced = run_scenario_observed(&config, &obs);
+    assert_eq!(traced.digest(), first.digest(), "tracing steered the run");
+
+    let records = obs.take_report().expect("enabled handle").records;
+    let seen = |kind: fn(&ObsEvent) -> bool| records.iter().any(|r| kind(&r.event));
+    assert!(seen(|e| matches!(e, ObsEvent::WalAppend { .. })));
+    assert!(seen(|e| matches!(e, ObsEvent::Snapshot { .. })));
+    assert!(seen(|e| matches!(e, ObsEvent::RecoveryReplay { .. })));
 }
 
 /// Disabled storage is inert: a config whose storage knobs are set but

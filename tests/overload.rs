@@ -107,8 +107,10 @@ fn overload_survives_primary_and_sequencer_crashes() {
 
 /// EXT-OVL's shape (the grid of `aqf-experiments overload`, 200 requests
 /// per client) at 4x and 8x, protected and unprotected, over four seeds:
-/// every request resolves, nothing is stale, reordered or divergent, and
-/// protection keeps at least twice the unprotected timely goodput at 4x.
+/// every request resolves, nothing is stale, reordered or divergent, the
+/// unprotected arm never refuses a read, and at 4x protection engages
+/// (refusals and quarantines) and keeps at least twice the unprotected
+/// timely goodput.
 ///
 /// Protected timely reads per virtual second, seeds 1/7/21/42, with a
 /// client breaker per replica beside the quarantine: 4x 8.94/9.19/8.68/8.03,
@@ -134,6 +136,21 @@ fn protection_retains_timely_goodput_over_seeds() {
                 let conflicts: u64 = m.servers.iter().map(|s| s.stats.gsn_conflicts).sum();
                 assert_eq!(conflicts, 0, "{cell}: GSN conflicts");
                 assert_eq!(m.max_applied_divergence(), 0, "{cell}: divergence");
+                let refused: u64 = m
+                    .clients
+                    .iter()
+                    .map(|c| c.busy_rejections + c.local_sheds)
+                    .sum();
+                let quarantines: u64 = m.clients.iter().map(|c| c.quarantines).sum();
+                if !overload {
+                    assert_eq!(refused, 0, "{cell}: the unprotected arm refused reads");
+                } else if mult == 4 {
+                    assert!(
+                        refused > 0 && quarantines > 0,
+                        "{cell}: protection never engaged \
+                         ({refused} busy or shed, {quarantines} quarantines)"
+                    );
+                }
                 let timely: u64 = m.clients.iter().map(|c| c.timely_responses).sum();
                 goodput[arm] = timely as f64 / m.virtual_secs;
             }
@@ -143,7 +160,7 @@ fn protection_retains_timely_goodput_over_seeds() {
             );
             if mult == 4 {
                 assert!(
-                    goodput[1] >= 2.0 * goodput[0],
+                    goodput[1] > 0.0 && goodput[1] >= 2.0 * goodput[0],
                     "seed {seed}: protected {:.2}/s vs unprotected {:.2}/s",
                     goodput[1],
                     goodput[0]
