@@ -24,10 +24,12 @@
 //!   serialization so a minimized repro is a self-contained artifact.
 //!
 //! [`mod@search`] ties them together: sweep seeds, judge each run, report; on
-//! a failure, [`search::minimize`] produces the minimal repro.
+//! a failure, [`search::minimize`] produces the minimal repro. [`corpus`]
+//! holds the fixed profiles and seed blocks every build must replay clean.
 //!
 //! [`ScenarioConfig`]: aqf_workload::ScenarioConfig
 
+pub mod corpus;
 pub mod generator;
 pub mod oracle;
 pub mod repro;

@@ -2,10 +2,11 @@
 //! replay clean — an oracle violation here is a real consistency bug in
 //! the protocol stack, not test noise.
 //!
-//! The corpus sweeps three ordering profiles (sequential register, causal
-//! register, FIFO banking — the last with durable storage on, so
-//! generated crashes exercise WAL damage and recovery replay) over
-//! disjoint seed blocks, ≥200 seeded schedules total.
+//! The corpus (`aqf_chaos::corpus`) sweeps three ordering profiles
+//! (sequential register, causal register, FIFO banking — the last with
+//! durable storage on, so generated crashes exercise WAL damage and
+//! recovery replay) over disjoint seed blocks, ≥200 seeded schedules
+//! total.
 //!
 //! These tests are compiled out under the `mutation` feature: that build
 //! deliberately breaks the causal read path, and its corpus expectations
@@ -14,13 +15,11 @@
 #![cfg(not(feature = "mutation"))]
 
 use aqf_chaos::{
-    check_trace, config_from_json, config_to_json, replay_and_judge, run_seed, search, OracleKind,
-    OracleOptions, ScheduleBudget, Violation,
+    check_trace, config_from_json, config_to_json, corpus, replay_and_judge, run_seed, search,
+    OracleKind, OracleOptions, ScheduleBudget, Violation,
 };
-use aqf_core::{OrderingGuarantee, StorageConfig};
 use aqf_obs::{ObsHandle, TraceRecord};
-use aqf_sim::SimDuration;
-use aqf_workload::{run_scenario_observed, ObjectKind, ScenarioConfig, ScenarioMetrics};
+use aqf_workload::{run_scenario_observed, ScenarioConfig, ScenarioMetrics};
 
 /// Runs `config` traced: its metrics and the trace the oracles judge.
 fn traced(config: &ScenarioConfig) -> (ScenarioMetrics, Vec<TraceRecord>) {
@@ -29,64 +28,19 @@ fn traced(config: &ScenarioConfig) -> (ScenarioMetrics, Vec<TraceRecord>) {
     (metrics, obs.take_report().expect("enabled handle").records)
 }
 
-/// The corpus's shared deployment shape: the paper's 11-server layout
-/// with fast failure detection and a workload that spans the fault
-/// window.
-fn corpus_base(seed: u64) -> ScenarioConfig {
-    let mut c = ScenarioConfig::paper_validation(200, 0.9, 2, seed).with_fast_detection();
-    c.run_limit = SimDuration::from_secs(250);
-    for spec in &mut c.clients {
-        spec.total_requests = 60;
-        spec.request_delay = SimDuration::from_millis(600);
-    }
-    c
-}
-
-fn sequential_profile() -> ScenarioConfig {
-    corpus_base(101)
-}
-
-fn causal_profile() -> ScenarioConfig {
-    causal_base(202)
-}
-
-fn causal_base(seed: u64) -> ScenarioConfig {
-    let mut c = corpus_base(seed);
-    c.ordering = OrderingGuarantee::Causal;
-    // A generous staleness bound keeps the staleness deferral out of the
-    // way, so reads are gated by causal dependencies (the interesting
-    // check) rather than by freshness.
-    for spec in &mut c.clients {
-        spec.qos.staleness_threshold = 10;
-    }
-    c
-}
-
-fn fifo_profile() -> ScenarioConfig {
-    let mut c = corpus_base(303);
-    c.ordering = OrderingGuarantee::Fifo;
-    c.object = ObjectKind::Bank;
-    c.storage = StorageConfig::durable();
-    c
-}
-
 #[test]
 fn corpus_replays_clean_on_an_unmutated_build() {
     let budget = ScheduleBudget::quick();
     let opts = OracleOptions::default();
-    let profiles = [
-        ("sequential", sequential_profile(), 0u64, 80u64),
-        ("causal", causal_profile(), 1000, 60),
-        ("fifo-bank", fifo_profile(), 2000, 60),
-    ];
     let mut total = 0u64;
-    for (name, base, start, count) in profiles {
-        let report = search(&base, &budget, start, count, &opts);
-        total += count;
+    for p in corpus::profiles() {
+        let report = search(&p.base, &budget, p.first_seed, p.schedules, &opts);
+        total += p.schedules;
         let failing = report.failures().next();
         if let Some(outcome) = failing {
             panic!(
-                "profile {name}, seed {}: {} oracle violation(s): {:?}",
+                "profile {}, seed {}: {} oracle violation(s): {:?}",
+                p.name,
                 outcome.seed,
                 outcome.violations.len(),
                 outcome.violations
@@ -103,7 +57,7 @@ fn staleness_counter_agrees_with_timed_oracle() {
     let budget = ScheduleBudget::quick();
     let mut checked_any = false;
     for seed in [3u64, 17, 29] {
-        let mut config = sequential_profile();
+        let mut config = corpus::sequential().base;
         config.seed ^= seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         config.faults = aqf_chaos::generate_faults(&config, &budget, seed);
         let (metrics, trace) = traced(&config);
@@ -128,7 +82,7 @@ fn staleness_counter_agrees_with_timed_oracle() {
 #[test]
 fn repro_artifacts_replay_bit_identically() {
     let budget = ScheduleBudget::quick();
-    let base = fifo_profile();
+    let base = corpus::fifo_bank().base;
     let outcome = run_seed(&base, &budget, 2003, &OracleOptions::default());
     let config = aqf_chaos::scenario_for_seed(&base, &budget, 2003);
     let text = config_to_json(&config);
@@ -144,9 +98,9 @@ fn repro_artifacts_replay_bit_identically() {
     assert_eq!(viol_a.len(), outcome.violations.len());
 }
 
-/// The checked-in repro `chaos-smoke` replays keeps its behaviour, not only
-/// its determinism: a change to the document's keys or to the code it
-/// drives must replay to the same digest, clean.
+/// The checked-in repro keeps its behaviour, not only its determinism: a
+/// change to the document's keys or to the code it drives must replay to
+/// the same digest, clean.
 #[test]
 fn checked_in_repro_replays_to_its_pinned_digest() {
     let text = include_str!("../../../results/chaos_repro.json");
@@ -191,7 +145,7 @@ fn cut_off_successor_cannot_become_a_second_sequencer() {
         (7598109481980131276, 2863866023334820038),
         (11335840072483301643, 10223220775828725711),
     ] {
-        assert_schedule_clean(&corpus_base(base), schedule);
+        assert_schedule_clean(&corpus::base(base), schedule);
     }
 }
 
@@ -201,8 +155,8 @@ fn cut_off_successor_cannot_become_a_second_sequencer() {
 /// replication group"). A restart keeps the role.
 #[test]
 fn excluded_replica_survives_a_restart() {
-    let sequential = corpus_base(9124552842517897888);
-    let causal = causal_base(16518247390030083818);
+    let sequential = corpus::base(9124552842517897888);
+    let causal = corpus::causal_base(16518247390030083818);
     for (base, schedule) in [
         (&sequential, 17010637113342041486u64),
         (&causal, 8888002149916109784),
@@ -228,7 +182,7 @@ fn excluded_replica_survives_a_restart() {
 /// on a membership change.
 #[test]
 fn takeover_round_that_lost_a_report_closes_on_its_own_timer() {
-    let mut base = corpus_base(101);
+    let mut base = corpus::sequential().base;
     base.loss_probability = 0.02;
     let stall = aqf_core::shell::COMMIT_STALL_TIMEOUT;
     let bound = base.failure_timeout + stall + base.group_tick * 2;

@@ -11,34 +11,18 @@
 #![cfg(feature = "mutation")]
 
 use aqf_chaos::{
-    config_from_json, config_to_json, minimize, replay_and_judge, scenario_for_seed, search,
-    OracleKind, OracleOptions, ScheduleBudget,
+    config_from_json, config_to_json, corpus, minimize, replay_and_judge, scenario_for_seed,
+    search, OracleKind, OracleOptions, ScheduleBudget,
 };
-use aqf_core::OrderingGuarantee;
-use aqf_sim::SimDuration;
-use aqf_workload::ScenarioConfig;
-
-/// Same causal profile and seed block as the clean corpus in
-/// `corpus.rs` (kept in sync by hand; the profiles are tiny).
-fn causal_profile() -> ScenarioConfig {
-    let mut c = ScenarioConfig::paper_validation(200, 0.9, 2, 202).with_fast_detection();
-    c.run_limit = SimDuration::from_secs(250);
-    c.ordering = OrderingGuarantee::Causal;
-    for spec in &mut c.clients {
-        spec.total_requests = 60;
-        spec.request_delay = SimDuration::from_millis(600);
-        spec.qos.staleness_threshold = 10;
-    }
-    c
-}
 
 #[test]
 fn causal_oracle_catches_the_mutation_and_shrinker_minimizes_it() {
     let budget = ScheduleBudget::quick();
     let opts = OracleOptions::default();
 
-    // The same 60-seed block the unmutated corpus replays clean.
-    let report = search(&causal_profile(), &budget, 1000, 60, &opts);
+    // The causal block the unmutated corpus replays clean.
+    let c = corpus::causal();
+    let report = search(&c.base, &budget, c.first_seed, c.schedules, &opts);
     let caught = report
         .failures()
         .find(|o| o.violations.iter().any(|v| v.oracle == OracleKind::Causal));
@@ -52,7 +36,7 @@ fn causal_oracle_catches_the_mutation_and_shrinker_minimizes_it() {
     });
 
     // Shrink the violating schedule to a minimal repro.
-    let config = scenario_for_seed(&causal_profile(), &budget, outcome.seed);
+    let config = scenario_for_seed(&c.base, &budget, outcome.seed);
     let shrunk = minimize(&config, Some(OracleKind::Causal), &opts);
     assert!(
         shrunk.config.faults.len() <= 5,

@@ -25,8 +25,8 @@ use aqf_core::{QosSpec, RecoveryPolicy, SelectionPolicy};
 use aqf_sim::{SimDuration, SimTime};
 use aqf_workload::runner::ScenarioMetrics;
 use aqf_workload::{
-    build_scenario, run_scenario, run_scenario_observed, ClientSpec, FaultEvent, FaultKind,
-    FaultTarget, ObjectKind, ObsHandle, OpPattern, ScenarioConfig,
+    run_scenario, ClientSpec, FaultEvent, FaultKind, FaultTarget, ObjectKind, OpPattern,
+    ScenarioConfig,
 };
 
 /// When the correlated crash lands (virtual time).
@@ -199,110 +199,5 @@ pub fn run(seed: u64, out: &Output) {
          gone (committed resets to the post-restart residue), while\n\
          log-replay restores the full prefix from local logs, converges,\n\
          and finishes conflict-free."
-    );
-}
-
-/// CI smoke for the durability subsystem: the worst-severity cell of the
-/// grid (whole-cluster crash) plus the tracing-purity and trace-schema
-/// gates for the new event kinds.
-///
-/// # Panics
-///
-/// Panics if replay fails to preserve every pre-crash commit across a
-/// whole-cluster restart, if replicas end divergent or with GSN
-/// conflicts, if replay does not reduce transfer bytes against the
-/// transfer-only ablation, if enabling tracing perturbs the storage-on
-/// simulation, or if the trace's durability events fail schema
-/// validation.
-pub fn smoke(seed: u64) {
-    // 1. Whole-cluster crash with log-replay: nothing committed is lost.
-    let config = scenario(FaultTarget::AllServers, Mode::LogReplay, seed);
-    let mut built = build_scenario(&config);
-    built.run_until_with_faults(SimTime::from_secs(CRASH_SECS - 1));
-    let pre = built.metrics();
-    let committed_before: u64 = pre.servers.iter().map(|s| s.applied_csn).max().unwrap_or(0);
-    assert!(
-        committed_before > 0,
-        "recovery smoke: no commits before the crash"
-    );
-    let chunk = SimDuration::from_secs(10);
-    while !built.all_clients_done() {
-        let until = built.world.now() + chunk;
-        built.run_until_with_faults(until);
-        assert!(
-            built.world.now() < SimTime::from_secs(3600),
-            "recovery smoke: run failed to finish"
-        );
-    }
-    built.run_until_with_faults(built.world.now() + SimDuration::from_secs(5));
-    let m = built.metrics();
-    let o = observe(&m);
-    assert!(
-        o.committed >= committed_before,
-        "recovery smoke: committed prefix lost ({} before crash, {} at end)",
-        committed_before,
-        o.committed
-    );
-    assert!(o.replayed > 0, "recovery smoke: no records replayed");
-    assert_eq!(o.divergence, 0, "recovery smoke: divergence after recovery");
-    let gsn_conflicts: u64 = m.servers.iter().map(|s| s.stats.gsn_conflicts).sum();
-    assert_eq!(gsn_conflicts, 0, "recovery smoke: gsn conflicts");
-    assert_eq!(o.corrupt, 0, "recovery smoke: unexpected corrupt logs");
-
-    // 2. Replay strictly reduces transfer bytes vs the transfer-only
-    // ablation at the same seed, measured at the severity where both arms
-    // actually transfer (a surviving donor exists): the sequencer crash.
-    // At the correlated severities the ablation has no synced donor, so
-    // its byte count is trivially zero — and its committed prefix gone.
-    let replay = observe(&run_scenario(&scenario(
-        FaultTarget::Sequencer,
-        Mode::LogReplay,
-        seed,
-    )));
-    let ablation = observe(&run_scenario(&scenario(
-        FaultTarget::Sequencer,
-        Mode::TransferOnly,
-        seed,
-    )));
-    assert!(
-        ablation.transfer_sent > 0,
-        "recovery smoke: transfer-only ablation shipped no state"
-    );
-    assert!(
-        replay.transfer_sent < ablation.transfer_sent,
-        "recovery smoke: replay did not reduce transfer bytes ({} replay vs {} transfer-only)",
-        replay.transfer_sent,
-        ablation.transfer_sent
-    );
-
-    // 3. Tracing stays pure with storage enabled, and the new durability
-    // event kinds appear and validate.
-    let traced = scenario(FaultTarget::AllPrimaries, Mode::LogReplay, seed);
-    let baseline = run_scenario(&traced);
-    let obs = ObsHandle::enabled();
-    let observed = run_scenario_observed(&traced, &obs);
-    assert_eq!(
-        baseline.digest(),
-        observed.digest(),
-        "recovery smoke: tracing perturbed the storage-on simulation"
-    );
-    let report = obs.take_report().expect("enabled handle has a report");
-    let jsonl = report.trace_jsonl();
-    for line in jsonl.lines() {
-        aqf_obs::validate_trace_line(line)
-            .unwrap_or_else(|e| panic!("recovery smoke: invalid trace line {line:?}: {e}"));
-    }
-    let steps = aqf_obs::parse_trace(&jsonl).expect("recovery smoke: trace parses");
-    for kind in ["wal_append", "snapshot", "recovery_replay"] {
-        assert!(
-            steps.iter().any(|s| s.kind == kind),
-            "recovery smoke: no {kind} event in trace"
-        );
-    }
-
-    println!(
-        "recovery smoke: ok ({} commits preserved across whole-cluster crash, \
-         {} records replayed, {} transfer bytes vs {} transfer-only)",
-        committed_before, o.replayed, replay.transfer_sent, ablation.transfer_sent
     );
 }

@@ -13,17 +13,12 @@
 //!   sweep-reqdelay request-delay sweep (EXT-REQD)
 //!   hotspot        selection-policy load-balance ablation (EXT-HOT)
 //!   failures       crash/gray-fault injection suite (EXT-FAIL)
-//!   failures-smoke short asserting EXT-FAIL subset for CI
 //!   admission      admission-control extension (EXT-ADM)
 //!   ordering       sequential vs causal vs FIFO handler comparison (EXT-ORD)
 //!   staleness      Poisson vs empirical staleness model (EXT-STALE)
 //!   overload       overload-protection goodput retention (EXT-OVL)
-//!   overload-smoke short asserting EXT-OVL subset for CI
-//!   trace-smoke    observability purity + artifact reconstruction gate for CI
 //!   durability     crash recovery with and without the write-ahead log (EXT-DUR)
-//!   recovery-smoke short asserting EXT-DUR subset for CI
 //!   chaos-search   seeded fault-schedule search judged by oracles (EXT-CHAOS)
-//!   chaos-smoke    fixed-seed chaos corpus + repro replay gate for CI
 //!   all            everything above
 //! ```
 //!
@@ -111,7 +106,7 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn usage() -> String {
-    "usage: aqf-experiments <fig3|fig4|fig4a|fig4b|sweep-lui|sweep-reqdelay|hotspot|failures|failures-smoke|admission|ordering|staleness|overload|overload-smoke|trace-smoke|durability|recovery-smoke|chaos-search|chaos-smoke|all> [--seed N] [--iters N] [--csv DIR] [--trace-out DIR] [--metrics-out DIR]".to_string()
+    "usage: aqf-experiments <fig3|fig4|fig4a|fig4b|sweep-lui|sweep-reqdelay|hotspot|failures|admission|ordering|staleness|overload|durability|chaos-search|all> [--seed N] [--iters N] [--csv DIR] [--trace-out DIR] [--metrics-out DIR]".to_string()
 }
 
 fn main() -> ExitCode {
@@ -145,17 +140,12 @@ fn main() -> ExitCode {
         "sweep-reqdelay" => sweeps::sweep_request_delay(args.seed, &out),
         "hotspot" => hotspot::run(args.seed, &out),
         "failures" => failures::run(args.seed, &out),
-        "failures-smoke" => failures::smoke(args.seed),
         "admission" => admission::run(args.seed, &out),
         "ordering" => ordering::run(args.seed, &out),
         "staleness" => staleness::run(args.seed, &out),
         "overload" => overload::run(args.seed, &out),
-        "overload-smoke" => overload::smoke(args.seed),
-        "trace-smoke" => obsout::smoke(args.seed),
         "durability" => durability::run(args.seed, &out),
-        "recovery-smoke" => durability::smoke(args.seed),
         "chaos-search" => chaos::run(args.seed, args.iters, &out),
-        "chaos-smoke" => chaos::smoke(args.seed),
         "all" => {
             fig3::run(args.iters, &out);
             let points = fig4::run_grid(args.seed);

@@ -1,5 +1,4 @@
-//! Trace/metrics artifact capture for the experiment grids, plus the
-//! `trace-smoke` CI gate.
+//! Trace/metrics artifact capture for the experiment grids.
 //!
 //! Every grid command accepts `--trace-out DIR` and `--metrics-out DIR`;
 //! when either is given, a representative scenario of that grid is re-run
@@ -13,9 +12,7 @@ use std::path::PathBuf;
 
 use aqf_core::{QosSpec, RecoveryPolicy, SelectionPolicy};
 use aqf_sim::SimDuration;
-use aqf_workload::{
-    run_scenario, run_scenario_observed, ClientSpec, ObsHandle, OpPattern, ScenarioConfig,
-};
+use aqf_workload::{run_scenario_observed, ClientSpec, ObsHandle, OpPattern, ScenarioConfig};
 
 /// Where to write captured artifacts; both directories optional.
 pub struct ObsOut {
@@ -90,67 +87,4 @@ pub fn traced_config(seed: u64) -> ScenarioConfig {
         })
         .collect();
     config
-}
-
-/// CI smoke for the observability layer.
-///
-/// Runs [`traced_config`] twice — once unobserved, once with a live sink
-/// — and asserts the tracing path is pure and the artifacts stand alone.
-///
-/// # Panics
-///
-/// Panics if the observed run diverges from the unobserved digest, if any
-/// trace line fails schema validation, if the metrics export is not valid
-/// JSON, or if per-request timelines (including at least one shed/retry
-/// recovery and one degradation-ladder move) fail to reconstruct from the
-/// trace.
-pub fn smoke(seed: u64) {
-    let config = traced_config(seed);
-    let baseline = run_scenario(&config);
-
-    let obs = ObsHandle::enabled();
-    let observed = run_scenario_observed(&config, &obs);
-    assert_eq!(
-        baseline.digest(),
-        observed.digest(),
-        "trace smoke: enabled tracing changed the simulation"
-    );
-
-    let report = obs.take_report().expect("enabled handle has a report");
-    let jsonl = report.trace_jsonl();
-    let mut lines = 0u64;
-    for line in jsonl.lines() {
-        aqf_obs::validate_trace_line(line)
-            .unwrap_or_else(|e| panic!("trace smoke: invalid line {line:?}: {e}"));
-        lines += 1;
-    }
-    assert!(lines > 0, "trace smoke: empty trace");
-    aqf_obs::parse_json(&report.metrics_json()).expect("trace smoke: metrics export parses");
-
-    let steps = aqf_obs::parse_trace(&jsonl).expect("trace smoke: trace parses");
-    let ladder_moved = steps.iter().any(|s| s.kind == "ladder");
-    let timelines = aqf_obs::build_timelines(steps);
-    assert!(!timelines.is_empty(), "trace smoke: no request timelines");
-    let recovered = timelines.values().filter(|t| t.recovered_or_shed()).count();
-    assert!(
-        recovered > 0,
-        "trace smoke: no shed/busy/retry timeline at 4x load"
-    );
-    assert!(
-        ladder_moved,
-        "trace smoke: no degradation-ladder transition in trace"
-    );
-
-    let busy: u64 = observed.clients.iter().map(|c| c.busy_rejections).sum();
-    assert_eq!(
-        report.metrics.counter("client.busy_rejections"),
-        busy,
-        "trace smoke: exported counter diverges from scenario metrics"
-    );
-    println!(
-        "trace smoke: ok ({lines} events, {} timelines, {recovered} with recoveries, \
-         digest {:#018x})",
-        timelines.len(),
-        baseline.digest()
-    );
 }

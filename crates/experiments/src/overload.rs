@@ -151,64 +151,3 @@ pub fn run(seed: u64, out: &Output) {
          replicas in both arms."
     );
 }
-
-/// CI smoke: the 4× column of the grid at reduced request counts.
-///
-/// # Panics
-///
-/// Panics if the protected arm fails to retain at least twice the
-/// unprotected timely goodput, if protection produced no goodput or opened
-/// no exclusion, if the unprotected arm saw a `Busy` or a local shed, if
-/// any arm observed a staleness violation or a GSN conflict, or if live
-/// replicas diverged.
-pub fn smoke(seed: u64) {
-    let mut arms = Vec::new();
-    for overload in [false, true] {
-        let config = scenario(4, 120, overload, seed);
-        let m = run_scenario(&config);
-        let gsn_conflicts: u64 = m.servers.iter().map(|s| s.stats.gsn_conflicts).sum();
-        assert_eq!(gsn_conflicts, 0, "overload smoke: gsn conflicts");
-        assert_eq!(m.max_applied_divergence(), 0, "overload smoke: divergence");
-        let o = observe(&m);
-        assert_eq!(o.staleness_violations, 0, "overload smoke: staleness");
-        assert_eq!(
-            o.completed, o.issued,
-            "overload smoke: all requests resolved"
-        );
-        arms.push(o);
-    }
-    let (unprotected, protected) = (&arms[0], &arms[1]);
-    assert!(
-        protected.goodput > 0.0,
-        "overload smoke: protected arm made timely progress"
-    );
-    assert!(
-        protected.goodput >= 2.0 * unprotected.goodput,
-        "overload smoke: retention {:.2}/s protected vs {:.2}/s unprotected (< 2x)",
-        protected.goodput,
-        unprotected.goodput
-    );
-    assert!(
-        protected.busy + protected.local_sheds > 0,
-        "overload smoke: protection engaged"
-    );
-    assert!(
-        protected.exclusions > 0,
-        "overload smoke: Busy strikes opened an exclusion"
-    );
-    assert_eq!(
-        unprotected.busy + unprotected.local_sheds,
-        0,
-        "overload smoke: disabled arm stays inert"
-    );
-    println!(
-        "overload smoke: 4x load ok ({:.2}/s protected vs {:.2}/s unprotected, \
-         {} busy, {} local sheds, {} exclusions, {} ladder moves)",
-        protected.goodput,
-        unprotected.goodput,
-        protected.busy,
-        protected.local_sheds,
-        protected.exclusions,
-        protected.transitions
-    );
-}
