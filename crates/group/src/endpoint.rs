@@ -21,7 +21,7 @@
 //! per `failure_timeout`.
 
 use crate::channel::ReceiveChannel;
-use crate::detector::{FailureDetector, FlapDamping, PhiAccrual};
+use crate::detector::{flap_hold, FailureDetector, PhiAccrual, DAMPING_FORGET_AFTER};
 use crate::msg::{DataMsg, Envelope, GroupMsg, SharedPayload, StreamTip};
 use crate::view::{GroupId, View, ViewId};
 use aqf_sim::{ActorId, Context, SimDuration, SimTime, Timer};
@@ -54,10 +54,10 @@ pub struct EndpointConfig {
     /// mode adapts the effective timeout to each peer's observed heartbeat
     /// jitter.
     pub detector: FailureDetector,
-    /// Optional leader-side flap damping: exponentially growing
-    /// re-admission hold-down for members that are repeatedly suspected
-    /// and re-merged. `None` (the default) re-admits immediately.
-    pub damping: Option<FlapDamping>,
+    /// Leader-side flap damping: an exponentially growing re-admission
+    /// hold-down ([`flap_hold`]) for members that are repeatedly suspected
+    /// and re-merged. Off (the default) re-admits immediately.
+    pub damping: bool,
 }
 
 impl Default for EndpointConfig {
@@ -67,7 +67,7 @@ impl Default for EndpointConfig {
             failure_timeout: SimDuration::from_millis(1000),
             sent_buffer_capacity: 4096,
             detector: FailureDetector::FixedTimeout,
-            damping: None,
+            damping: false,
         }
     }
 }
@@ -251,11 +251,11 @@ impl MemberState {
             FailureDetector::FixedTimeout => {
                 now.saturating_since(silent_from) > config.failure_timeout
             }
-            FailureDetector::PhiAccrual(cfg) => self
+            FailureDetector::PhiAccrual => self
                 .accrual
                 .entry(m)
-                .or_insert_with(|| PhiAccrual::new(&cfg, config.tick_interval, silent_from))
-                .is_suspect(now, &cfg),
+                .or_insert_with(|| PhiAccrual::new(config.tick_interval, silent_from))
+                .is_suspect(now),
         };
         if !suspect {
             self.suspected.remove(&m);
@@ -1040,7 +1040,7 @@ impl<A: Clone> GroupEndpoint<A> {
         joiner: ActorId,
         now: SimTime,
     ) -> bool {
-        config.damping.is_some() && state.flaps.get(&joiner).is_some_and(|r| now < r.hold_until)
+        config.damping && state.flaps.get(&joiner).is_some_and(|r| now < r.hold_until)
     }
 
     fn handle_join_request(
@@ -1213,20 +1213,18 @@ impl<A: Clone> GroupEndpoint<A> {
                 let lag = now.saturating_since(suspicion.silent_from).as_micros();
                 self.stats.max_suspect_to_view_us = self.stats.max_suspect_to_view_us.max(lag);
             }
-            if let Some(damping) = self.config.damping {
-                if !state.departing.contains(s) {
-                    let rec = state.flaps.entry(*s).or_insert(FlapRecord {
-                        count: 0,
-                        last_flap: SimTime::ZERO,
-                        hold_until: SimTime::ZERO,
-                    });
-                    if now.saturating_since(rec.last_flap) > damping.forget_after {
-                        rec.count = 0;
-                    }
-                    rec.count += 1;
-                    rec.last_flap = now;
-                    rec.hold_until = now + damping.hold_for(rec.count);
+            if self.config.damping && !state.departing.contains(s) {
+                let rec = state.flaps.entry(*s).or_insert(FlapRecord {
+                    count: 0,
+                    last_flap: SimTime::ZERO,
+                    hold_until: SimTime::ZERO,
+                });
+                if now.saturating_since(rec.last_flap) > DAMPING_FORGET_AFTER {
+                    rec.count = 0;
                 }
+                rec.count += 1;
+                rec.last_flap = now;
+                rec.hold_until = now + flap_hold(rec.count);
             }
         }
         state.join_requests.clear();

@@ -47,7 +47,7 @@ pub mod endpoint;
 pub mod msg;
 pub mod view;
 
-pub use detector::{FailureDetector, FlapDamping, PhiAccrual, PhiAccrualConfig};
+pub use detector::{FailureDetector, PhiAccrual};
 pub use endpoint::{EndpointConfig, GroupEndpoint, GroupEvent, GroupStats, GROUP_TIMER_KIND_BASE};
 pub use msg::{DataMsg, Envelope, GroupMsg, SharedPayload};
 pub use view::{GroupId, View, ViewId};

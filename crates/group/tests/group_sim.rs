@@ -2,8 +2,8 @@
 
 use aqf_group::endpoint::GroupMembership;
 use aqf_group::{
-    EndpointConfig, Envelope, FailureDetector, FlapDamping, GroupEndpoint, GroupEvent, GroupId,
-    GroupMsg, PhiAccrualConfig, View, ViewId,
+    EndpointConfig, Envelope, FailureDetector, GroupEndpoint, GroupEvent, GroupId, GroupMsg, View,
+    ViewId,
 };
 use aqf_sim::{Actor, ActorId, Context, DelayModel, SimDuration, SimTime, Timer, World};
 use proptest::prelude::*;
@@ -505,7 +505,7 @@ fn churn_scenario(
     loss_centi: u64,
     fault_secs: u64,
     seed: u64,
-    damping: Option<FlapDamping>,
+    damping: bool,
 ) -> u64 {
     let config = EndpointConfig {
         damping,
@@ -607,16 +607,8 @@ proptest! {
         seed in 0u64..1_000,
     ) {
         let victim = victim % n;
-        let undamped = churn_scenario(n, victim, fault, loss_centi, fault_secs, seed, None);
-        let damped = churn_scenario(
-            n,
-            victim,
-            fault,
-            loss_centi,
-            fault_secs,
-            seed,
-            Some(FlapDamping::default()),
-        );
+        let undamped = churn_scenario(n, victim, fault, loss_centi, fault_secs, seed, false);
+        let damped = churn_scenario(n, victim, fault, loss_centi, fault_secs, seed, true);
         prop_assert!(
             damped <= 2 * undamped + 10,
             "damping blew up view churn: {damped} views vs {undamped} undamped"
@@ -1117,7 +1109,7 @@ fn successor_cut_off_from_leader_alone_cannot_form_a_second_view() {
 #[test]
 fn liveness_suite_holds_under_phi_accrual() {
     liveness_suite(&EndpointConfig {
-        detector: FailureDetector::PhiAccrual(PhiAccrualConfig::default()),
+        detector: FailureDetector::PhiAccrual,
         ..EndpointConfig::default()
     });
 }
@@ -1125,7 +1117,7 @@ fn liveness_suite_holds_under_phi_accrual() {
 #[test]
 fn liveness_suite_holds_with_flap_damping() {
     liveness_suite(&EndpointConfig {
-        damping: Some(FlapDamping::default()),
+        damping: true,
         ..EndpointConfig::default()
     });
 }

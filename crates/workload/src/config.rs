@@ -3,7 +3,7 @@
 use aqf_core::{
     OrderingGuarantee, QosSpec, RecoveryPolicy, SelectionPolicy, StalenessModel, StorageConfig,
 };
-use aqf_group::{FailureDetector, FlapDamping};
+use aqf_group::FailureDetector;
 use aqf_sim::{DelayModel, SimDuration, SimTime};
 
 /// Which sample replicated object the scenario hosts.
@@ -197,8 +197,8 @@ pub struct ScenarioConfig {
     /// fixed timeout replays the seed bit-identically; φ-accrual is the
     /// opt-in adaptive detector for gray-fault studies.
     pub detector: FailureDetector,
-    /// Optional leader-side re-admission hold-down for flapping members.
-    pub damping: Option<FlapDamping>,
+    /// Leader-side re-admission hold-down for flapping members.
+    pub damping: bool,
     /// If positive, the sequencer promotes the freshest secondary whenever
     /// the primary view shrinks below this size (0 disables replenishment).
     pub min_primary_size: usize,
@@ -250,7 +250,7 @@ impl ScenarioConfig {
             group_tick: SimDuration::from_millis(1000),
             failure_timeout: SimDuration::from_millis(3500),
             detector: FailureDetector::FixedTimeout,
-            damping: None,
+            damping: false,
             min_primary_size: 0,
             object: ObjectKind::Register,
             ordering: OrderingGuarantee::Sequential,
