@@ -5,10 +5,8 @@
 //! can then internally map these higher level inputs to an appropriate
 //! probability value and perform adaptive replica selection."
 //!
-//! This module provides those mappings: a [`PriorityMap`] translating
-//! service classes to minimum probabilities, and a [`CostCurve`]
-//! translating a willingness-to-pay into a probability with diminishing
-//! returns.
+//! This module provides the priority mapping: a [`PriorityMap`]
+//! translating service classes to minimum probabilities.
 
 use crate::qos::{QosError, QosSpec};
 use aqf_sim::SimDuration;
@@ -85,49 +83,6 @@ impl PriorityMap {
     }
 }
 
-/// Maps a cost the client is willing to pay into a probability with
-/// diminishing returns: `Pc = max_probability * (1 - exp(-cost / scale))`.
-///
-/// Paying nothing buys probability 0 (pure best-effort); each additional
-/// unit of spend buys less probability than the last; no spend reaches
-/// beyond `max_probability` (perfect timeliness is not for sale).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostCurve {
-    /// Supremum of purchasable probability (e.g. 0.999).
-    pub max_probability: f64,
-    /// Spend at which ~63% of the maximum is reached.
-    pub scale: f64,
-}
-
-impl Default for CostCurve {
-    fn default() -> Self {
-        Self {
-            max_probability: 0.999,
-            scale: 10.0,
-        }
-    }
-}
-
-impl CostCurve {
-    /// The probability purchased by `cost`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the curve is malformed (`max_probability` outside `[0, 1]`
-    /// or non-positive `scale`) or `cost` is negative or not finite.
-    pub fn probability(&self, cost: f64) -> f64 {
-        assert!(
-            (0.0..=1.0).contains(&self.max_probability) && self.scale > 0.0,
-            "malformed cost curve"
-        );
-        assert!(
-            cost.is_finite() && cost >= 0.0,
-            "cost must be finite and non-negative"
-        );
-        self.max_probability * (1.0 - (-cost / self.scale).exp())
-    }
-}
-
 impl QosSpec {
     /// Builds a specification from a service class instead of a raw
     /// probability (paper §7).
@@ -143,25 +98,6 @@ impl QosSpec {
         map: &PriorityMap,
     ) -> Result<Self, QosError> {
         QosSpec::new(staleness_threshold, deadline, map.probability(priority))
-    }
-
-    /// Builds a specification from a willingness-to-pay (paper §7).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`QosError`] for invalid deadlines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the curve is malformed or the cost negative (see
-    /// [`CostCurve::probability`]).
-    pub fn from_cost(
-        staleness_threshold: u32,
-        deadline: SimDuration,
-        cost: f64,
-        curve: &CostCurve,
-    ) -> Result<Self, QosError> {
-        QosSpec::new(staleness_threshold, deadline, curve.probability(cost))
     }
 }
 
@@ -200,46 +136,5 @@ mod tests {
         .unwrap();
         assert_eq!(spec.min_probability, 0.99);
         assert_eq!(spec.staleness_threshold, 2);
-    }
-
-    #[test]
-    fn cost_curve_has_diminishing_returns() {
-        let curve = CostCurve::default();
-        assert_eq!(curve.probability(0.0), 0.0);
-        let p10 = curve.probability(10.0);
-        let p20 = curve.probability(20.0);
-        let p40 = curve.probability(40.0);
-        assert!(p10 > 0.6 && p10 < 0.7, "one scale ~ 63%: {p10}");
-        assert!(p20 - p10 < p10, "diminishing returns");
-        assert!(p40 < curve.max_probability);
-        assert!(p40 > p20);
-    }
-
-    #[test]
-    fn cost_spec_is_usable() {
-        let spec = QosSpec::from_cost(
-            3,
-            SimDuration::from_millis(200),
-            30.0,
-            &CostCurve::default(),
-        )
-        .unwrap();
-        assert!(spec.min_probability > 0.9 && spec.min_probability < 0.999);
-    }
-
-    #[test]
-    #[should_panic(expected = "cost must be finite")]
-    fn negative_cost_panics() {
-        let _ = CostCurve::default().probability(-1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "malformed cost curve")]
-    fn malformed_curve_panics() {
-        let curve = CostCurve {
-            max_probability: 1.5,
-            scale: 10.0,
-        };
-        let _ = curve.probability(1.0);
     }
 }

@@ -36,7 +36,7 @@
 //! * [`admission`] — the admission-control extension (paper §7).
 //! * [`overload`] — overload protection: bounded admission queues,
 //!   deadline-aware shedding, graceful degradation.
-//! * [`level`] — priority/cost-based higher-level specifications (paper §7).
+//! * [`level`] — priority-based higher-level specifications (paper §7).
 //! * [`fifo`] — the FIFO discipline (paper §4, Figure 2).
 //! * [`causal`] — the causal discipline (the third ordering guarantee of
 //!   §2's QoS model).
@@ -93,7 +93,7 @@ pub use client::{
 };
 pub use durability::{Durability, ReplaySummary, StorageConfig, WalRecord};
 pub use fifo::FifoServerGateway;
-pub use level::{CostCurve, Priority, PriorityMap};
+pub use level::{Priority, PriorityMap};
 pub use model::{
     select_on_demand, select_replicas, select_replicas_ordered, Candidate, CandidateKey,
     CandidateOrder, CandidateSource, Selection,

@@ -435,11 +435,6 @@ impl InfoRepository {
         self.evaluations.get()
     }
 
-    /// Direct access to a replica's record (diagnostics, benchmarks).
-    pub fn replica_record(&self, replica: ActorId) -> Option<&ReplicaRecord> {
-        self.replicas.get(&replica)
-    }
-
     /// The estimated update arrival rate `lambda_u` in arrivals/µs, or
     /// `None` before any publisher broadcast.
     pub fn update_rate_per_us(&self) -> Option<f64> {

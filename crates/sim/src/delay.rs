@@ -37,8 +37,6 @@ pub enum DelayModel {
         /// Constant floor added to every sample.
         min: SimDuration,
     },
-    /// Samples drawn uniformly from an explicit list of delays.
-    Empirical(Vec<SimDuration>),
 }
 
 impl DelayModel {
@@ -62,8 +60,7 @@ impl DelayModel {
     /// # Panics
     ///
     /// Panics if the model is malformed: `Uniform` with `lo > hi`, `Normal`
-    /// or `Exponential` with non-finite or negative parameters, or an empty
-    /// `Empirical` list.
+    /// or `Exponential` with non-finite or negative parameters.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
         match self {
             DelayModel::Constant(d) => *d,
@@ -94,10 +91,6 @@ impl DelayModel {
                 let v = -mean_us * u.ln();
                 *min + SimDuration::from_micros(v.round() as u64)
             }
-            DelayModel::Empirical(values) => {
-                assert!(!values.is_empty(), "empirical delay list must be non-empty");
-                values[rng.gen_range(0..values.len())]
-            }
         }
     }
 
@@ -108,13 +101,6 @@ impl DelayModel {
             DelayModel::Uniform { lo, hi } => (lo.as_micros() + hi.as_micros()) as f64 / 2.0,
             DelayModel::Normal { mean_us, .. } => *mean_us,
             DelayModel::Exponential { mean_us, min } => mean_us + min.as_micros() as f64,
-            DelayModel::Empirical(values) => {
-                if values.is_empty() {
-                    0.0
-                } else {
-                    values.iter().map(|d| d.as_micros() as f64).sum::<f64>() / values.len() as f64
-                }
-            }
         }
     }
 }
@@ -193,27 +179,6 @@ mod tests {
         }
         let mean = sum / n as f64;
         assert!((mean - 10_500.0).abs() < 500.0, "mean = {mean}");
-    }
-
-    #[test]
-    fn empirical_draws_from_list() {
-        let vals = vec![
-            SimDuration::from_micros(1),
-            SimDuration::from_micros(2),
-            SimDuration::from_micros(3),
-        ];
-        let m = DelayModel::Empirical(vals.clone());
-        let mut r = rng();
-        for _ in 0..100 {
-            assert!(vals.contains(&m.sample(&mut r)));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "non-empty")]
-    fn empty_empirical_panics() {
-        let m = DelayModel::Empirical(vec![]);
-        m.sample(&mut rng());
     }
 
     #[test]

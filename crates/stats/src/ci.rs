@@ -3,8 +3,8 @@
 //! The paper reports all experimental results with 95% confidence intervals
 //! "computed under the assumption that the number of timing failures follows
 //! a binomial distribution" (§6, citing Johnson, Kotz & Kemp). This module
-//! provides the classic normal-approximation (Wald) interval together with
-//! the better-behaved Wilson score interval, which we use for reporting.
+//! provides the Wilson score interval, which is better behaved than the
+//! classic normal-approximation (Wald) interval at the extremes.
 
 /// A two-sided confidence interval for a binomial proportion.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -18,29 +18,11 @@ pub struct BinomialCi {
 }
 
 impl BinomialCi {
-    /// Wald (normal-approximation) interval at confidence `z` standard
-    /// deviations (1.96 for 95%).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trials` is zero or `successes > trials`.
-    pub fn wald(successes: u64, trials: u64, z: f64) -> Self {
-        assert!(trials > 0, "need at least one trial");
-        assert!(successes <= trials, "successes cannot exceed trials");
-        let n = trials as f64;
-        let p = successes as f64 / n;
-        let half = z * (p * (1.0 - p) / n).sqrt();
-        Self {
-            estimate: p,
-            lower: (p - half).max(0.0),
-            upper: (p + half).min(1.0),
-        }
-    }
-
     /// Wilson score interval at confidence `z` standard deviations.
     ///
-    /// Unlike Wald, this never degenerates to zero width at `p = 0` or
-    /// `p = 1`, which matters when very few timing failures are observed.
+    /// Unlike the normal-approximation (Wald) interval, this never
+    /// degenerates to zero width at `p = 0` or `p = 1`, which matters when
+    /// very few timing failures are observed.
     ///
     /// # Panics
     ///
@@ -93,22 +75,6 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
-    fn wald_symmetric_at_half() {
-        let ci = BinomialCi::wald(50, 100, 1.96);
-        assert_eq!(ci.estimate, 0.5);
-        assert!((ci.estimate - ci.lower - (ci.upper - ci.estimate)).abs() < 1e-12);
-        // Half width = 1.96 * sqrt(.25/100) = 0.098.
-        assert!((ci.half_width() - 0.098).abs() < 1e-3);
-    }
-
-    #[test]
-    fn wald_degenerates_at_zero() {
-        let ci = BinomialCi::wald(0, 100, 1.96);
-        assert_eq!(ci.lower, 0.0);
-        assert_eq!(ci.upper, 0.0);
-    }
-
-    #[test]
     fn wilson_nonzero_width_at_zero() {
         let ci = BinomialCi::wilson95(0, 100);
         assert_eq!(ci.lower, 0.0);
@@ -132,7 +98,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot exceed")]
     fn too_many_successes_panics() {
-        let _ = BinomialCi::wald(5, 4, 1.96);
+        let _ = BinomialCi::wilson95(5, 4);
     }
 
     #[test]
@@ -146,12 +112,11 @@ mod tests {
         #[test]
         fn bounds_ordered_and_clamped(s in 0u64..=500, extra in 0u64..500) {
             let n = s + extra.max(1);
-            for ci in [BinomialCi::wald(s, n, 1.96), BinomialCi::wilson95(s, n)] {
-                prop_assert!(ci.lower <= ci.estimate + 1e-12);
-                prop_assert!(ci.estimate <= ci.upper + 1e-12);
-                prop_assert!((0.0..=1.0).contains(&ci.lower));
-                prop_assert!((0.0..=1.0).contains(&ci.upper));
-            }
+            let ci = BinomialCi::wilson95(s, n);
+            prop_assert!(ci.lower <= ci.estimate + 1e-12);
+            prop_assert!(ci.estimate <= ci.upper + 1e-12);
+            prop_assert!((0.0..=1.0).contains(&ci.lower));
+            prop_assert!((0.0..=1.0).contains(&ci.upper));
         }
 
         #[test]

@@ -22,7 +22,7 @@ use std::collections::VecDeque;
 /// let mut est = RateEstimator::new(8);
 /// est.record(2, 1_000_000); // 2 arrivals in 1 s
 /// est.record(4, 1_000_000); // 4 arrivals in 1 s
-/// assert_eq!(est.rate_per_sec(), Some(3.0));
+/// assert_eq!(est.rate_per_us(), Some(3e-6));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RateEstimator {
@@ -71,11 +71,6 @@ impl RateEstimator {
         } else {
             Some(self.sum_count as f64 / self.sum_duration as f64)
         }
-    }
-
-    /// The estimated rate in arrivals per second.
-    pub fn rate_per_sec(&self) -> Option<f64> {
-        self.rate_per_us().map(|r| r * 1e6)
     }
 
     /// Number of observations currently in the window.
@@ -128,7 +123,7 @@ mod tests {
         est.record(1, 500_000);
         est.record(3, 1_500_000);
         // 4 arrivals over 2 s = 2/s.
-        assert_eq!(est.rate_per_sec(), Some(2.0));
+        assert_eq!(est.rate_per_us(), Some(2e-6));
     }
 
     #[test]
@@ -138,7 +133,7 @@ mod tests {
         est.record(1, 1_000_000);
         est.record(1, 1_000_000);
         // The 100-arrival burst fell out of the window.
-        assert_eq!(est.rate_per_sec(), Some(1.0));
+        assert_eq!(est.rate_per_us(), Some(1e-6));
     }
 
     #[test]
