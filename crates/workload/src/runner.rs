@@ -128,9 +128,10 @@ impl ScenarioMetrics {
         &self.clients[i]
     }
 
-    /// Largest CSN divergence between any two live, synced servers at the
-    /// end of the run (0 = fully converged primaries; secondaries may lag
-    /// by at most one lazy interval of updates).
+    /// Largest CSN divergence between any two live servers at the end of
+    /// the run, synced or not (0 = fully converged; a secondary may lag by
+    /// up to one lazy interval of updates, and a replica still catching up
+    /// counts at its current CSN).
     pub fn max_applied_divergence(&self) -> u64 {
         let applied: Vec<u64> = self
             .servers
