@@ -10,9 +10,7 @@
 use std::fs;
 use std::path::PathBuf;
 
-use aqf_core::{QosSpec, RecoveryPolicy, SelectionPolicy};
-use aqf_sim::SimDuration;
-use aqf_workload::{run_scenario_observed, ClientSpec, ObsHandle, OpPattern, ScenarioConfig};
+use aqf_workload::{overload_config, run_scenario_observed, ObsHandle, ScenarioConfig};
 
 /// Where to write captured artifacts; both directories optional.
 pub struct ObsOut {
@@ -65,26 +63,9 @@ impl ObsOut {
 }
 
 /// A representative scenario for capturing a grid command's artifacts:
-/// the paper's 11-server deployment under protective overload machinery
-/// at 4× closed-loop load, hot enough that the trace contains the full
-/// event vocabulary (sheds, busy rejections, retries, ladder moves)
-/// rather than only the happy path.
+/// [`overload_config`] at 4× closed-loop load, hot enough that the trace
+/// contains the full event vocabulary (sheds, busy rejections, retries,
+/// ladder moves) rather than only the happy path.
 pub fn traced_config(seed: u64) -> ScenarioConfig {
-    let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, seed).with_fast_detection();
-    config.overload = true;
-    config.recovery = RecoveryPolicy {
-        hedge_fraction: None,
-        ..RecoveryPolicy::default()
-    };
-    config.clients = (0..8)
-        .map(|i| ClientSpec {
-            qos: QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid traced qos"),
-            request_delay: SimDuration::from_millis(250),
-            total_requests: 60,
-            pattern: OpPattern::ReadFraction(0.8),
-            policy: SelectionPolicy::Probabilistic,
-            start_offset: SimDuration::from_millis(50 * i as u64),
-        })
-        .collect();
-    config
+    overload_config(8, 60, seed)
 }

@@ -17,39 +17,11 @@
 //! residue timely.
 
 use crate::table::{Output, Table};
-use aqf_core::{QosSpec, RecoveryPolicy, SelectionPolicy};
-use aqf_sim::SimDuration;
 use aqf_workload::runner::ScenarioMetrics;
-use aqf_workload::{run_scenario, ClientSpec, OpPattern, ScenarioConfig};
+use aqf_workload::{overload_config, run_scenario};
 
 /// Client population at load multiplier 1.
 const BASE_CLIENTS: usize = 2;
-
-/// Builds the overload scenario: `BASE_CLIENTS × mult` closed-loop
-/// clients, each issuing `requests` operations (80% reads) with a 250 ms
-/// think time against the paper's 11-server deployment, deadline 200 ms
-/// and `Pc = 0.9`. Recovery (retries, quarantine) is identical in both
-/// arms — only `overload` varies — and hedging is off so the comparison
-/// isolates the overload machinery rather than hedge amplification.
-fn scenario(mult: usize, requests: u64, overload: bool, seed: u64) -> ScenarioConfig {
-    let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, seed).with_fast_detection();
-    config.overload = overload;
-    config.recovery = RecoveryPolicy {
-        hedge_fraction: None,
-        ..RecoveryPolicy::default()
-    };
-    config.clients = (0..BASE_CLIENTS * mult)
-        .map(|i| ClientSpec {
-            qos: QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid overload qos"),
-            request_delay: SimDuration::from_millis(250),
-            total_requests: requests,
-            pattern: OpPattern::ReadFraction(0.8),
-            policy: SelectionPolicy::Probabilistic,
-            start_offset: SimDuration::from_millis(50 * i as u64),
-        })
-        .collect();
-    config
-}
 
 /// The observables of one arm of the grid.
 struct ArmOutcome {
@@ -120,7 +92,10 @@ pub fn run(seed: u64, out: &Output) {
     );
     for mult in [1usize, 2, 4, 8] {
         for (label, overload) in [("off", false), ("on", true)] {
-            let config = scenario(mult, 200, overload, seed);
+            // Recovery is the same in both arms and hedging is off, so
+            // only the overload machinery varies.
+            let mut config = overload_config(BASE_CLIENTS * mult, 200, seed);
+            config.overload = overload;
             let m = run_scenario(&config);
             let o = observe(&m);
             table.row(vec![

@@ -1,12 +1,15 @@
-//! Canonical scenario configurations for the simulator-core measurements.
+//! Canonical scenario configurations for the simulator-core measurements
+//! and the overload studies.
 //!
 //! The allocation gate on the 16-actor faulty world
 //! (`crates/bench/benches/alloc_gates.rs`) and the event-count and
 //! trace-digest pins of `tests/msgplane.rs` run exactly these
-//! configurations. Keep these definitions stable: changing a workload
-//! invalidates every recorded number and pin.
+//! configurations, and EXT-OVL, the trace capture of `aqf-experiments` and
+//! the overload tests run [`overload_config`]. Keep these definitions
+//! stable: changing a workload invalidates every recorded number and pin.
 
-use crate::config::{ClientSpec, FaultEvent, FaultKind, FaultTarget, ScenarioConfig};
+use crate::config::{ClientSpec, FaultEvent, FaultKind, FaultTarget, OpPattern, ScenarioConfig};
+use aqf_core::{QosSpec, RecoveryPolicy, SelectionPolicy};
 use aqf_sim::{SimDuration, SimTime};
 
 /// Deployment sizes of the canonical worlds, expressed as the
@@ -80,6 +83,31 @@ pub fn world_bench_config(actors: usize, faults: bool) -> ScenarioConfig {
             },
         ];
     }
+    config
+}
+
+/// The overload deployment: the paper's 11-server profile (deadline
+/// 200 ms, `Pc = 0.9`) with fast failure detection, overload protection on,
+/// retries and quarantine on with hedging off, and `clients` closed-loop
+/// clients each issuing `requests` operations — 80 % reads, a 250 ms think
+/// time, starts staggered by 50 ms. Eight clients are 4× the paper's two.
+pub fn overload_config(clients: usize, requests: u64, seed: u64) -> ScenarioConfig {
+    let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, seed).with_fast_detection();
+    config.overload = true;
+    config.recovery = RecoveryPolicy {
+        hedge_fraction: None,
+        ..RecoveryPolicy::default()
+    };
+    config.clients = (0..clients)
+        .map(|i| ClientSpec {
+            qos: QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid overload qos"),
+            request_delay: SimDuration::from_millis(250),
+            total_requests: requests,
+            pattern: OpPattern::ReadFraction(0.8),
+            policy: SelectionPolicy::Probabilistic,
+            start_offset: SimDuration::from_millis(50 * i as u64),
+        })
+        .collect();
     config
 }
 

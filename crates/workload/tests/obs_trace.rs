@@ -5,36 +5,8 @@
 //! including overload recoveries and a degradation-ladder transition —
 //! reconstruct without any other source of truth.
 
-use aqf_core::{QosSpec, RecoveryPolicy, SelectionPolicy};
 use aqf_obs::{parse_json, timelines_from_jsonl, validate_trace_line};
-use aqf_sim::SimDuration;
-use aqf_workload::{
-    run_scenario, run_scenario_observed, ClientSpec, ObsHandle, OpPattern, ScenarioConfig,
-};
-
-/// The experiments crate's overload scenario at 4× load: protective
-/// overload machinery against a closed-loop population hot enough to
-/// provoke sheds, busy rejections, retries, and ladder transitions —
-/// exactly the event classes the trace must capture.
-fn overloaded_config(seed: u64) -> ScenarioConfig {
-    let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, seed).with_fast_detection();
-    config.overload = true;
-    config.recovery = RecoveryPolicy {
-        hedge_fraction: None,
-        ..RecoveryPolicy::default()
-    };
-    config.clients = (0..8)
-        .map(|i| ClientSpec {
-            qos: QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid qos"),
-            request_delay: SimDuration::from_millis(250),
-            total_requests: 60,
-            pattern: OpPattern::ReadFraction(0.8),
-            policy: SelectionPolicy::Probabilistic,
-            start_offset: SimDuration::from_millis(50 * i as u64),
-        })
-        .collect();
-    config
-}
+use aqf_workload::{overload_config, run_scenario, run_scenario_observed, ObsHandle};
 
 /// Observation must be pure: running the identical scenario with a live
 /// sink yields the identical simulation, checked via the order-sensitive
@@ -42,7 +14,7 @@ fn overloaded_config(seed: u64) -> ScenarioConfig {
 /// count of the run).
 #[test]
 fn enabled_obs_never_steers() {
-    let config = overloaded_config(7);
+    let config = overload_config(8, 60, 7);
     let baseline = run_scenario(&config);
 
     let obs = ObsHandle::enabled();
@@ -66,7 +38,7 @@ fn enabled_obs_never_steers() {
 /// shed/rejected/retried and a degradation-ladder move.
 #[test]
 fn trace_validates_and_reconstructs_timelines() {
-    let config = overloaded_config(7);
+    let config = overload_config(8, 60, 7);
     let obs = ObsHandle::enabled();
     let metrics = run_scenario_observed(&config, &obs);
     let report = obs.take_report().expect("enabled handle has a report");

@@ -3,36 +3,10 @@
 //! GSN uniqueness), must coexist with crash faults and view changes, and
 //! must stay bit-deterministic under a fixed seed.
 
-use aqf::core::{QosSpec, RecoveryPolicy, SelectionPolicy};
-use aqf::sim::{SimDuration, SimTime};
+use aqf::sim::SimTime;
 use aqf::workload::{
-    run_scenario, ClientSpec, FaultEvent, FaultKind, FaultTarget, OpPattern, ScenarioConfig,
-    ScenarioMetrics,
+    overload_config, run_scenario, FaultEvent, FaultKind, FaultTarget, ScenarioMetrics,
 };
-
-/// A saturating closed-loop population (4× the paper's two clients) with
-/// the full protective stack enabled: bounded admission queues,
-/// deadline-aware shedding, `Busy` as a quarantine strike, and the two-rung
-/// degradation ladder.
-fn overloaded_config(clients: usize, requests: u64, seed: u64) -> ScenarioConfig {
-    let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, seed).with_fast_detection();
-    config.overload = true;
-    config.recovery = RecoveryPolicy {
-        hedge_fraction: None,
-        ..RecoveryPolicy::default()
-    };
-    config.clients = (0..clients)
-        .map(|i| ClientSpec {
-            qos: QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid qos"),
-            request_delay: SimDuration::from_millis(250),
-            total_requests: requests,
-            pattern: OpPattern::ReadFraction(0.8),
-            policy: SelectionPolicy::Probabilistic,
-            start_offset: SimDuration::from_millis(50 * i as u64),
-        })
-        .collect();
-    config
-}
 
 /// Overload and a crashing primary group must compose: the view change
 /// completes under saturation, no committed update is lost or
@@ -44,7 +18,7 @@ fn overload_survives_primary_and_sequencer_crashes() {
         (7u64, FaultTarget::Sequencer),
         (21, FaultTarget::Primary(0)),
     ] {
-        let mut config = overloaded_config(8, 150, seed);
+        let mut config = overload_config(8, 150, seed);
         config.faults = vec![FaultEvent {
             at: SimTime::from_secs(30),
             target,
@@ -121,7 +95,7 @@ fn protection_retains_timely_goodput_over_seeds() {
         for mult in [4usize, 8] {
             let mut goodput = [0.0; 2];
             for (arm, overload) in [false, true].into_iter().enumerate() {
-                let mut config = overloaded_config(2 * mult, 200, seed);
+                let mut config = overload_config(2 * mult, 200, seed);
                 config.overload = overload;
                 let m = run_scenario(&config);
                 let cell = format!("seed {seed}, {mult}x, arm {arm}");
@@ -176,7 +150,7 @@ fn protection_retains_timely_goodput_over_seeds() {
 /// single divergent branch would show up here.
 #[test]
 fn overload_decisions_are_deterministic() {
-    let run = || -> ScenarioMetrics { run_scenario(&overloaded_config(6, 120, 99)) };
+    let run = || -> ScenarioMetrics { run_scenario(&overload_config(6, 120, 99)) };
     let a = run();
     let b = run();
 
