@@ -46,8 +46,6 @@ use std::sync::Arc;
 /// Tuning knobs for a client gateway.
 #[derive(Debug, Clone)]
 pub struct ClientConfig {
-    /// Sliding-window size `l` of the information repository.
-    pub window_size: usize,
     /// The selection policy (Algorithm 1 unless running an ablation).
     pub policy: SelectionPolicy,
     /// Seed for the randomized baseline policies.
@@ -74,7 +72,6 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         Self {
-            window_size: 20,
             policy: SelectionPolicy::Probabilistic,
             seed: 0,
             staleness_model: StalenessModel::Poisson,
@@ -436,8 +433,8 @@ impl ClientGateway {
         config: ClientConfig,
     ) -> Self {
         let monitor = MonitorConfig {
-            window_size: config.window_size,
             staleness_model: config.staleness_model,
+            ..MonitorConfig::default()
         };
         let overload = config.overload.then(|| ClientOverload::new(me));
         // With overload protection on, the detector gains a sliding window

@@ -37,6 +37,13 @@ pub const GROUP_TIMER_KIND_BASE: u32 = 0xFFFF_0000;
 /// failure checks, join retries).
 const TICK_TIMER: u32 = GROUP_TIMER_KIND_BASE;
 
+/// How many recently multicast messages a sender retains per group for
+/// nack-driven retransmission; a receiver that falls further behind skips
+/// the gap ([`GroupMsg::GapSkip`]).
+pub const SENT_BUFFER_CAPACITY: usize = 4096;
+
+const _: () = assert!(SENT_BUFFER_CAPACITY > 0);
+
 /// Tuning knobs for a [`GroupEndpoint`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct EndpointConfig {
@@ -46,9 +53,6 @@ pub struct EndpointConfig {
     /// A monitored member silent for longer than this is suspected: given
     /// up on by its juniors, excluded from the next view by the leader.
     pub failure_timeout: SimDuration,
-    /// How many recently multicast messages are retained per group for
-    /// nack-driven retransmission.
-    pub sent_buffer_capacity: usize,
     /// Failure-detection policy. [`FailureDetector::FixedTimeout`] (the
     /// default) suspects on `failure_timeout` of silence; the φ-accrual
     /// mode adapts the effective timeout to each peer's observed heartbeat
@@ -65,7 +69,6 @@ impl Default for EndpointConfig {
         Self {
             tick_interval: SimDuration::from_millis(250),
             failure_timeout: SimDuration::from_millis(1000),
-            sent_buffer_capacity: 4096,
             detector: FailureDetector::FixedTimeout,
             damping: false,
         }
@@ -616,7 +619,7 @@ impl<A: Clone> GroupEndpoint<A> {
         })
         .seal();
         send.buffer.push_back((seq, env.clone()));
-        while send.buffer.len() > self.config.sent_buffer_capacity {
+        while send.buffer.len() > SENT_BUFFER_CAPACITY {
             send.buffer.pop_front();
         }
         self.stats.multicasts_sent += 1;

@@ -47,7 +47,7 @@ impl DelayModel {
 
     /// Convenience constructor for the paper's normally distributed service
     /// delay, given mean and standard deviation in milliseconds.
-    pub fn normal_ms(mean_ms: f64, std_ms: f64) -> Self {
+    pub const fn normal_ms(mean_ms: f64, std_ms: f64) -> Self {
         DelayModel::Normal {
             mean_us: mean_ms * 1e3,
             std_us: std_ms * 1e3,

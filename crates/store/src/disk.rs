@@ -24,13 +24,13 @@
 //!
 //! # Determinism
 //!
-//! All randomness (torn-write length, bit position, fsync stalls) comes
-//! from an internal [`SmallRng`] seeded at construction, so a scenario
-//! replays bit-identically. Write and fsync latency are *accounted* into
-//! [`DiskStats::accounted_us`] rather than scheduled as simulator delays:
-//! enabling storage never changes event ordering, which is what keeps the
-//! "storage disabled is bit-identical to the seed" and "traced equals
-//! untraced" invariants cheap to uphold.
+//! All randomness (torn-write length, bit position) comes from an
+//! internal [`SmallRng`] seeded at construction, so a scenario replays
+//! bit-identically. The disk takes no virtual time: no simulator delay or
+//! service time includes a write or an fsync, so enabling storage never
+//! changes event ordering, which is what keeps the "storage disabled is
+//! bit-identical to the seed" and "traced equals untraced" invariants
+//! cheap to uphold.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -46,10 +46,6 @@ pub struct StorageConfig {
     /// runner sets this to the master seed; each replica additionally
     /// mixes in its own actor id.
     pub seed: u64,
-    /// Virtual cost accounted per appended record, in µs.
-    pub write_latency_us: u64,
-    /// Virtual cost accounted per fsync, in µs.
-    pub fsync_latency_us: u64,
     /// Fsync after every `fsync_every` appended records. `1` is
     /// sync-before-ack (a committed record is never lost to a crash);
     /// larger values model group commit, where a crash can lose the
@@ -63,13 +59,9 @@ pub struct StorageConfig {
     pub torn_write_probability: f64,
     /// Probability that a crash flips one random bit in the durable WAL.
     pub bit_flip_probability: f64,
-    /// Probability that any given fsync stalls.
-    pub fsync_stall_probability: f64,
-    /// Extra virtual cost accounted per stalled fsync, in µs.
-    pub fsync_stall_us: u64,
     /// Replay the durable log on restart. `false` is the transfer-only
-    /// ablation: the WAL is written (costs accounted) but ignored at
-    /// recovery, so the replica rebuilds entirely over the network.
+    /// ablation: the WAL is written but ignored at recovery, so the
+    /// replica rebuilds entirely over the network.
     pub replay: bool,
 }
 
@@ -79,32 +71,24 @@ impl StorageConfig {
         Self {
             enabled: false,
             seed: 0,
-            write_latency_us: 0,
-            fsync_latency_us: 0,
             fsync_every: 1,
             snapshot_every: 0,
             torn_write_probability: 0.0,
             bit_flip_probability: 0.0,
-            fsync_stall_probability: 0.0,
-            fsync_stall_us: 0,
             replay: true,
         }
     }
 
     /// The durable preset: sync-before-ack, compaction every 64 commits,
-    /// NVMe-flash-ish accounted latencies, no injected faults.
+    /// no injected faults.
     pub fn durable() -> Self {
         Self {
             enabled: true,
             seed: 0,
-            write_latency_us: 20,
-            fsync_latency_us: 150,
             fsync_every: 1,
             snapshot_every: 64,
             torn_write_probability: 0.0,
             bit_flip_probability: 0.0,
-            fsync_stall_probability: 0.0,
-            fsync_stall_us: 0,
             replay: true,
         }
     }
@@ -127,12 +111,6 @@ impl StorageConfig {
         }
         if !(0.0..=1.0).contains(&self.bit_flip_probability) {
             return Err("storage bit_flip_probability must be in [0, 1]".into());
-        }
-        if !(0.0..=1.0).contains(&self.fsync_stall_probability) {
-            return Err("storage fsync_stall_probability must be in [0, 1]".into());
-        }
-        if self.fsync_stall_probability > 0.0 && self.fsync_stall_us == 0 {
-            return Err("storage fsync_stall_us must be positive when stalls are enabled".into());
         }
         Ok(())
     }
@@ -164,8 +142,6 @@ pub struct DiskStats {
     pub appended_bytes: u64,
     /// Fsyncs performed.
     pub fsyncs: u64,
-    /// Fsyncs that stalled.
-    pub fsync_stalls: u64,
     /// Snapshots committed (atomic renames that completed).
     pub snapshots_committed: u64,
     /// Crashes survived.
@@ -174,9 +150,6 @@ pub struct DiskStats {
     pub torn_writes: u64,
     /// Crashes that flipped a bit in the durable WAL.
     pub bit_flips: u64,
-    /// Total accounted virtual storage cost, in µs (write + fsync +
-    /// stall latencies; never scheduled, only accounted).
-    pub accounted_us: u64,
 }
 
 /// One replica's simulated storage device.
@@ -249,7 +222,6 @@ impl VirtualDisk {
         }
         self.stats.appends += 1;
         self.stats.appended_bytes += framed_len as u64;
-        self.stats.accounted_us += self.config.write_latency_us;
         self.records_since_sync += 1;
         let synced = self.records_since_sync >= self.config.fsync_every;
         if synced {
@@ -269,13 +241,6 @@ impl VirtualDisk {
     /// staged snapshot rename.
     pub fn fsync(&mut self) {
         self.stats.fsyncs += 1;
-        self.stats.accounted_us += self.config.fsync_latency_us;
-        if self.config.fsync_stall_probability > 0.0
-            && self.rng.gen_bool(self.config.fsync_stall_probability)
-        {
-            self.stats.fsync_stalls += 1;
-            self.stats.accounted_us += self.config.fsync_stall_us;
-        }
         if let Some((file, truncated_wal)) = self.staged.take() {
             // The atomic rename: the new snapshot replaces the old one
             // and the WAL drops everything the snapshot now covers, in
@@ -462,22 +427,6 @@ mod tests {
     }
 
     #[test]
-    fn fsync_stalls_account_cost() {
-        let mut d = disk(StorageConfig {
-            fsync_stall_probability: 1.0,
-            fsync_stall_us: 5_000,
-            ..StorageConfig::durable()
-        });
-        d.append_record(framed(b"x"));
-        assert_eq!(d.stats().fsync_stalls, 1);
-        let base = StorageConfig::durable();
-        assert_eq!(
-            d.stats().accounted_us,
-            base.write_latency_us + base.fsync_latency_us + 5_000
-        );
-    }
-
-    #[test]
     fn quarantine_erases_everything() {
         let mut d = disk(StorageConfig::durable());
         d.append_record(framed(b"a"));
@@ -507,16 +456,6 @@ mod tests {
         let mut c = StorageConfig::durable();
         c.bit_flip_probability = -0.1;
         assert!(c.validate().unwrap_err().contains("bit_flip_probability"));
-        let mut c = StorageConfig::durable();
-        c.fsync_stall_probability = 2.0;
-        assert!(c
-            .validate()
-            .unwrap_err()
-            .contains("fsync_stall_probability"));
-        let mut c = StorageConfig::durable();
-        c.fsync_stall_probability = 0.5;
-        c.fsync_stall_us = 0;
-        assert!(c.validate().unwrap_err().contains("fsync_stall_us"));
         // Disabled skips knob validation (the seed path).
         let mut c = StorageConfig::disabled();
         c.fsync_every = 0;

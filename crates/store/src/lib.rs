@@ -4,11 +4,10 @@
 //! disk holding a length+CRC-framed append-only write-ahead log and a
 //! snapshot file with atomic-rename semantics, plus the crash fault hooks
 //! production storage is tested against — torn tail on crash (a prefix of
-//! the in-flight record survives), single-bit corruption of the durable
-//! log, and fsync stalls. Everything is in-memory and driven by a
-//! deterministic RNG, so simulation runs stay bit-reproducible; "latency"
-//! is accounted as virtual cost rather than scheduled, so enabling storage
-//! never perturbs event ordering.
+//! the in-flight record survives) and single-bit corruption of the durable
+//! log. Everything is in-memory and driven by a deterministic RNG, so
+//! simulation runs stay bit-reproducible; the disk takes no virtual time,
+//! so enabling storage never perturbs event ordering.
 //!
 //! * [`crc32`] / [`crc`] — the hand-rolled CRC-32 (IEEE) used by the frame
 //!   codec (the workspace vendors its dependencies offline, so no crc

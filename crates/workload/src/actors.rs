@@ -25,6 +25,10 @@ const GATEWAY_TIMER: u32 = 3;
 const REQUEST_TIMER: u32 = 4;
 const WATCHDOG_TIMER: u32 = 5;
 
+/// Every replica's service time: the paper's simulated background load,
+/// "normally distributed" with mean 100 ms and spread 50 ms (§6).
+pub const SERVICE_DELAY: DelayModel = DelayModel::normal_ms(100.0, 50.0);
+
 impl ObjectKind {
     /// Instantiates a fresh object of this kind.
     pub fn make(self) -> Box<dyn ReplicatedObject> {
@@ -72,7 +76,8 @@ impl ObjectKind {
     }
 }
 
-/// A replica host: group endpoint + server gateway + service-time model.
+/// A replica host: group endpoint + server gateway, serving each request
+/// for a [`SERVICE_DELAY`] draw.
 /// The gateway is any timed-consistency handler implementing
 /// [`ServerProtocol`] (sequential, causal or FIFO).
 pub struct ReplicaActor {
@@ -81,7 +86,6 @@ pub struct ReplicaActor {
     /// The sink every gateway callback appends its actions to: retained
     /// across callbacks, so the action list costs no allocation per event.
     actions: Vec<ServerAction>,
-    service_delay: DelayModel,
     object_kind: ObjectKind,
     service_timers: HashMap<TimerId, u64>,
     /// The pending watchdog timer, if the gateway armed one.
@@ -98,14 +102,12 @@ impl ReplicaActor {
     pub fn new(
         ep: GroupEndpoint<Payload>,
         gw: Box<dyn ServerProtocol>,
-        service_delay: DelayModel,
         object_kind: ObjectKind,
     ) -> Self {
         Self {
             ep,
             gw,
             actions: Vec::new(),
-            service_delay,
             object_kind,
             service_timers: HashMap::new(),
             watchdog: None,
@@ -154,7 +156,7 @@ impl ReplicaActor {
                     // A gray-degraded machine is slow end to end: its
                     // service times stretch along with its link delays.
                     let factor = ctx.degrade_factor();
-                    let mut delay = self.service_delay.sample(ctx.rng());
+                    let mut delay = SERVICE_DELAY.sample(ctx.rng());
                     if factor > 1.0 {
                         delay = SimDuration::from_secs_f64(delay.as_secs_f64() * factor);
                     }

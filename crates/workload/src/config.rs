@@ -4,7 +4,7 @@ use aqf_core::{
     OrderingGuarantee, QosSpec, RecoveryPolicy, SelectionPolicy, StalenessModel, StorageConfig,
 };
 use aqf_group::FailureDetector;
-use aqf_sim::{DelayModel, SimDuration, SimTime};
+use aqf_sim::{SimDuration, SimTime};
 
 /// Which sample replicated object the scenario hosts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,6 +159,14 @@ pub enum FaultKind {
 }
 
 /// Full description of one simulated deployment and workload.
+///
+/// What the paper's §6 deployment fixes is the same in every scenario:
+/// each replica's service time is [`SERVICE_DELAY`], every link is the
+/// LAN of [`aqf_sim::NetworkModel::default`], and every client's
+/// repository keeps the window `l` of
+/// [`aqf_core::MonitorConfig::default`].
+///
+/// [`SERVICE_DELAY`]: crate::actors::SERVICE_DELAY
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Master seed; every run with the same config is identical.
@@ -169,13 +177,6 @@ pub struct ScenarioConfig {
     pub num_secondaries: usize,
     /// The lazy update interval `T_L`.
     pub lazy_interval: SimDuration,
-    /// Sliding-window size `l` of the client repositories.
-    pub window_size: usize,
-    /// Server service-time model (the paper's simulated background load:
-    /// normal with mean 100 ms, spread 50 ms).
-    pub service_delay: DelayModel,
-    /// One-way LAN latency model.
-    pub link_delay: DelayModel,
     /// iid message loss probability.
     pub loss_probability: f64,
     /// Probability that a delivered message is delivered twice (the
@@ -212,7 +213,7 @@ pub struct ScenarioConfig {
     /// the §5.1.3 empirical rate mixture).
     pub staleness_model: StalenessModel,
     /// Simulated stable storage on every server replica: WAL + snapshots
-    /// with accounted latency and crash-fault injection.
+    /// with crash-fault injection.
     /// [`StorageConfig::disabled`] (the default) replays the diskless seed
     /// bit-identically; the runner reseeds it with the scenario's master
     /// seed and each replica mixes in its own identity.
@@ -237,12 +238,6 @@ impl ScenarioConfig {
             num_primaries: 4,
             num_secondaries: 6,
             lazy_interval: SimDuration::from_secs(lazy_secs),
-            window_size: 20,
-            service_delay: DelayModel::normal_ms(100.0, 50.0),
-            link_delay: DelayModel::Uniform {
-                lo: SimDuration::from_micros(200),
-                hi: SimDuration::from_micros(800),
-            },
             loss_probability: 0.0,
             duplicate_probability: 0.0,
             recovery: RecoveryPolicy::disabled(),
@@ -302,9 +297,6 @@ impl ScenarioConfig {
         }
         if self.lazy_interval.is_zero() {
             return Err("lazy interval must be positive".into());
-        }
-        if self.window_size == 0 {
-            return Err("window size must be positive".into());
         }
         if !(0.0..=1.0).contains(&self.loss_probability) {
             return Err("loss probability must be in [0, 1]".into());
@@ -523,10 +515,6 @@ mod tests {
         });
         assert!(c.validate().is_err());
 
-        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
-        c.window_size = 0;
-        assert!(c.validate().is_err());
-
         // Every replica belongs to exactly one group, and the secondary
         // view cannot be empty.
         let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
@@ -563,18 +551,6 @@ mod tests {
         let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1).with_durability();
         c.storage.bit_flip_probability = -0.1;
         assert!(c.validate().unwrap_err().contains("bit_flip_probability"));
-
-        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1).with_durability();
-        c.storage.fsync_stall_probability = 2.0;
-        assert!(c
-            .validate()
-            .unwrap_err()
-            .contains("fsync_stall_probability"));
-
-        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1).with_durability();
-        c.storage.fsync_stall_probability = 0.1;
-        c.storage.fsync_stall_us = 0;
-        assert!(c.validate().unwrap_err().contains("fsync_stall_us"));
 
         // Disabled configs skip knob validation entirely (the seed path).
         let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);

@@ -464,13 +464,14 @@ pub fn build_scenario(config: &ScenarioConfig) -> BuiltScenario {
     config
         .validate()
         .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
+    // The world starts on the default LAN (`NetworkModel::default`).
     let mut world: World<NetMsg> = World::new(config.seed);
-    *world.net_mut() = {
-        let mut net = aqf_sim::NetworkModel::new(config.link_delay.clone());
-        net.set_loss_probability(config.loss_probability);
-        net.set_duplicate_probability(config.duplicate_probability);
-        net
-    };
+    world
+        .net_mut()
+        .set_loss_probability(config.loss_probability);
+    world
+        .net_mut()
+        .set_duplicate_probability(config.duplicate_probability);
 
     let np = config.num_primaries;
     let ns = config.num_secondaries;
@@ -486,7 +487,6 @@ pub fn build_scenario(config: &ScenarioConfig) -> BuiltScenario {
     let ep_config = EndpointConfig {
         tick_interval: config.group_tick,
         failure_timeout: config.failure_timeout,
-        sent_buffer_capacity: 4096,
         detector: config.detector,
         damping: config.damping,
     };
@@ -520,8 +520,7 @@ pub fn build_scenario(config: &ScenarioConfig) -> BuiltScenario {
         );
         let gw = make_gateway(config, id, &primary_view, &secondary_view, &client_ids);
         let got = world.add_actor(Box::new(
-            ReplicaActor::new(ep, gw, config.service_delay.clone(), config.object)
-                .with_group_observers(group_observers.clone()),
+            ReplicaActor::new(ep, gw, config.object).with_group_observers(group_observers.clone()),
         ));
         assert_eq!(got, id);
     }
@@ -539,8 +538,7 @@ pub fn build_scenario(config: &ScenarioConfig) -> BuiltScenario {
         );
         let gw = make_gateway(config, id, &primary_view, &secondary_view, &client_ids);
         let got = world.add_actor(Box::new(
-            ReplicaActor::new(ep, gw, config.service_delay.clone(), config.object)
-                .with_group_observers(group_observers.clone()),
+            ReplicaActor::new(ep, gw, config.object).with_group_observers(group_observers.clone()),
         ));
         assert_eq!(got, id);
     }
@@ -559,7 +557,6 @@ pub fn build_scenario(config: &ScenarioConfig) -> BuiltScenario {
             primary_view.clone(),
             secondary_view.clone(),
             ClientConfig {
-                window_size: config.window_size,
                 policy: spec.policy,
                 seed: config.seed ^ (i as u64 + 1),
                 staleness_model: config.staleness_model,

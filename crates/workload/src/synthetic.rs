@@ -3,6 +3,7 @@
 //! measurements drawn from the same distributions the paper's testbed
 //! produced, without running a full scenario.
 
+use crate::actors::SERVICE_DELAY;
 use aqf_core::monitor::MonitorConfig;
 use aqf_core::wire::{PerfBroadcast, PublisherInfo, ReadMeasurement};
 use aqf_core::{Candidate, CandidateKey, InfoRepository};
@@ -11,7 +12,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 /// Builds a repository for `n` replicas with full sliding windows of size
-/// `window`: service times ~ N(100 ms, 50 ms), queueing ~ Exp(10 ms),
+/// `window`: service times drawn from [`SERVICE_DELAY`], queueing ~ Exp(10 ms),
 /// deferred waits ~ U(0, 4 s) on every third read, gateway delays around
 /// 1 ms, and mid-period publisher bookkeeping at ~1 update/s.
 pub fn synthetic_repository(n: usize, window: usize, seed: u64) -> InfoRepository {
@@ -20,7 +21,6 @@ pub fn synthetic_repository(n: usize, window: usize, seed: u64) -> InfoRepositor
         ..MonitorConfig::default()
     });
     let mut rng = SmallRng::seed_from_u64(seed);
-    let service = DelayModel::normal_ms(100.0, 50.0);
     let queue = DelayModel::Exponential {
         mean_us: 10_000.0,
         min: SimDuration::ZERO,
@@ -42,7 +42,7 @@ pub fn synthetic_repository(n: usize, window: usize, seed: u64) -> InfoRepositor
                 replica,
                 &PerfBroadcast {
                     read: Some(ReadMeasurement {
-                        ts_us: service.sample(&mut rng).as_micros(),
+                        ts_us: SERVICE_DELAY.sample(&mut rng).as_micros(),
                         tq_us: queue.sample(&mut rng).as_micros(),
                         tb_us: tb,
                     }),
