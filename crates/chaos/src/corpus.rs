@@ -66,8 +66,11 @@ pub fn causal() -> Profile {
     }
 }
 
-/// FIFO banking with durable storage on, so generated crashes exercise WAL
-/// damage and recovery replay; schedules 2000..2060.
+/// FIFO banking with durable storage on, so generated crashes exercise
+/// recovery replay; schedules 2000..2060. [`StorageConfig::durable`]
+/// injects no torn writes or bit flips and syncs before every ack, so the
+/// WAL is never damaged here (`tests/durability.rs` covers the damage
+/// paths).
 pub fn fifo_bank() -> Profile {
     let mut c = base(303);
     c.ordering = OrderingGuarantee::Fifo;

@@ -9,16 +9,17 @@
 //! every server — each run in three durability modes:
 //!
 //! - **none** — the diskless seed: recovery is peer transfer or nothing.
-//! - **transfer-only** — the WAL is written (and its latency paid) but
-//!   ignored at recovery; restarted replicas always take a full state
-//!   transfer. This isolates the *recovery* value of the log from its
-//!   write-path cost.
+//! - **transfer-only** — the WAL is written but ignored at recovery;
+//!   restarted replicas always take a full state transfer. This isolates
+//!   the *recovery* value of the log. The simulated disk takes no virtual
+//!   time, so no mode pays a write latency.
 //! - **log-replay** — replicas replay their durable tail before rejoining
 //!   and fetch only the missing suffix (a delta) from the donor.
 //!
 //! The headline observables: how much committed state survives the
 //! worst-severity crash (everything with replay, nothing without), and
-//! how many transfer bytes replay saves at equal durability cost.
+//! how many transfer bytes replay saves when both modes write the same
+//! log.
 
 use crate::table::{Output, Table};
 use aqf_core::{QosSpec, RecoveryPolicy, SelectionPolicy};
