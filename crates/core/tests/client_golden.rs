@@ -502,8 +502,6 @@ impl Run {
         self.lines
             .extend(report.trace_jsonl().lines().map(|l| format!("trace {l}")));
         self.lines
-            .push(format!("metrics {}", report.metrics_json()));
-        self.lines
     }
 }
 
@@ -790,18 +788,18 @@ fn stale_deadline_timer_spares_the_next_read_attempt() {
 /// In [`cells`] order: sequential, FIFO, causal; within each, recovery off
 /// then on; within each, overload off then on.
 const HASHES: [u64; 12] = [
-    0x6ecf_73cb_abbb_0610,
-    0xf89a_ef8e_9cd3_f217,
-    0x9a24_4bfd_85d5_1ecb,
-    0x7f63_24db_9dad_3f50,
-    0x02cf_9d79_418d_b53a,
-    0xa9c4_f5bb_80e9_870a,
-    0x4b58_fda5_357d_1561,
-    0x7216_28a8_6091_a00c,
-    0x742b_4fae_10f4_17b0,
-    0x5f2a_7ed2_ce2e_bf78,
-    0xe0e3_eba7_2211_0ec6,
-    0x5c62_e399_1e55_371f,
+    0x4177_5df5_9161_cabe,
+    0x8ea4_b203_6be5_0917,
+    0xfd4f_33da_4a48_f037,
+    0xa1d1_d485_db28_54e8,
+    0xb2e8_eea1_8d60_dcc8,
+    0x65d7_a8cf_950d_a6e4,
+    0x22e5_e814_d68a_138d,
+    0xa638_5e26_7a20_3eee,
+    0x14c5_060f_2cda_c85e,
+    0x6d2a_5649_f027_0d52,
+    0x2db9_5678_c17a_667c,
+    0xbbfb_d7bd_1671_28bf,
 ];
 
 /// Re-baselining and diffing tool: prints every cell's hash and transcript.
