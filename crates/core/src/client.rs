@@ -1206,21 +1206,6 @@ impl ClientGateway {
             vector: r.vector.clone(),
             result: r.result.to_vec(),
         });
-        if self.obs.is_enabled() {
-            let name = match kind {
-                OperationKind::ReadOnly => "client.read_response_us",
-                OperationKind::Update => "client.update_response_us",
-            };
-            self.obs
-                .observe(name, aqf_obs::LATENCY_BOUNDS_US, tr.as_micros());
-            if kind == OperationKind::ReadOnly {
-                self.obs.observe(
-                    "client.staleness_versions",
-                    aqf_obs::STALENESS_BOUNDS_VERSIONS,
-                    r.staleness,
-                );
-            }
-        }
         out.push(ClientAction::Completed(ResponseInfo {
             req: r.id,
             kind,
@@ -1617,10 +1602,10 @@ mod tests {
         assert!(c.repository().ert_us(a(2), t(100)) < u64::MAX);
     }
 
-    /// Staleness is a count of versions, binned on the version scale: 0 and
-    /// 3 versions land in different buckets.
+    /// Each delivery's trace event carries the staleness, in versions, of
+    /// the reply that completed it.
     #[test]
-    fn staleness_histogram_bins_versions() {
+    fn delivered_events_carry_staleness() {
         let mut c = client();
         let obs = ObsHandle::enabled();
         c.set_obs(obs.clone());
@@ -1639,9 +1624,17 @@ mod tests {
             };
             c.on_payload(a(1), Payload::Reply(reply), t(at + 50), &mut Vec::new());
         }
-        let metrics = obs.take_report().expect("enabled handle").metrics;
-        let h = metrics.histogram("client.staleness_versions").unwrap();
-        assert_eq!((h.quantile(0.5), h.quantile(1.0)), (0, 3));
+        let delivered: Vec<u64> = obs
+            .take_report()
+            .expect("enabled handle")
+            .records
+            .iter()
+            .filter_map(|r| match r.event {
+                ObsEvent::Delivered { staleness, .. } => Some(staleness),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(delivered, [0, 3]);
     }
 
     #[test]

@@ -1204,21 +1204,13 @@ impl<D: Discipline> ServerProtocol for Replica<D> {
                 (shell.avg_service_us * 7 + sample) / 8
             };
         }
-        if shell.obs.is_enabled() {
-            let req_id = match &work.kind {
+        shell.obs.emit(now, shell.me, || ObsEvent::ServiceDone {
+            req: req_ref(match &work.kind {
                 WorkKind::Update { update, .. } => update.id,
                 WorkKind::Read { read, .. } => read.req.id,
-            };
-            shell.obs.emit(now, shell.me, || ObsEvent::ServiceDone {
-                req: req_ref(req_id),
-                service_us: ts.as_micros(),
-            });
-            shell.obs.observe(
-                "server.service_us",
-                aqf_obs::LATENCY_BOUNDS_US,
-                ts.as_micros(),
-            );
-        }
+            }),
+            service_us: ts.as_micros(),
+        });
         match work.kind {
             WorkKind::Update { update, order } => {
                 let result = shell

@@ -22,9 +22,8 @@
 //!   all            everything above
 //! ```
 //!
-//! With `--trace-out DIR` and/or `--metrics-out DIR`, a representative
-//! observed scenario is additionally captured and written as
-//! `<command>.trace.jsonl` / `<command>.metrics.json` artifacts.
+//! With `--trace-out DIR`, a representative observed scenario is
+//! additionally captured and its trace written as `<command>.trace.jsonl`.
 
 mod admission;
 mod chaos;
@@ -50,7 +49,6 @@ struct Args {
     iters: u32,
     csv_dir: Option<std::path::PathBuf>,
     trace_dir: Option<std::path::PathBuf>,
-    metrics_dir: Option<std::path::PathBuf>,
 }
 
 fn parse_args() -> Result<Args, String> {
@@ -60,7 +58,6 @@ fn parse_args() -> Result<Args, String> {
     let mut iters = 200;
     let mut csv_dir = None;
     let mut trace_dir = None;
-    let mut metrics_dir = None;
     while let Some(flag) = args.next() {
         match flag.as_str() {
             "--csv" => {
@@ -71,11 +68,6 @@ fn parse_args() -> Result<Args, String> {
             "--trace-out" => {
                 trace_dir = Some(std::path::PathBuf::from(
                     args.next().ok_or("--trace-out needs a directory")?,
-                ));
-            }
-            "--metrics-out" => {
-                metrics_dir = Some(std::path::PathBuf::from(
-                    args.next().ok_or("--metrics-out needs a directory")?,
                 ));
             }
             "--seed" => {
@@ -101,12 +93,11 @@ fn parse_args() -> Result<Args, String> {
         iters,
         csv_dir,
         trace_dir,
-        metrics_dir,
     })
 }
 
 fn usage() -> String {
-    "usage: aqf-experiments <fig3|fig4|fig4a|fig4b|sweep-lui|sweep-reqdelay|hotspot|failures|admission|ordering|staleness|overload|durability|chaos-search|all> [--seed N] [--iters N] [--csv DIR] [--trace-out DIR] [--metrics-out DIR]".to_string()
+    "usage: aqf-experiments <fig3|fig4|fig4a|fig4b|sweep-lui|sweep-reqdelay|hotspot|failures|admission|ordering|staleness|overload|durability|chaos-search|all> [--seed N] [--iters N] [--csv DIR] [--trace-out DIR]".to_string()
 }
 
 fn main() -> ExitCode {
@@ -167,12 +158,10 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     }
-    let obsout = obsout::ObsOut::new(args.trace_dir, args.metrics_dir);
-    if obsout.enabled() {
-        if let Err(e) = obsout.capture(&args.command, &obsout::traced_config(args.seed)) {
-            eprintln!("artifact capture failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    let obsout = obsout::ObsOut::new(args.trace_dir);
+    if let Err(e) = obsout.capture(&args.command, &obsout::traced_config(args.seed)) {
+        eprintln!("artifact capture failed: {e}");
+        return ExitCode::FAILURE;
     }
     eprintln!("\n[done in {:.1?}]", t0.elapsed());
     ExitCode::SUCCESS

@@ -1,63 +1,46 @@
-//! Trace/metrics artifact capture for the experiment grids.
+//! Trace capture for the experiment grids.
 //!
-//! Every grid command accepts `--trace-out DIR` and `--metrics-out DIR`;
-//! when either is given, a representative scenario of that grid is re-run
-//! with a live [`ObsHandle`] and the captured artifacts are written as
-//! `<dir>/<command>.trace.jsonl` and `<dir>/<command>.metrics.json`. The
-//! capture is a *separate* observed run — the grid itself always executes
-//! unobserved, so published figures never depend on the tracing path.
+//! Every grid command accepts `--trace-out DIR`; when given, a
+//! representative scenario of that grid is re-run with a live
+//! [`ObsHandle`] and the captured trace is written as
+//! `<dir>/<command>.trace.jsonl`. The capture is a *separate* observed
+//! run — the grid itself always executes unobserved, so published figures
+//! never depend on the tracing path.
 
 use std::fs;
 use std::path::PathBuf;
 
 use aqf_workload::{overload_config, run_scenario_observed, ObsHandle, ScenarioConfig};
 
-/// Where to write captured artifacts; both directories optional.
+/// Where to write the captured trace, if anywhere.
 pub struct ObsOut {
     trace_dir: Option<PathBuf>,
-    metrics_dir: Option<PathBuf>,
 }
 
 impl ObsOut {
-    pub fn new(trace_dir: Option<PathBuf>, metrics_dir: Option<PathBuf>) -> Self {
-        Self {
-            trace_dir,
-            metrics_dir,
-        }
+    pub fn new(trace_dir: Option<PathBuf>) -> Self {
+        Self { trace_dir }
     }
 
-    /// True when at least one artifact directory was requested.
-    pub fn enabled(&self) -> bool {
-        self.trace_dir.is_some() || self.metrics_dir.is_some()
-    }
-
-    /// Runs `config` with a live sink and writes the requested artifacts,
-    /// named after the grid command that produced them.
+    /// Runs `config` with a live sink and writes its trace, named after
+    /// the grid command that produced it; does nothing without a trace
+    /// directory.
     pub fn capture(&self, name: &str, config: &ScenarioConfig) -> Result<(), String> {
-        if !self.enabled() {
+        let Some(dir) = &self.trace_dir else {
             return Ok(());
-        }
+        };
         let obs = ObsHandle::enabled();
         run_scenario_observed(config, &obs);
         let report = obs.take_report().expect("enabled handle has a report");
-        if let Some(dir) = &self.trace_dir {
-            fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-            let path = dir.join(format!("{name}.trace.jsonl"));
-            fs::write(&path, report.trace_jsonl())
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
-            eprintln!(
-                "[trace: {} ({} events)]",
-                path.display(),
-                report.records.len()
-            );
-        }
-        if let Some(dir) = &self.metrics_dir {
-            fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-            let path = dir.join(format!("{name}.metrics.json"));
-            fs::write(&path, report.metrics_json())
-                .map_err(|e| format!("write {}: {e}", path.display()))?;
-            eprintln!("[metrics: {}]", path.display());
-        }
+        fs::create_dir_all(dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+        let path = dir.join(format!("{name}.trace.jsonl"));
+        fs::write(&path, report.trace_jsonl())
+            .map_err(|e| format!("write {}: {e}", path.display()))?;
+        eprintln!(
+            "[trace: {} ({} events)]",
+            path.display(),
+            report.records.len()
+        );
         Ok(())
     }
 }

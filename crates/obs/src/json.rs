@@ -1,7 +1,7 @@
 //! The artifact codec: the one module that knows the JSON byte format.
 //!
-//! Every artifact the workspace writes — trace lines, the metrics document,
-//! chaos repro files, search reports — is written through [`ObjWriter`] and
+//! Every artifact the workspace writes — trace lines, chaos repro files,
+//! search reports — is written through [`ObjWriter`] and
 //! read back through [`parse_json`] and [`Fields`]. The byte rules live
 //! here and nowhere else (DESIGN.md "Artifact codec"): compact output,
 //! fields in the order the caller writes them, `u64` in decimal, `f64`

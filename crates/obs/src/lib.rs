@@ -1,14 +1,12 @@
 //! Deterministic observability for the AQF middleware.
 //!
-//! Three facilities behind one handle:
+//! Two facilities behind one handle:
 //!
 //! 1. **Structured event traces** — compact enum events ([`Event`]) stamped
 //!    with virtual time and the emitting actor, serialized as JSONL
 //!    ([`ObsReport::trace_jsonl`]) and validated against a fixed schema
 //!    ([`validate_trace_line`]).
-//! 2. **A metrics registry** — fixed-bucket histograms, counters, and
-//!    gauges ([`MetricsRegistry`]) with a deterministic JSON rendering.
-//! 3. **Per-request timelines** — the issue → selection/retry/hedge →
+//! 2. **Per-request timelines** — the issue → selection/retry/hedge →
 //!    reply → deliver/give-up/shed lifecycle of every request, reconstructed
 //!    from the trace alone ([`build_timelines`]).
 //!
@@ -28,12 +26,10 @@
 
 pub mod event;
 pub mod json;
-pub mod metrics;
 pub mod sink;
 pub mod timeline;
 
 pub use event::{Event, ReqId, TraceRecord, RESOLVING_KINDS};
 pub use json::{parse_json, validate_trace_line, write_object, Fields, Json, ObjWriter};
-pub use metrics::{Histogram, MetricsRegistry, LATENCY_BOUNDS_US, STALENESS_BOUNDS_VERSIONS};
 pub use sink::{ObsHandle, ObsReport};
 pub use timeline::{build_timelines, parse_trace, timelines_from_jsonl, Step, Timeline};

@@ -10,19 +10,15 @@
 //! the mutex is uncontended).
 
 use crate::event::{Event, TraceRecord};
-use crate::metrics::MetricsRegistry;
 use aqf_sim::{ActorId, SimTime};
 use std::sync::{Arc, Mutex};
 
-/// The collected output of one observed run: the ordered trace plus the
-/// metrics registry.
+/// The collected output of one observed run: the ordered trace.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ObsReport {
     /// Every trace record, in emission order (virtual-time order for a
     /// single-threaded scenario run).
     pub records: Vec<TraceRecord>,
-    /// The metrics registry at the end of the run.
-    pub metrics: MetricsRegistry,
 }
 
 impl ObsReport {
@@ -34,14 +30,9 @@ impl ObsReport {
         }
         out
     }
-
-    /// Renders the metrics registry as a JSON document.
-    pub fn metrics_json(&self) -> String {
-        self.metrics.to_json()
-    }
 }
 
-/// A cloneable handle to a shared trace/metrics collector; the disabled
+/// A cloneable handle to a shared trace collector; the disabled
 /// default records nothing at zero cost.
 #[derive(Debug, Clone, Default)]
 pub struct ObsHandle {
@@ -75,37 +66,6 @@ impl ObsHandle {
         if let Some(inner) = &self.inner {
             append(inner, now, actor, make());
         }
-    }
-
-    /// Records one histogram observation under `name` (created over
-    /// `bounds` on first use). No-op when disabled.
-    pub fn observe(&self, name: &str, bounds: &'static [u64], value: u64) {
-        let Some(inner) = &self.inner else { return };
-        inner
-            .lock()
-            .expect("obs collector poisoned")
-            .metrics
-            .observe(name, bounds, value);
-    }
-
-    /// Adds `delta` to counter `name`. No-op when disabled.
-    pub fn add(&self, name: &str, delta: u64) {
-        let Some(inner) = &self.inner else { return };
-        inner
-            .lock()
-            .expect("obs collector poisoned")
-            .metrics
-            .add(name, delta);
-    }
-
-    /// Sets gauge `name` to `value`. No-op when disabled.
-    pub fn set_gauge(&self, name: &str, value: u64) {
-        let Some(inner) = &self.inner else { return };
-        inner
-            .lock()
-            .expect("obs collector poisoned")
-            .metrics
-            .set_gauge(name, value);
     }
 
     /// Drains the collector, leaving it empty; `None` when disabled.
@@ -152,11 +112,12 @@ mod tests {
         h.emit(SimTime::from_millis(1), req.client, || Event::LocalShed {
             req,
         });
-        h2.add("x", 2);
+        h2.emit(SimTime::from_millis(2), req.client, || Event::LocalShed {
+            req,
+        });
         let report = h.take_report().unwrap();
-        assert_eq!(report.records.len(), 1);
-        assert_eq!(report.records[0].t_us, 1000);
-        assert_eq!(report.metrics.counter("x"), 2);
+        let times: Vec<u64> = report.records.iter().map(|r| r.t_us).collect();
+        assert_eq!(times, [1000, 2000]);
         // Drained: the next report is empty.
         assert_eq!(h2.take_report().unwrap().records.len(), 0);
     }

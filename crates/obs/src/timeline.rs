@@ -128,10 +128,7 @@ mod tests {
     /// 4)`, a step every millisecond from 1 ms — followed by control-plane
     /// noise that must not join its timeline.
     fn timeline_of(records: Vec<TraceRecord>) -> Timeline {
-        let report = ObsReport {
-            records,
-            ..ObsReport::default()
-        };
+        let report = ObsReport { records };
         let mut timelines = timelines_from_jsonl(&report.trace_jsonl()).unwrap();
         assert_eq!(timelines.len(), 1);
         timelines.remove(&(9, 4)).expect("the sample request")

@@ -655,8 +655,8 @@ pub fn run_scenario(config: &ScenarioConfig) -> ScenarioMetrics {
 /// gateway before the first event. A disabled handle makes this
 /// event-for-event identical to `run_scenario` (that equivalence is pinned
 /// by the trace tests via [`ScenarioMetrics::digest`]); an enabled handle
-/// additionally fills the collector with the structured trace plus
-/// end-of-run metrics (counter/gauge exports of the scenario outcome).
+/// additionally fills the collector with the structured trace. The
+/// returned [`ScenarioMetrics`] are the run's counters either way.
 ///
 /// # Panics
 ///
@@ -684,56 +684,7 @@ pub fn run_scenario_observed(config: &ScenarioConfig, obs: &ObsHandle) -> Scenar
     // Small drain so in-flight replies and broadcasts settle.
     let drain = built.world.now() + SimDuration::from_secs(5);
     built.run_until_with_faults(drain);
-    let metrics = built.metrics();
-    if obs.is_enabled() {
-        export_run_metrics(&metrics, built.world.stats(), obs);
-    }
-    metrics
-}
-
-/// Exports the end-of-run scenario outcome into the observability
-/// registry: world counters as gauges, aggregate client/server counters
-/// as counters. Runs after the last event, so it cannot perturb the run.
-fn export_run_metrics(metrics: &ScenarioMetrics, world: aqf_sim::WorldStats, obs: &ObsHandle) {
-    obs.set_gauge("world.events", world.events);
-    obs.set_gauge("world.delivered", world.delivered);
-    obs.set_gauge("world.dropped", world.dropped);
-    obs.set_gauge("world.duplicated", world.duplicated);
-    obs.set_gauge("world.timers", world.timers);
-    obs.set_gauge("world.virtual_us", (metrics.virtual_secs * 1e6) as u64);
-    obs.set_gauge("scenario.digest", metrics.digest());
-    for c in &metrics.clients {
-        obs.add("client.reads", c.reads);
-        obs.add("client.updates", c.updates);
-        obs.add("client.timing_failures", c.timing_failures);
-        obs.add("client.timely_responses", c.timely_responses);
-        obs.add("client.deferred_replies", c.deferred_replies);
-        obs.add("client.give_ups", c.give_ups);
-        obs.add("client.retries", c.retries);
-        obs.add("client.hedges", c.hedges);
-        obs.add("client.quarantines", c.quarantines);
-        obs.add("client.busy_rejections", c.busy_rejections);
-        obs.add("client.local_sheds", c.local_sheds);
-    }
-    for s in &metrics.servers {
-        obs.add("server.updates_committed", s.stats.updates_committed);
-        obs.add("server.reads_served", s.stats.reads_served);
-        obs.add("server.reads_deferred", s.stats.reads_deferred);
-        obs.add("server.shed_reads", s.stats.shed_reads);
-        obs.add("server.dedup_hits", s.stats.dedup_hits);
-        obs.add("server.state_transfers", s.stats.state_transfers);
-        obs.add("server.recoveries", s.stats.recoveries);
-        if metrics.durability {
-            obs.add("server.wal_appends", s.stats.wal_appends);
-            obs.add("server.snapshots_taken", s.stats.snapshots_taken);
-            obs.add("server.replayed_records", s.stats.replayed_records);
-            obs.add("server.torn_tails_dropped", s.stats.torn_tails_dropped);
-            obs.add("server.corrupt_logs", s.stats.corrupt_logs);
-            obs.add("server.transfer_bytes_sent", s.stats.transfer_bytes_sent);
-            obs.add("server.transfer_bytes_saved", s.stats.transfer_bytes_saved);
-            obs.add("server.recovery_us", s.stats.recovery_us);
-        }
-    }
+    built.metrics()
 }
 
 /// Builds the configured timed-consistency handler for one replica.

@@ -5,7 +5,7 @@
 //! including overload recoveries and a degradation-ladder transition —
 //! reconstruct without any other source of truth.
 
-use aqf_obs::{parse_json, timelines_from_jsonl, validate_trace_line};
+use aqf_obs::{timelines_from_jsonl, validate_trace_line, Event};
 use aqf_workload::{overload_config, run_scenario, run_scenario_observed, ObsHandle};
 
 /// Observation must be pure: running the identical scenario with a live
@@ -32,8 +32,9 @@ fn enabled_obs_never_steers() {
     );
 }
 
-/// The captured artifacts stand alone: every trace line validates against
-/// the schema, the metrics export parses, and per-request timelines
+/// The captured trace stands alone: every line validates against the
+/// schema, its shed and busy events match the scenario's counters one for
+/// one, and per-request timelines
 /// reconstruct from the trace — including at least one request that was
 /// shed/rejected/retried and a degradation-ladder move.
 #[test]
@@ -47,7 +48,6 @@ fn trace_validates_and_reconstructs_timelines() {
     for line in jsonl.lines() {
         validate_trace_line(line).expect("trace line failed schema validation");
     }
-    parse_json(&report.metrics_json()).expect("metrics export is valid JSON");
 
     let timelines = timelines_from_jsonl(&jsonl).expect("trace parses into timelines");
     assert!(
@@ -63,15 +63,24 @@ fn trace_validates_and_reconstructs_timelines() {
         "overloaded run should walk the degradation ladder"
     );
 
-    // Exported end-of-run counters agree with the scenario's own metrics.
+    // Each counter is incremented beside its event's emit, so the trace
+    // and the scenario's counters agree.
+    let count =
+        |pred: fn(&Event) -> bool| report.records.iter().filter(|r| pred(&r.event)).count() as u64;
     let busy: u64 = metrics.clients.iter().map(|c| c.busy_rejections).sum();
     assert_eq!(
-        report.metrics.counter("client.busy_rejections"),
+        count(|e| matches!(e, Event::BusyReceived { .. })),
         busy,
-        "exported busy counter diverges from scenario metrics"
+        "busy_received events diverge from busy_rejections"
+    );
+    let shed: u64 = metrics.servers.iter().map(|s| s.stats.shed_reads).sum();
+    assert_eq!(
+        count(|e| matches!(e, Event::ShedRead { .. })),
+        shed,
+        "shed_read events diverge from shed_reads"
     );
     assert!(
-        busy > 0,
-        "protective arm at 4x load should reject some reads"
+        busy > 0 && shed > 0,
+        "protective arm at 4x load should shed and reject some reads"
     );
 }
