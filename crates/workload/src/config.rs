@@ -310,6 +310,9 @@ impl ScenarioConfig {
             }
         }
         self.storage.validate()?;
+        if self.group_tick.is_zero() {
+            return Err("group tick must be positive".into());
+        }
         if self.failure_timeout < self.group_tick * 2 {
             return Err("failure timeout must be at least two group ticks".into());
         }
@@ -337,6 +340,9 @@ impl ScenarioConfig {
             if c.total_requests == 0 {
                 return Err(format!("client {i}: total_requests must be positive"));
             }
+            let q = c.qos;
+            QosSpec::new(q.staleness_threshold, q.deadline, q.min_probability)
+                .map_err(|e| format!("client {i}: qos {e}"))?;
         }
         let check_target = |t: FaultTarget| -> Result<(), String> {
             match t {
@@ -524,6 +530,20 @@ mod tests {
         let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
         c.failure_timeout = SimDuration::from_millis(1500); // < 2 ticks
         assert!(c.validate().is_err());
+
+        // A zero tick re-arms at the same instant for ever, so virtual
+        // time never advances.
+        let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
+        c.group_tick = SimDuration::ZERO;
+        assert!(c.validate().is_err());
+
+        // Client specs are held to `QosSpec::new`'s rule, however built.
+        for (deadline_ms, pc) in [(0, 0.9), (200, 1.5), (200, -0.5)] {
+            let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
+            c.clients[0].qos.deadline = SimDuration::from_millis(deadline_ms);
+            c.clients[0].qos.min_probability = pc;
+            assert!(c.validate().is_err(), "deadline {deadline_ms} ms, Pc {pc}");
+        }
 
         let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
         c.min_primary_size = 6; // view starts at sequencer + 4 primaries
