@@ -269,6 +269,7 @@ fn sample_kind(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{config_from_json, config_to_json};
 
     fn base() -> ScenarioConfig {
         let mut c = ScenarioConfig::paper_validation(200, 0.9, 2, 11).with_fast_detection();
@@ -300,6 +301,17 @@ mod tests {
                 generate_faults(&config, &budget, seed),
                 generate_faults(&config, &budget, seed),
             );
+        }
+    }
+
+    #[test]
+    fn round_trips_generated_schedules() {
+        let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, 3).with_fast_detection();
+        let budget = ScheduleBudget::quick();
+        for seed in 0..50 {
+            config.faults = generate_faults(&config, &budget, seed);
+            let back = config_from_json(&config_to_json(&config)).expect("parses");
+            assert_eq!(back, config, "seed {seed}");
         }
     }
 

@@ -20,8 +20,10 @@
 //! - [`mod@shrink`] — delta-debugging minimization of a violating schedule by
 //!   deterministic replay (drop events, shorten fault windows, merge
 //!   adjacent windows).
-//! - [`repro`] — lossless, deterministic [`ScenarioConfig`] ⇄ JSON
-//!   serialization so a minimized repro is a self-contained artifact.
+//! - [`config_to_json`] / [`config_from_json`] — lossless, deterministic
+//!   [`ScenarioConfig`] ⇄ JSON serialization (re-exported from
+//!   [`aqf_workload::repro`]) so a minimized repro is a self-contained
+//!   artifact.
 //!
 //! [`mod@search`] ties them together: sweep seeds, judge each run, report; on
 //! a failure, [`search::minimize`] produces the minimal repro. [`corpus`]
@@ -32,13 +34,12 @@
 pub mod corpus;
 pub mod generator;
 pub mod oracle;
-pub mod repro;
 pub mod search;
 pub mod shrink;
 
+pub use aqf_workload::{config_from_json, config_to_json};
 pub use generator::{generate_faults, ScheduleBudget};
 pub use oracle::{check_trace, OracleKind, OracleOptions, Violation};
-pub use repro::{config_from_json, config_to_json};
 pub use search::{
     minimize, replay_and_judge, run_seed, scenario_for_seed, search, SearchReport, SeedOutcome,
 };
