@@ -293,18 +293,7 @@ fn run_inspecting_primary_view(config: &ScenarioConfig) -> (ScenarioMetrics, usi
     use aqf_workload::{build_scenario, ReplicaActor};
 
     let mut built = build_scenario(config);
-    let chunk = SimDuration::from_secs(10);
-    loop {
-        let until = built.world.now() + chunk;
-        built.run_until_with_faults(until);
-        if built.all_clients_done()
-            || built.world.now().as_secs_f64() > config.run_limit.as_secs_f64()
-        {
-            break;
-        }
-    }
-    let drain = built.world.now() + SimDuration::from_secs(5);
-    built.run_until_with_faults(drain);
+    built.run_to_completion(config.run_limit, SimDuration::from_secs(5));
     let m = built.metrics();
     let view_len = m
         .servers

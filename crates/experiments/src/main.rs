@@ -1,5 +1,5 @@
 //! Experiment harness regenerating every figure of the paper's evaluation
-//! (§6) plus the extension studies indexed in `DESIGN.md`.
+//! (§6) plus the extension studies indexed in `DESIGN.md` §10.2.
 //!
 //! ```text
 //! aqf-experiments <command> [--seed N] [--iters N]

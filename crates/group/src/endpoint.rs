@@ -6,7 +6,7 @@
 //! retransmission), open-group multicast for non-members, and rejoin with a
 //! fresh incarnation after a crash.
 //!
-//! Liveness is rooted at the leader (DESIGN.md §3.2): every tick the leader
+//! Liveness is rooted at the leader (DESIGN.md §4.2): every tick the leader
 //! announces its view to the members, and every other member sends one
 //! heartbeat, to the most senior member it has not given up on. A member
 //! judges silence only along the rank chain ahead of it, and the node at

@@ -3,7 +3,7 @@
 //! Messages travel as [`Envelope`]s — `Arc`-shared, immutable once sealed —
 //! so multicast fan-out, duplicate delivery, and retransmission buffering
 //! all reference one allocation instead of deep-cloning the payload per
-//! copy. See DESIGN.md §13 for the ownership rules this relies on.
+//! copy. See DESIGN.md §4.7 for the ownership rules this relies on.
 
 use crate::view::{GroupId, View, ViewId};
 use aqf_sim::ActorId;

@@ -903,6 +903,33 @@ fn leader_restarted_inside_the_failure_timeout_is_replaced_and_rejoins_as_junior
     assert_eq!(view.rank_of(ids[0]), Some(n - 1), "rejoined as junior");
 }
 
+/// A junior (rank 1) crashes and restarts before anyone gave up on it, and
+/// the leader crashes later. The restarted junior must be a member again,
+/// and some live member must lead, well before 12 s.
+#[test]
+#[ignore = "ROADMAP item 1: a junior restarted inside the failure timeout is never re-admitted, and the group is left leaderless"]
+fn junior_restarted_inside_the_failure_timeout_is_readmitted_before_the_leader_fails() {
+    let n = 5;
+    let mut wedged = Vec::new();
+    for seed in 70..=79 {
+        let (mut world, ids) = build_with(n, &EndpointConfig::default(), seed);
+        world.schedule_crash(ids[1], SimTime::from_millis(2_100));
+        world.schedule_restart(ids[1], SimTime::from_millis(2_400));
+        world.schedule_crash(ids[0], SimTime::from_millis(4_100));
+        world.run_until(SimTime::from_secs(12));
+        let live = &ids[1..];
+        let led = live.iter().any(|&id| host(&world, id).ep.is_leader(GROUP));
+        let readmitted = host(&world, ids[1]).ep.is_member(GROUP);
+        if !(led && readmitted) {
+            wedged.push(seed);
+        }
+    }
+    assert!(
+        wedged.is_empty(),
+        "seeds without a live leader or with rank 1 outside the view: {wedged:?}"
+    );
+}
+
 /// Views installed under the lossy-member scenario, seeds 1..=1000, when
 /// every member heartbeat every other member (the design this file was
 /// first written against; seeds 1..=8 alone gave 7). A false exclusion
@@ -924,7 +951,7 @@ fn lossy_member_does_not_churn_views() {
 }
 
 // ---------------------------------------------------------------------------
-// Leader-rooted liveness (DESIGN.md §3.2): what only a design in which
+// Leader-rooted liveness (DESIGN.md §4.2–§4.5): what only a design in which
 // members heartbeat the head of their rank chain, and a leader needs a
 // majority of followers to install a view, can promise.
 // ---------------------------------------------------------------------------

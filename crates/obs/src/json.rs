@@ -3,7 +3,7 @@
 //! Every artifact the workspace writes — trace lines, chaos repro files,
 //! search reports — is written through [`ObjWriter`] and
 //! read back through [`parse_json`] and [`Fields`]. The byte rules live
-//! here and nowhere else (DESIGN.md "Artifact codec"): compact output,
+//! here and nowhere else (DESIGN.md §8.3): compact output,
 //! fields in the order the caller writes them, `u64` in decimal, `f64`
 //! through `Display`, `null` for an absent value, every string escaped.
 //! The module also validates trace lines against the schema the event

@@ -347,6 +347,24 @@ impl BuiltScenario {
         })
     }
 
+    /// Drives the closed loop: runs in 10 s chunks until every client has
+    /// resolved its workload or virtual time passes `limit`, then runs a
+    /// further `drain` so in-flight replies and broadcasts settle. Chunked
+    /// [`BuiltScenario::run_until_with_faults`] is event-for-event
+    /// identical to one long run when no role-targeted faults are pending.
+    pub fn run_to_completion(&mut self, limit: SimDuration, drain: SimDuration) {
+        let chunk = SimDuration::from_secs(10);
+        loop {
+            let until = self.world.now() + chunk;
+            self.run_until_with_faults(until);
+            if self.all_clients_done() || self.world.now().as_secs_f64() > limit.as_secs_f64() {
+                break;
+            }
+        }
+        let end = self.world.now() + drain;
+        self.run_until_with_faults(end);
+    }
+
     /// Runs virtual time forward to `until`, injecting any pending
     /// role-targeted faults at their scheduled instants against whichever
     /// process *currently* holds the role. With no pending faults this is
@@ -666,24 +684,7 @@ pub fn run_scenario_observed(config: &ScenarioConfig, obs: &ObsHandle) -> Scenar
     if obs.is_enabled() {
         built.install_obs(obs);
     }
-    // Drive until every client finished its workload (or the safety limit).
-    // Chunked `run_until_with_faults` is event-for-event identical to the
-    // plain `run_for` loop when no role-targeted faults are pending.
-    let chunk = SimDuration::from_secs(10);
-    let limit = config.run_limit;
-    loop {
-        let until = built.world.now() + chunk;
-        built.run_until_with_faults(until);
-        if built.all_clients_done() {
-            break;
-        }
-        if built.world.now().as_secs_f64() > limit.as_secs_f64() {
-            break;
-        }
-    }
-    // Small drain so in-flight replies and broadcasts settle.
-    let drain = built.world.now() + SimDuration::from_secs(5);
-    built.run_until_with_faults(drain);
+    built.run_to_completion(config.run_limit, SimDuration::from_secs(5));
     built.metrics()
 }
 

@@ -42,16 +42,7 @@ fn gray_config(seed: u64, detector: FailureDetector) -> ScenarioConfig {
 /// re-merge and catch up before state is inspected.
 fn run_with_drain(config: &ScenarioConfig, drain: SimDuration) -> ScenarioMetrics {
     let mut built = build_scenario(config);
-    let chunk = SimDuration::from_secs(10);
-    loop {
-        let until = built.world.now() + chunk;
-        built.run_until_with_faults(until);
-        if built.all_clients_done() || built.world.now() > SimTime::from_secs(3600) {
-            break;
-        }
-    }
-    let end = built.world.now() + drain;
-    built.run_until_with_faults(end);
+    built.run_to_completion(SimDuration::from_secs(3600), drain);
     built.metrics()
 }
 
@@ -139,16 +130,7 @@ fn sequencer_crash_replenishes_primary_group() {
     }];
 
     let mut built = build_scenario(&config);
-    let chunk = SimDuration::from_secs(10);
-    loop {
-        let until = built.world.now() + chunk;
-        built.run_until_with_faults(until);
-        if built.all_clients_done() || built.world.now() > SimTime::from_secs(3600) {
-            break;
-        }
-    }
-    let drain = built.world.now() + SimDuration::from_secs(5);
-    built.run_until_with_faults(drain);
+    built.run_to_completion(SimDuration::from_secs(3600), SimDuration::from_secs(5));
     let m = built.metrics();
 
     assert_all_completed(&m);
