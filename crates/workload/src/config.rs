@@ -92,7 +92,8 @@ pub struct FaultEvent {
     pub at: SimTime,
     /// Which process it strikes.
     pub target: FaultTarget,
-    /// Crash or restart.
+    /// What it does: a damaging kind, or the heal that ends one
+    /// ([`FaultKind::heal`]).
     pub kind: FaultKind,
 }
 
@@ -156,6 +157,107 @@ pub enum FaultKind {
         /// The other endpoint of the healed link.
         peer: FaultTarget,
     },
+}
+
+impl FaultKind {
+    /// The healing kind that ends the window this damaging kind opens, or
+    /// `None` if this kind is itself a heal. This is the one statement of
+    /// which heal repairs which damage: a crash ends at a restart, an
+    /// isolation at a reconnect, either gray fault at a restore, and a cut
+    /// link when the same link heals.
+    pub fn heal(self) -> Option<FaultKind> {
+        match self {
+            FaultKind::Crash => Some(FaultKind::Restart),
+            FaultKind::Isolate => Some(FaultKind::Reconnect),
+            FaultKind::Degrade { .. } | FaultKind::Lossy { .. } => Some(FaultKind::RestoreGray),
+            FaultKind::CutLink { peer } => Some(FaultKind::HealLink { peer }),
+            FaultKind::Restart
+            | FaultKind::Reconnect
+            | FaultKind::RestoreGray
+            | FaultKind::HealLink { .. } => None,
+        }
+    }
+}
+
+/// The window a fault opens or ends: the heal that ends it and the target
+/// it names, a link named by its unordered pair of endpoints.
+fn window_of(f: &FaultEvent) -> (FaultKind, FaultTarget) {
+    match f.kind.heal().unwrap_or(f.kind) {
+        FaultKind::HealLink { peer } => (
+            FaultKind::HealLink {
+                peer: peer.max(f.target),
+            },
+            peer.min(f.target),
+        ),
+        heal => (heal, f.target),
+    }
+}
+
+/// Walks `faults` chronologically (config order breaking ties) and pairs
+/// each healing fault with the damaging fault whose window it ends,
+/// returned as `(damage, heal)` indices into `faults` in the order the
+/// heals fire. A heal ends the earliest open window on the target it names
+/// whose damage [`FaultKind::heal`]s to its kind. Targets are compared by
+/// their configured identity: a role target ([`FaultTarget::Sequencer`])
+/// and a static target that happen to resolve to the same process have
+/// windows of their own, and the runner repairs whatever process the
+/// damage actually struck.
+///
+/// # Errors
+///
+/// A damage that re-strikes its own open window (a crash while crashed, an
+/// isolation while isolated, a cut of a cut link), or a heal with no window
+/// to end. Gray faults layer instead — each [`FaultKind::RestoreGray`]
+/// ends one layer — and a bare [`FaultKind::Restart`] is allowed: it is a
+/// no-op on a running process, and scenarios schedule one to force a
+/// re-incarnation.
+pub fn damage_windows(faults: &[FaultEvent]) -> Result<Vec<(usize, usize)>, String> {
+    let mut order: Vec<usize> = (0..faults.len()).collect();
+    order.sort_by_key(|&i| faults[i].at); // stable: config order breaks ties
+    let mut open: Vec<usize> = Vec::new();
+    let mut pairs = Vec::new();
+    for i in order {
+        let f = &faults[i];
+        let window = window_of(f);
+        let same = open.iter().position(|&d| window_of(&faults[d]) == window);
+        match (f.kind.heal(), same) {
+            // A gray fault layers on an open one; anything else opens its
+            // window only if that window is not open yet.
+            (Some(FaultKind::RestoreGray), _) | (Some(_), None) => open.push(i),
+            (None, Some(pos)) => pairs.push((open.remove(pos), i)),
+            (None, None) if f.kind == FaultKind::Restart => {}
+            (Some(_), Some(_)) | (None, None) => return Err(ordering_error(f)),
+        }
+    }
+    Ok(pairs)
+}
+
+/// Why `f` breaks the chronology [`damage_windows`] checks.
+fn ordering_error(f: &FaultEvent) -> String {
+    let (t, secs) = (f.target, f.at.as_secs_f64());
+    match f.kind {
+        FaultKind::Crash => {
+            format!("contradictory faults: {t:?} crashed at {secs:.1}s while already down")
+        }
+        FaultKind::Isolate => {
+            format!("contradictory faults: {t:?} isolated at {secs:.1}s while already isolated")
+        }
+        FaultKind::CutLink { peer } => {
+            format!("contradictory faults: link {t:?}-{peer:?} cut at {secs:.1}s while already cut")
+        }
+        FaultKind::Reconnect => {
+            format!("Reconnect at {secs:.1}s without a matching prior Isolate on {t:?}")
+        }
+        FaultKind::RestoreGray => {
+            format!("RestoreGray at {secs:.1}s without a matching prior Degrade/Lossy on {t:?}")
+        }
+        FaultKind::HealLink { peer } => {
+            format!("HealLink at {secs:.1}s without a matching prior CutLink on {t:?}-{peer:?}")
+        }
+        FaultKind::Restart | FaultKind::Degrade { .. } | FaultKind::Lossy { .. } => {
+            unreachable!("gray faults layer and a bare restart is allowed")
+        }
+    }
 }
 
 /// Full description of one simulated deployment and workload.
@@ -391,93 +493,9 @@ impl ScenarioConfig {
                 _ => {}
             }
         }
-        self.validate_fault_ordering()
-    }
-
-    /// Chronological consistency of the fault schedule: healing faults need
-    /// a matching outstanding damaging fault, and re-striking an already
-    /// struck target (crash while crashed, isolate while isolated, cut an
-    /// already cut link) is a contradictory overlap. Targets are compared
-    /// by their configured identity: a role target ([`FaultTarget::Sequencer`])
-    /// and a static target that happen to resolve to the same process are
-    /// tracked independently, matching how the runner pairs heals to the
-    /// process the damaging fault actually struck.
-    fn validate_fault_ordering(&self) -> Result<(), String> {
-        use std::collections::{BTreeMap, BTreeSet};
-        let mut order: Vec<&FaultEvent> = self.faults.iter().collect();
-        order.sort_by_key(|f| f.at); // stable: config order breaks ties
-        let pair = |a: FaultTarget, b: FaultTarget| (a.min(b), a.max(b));
-        let mut crashed: BTreeSet<FaultTarget> = BTreeSet::new();
-        let mut isolated: BTreeSet<FaultTarget> = BTreeSet::new();
-        let mut gray: BTreeMap<FaultTarget, u32> = BTreeMap::new();
-        let mut cut: BTreeSet<(FaultTarget, FaultTarget)> = BTreeSet::new();
-        for f in order {
-            let t = f.target;
-            match f.kind {
-                FaultKind::Crash => {
-                    if !crashed.insert(t) {
-                        return Err(format!(
-                            "contradictory faults: {t:?} crashed at {:.1}s while already down",
-                            f.at.as_secs_f64()
-                        ));
-                    }
-                }
-                // A restart of a running process is a no-op in the world,
-                // and existing scenarios schedule bare restarts to force
-                // re-incarnation — allowed without a prior crash.
-                FaultKind::Restart => {
-                    crashed.remove(&t);
-                }
-                FaultKind::Isolate => {
-                    if !isolated.insert(t) {
-                        return Err(format!(
-                            "contradictory faults: {t:?} isolated at {:.1}s while already isolated",
-                            f.at.as_secs_f64()
-                        ));
-                    }
-                }
-                FaultKind::Reconnect => {
-                    if !isolated.remove(&t) {
-                        return Err(format!(
-                            "Reconnect at {:.1}s without a matching prior Isolate on {t:?}",
-                            f.at.as_secs_f64()
-                        ));
-                    }
-                }
-                // Gray faults may be layered (degrade + lossy) on the same
-                // target; each restore peels one layer, so a schedule may
-                // pair every gray fault with its own RestoreGray.
-                FaultKind::Degrade { .. } | FaultKind::Lossy { .. } => {
-                    *gray.entry(t).or_insert(0) += 1;
-                }
-                FaultKind::RestoreGray => match gray.get_mut(&t) {
-                    Some(layers) if *layers > 0 => *layers -= 1,
-                    _ => {
-                        return Err(format!(
-                            "RestoreGray at {:.1}s without a matching prior Degrade/Lossy on {t:?}",
-                            f.at.as_secs_f64()
-                        ));
-                    }
-                },
-                FaultKind::CutLink { peer } => {
-                    if !cut.insert(pair(t, peer)) {
-                        return Err(format!(
-                            "contradictory faults: link {t:?}-{peer:?} cut at {:.1}s while already cut",
-                            f.at.as_secs_f64()
-                        ));
-                    }
-                }
-                FaultKind::HealLink { peer } => {
-                    if !cut.remove(&pair(t, peer)) {
-                        return Err(format!(
-                            "HealLink at {:.1}s without a matching prior CutLink on {t:?}-{peer:?}",
-                            f.at.as_secs_f64()
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
+        // Chronological consistency: every heal ends an open window, and
+        // no damage re-strikes one.
+        damage_windows(&self.faults).map(drop)
     }
 }
 

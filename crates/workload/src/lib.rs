@@ -37,7 +37,8 @@ pub use aqf_core::ObsHandle;
 pub use aqf_group::FailureDetector;
 pub use bench_scenarios::{overload_config, world_bench_config, WORLD_BENCH_SIZES};
 pub use config::{
-    ClientSpec, FaultEvent, FaultKind, FaultTarget, ObjectKind, OpPattern, ScenarioConfig,
+    damage_windows, ClientSpec, FaultEvent, FaultKind, FaultTarget, ObjectKind, OpPattern,
+    ScenarioConfig,
 };
 pub use repro::{config_from_json, config_to_json};
 pub use runner::{
