@@ -581,7 +581,9 @@ impl<A: Clone> GroupEndpoint<A> {
         let me = self.me;
         for (group, state) in self.groups.iter_mut() {
             // Assume we were excluded; ask to be let back in. If we were
-            // never excluded, the leader's announce simply confirms the view.
+            // never excluded, the leader answers with the view we hold, and
+            // that announce lets us back in (`handle_view`) unless it names
+            // us leader.
             state.in_view = false;
             state.join_requests.clear();
             state.last_heard.clear();
@@ -962,6 +964,18 @@ impl<A: Clone> GroupEndpoint<A> {
         let group = view.group;
         if let Some(state) = self.groups.get_mut(&group) {
             if view.id <= state.view.id {
+                // A restart nobody excluded knocks on the view it still
+                // holds; the answering announce of that view lets it back
+                // in. A view naming it leader does not: a restarted leader
+                // leads nothing until a successor view admits it.
+                let readmits = view.id == state.view.id
+                    && !state.in_view
+                    && view.contains(self.me)
+                    && view.leader() != self.me;
+                if readmits {
+                    state.in_view = true;
+                    state.restart_clocks(now);
+                }
                 return Vec::new();
             }
             let departed = state.view.departed(&view);

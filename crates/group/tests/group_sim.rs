@@ -907,7 +907,6 @@ fn leader_restarted_inside_the_failure_timeout_is_replaced_and_rejoins_as_junior
 /// the leader crashes later. The restarted junior must be a member again,
 /// and some live member must lead, well before 12 s.
 #[test]
-#[ignore = "ROADMAP item 1: a junior restarted inside the failure timeout is never re-admitted, and the group is left leaderless"]
 fn junior_restarted_inside_the_failure_timeout_is_readmitted_before_the_leader_fails() {
     let n = 5;
     let mut wedged = Vec::new();
