@@ -130,9 +130,12 @@ fn zero_copy_plane_is_same_seed_deterministic() {
     assert_eq!(a.events, b.events);
 }
 
+// (4, true): the 2-member primary group cannot exclude its crashed primary,
+// so after its restart at 8 s the primary is re-admitted by the leader's
+// answering announce instead of knocking to the end of the run.
 const EVENTS: [(usize, bool, u64); 6] = [
     (4, false, 872),
-    (4, true, 985),
+    (4, true, 973),
     (16, false, 6_186),
     (16, true, 6_100),
     (64, false, 100_355),
