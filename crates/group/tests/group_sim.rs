@@ -328,6 +328,36 @@ fn deterministic_same_seed() {
     assert_eq!(run(99), run(99));
 }
 
+/// A group message injected from outside the world arrives from
+/// [`aqf_sim::world::EXTERNAL`] (`u32::MAX`), an id no world hands out. The
+/// endpoint notes when it last heard that sender like any other's; nothing
+/// it keeps may be sized by the id. The injected stream is delivered, a
+/// stray `Leave` is ignored, and the group keeps its one full view.
+#[test]
+fn group_message_from_outside_the_world_is_handled() {
+    use aqf_sim::world::EXTERNAL;
+    let (mut world, ids) = build(3, 0, 5);
+    for seq in 0..2 {
+        for &to in &ids[..2] {
+            let data = GroupMsg::Data(aqf_group::DataMsg {
+                group: GROUP,
+                incarnation: 0,
+                seq,
+                payload: 70 + seq,
+            });
+            world.send_external(to, data.seal(), SimTime::from_millis(300 + seq));
+        }
+    }
+    let leave = GroupMsg::Leave { group: GROUP }.seal();
+    world.send_external(ids[2], leave, SimTime::from_millis(400));
+    world.run_for(SimDuration::from_secs(5));
+    for &id in &ids[..2] {
+        assert_eq!(payloads_from(&world, id, EXTERNAL), vec![70, 71], "{id}");
+    }
+    assert_one_full_view(&world, &ids);
+    assert_eq!(host(&world, ids[0]).ep.view(GROUP).unwrap().id, ViewId(0));
+}
+
 #[test]
 fn direct_messages_delivered() {
     struct DirectSender {
