@@ -23,7 +23,7 @@
 use crate::channel::ReceiveChannel;
 use crate::detector::{flap_hold, FailureDetector, PhiAccrual, DAMPING_FORGET_AFTER};
 use crate::msg::{DataMsg, Envelope, GroupMsg, SharedPayload, StreamTip};
-use crate::view::{GroupId, View, ViewId};
+use crate::view::{GroupId, View, ViewId, DENSE_IDS};
 use aqf_sim::{ActorId, Context, SimDuration, SimTime, Timer};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -147,8 +147,55 @@ pub enum GroupEvent<A> {
     },
 }
 
+/// One instant per actor — when each peer was last heard, or last followed
+/// this node — in a table indexed by [`ActorId`]. Ids at or beyond
+/// [`DENSE_IDS`] (the `aqf_sim::world::EXTERNAL` sender of an injected
+/// message) are kept in a map beside it.
+#[derive(Debug, Default)]
+struct Clocks {
+    dense: Vec<Option<SimTime>>,
+    sparse: BTreeMap<ActorId, SimTime>,
+}
+
+impl Clocks {
+    fn get(&self, m: ActorId) -> Option<SimTime> {
+        match self.dense.get(m.index()) {
+            Some(t) => *t,
+            None if m.index() < DENSE_IDS => None,
+            None => self.sparse.get(&m).copied(),
+        }
+    }
+
+    fn insert(&mut self, m: ActorId, t: SimTime) {
+        let i = m.index();
+        if i >= DENSE_IDS {
+            self.sparse.insert(m, t);
+            return;
+        }
+        if i >= self.dense.len() {
+            self.dense.resize(i + 1, None);
+        }
+        self.dense[i] = Some(t);
+    }
+
+    fn clear(&mut self) {
+        self.dense.clear();
+        self.sparse.clear();
+    }
+
+    /// Forgets every actor `keep` rejects.
+    fn retain(&mut self, keep: impl Fn(ActorId) -> bool) {
+        for (i, t) in self.dense.iter_mut().enumerate() {
+            if t.is_some() && !keep(ActorId::from_index(i)) {
+                *t = None;
+            }
+        }
+        self.sparse.retain(|m, _| keep(*m));
+    }
+}
+
 #[derive(Debug)]
-struct MemberState {
+struct MemberState<A> {
     view: Arc<View>,
     /// Whether this node currently appears in `view` (false while waiting to
     /// rejoin after a crash).
@@ -163,11 +210,15 @@ struct MemberState {
     /// another node — or, for a view it installed itself, began leading.
     /// A peer owes this node no traffic before it.
     since: SimTime,
-    last_heard: BTreeMap<ActorId, SimTime>,
+    last_heard: Clocks,
     /// When each member last sent this node a `Heartbeat` carrying the
     /// current view id, i.e. last declared this node the head of its rank
     /// chain: the positive evidence a leader needs to install a view.
-    followers: BTreeMap<ActorId, SimTime>,
+    followers: Clocks,
+    /// The control envelope this node's last tick sealed: its `Heartbeat`,
+    /// or as the leader its `ViewAnnounce`. A tick whose message would not
+    /// differ re-sends this one, a refcount bump (§4.7).
+    last_tick: Option<Envelope<A>>,
     /// A reconfiguration is waiting for a majority of followers; the
     /// heartbeat that completes it installs the view without waiting for
     /// the next tick.
@@ -204,15 +255,16 @@ struct Suspicion {
     at: SimTime,
 }
 
-impl MemberState {
+impl<A> MemberState<A> {
     fn new(view: Arc<View>, in_view: bool, roster_size: usize, observers: Vec<ActorId>) -> Self {
         Self {
             view,
             in_view,
             roster_size,
             since: SimTime::ZERO,
-            last_heard: BTreeMap::new(),
-            followers: BTreeMap::new(),
+            last_heard: Clocks::default(),
+            followers: Clocks::default(),
+            last_tick: None,
             awaiting_followers: false,
             observers,
             observer_refresh: Refresh::FRESH,
@@ -249,7 +301,7 @@ impl MemberState {
         floor: SimTime,
         now: SimTime,
     ) -> bool {
-        let silent_from = self.last_heard.get(&m).map_or(floor, |t| (*t).max(floor));
+        let silent_from = self.last_heard.get(m).map_or(floor, |t| t.max(floor));
         let suspect = match config.detector {
             FailureDetector::FixedTimeout => {
                 now.saturating_since(silent_from) > config.failure_timeout
@@ -311,6 +363,46 @@ impl MemberState {
         }
         Some(since)
     }
+
+    /// This node's heartbeat into `group` under the current view id.
+    fn heartbeat(&mut self, group: GroupId) -> Envelope<A> {
+        let view_id = self.view.id;
+        match &self.last_tick {
+            Some(env) if matches!(**env, GroupMsg::Heartbeat { view_id: v, .. } if v == view_id) => {
+                Arc::clone(env)
+            }
+            _ => Arc::clone(
+                self.last_tick
+                    .insert(GroupMsg::Heartbeat { group, view_id }.seal()),
+            ),
+        }
+    }
+}
+
+/// The leader's per-tick announce of `view`, relaying `tips`: the envelope
+/// of the `last_tick` again when it announced the same view and tips.
+fn tick_announce<A>(
+    last_tick: &mut Option<Envelope<A>>,
+    view: &Arc<View>,
+    tips: impl Iterator<Item = StreamTip> + Clone,
+) -> Envelope<A> {
+    if let Some(env) = last_tick {
+        if let GroupMsg::ViewAnnounce {
+            view: sent,
+            tips: relayed,
+        } = &**env
+        {
+            if Arc::ptr_eq(sent, view) && relayed.iter().copied().eq(tips.clone()) {
+                return Arc::clone(env);
+            }
+        }
+    }
+    let env = GroupMsg::ViewAnnounce {
+        view: Arc::clone(view),
+        tips: tips.collect(),
+    }
+    .seal();
+    Arc::clone(last_tick.insert(env))
 }
 
 /// One member's suspect/re-merge history, as tracked by the leader.
@@ -394,7 +486,7 @@ pub struct GroupEndpoint<A> {
     /// Longest gap of a [`Refresh`] schedule, in ticks.
     refresh_cap: u32,
     incarnation: u64,
-    groups: BTreeMap<GroupId, MemberState>,
+    groups: BTreeMap<GroupId, MemberState<A>>,
     observed: BTreeMap<GroupId, Arc<View>>,
     channels: BTreeMap<(GroupId, ActorId), ReceiveChannel<SharedPayload<A>>>,
     sends: BTreeMap<GroupId, SendState<A>>,
@@ -406,8 +498,8 @@ pub struct GroupEndpoint<A> {
 }
 
 /// The view of `group` held as a member or, failing that, as an observer.
-fn view_of<'a>(
-    groups: &'a BTreeMap<GroupId, MemberState>,
+fn view_of<'a, A>(
+    groups: &'a BTreeMap<GroupId, MemberState<A>>,
     observed: &'a BTreeMap<GroupId, Arc<View>>,
     group: GroupId,
 ) -> Option<&'a View> {
@@ -419,24 +511,25 @@ fn view_of<'a>(
 
 /// The stream tips the leader of `group` relays on its per-tick announce:
 /// its `own` stream's, and that of every stream it receives from a member
-/// of its view or an observer of the group — never from a sender outside
+/// of its `view` or one of its `observers` — never from a sender outside
 /// that roster, which the members may have no way to reach.
-fn relayed_tips<A>(
+fn relayed_tips<'a, P>(
     group: GroupId,
     own: Option<StreamTip>,
-    channels: &BTreeMap<(GroupId, ActorId), ReceiveChannel<A>>,
-    state: &MemberState,
-) -> Vec<StreamTip> {
+    channels: &'a BTreeMap<(GroupId, ActorId), ReceiveChannel<P>>,
+    view: &'a View,
+    observers: &'a [ActorId],
+) -> impl Iterator<Item = StreamTip> + Clone + 'a {
     let received = channels
         .range((group, ActorId::from_index(0))..)
-        .take_while(|((g, _), _)| *g == group)
-        .filter(|((_, sender), _)| state.view.contains(*sender) || state.observers.contains(sender))
+        .take_while(move |((g, _), _)| *g == group)
+        .filter(move |((_, sender), _)| view.contains(*sender) || observers.contains(sender))
         .map(|(&(_, sender), channel)| StreamTip {
             sender,
             incarnation: channel.incarnation(),
             next_seq: channel.tip(),
         });
-    own.into_iter().chain(received).collect()
+    own.into_iter().chain(received)
 }
 
 /// A new leader of a group has heard none of this node's adverts into it:
@@ -987,7 +1080,7 @@ impl<A: Clone> GroupEndpoint<A> {
             // only an unchanged leader's arrival history still applies.
             state.restart_clocks(now);
             let leader = view.leader();
-            state.last_heard.retain(|m, _| view.contains(*m));
+            state.last_heard.retain(|m| view.contains(m));
             state
                 .accrual
                 .retain(|m, _| *m == leader && leader != self.me);
@@ -1053,7 +1146,7 @@ impl<A: Clone> GroupEndpoint<A> {
     /// Whether flap damping currently forbids re-admitting `joiner`.
     fn readmission_held(
         config: &EndpointConfig,
-        state: &MemberState,
+        state: &MemberState<A>,
         joiner: ActorId,
         now: SimTime,
     ) -> bool {
@@ -1207,8 +1300,8 @@ impl<A: Clone> GroupEndpoint<A> {
             .filter(|m| {
                 state
                     .followers
-                    .get(m)
-                    .is_some_and(|t| *t >= leading_since && now.saturating_since(*t) <= timeout)
+                    .get(**m)
+                    .is_some_and(|t| t >= leading_since && now.saturating_since(t) <= timeout)
             })
             .count();
         if 2 * (following + 1) <= state.roster_size {
@@ -1249,14 +1342,16 @@ impl<A: Clone> GroupEndpoint<A> {
         // This node's leadership, and with it the juniors' clocks, carries
         // over into the view it created.
         state.since = leading_since;
-        state.last_heard.retain(|m, _| new_view.contains(*m));
-        state.followers.retain(|m, _| new_view.contains(*m));
+        state.last_heard.retain(|m| new_view.contains(m));
+        state.followers.retain(|m| new_view.contains(m));
         state.accrual.retain(|m, _| new_view.contains(*m));
         state.suspected.retain(|m, _| new_view.contains(*m));
         state.departing.retain(|m| new_view.contains(*m));
         state.observer_refresh = Refresh::FRESH;
-        for m in new_view.members() {
-            state.last_heard.entry(*m).or_insert(now);
+        for &m in new_view.members() {
+            if state.last_heard.get(m).is_none() {
+                state.last_heard.insert(m, now);
+            }
         }
         let old_view = std::mem::replace(&mut state.view, Arc::clone(&new_view));
         for d in old_view.departed(&new_view) {
@@ -1356,14 +1451,7 @@ impl<A: Clone> GroupEndpoint<A> {
             match state.chain_head(&self.config, &mut self.stats, me, now) {
                 Some(head) => {
                     state.observer_refresh = Refresh::FRESH;
-                    ctx.send(
-                        head,
-                        GroupMsg::Heartbeat {
-                            group,
-                            view_id: state.view.id,
-                        }
-                        .seal(),
-                    );
+                    ctx.send(head, state.heartbeat(group));
                 }
                 None => {
                     // The leader's heartbeat is a full view announce, which
@@ -1371,14 +1459,16 @@ impl<A: Clone> GroupEndpoint<A> {
                     // stream tip it knows. Observers owe the leader no
                     // judgement of its silence, so they get a copy only in
                     // case they lost the one sent at install, and ignore its
-                    // tips. One shared envelope for the whole round: every
-                    // delivered copy is a refcount bump on the same `View`.
+                    // tips. One shared envelope for the whole round, and
+                    // for the next rounds while the view and tips stand.
                     let own = self.sends.get(&group).map(|send| StreamTip {
                         sender: me,
                         incarnation: self.incarnation,
                         next_seq: send.next_seq,
                     });
-                    let tips = relayed_tips(group, own, &self.channels, state);
+                    let tips =
+                        relayed_tips(group, own, &self.channels, &state.view, &state.observers);
+                    let announce = tick_announce(&mut state.last_tick, &state.view, tips);
                     let observers: &[ActorId] = if state.observer_refresh.tick(cap) {
                         &state.observers
                     } else {
@@ -1391,11 +1481,7 @@ impl<A: Clone> GroupEndpoint<A> {
                             .iter()
                             .chain(observers)
                             .filter(|m| **m != me),
-                        GroupMsg::ViewAnnounce {
-                            view: Arc::clone(&state.view),
-                            tips,
-                        }
-                        .seal(),
+                        announce,
                     );
                     self.reconfigure(group, ctx, events);
                 }

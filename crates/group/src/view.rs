@@ -39,7 +39,11 @@ impl fmt::Display for ViewId {
 /// Ensemble elects one of the members of the group as the leader", paper
 /// §3). A member that rejoins is the most junior, so leadership moves only
 /// when the leader leaves the view.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// Membership queries ([`View::contains`], [`View::rank_of`],
+/// [`View::seniors`]) read a rank index built once with the view instead of
+/// scanning the members.
+#[derive(Clone, PartialEq, Eq)]
 pub struct View {
     /// The group this view belongs to.
     pub group: GroupId,
@@ -47,6 +51,30 @@ pub struct View {
     pub id: ViewId,
     /// Current members in rank order.
     members: Vec<ActorId>,
+    /// One more than the rank of the member whose id indexes the entry, 0
+    /// for an id that is no member's. Covers the members' ids below
+    /// [`DENSE_IDS`].
+    ranks: Vec<u32>,
+    /// Whether some member's id is at or beyond [`DENSE_IDS`], so an id
+    /// past the index must be looked for among the members.
+    unranked: bool,
+}
+
+/// Ids the group layer keeps in tables indexed by [`ActorId`]: far more
+/// actors than any world of this repository holds. A larger id, such as
+/// `aqf_sim::world::EXTERNAL`, is looked up another way, so no table is
+/// ever sized by an id no world hands out.
+pub(crate) const DENSE_IDS: usize = 1 << 12;
+
+/// The rank index is derived from the members, so it is left out.
+impl fmt::Debug for View {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("View")
+            .field("group", &self.group)
+            .field("id", &self.id)
+            .field("members", &self.members)
+            .finish()
+    }
 }
 
 impl View {
@@ -60,7 +88,26 @@ impl View {
         assert!(!members.is_empty(), "a view must have at least one member");
         members.sort_unstable();
         members.dedup();
-        Self { group, id, members }
+        Self::ranked(group, id, members)
+    }
+
+    /// A view of `members`, already in rank order, with its rank index.
+    fn ranked(group: GroupId, id: ViewId, members: Vec<ActorId>) -> Self {
+        let indexed = members.iter().map(|m| m.index()).filter(|&i| i < DENSE_IDS);
+        let mut ranks = vec![0; indexed.clone().max().map_or(0, |i| i + 1)];
+        for (rank, m) in members.iter().enumerate() {
+            if let Some(entry) = ranks.get_mut(m.index()) {
+                *entry = rank as u32 + 1;
+            }
+        }
+        let unranked = indexed.count() < members.len();
+        Self {
+            group,
+            id,
+            members,
+            ranks,
+            unranked,
+        }
     }
 
     /// The members in rank order.
@@ -86,12 +133,16 @@ impl View {
 
     /// Whether `actor` is a member of this view.
     pub fn contains(&self, actor: ActorId) -> bool {
-        self.members.contains(&actor)
+        self.rank_of(actor).is_some()
     }
 
     /// The rank (0 = leader) of `actor` in this view, if a member.
     pub fn rank_of(&self, actor: ActorId) -> Option<usize> {
-        self.members.iter().position(|m| *m == actor)
+        match self.ranks.get(actor.index()) {
+            Some(&entry) => (entry as usize).checked_sub(1),
+            None if self.unranked => self.members.iter().position(|m| *m == actor),
+            None => None,
+        }
     }
 
     /// The members ranked ahead of `actor`, most senior first: all of them
@@ -120,11 +171,7 @@ impl View {
         if members.is_empty() {
             None
         } else {
-            Some(View {
-                group: self.group,
-                id: self.id.next(),
-                members,
-            })
+            Some(View::ranked(self.group, self.id.next(), members))
         }
     }
 
