@@ -447,4 +447,21 @@ mod tests {
         assert_eq!(cloned.method, op.method);
         assert_eq!(cloned.method, "wire-test-method");
     }
+
+    #[test]
+    fn method_ids_are_process_wide_across_threads() {
+        let name = "wire-test-cross-thread";
+        let id = std::thread::spawn(move || MethodId::intern(name))
+            .join()
+            .unwrap();
+        // A thread that never interned the name reads it back by id.
+        let read = std::thread::spawn(move || id.as_str()).join().unwrap();
+        assert_eq!(read, name);
+        // Re-interning on a third thread finds the same id.
+        let again = std::thread::spawn(move || MethodId::intern(name))
+            .join()
+            .unwrap();
+        assert_eq!(again, id);
+        assert_eq!(id.as_str(), name);
+    }
 }
