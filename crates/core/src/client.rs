@@ -36,12 +36,11 @@ use crate::wire::{
     Operation, Payload, ReadRequest, RequestId, UpdateRequest, PRIMARY_GROUP, SECONDARY_GROUP,
 };
 use aqf_group::View;
-use aqf_sim::{ActorId, SimDuration, SimTime};
+use aqf_sim::{ActorId, FastMap, SimDuration, SimTime};
 use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Tuning knobs for a client gateway.
 #[derive(Debug, Clone)]
@@ -403,13 +402,13 @@ pub struct ClientGateway {
     detector: TimingFailureDetector,
     rng: SmallRng,
     next_seq: u64,
-    pending: HashMap<RequestId, Pending>,
-    primary_view: Arc<View>,
-    secondary_view: Arc<View>,
+    pending: FastMap<RequestId, Pending>,
+    primary_view: Rc<View>,
+    secondary_view: Rc<View>,
     alerted: bool,
     last_selection: Option<Selection>,
     last_stale_factor: f64,
-    selection_counts: HashMap<ActorId, u64>,
+    selection_counts: FastMap<ActorId, u64>,
     /// Sum of `P_K(d)` predictions over all reads (model calibration).
     predicted_sum: f64,
     /// Session causality; `None` unless the ordering is causal.
@@ -428,8 +427,8 @@ impl ClientGateway {
     /// announcements).
     pub fn new(
         me: ActorId,
-        primary_view: impl Into<Arc<View>>,
-        secondary_view: impl Into<Arc<View>>,
+        primary_view: impl Into<Rc<View>>,
+        secondary_view: impl Into<Rc<View>>,
         config: ClientConfig,
     ) -> Self {
         let monitor = MonitorConfig {
@@ -451,13 +450,13 @@ impl ClientGateway {
             detector,
             rng: SmallRng::seed_from_u64(config.seed),
             next_seq: 0,
-            pending: HashMap::new(),
+            pending: FastMap::default(),
             primary_view: primary_view.into(),
             secondary_view: secondary_view.into(),
             alerted: false,
             last_selection: None,
             last_stale_factor: 1.0,
-            selection_counts: HashMap::new(),
+            selection_counts: FastMap::default(),
             predicted_sum: 0.0,
             session: (config.ordering == OrderingGuarantee::Causal).then(Session::default),
             overload,
@@ -508,7 +507,7 @@ impl ClientGateway {
 
     /// How many times each replica has been selected by this client (used
     /// by the hot-spot ablation study).
-    pub fn selection_counts(&self) -> &HashMap<ActorId, u64> {
+    pub fn selection_counts(&self) -> &FastMap<ActorId, u64> {
         &self.selection_counts
     }
 
@@ -1228,7 +1227,7 @@ impl ClientGateway {
     /// a replica crashed out or rejoined — the admission decision is
     /// re-evaluated against the new capacity (a degradation step is
     /// surfaced when the requested QoS is no longer attainable).
-    pub fn on_view(&mut self, view: Arc<View>, now: SimTime, out: &mut Vec<ClientAction>) {
+    pub fn on_view(&mut self, view: Rc<View>, now: SimTime, out: &mut Vec<ClientAction>) {
         let (view_id, members) = (view.id.0, view.members().len() as u64);
         let current = if view.group == PRIMARY_GROUP {
             &mut self.primary_view
@@ -1670,7 +1669,7 @@ mod tests {
         // Sequencer a(0) fails; a(1) leads. Candidates: a(2) + secondaries.
         let (p, _) = views();
         let newer = p.successor(&[a(0)], &[]).unwrap();
-        c.on_view(Arc::new(newer), t(0), &mut Vec::new());
+        c.on_view(Rc::new(newer), t(0), &mut Vec::new());
         assert_eq!(c.sequencer(), a(1));
         c.submit_read(
             Operation::new("get", vec![]),
@@ -1683,7 +1682,7 @@ mod tests {
         assert!(sel.replicas.contains(&a(1)), "new sequencer appended");
         // Stale view replay is ignored.
         let (old_p, _) = views();
-        c.on_view(Arc::new(old_p), t(0), &mut Vec::new());
+        c.on_view(Rc::new(old_p), t(0), &mut Vec::new());
         assert_eq!(c.sequencer(), a(1));
     }
 
@@ -2429,7 +2428,7 @@ mod tests {
         );
         let (p, _) = views();
         let newer = p.successor(&[a(2)], &[]).unwrap();
-        let actions = sink(|out| c.on_view(Arc::new(newer), t(10), out));
+        let actions = sink(|out| c.on_view(Rc::new(newer), t(10), out));
         assert_eq!(c.stats().admission_reevals, 1);
         assert_eq!(c.stats().admission_rejects, 1);
         assert!(actions.iter().any(|x| matches!(

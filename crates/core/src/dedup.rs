@@ -17,14 +17,13 @@
 //! lookup, not a scan of the log.
 
 use crate::wire::{Reply, RequestId};
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
-use std::hash::BuildHasherDefault;
+use aqf_sim::FastMap;
+use std::collections::VecDeque;
 
-/// A table keyed by request id. The hasher is fixed-keyed, not randomly
-/// seeded per process, so a run's table growth — and with it every
+/// A table keyed by request id. [`FastMap`]'s hasher is fixed-keyed, not
+/// randomly seeded per process, so a run's table growth — and with it every
 /// allocation count — repeats exactly.
-type IdMap<V> = HashMap<RequestId, V, BuildHasherDefault<DefaultHasher>>;
+type IdMap<V> = FastMap<RequestId, V>;
 
 /// A bounded FIFO cache of the replies sent for recent updates.
 #[derive(Debug, Clone)]

@@ -147,7 +147,7 @@ mod tests {
     };
     use crate::shell::ServerConfig;
     use crate::wire::{Operation, ReadRequest};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     fn bank(i: usize, config: ServerConfig) -> FifoServerGateway {
         FifoServerGateway::new(a(i), pview(), sview(), Box::new(AccountBook::new()), config)
@@ -323,7 +323,7 @@ mod tests {
         let mut p = gw(1);
         assert!(!p.is_publisher());
         let new_view = pview().successor(&[a(2)], &[]).unwrap();
-        let actions = sink(|out| p.on_view(Arc::new(new_view), t(500), out));
+        let actions = sink(|out| p.on_view(Rc::new(new_view), t(500), out));
         assert!(p.is_publisher());
         assert!(actions
             .iter()

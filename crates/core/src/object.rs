@@ -17,9 +17,9 @@ use std::fmt;
 /// the full state, since lazy updates replace the state of secondary
 /// replicas wholesale.
 ///
-/// Objects must be [`Send`]: the gateways are sans-IO state machines that
-/// assume nothing about their host, including which thread drives them.
-pub trait ReplicatedObject: fmt::Debug + Send {
+/// Objects need not be `Send`: a replica lives inside one single-threaded
+/// `World`, which owns every actor and drives them from one thread.
+pub trait ReplicatedObject: fmt::Debug {
     /// Applies a committed state-modifying operation, returning the reply
     /// payload for the issuing client. The reply is encoded through
     /// `scratch`, a caller-retained staging buffer, so a gateway servicing

@@ -12,7 +12,7 @@ use crate::shell::{ServerAction, ServerStats};
 use crate::wire::Payload;
 use aqf_group::View;
 use aqf_sim::{ActorId, SimDuration, SimTime};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A server-side gateway protocol: consumes payloads, timers, and view
 /// changes; appends [`ServerAction`]s for the host to execute to the
@@ -22,9 +22,10 @@ use std::sync::Arc;
 /// Implemented once, by [`crate::shell::Replica`], for every ordering
 /// discipline: sequential ([`crate::server::ServerGateway`], the GSN
 /// protocol), causal ([`crate::causal::CausalServerGateway`]) and per-client
-/// FIFO ([`crate::fifo::FifoServerGateway`]). `Send` so hosts can run on
-/// real threads.
-pub trait ServerProtocol: Send {
+/// FIFO ([`crate::fifo::FifoServerGateway`]). Not `Send`: a gateway shares
+/// views and envelopes by `Rc` with the single-threaded `World` that hosts
+/// it.
+pub trait ServerProtocol {
     /// The ordering guarantee this handler provides.
     fn ordering(&self) -> OrderingGuarantee;
 
@@ -75,9 +76,9 @@ pub trait ServerProtocol: Send {
 
     /// Called on every installed or observed view change. The view is
     /// shared with the group layer's own copy (and every other observer
-    /// of the same announce round); implementations store the `Arc`
+    /// of the same announce round); implementations store the `Rc`
     /// rather than cloning the membership list.
-    fn on_view(&mut self, view: Arc<View>, now: SimTime, out: &mut Vec<ServerAction>);
+    fn on_view(&mut self, view: Rc<View>, now: SimTime, out: &mut Vec<ServerAction>);
 
     /// Whether this replica currently sequences updates (always false for
     /// handlers without a sequencer).

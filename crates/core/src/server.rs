@@ -1063,7 +1063,7 @@ mod tests {
     };
     use crate::shell::ServerConfig;
     use crate::wire::{Operation, ReadRequest};
-    use std::sync::Arc;
+    use std::rc::Rc;
 
     // Roster: 0 = sequencer, 1, 2 = primaries, 10, 11 = secondaries,
     // 20 = client.
@@ -1123,8 +1123,8 @@ mod tests {
     }
 
     /// The primary view after the sequencer (replica 0) crashed.
-    fn without_sequencer() -> Arc<View> {
-        Arc::new(pview().successor(&[a(0)], &[]).unwrap())
+    fn without_sequencer() -> Rc<View> {
+        Rc::new(pview().successor(&[a(0)], &[]).unwrap())
     }
 
     #[test]
@@ -1437,7 +1437,7 @@ mod tests {
     /// still leads, so the view change opens no reconciliation round.
     fn deficient_sequencer(min_primary_size: usize) -> (ServerGateway, Vec<ServerAction>) {
         let mut s = replenisher(0, min_primary_size);
-        let shrunk = Arc::new(without_primary_2());
+        let shrunk = Rc::new(without_primary_2());
         let actions = sink(|out| s.on_view(shrunk, t(1001), out));
         (s, actions)
     }
@@ -1454,9 +1454,9 @@ mod tests {
 
     /// Primary 1's view after it was cut off, excluded and re-merged as
     /// the most junior member: primary 2 leads.
-    fn deposed() -> Arc<View> {
+    fn deposed() -> Rc<View> {
         let without_1 = without_sequencer().successor(&[a(1)], &[]).unwrap();
-        Arc::new(without_1.successor(&[], &[a(1)]).unwrap())
+        Rc::new(without_1.successor(&[], &[a(1)]).unwrap())
     }
 
     #[test]
@@ -1506,7 +1506,7 @@ mod tests {
         // and primary 1 takes over again, still two short: replenishment is
         // suspended under its round.
         s.on_view(deposed(), t(1200), &mut Vec::new());
-        let retaken = Arc::new(deposed().successor(&[a(2)], &[a(10)]).unwrap());
+        let retaken = Rc::new(deposed().successor(&[a(2)], &[a(10)]).unwrap());
         let actions = sink(|out| s.on_view(retaken, t(1500), out));
         assert_eq!(armed(&actions), Some(stall), "only the round is waited for");
         // The promotee's report is lost. A timer left over from the
@@ -1544,9 +1544,9 @@ mod tests {
         // Secondary 11 leaves its group, and secondary 10 turns up in the
         // primary view (an earlier sequencer promoted it): still one short,
         // and nobody left to probe.
-        let only_10 = Arc::new(sview().successor(&[a(11)], &[]).unwrap());
+        let only_10 = Rc::new(sview().successor(&[a(11)], &[]).unwrap());
         p.on_view(only_10, t(1100), &mut Vec::new());
-        let joined = Arc::new(without_sequencer().successor(&[], &[a(10)]).unwrap());
+        let joined = Rc::new(without_sequencer().successor(&[], &[a(10)]).unwrap());
         let actions = sink(|out| p.on_view(joined, t(1200), out));
         assert_eq!(p.stats().recoveries, 1);
         assert_eq!(armed(&actions), None, "nothing is open any more");
@@ -1610,7 +1610,7 @@ mod tests {
         // Publisher (replica 2) crashes: view becomes {0, 1}; 1 is now the
         // highest-ranked non-leader member.
         let new_view = pview().successor(&[a(2)], &[]).unwrap();
-        let actions = sink(|out| p.on_view(Arc::new(new_view), t(1000), out));
+        let actions = sink(|out| p.on_view(Rc::new(new_view), t(1000), out));
         assert!(p.is_publisher());
         assert!(actions
             .iter()

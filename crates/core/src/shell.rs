@@ -36,7 +36,7 @@ use crate::wire::{
 use aqf_group::{GroupId, View};
 use aqf_sim::{ActorId, SimDuration, SimTime};
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::rc::Rc;
 
 #[cfg(test)]
 pub(crate) mod conformance;
@@ -234,7 +234,7 @@ pub struct Position {
 /// the ordering guarantee. The shell calls these hooks and offers its own
 /// services back through the [`Shell`] it passes in; a hook that produces
 /// actions appends them to `out`.
-pub trait Discipline: Default + Send {
+pub trait Discipline: Default {
     /// The ordering guarantee this discipline provides.
     const ORDERING: OrderingGuarantee;
 
@@ -422,8 +422,8 @@ pub struct Shell {
     pub(crate) config: ServerConfig,
     pub(crate) object: Box<dyn ReplicatedObject>,
 
-    pub(crate) primary_view: Arc<View>,
-    pub(crate) secondary_view: Arc<View>,
+    pub(crate) primary_view: Rc<View>,
+    pub(crate) secondary_view: Rc<View>,
 
     /// Replies sent for recent updates, for answering retransmissions.
     reply_cache: ReplyCache,
@@ -484,8 +484,8 @@ impl Shell {
     fn new(
         me: ActorId,
         role: ReplicaRole,
-        primary_view: Arc<View>,
-        secondary_view: Arc<View>,
+        primary_view: Rc<View>,
+        secondary_view: Rc<View>,
         object: Box<dyn ReplicatedObject>,
         config: ServerConfig,
         durability: Option<Durability>,
@@ -1015,8 +1015,8 @@ impl<D: Discipline> Replica<D> {
     /// Panics if `me` is a member of neither (or both) initial views.
     pub fn new(
         me: ActorId,
-        primary_view: impl Into<Arc<View>>,
-        secondary_view: impl Into<Arc<View>>,
+        primary_view: impl Into<Rc<View>>,
+        secondary_view: impl Into<Rc<View>>,
         object: Box<dyn ReplicatedObject>,
         config: ServerConfig,
     ) -> Self {
@@ -1321,7 +1321,7 @@ impl<D: Discipline> ServerProtocol for Replica<D> {
         self.discipline.on_watchdog(&mut self.shell, now, out);
     }
 
-    fn on_view(&mut self, view: Arc<View>, now: SimTime, out: &mut Vec<ServerAction>) {
+    fn on_view(&mut self, view: Rc<View>, now: SimTime, out: &mut Vec<ServerAction>) {
         let Self { shell, discipline } = self;
         let (view_id, members) = (view.id.0, view.members().len() as u64);
         shell
@@ -1438,7 +1438,7 @@ mod tests {
             lazy_arms(&sink(|out| p.on_restart(register(), t(10), out))),
             1
         );
-        let shrunk = Arc::new(pview().successor(&[a(1)], &[]).unwrap());
+        let shrunk = Rc::new(pview().successor(&[a(1)], &[]).unwrap());
         let again = sink(|out| p.on_view(shrunk, t(20), out));
         assert_eq!(lazy_arms(&again), 0, "still the publisher, still armed");
         // The tick consumes the armed timer and arms exactly the next one.
@@ -1450,11 +1450,11 @@ mod tests {
         let promoted = pview().successor(&[a(2)], &[]).unwrap();
         let next = promoted.successor(&[a(0)], &[]).unwrap();
         assert_eq!(
-            lazy_arms(&sink(|out| q.on_view(Arc::new(promoted), t(5), out))),
+            lazy_arms(&sink(|out| q.on_view(Rc::new(promoted), t(5), out))),
             1
         );
         assert_eq!(
-            lazy_arms(&sink(|out| q.on_view(Arc::new(next), t(6), out))),
+            lazy_arms(&sink(|out| q.on_view(Rc::new(next), t(6), out))),
             0
         );
     }
@@ -1469,7 +1469,7 @@ mod tests {
         p.set_obs(obs.clone());
         p.on_restart(register(), t(100), &mut Vec::new());
         let _ = obs.take_report();
-        let shrunk = Arc::new(pview().successor(&[a(2)], &[]).unwrap());
+        let shrunk = Rc::new(pview().successor(&[a(2)], &[]).unwrap());
         let mut actions = Vec::new();
         p.on_view(shrunk, t(200), &mut actions);
         feed(&mut p, Fifo::update(0), t(300), &mut actions);

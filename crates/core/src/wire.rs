@@ -5,9 +5,12 @@
 //! broadcasts as direct messages.
 
 use aqf_group::GroupId;
-use aqf_sim::{ActorId, SimDuration};
+use aqf_sim::{ActorId, FastMap, SimDuration};
 use bytes::Bytes;
+use std::cell::RefCell;
 use std::fmt;
+use std::hash::BuildHasherDefault;
+use std::sync::Mutex;
 
 /// Conventional group id of the primary replication group.
 pub const PRIMARY_GROUP: GroupId = GroupId(1);
@@ -41,57 +44,82 @@ impl fmt::Display for RequestId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MethodId(u16);
 
-/// Process-wide method name table. Names are leaked once per unique
-/// method — the set of method names in any deployment is tiny and fixed —
-/// so lookups hand back `&'static str` without reference counting.
+/// A method name table: names in id order and the reverse index. Names are
+/// leaked once per unique method — the set of method names in any
+/// deployment is tiny and fixed — so lookups hand back `&'static str`
+/// without reference counting.
 struct MethodTable {
-    by_name: std::collections::HashMap<&'static str, u16>,
+    by_name: FastMap<&'static str, u16>,
     names: Vec<&'static str>,
 }
 
-fn method_table() -> &'static std::sync::RwLock<MethodTable> {
-    static TABLE: std::sync::OnceLock<std::sync::RwLock<MethodTable>> = std::sync::OnceLock::new();
-    TABLE.get_or_init(|| {
-        std::sync::RwLock::new(MethodTable {
-            by_name: std::collections::HashMap::new(),
+impl MethodTable {
+    const fn new() -> Self {
+        Self {
+            by_name: FastMap::with_hasher(BuildHasherDefault::new()),
             names: Vec::new(),
-        })
-    })
+        }
+    }
+
+    /// Appends the names `process` holds beyond this table's: every table
+    /// is a prefix of the process-wide one, which only ever grows.
+    fn catch_up(&mut self, process: &MethodTable) {
+        for &name in &process.names[self.names.len()..] {
+            self.by_name.insert(name, self.names.len() as u16);
+            self.names.push(name);
+        }
+    }
+}
+
+/// The process-wide table, the one source of ids. Only a thread's first
+/// sight of a name or id locks it.
+static PROCESS_METHODS: Mutex<MethodTable> = Mutex::new(MethodTable::new());
+
+thread_local! {
+    /// This thread's copy of a prefix of [`PROCESS_METHODS`]: the warm path
+    /// (every operation built, logged or dispatched) reads it with no lock.
+    static THREAD_METHODS: RefCell<MethodTable> = const { RefCell::new(MethodTable::new()) };
+}
+
+/// Brings this thread's table up to the process-wide one, after running
+/// `intern` on the latter under its lock.
+fn sync_methods<T>(intern: impl FnOnce(&mut MethodTable) -> T) -> T {
+    let mut process = PROCESS_METHODS.lock().expect("method table poisoned");
+    let out = intern(&mut process);
+    THREAD_METHODS.with_borrow_mut(|local| local.catch_up(&process));
+    out
 }
 
 impl MethodId {
     /// Interns `name`, returning its stable in-process handle. Repeated
-    /// calls with the same name return the same id.
+    /// calls with the same name, from any thread, return the same id.
     ///
     /// # Panics
     ///
     /// Panics if more than `u16::MAX` distinct method names are interned
     /// (a deployment declares a handful).
     pub fn intern(name: &str) -> Self {
-        let table = method_table();
-        if let Some(&id) = table
-            .read()
-            .expect("method table poisoned")
-            .by_name
-            .get(name)
-        {
+        if let Some(id) = THREAD_METHODS.with_borrow(|t| t.by_name.get(name).copied()) {
             return Self(id);
         }
-        let mut table = table.write().expect("method table poisoned");
-        // Double-check: another thread may have interned it between locks.
-        if let Some(&id) = table.by_name.get(name) {
-            return Self(id);
-        }
-        let id = u16::try_from(table.names.len()).expect("method table overflow");
-        let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-        table.names.push(leaked);
-        table.by_name.insert(leaked, id);
-        Self(id)
+        Self(sync_methods(|process| {
+            if let Some(&id) = process.by_name.get(name) {
+                return id;
+            }
+            let id = u16::try_from(process.names.len()).expect("method table overflow");
+            let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
+            process.names.push(leaked);
+            process.by_name.insert(leaked, id);
+            id
+        }))
     }
 
     /// The interned method name.
     pub fn as_str(self) -> &'static str {
-        method_table().read().expect("method table poisoned").names[self.0 as usize]
+        let index = self.0 as usize;
+        THREAD_METHODS
+            .with_borrow(|t| t.names.get(index).copied())
+            .unwrap_or_else(|| sync_methods(|process| process.names[index]))
     }
 }
 

@@ -36,7 +36,7 @@ use aqf_core::wire::{
 use aqf_core::{ObsHandle, OperationKind, OrderingGuarantee, QosSpec};
 use aqf_group::{View, ViewId};
 use aqf_sim::{ActorId, Digest, SimDuration, SimTime};
-use std::sync::Arc;
+use std::rc::Rc;
 
 // --- calling convention: the only code that knows how the gateway is
 // --- called and which payload variant carries a request ---
@@ -72,7 +72,7 @@ fn acts(c: &mut ClientGateway, call: Call, now: SimTime) -> (Option<RequestId>, 
             None
         }
         Call::View(view) => {
-            c.on_view(Arc::new(view), now, &mut out);
+            c.on_view(Rc::new(view), now, &mut out);
             None
         }
     };

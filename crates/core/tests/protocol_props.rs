@@ -325,7 +325,7 @@ fn assert_disabled_layers_inert(ordering: OrderingGuarantee, seed: u64, steps: u
                 let (group, base) = [(PRIMARY_GROUP, 0), (SECONDARY_GROUP, 10)][g];
                 let size = 4 - (view_ids[g] % 2) as usize;
                 let members = (base..base + size).map(a).collect();
-                let view = std::sync::Arc::new(View::new(group, ViewId(view_ids[g]), members));
+                let view = std::rc::Rc::new(View::new(group, ViewId(view_ids[g]), members));
                 both(&mut |c, out| c.on_view(view.clone(), now, out));
             }
         }

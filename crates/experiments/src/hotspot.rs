@@ -32,7 +32,7 @@ fn imbalance(policy: SelectionPolicy, seed: u64) -> Imbalance {
     let m = run_scenario(&config);
     // Pool selections across both clients; exclude the sequencer (always
     // included by protocol necessity, not by choice).
-    let mut counts: std::collections::HashMap<_, u64> = std::collections::HashMap::new();
+    let mut counts: aqf_sim::FastMap<_, u64> = aqf_sim::FastMap::default();
     for c in &m.clients {
         for (&replica, &n) in &c.selection_counts {
             if replica != aqf_sim::ActorId::from_index(0) {

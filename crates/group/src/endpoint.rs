@@ -27,7 +27,7 @@ use crate::view::{GroupId, View, ViewId, DENSE_IDS};
 use aqf_sim::{ActorId, Context, SimDuration, SimTime, Timer};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// Timer kinds at or above this value are reserved for the group layer;
 /// host actors must keep their own timer kinds below it.
@@ -141,7 +141,7 @@ pub enum GroupEvent<A> {
     ViewChanged {
         /// The newly installed view, shared with the endpoint's own copy
         /// (and, for announced views, with every other recipient's).
-        view: Arc<View>,
+        view: Rc<View>,
         /// Whether this node is a member of the new view.
         is_member: bool,
     },
@@ -196,7 +196,7 @@ impl Clocks {
 
 #[derive(Debug)]
 struct MemberState<A> {
-    view: Arc<View>,
+    view: Rc<View>,
     /// Whether this node currently appears in `view` (false while waiting to
     /// rejoin after a crash).
     in_view: bool,
@@ -256,7 +256,7 @@ struct Suspicion {
 }
 
 impl<A> MemberState<A> {
-    fn new(view: Arc<View>, in_view: bool, roster_size: usize, observers: Vec<ActorId>) -> Self {
+    fn new(view: Rc<View>, in_view: bool, roster_size: usize, observers: Vec<ActorId>) -> Self {
         Self {
             view,
             in_view,
@@ -337,7 +337,7 @@ impl<A> MemberState<A> {
         me: ActorId,
         now: SimTime,
     ) -> Option<ActorId> {
-        let view = Arc::clone(&self.view);
+        let view = Rc::clone(&self.view);
         let mut floor = self.since;
         for &m in view.seniors(me) {
             if !self.judge(config, stats, m, floor, now) {
@@ -369,9 +369,9 @@ impl<A> MemberState<A> {
         let view_id = self.view.id;
         match &self.last_tick {
             Some(env) if matches!(**env, GroupMsg::Heartbeat { view_id: v, .. } if v == view_id) => {
-                Arc::clone(env)
+                Rc::clone(env)
             }
-            _ => Arc::clone(
+            _ => Rc::clone(
                 self.last_tick
                     .insert(GroupMsg::Heartbeat { group, view_id }.seal()),
             ),
@@ -383,7 +383,7 @@ impl<A> MemberState<A> {
 /// of the `last_tick` again when it announced the same view and tips.
 fn tick_announce<A>(
     last_tick: &mut Option<Envelope<A>>,
-    view: &Arc<View>,
+    view: &Rc<View>,
     tips: impl Iterator<Item = StreamTip> + Clone,
 ) -> Envelope<A> {
     if let Some(env) = last_tick {
@@ -392,17 +392,17 @@ fn tick_announce<A>(
             tips: relayed,
         } = &**env
         {
-            if Arc::ptr_eq(sent, view) && relayed.iter().copied().eq(tips.clone()) {
-                return Arc::clone(env);
+            if Rc::ptr_eq(sent, view) && relayed.iter().copied().eq(tips.clone()) {
+                return Rc::clone(env);
             }
         }
     }
     let env = GroupMsg::ViewAnnounce {
-        view: Arc::clone(view),
+        view: Rc::clone(view),
         tips: tips.collect(),
     }
     .seal();
-    Arc::clone(last_tick.insert(env))
+    Rc::clone(last_tick.insert(env))
 }
 
 /// One member's suspect/re-merge history, as tracked by the leader.
@@ -487,7 +487,7 @@ pub struct GroupEndpoint<A> {
     refresh_cap: u32,
     incarnation: u64,
     groups: BTreeMap<GroupId, MemberState<A>>,
-    observed: BTreeMap<GroupId, Arc<View>>,
+    observed: BTreeMap<GroupId, Rc<View>>,
     channels: BTreeMap<(GroupId, ActorId), ReceiveChannel<SharedPayload<A>>>,
     sends: BTreeMap<GroupId, SendState<A>>,
     /// After a restart, lazily created receive channels fast-forward to the
@@ -500,7 +500,7 @@ pub struct GroupEndpoint<A> {
 /// The view of `group` held as a member or, failing that, as an observer.
 fn view_of<'a, A>(
     groups: &'a BTreeMap<GroupId, MemberState<A>>,
-    observed: &'a BTreeMap<GroupId, Arc<View>>,
+    observed: &'a BTreeMap<GroupId, Rc<View>>,
     group: GroupId,
 ) -> Option<&'a View> {
     groups
@@ -544,9 +544,9 @@ fn advertise_to_new_leader<A>(sends: &mut BTreeMap<GroupId, SendState<A>>, old: 
 
 /// An announce of `view` that relays no stream tips: every announce but
 /// the leader's per-tick one.
-fn announce<A>(view: &Arc<View>) -> Envelope<A> {
+fn announce<A>(view: &Rc<View>) -> Envelope<A> {
     GroupMsg::ViewAnnounce {
-        view: Arc::clone(view),
+        view: Rc::clone(view),
         tips: Vec::new(),
     }
     .seal()
@@ -573,7 +573,7 @@ impl<A: Clone> GroupEndpoint<A> {
                 "initial view of {} does not contain {me}",
                 m.view.group
             );
-            let view = Arc::new(m.view);
+            let view = Rc::new(m.view);
             let roster_size = view.len();
             let prev = groups.insert(
                 view.group,
@@ -588,7 +588,7 @@ impl<A: Clone> GroupEndpoint<A> {
                 "cannot both belong to and observe {}",
                 v.group
             );
-            observed.insert(v.group, Arc::new(v));
+            observed.insert(v.group, Rc::new(v));
         }
         let ticks_per_timeout =
             config.failure_timeout.as_micros() / config.tick_interval.as_micros().max(1);
@@ -782,7 +782,7 @@ impl<A: Clone> GroupEndpoint<A> {
             GroupMsg::ViewAnnounce { view, tips } => {
                 // An announce from a stale leader on the minority side of a
                 // healed partition: re-merge the sender.
-                let view = Arc::clone(view);
+                let view = Rc::clone(view);
                 let group = view.group;
                 let stale_id = view.id;
                 let mut events = self.handle_view(view, ctx.now());
@@ -1053,7 +1053,7 @@ impl<A: Clone> GroupEndpoint<A> {
         }
     }
 
-    fn handle_view(&mut self, view: Arc<View>, now: SimTime) -> Vec<GroupEvent<A>> {
+    fn handle_view(&mut self, view: Rc<View>, now: SimTime) -> Vec<GroupEvent<A>> {
         let group = view.group;
         if let Some(state) = self.groups.get_mut(&group) {
             if view.id <= state.view.id {
@@ -1085,7 +1085,7 @@ impl<A: Clone> GroupEndpoint<A> {
                 .accrual
                 .retain(|m, _| *m == leader && leader != self.me);
             state.departing.retain(|m| view.contains(*m));
-            let old = std::mem::replace(&mut state.view, Arc::clone(&view));
+            let old = std::mem::replace(&mut state.view, Rc::clone(&view));
             advertise_to_new_leader(&mut self.sends, &old, &view);
             for d in departed {
                 if let Some(ch) = self.channels.get_mut(&(group, d)) {
@@ -1101,7 +1101,7 @@ impl<A: Clone> GroupEndpoint<A> {
             if self.observed.get(&group).is_some_and(|v| view.id <= v.id) {
                 return Vec::new();
             }
-            if let Some(old) = self.observed.insert(group, Arc::clone(&view)) {
+            if let Some(old) = self.observed.insert(group, Rc::clone(&view)) {
                 advertise_to_new_leader(&mut self.sends, &old, &view);
             }
             vec![GroupEvent::ViewChanged {
@@ -1274,12 +1274,12 @@ impl<A: Clone> GroupEndpoint<A> {
         group: GroupId,
         suspects: &[ActorId],
         ctx: &mut Context<'_, Envelope<A>>,
-    ) -> Option<Arc<View>> {
+    ) -> Option<Rc<View>> {
         let me = self.me;
         let state = self.groups.get_mut(&group)?;
         let leading_since = state.leading_since(me)?;
         let added: Vec<ActorId> = state.join_requests.iter().copied().collect();
-        let new_view = Arc::new(state.view.successor(suspects, &added)?);
+        let new_view = Rc::new(state.view.successor(suspects, &added)?);
         // Primary-partition rule: only a side retaining a majority of the
         // original roster may install views. A minority (e.g. an isolated
         // node that suspects everyone else) keeps its last view and waits
@@ -1353,7 +1353,7 @@ impl<A: Clone> GroupEndpoint<A> {
                 state.last_heard.insert(m, now);
             }
         }
-        let old_view = std::mem::replace(&mut state.view, Arc::clone(&new_view));
+        let old_view = std::mem::replace(&mut state.view, Rc::clone(&new_view));
         for d in old_view.departed(&new_view) {
             if let Some(ch) = self.channels.get_mut(&(group, d)) {
                 ch.abandon_gaps();
@@ -1385,7 +1385,7 @@ impl<A: Clone> GroupEndpoint<A> {
         let Some(leading_since) = state.leading_since(me) else {
             return;
         };
-        let view = Arc::clone(&state.view);
+        let view = Rc::clone(&state.view);
         // The seniors were given up on by the chain walk.
         let seniors = view.seniors(me);
         let mut suspects = seniors.to_vec();
@@ -1568,12 +1568,12 @@ mod tests {
     fn stale_view_announce_ignored() {
         let mut ep = endpoint(0, &[0, 1, 2]);
         let newer = View::new(GroupId(1), crate::view::ViewId(2), vec![a(0), a(1)]);
-        let events = ep.handle_view(Arc::new(newer.clone()), SimTime::ZERO);
+        let events = ep.handle_view(Rc::new(newer.clone()), SimTime::ZERO);
         assert_eq!(events.len(), 1);
         assert_eq!(ep.view(GroupId(1)).unwrap().id, crate::view::ViewId(2));
         // Replaying an older view does nothing.
         let older = View::new(GroupId(1), crate::view::ViewId(1), vec![a(0), a(1), a(2)]);
-        assert!(ep.handle_view(Arc::new(older), SimTime::ZERO).is_empty());
+        assert!(ep.handle_view(Rc::new(older), SimTime::ZERO).is_empty());
         assert_eq!(ep.view(GroupId(1)).unwrap(), &newer);
     }
 
@@ -1581,7 +1581,7 @@ mod tests {
     fn exclusion_flips_in_view() {
         let mut ep = endpoint(2, &[0, 1, 2]);
         let without_me = View::new(GroupId(1), crate::view::ViewId(1), vec![a(0), a(1)]);
-        let events = ep.handle_view(Arc::new(without_me), SimTime::ZERO);
+        let events = ep.handle_view(Rc::new(without_me), SimTime::ZERO);
         assert_eq!(events.len(), 1);
         assert!(matches!(
             &events[0],
@@ -1593,7 +1593,7 @@ mod tests {
         assert!(!ep.is_member(GroupId(1)));
         // Rejoin announce flips it back.
         let with_me = View::new(GroupId(1), crate::view::ViewId(2), vec![a(0), a(1), a(2)]);
-        let events = ep.handle_view(Arc::new(with_me), SimTime::ZERO);
+        let events = ep.handle_view(Rc::new(with_me), SimTime::ZERO);
         assert!(matches!(
             &events[0],
             GroupEvent::ViewChanged {
@@ -1612,7 +1612,7 @@ mod tests {
         assert_eq!(ep.view(GroupId(1)).unwrap().len(), 5);
         let mut ep = ep;
         let smaller = View::new(GroupId(1), crate::view::ViewId(1), vec![a(0), a(1), a(2)]);
-        let _ = ep.handle_view(Arc::new(smaller), SimTime::ZERO);
+        let _ = ep.handle_view(Rc::new(smaller), SimTime::ZERO);
         // Majority of the original 5 is 3: the current 3-member view is the
         // smallest view a leader could still have installed.
         assert_eq!(ep.view(GroupId(1)).unwrap().len(), 3);
@@ -1625,7 +1625,7 @@ mod tests {
         assert!(!ep.is_member(GroupId(5)));
         assert_eq!(ep.leader(GroupId(5)), Some(a(1)));
         let newer = View::new(GroupId(5), crate::view::ViewId(3), vec![a(2)]);
-        let events = ep.handle_view(Arc::new(newer), SimTime::ZERO);
+        let events = ep.handle_view(Rc::new(newer), SimTime::ZERO);
         assert_eq!(events.len(), 1);
         assert_eq!(ep.leader(GroupId(5)), Some(a(2)));
     }

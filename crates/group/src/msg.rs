@@ -1,19 +1,20 @@
 //! Wire messages exchanged by group endpoints.
 //!
-//! Messages travel as [`Envelope`]s — `Arc`-shared, immutable once sealed —
+//! Messages travel as [`Envelope`]s — `Rc`-shared, immutable once sealed —
 //! so multicast fan-out, duplicate delivery, and retransmission buffering
 //! all reference one allocation instead of deep-cloning the payload per
 //! copy. See DESIGN.md §4.7 for the ownership rules this relies on.
 
 use crate::view::{GroupId, View, ViewId};
 use aqf_sim::ActorId;
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// The unit the simulator's network plane carries: a sealed, shared,
-/// immutable group message. Cloning an envelope is a refcount bump; the
+/// immutable group message. Cloning an envelope is a non-atomic refcount
+/// bump (the one `World` that carries it is single-threaded); the
 /// payload inside is never copied by the transport, however many
 /// recipients, duplicates, or retransmissions the network produces.
-pub type Envelope<A> = Arc<GroupMsg<A>>;
+pub type Envelope<A> = Rc<GroupMsg<A>>;
 
 /// A FIFO-sequenced application payload multicast into a group.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,12 +69,12 @@ pub enum GroupMsg<A> {
     /// and observers when it is installed; to members on every tick after,
     /// as the leader's heartbeat; to observers again 1, 2, 4, … ticks after
     /// the installation and then once per `failure_timeout`, in case they
-    /// lost it. The view is `Arc`-shared: one announce
+    /// lost it. The view is `Rc`-shared: one announce
     /// round references a single `View` allocation across every recipient
     /// and every local copy (`observed` maps, member state, host events).
     ViewAnnounce {
         /// The announced view.
-        view: Arc<View>,
+        view: Rc<View>,
         /// On the per-tick announce, the tip of every stream into the
         /// group that the leader knows of — its own, and each member's or
         /// observer's it receives — which members treat as a
@@ -143,7 +144,7 @@ impl<A> GroupMsg<A> {
     /// allocation a logical send costs. Every subsequent copy the network
     /// makes (fan-out, duplication, retransmission) shares it.
     pub fn seal(self) -> Envelope<A> {
-        Arc::new(self)
+        Rc::new(self)
     }
 
     /// The group this message concerns, if any (`Direct` has none).
@@ -199,7 +200,7 @@ impl<A: Clone> SharedPayload<A> {
     /// Extracts the payload: moves it out when this was the last reference
     /// to the envelope, clones it otherwise.
     pub fn into_owned(self) -> A {
-        match Arc::try_unwrap(self.0) {
+        match Rc::try_unwrap(self.0) {
             Ok(GroupMsg::Data(d)) => d.payload,
             Ok(GroupMsg::Direct(p)) => p,
             Ok(_) => unreachable!("checked at construction"),
@@ -237,7 +238,7 @@ mod tests {
         assert_eq!(GroupMsg::Direct(1u8).group(), None);
         let v = View::new(g, ViewId(1), vec![ActorId::from_index(0)]);
         let announce = GroupMsg::<u8>::ViewAnnounce {
-            view: Arc::new(v),
+            view: Rc::new(v),
             tips: Vec::new(),
         };
         assert_eq!(announce.group(), Some(g));

@@ -7,7 +7,7 @@ use aqf_group::{
 };
 use aqf_sim::{Actor, ActorId, Context, DelayModel, SimDuration, SimTime, Timer, World};
 use proptest::prelude::*;
-use std::sync::Arc;
+use std::rc::Rc;
 
 const GROUP: GroupId = GroupId(1);
 const APP_TIMER_SEND: u32 = 1;
@@ -28,7 +28,7 @@ struct Host {
     delivered: Vec<(ActorId, u64)>,
     /// When each entry of `delivered` was handed up.
     delivered_at: Vec<SimTime>,
-    views: Vec<Arc<View>>,
+    views: Vec<Rc<View>>,
     /// When each entry of `views` was installed (or observed).
     view_at: Vec<SimTime>,
     directs: Vec<(ActorId, u64)>,

@@ -5,13 +5,14 @@
 //! (the default) it is a bare `None` — every record call is one branch
 //! and returns; event construction is deferred behind a closure so the
 //! disabled path allocates nothing. Enabled, it shares one collector
-//! between every gateway of a scenario via `Arc<Mutex<..>>` (gateways
-//! must stay `Send`; scenario runs drive actors from a single thread, so
-//! the mutex is uncontended).
+//! between every gateway of a scenario via `Rc<RefCell<..>>`: a scenario
+//! runs in one single-threaded `World`, so the handle is not `Send` and
+//! needs no lock.
 
 use crate::event::{Event, TraceRecord};
 use aqf_sim::{ActorId, SimTime};
-use std::sync::{Arc, Mutex};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 /// The collected output of one observed run: the ordered trace.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -36,7 +37,7 @@ impl ObsReport {
 /// default records nothing at zero cost.
 #[derive(Debug, Clone, Default)]
 pub struct ObsHandle {
-    inner: Option<Arc<Mutex<ObsReport>>>,
+    inner: Option<Rc<RefCell<ObsReport>>>,
 }
 
 impl ObsHandle {
@@ -48,7 +49,7 @@ impl ObsHandle {
     /// Creates an enabled handle with an empty collector.
     pub fn enabled() -> Self {
         Self {
-            inner: Some(Arc::new(Mutex::new(ObsReport::default()))),
+            inner: Some(Rc::new(RefCell::new(ObsReport::default()))),
         }
     }
 
@@ -72,15 +73,17 @@ impl ObsHandle {
     pub fn take_report(&self) -> Option<ObsReport> {
         self.inner
             .as_ref()
-            .map(|i| std::mem::take(&mut *i.lock().expect("obs collector poisoned")))
+            .map(|i| std::mem::take(&mut *i.borrow_mut()))
     }
 }
 
 /// Appends one record to an enabled collector.
-fn append(inner: &Mutex<ObsReport>, now: SimTime, actor: ActorId, event: Event) {
+fn append(inner: &RefCell<ObsReport>, now: SimTime, actor: ActorId, event: Event) {
     let t_us = now.as_micros();
-    let mut report = inner.lock().expect("obs collector poisoned");
-    report.records.push(TraceRecord { t_us, actor, event });
+    inner
+        .borrow_mut()
+        .records
+        .push(TraceRecord { t_us, actor, event });
 }
 
 #[cfg(test)]

@@ -14,6 +14,7 @@
 //!   empirical) used for link latencies and service times.
 //! * [`actor`] — the `Actor` trait and the `Context` through which actors
 //!   send messages, set timers, and sample randomness.
+//! * [`hash`] — [`FastMap`], the fixed-keyed map type of the event path.
 //! * [`net`] — the network model: per-link delay distributions, loss, and
 //!   partitions.
 //! * [`world`] — the event queue and scheduler, plus crash/restart fault
@@ -61,6 +62,7 @@
 pub mod actor;
 pub mod delay;
 pub mod digest;
+pub mod hash;
 pub mod net;
 pub mod time;
 mod timer;
@@ -69,6 +71,7 @@ pub mod world;
 pub use actor::{Actor, ActorId, Context, Timer, TimerId};
 pub use delay::DelayModel;
 pub use digest::Digest;
+pub use hash::{FastHasher, FastMap, FastSet};
 pub use net::NetworkModel;
 pub use time::{SimDuration, SimTime};
 pub use world::{World, WorldStats};

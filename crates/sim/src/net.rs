@@ -3,10 +3,10 @@
 
 use crate::actor::ActorId;
 use crate::delay::DelayModel;
+use crate::hash::{FastMap, FastSet};
 use crate::time::SimDuration;
 use rand::rngs::SmallRng;
 use rand::Rng;
-use std::collections::{HashMap, HashSet};
 
 /// Models the network connecting the actors of a world.
 ///
@@ -24,13 +24,13 @@ pub struct NetworkModel {
     // so the per-message hot path (`dropped` / `sample_delay`) does array
     // probes instead of hashing. None of these is ever iterated, so
     // container order cannot leak into simulation behavior.
-    pair_delay: HashMap<(ActorId, ActorId), DelayModel>,
+    pair_delay: FastMap<(ActorId, ActorId), DelayModel>,
     dest_delay: Vec<Option<DelayModel>>,
     loss_probability: f64,
-    partitioned: HashSet<(ActorId, ActorId)>,
+    partitioned: FastSet<(ActorId, ActorId)>,
     degraded: Vec<Option<f64>>,
     actor_loss: Vec<Option<f64>>,
-    link_loss: HashMap<(ActorId, ActorId), f64>,
+    link_loss: FastMap<(ActorId, ActorId), f64>,
     duplicate_probability: f64,
 }
 
@@ -60,13 +60,13 @@ impl NetworkModel {
     pub fn new(default_delay: DelayModel) -> Self {
         Self {
             default_delay,
-            pair_delay: HashMap::new(),
+            pair_delay: FastMap::default(),
             dest_delay: Vec::new(),
             loss_probability: 0.0,
-            partitioned: HashSet::new(),
+            partitioned: FastSet::default(),
             degraded: Vec::new(),
             actor_loss: Vec::new(),
-            link_loss: HashMap::new(),
+            link_loss: FastMap::default(),
             duplicate_probability: 0.0,
         }
     }

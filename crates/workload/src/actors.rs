@@ -10,10 +10,10 @@ use aqf_core::{
     TickerBoard, VersionedRegister, PRIMARY_GROUP, SECONDARY_GROUP,
 };
 use aqf_group::{Envelope, GroupEndpoint, GroupEvent, GroupId};
-use aqf_sim::{Actor, ActorId, Context, DelayModel, SimDuration, SimTime, Timer, TimerId};
+use aqf_sim::{Actor, ActorId, Context, DelayModel, FastMap, SimDuration, SimTime, Timer, TimerId};
 use aqf_stats::Summary;
 use rand::Rng;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// The world message type: group-layer envelopes carrying gateway payloads.
 pub type NetMsg = Envelope<Payload>;
@@ -87,7 +87,7 @@ pub struct ReplicaActor {
     /// across callbacks, so the action list costs no allocation per event.
     actions: Vec<ServerAction>,
     object_kind: ObjectKind,
-    service_timers: HashMap<TimerId, u64>,
+    service_timers: FastMap<TimerId, u64>,
     /// The pending watchdog timer, if the gateway armed one.
     watchdog: Option<TimerId>,
     /// Observer rosters per group, consulted when the gateway asks to join
@@ -109,7 +109,7 @@ impl ReplicaActor {
             gw,
             actions: Vec::new(),
             object_kind,
-            service_timers: HashMap::new(),
+            service_timers: FastMap::default(),
             watchdog: None,
             group_observers: BTreeMap::new(),
         }
@@ -289,7 +289,7 @@ pub struct ClientActor {
     object_kind: ObjectKind,
     issued: u64,
     writes_issued: u64,
-    timers: HashMap<TimerId, (RequestId, TimerPurpose, u32)>,
+    timers: FastMap<TimerId, (RequestId, TimerPurpose, u32)>,
     record: ClientRecord,
     done: bool,
 }
@@ -319,7 +319,7 @@ impl ClientActor {
             object_kind,
             issued: 0,
             writes_issued: 0,
-            timers: HashMap::new(),
+            timers: FastMap::default(),
             record: ClientRecord::default(),
             done: false,
         }

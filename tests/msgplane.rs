@@ -1,4 +1,4 @@
-//! A/B pins for the zero-copy message plane: the Arc-envelope transport,
+//! A/B pins for the zero-copy message plane: the Rc-envelope transport,
 //! interned method ids, and reply-buffer reuse must leave every scenario
 //! bit-identical to the deep-clone plane they replaced. Each test replays
 //! a scenario recorded *before* the message-plane rebuild and asserts
@@ -17,7 +17,7 @@ use aqf::workload::{
 
 /// Crash/restart churn over both replication groups: the view-announce,
 /// join, and retransmission paths all run, so the digest covers the
-/// `Arc<View>` sharing and the send-buffer envelope reuse.
+/// `Rc<View>` sharing and the send-buffer envelope reuse.
 fn churn_scenario(seed: u64) -> ScenarioConfig {
     let mut config = ScenarioConfig::paper_validation(250, 0.5, 2, seed);
     for c in &mut config.clients {
