@@ -21,7 +21,6 @@
 //! per `failure_timeout`.
 
 use crate::channel::ReceiveChannel;
-use crate::detector::{flap_hold, FailureDetector, PhiAccrual, DAMPING_FORGET_AFTER};
 use crate::msg::{DataMsg, Envelope, GroupMsg, SharedPayload, StreamTip};
 use crate::view::{GroupId, View, ViewId, DENSE_IDS};
 use aqf_sim::{ActorId, Context, SimDuration, SimTime, Timer};
@@ -53,15 +52,6 @@ pub struct EndpointConfig {
     /// A monitored member silent for longer than this is suspected: given
     /// up on by its juniors, excluded from the next view by the leader.
     pub failure_timeout: SimDuration,
-    /// Failure-detection policy. [`FailureDetector::FixedTimeout`] (the
-    /// default) suspects on `failure_timeout` of silence; the φ-accrual
-    /// mode adapts the effective timeout to each peer's observed heartbeat
-    /// jitter.
-    pub detector: FailureDetector,
-    /// Leader-side flap damping: an exponentially growing re-admission
-    /// hold-down ([`flap_hold`]) for members that are repeatedly suspected
-    /// and re-merged. Off (the default) re-admits immediately.
-    pub damping: bool,
 }
 
 impl Default for EndpointConfig {
@@ -69,8 +59,6 @@ impl Default for EndpointConfig {
         Self {
             tick_interval: SimDuration::from_millis(250),
             failure_timeout: SimDuration::from_millis(1000),
-            detector: FailureDetector::FixedTimeout,
-            damping: false,
         }
     }
 }
@@ -229,10 +217,6 @@ struct MemberState<A> {
     /// head of its chain.
     observer_refresh: Refresh,
     join_requests: BTreeSet<ActorId>,
-    /// Arrival histories of the peers this node monitors (φ-accrual mode
-    /// only): the rank chain ahead of it up to the member it follows, or
-    /// every junior while it leads. Primed when a peer enters that set.
-    accrual: BTreeMap<ActorId, PhiAccrual>,
     /// Members that announced a voluntary [`GroupMsg::Leave`]; excluded
     /// from the next view like suspects even though they keep talking.
     departing: BTreeSet<ActorId>,
@@ -240,8 +224,6 @@ struct MemberState<A> {
     /// when the member is heard from again, leaves the monitored set, or is
     /// excluded).
     suspected: BTreeMap<ActorId, Suspicion>,
-    /// Leader-side flap history for re-admission hold-down.
-    flaps: BTreeMap<ActorId, FlapRecord>,
 }
 
 /// One monitored member's current suspicion.
@@ -269,10 +251,8 @@ impl<A> MemberState<A> {
             observers,
             observer_refresh: Refresh::FRESH,
             join_requests: BTreeSet::new(),
-            accrual: BTreeMap::new(),
             departing: BTreeSet::new(),
             suspected: BTreeMap::new(),
-            flaps: BTreeMap::new(),
         }
     }
 
@@ -302,16 +282,7 @@ impl<A> MemberState<A> {
         now: SimTime,
     ) -> bool {
         let silent_from = self.last_heard.get(m).map_or(floor, |t| t.max(floor));
-        let suspect = match config.detector {
-            FailureDetector::FixedTimeout => {
-                now.saturating_since(silent_from) > config.failure_timeout
-            }
-            FailureDetector::PhiAccrual => self
-                .accrual
-                .entry(m)
-                .or_insert_with(|| PhiAccrual::new(config.tick_interval, silent_from))
-                .is_suspect(now),
-        };
+        let suspect = now.saturating_since(silent_from) > config.failure_timeout;
         if !suspect {
             self.suspected.remove(&m);
         } else if let Entry::Vacant(slot) = self.suspected.entry(m) {
@@ -344,7 +315,6 @@ impl<A> MemberState<A> {
                 // Everyone junior to the head owes this node nothing.
                 let ahead = view.seniors(m);
                 self.suspected.retain(|s, _| ahead.contains(s));
-                self.accrual.retain(|s, _| *s == m || ahead.contains(s));
                 self.awaiting_followers = false;
                 return Some(m);
             }
@@ -405,14 +375,6 @@ fn tick_announce<A>(
     Rc::clone(last_tick.insert(env))
 }
 
-/// One member's suspect/re-merge history, as tracked by the leader.
-#[derive(Debug, Clone, Copy)]
-struct FlapRecord {
-    count: u32,
-    last_flap: SimTime,
-    hold_until: SimTime,
-}
-
 /// Per-group multicast send state. The retransmission buffer holds the
 /// *sealed envelopes* that were originally multicast, so serving a nack is
 /// a refcount bump — and byte-identical to the first transmission by
@@ -458,16 +420,13 @@ pub struct GroupStats {
     /// Monitored members (seniors on this node's rank chain; every junior
     /// while it leads) that newly crossed the suspicion threshold.
     pub suspicions: u64,
-    /// Join requests / stray heartbeats ignored because the member was in
-    /// a flap-damping hold-down (leader only).
-    pub joins_damped: u64,
     /// Longest silence at the moment a monitored member became suspect, in
     /// µs (time-to-suspect SLO).
     pub max_suspect_silence_us: u64,
     /// Longest lag from the start of a suspect member's silence to a view
     /// excluding it being installed, in µs (time-to-new-view SLO; leader
     /// only). Exceeds the time-to-suspect when the primary-partition rule
-    /// or damping delays the reconfiguration past the detection.
+    /// delays the reconfiguration past the detection.
     pub max_suspect_to_view_us: u64,
 }
 
@@ -680,7 +639,6 @@ impl<A: Clone> GroupEndpoint<A> {
             state.in_view = false;
             state.join_requests.clear();
             state.last_heard.clear();
-            state.accrual.clear();
             state.restart_clocks(now);
             ctx.multicast(
                 state.view.members().iter().filter(|m| **m != me),
@@ -747,11 +705,7 @@ impl<A: Clone> GroupEndpoint<A> {
                 // keep it from being given up on.
                 let knock = matches!(&*msg, GroupMsg::JoinRequest { .. });
                 if !(knock && from == state.view.leader()) {
-                    let now = ctx.now();
-                    state.last_heard.insert(from, now);
-                    if let Some(window) = state.accrual.get_mut(&from) {
-                        window.heartbeat(now);
-                    }
+                    state.last_heard.insert(from, ctx.now());
                 }
             }
         }
@@ -1076,14 +1030,9 @@ impl<A: Clone> GroupEndpoint<A> {
             state.in_view = view.contains(self.me);
             // A view this node did not create: whoever it now monitors —
             // the leader, or as the new leader every junior — owes it
-            // traffic only from here on. Forget departed members entirely;
-            // only an unchanged leader's arrival history still applies.
+            // traffic only from here on. Forget departed members entirely.
             state.restart_clocks(now);
-            let leader = view.leader();
             state.last_heard.retain(|m| view.contains(m));
-            state
-                .accrual
-                .retain(|m, _| *m == leader && leader != self.me);
             state.departing.retain(|m| view.contains(*m));
             let old = std::mem::replace(&mut state.view, Rc::clone(&view));
             advertise_to_new_leader(&mut self.sends, &old, &view);
@@ -1127,10 +1076,6 @@ impl<A: Clone> GroupEndpoint<A> {
         if !state.leads_view(self.me) || state.view.contains(from) {
             return Vec::new();
         }
-        if Self::readmission_held(&self.config, state, from, ctx.now()) {
-            self.stats.joins_damped += 1;
-            return Vec::new();
-        }
         state.departing.remove(&from);
         state.join_requests.insert(from);
         match self.install_successor(group, &[], ctx) {
@@ -1141,16 +1086,6 @@ impl<A: Clone> GroupEndpoint<A> {
             }
             None => Vec::new(),
         }
-    }
-
-    /// Whether flap damping currently forbids re-admitting `joiner`.
-    fn readmission_held(
-        config: &EndpointConfig,
-        state: &MemberState<A>,
-        joiner: ActorId,
-        now: SimTime,
-    ) -> bool {
-        config.damping && state.flaps.get(&joiner).is_some_and(|r| now < r.hold_until)
     }
 
     fn handle_join_request(
@@ -1171,10 +1106,6 @@ impl<A: Clone> GroupEndpoint<A> {
         if state.view.contains(joiner) {
             // Already in: refresh the joiner's view.
             ctx.send(joiner, announce(&state.view));
-            return Vec::new();
-        }
-        if Self::readmission_held(&self.config, state, joiner, ctx.now()) {
-            self.stats.joins_damped += 1;
             return Vec::new();
         }
         state.departing.remove(&joiner);
@@ -1309,8 +1240,8 @@ impl<A: Clone> GroupEndpoint<A> {
             return None;
         }
         state.awaiting_followers = false;
-        // Record the flap history of every *suspected* exclusion (voluntary
-        // leavers are not flaps) and the suspect-to-new-view SLO lag.
+        // Record the suspect-to-new-view SLO lag of every suspected
+        // exclusion.
         for s in suspects {
             if new_view.contains(*s) {
                 continue;
@@ -1323,19 +1254,6 @@ impl<A: Clone> GroupEndpoint<A> {
                 let lag = now.saturating_since(suspicion.silent_from).as_micros();
                 self.stats.max_suspect_to_view_us = self.stats.max_suspect_to_view_us.max(lag);
             }
-            if self.config.damping && !state.departing.contains(s) {
-                let rec = state.flaps.entry(*s).or_insert(FlapRecord {
-                    count: 0,
-                    last_flap: SimTime::ZERO,
-                    hold_until: SimTime::ZERO,
-                });
-                if now.saturating_since(rec.last_flap) > DAMPING_FORGET_AFTER {
-                    rec.count = 0;
-                }
-                rec.count += 1;
-                rec.last_flap = now;
-                rec.hold_until = now + flap_hold(rec.count);
-            }
         }
         state.join_requests.clear();
         state.in_view = new_view.contains(me);
@@ -1344,7 +1262,6 @@ impl<A: Clone> GroupEndpoint<A> {
         state.since = leading_since;
         state.last_heard.retain(|m| new_view.contains(m));
         state.followers.retain(|m| new_view.contains(m));
-        state.accrual.retain(|m, _| new_view.contains(*m));
         state.suspected.retain(|m, _| new_view.contains(*m));
         state.departing.retain(|m| new_view.contains(*m));
         state.observer_refresh = Refresh::FRESH;

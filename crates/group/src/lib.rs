@@ -13,8 +13,8 @@
 //!   ranking: a member that rejoins is the most junior.
 //! * **Failure detection** — liveness is rooted at the leader: each member
 //!   heartbeats the most senior member it has not given up on, the leader
-//!   announces its view to every member every tick and excludes silent
-//!   members by installing a new view. If the leader itself fails, the next-ranked
+//!   announces its view to every member every tick and excludes members
+//!   silent for longer than a fixed timeout by installing a new view. If the leader itself fails, the next-ranked
 //!   member takes over once a majority of the roster follows it.
 //! * **Reliable FIFO multicast** — per-sender sequence numbers with a
 //!   holdback queue for reordering, nack-driven retransmission for loss
@@ -42,12 +42,10 @@
 #![warn(missing_docs)]
 
 pub mod channel;
-pub mod detector;
 pub mod endpoint;
 pub mod msg;
 pub mod view;
 
-pub use detector::{FailureDetector, PhiAccrual};
 pub use endpoint::{EndpointConfig, GroupEndpoint, GroupEvent, GroupStats, GROUP_TIMER_KIND_BASE};
 pub use msg::{DataMsg, Envelope, GroupMsg, SharedPayload};
 pub use view::{GroupId, View, ViewId};

@@ -2,8 +2,7 @@
 
 use aqf_group::endpoint::{GroupMembership, SENT_BUFFER_CAPACITY};
 use aqf_group::{
-    EndpointConfig, Envelope, FailureDetector, GroupEndpoint, GroupEvent, GroupId, GroupMsg, View,
-    ViewId,
+    EndpointConfig, Envelope, GroupEndpoint, GroupEvent, GroupId, GroupMsg, View, ViewId,
 };
 use aqf_sim::{Actor, ActorId, Context, DelayModel, SimDuration, SimTime, Timer, World};
 use proptest::prelude::*;
@@ -532,22 +531,9 @@ fn healed_partition_remerges_members() {
 /// One randomized churn scenario for the membership properties below: `n`
 /// members, one victim hit by a randomly chosen fault (near-threshold
 /// heartbeat loss, a crash/restart cycle, or a full partition) that heals
-/// mid-run, then a long quiet tail for re-admission hold-downs to expire.
-/// Returns the total views installed across all members.
-fn churn_scenario(
-    n: usize,
-    victim: usize,
-    fault: u8,
-    loss_centi: u64,
-    fault_secs: u64,
-    seed: u64,
-    damping: bool,
-) -> u64 {
-    let config = EndpointConfig {
-        damping,
-        ..EndpointConfig::default()
-    };
-    let (mut world, ids) = build_with(n, &config, seed);
+/// mid-run, then a long quiet tail.
+fn churn_scenario(n: usize, victim: usize, fault: u8, loss_centi: u64, fault_secs: u64, seed: u64) {
+    let (mut world, ids) = build_with(n, seed);
     let victim = ids[victim];
     let start = SimTime::from_secs(5);
     let heal = start + SimDuration::from_secs(fault_secs);
@@ -558,8 +544,7 @@ fn churn_scenario(
             world.schedule_lossy(victim, loss_centi as f64 / 100.0, start);
             world.schedule_restore(victim, heal);
         }
-        // Crash then restart: rejoin runs through the join-request path,
-        // where damping hold-downs apply.
+        // Crash then restart: rejoin runs through the join-request path.
         1 => {
             world.schedule_crash(victim, start);
             world.schedule_restart(victim, heal);
@@ -579,14 +564,11 @@ fn churn_scenario(
             }
         }
     }
-    // Quiet tail: longer than the maximum damping hold-down (30 s default)
-    // plus detection and re-merge time.
+    // Quiet tail: ample time for detection and re-merge.
     world.run_until(heal + SimDuration::from_secs(45));
 
-    let mut total_views = 0;
     for &id in &ids {
         let host = world.actor::<Host>(id).unwrap();
-        total_views += host.ep.stats().views_installed;
         // Safety: the primary-partition rule means no member ever installs
         // a minority view — split-brain would need two disjoint view
         // majorities, which a majority-of-roster floor makes impossible.
@@ -618,7 +600,6 @@ fn churn_scenario(
         .filter(|&&id| world.actor::<Host>(id).unwrap().ep.is_leader(GROUP))
         .count();
     assert_eq!(leaders, 1, "exactly one leader after convergence");
-    total_views
 }
 
 proptest! {
@@ -627,12 +608,7 @@ proptest! {
     /// Random churn — near-threshold loss, crash/restart, or partition on
     /// a random victim — never yields split-brain (no minority views, no
     /// view-id regressions) and always re-merges to one full view with one
-    /// leader, with or without flap damping. Damping reshapes flap timing
-    /// (hold-downs shift when re-merges land), so it is not pointwise
-    /// monotone in total views; what it must never do is make view churn
-    /// explode — re-admissions are spaced by exponentially growing
-    /// hold-downs, so the damped run stays within a constant factor of the
-    /// undamped one.
+    /// leader.
     #[test]
     fn churn_converges_without_split_brain(
         n in 4usize..7,
@@ -642,13 +618,7 @@ proptest! {
         fault_secs in 15u64..40,
         seed in 0u64..1_000,
     ) {
-        let victim = victim % n;
-        let undamped = churn_scenario(n, victim, fault, loss_centi, fault_secs, seed, false);
-        let damped = churn_scenario(n, victim, fault, loss_centi, fault_secs, seed, true);
-        prop_assert!(
-            damped <= 2 * undamped + 10,
-            "damping blew up view churn: {damped} views vs {undamped} undamped"
-        );
+        churn_scenario(n, victim % n, fault, loss_centi, fault_secs, seed);
     }
 }
 
@@ -683,19 +653,15 @@ fn failure_timeout() -> SimDuration {
     EndpointConfig::default().failure_timeout
 }
 
-/// `n` members with `config`, nobody multicasting.
-fn build_with(n: usize, config: &EndpointConfig, seed: u64) -> (World<Msg>, Vec<ActorId>) {
-    build_observed(n, 0, config, seed)
+/// `n` members, nobody multicasting.
+fn build_with(n: usize, seed: u64) -> (World<Msg>, Vec<ActorId>) {
+    build_observed(n, 0, seed)
 }
 
 /// `n` members (the first `n` ids returned) watched by `o` observers (the
-/// rest), all with `config`, nobody multicasting.
-fn build_observed(
-    n: usize,
-    o: usize,
-    config: &EndpointConfig,
-    seed: u64,
-) -> (World<Msg>, Vec<ActorId>) {
+/// rest), nobody multicasting.
+fn build_observed(n: usize, o: usize, seed: u64) -> (World<Msg>, Vec<ActorId>) {
+    let config = EndpointConfig::default();
     let mut world: World<Msg> = World::new(seed);
     let ids: Vec<ActorId> = (0..n + o).map(ActorId::from_index).collect();
     let (members, observers) = ids.split_at(n);
@@ -761,14 +727,8 @@ fn assert_one_full_view(world: &World<Msg>, ids: &[ActorId]) {
 /// Crashes the members at `victims` (ranks) together, mid-tick, and checks
 /// that every survivor installs a view without any of them within `bound`
 /// of the crash.
-fn crash_excluded_within(
-    n: usize,
-    victims: &[usize],
-    bound: SimDuration,
-    config: &EndpointConfig,
-    seed: u64,
-) {
-    let (mut world, ids) = build_with(n, config, seed);
+fn crash_excluded_within(n: usize, victims: &[usize], bound: SimDuration, seed: u64) {
+    let (mut world, ids) = build_with(n, seed);
     let crash = SimTime::from_millis(2_100);
     for &v in victims {
         world.schedule_crash(ids[v], crash);
@@ -796,15 +756,17 @@ fn crash_excluded_within(
     assert!(host(&world, lowest).ep.is_leader(GROUP));
 }
 
-fn leader_crash_scenario(config: &EndpointConfig) {
+#[test]
+fn leader_crash_is_excluded_within_timeout_plus_three_ticks() {
     for (seed, n) in [(41, 5), (42, 17), (43, 41)] {
-        crash_excluded_within(n, &[0], failure_timeout() + tick() * 3, config, seed);
+        crash_excluded_within(n, &[0], failure_timeout() + tick() * 3, seed);
     }
 }
 
-fn junior_crash_scenario(config: &EndpointConfig) {
+#[test]
+fn junior_crash_is_excluded_within_timeout_plus_three_ticks() {
     for (seed, n) in [(44, 5), (45, 17), (46, 41)] {
-        crash_excluded_within(n, &[n / 2], failure_timeout() + tick() * 3, config, seed);
+        crash_excluded_within(n, &[n / 2], failure_timeout() + tick() * 3, seed);
     }
 }
 
@@ -812,8 +774,9 @@ fn junior_crash_scenario(config: &EndpointConfig) {
 /// The leader excludes the junior; the junior — which still hears everyone
 /// but the leader — learns the view that excludes it while the link is
 /// still down, and is re-admitted once it heals.
-fn leader_junior_cut_scenario(config: &EndpointConfig) {
-    let (mut world, ids) = build_with(5, config, 47);
+#[test]
+fn junior_cut_off_from_leader_learns_its_exclusion_and_returns() {
+    let (mut world, ids) = build_with(5, 47);
     let (leader, junior) = (ids[0], ids[3]);
     let (cut, heal) = (SimTime::from_secs(2), SimTime::from_secs(9));
     world.schedule_partition(leader, junior, cut);
@@ -839,9 +802,10 @@ fn leader_junior_cut_scenario(config: &EndpointConfig) {
 /// Crashes and restarts the lowest-id member, the leader: it is re-admitted
 /// as the most junior member, its successor keeps the lead, and its return
 /// costs nobody else their membership.
-fn lowest_member_restart_scenario(config: &EndpointConfig) {
+#[test]
+fn restarted_lowest_member_rejoins_as_junior_without_collateral() {
     let n = 5;
-    let (mut world, ids) = build_with(n, config, 48);
+    let (mut world, ids) = build_with(n, 48);
     let restart = SimTime::from_secs(6);
     world.schedule_crash(ids[0], SimTime::from_secs(2));
     world.schedule_restart(ids[0], restart);
@@ -870,10 +834,10 @@ fn lowest_member_restart_scenario(config: &EndpointConfig) {
 /// One member (rank 2 of 5) loses 15 % of its messages, both ways, for
 /// 60 s. Returns the views installed, summed over members and over
 /// `seeds`; every run must end re-merged.
-fn lossy_member_views(config: &EndpointConfig, seeds: std::ops::RangeInclusive<u64>) -> u64 {
+fn lossy_member_views(seeds: std::ops::RangeInclusive<u64>) -> u64 {
     let mut total = 0;
     for seed in seeds {
-        let (mut world, ids) = build_with(5, config, seed);
+        let (mut world, ids) = build_with(5, seed);
         world.schedule_lossy(ids[2], 0.15, SimTime::from_secs(5));
         world.schedule_restore(ids[2], SimTime::from_secs(65));
         world.run_until(SimTime::from_secs(75));
@@ -886,26 +850,6 @@ fn lossy_member_views(config: &EndpointConfig, seeds: std::ops::RangeInclusive<u
     total
 }
 
-#[test]
-fn leader_crash_is_excluded_within_timeout_plus_three_ticks() {
-    leader_crash_scenario(&EndpointConfig::default());
-}
-
-#[test]
-fn junior_crash_is_excluded_within_timeout_plus_three_ticks() {
-    junior_crash_scenario(&EndpointConfig::default());
-}
-
-#[test]
-fn junior_cut_off_from_leader_learns_its_exclusion_and_returns() {
-    leader_junior_cut_scenario(&EndpointConfig::default());
-}
-
-#[test]
-fn restarted_lowest_member_rejoins_as_junior_without_collateral() {
-    lowest_member_restart_scenario(&EndpointConfig::default());
-}
-
 /// The leader crashes and restarts before anyone gave up on it. Its knocks
 /// do not stand in for the announces it no longer sends: the members give
 /// up on it within a timeout of its last announce, the next-ranked member
@@ -913,7 +857,7 @@ fn restarted_lowest_member_rejoins_as_junior_without_collateral() {
 #[test]
 fn leader_restarted_inside_the_failure_timeout_is_replaced_and_rejoins_as_junior() {
     let n = 5;
-    let (mut world, ids) = build_with(n, &EndpointConfig::default(), 61);
+    let (mut world, ids) = build_with(n, 61);
     let crash = SimTime::from_millis(2_100);
     world.schedule_crash(ids[0], crash);
     world.schedule_restart(ids[0], crash + failure_timeout() / 4);
@@ -941,7 +885,7 @@ fn junior_restarted_inside_the_failure_timeout_is_readmitted_before_the_leader_f
     let n = 5;
     let mut wedged = Vec::new();
     for seed in 70..=79 {
-        let (mut world, ids) = build_with(n, &EndpointConfig::default(), seed);
+        let (mut world, ids) = build_with(n, seed);
         world.schedule_crash(ids[1], SimTime::from_millis(2_100));
         world.schedule_restart(ids[1], SimTime::from_millis(2_400));
         world.schedule_crash(ids[0], SimTime::from_millis(4_100));
@@ -971,7 +915,7 @@ const LOSSY_MEMBER_VIEWS_ALL_TO_ALL: u64 = 859;
 
 #[test]
 fn lossy_member_does_not_churn_views() {
-    let views = lossy_member_views(&EndpointConfig::default(), 1..=1000);
+    let views = lossy_member_views(1..=1000);
     println!("lossy member: {views} views installed over seeds 1..=1000");
     assert!(
         4 * views <= 5 * LOSSY_MEMBER_VIEWS_ALL_TO_ALL,
@@ -1009,9 +953,10 @@ fn received_by(world: &World<Msg>, ids: &[ActorId]) -> [u64; 4] {
 /// view announce per non-leader (all from the leader); each observer gets
 /// an announce on the refresh ticks of the view only; and nothing else
 /// flows — no stream that never sent advertises a tip.
-fn message_budget_scenario(config: &EndpointConfig) {
+#[test]
+fn idle_group_delivers_exactly_one_heartbeat_and_one_announce_per_member_and_tick() {
     for (seed, n, o) in [(51, 5, 0), (52, 17, 3), (53, 41, 6)] {
-        let (mut world, ids) = build_observed(n, o, config, seed);
+        let (mut world, ids) = build_observed(n, o, seed);
         let (members, observers) = ids.split_at(n);
         // Sample between ticks, so every tick's fan-out has landed. The
         // view dates from the start, so tick `k` falls `k` ticks after it.
@@ -1063,18 +1008,20 @@ fn message_budget_scenario(config: &EndpointConfig) {
 /// owes rank 1 a full timeout of its own once it has given up on rank 0,
 /// so `k` simultaneous senior failures cost `k` timeouts (all-to-all
 /// heartbeats resolved this in one).
-fn senior_cascade_scenario(config: &EndpointConfig) {
+#[test]
+fn simultaneous_senior_crashes_cost_one_timeout_each() {
     for (seed, n) in [(54, 5), (55, 17)] {
-        crash_excluded_within(n, &[0, 1], failure_timeout() * 2 + tick() * 4, config, seed);
+        crash_excluded_within(n, &[0, 1], failure_timeout() * 2 + tick() * 4, seed);
     }
 }
 
 /// A member cut off from everyone, whatever its rank, installs no view —
 /// silence proves nothing, and nobody follows it — and re-merges once the
 /// network heals.
-fn isolated_member_scenario(config: &EndpointConfig) {
+#[test]
+fn isolated_member_of_any_rank_installs_nothing_and_remerges() {
     for (seed, rank) in [(56, 0), (57, 1), (58, 2), (59, 4)] {
-        let (mut world, ids) = build_with(5, config, seed);
+        let (mut world, ids) = build_with(5, seed);
         let heal = SimTime::from_secs(12);
         world.schedule_isolation(ids[rank], SimTime::from_secs(2));
         world.schedule_reconnection(ids[rank], heal);
@@ -1104,8 +1051,9 @@ fn isolated_member_scenario(config: &EndpointConfig) {
 /// lead installed views with the same id (with all-to-all heartbeats both
 /// installed their own `v1` — two sequencers). After the heal there is one
 /// view with everyone.
-fn leader_successor_cut_scenario(config: &EndpointConfig) {
-    let (mut world, ids) = build_with(5, config, 60);
+#[test]
+fn successor_cut_off_from_leader_alone_cannot_form_a_second_view() {
+    let (mut world, ids) = build_with(5, 60);
     let (cut, heal) = (SimTime::from_secs(2), SimTime::from_secs(9));
     world.schedule_partition(ids[0], ids[1], cut);
     world.schedule_heal(ids[0], ids[1], heal);
@@ -1134,54 +1082,6 @@ fn leader_successor_cut_scenario(config: &EndpointConfig) {
     assert!(excluded_at(&world, ids[0], ids[1]).is_some_and(|t| t < heal));
     assert_one_full_view(&world, &ids);
     assert!(host(&world, ids[0]).ep.is_leader(GROUP));
-}
-
-/// Every liveness scenario of this file under `config`.
-fn liveness_suite(config: &EndpointConfig) {
-    leader_crash_scenario(config);
-    junior_crash_scenario(config);
-    leader_junior_cut_scenario(config);
-    lowest_member_restart_scenario(config);
-    message_budget_scenario(config);
-    senior_cascade_scenario(config);
-    isolated_member_scenario(config);
-    leader_successor_cut_scenario(config);
-}
-
-#[test]
-fn idle_group_delivers_exactly_one_heartbeat_and_one_announce_per_member_and_tick() {
-    message_budget_scenario(&EndpointConfig::default());
-}
-
-#[test]
-fn simultaneous_senior_crashes_cost_one_timeout_each() {
-    senior_cascade_scenario(&EndpointConfig::default());
-}
-
-#[test]
-fn isolated_member_of_any_rank_installs_nothing_and_remerges() {
-    isolated_member_scenario(&EndpointConfig::default());
-}
-
-#[test]
-fn successor_cut_off_from_leader_alone_cannot_form_a_second_view() {
-    leader_successor_cut_scenario(&EndpointConfig::default());
-}
-
-#[test]
-fn liveness_suite_holds_under_phi_accrual() {
-    liveness_suite(&EndpointConfig {
-        detector: FailureDetector::PhiAccrual,
-        ..EndpointConfig::default()
-    });
-}
-
-#[test]
-fn liveness_suite_holds_with_flap_damping() {
-    liveness_suite(&EndpointConfig {
-        damping: true,
-        ..EndpointConfig::default()
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -1275,7 +1175,7 @@ fn idle_stream_adverts(
 /// per `failure_timeout`.
 #[test]
 fn idle_stream_tip_adverts_back_off() {
-    let (mut world, ids) = build_with(3, &EndpointConfig::default(), 77);
+    let (mut world, ids) = build_with(3, 77);
     let (adverts, to_leader, on_ticks) = idle_stream_adverts(&mut world, &ids, ids[1]);
     assert_eq!(on_ticks, [1, 2, 4, 8, 12, 16, 20]);
     assert!((1..=20).all(|k| on_ticks.contains(&k) == is_refresh_tick(k)));
@@ -1342,7 +1242,7 @@ fn stream_tip_advert_deliveries_by_sender_role() {
         ("junior", 2, 79, (7, 7, refreshes.clone())),
         ("observer", 5, 80, (7, 7, refreshes)),
     ] {
-        let (mut world, ids) = build_observed(5, 1, &EndpointConfig::default(), seed);
+        let (mut world, ids) = build_observed(5, 1, seed);
         let adverts = idle_stream_adverts(&mut world, &ids, ids[sender]);
         assert_eq!(adverts, expected, "{role}'s stream");
     }
@@ -1353,7 +1253,7 @@ fn stream_tip_advert_deliveries_by_sender_role() {
 /// payload can take pinned to 500 µs. The listed `(a, b)` links are cut
 /// from 295 to 310 ms, so exactly the last payload is lost on them.
 fn observer_stream_with_cuts(cut: &[(usize, usize)], seed: u64) -> (World<Msg>, Vec<ActorId>) {
-    let (mut world, ids) = build_observed(5, 1, &EndpointConfig::default(), seed);
+    let (mut world, ids) = build_observed(5, 1, seed);
     world.actor_mut::<Host>(ids[5]).unwrap().to_send = (0..30).collect();
     for (i, &a) in ids.iter().enumerate() {
         for &b in &ids[i + 1..] {
@@ -1412,7 +1312,7 @@ fn tail_loss_of_an_observer_stream_at_the_leader_and_one_member() {
 /// member within `failure_timeout + 3·tick` of the crash.
 #[test]
 fn tail_loss_at_the_successor_of_a_crashed_leader() {
-    let (mut world, ids) = build_with(5, &EndpointConfig::default(), 83);
+    let (mut world, ids) = build_with(5, 83);
     let sender = ids[3];
     world.actor_mut::<Host>(sender).unwrap().to_send = (0..30).collect();
     // Payloads leave at 10, 20, …, 300 ms.
@@ -1440,7 +1340,7 @@ fn tail_loss_at_the_successor_of_a_crashed_leader() {
 /// that view within `failure_timeout` of the link healing.
 #[test]
 fn observer_that_missed_an_install_converges_within_the_failure_timeout() {
-    let (mut world, ids) = build_observed(5, 2, &EndpointConfig::default(), 75);
+    let (mut world, ids) = build_observed(5, 2, 75);
     let (leader, observer) = (ids[0], ids[5]);
     // The junior's last heartbeat is the 2 s one; the leader's 3.25 s tick
     // is the first to find it silent for more than a second.
@@ -1466,7 +1366,7 @@ fn observer_that_missed_an_install_converges_within_the_failure_timeout() {
 #[test]
 fn observer_is_told_of_each_view_exactly_once() {
     let (n, o) = (5, 2);
-    let (mut world, ids) = build_observed(n, o, &EndpointConfig::default(), 76);
+    let (mut world, ids) = build_observed(n, o, 76);
     world.schedule_crash(ids[3], SimTime::from_millis(2_100));
     world.schedule_restart(ids[3], SimTime::from_secs(6));
     world.run_until(SimTime::from_secs(15));

@@ -3,7 +3,6 @@
 use aqf_core::{
     OrderingGuarantee, QosSpec, RecoveryPolicy, SelectionPolicy, StalenessModel, StorageConfig,
 };
-use aqf_group::FailureDetector;
 use aqf_sim::{SimDuration, SimTime};
 
 /// Which sample replicated object the scenario hosts.
@@ -296,12 +295,6 @@ pub struct ScenarioConfig {
     pub group_tick: SimDuration,
     /// Group-layer failure timeout.
     pub failure_timeout: SimDuration,
-    /// Failure-detection policy for every group endpoint. The default
-    /// fixed timeout replays the seed bit-identically; φ-accrual is the
-    /// opt-in adaptive detector for gray-fault studies.
-    pub detector: FailureDetector,
-    /// Leader-side re-admission hold-down for flapping members.
-    pub damping: bool,
     /// If positive, the sequencer promotes the freshest secondary whenever
     /// the primary view shrinks below this size (0 disables replenishment).
     pub min_primary_size: usize,
@@ -346,8 +339,6 @@ impl ScenarioConfig {
             overload: false,
             group_tick: SimDuration::from_millis(1000),
             failure_timeout: SimDuration::from_millis(3500),
-            detector: FailureDetector::FixedTimeout,
-            damping: false,
             min_primary_size: 0,
             object: ObjectKind::Register,
             ordering: OrderingGuarantee::Sequential,

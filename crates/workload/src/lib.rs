@@ -34,7 +34,6 @@ pub mod synthetic;
 
 pub use actors::{ClientActor, ClientRecord, NetMsg, ReplicaActor};
 pub use aqf_core::ObsHandle;
-pub use aqf_group::FailureDetector;
 pub use bench_scenarios::{overload_config, world_bench_config, WORLD_BENCH_SIZES};
 pub use config::{
     damage_windows, ClientSpec, FaultEvent, FaultKind, FaultTarget, ObjectKind, OpPattern,

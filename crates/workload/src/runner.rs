@@ -97,8 +97,8 @@ pub struct ServerOutcome {
     pub gsn: u64,
     /// Gateway counters.
     pub stats: ServerStats,
-    /// Group-endpoint counters (views installed, merges, suspicion/flap
-    /// bookkeeping — the membership-robustness observables).
+    /// Group-endpoint counters (views installed, merges, suspicions — the
+    /// membership-robustness observables).
     pub group: GroupStats,
     /// Whether the replica was alive at the end of the run.
     pub alive: bool,
@@ -266,7 +266,9 @@ impl ScenarioMetrics {
                 g.views_installed,
                 g.merges,
                 g.suspicions,
-                g.joins_damped,
+                // The slot of the deleted `joins_damped`: every run keeps
+                // its digest.
+                0,
             ] {
                 d.mix(v);
             }
@@ -497,8 +499,6 @@ pub fn build_scenario(config: &ScenarioConfig) -> BuiltScenario {
     let ep_config = EndpointConfig {
         tick_interval: config.group_tick,
         failure_timeout: config.failure_timeout,
-        detector: config.detector,
-        damping: config.damping,
     };
 
     // Observers: clients see both groups; each replication group's members

@@ -1,10 +1,8 @@
-//! Integration tests for the membership-robustness layer: φ-accrual
-//! failure detection vs the fixed timeout under gray faults, flap damping
-//! of repeat offenders, and primary-group replenishment after a sequencer
-//! crash.
+//! Integration tests for the membership-robustness layer: the fixed
+//! failure timeout under a gray fault, and primary-group replenishment
+//! after a sequencer crash.
 
 use aqf::core::PRIMARY_GROUP;
-use aqf::group::FailureDetector;
 use aqf::sim::{SimDuration, SimTime};
 use aqf::workload::runner::ScenarioMetrics;
 use aqf::workload::{
@@ -16,12 +14,11 @@ use aqf::workload::{
 /// 900 ms timeout. The victim is a high-rank primary so its own (equally
 /// lossy) false suspicions of lower-ranked members can never assemble a
 /// majority sub-view with itself as leader.
-fn gray_config(seed: u64, detector: FailureDetector) -> ScenarioConfig {
+fn gray_config(seed: u64) -> ScenarioConfig {
     let mut config = ScenarioConfig::paper_validation(200, 0.5, 2, seed).with_fast_detection();
     for c in &mut config.clients {
         c.total_requests = 300;
     }
-    config.detector = detector;
     config.faults = vec![
         FaultEvent {
             at: SimTime::from_secs(60),
@@ -37,81 +34,21 @@ fn gray_config(seed: u64, detector: FailureDetector) -> ScenarioConfig {
     config
 }
 
-/// Like [`run_scenario`] but with a configurable post-completion drain, so
-/// a member still serving a flap-damping hold-down at workload end gets to
-/// re-merge and catch up before state is inspected.
-fn run_with_drain(config: &ScenarioConfig, drain: SimDuration) -> ScenarioMetrics {
-    let mut built = build_scenario(config);
-    built.run_to_completion(SimDuration::from_secs(3600), drain);
-    built.metrics()
-}
-
-fn total_views(m: &ScenarioMetrics) -> u64 {
-    m.servers.iter().map(|s| s.group.views_installed).sum()
-}
-
-fn total_timing_failures(m: &ScenarioMetrics) -> u64 {
-    m.clients.iter().map(|c| c.timing_failures).sum()
-}
-
 fn assert_all_completed(m: &ScenarioMetrics) {
     for c in &m.clients {
         assert_eq!(c.record.completed, 300, "client {} finished", c.id);
     }
 }
 
+/// The fixed timeout misreads the lossy member as churn (EXT-FAIL's gray
+/// grid), but the churn costs neither completion nor convergence.
 #[test]
-fn accrual_detector_installs_fewer_views_under_gray_faults() {
-    let fixed = run_scenario(&gray_config(11, FailureDetector::FixedTimeout));
-    let accrual = run_scenario(&gray_config(11, FailureDetector::PhiAccrual));
-
-    // The fixed timeout misreads near-threshold loss as churn; the accrual
-    // detector widens its effective timeout to the observed jitter.
-    assert!(
-        total_views(&accrual) < total_views(&fixed),
-        "accrual installed {} views vs fixed {}",
-        total_views(&accrual),
-        total_views(&fixed)
-    );
-    // Robustness must not cost timeliness or completion.
-    assert_all_completed(&fixed);
-    assert_all_completed(&accrual);
-    assert!(
-        total_timing_failures(&accrual) <= total_timing_failures(&fixed),
-        "accrual timing failures {} vs fixed {}",
-        total_timing_failures(&accrual),
-        total_timing_failures(&fixed)
-    );
-    assert_eq!(accrual.max_applied_divergence(), 0);
-
-    // The two membership defences compose.
-    let mut both = gray_config(11, FailureDetector::PhiAccrual);
-    both.damping = true;
-    let both = run_scenario(&both);
-    assert_all_completed(&both);
-    assert_eq!(both.max_applied_divergence(), 0);
-}
-
-#[test]
-fn flap_damping_holds_down_repeat_offenders() {
-    let undamped = run_scenario(&gray_config(12, FailureDetector::FixedTimeout));
-    let mut damped_config = gray_config(12, FailureDetector::FixedTimeout);
-    damped_config.damping = true;
-    let damped = run_with_drain(&damped_config, SimDuration::from_secs(120));
-
-    let damped_joins: u64 = damped.servers.iter().map(|s| s.group.joins_damped).sum();
-    assert!(
-        damped_joins > 0,
-        "the lossy member must hit at least one hold-down"
-    );
-    assert!(
-        total_views(&damped) < total_views(&undamped),
-        "damping installed {} views vs undamped {}",
-        total_views(&damped),
-        total_views(&undamped)
-    );
-    assert_all_completed(&damped);
-    assert_eq!(damped.max_applied_divergence(), 0);
+fn fixed_timeout_completes_and_converges_under_a_lossy_primary() {
+    for seed in [11, 12] {
+        let m = run_scenario(&gray_config(seed));
+        assert_all_completed(&m);
+        assert_eq!(m.max_applied_divergence(), 0, "seed {seed}");
+    }
 }
 
 #[test]
