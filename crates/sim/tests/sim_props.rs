@@ -248,3 +248,170 @@ proptest! {
         prop_assert_eq!(values, (0..n as u64).collect::<Vec<_>>());
     }
 }
+
+/// Delays that straddle every boundary an event queue may keep: the 1 µs
+/// instant, the 2 048 µs and 4 096 µs windows, the 512 × 2 048 µs
+/// (~1.05 s) horizon and its neighbours, and long waits up to 40 s.
+const EDGE_DELAYS_US: [u64; 22] = [
+    0, 1, 2, 2_047, 2_048, 2_049, 4_095, 4_096, 4_097, 6_143, 6_144, 6_145, 1_048_575, 1_048_576,
+    1_048_577, 1_050_623, 1_050_624, 1_050_625, 1_052_672, 2_097_152, 10_000_000, 40_000_000,
+];
+
+/// Picks an edge delay, or (for an index past the table) the raw draw.
+fn edge_delay(index: usize, raw: u64) -> u64 {
+    EDGE_DELAYS_US.get(index).copied().unwrap_or(raw)
+}
+
+/// The reference the world's pops are checked against: every scheduled
+/// event as `(instant, tag)`, where tags grow in scheduling order.
+#[derive(Default)]
+struct Reference {
+    pending: std::collections::BTreeSet<(u64, u64)>,
+    next_tag: u64,
+    pops: u64,
+    /// `(kind, delay index, raw delay, target, fan-out)`, read cyclically.
+    script: Vec<(u8, usize, u64, usize, u8)>,
+    cursor: usize,
+    budget: usize,
+    /// The constant one-way delay of a send to each actor.
+    dest_us: Vec<u64>,
+}
+
+impl Reference {
+    fn schedule(&mut self, at: u64) -> u64 {
+        let tag = self.next_tag;
+        self.next_tag += 1;
+        self.pending.insert((at, tag));
+        tag
+    }
+
+    /// Checks that the event the world popped is the reference's earliest.
+    fn popped(&mut self, at: u64, tag: u64) {
+        let first = self.pending.pop_first();
+        assert_eq!(first, Some((at, tag)), "pop {} out of order", self.pops);
+        self.pops += 1;
+    }
+}
+
+/// Every delivery and timer checks itself against the shared reference,
+/// then schedules the script's next local messages, timers and sends.
+struct Scheduler {
+    reference: std::rc::Rc<std::cell::RefCell<Reference>>,
+    peers: Vec<ActorId>,
+}
+
+impl Scheduler {
+    fn react(&mut self, tag: u64, ctx: &mut Context<'_, u64>) {
+        let now = ctx.now().as_micros();
+        let mut r = self.reference.borrow_mut();
+        r.popped(now, tag);
+        if r.script.is_empty() || r.budget == 0 {
+            return;
+        }
+        let (_, _, _, _, fan_out) = r.script[r.cursor % r.script.len()];
+        for _ in 0..fan_out {
+            if r.budget == 0 {
+                break;
+            }
+            r.budget -= 1;
+            let (kind, index, raw, target, _) = r.script[r.cursor % r.script.len()];
+            r.cursor += 1;
+            let delay = edge_delay(index, raw);
+            let at = now.saturating_add(delay);
+            match kind {
+                0 => {
+                    let tag = r.schedule(at);
+                    ctx.schedule_local(tag, SimDuration::from_micros(delay));
+                }
+                1 => {
+                    let tag = r.schedule(at);
+                    ctx.set_timer(tag as u32, SimDuration::from_micros(delay));
+                }
+                _ => {
+                    let to = self.peers[target % self.peers.len()];
+                    let one_way = r.dest_us[to.index()];
+                    let tag = r.schedule(now.saturating_add(one_way));
+                    ctx.send(to, tag);
+                }
+            }
+        }
+    }
+}
+
+impl Actor<u64> for Scheduler {
+    fn on_message(&mut self, _: ActorId, tag: u64, ctx: &mut Context<'_, u64>) {
+        self.react(tag, ctx);
+    }
+    fn on_timer(&mut self, timer: Timer, ctx: &mut Context<'_, u64>) {
+        self.react(u64::from(timer.kind), ctx);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Events pop in `(instant, scheduling order)` order whatever their
+    /// delays: sends, local messages and timers at 0 µs, at every window
+    /// and horizon boundary ±1, up to 40 s ahead and at the last instants
+    /// before `u64::MAX`, interleaved with `run_until` bounds that stop
+    /// between them and with injections from outside.
+    #[test]
+    fn events_pop_in_time_then_scheduling_order(
+        seed in 0u64..1000,
+        dest in proptest::collection::vec(0usize..EDGE_DELAYS_US.len(), 4..5),
+        script in proptest::collection::vec(
+            (0u8..3, 0usize..EDGE_DELAYS_US.len() + 4, 0u64..40_000_001, 0usize..4, 0u8..4),
+            1..48,
+        ),
+        steps in proptest::collection::vec(
+            (0usize..EDGE_DELAYS_US.len() + 4, 0u64..40_000_001, 0usize..4, 0usize..EDGE_DELAYS_US.len() + 4, 0u64..3),
+            1..16,
+        ),
+        last_us in 0u64..5_000,
+    ) {
+        let mut world: World<u64> = World::new(seed);
+        let ids: Vec<ActorId> = (0..4).map(ActorId::from_index).collect();
+        let reference = std::rc::Rc::new(std::cell::RefCell::new(Reference {
+            script,
+            budget: 400,
+            dest_us: dest.iter().map(|&i| EDGE_DELAYS_US[i]).collect(),
+            ..Reference::default()
+        }));
+        for &id in &ids {
+            let us = reference.borrow().dest_us[id.index()];
+            world
+                .net_mut()
+                .set_dest_delay(id, aqf_sim::DelayModel::Constant(SimDuration::from_micros(us)));
+            world.add_actor(Box::new(Scheduler {
+                reference: reference.clone(),
+                peers: ids.clone(),
+            }));
+        }
+        // The last step jumps to the final instants before `u64::MAX`.
+        let late = u64::MAX - last_us;
+        for (i, &(index, raw, target, bound_index, mode)) in steps.iter().enumerate() {
+            let now = world.now().as_micros();
+            let base = if i + 1 == steps.len() { late.max(now) } else { now };
+            let at = base.saturating_add(edge_delay(index, raw));
+            let tag = reference.borrow_mut().schedule(at);
+            world.send_external(ids[target], tag, SimTime::from_micros(at));
+            // Bound: the injection's own instant, one before or after it,
+            // or an edge delay past now.
+            let bound = match mode {
+                0 => at.saturating_sub(1).max(now),
+                1 => at.saturating_add(1),
+                _ => now.saturating_add(edge_delay(bound_index, raw / 2)),
+            };
+            world.run_until(SimTime::from_micros(bound));
+            let r = reference.borrow();
+            if let Some(&(first, _)) = r.pending.first() {
+                prop_assert!(first > bound, "run_until({bound}) left {first} queued");
+            }
+            prop_assert_eq!(world.now().as_micros(), bound.max(now));
+        }
+        world.run_until(SimTime::from_micros(u64::MAX));
+        let r = reference.borrow();
+        prop_assert!(r.pending.is_empty(), "{} events never popped", r.pending.len());
+        prop_assert_eq!(world.stats().events, r.pops);
+    }
+}
