@@ -64,6 +64,7 @@ pub mod delay;
 pub mod digest;
 pub mod hash;
 pub mod net;
+mod queue;
 pub mod time;
 mod timer;
 pub mod world;
