@@ -9,7 +9,7 @@
 //! cargo run --release --example document_sharing
 //! ```
 
-use aqf::core::{Priority, PriorityMap, QosSpec, SelectionPolicy};
+use aqf::core::{QosSpec, SelectionPolicy};
 use aqf::sim::SimDuration;
 use aqf::workload::{run_scenario, ClientSpec, ObjectKind, OpPattern, ScenarioConfig};
 
@@ -38,17 +38,9 @@ fn main() {
             policy: SelectionPolicy::Probabilistic,
             start_offset: SimDuration::from_millis(200),
         },
-        // An impatient reviewer: fresh copies (<= 1 version), 150 ms, at
-        // High priority — the §7 extension maps the service class to a
-        // minimum probability (0.99 under the default map).
+        // An impatient reviewer: fresh copies (<= 1 version), 150 ms, 0.99.
         ClientSpec {
-            qos: QosSpec::from_priority(
-                1,
-                SimDuration::from_millis(150),
-                Priority::High,
-                &PriorityMap::default(),
-            )
-            .expect("valid"),
+            qos: QosSpec::new(1, SimDuration::from_millis(150), 0.99).expect("valid"),
             request_delay: SimDuration::from_millis(900),
             total_requests: 300,
             pattern: OpPattern::ReadOnly,
@@ -62,7 +54,7 @@ fn main() {
     let names = [
         "editor (write-only)",
         "casual reader (<=5 vers, 2 s, 0.7)",
-        "reviewer (<=1 vers, 150 ms, priority High -> 0.99)",
+        "reviewer (<=1 vers, 150 ms, 0.99)",
     ];
     for (i, name) in names.iter().enumerate() {
         let c = metrics.client(i);
