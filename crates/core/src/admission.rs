@@ -3,11 +3,10 @@
 //! admission control, in order to determine the clients that can be
 //! admitted based on the current availability of the replicas."
 //!
-//! The controller evaluates the best achievable `P_K(d)` over *all*
+//! [`decide`] evaluates the best achievable `P_K(d)` over *all*
 //! available replicas (with the single-failure exclusion applied, matching
 //! Algorithm 1's conservatism) and admits a client only if that bound meets
-//! the client's requested probability, optionally discounted by a headroom
-//! factor reserving capacity for already-admitted clients.
+//! the client's requested probability.
 
 use crate::model::{Candidate, InclusionState};
 use crate::qos::QosSpec;
@@ -24,71 +23,31 @@ pub struct AdmissionDecision {
     pub requested: f64,
 }
 
-/// Admission controller configuration.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdmissionConfig {
-    /// Multiplier applied to the achievable probability before comparison;
-    /// values below 1 reserve headroom for load from already-admitted
-    /// clients (e.g. 0.9 keeps 10% slack).
-    pub headroom: f64,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        Self { headroom: 1.0 }
-    }
-}
-
-/// Stateless admission controller (the state lives in the caller's
-/// information repository, from which the candidates are built).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct AdmissionController {
-    config: AdmissionConfig,
-}
-
-impl AdmissionController {
-    /// Creates a controller.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the headroom factor is not in `(0, 1]`.
-    pub fn new(config: AdmissionConfig) -> Self {
-        assert!(
-            config.headroom > 0.0 && config.headroom <= 1.0,
-            "headroom must be in (0, 1]"
-        );
-        Self { config }
-    }
-
-    /// Decides whether a client with specification `qos` can be admitted
-    /// given the current `candidates` and secondary-group `stale_factor`.
-    ///
-    /// Mirrors Algorithm 1's failure tolerance: the candidate with the
-    /// highest immediate CDF is excluded before computing the bound.
-    pub fn decide(
-        &self,
-        candidates: &[Candidate],
-        stale_factor: f64,
-        qos: &QosSpec,
-    ) -> AdmissionDecision {
-        let best = candidates
-            .iter()
-            .enumerate()
-            .max_by(|(_, x), (_, y)| x.immediate_cdf.total_cmp(&y.immediate_cdf))
-            .map(|(i, _)| i);
-        let mut state = InclusionState::new(stale_factor);
-        for (i, c) in candidates.iter().enumerate() {
-            if Some(i) == best {
-                continue;
-            }
-            state.include(c);
+/// Decides whether a client with specification `qos` can be admitted
+/// given the current `candidates` and secondary-group `stale_factor`.
+///
+/// Mirrors Algorithm 1's failure tolerance: the candidate with the
+/// highest immediate CDF is excluded before computing the bound. The
+/// caller's information repository holds the state the candidates are
+/// built from, so the decision itself is stateless.
+pub fn decide(candidates: &[Candidate], stale_factor: f64, qos: &QosSpec) -> AdmissionDecision {
+    let best = candidates
+        .iter()
+        .enumerate()
+        .max_by(|(_, x), (_, y)| x.immediate_cdf.total_cmp(&y.immediate_cdf))
+        .map(|(i, _)| i);
+    let mut state = InclusionState::new(stale_factor);
+    for (i, c) in candidates.iter().enumerate() {
+        if Some(i) == best {
+            continue;
         }
-        let achievable = state.predicted() * self.config.headroom;
-        AdmissionDecision {
-            admit: achievable >= qos.min_probability,
-            achievable,
-            requested: qos.min_probability,
-        }
+        state.include(c);
+    }
+    let achievable = state.predicted();
+    AdmissionDecision {
+        admit: achievable >= qos.min_probability,
+        achievable,
+        requested: qos.min_probability,
     }
 }
 
@@ -113,46 +72,26 @@ mod tests {
 
     #[test]
     fn admits_attainable_spec() {
-        let ctl = AdmissionController::default();
         let cands = vec![cand(0, 0.9), cand(1, 0.9), cand(2, 0.9)];
         // Excluding one 0.9 replica: 1 - 0.1^2 = 0.99.
-        let d = ctl.decide(&cands, 1.0, &qos(0.95));
+        let d = decide(&cands, 1.0, &qos(0.95));
         assert!(d.admit);
         assert!((d.achievable - 0.99).abs() < 1e-12);
     }
 
     #[test]
     fn rejects_unattainable_spec() {
-        let ctl = AdmissionController::default();
         let cands = vec![cand(0, 0.5), cand(1, 0.5)];
         // Excluding one: achievable = 0.5 < 0.9.
-        let d = ctl.decide(&cands, 1.0, &qos(0.9));
+        let d = decide(&cands, 1.0, &qos(0.9));
         assert!(!d.admit);
         assert_eq!(d.requested, 0.9);
     }
 
     #[test]
     fn empty_pool_rejects_everything() {
-        let ctl = AdmissionController::default();
-        let d = ctl.decide(&[], 1.0, &qos(0.01));
+        let d = decide(&[], 1.0, &qos(0.01));
         assert!(!d.admit);
         assert_eq!(d.achievable, 0.0);
-    }
-
-    #[test]
-    fn headroom_tightens_admission() {
-        let loose = AdmissionController::default();
-        let tight = AdmissionController::new(AdmissionConfig { headroom: 0.9 });
-        let cands = vec![cand(0, 0.9), cand(1, 0.9), cand(2, 0.9)];
-        let spec = qos(0.95);
-        assert!(loose.decide(&cands, 1.0, &spec).admit);
-        // 0.99 * 0.9 = 0.891 < 0.95.
-        assert!(!tight.decide(&cands, 1.0, &spec).admit);
-    }
-
-    #[test]
-    #[should_panic(expected = "headroom")]
-    fn invalid_headroom_panics() {
-        let _ = AdmissionController::new(AdmissionConfig { headroom: 0.0 });
     }
 }

@@ -198,7 +198,7 @@ impl InclusionState {
 }
 
 /// Direct (non-incremental) evaluation of Eq. 1–3 over a full set; used to
-/// cross-check the incremental algorithm and by the admission controller.
+/// cross-check the incremental algorithm.
 ///
 /// `primaries` holds `F^I(d)` values; `secondaries` holds
 /// `(F^I(d), F^D(d))` pairs.

@@ -33,8 +33,7 @@
 //! disabled. The values the subsystem runs with are constants, each in the
 //! module that reads it: the ladder, the recovery window and the probe
 //! interval here, the queue bound in [`crate::shell`]; admission
-//! re-evaluation judges with the default headroom of
-//! [`crate::admission::AdmissionController`].
+//! re-evaluation is [`crate::admission::decide`].
 
 use crate::obs::{ObsEvent, ObsHandle};
 use crate::qos::QosSpec;

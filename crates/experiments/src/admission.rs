@@ -1,12 +1,12 @@
 //! EXT-ADM: the admission-control extension (paper §7).
 //!
 //! Warms a client repository with a real validation run, then asks the
-//! admission controller which QoS specifications would be attainable for a
+//! admission check which QoS specifications would be attainable for a
 //! newly arriving client, across a grid of deadlines and requested
 //! probabilities.
 
 use crate::table::{Output, Table};
-use aqf_core::admission::{AdmissionConfig, AdmissionController};
+use aqf_core::admission;
 use aqf_core::{Candidate, QosSpec};
 use aqf_sim::{ActorId, SimDuration, SimTime};
 use aqf_workload::{run_scenario, ScenarioConfig};
@@ -30,20 +30,12 @@ pub fn run(seed: u64, out: &Output) {
             .collect()
     };
 
-    let controller = AdmissionController::new(AdmissionConfig { headroom: 1.0 });
-    let tight = AdmissionController::new(AdmissionConfig { headroom: 0.9 });
     let deadlines = [60u64, 100, 140, 180, 220];
     let pcs = [0.5, 0.9, 0.99, 0.999];
 
     let mut table = Table::new(
         "EXT-ADM: admission decisions for a new client (warmed repository)",
-        &[
-            "deadline(ms)",
-            "Pc",
-            "achievable",
-            "admit",
-            "admit (10% headroom)",
-        ],
+        &["deadline(ms)", "Pc", "achievable", "admit"],
     );
     for &d in &deadlines {
         let deadline = SimDuration::from_millis(d);
@@ -51,21 +43,18 @@ pub fn run(seed: u64, out: &Output) {
         let sf = repo.staleness_factor(2, now);
         for &pc in &pcs {
             let qos = QosSpec::new(2, deadline, pc).expect("valid qos");
-            let decision = controller.decide(&cands, sf, &qos);
-            let tight_decision = tight.decide(&cands, sf, &qos);
+            let decision = admission::decide(&cands, sf, &qos);
             table.row(vec![
                 d.to_string(),
                 format!("{pc}"),
                 format!("{:.4}", decision.achievable),
                 if decision.admit { "yes" } else { "NO" }.to_string(),
-                if tight_decision.admit { "yes" } else { "NO" }.to_string(),
             ]);
         }
     }
     out.emit(&table, "ext_admission");
     println!(
         "expected shape: short deadlines and high requested probabilities are\n\
-         rejected; the achievable bound grows with the deadline, and the\n\
-         headroom variant is strictly more conservative."
+         rejected, and the achievable bound grows with the deadline."
     );
 }

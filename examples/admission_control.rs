@@ -6,7 +6,7 @@
 //! cargo run --release --example admission_control
 //! ```
 
-use aqf::core::admission::{AdmissionConfig, AdmissionController};
+use aqf::core::admission;
 use aqf::core::{Candidate, QosSpec};
 use aqf::sim::{ActorId, SimDuration, SimTime};
 use aqf::workload::{run_scenario, ScenarioConfig};
@@ -22,7 +22,6 @@ fn main() {
     let now = SimTime::from_secs(1_000_000);
     let (np, ns) = (config.num_primaries, config.num_secondaries);
 
-    let controller = AdmissionController::new(AdmissionConfig { headroom: 1.0 });
     println!("admission decisions for arriving clients (staleness threshold 2):\n");
     println!(
         "{:>12}  {:>6}  {:>10}  decision",
@@ -36,7 +35,7 @@ fn main() {
         let sf = repo.staleness_factor(2, now);
         for pc in [0.5, 0.9, 0.99] {
             let qos = QosSpec::new(2, deadline, pc).expect("valid");
-            let d = controller.decide(&candidates, sf, &qos);
+            let d = admission::decide(&candidates, sf, &qos);
             println!(
                 "{:>10}ms  {:>6}  {:>10.4}  {}",
                 deadline_ms,
@@ -47,7 +46,7 @@ fn main() {
         }
     }
     println!(
-        "\nthe controller applies the same single-failure-tolerant bound as\n\
+        "\nthe check applies the same single-failure-tolerant bound as\n\
          Algorithm 1: a spec is admitted only if the pool can meet it even\n\
          after losing its best replica."
     );
