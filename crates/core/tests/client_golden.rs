@@ -697,7 +697,7 @@ fn scripted_histories_unchanged() {
 }
 
 /// A timer armed for an earlier attempt does not end the current one. An
-/// update's submit-time Retry timer (`update_retry_after`) is still armed
+/// update's submit-time Retry timer (`UPDATE_RETRY_AFTER`) is still armed
 /// when a `Busy` starts attempt 2 early; when it fires it is ignored, so
 /// attempt 2 runs its whole window and attempt 3 leaves a backoff after it.
 #[test]
@@ -707,7 +707,7 @@ fn stale_retry_timer_spares_the_next_update_attempt() {
         recovery: true,
         overload: true,
     });
-    let retry_after = RecoveryPolicy::default().update_retry_after;
+    let retry_after = aqf_core::client::UPDATE_RETRY_AFTER;
     let u = r.update();
     r.at(ms(5));
     r.busy(u, a(0));

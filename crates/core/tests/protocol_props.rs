@@ -194,13 +194,12 @@ fn assert_same_selection(actual: &Selection, expected: &Selection) {
     assert_eq!(actual.satisfied, expected.satisfied);
 }
 
-/// `RecoveryPolicy::disabled()` with its surviving knobs drawn at random
-/// (zero durations included): none of it may matter.
+/// `RecoveryPolicy::disabled()` with its surviving knob, the hedge
+/// fraction, drawn at random: it may not matter.
 fn disabled_with_random_knobs(rng: &mut SmallRng) -> RecoveryPolicy {
     RecoveryPolicy {
         enabled: false,
         hedge_fraction: rng.gen_bool(0.7).then(|| rng.gen_range(0.0..1.0)),
-        update_retry_after: SimDuration::from_micros(rng.gen_range(0..5_000_000)),
     }
 }
 
