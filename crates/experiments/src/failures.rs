@@ -11,9 +11,9 @@
 //! 2. **Gray-fault grid** — runs the fixed-timeout failure detector
 //!    under near-threshold loss and degradation faults, reporting view
 //!    churn and the failover SLOs.
-//! 3. **Replenishment** — crashes the sequencer with `min_primary_size`
-//!    set and reports the promotion plus the measured
-//!    sequencer-unavailability window.
+//! 3. **Replenishment** — crashes the sequencer, then also two primaries,
+//!    with and without `min_primary_size` and reports the promotions, the
+//!    measured sequencer-unavailability window and the give-ups.
 
 use crate::table::{Output, Table};
 use aqf_sim::SimTime;
@@ -199,10 +199,23 @@ fn gray_grid(seed: u64, out: &Output) {
 }
 
 /// EXT-FAIL replenishment: a sequencer crash under `min_primary_size`
-/// triggers promotion of the freshest secondary.
+/// triggers promotion of the freshest secondary. Two more primary crashes
+/// leave a group without replenishment 2 of its 5-member roster, too few
+/// to install a view.
 fn replenishment(seed: u64, out: &Output) {
+    let crash = |secs, target| FaultEvent {
+        at: SimTime::from_secs(secs),
+        target,
+        kind: FaultKind::Crash,
+    };
+    let one = vec![crash(300, FaultTarget::Sequencer)];
+    let three = vec![
+        crash(300, FaultTarget::Sequencer),
+        crash(600, FaultTarget::Primary(0)),
+        crash(900, FaultTarget::Primary(1)),
+    ];
     let mut table = Table::new(
-        "EXT-FAIL: primary-group replenishment after sequencer crash (min size 5)",
+        "EXT-FAIL: primary-group replenishment after primary crashes (min size 5)",
         &[
             "scenario",
             "promotions",
@@ -211,18 +224,20 @@ fn replenishment(seed: u64, out: &Output) {
             "seq unavail (ms)",
             "commit stall (ms)",
             "P(timing failure)",
+            "give-ups",
             "divergence",
             "done",
         ],
     );
-    for (label, min_primary_size) in [("no replenishment", 0), ("min_primary_size=5", 5)] {
+    for (label, min_primary_size, faults) in [
+        ("1 crash: no replenishment", 0, &one),
+        ("1 crash: min_primary_size=5", 5, &one),
+        ("3 crashes: no replenishment", 0, &three),
+        ("3 crashes: min_primary_size=5", 5, &three),
+    ] {
         let mut config = ScenarioConfig::paper_validation(160, 0.9, 2, seed).with_fast_detection();
         config.min_primary_size = min_primary_size;
-        config.faults = vec![FaultEvent {
-            at: SimTime::from_secs(300),
-            target: FaultTarget::Sequencer,
-            kind: FaultKind::Crash,
-        }];
+        config.faults = faults.clone();
         let (m, primary_view_len) = run_inspecting_primary_view(&config);
         let c = m.client(1);
         let completed: u64 = m.clients.iter().map(|c| c.record.completed).sum();
@@ -249,17 +264,18 @@ fn replenishment(seed: u64, out: &Output) {
             format!("{}", seq_unavail / 1000),
             format!("{}", stall / 1000),
             format!("{:.3}", c.failure_ci.map(|x| x.estimate).unwrap_or(0.0)),
+            c.give_ups.to_string(),
             m.max_applied_divergence().to_string(),
             format!("{completed}/{issued}"),
         ]);
     }
     out.emit(&table, "ext_failures_replenish");
     println!(
-        "expected shape: without replenishment the crash leaves the primary\n\
-         view a member short for the rest of the run; with min_primary_size\n\
-         the new sequencer promotes the freshest secondary (one promotion,\n\
-         one promoted, view back at 5) and the measured sequencer\n\
-         unavailability window stays near the detection timeout."
+        "expected shape: without replenishment one crash leaves the primary\n\
+         view a member short for the rest of the run, and three leave a\n\
+         minority that installs no view, so requests give up from then on;\n\
+         with min_primary_size each new sequencer promotes the freshest\n\
+         secondary, the view is back at 5 and nothing gives up."
     );
 }
 
