@@ -166,26 +166,18 @@ fn excluded_replica_survives_a_restart() {
 }
 
 /// ROADMAP defect (5): a sequencer takeover's reconciliation round that
-/// lost one `GsnReport` to the network stayed open until a blocked client
-/// gave up ten seconds later, because only arriving requests polled its
-/// watchdog. Under 2 % loss 5 of the first 300 schedules of this base
-/// re-query a round; these are the first four that re-query it once and
-/// close within the bound, at 4.4 / 3.9 / 4.1 / 4.3 s of sequencer
-/// unavailability — the stall timeout plus the re-query's round trip.
-/// Which messages the loss takes depends on all the traffic before them:
-/// until stream tips rode the leader's announce, schedules 80, 81, 194
-/// and 221 were the ones (3.2 / 3.4 / 3.6 / 3.9 s; 10.9–11.2 s without
-/// the round's own timer); until the response-time model counted exact
-/// ties as ties, 24, 44, 79 and 93 (3.0 / 3.1 / 3.3 / 3.0 s); and until
-/// only a takeover opened a round, 12, 22, 44 and 79 (3.3 / 4.3 / 3.1 /
-/// 3.3 s), of 33 that re-queried one — 12's was a standing leader's round
-/// on a membership change.
+/// lost one `GsnReport` to the network waited out the stall timeout before
+/// it asked again, so under 2 % loss schedules 137, 155, 171 and 191 of
+/// this base left the group without a sequencer for 4.4 / 3.9 / 4.1 /
+/// 4.3 s. The takeover has no round any more: the group layer's flush
+/// hands the successor every assignment a survivor got, and it sequences
+/// as soon as it hears of the view. On the same four schedules the
+/// unavailability stays below the stall timeout (`--nocapture` prints it).
 #[test]
-fn takeover_round_that_lost_a_report_closes_on_its_own_timer() {
+fn takeover_on_the_lost_report_schedules_ends_before_the_stall_timeout() {
     let mut base = corpus::sequential().base;
     base.loss_probability = 0.02;
     let stall = aqf_core::shell::COMMIT_STALL_TIMEOUT;
-    let bound = base.failure_timeout + stall + base.group_tick * 2;
     for schedule in [137u64, 155, 171, 191] {
         let config = aqf_chaos::scenario_for_seed(&base, &ScheduleBudget::quick(), schedule);
         let (metrics, trace) = traced(&config);
@@ -193,8 +185,9 @@ fn takeover_round_that_lost_a_report_closes_on_its_own_timer() {
         assert!(violations.is_empty(), "schedule {schedule}: {violations:?}");
         let servers = metrics.servers.iter();
         let unavailable = servers.map(|s| s.stats.seq_unavail_us).max().unwrap();
+        println!("schedule {schedule}: sequencer unavailable for {unavailable} µs");
         assert!(
-            unavailable > stall.as_micros() && unavailable <= bound.as_micros(),
+            unavailable < stall.as_micros(),
             "schedule {schedule}: sequencer unavailable for {unavailable} µs"
         );
     }

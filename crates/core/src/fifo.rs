@@ -340,7 +340,7 @@ mod tests {
         for payload in [
             Payload::GsnAssign { req, gsn: 1 },
             Payload::GsnSnapshot { req, gsn: 1 },
-            Payload::GsnQuery { csn: 0 },
+            Payload::GsnRequest { req },
         ] {
             assert!(sink(|out| p.on_payload(a(0), payload, t(0), out)).is_empty());
         }

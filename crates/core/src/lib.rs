@@ -23,7 +23,7 @@
 //! * [`protocol`] — the [`ServerProtocol`] interface hosts drive a gateway
 //!   through.
 //! * [`server`] — the sequential discipline: GSN/CSN bookkeeping,
-//!   sequencer, recovery rounds, replenishment, delta transfers (paper §4).
+//!   sequencer and its takeover, replenishment, delta transfers (paper §4).
 //! * [`monitor`] — the client information repository: sliding windows,
 //!   response-time distributions, staleness factor (paper §5.2, §5.4).
 //! * [`obs`] — glue to the deterministic observability layer (`aqf-obs`):

@@ -88,7 +88,7 @@ impl Default for ServerConfig {
 
 /// How many committed updates a replica remembers (as `(GSN, request)`
 /// pairs under sequential ordering, request ids under FIFO) for duplicate
-/// detection and sequencer recovery reconciliation.
+/// detection.
 pub(crate) const COMMITTED_LOG: usize = 1024;
 
 /// How many update replies a replica retains for answering retransmitted
@@ -99,8 +99,7 @@ const REPLY_CACHE: usize = 1024;
 /// for this long, the replica assumes it missed assignments it can never
 /// recover (e.g. during a rejoin window) and requests a catch-up state
 /// transfer. An unsynced replica waits this long on a transfer before
-/// asking the next donor, and a reconciliation round that lost a report
-/// re-queries after it.
+/// asking the next donor.
 pub const COMMIT_STALL_TIMEOUT: SimDuration = SimDuration::from_secs(3);
 
 /// Hard bound on a server gateway's service queue (queued + in service)
@@ -188,8 +187,8 @@ pub struct ServerStats {
     /// Times this replica was promoted from secondary to primary.
     pub promoted: u64,
     /// Longest observed sequencer-unavailability window in µs: from the
-    /// last sequencing activity this replica observed to the completion of
-    /// its own takeover reconciliation (new sequencer only).
+    /// last sequencing activity this replica observed to its own takeover
+    /// (new sequencer only).
     pub seq_unavail_us: u64,
     /// Longest update-commit stall healed by a recovery or catch-up state
     /// transfer, in µs.

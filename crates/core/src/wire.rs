@@ -350,27 +350,6 @@ pub enum Payload {
     },
     /// Server -> clients: performance broadcast.
     Perf(PerfBroadcast),
-    /// New sequencer -> primary group: collect GSN state after a sequencer
-    /// failure. Carries the querier's own commit sequence number so each
-    /// reporter can bound the assignment history it sends back.
-    GsnQuery {
-        /// The querier's local commit sequence number.
-        csn: u64,
-    },
-    /// Primary replica -> new sequencer: report of locally known sequencing
-    /// state.
-    GsnReport {
-        /// Highest GSN assignment observed.
-        max_gsn: u64,
-        /// Local commit sequence number.
-        csn: u64,
-        /// Every `(gsn, request)` pair the reporter knows above the
-        /// querier's CSN. A leader re-merged after a partition may have
-        /// missed an interim sequencer's assignments entirely; without the
-        /// request identities it would re-sequence already-committed
-        /// updates under fresh GSNs (duplicate commits).
-        assignments: Vec<(u64, RequestId)>,
-    },
     /// Rejoining replica -> any primary: request a full state transfer.
     StateRequest,
     /// Primary -> rejoining replica: full state transfer.

@@ -116,7 +116,7 @@ pub fn run(seed: u64, out: &Output) {
     println!(
         "expected shape: single crashes keep the failure probability within\n\
          the 0.1 budget (the selected sets tolerate one failure). A\n\
-         reconciliation round opens only when leadership moves, so the\n\
+         sequencer takeover happens only when leadership moves, so the\n\
          sequencer crash logs one recovery (under its successor) and every\n\
          other crash none, and live replicas always converge (divergence\n\
          0 when every replica is alive)."

@@ -27,12 +27,20 @@
 //!   a group, exactly as AQuA's QoS group lets clients address the replication
 //!   groups.
 //!
+//! * **Virtual synchrony** — a received member's message is kept until the
+//!   leader announces it stable (every member has it). A view change that
+//!   removes a member flushes its stream: the survivors report what they
+//!   delivered of it, the leader cuts the stream at the highest report, a
+//!   survivor short of the cut fetches the rest from one that holds it, and
+//!   each host hears of the new view only once it delivered up to the cut.
+//!   What lies past the cut is discarded. So the survivors of a view change
+//!   delivered the same set of each departed member's messages.
+//!
 //! The guarantees are deliberately scoped to what the paper's protocols
-//! consume: FIFO per sender within a group, view notifications, and leader
-//! election under crash faults. On a view change that removes a member, any
-//! non-contiguous buffered messages from the removed sender are discarded
-//! (weak virtual synchrony); total ordering is built *above* this layer by
-//! the sequencer protocol in `aqf-core`, mirroring the paper's design.
+//! consume: FIFO per sender within a group, virtual synchrony, view
+//! notifications, and leader election under crash faults; total ordering
+//! is built *above* this layer by the sequencer protocol in `aqf-core`,
+//! mirroring the paper's design.
 //!
 //! Host actors embed a [`GroupEndpoint`] and forward their `on_message` /
 //! `on_timer` events to it; the endpoint hands back high-level

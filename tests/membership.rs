@@ -114,11 +114,12 @@ fn sequencer_crash_replenishes_primary_group() {
     assert!(view.contains(promotee.id));
 }
 
-/// Two primaries short at once, under 10 % loss: each promotee's join opens
-/// a reconciliation round while the group is still one short, so promotion
-/// deadlines pass under open rounds — the state in which the watchdog's
-/// first version re-armed with zero delay for ever (seed 2 stopped short of
-/// t = 19.25 s). Every run must reach its end with the group refilled.
+/// Two primaries short at once, under 10 % loss: each promotee's join used
+/// to open a reconciliation round while the group was still one short, so
+/// promotion deadlines passed under open rounds — the state in which the
+/// watchdog's first version re-armed with zero delay for ever (seed 2
+/// stopped short of t = 19.25 s). Every run must reach its end with the
+/// group refilled.
 #[test]
 fn double_deficit_under_loss_is_refilled() {
     for seed in 0..8 {

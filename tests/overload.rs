@@ -36,11 +36,11 @@ fn overload_survives_primary_and_sequencer_crashes() {
             );
         }
         // The membership layer made progress despite the shedding: the
-        // crash surfaced and a sequencer stands. A successor reconciled if
+        // crash surfaced and a sequencer stands. A successor took over if
         // the sequencer was the one to crash, and only then.
         let recoveries: u64 = m.servers.iter().map(|s| s.stats.recoveries).sum();
         let takeovers = u64::from(target == FaultTarget::Sequencer);
-        assert_eq!(recoveries, takeovers, "seed {seed}: reconciliation rounds");
+        assert_eq!(recoveries, takeovers, "seed {seed}: takeovers");
         assert!(
             m.servers.iter().any(|s| s.alive && s.is_sequencer),
             "seed {seed}: no live sequencer after the crash"
