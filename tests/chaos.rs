@@ -202,33 +202,39 @@ fn gray_faults_preserve_safety_and_liveness_floors() {
     }
 }
 
+/// The sequential chaos deployment under 5% duplicate delivery, its
+/// sequencer degraded `factor`-fold from 60 s to 120 s.
+fn degraded_sequencer(seed: u64, factor: f64) -> ScenarioConfig {
+    let mut config = chaos_config(seed, OrderingGuarantee::Sequential);
+    config.duplicate_probability = 0.05;
+    config.recovery = RecoveryPolicy::default();
+    config.faults = vec![
+        FaultEvent {
+            at: SimTime::from_secs(60),
+            target: FaultTarget::Sequencer,
+            kind: FaultKind::Degrade { factor },
+        },
+        FaultEvent {
+            at: SimTime::from_secs(120),
+            target: FaultTarget::Sequencer,
+            kind: FaultKind::RestoreGray,
+        },
+    ];
+    config
+}
+
 /// An at-least-once network (5% duplicate delivery) must never
 /// double-apply an update: the reply caches absorb every duplicate and
 /// the commit counters stay exact.
 #[test]
 fn duplicate_delivery_never_double_applies() {
     for seed in [303u64, 404] {
-        let mut config = chaos_config(seed, OrderingGuarantee::Sequential);
-        config.duplicate_probability = 0.05;
-        config.recovery = RecoveryPolicy::default();
         // The group layer drops network copies of a multicast before they
         // reach a reply cache, so the cache is exercised by genuine update
         // retransmissions. A sequencer degraded 1000x for a minute (links at
         // 0.2-0.8 s a hop, service times stretched alike) holds acks past
         // `UPDATE_RETRY_AFTER`, and the clients retransmit.
-        config.faults = vec![
-            FaultEvent {
-                at: SimTime::from_secs(60),
-                target: FaultTarget::Sequencer,
-                kind: FaultKind::Degrade { factor: 1000.0 },
-            },
-            FaultEvent {
-                at: SimTime::from_secs(120),
-                target: FaultTarget::Sequencer,
-                kind: FaultKind::RestoreGray,
-            },
-        ];
-        let metrics = run_scenario(&config);
+        let metrics = run_scenario(&degraded_sequencer(seed, 1000.0));
         for c in &metrics.clients {
             assert_eq!(c.record.completed, 250, "seed {seed}");
             assert_eq!(c.record.staleness_violations, 0, "seed {seed}");
@@ -256,6 +262,25 @@ fn duplicate_delivery_never_double_applies() {
             "seed {seed}: retransmitted updates must exercise the reply caches"
         );
     }
+}
+
+/// ROADMAP defect (6): degraded 1500-fold instead, the original sequencer
+/// of seed 404 ends the run at CSN 193 of 250 while it still sequences,
+/// every other replica at 250. The service it started 0.5 s into the
+/// degrade was drawn stretched, 240 s long; it ends at 301 s, 181 s after
+/// `RestoreGray`, with ~190 committed updates queued behind it, and the run
+/// stops at 315 s, one drain after the clients finish (ROADMAP item 3).
+#[test]
+#[ignore = "defect (6): a service stretched by a gray fault outlives RestoreGray"]
+fn gray_degraded_sequencer_ends_the_run_converged() {
+    let config = degraded_sequencer(404, 1500.0);
+    let metrics = run_scenario(&config);
+    let writes: u64 = metrics.clients.iter().map(|c| c.updates).sum();
+    let behind: Vec<_> = (metrics.servers.iter())
+        .filter(|s| s.applied_csn != writes)
+        .map(|s| (s.id, s.applied_csn))
+        .collect();
+    assert!(behind.is_empty(), "{writes} writes; behind: {behind:?}");
 }
 
 /// One gray-degraded primary (5× latency, heartbeats intact) plus 2% message
