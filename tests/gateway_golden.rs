@@ -224,7 +224,7 @@ const OVERLOAD_DIGESTS: [u64; 3] = [
     0x64e2_5085_8712_d819,
     0x55e4_377b_8142_74b4,
 ];
-const SEQUENCER_RESTART_DIGEST: u64 = 0x643e_b9f7_2a2b_b196;
+const SEQUENCER_RESTART_DIGEST: u64 = 0x132f_dda6_79be_a4eb;
 const REPLENISH_DIGEST: u64 = 0x23c1_16d3_f100_e216;
 const DURABLE_SECONDARY_DIGESTS: [u64; 3] = [
     0x45c5_154b_caf5_fd8b,
