@@ -46,8 +46,9 @@ impl<A> Accepted<A> {
 /// tip is the only retry clock. A higher sender incarnation resets the
 /// channel (the sender restarted).
 ///
-/// Delivered messages the caller keeps stay until they are stable, for a
-/// peer that missed them. A view change that removes the sender freezes
+/// Delivered messages the caller keeps stay, the newest
+/// [`SENT_BUFFER_CAPACITY`] of them, for a peer that misses them when the
+/// sender leaves the view. A view change that removes the sender freezes
 /// the channel: it delivers up to the view's cut and no further.
 #[derive(Debug, Clone, Default)]
 pub struct ReceiveChannel<A> {
@@ -235,14 +236,9 @@ impl<A> ReceiveChannel<A> {
         self.abandon_gaps();
     }
 
-    /// Drops the kept messages of life `inc` below `stable`.
-    pub fn trim(&mut self, inc: u64, stable: u64) {
-        if inc == self.incarnation {
-            let n = stable
-                .saturating_sub(self.kept_from())
-                .min(self.kept.len() as u64);
-            self.kept.drain(..n as usize);
-        }
+    /// Drops every kept message: the sender's departure is flushed.
+    pub fn drop_kept(&mut self) {
+        self.kept.clear();
     }
 
     /// The oldest sequence number kept (`expected` if none is).
@@ -527,15 +523,22 @@ mod tests {
     }
 
     #[test]
-    fn kept_until_stable_and_frozen_at_the_cut() {
+    fn kept_up_to_the_cap_frozen_at_the_cut_and_dropped_when_it_departs() {
+        let mut ch = ReceiveChannel::new();
+        let extra = 2;
+        for seq in 0..(SENT_BUFFER_CAPACITY + extra) as u64 {
+            let _ = ch.accept_with(0, seq, seq, true, |_| {});
+        }
+        // The oldest beyond the cap went; a peer asking for them skips them.
+        assert_eq!(ch.kept_from(), extra as u64);
+        assert_eq!(ch.kept(0, 0, 3).copied().collect::<Vec<_>>(), [2, 3]);
+        // Nothing from another life.
+        assert_eq!(ch.kept(1, 0, 3).count(), 0);
         let mut ch = ReceiveChannel::new();
         for seq in 0..4u64 {
             let _ = ch.accept_with(0, seq, seq, true, |_| {});
         }
         assert_eq!(ch.kept(0, 1, 2).copied().collect::<Vec<_>>(), [1, 2]);
-        ch.trim(0, 2);
-        assert_eq!(ch.kept_from(), 2);
-        assert_eq!(ch.kept(0, 0, 9).copied().collect::<Vec<_>>(), [2, 3]);
         // A view change freezes the stream: nothing more is delivered.
         ch.freeze();
         let mut got = Vec::new();
@@ -551,7 +554,14 @@ mod tests {
             (ch.frozen(), ch.holdback_len(), ch.expected()),
             (false, 0, 5)
         );
-        assert_eq!(ch.kept_from(), 2);
+        // Up to the cut, everything is kept for a peer short of it.
+        assert_eq!(
+            ch.kept(0, 0, 9).copied().collect::<Vec<_>>(),
+            [0, 1, 2, 3, 4]
+        );
+        // Once the departure is flushed, nobody asks any more.
+        ch.drop_kept();
+        assert_eq!((ch.kept_from(), ch.kept(0, 0, 9).count()), (5, 0));
     }
 
     proptest! {

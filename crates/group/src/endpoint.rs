@@ -20,14 +20,13 @@
 //! schedule: re-sent 1, 2, 4, … ticks after they last changed, then once
 //! per `failure_timeout`.
 //!
-//! Virtual synchrony rides the same messages: each heartbeat carries the
-//! member's receive tips, and the leader's announce the stable prefix of
-//! each member's stream. A view change that removes a member adds a flush
-//! (DESIGN.md §4.4): each survivor freezes the departed member's stream
-//! and reports its tip at once, the leader announces the cut when every
-//! survivor has, and a survivor short of it fetches the rest from the
-//! survivor the cut names. The leader's host hears of the view last, so
-//! what it sends in the view finds every survivor in it.
+//! Virtual synchrony rides the same messages (DESIGN.md §4.4): a view
+//! change flushes every member it removes. Each survivor freezes the
+//! departed member's stream and reports its tip at once, on a heartbeat,
+//! the leader announces the cut when every survivor has, and a survivor
+//! short of it fetches the rest from the survivor the cut names. The
+//! leader's host hears of the view last, so what it sends in the view
+//! finds every survivor in it. Outside a flush a heartbeat carries no tip.
 
 use crate::channel::ReceiveChannel;
 use crate::msg::{Cut, DataMsg, Envelope, GroupMsg, SharedPayload, StreamTip};
@@ -46,9 +45,9 @@ pub const GROUP_TIMER_KIND_BASE: u32 = 0xFFFF_0000;
 const TICK_TIMER: u32 = GROUP_TIMER_KIND_BASE;
 
 /// At most how many multicast messages a sender retains per group for
-/// nack-driven retransmission. A member's messages leave the buffer once
-/// stable, well before it fills; a receiver that falls further behind (a
-/// member never excluded, an observer) skips the gap ([`GroupMsg::GapSkip`]).
+/// nack-driven retransmission, and a receiver keeps of each member's stream
+/// for a survivor short of a view change's cut. A receiver that falls
+/// further behind skips the gap ([`GroupMsg::GapSkip`]).
 pub const SENT_BUFFER_CAPACITY: usize = 4096;
 
 const _: () = assert!(SENT_BUFFER_CAPACITY > 0);
@@ -213,7 +212,8 @@ struct MemberState<A> {
     /// current view id, i.e. last declared this node the head of its rank
     /// chain: the positive evidence a leader needs to install a view.
     followers: Clocks,
-    /// Each member's latest heartbeat: its receive tips.
+    /// As leader, while a flush is open, each survivor's latest heartbeat
+    /// from the current view: its frozen tips.
     reports: BTreeMap<ActorId, Envelope<A>>,
     /// As leader, the flush of the view change this node made, until every
     /// survivor reached every cut.
@@ -222,16 +222,6 @@ struct MemberState<A> {
     held: bool,
     /// The last view this node reported its frozen tips from at once.
     reported: ViewId,
-    /// When this node's heartbeat next carries fresh receive tips (as
-    /// leader, when it next works out the stable prefixes); the ticks
-    /// between re-send the last ones.
-    tips_refresh: Refresh,
-    /// `GroupStats::delivered` when the heartbeat's tips were last taken:
-    /// nothing delivered since, nothing to report afresh.
-    tips_at: u64,
-    /// The stable prefixes this node last announced, or applied from its
-    /// leader's announce.
-    stable: Vec<StreamTip>,
     /// The control envelope this node's last tick sealed: its `Heartbeat`,
     /// or as the leader its `ViewAnnounce`. A tick whose message would not
     /// differ re-sends this one, a refcount bump (§4.7).
@@ -279,9 +269,6 @@ impl<A> MemberState<A> {
             flush: None,
             held: false,
             reported: ViewId(0),
-            tips_refresh: Refresh::FRESH,
-            stable: Vec::new(),
-            tips_at: 0,
             last_tick: None,
             awaiting_followers: false,
             observers,
@@ -371,19 +358,17 @@ impl<A> MemberState<A> {
     }
 
     /// This node's heartbeat into `group` under the current view id, with
-    /// its receive tips: the one its last tick sealed, when that says the
-    /// same.
+    /// the tips of the streams it froze: the one its last tick sealed, when
+    /// that says the same.
     fn heartbeat<P>(
         &mut self,
         group: GroupId,
         channels: &BTreeMap<(GroupId, ActorId), ReceiveChannel<P>>,
     ) -> Envelope<A> {
-        let (view_id, view) = (self.view.id, &self.view);
-        let tips = move |frozen: bool| {
+        let view_id = self.view.id;
+        let flushing = || {
             group_channels(channels, group)
-                .filter(move |(&(_, sender), c)| {
-                    c.frozen() == frozen && (frozen || view.contains(sender))
-                })
+                .filter(|(_, c)| c.frozen())
                 .map(|(&(_, sender), c)| StreamTip {
                     sender,
                     incarnation: c.incarnation(),
@@ -393,24 +378,19 @@ impl<A> MemberState<A> {
         if let Some(env) = &self.last_tick {
             if let GroupMsg::Heartbeat {
                 view_id: v,
-                tips: t,
                 flushing: f,
                 ..
             } = &**env
             {
-                if *v == view_id
-                    && t.iter().copied().eq(tips(false))
-                    && f.iter().copied().eq(tips(true))
-                {
+                if *v == view_id && f.iter().copied().eq(flushing()) {
                     return Rc::clone(env);
                 }
             }
         }
-        let (tips, flushing) = (tips(false).collect(), tips(true).collect());
+        let flushing = flushing().collect();
         let env = GroupMsg::Heartbeat {
             group,
             view_id,
-            tips,
             flushing,
         };
         Rc::clone(self.last_tick.insert(env.seal()))
@@ -419,23 +399,13 @@ impl<A> MemberState<A> {
     /// The announce of the view this node leads, naming its flush's cuts.
     fn announce(&self) -> Envelope<A> {
         let flush = self.flush.as_ref().map_or(Vec::new(), |f| f.cuts.clone());
-        announce_with(&self.view, Vec::new(), Vec::new(), flush)
+        announce_with(&self.view, Vec::new(), flush)
     }
 
-    /// `member`'s latest receive tips, if reported from `view_id` (any view
-    /// for `None`).
-    fn report(
-        &self,
-        member: ActorId,
-        view_id: Option<ViewId>,
-    ) -> Option<(&[StreamTip], &[StreamTip])> {
+    /// The frozen tips `member` last reported during this node's flush.
+    fn report(&self, member: ActorId) -> Option<&[StreamTip]> {
         match self.reports.get(&member).map(|r| &**r) {
-            Some(GroupMsg::Heartbeat {
-                view_id: v,
-                tips,
-                flushing,
-                ..
-            }) if view_id.is_none_or(|id| id == *v) => Some((tips, flushing)),
+            Some(GroupMsg::Heartbeat { flushing, .. }) => Some(flushing),
             _ => None,
         }
     }
@@ -454,75 +424,33 @@ struct Flush {
 fn group_channels<P>(
     channels: &BTreeMap<(GroupId, ActorId), ReceiveChannel<P>>,
     group: GroupId,
-) -> impl Iterator<Item = (&(GroupId, ActorId), &ReceiveChannel<P>)> {
+) -> impl Iterator<Item = (&(GroupId, ActorId), &ReceiveChannel<P>)> + Clone {
     channels
         .range((group, ActorId::from_index(0))..)
         .take_while(move |((g, _), _)| *g == group)
 }
 
-/// The stable prefix of each member's stream the leader `me` of `state`'s
-/// view receives (`own` for its own): the lowest receive tip any other
-/// member reported, its own included.
-fn stable_prefixes<A, P>(
-    group: GroupId,
-    me: ActorId,
-    own: Option<StreamTip>,
-    channels: &BTreeMap<(GroupId, ActorId), ReceiveChannel<P>>,
-    state: &MemberState<A>,
-) -> Vec<StreamTip> {
-    let members = state.view.members();
-    let received = group_channels(channels, group)
-        .filter(|(&(_, sender), c)| !c.frozen() && state.view.contains(sender))
-        .map(|(&(_, sender), c)| StreamTip {
-            sender,
-            incarnation: c.incarnation(),
-            next_seq: c.expected(),
-        });
-    own.into_iter()
-        .chain(received)
-        .map(|tip| {
-            let reported = members.iter().filter(|&&m| m != me && m != tip.sender);
-            let next_seq = reported.fold(tip.next_seq, |stable, &m| {
-                let tips = state.report(m, None).map_or(&[][..], |r| r.0);
-                let t = tips.iter().find(|t| t.sender == tip.sender);
-                stable.min(
-                    t.filter(|t| t.incarnation == tip.incarnation)
-                        .map_or(0, |t| t.next_seq),
-                )
-            });
-            StreamTip { next_seq, ..tip }
-        })
-        .collect()
-}
-
-/// The leader's per-tick announce of `view`, relaying `tips`, `stable` and
-/// `flush`: the envelope of the `last_tick` again when it announced the
-/// same.
+/// The leader's per-tick announce of `view`, relaying `tips` and `flush`:
+/// the envelope of the `last_tick` again when it announced the same.
 fn tick_announce<A>(
     last_tick: &mut Option<Envelope<A>>,
     view: &Rc<View>,
     tips: impl Iterator<Item = StreamTip> + Clone,
-    stable: &[StreamTip],
     flush: &[Cut],
 ) -> Envelope<A> {
     if let Some(env) = last_tick {
         if let GroupMsg::ViewAnnounce {
             view: sent,
             tips: relayed,
-            stable: s,
             flush: f,
         } = &**env
         {
-            if Rc::ptr_eq(sent, view)
-                && relayed.iter().copied().eq(tips.clone())
-                && s == stable
-                && f == flush
-            {
+            if Rc::ptr_eq(sent, view) && relayed.iter().copied().eq(tips.clone()) && f == flush {
                 return Rc::clone(env);
             }
         }
     }
-    let env = announce_with(view, tips.collect(), stable.to_vec(), flush.to_vec());
+    let env = announce_with(view, tips.collect(), flush.to_vec());
     Rc::clone(last_tick.insert(env))
 }
 
@@ -630,9 +558,7 @@ fn relayed_tips<'a, P>(
     view: &'a View,
     observers: &'a [ActorId],
 ) -> impl Iterator<Item = StreamTip> + Clone + 'a {
-    let received = channels
-        .range((group, ActorId::from_index(0))..)
-        .take_while(move |((g, _), _)| *g == group)
+    let received = group_channels(channels, group)
         .filter(move |((_, sender), _)| view.contains(*sender) || observers.contains(sender))
         .map(|(&(_, sender), channel)| StreamTip {
             sender,
@@ -655,23 +581,12 @@ fn advertise_to_new_leader<A>(sends: &mut BTreeMap<GroupId, SendState<A>>, old: 
 /// An announce of `view` that relays nothing, as a node that does not
 /// lead it sends it.
 fn announce<A>(view: &Rc<View>) -> Envelope<A> {
-    announce_with(view, Vec::new(), Vec::new(), Vec::new())
+    announce_with(view, Vec::new(), Vec::new())
 }
 
-fn announce_with<A>(
-    view: &Rc<View>,
-    tips: Vec<StreamTip>,
-    stable: Vec<StreamTip>,
-    flush: Vec<Cut>,
-) -> Envelope<A> {
+fn announce_with<A>(view: &Rc<View>, tips: Vec<StreamTip>, flush: Vec<Cut>) -> Envelope<A> {
     let view = Rc::clone(view);
-    GroupMsg::ViewAnnounce {
-        view,
-        tips,
-        stable,
-        flush,
-    }
-    .seal()
+    GroupMsg::ViewAnnounce { view, tips, flush }.seal()
 }
 
 impl<A: Clone> GroupEndpoint<A> {
@@ -896,12 +811,7 @@ impl<A: Clone> GroupEndpoint<A> {
                 let (group, view_id) = (*group, *view_id);
                 self.handle_heartbeat(from, group, view_id, &msg, ctx)
             }
-            GroupMsg::ViewAnnounce {
-                view,
-                tips,
-                stable,
-                flush,
-            } => {
+            GroupMsg::ViewAnnounce { view, tips, flush } => {
                 // Only the view's leader speaks for its flush.
                 let authority = (from == view.leader()).then_some(&flush[..]);
                 let view = Rc::clone(view);
@@ -915,22 +825,17 @@ impl<A: Clone> GroupEndpoint<A> {
                     // Observers ignore the relayed tips.
                     return events;
                 };
-                let (pending, applied) = (state.held, state.stable == *stable);
+                let pending = state.held;
                 if state.in_view && state.view.id == stale_id {
                     if state.reported < stale_id && (pending || !flush.is_empty()) {
                         // A survivor reports at once: the cuts wait for
                         // every survivor's report from the new view.
                         self.report(group, ctx);
                     }
-                    if let Some(flush) = authority {
-                        if !applied {
-                            self.trim_stable(group, stable);
-                            let state = self.groups.get_mut(&group).expect("group exists");
-                            state.stable.clone_from(stable);
-                        }
-                        if !flush.is_empty() || pending {
-                            self.apply_flush(group, flush, ctx, &mut events);
-                        }
+                    // Only a node the view still holds has a flush to
+                    // follow.
+                    if let Some(flush) = authority.filter(|_| pending) {
+                        self.apply_flush(group, flush, ctx, &mut events);
                     }
                 }
                 let state = &self.groups[&group];
@@ -1011,7 +916,7 @@ impl<A: Clone> GroupEndpoint<A> {
     }
 
     /// A heartbeat declares this node the head of the sender's rank chain,
-    /// and reports the sender's receive tips.
+    /// and, during a flush, reports the streams the sender froze.
     fn handle_heartbeat(
         &mut self,
         from: ActorId,
@@ -1039,12 +944,9 @@ impl<A: Clone> GroupEndpoint<A> {
                 return events;
             }
             // (A member behind our view id gets the next per-tick announce.)
-            // A report that names no stream only matters to a flush.
-            let names = matches!(&**env, GroupMsg::Heartbeat { tips, flushing, .. }
-                if !tips.is_empty() || !flushing.is_empty());
-            if (names || state.flush.is_some())
-                && !state.reports.get(&from).is_some_and(|r| Rc::ptr_eq(r, env))
-            {
+            // Only a flush reads reports, and only from its view: a heartbeat
+            // sent before the survivor heard of the view says nothing of it.
+            if state.flush.is_some() && view_id == state.view.id {
                 state.reports.insert(from, Rc::clone(env));
             }
         } else if !state.view.contains(from) || view_id < state.view.id {
@@ -1146,8 +1048,8 @@ impl<A: Clone> GroupEndpoint<A> {
             }
             ch
         });
-        // A member's messages are kept until stable, for a peer that misses
-        // them when the member leaves the view.
+        // A member's messages are kept, up to the buffer's bound, for a
+        // peer that misses them when the member leaves the view.
         let keep =
             channel.frozen() || (self.groups.get(&group)).is_some_and(|s| s.view.contains(from));
         // The envelope itself is parked in the holdback queue: an
@@ -1243,9 +1145,8 @@ impl<A: Clone> GroupEndpoint<A> {
             }
         }
         self.stats.retransmissions += resent;
-        // Part of the request fell out of the bounded buffer (or was stable
-        // and left it): tell the receiver to fast-forward instead of
-        // waiting forever.
+        // Part of the request fell out of the bounded buffer: tell the
+        // receiver to fast-forward instead of waiting forever.
         let oldest = send.buffer.front().map_or(send.next_seq, |&(seq, _)| seq);
         if from_seq < oldest {
             ctx.send(
@@ -1291,9 +1192,7 @@ impl<A: Clone> GroupEndpoint<A> {
             let survives = state.in_view && view.contains(self.me);
             let streams: Vec<ActorId> = match flush {
                 Some(cuts) => cuts.iter().map(|c| c.sender).collect(),
-                None => (state.view.departed(&view).into_iter())
-                    .filter(|d| self.channels.contains_key(&(group, *d)))
-                    .collect(),
+                None => state.view.departed(&view),
             };
             state.join_requests.retain(|j| !view.contains(*j));
             state.in_view = view.contains(self.me);
@@ -1329,8 +1228,9 @@ impl<A: Clone> GroupEndpoint<A> {
     /// `group`'s view was just replaced. A survivor of the change freezes
     /// the departed members' `streams`; any other node thaws what it froze.
     /// What is kept of a stream from outside the view and not frozen — an
-    /// earlier change's flush, over by now — is dropped. The host hears of
-    /// the view once no stream is frozen.
+    /// earlier change's flush, over by now — is dropped, and so is every
+    /// report of the earlier flush. The host hears of the view once no
+    /// stream is frozen.
     fn installed(
         &mut self,
         group: GroupId,
@@ -1339,7 +1239,7 @@ impl<A: Clone> GroupEndpoint<A> {
     ) {
         let state = self.groups.get_mut(&group).expect("group exists");
         state.held = true;
-        state.reports.retain(|m, _| state.view.contains(*m));
+        state.reports.clear();
         let survives = streams.is_some();
         let streams = streams.unwrap_or_default();
         let channels = self.channels.range_mut((group, ActorId::from_index(0))..);
@@ -1352,7 +1252,7 @@ impl<A: Clone> GroupEndpoint<A> {
                 channel.thaw();
             }
             if !channel.frozen() && !state.view.contains(sender) {
-                channel.trim(channel.incarnation(), u64::MAX);
+                channel.drop_kept();
             }
         }
         for sender in streams {
@@ -1371,21 +1271,6 @@ impl<A: Clone> GroupEndpoint<A> {
             state.held = false;
             let (view, is_member) = (Rc::clone(&state.view), state.in_view);
             events.push(GroupEvent::ViewChanged { view, is_member });
-        }
-    }
-
-    /// Drops the kept messages of each member's stream below its stable
-    /// prefix, this node's own from its send buffer.
-    fn trim_stable(&mut self, group: GroupId, stable: &[StreamTip]) {
-        for tip in stable {
-            if let Some(channel) = self.channels.get_mut(&(group, tip.sender)) {
-                channel.trim(tip.incarnation, tip.next_seq);
-            } else if let Some(send) = self.sends.get_mut(&group) {
-                if tip.sender == self.me && tip.incarnation == self.incarnation {
-                    let stable = send.buffer.partition_point(|(seq, _)| *seq < tip.next_seq);
-                    send.buffer.drain(..stable);
-                }
-            }
         }
     }
 
@@ -1480,7 +1365,7 @@ impl<A: Clone> GroupEndpoint<A> {
     }
 
     /// The leader's flush, once every survivor reported from the new view:
-    /// each departed stream's cut is the highest receive tip among them and
+    /// each departed stream's cut is the highest frozen tip among them and
     /// this node, held by whoever reported it. The survivors hear of the
     /// cuts at once.
     fn settle_cuts(
@@ -1497,7 +1382,7 @@ impl<A: Clone> GroupEndpoint<A> {
             return;
         };
         let reports: Option<Vec<_>> = (flush.survivors.iter())
-            .map(|&s| state.report(s, Some(state.view.id)).map(|r| (s, r.1)))
+            .map(|&s| state.report(s).map(|r| (s, r)))
             .collect();
         let Some(reports) = reports.filter(|_| flush.cuts.iter().any(|c| c.at.is_none())) else {
             return;
@@ -1542,8 +1427,7 @@ impl<A: Clone> GroupEndpoint<A> {
         };
         let settled = flush.cuts.iter().all(|c| c.at.is_some())
             && !group_channels(&self.channels, group).any(|(_, c)| c.frozen());
-        let view_id = Some(state.view.id);
-        let done = |&s: &ActorId| state.report(s, view_id).is_some_and(|r| r.1.is_empty());
+        let done = |&s: &ActorId| state.report(s).is_some_and(<[_]>::is_empty);
         if settled && flush.survivors.iter().all(done) {
             state.flush = None;
             self.apply_flush(group, &[], ctx, events);
@@ -1759,26 +1643,15 @@ impl<A: Clone> GroupEndpoint<A> {
             }
         }
         let old_view = std::mem::replace(&mut state.view, Rc::clone(&new_view));
-        // The flush cuts every stream still frozen here and each departed
-        // member's stream that anyone heard, once every survivor reported
-        // from the new view.
+        // The flush cuts every stream still frozen here, every cut of an
+        // unfinished flush and every departed member's stream, once every
+        // survivor reported from the new view.
         let frozen = group_channels(&self.channels, group).filter(|(_, c)| c.frozen());
         let mut streams: Vec<ActorId> = frozen.map(|(&(_, s), _)| s).collect();
-        for cut in state.flush.iter().flat_map(|f| &f.cuts) {
-            if !streams.contains(&cut.sender) {
-                streams.push(cut.sender);
-            }
-        }
-        for d in old_view.departed(&new_view) {
-            let reported = |m| {
-                state
-                    .report(m, None)
-                    .is_some_and(|r| r.0.iter().any(|t| t.sender == d))
-            };
-            let heard = self.channels.contains_key(&(group, d))
-                || state.reports.keys().any(|&m| reported(m));
-            if heard && !streams.contains(&d) {
-                streams.push(d);
+        let carried = state.flush.iter().flat_map(|f| &f.cuts).map(|c| c.sender);
+        for sender in carried.chain(old_view.departed(&new_view)) {
+            if !streams.contains(&sender) {
+                streams.push(sender);
             }
         }
         let cuts: Vec<Cut> = (streams.iter())
@@ -1885,23 +1758,17 @@ impl<A: Clone> GroupEndpoint<A> {
             match state.chain_head(&self.config, &mut self.stats, me, now) {
                 Some(head) => {
                     state.observer_refresh = Refresh::FRESH;
-                    let delivered = self.stats.delivered;
-                    // Stability can wait a few ticks for fresh tips; a flush
-                    // cannot.
-                    let fresh =
-                        (state.tips_refresh.tick(cap) && state.tips_at != delivered) || state.held;
+                    // A heartbeat changes only while a flush holds the host:
+                    // nothing is frozen otherwise.
                     let beat = match &state.last_tick {
                         Some(env)
-                            if !fresh
-                                && matches!(&**env, GroupMsg::Heartbeat { view_id, .. }
-                                    if *view_id == state.view.id) =>
+                            if !state.held
+                                && matches!(&**env, GroupMsg::Heartbeat { view_id, flushing, .. }
+                                    if *view_id == state.view.id && flushing.is_empty()) =>
                         {
                             Rc::clone(env)
                         }
-                        _ => {
-                            state.tips_at = delivered;
-                            state.heartbeat(group, &self.channels)
-                        }
+                        _ => state.heartbeat(group, &self.channels),
                     };
                     ctx.send(head, beat);
                 }
@@ -1923,17 +1790,11 @@ impl<A: Clone> GroupEndpoint<A> {
                         incarnation: self.incarnation,
                         next_seq: send.next_seq,
                     });
-                    if state.tips_refresh.tick(cap) {
-                        let stable = stable_prefixes(group, me, own, &self.channels, state);
-                        self.trim_stable(group, &stable);
-                        self.groups.get_mut(&group).expect("group exists").stable = stable;
-                    }
-                    let state = self.groups.get_mut(&group).expect("group exists");
                     let tips =
                         relayed_tips(group, own, &self.channels, &state.view, &state.observers);
                     let flush = state.flush.as_ref().map_or(&[][..], |f| &f.cuts);
                     let (last_tick, view) = (&mut state.last_tick, &state.view);
-                    let announce = tick_announce(last_tick, view, tips, &state.stable, flush);
+                    let announce = tick_announce(last_tick, view, tips, flush);
                     let observers: &[ActorId] = if state.observer_refresh.tick(cap) {
                         &state.observers
                     } else {
@@ -2033,7 +1894,8 @@ mod tests {
     fn stale_view_announce_ignored() {
         let mut ep = endpoint(0, &[0, 1, 2]);
         let newer = View::new(GroupId(1), crate::view::ViewId(2), vec![a(0), a(1)]);
-        let events = ep.handle_view(Rc::new(newer.clone()), None, SimTime::ZERO);
+        // Announced by its leader, with nothing to flush.
+        let events = ep.handle_view(Rc::new(newer.clone()), Some(&[]), SimTime::ZERO);
         assert_eq!(events.len(), 1);
         assert_eq!(ep.view(GroupId(1)).unwrap().id, crate::view::ViewId(2));
         // Replaying an older view does nothing.

@@ -27,14 +27,15 @@
 //!   a group, exactly as AQuA's QoS group lets clients address the replication
 //!   groups.
 //!
-//! * **Virtual synchrony** — a received member's message is kept until the
-//!   leader announces it stable (every member has it). A view change that
-//!   removes a member flushes its stream: the survivors report what they
-//!   delivered of it, the leader cuts the stream at the highest report, a
-//!   survivor short of the cut fetches the rest from one that holds it, and
-//!   each host hears of the new view only once it delivered up to the cut.
-//!   What lies past the cut is discarded. So the survivors of a view change
-//!   delivered the same set of each departed member's messages.
+//! * **Virtual synchrony** — a view change flushes the stream of every
+//!   member it removes: the survivors report what they delivered of it, the
+//!   leader cuts the stream at the highest report (at 0 if nobody holds
+//!   it), a survivor short of the cut fetches the rest from one that holds
+//!   it, and each host hears of the new view only once it delivered up to
+//!   the cut. What lies past the cut is discarded. So the survivors of a
+//!   view change delivered the same set of each departed member's messages.
+//!   Every receiver keeps a member's latest messages for that fetch, as
+//!   many as a sender buffers for retransmission.
 //!
 //! The guarantees are deliberately scoped to what the paper's protocols
 //! consume: FIFO per sender within a group, virtual synchrony, view

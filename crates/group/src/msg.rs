@@ -63,18 +63,17 @@ pub enum GroupMsg<A> {
         to_seq: u64,
     },
     /// Liveness beacon, also carrying the sender's current view id so peers
-    /// can detect that they lag behind, and its receive tips, from which the
-    /// leader judges stability and sets a view change's cuts.
+    /// can detect that they lag behind, and, while a view change's flush
+    /// holds the sender, its report to the leader: the streams it froze.
     Heartbeat {
         /// The group this heartbeat concerns.
         group: GroupId,
         /// The sender's installed view id.
         view_id: ViewId,
-        /// For every stream of a member of the sender's view, one past the
-        /// last message it delivered: its contiguous receive tip.
-        tips: Vec<StreamTip>,
-        /// The same for every departed member's stream the sender froze at
-        /// a view change and that is still short of its cut.
+        /// For every departed member's stream the sender froze at a view
+        /// change and that is still short of its cut, one past the last
+        /// message it delivered: its contiguous receive tip. Empty outside
+        /// a flush.
         flushing: Vec<StreamTip>,
     },
     /// Announcement (by the leader) of its view: to members, old and new,
@@ -93,10 +92,6 @@ pub enum GroupMsg<A> {
         /// [`GroupMsg::StreamStatus`] from that sender and observers
         /// ignore. Empty on every other announce.
         tips: Vec<StreamTip>,
-        /// On the per-tick announce, the stable prefix of every member's
-        /// stream: everything below `next_seq` has been delivered by every
-        /// member of the view, so nobody keeps it for retransmission.
-        stable: Vec<StreamTip>,
         /// While a view change is flushing, the cut of each stream of a
         /// member it removed: on every announce of the view by its leader.
         flush: Vec<Cut>,
@@ -117,10 +112,9 @@ pub enum GroupMsg<A> {
     },
     /// Reply to a nack that can no longer be served: the requested range
     /// fell out of the sender's bounded retransmission buffer, or out of
-    /// what a survivor kept of a departed sender's stream since it first
-    /// heard it. The receiver fast-forwards its channel to `resume_at`; the
-    /// skipped prefix is recovered at the application layer (snapshots /
-    /// state transfer).
+    /// what a survivor kept of a departed sender's stream. The receiver
+    /// fast-forwards its channel to `resume_at`; the skipped prefix is
+    /// recovered at the application layer (snapshots / state transfer).
     GapSkip {
         /// The group whose stream has the unfillable gap.
         group: GroupId,
@@ -209,8 +203,8 @@ pub struct Cut {
     /// Its incarnation the cut applies to.
     pub incarnation: u64,
     /// The highest contiguous receive tip any survivor reported from the
-    /// new view, and a survivor holding everything below it; `None` until
-    /// every survivor has reported.
+    /// new view (0 if none holds the stream), and a survivor holding
+    /// everything below it; `None` until every survivor has reported.
     pub at: Option<(u64, ActorId)>,
 }
 
@@ -287,7 +281,6 @@ mod tests {
             GroupMsg::<u8>::Heartbeat {
                 group: g,
                 view_id: ViewId(0),
-                tips: Vec::new(),
                 flushing: Vec::new(),
             }
             .group(),
@@ -298,7 +291,6 @@ mod tests {
         let announce = GroupMsg::<u8>::ViewAnnounce {
             view: Rc::new(v),
             tips: Vec::new(),
-            stable: Vec::new(),
             flush: Vec::new(),
         };
         assert_eq!(announce.group(), Some(g));
