@@ -189,4 +189,4 @@ fn captured_history_is_pinned() {
     assert_eq!(d.value(), HISTORY_HASH, "captured history moved");
 }
 
-const HISTORY_HASH: u64 = 0x4659_5552_c586_0962;
+const HISTORY_HASH: u64 = 0xbb75_154c_5f16_4385;

@@ -432,9 +432,9 @@ fn leader_restart_digests_unchanged() {
 /// and causal's were re-recorded when a restarted leader stopped asking
 /// itself for its state, all six when it started rejoining as the most
 /// junior member, sequential's when the takeover became the view change's
-/// flush.
+/// flush, and FIFO's and causal's when every departure was flushed.
 const LEADER_RESTART_DIGESTS: [[u64; 2]; 3] = [
     [0xd305_a6e5_86f0_bb42, 0xded6_6586_0674_dc13],
-    [0xb880_d1a6_cdf7_cdfc, 0x2e31_348e_e240_6434],
-    [0xdb2d_b894_faac_e85c, 0x90c9_b56e_dafa_9655],
+    [0x1719_09d3_7bee_5a2e, 0x582b_7866_76ee_0e6e],
+    [0xc79e_2b02_47a1_dfec, 0xf679_918e_8846_a321],
 ];

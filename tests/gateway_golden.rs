@@ -225,21 +225,21 @@ const OVERLOAD_DIGESTS: [u64; 3] = [
     0x55e4_377b_8142_74b4,
 ];
 const SEQUENCER_RESTART_DIGEST: u64 = 0x132f_dda6_79be_a4eb;
-const REPLENISH_DIGEST: u64 = 0x23c1_16d3_f100_e216;
+const REPLENISH_DIGEST: u64 = 0x535c_bde8_17da_049c;
 const DURABLE_SECONDARY_DIGESTS: [u64; 3] = [
-    0x45c5_154b_caf5_fd8b,
-    0xc13d_e19c_b8ad_02f9,
-    0x36dd_0ca0_7f24_a067,
+    0xcae1_030e_2693_57c7,
+    0x71ab_65d4_0002_9471,
+    0x75b7_267f_2c7b_e142,
 ];
 const TRACED_DIGESTS: [u64; 3] = [
-    0xa42b_ea1b_0ae7_d599,
-    0x06ef_febd_fb9f_600b,
-    0xc80b_dfaf_34b3_bfe0,
+    0xe9df_fc4f_c280_e61f,
+    0xe44e_a7b4_8a29_ff85,
+    0x0c88_868e_88f9_5321,
 ];
 const TRACE_HASHES: [u64; 3] = [
-    0x4f83_3231_533d_51af,
-    0x5d98_0908_b7be_1096,
-    0x87e6_f1e9_ae74_c136,
+    0x33b0_a668_9e9d_45e0,
+    0x7761_3710_d7f5_2be0,
+    0x3fbd_67a6_7c6b_485f,
 ];
 
 /// Re-baselining tool: prints the values the constants above pin.
