@@ -10,6 +10,14 @@
 //! quartiles and wins where published), or only their ratio where that is
 //! all that was published; an unpublished value is `null`. The bounds live
 //! in `BENCHMARK.json` alone. A change that runs pairs appends one line.
+//!
+//! A second kind of line, marked by its `tier1` key (the command timed),
+//! records the tier-1 suite's wall time at the change and its parent: the
+//! median of `runs` runs of the whole command, and per test binary the
+//! median of the `finished in` its `test result` line prints, named as
+//! cargo names the binary (`group_sim`, `aqf_core (lib)`,
+//! `aqf_core (doc)`). A binary one side lacks is `null` there. A change
+//! that times the suite appends one such line.
 
 use aqf_obs::json::{parse_json, write_object, Fields, Json, ObjWriter};
 use std::path::Path;
@@ -176,17 +184,155 @@ fn declared(bench: &Json, section: &str) -> Vec<String> {
         .collect()
 }
 
+/// A tier-1 timing line: the suite's wall time and each test binary's.
+struct Tier1 {
+    pr: u64,
+    command: String,
+    commit: String,
+    parent: String,
+    runs: u64,
+    source: String,
+    parent_s: f64,
+    change_s: f64,
+    binaries: Vec<Binary>,
+}
+
+/// One test binary's time on each side, `None` where that side lacks it.
+struct Binary {
+    name: String,
+    parent_s: Option<f64>,
+    change_s: Option<f64>,
+}
+
+impl Tier1 {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let f = Fields::of(v)?;
+        let binaries = objects(f, "binaries")?
+            .into_iter()
+            .map(|b| {
+                Ok(Binary {
+                    name: b.str("binary")?.to_string(),
+                    parent_s: opt_f64(b, "parent_s")?,
+                    change_s: opt_f64(b, "change_s")?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Tier1 {
+            pr: f.uint("pr")?,
+            command: f.str("tier1")?.to_string(),
+            commit: f.str("commit")?.to_string(),
+            parent: f.str("parent")?.to_string(),
+            runs: f.uint("runs")?,
+            source: f.str("source")?.to_string(),
+            parent_s: f.f64("parent_s")?,
+            change_s: f.f64("change_s")?,
+            binaries,
+        })
+    }
+
+    fn render(&self) -> String {
+        fn opt(o: &mut ObjWriter<'_>, key: &str, v: Option<f64>) {
+            match v {
+                Some(v) => o.f64(key, v),
+                None => o.null(key),
+            }
+        }
+        let mut out = String::new();
+        write_object(&mut out, |o| {
+            o.u64("pr", self.pr);
+            o.str("tier1", &self.command);
+            o.str("commit", &self.commit);
+            o.str("parent", &self.parent);
+            o.u64("runs", self.runs);
+            o.str("source", &self.source);
+            o.f64("parent_s", self.parent_s);
+            o.f64("change_s", self.change_s);
+            o.objs("binaries", &self.binaries, |b, o| {
+                o.str("binary", &b.name);
+                opt(o, "parent_s", b.parent_s);
+                opt(o, "change_s", b.change_s);
+            });
+        });
+        out
+    }
+
+    /// Every fault of this line, each prefixed with `at`.
+    fn faults(&self, at: &str) -> Vec<String> {
+        let mut faults = Vec::new();
+        if self.runs == 0 || self.binaries.is_empty() {
+            faults.push(format!("{at}: no runs or no binaries"));
+        }
+        for (i, b) in self.binaries.iter().enumerate() {
+            if self.binaries[..i].iter().any(|o| o.name == b.name) {
+                faults.push(format!("{at}: binary {} listed twice", b.name));
+            }
+            if b.parent_s.is_none() && b.change_s.is_none() {
+                faults.push(format!(
+                    "{at}: binary {} has no time on either side",
+                    b.name
+                ));
+            }
+            if b.parent_s.into_iter().chain(b.change_s).any(|t| t < 0.0) {
+                faults.push(format!("{at}: binary {} has a negative time", b.name));
+            }
+        }
+        let sum = |time: fn(&Binary) -> Option<f64>| -> f64 {
+            self.binaries.iter().filter_map(time).sum()
+        };
+        for (side, suite, sum) in [
+            ("parent", self.parent_s, sum(|b| b.parent_s)),
+            ("change", self.change_s, sum(|b| b.change_s)),
+        ] {
+            if sum > suite {
+                faults.push(format!(
+                    "{at}: the {side}'s binaries sum to {sum} s, above its suite's {suite} s"
+                ));
+            }
+        }
+        faults
+    }
+}
+
+/// One line of the trajectory, of either kind.
+enum Line {
+    Pairs(Entry),
+    Tier1(Tier1),
+}
+
+impl Line {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        if Fields::of(v)?.0.contains_key("tier1") {
+            Tier1::from_json(v).map(Line::Tier1)
+        } else {
+            Entry::from_json(v).map(Line::Pairs)
+        }
+    }
+}
+
 /// Every fault the trajectory can have, one message per fault.
 fn check(trajectory: &str, bench: &Json) -> Vec<String> {
     let workloads = declared(bench, "workloads");
     let end_to_end = declared(bench, "end_to_end");
     let per_layer = declared(bench, "per_layer");
     let mut faults = Vec::new();
-    let mut last_pr = 0;
+    // The last PR number of any line, and of each kind of line.
+    let (mut last_pr, mut last_pairs, mut last_tier1) = (0, 0, 0);
     for (n, line) in trajectory.lines().enumerate() {
         let n = n + 1;
-        let entry = match parse_json(line).and_then(|v| Entry::from_json(&v)) {
-            Ok(e) => e,
+        let entry = match parse_json(line).and_then(|v| Line::from_json(&v)) {
+            Ok(Line::Pairs(e)) => e,
+            Ok(Line::Tier1(t)) => {
+                let at = format!("line {n} (PR {}, tier 1)", t.pr);
+                if t.render() != line {
+                    faults.push(format!("{at}: does not re-render byte for byte"));
+                }
+                if t.pr < last_pr || t.pr <= last_tier1 {
+                    faults.push(format!("{at}: PR numbers must strictly increase"));
+                }
+                (last_pr, last_tier1) = (t.pr, t.pr);
+                faults.extend(t.faults(&at));
+                continue;
+            }
             Err(e) => {
                 faults.push(format!("line {n}: {e}"));
                 continue;
@@ -196,10 +342,10 @@ fn check(trajectory: &str, bench: &Json) -> Vec<String> {
         if entry.render() != line {
             faults.push(format!("{at}: does not re-render byte for byte"));
         }
-        if entry.pr <= last_pr {
+        if entry.pr < last_pr || entry.pr <= last_pairs {
             faults.push(format!("{at}: PR numbers must strictly increase"));
         }
-        last_pr = entry.pr;
+        (last_pr, last_pairs) = (entry.pr, entry.pr);
         if entry.pairs == 0 || entry.rows.is_empty() {
             faults.push(format!("{at}: no pairs or no rows"));
         }
@@ -278,6 +424,39 @@ fn checker_rejects_each_kind_of_fault() {
             "re-render",
         ),
         (format!("{good}\n{good}"), "strictly increase"),
+    ] {
+        let faults = check(&bad, &bench);
+        assert!(
+            faults.iter().any(|f| f.contains(why)),
+            "expected a fault naming {why:?}, got {faults:?}"
+        );
+    }
+}
+
+#[test]
+fn checker_rejects_each_kind_of_tier1_fault() {
+    let bench = benchmark_json();
+    let pairs = r#"{"pr":1,"kind":null,"commit":"a","parent":"b","pairs":3,"window_s":20,"seeds":"1-3","source":"s","rows":[{"workload":"write-stream","metric":"setup_s","parent":0.5,"parent_q1":null,"parent_q3":null,"change":0.4,"change_q1":null,"change_q3":null,"ratio":null,"wins":3}],"traced":[]}"#;
+    let good = r#"{"pr":1,"tier1":"cargo test","commit":"a","parent":"b","runs":3,"source":"s","parent_s":30.5,"change_s":29,"binaries":[{"binary":"group_sim","parent_s":1.5,"change_s":1.25},{"binary":"aqf_core (lib)","parent_s":null,"change_s":0.1}]}"#;
+    // A pairs line and a tier-1 line of the same PR, in either order.
+    for ok in [format!("{pairs}\n{good}"), format!("{good}\n{pairs}")] {
+        assert!(check(&ok, &bench).is_empty(), "{:?}", check(&ok, &bench));
+    }
+    for (bad, why) in [
+        (good.replace("\"runs\":3", "\"runs\":0"), "no runs"),
+        (good.replace("aqf_core (lib)", "group_sim"), "listed twice"),
+        (
+            good.replace("\"change_s\":0.1", "\"change_s\":null"),
+            "no time on either side",
+        ),
+        (good.replace("1.25", "-1.25"), "negative time"),
+        (good.replace("30.5", "1"), "above its suite"),
+        (good.replace("30.5", "30.50"), "re-render"),
+        (format!("{good}\n{good}"), "strictly increase"),
+        (
+            format!("{pairs}\n{}", good.replace("\"pr\":1", "\"pr\":0")),
+            "strictly increase",
+        ),
     ] {
         let faults = check(&bad, &bench);
         assert!(
