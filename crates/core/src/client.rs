@@ -26,7 +26,7 @@
 use crate::admission;
 use crate::causal::Session;
 use crate::model::{Candidate, CandidateKey, Selection};
-use crate::monitor::{InfoRepository, MonitorConfig, StalenessModel};
+use crate::monitor::{InfoRepository, WINDOW_SIZE};
 use crate::obs::{req_ref, ObsEvent, ObsHandle};
 use crate::overload::{ClientOverload, DegradeTransition, RECOVER_WINDOW};
 use crate::qos::{OperationKind, OrderingGuarantee, QosSpec};
@@ -49,9 +49,6 @@ pub struct ClientConfig {
     pub policy: SelectionPolicy,
     /// Seed for the randomized baseline policies.
     pub seed: u64,
-    /// How the staleness factor is estimated (Eq. 4's Poisson form or the
-    /// §5.1.3 empirical rate mixture).
-    pub staleness_model: StalenessModel,
     /// The service's ordering guarantee: with [`OrderingGuarantee::Sequential`]
     /// reads go through the sequencer (leader of the primary group) and the
     /// leader is excluded from the candidates; with
@@ -73,7 +70,6 @@ impl Default for ClientConfig {
         Self {
             policy: SelectionPolicy::Probabilistic,
             seed: 0,
-            staleness_model: StalenessModel::Poisson,
             ordering: OrderingGuarantee::Sequential,
             recovery: RecoveryPolicy::default(),
             overload: false,
@@ -431,10 +427,6 @@ impl ClientGateway {
         secondary_view: impl Into<Rc<View>>,
         config: ClientConfig,
     ) -> Self {
-        let monitor = MonitorConfig {
-            staleness_model: config.staleness_model,
-            ..MonitorConfig::default()
-        };
         let overload = config.overload.then(|| ClientOverload::new(me));
         // With overload protection on, the detector gains a sliding window
         // sized to the recovery hysteresis; otherwise the lifetime-only
@@ -445,7 +437,7 @@ impl ClientGateway {
         };
         Self {
             me,
-            repo: InfoRepository::new(monitor),
+            repo: InfoRepository::new(WINDOW_SIZE),
             selector: Selector::new(config.policy),
             detector,
             rng: SmallRng::seed_from_u64(config.seed),

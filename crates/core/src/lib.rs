@@ -95,7 +95,7 @@ pub use model::{
     select_on_demand, select_replicas, select_replicas_ordered, Candidate, CandidateKey,
     CandidateOrder, CandidateSource, Selection,
 };
-pub use monitor::{InfoRepository, MonitorConfig, StalenessModel};
+pub use monitor::InfoRepository;
 pub use object::{AccountBook, ReplicatedObject, SharedDocument, TickerBoard, VersionedRegister};
 pub use obs::{req_ref, ObsEvent, ObsHandle};
 pub use overload::DegradeTransition;

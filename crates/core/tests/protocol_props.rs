@@ -6,7 +6,7 @@ use aqf_core::model::{
     pk_probability, select_on_demand, select_replicas, select_replicas_ordered, Candidate,
     CandidateKey, CandidateOrder, CandidateSource, Selection,
 };
-use aqf_core::monitor::MonitorConfig;
+use aqf_core::monitor::WINDOW_SIZE;
 use aqf_core::object::VersionedRegister;
 use aqf_core::protocol::{drive_service, ServerProtocol};
 use aqf_core::shell::{ServerAction, ServerConfig};
@@ -537,7 +537,7 @@ proptest! {
         samples in proptest::collection::vec((1_000u64..300_000, 0u64..50_000, 0u64..4_000_000), 1..24),
         d_ms in 1u64..5_000,
     ) {
-        let mut repo = InfoRepository::new(MonitorConfig::default());
+        let mut repo = InfoRepository::new(WINDOW_SIZE);
         let now = SimTime::from_secs(1);
         for &(ts, tq, tb) in &samples {
             repo.record_perf(
@@ -824,7 +824,7 @@ proptest! {
     fn repository_cdfs_monotone_in_deadline(
         samples in proptest::collection::vec((1_000u64..300_000, 0u64..50_000, 1u64..4_000_000), 1..16),
     ) {
-        let mut repo = InfoRepository::new(MonitorConfig::default());
+        let mut repo = InfoRepository::new(WINDOW_SIZE);
         let now = SimTime::from_secs(1);
         for &(ts, tq, tb) in &samples {
             repo.record_perf(

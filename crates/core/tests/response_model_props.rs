@@ -4,7 +4,7 @@
 //! interleavings of measurements, replies, quarantines and queries — at
 //! deadlines below the gateway delay, on support points and at `u64::MAX`.
 
-use aqf_core::monitor::{InfoRepository, MonitorConfig};
+use aqf_core::monitor::{InfoRepository, WINDOW_SIZE};
 use aqf_core::wire::{PerfBroadcast, ReadMeasurement};
 use aqf_sim::{ActorId, SimDuration, SimTime};
 use proptest::prelude::*;
@@ -27,13 +27,6 @@ fn perf(ts_us: u64, tq_us: u64, tb_us: u64) -> PerfBroadcast {
         }),
         publisher: None,
     }
-}
-
-fn repo_with(window: usize) -> InfoRepository {
-    InfoRepository::new(MonitorConfig {
-        window_size: window,
-        ..MonitorConfig::default()
-    })
 }
 
 /// Both evaluators against the convolution at `d`.
@@ -98,7 +91,7 @@ impl Shadow {
 /// Applies `ops` to a repository, checking both evaluators after every
 /// query and once more over every replica at the end.
 fn run_script(ops: &[(u8, usize, u64, u64)], window: usize) {
-    let repo = &mut repo_with(window);
+    let repo = &mut InfoRepository::new(window);
     let mut shadows: [Shadow; 3] = Default::default();
     let mut now_us = 1_000u64;
     for &(kind, replica, a, b) in ops {
@@ -160,7 +153,7 @@ proptest! {
 /// without the history it needs returns 0 and does not count.
 #[test]
 fn evaluations_count_queries_with_history() {
-    let mut repo = repo_with(20);
+    let mut repo = InfoRepository::new(WINDOW_SIZE);
     let d = SimDuration::from_millis(150);
     assert_eq!(repo.immediate_cdf(r(1), d), 0.0);
     repo.record_perf(r(1), &perf(100_000, 10_000, 0), SimTime::from_secs(1));

@@ -15,7 +15,7 @@
 //!   failures       crash/gray-fault injection suite (EXT-FAIL)
 //!   admission      admission-control extension (EXT-ADM)
 //!   ordering       sequential vs causal vs FIFO handler comparison (EXT-ORD)
-//!   staleness      Poisson vs empirical staleness model (EXT-STALE)
+//!   staleness      the staleness estimator under bursty updates (EXT-STALE)
 //!   overload       overload-protection goodput retention (EXT-OVL)
 //!   durability     crash recovery with and without the write-ahead log (EXT-DUR)
 //!   chaos-search   seeded fault-schedule search judged by oracles (EXT-CHAOS)

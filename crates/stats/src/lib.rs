@@ -15,7 +15,9 @@
 //! * [`poisson`] — the Poisson cumulative distribution used for the
 //!   staleness factor `P(A_s(t) <= a)` (paper Eq. 4),
 //! * [`RateEstimator`] — the windowed arrival-rate estimator
-//!   `lambda_u = sum(n_u) / sum(t_u)` (paper §5.4.1),
+//!   `lambda_u = sum(n_u) / sum(t_u)` (paper §5.4.1), and the staleness
+//!   factor from it: Eq. 4 while the windowed counts look Poisson, a rate
+//!   mixture once the [`chi2`] dispersion test says they do not,
 //! * [`ci`] — binomial proportion confidence intervals used to report the
 //!   experimental timing-failure probabilities (paper §6),
 //! * [`Summary`] — descriptive statistics for experiment reporting.
@@ -45,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod chi2;
 pub mod ci;
 pub mod pmf;
 pub mod poisson;

@@ -1,8 +1,6 @@
 //! Scenario configuration: replica deployment, workload shapes, faults.
 
-use aqf_core::{
-    OrderingGuarantee, QosSpec, RecoveryPolicy, SelectionPolicy, StalenessModel, StorageConfig,
-};
+use aqf_core::{OrderingGuarantee, QosSpec, RecoveryPolicy, SelectionPolicy, StorageConfig};
 use aqf_sim::{SimDuration, SimTime};
 
 /// Which sample replicated object the scenario hosts.
@@ -264,8 +262,11 @@ fn ordering_error(f: &FaultEvent) -> String {
 /// What the paper's §6 deployment fixes is the same in every scenario:
 /// each replica's service time is [`SERVICE_DELAY`], every link is the
 /// LAN of [`aqf_sim::NetworkModel::default`], and every client's
-/// repository keeps the window `l` of
-/// [`aqf_core::MonitorConfig::default`].
+/// repository keeps the window `l` of [`aqf_core::monitor::WINDOW_SIZE`].
+/// No field picks the staleness estimator either: each client uses Eq. 4
+/// while the update counts it observes look Poisson and the §5.1.3 rate
+/// mixture once they are overdispersed
+/// ([`aqf_core::InfoRepository::staleness_factor`]).
 ///
 /// [`SERVICE_DELAY`]: crate::actors::SERVICE_DELAY
 #[derive(Debug, Clone, PartialEq)]
@@ -304,9 +305,6 @@ pub struct ScenarioConfig {
     /// Figure 2): sequential (total order via the sequencer), per-sender
     /// FIFO, or causal.
     pub ordering: OrderingGuarantee,
-    /// How clients estimate the staleness factor (Eq. 4's Poisson model or
-    /// the §5.1.3 empirical rate mixture).
-    pub staleness_model: StalenessModel,
     /// Simulated stable storage on every server replica: WAL + snapshots
     /// with crash-fault injection.
     /// [`StorageConfig::disabled`] (the default) replays the diskless seed
@@ -342,7 +340,6 @@ impl ScenarioConfig {
             min_primary_size: 0,
             object: ObjectKind::Register,
             ordering: OrderingGuarantee::Sequential,
-            staleness_model: StalenessModel::Poisson,
             storage: StorageConfig::disabled(),
             clients: vec![
                 ClientSpec::paper_background_client(),

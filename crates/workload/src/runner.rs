@@ -569,7 +569,6 @@ pub fn build_scenario(config: &ScenarioConfig) -> BuiltScenario {
             ClientConfig {
                 policy: spec.policy,
                 seed: config.seed ^ (i as u64 + 1),
-                staleness_model: config.staleness_model,
                 ordering: config.ordering,
                 recovery: config.recovery,
                 overload: config.overload,

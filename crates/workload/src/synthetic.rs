@@ -4,7 +4,6 @@
 //! produced, without running a full scenario.
 
 use crate::actors::SERVICE_DELAY;
-use aqf_core::monitor::MonitorConfig;
 use aqf_core::wire::{PerfBroadcast, PublisherInfo, ReadMeasurement};
 use aqf_core::{Candidate, CandidateKey, InfoRepository};
 use aqf_sim::{ActorId, DelayModel, SimDuration, SimTime};
@@ -16,10 +15,7 @@ use rand::SeedableRng;
 /// deferred waits ~ U(0, 4 s) on every third read, gateway delays around
 /// 1 ms, and mid-period publisher bookkeeping at ~1 update/s.
 pub fn synthetic_repository(n: usize, window: usize, seed: u64) -> InfoRepository {
-    let mut repo = InfoRepository::new(MonitorConfig {
-        window_size: window,
-        ..MonitorConfig::default()
-    });
+    let mut repo = InfoRepository::new(window);
     let mut rng = SmallRng::seed_from_u64(seed);
     let queue = DelayModel::Exponential {
         mean_us: 10_000.0,
