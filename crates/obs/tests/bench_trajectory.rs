@@ -17,10 +17,15 @@
 //! median of the `finished in` its `test result` line prints, named as
 //! cargo names the binary (`group_sim`, `aqf_core (lib)`,
 //! `aqf_core (doc)`). A binary one side lacks is `null` there. A change
-//! that times the suite appends one such line.
+//! that times the suite appends one such line. The change's median must
+//! stay within [`TIER1_BUDGET_S`].
 
 use aqf_obs::json::{parse_json, write_object, Fields, Json, ObjWriter};
 use std::path::Path;
+
+/// The tier-1 suite's time budget: at most this many seconds of wall time
+/// (`change_s`) on a 2-core machine, the test build done.
+const TIER1_BUDGET_S: f64 = 60.0;
 
 struct Entry {
     pr: u64,
@@ -262,6 +267,12 @@ impl Tier1 {
         if self.runs == 0 || self.binaries.is_empty() {
             faults.push(format!("{at}: no runs or no binaries"));
         }
+        if self.change_s > TIER1_BUDGET_S {
+            faults.push(format!(
+                "{at}: the suite took {} s, above the tier-1 budget of {TIER1_BUDGET_S} s",
+                self.change_s
+            ));
+        }
         for (i, b) in self.binaries.iter().enumerate() {
             if self.binaries[..i].iter().any(|o| o.name == b.name) {
                 faults.push(format!("{at}: binary {} listed twice", b.name));
@@ -451,6 +462,10 @@ fn checker_rejects_each_kind_of_tier1_fault() {
         ),
         (good.replace("1.25", "-1.25"), "negative time"),
         (good.replace("30.5", "1"), "above its suite"),
+        (
+            good.replace("\"change_s\":29", "\"change_s\":61"),
+            "tier-1 budget",
+        ),
         (good.replace("30.5", "30.50"), "re-render"),
         (format!("{good}\n{good}"), "strictly increase"),
         (
