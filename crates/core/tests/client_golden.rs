@@ -5,8 +5,7 @@
 //! one hash per cell.
 //!
 //! The script covers cold and warm reads; timely, late, deferred and
-//! duplicate replies; deadline → backoff → retry elsewhere; the hedge;
-//! give-up; `Busy` from every target; `Busy` strikes excluding a replica
+//! duplicate replies; deadline → backoff → retry elsewhere; give-up; `Busy` from every target; `Busy` strikes excluding a replica
 //! until its window expires and a timely reply clears it; the degradation
 //! ladder walking down to local rejection
 //! (with probes) and back up; view changes re-evaluating admission; update
@@ -294,7 +293,10 @@ impl Run {
             seed: 7,
             ordering: cell.ordering,
             recovery: if cell.recovery {
-                RecoveryPolicy::default()
+                RecoveryPolicy {
+                    enabled: true,
+                    hedge_fraction: None,
+                }
             } else {
                 RecoveryPolicy::disabled()
             },
@@ -527,7 +529,7 @@ fn script(r: &mut Run) {
     r.reply(r0, sent[1], true, 0);
 
     // Warm read whose only reply arrives after the deadline: with recovery
-    // the hedge, the backoff and a retry elsewhere happen in between.
+    // the backoff and a retry elsewhere happen in between.
     r.at(ms(300));
     r.warm();
     r.at(ms(1_000));
@@ -650,7 +652,7 @@ fn transcript(cell: Cell) -> Vec<String> {
         cell.name()
     );
     assert_eq!(
-        stats.retries > 0 && stats.hedges > 0 && stats.quarantines > 0,
+        stats.retries > 0 && stats.quarantines > 0,
         cell.recovery,
         "{}: {stats:?}",
         cell.name()
@@ -783,23 +785,26 @@ fn stale_deadline_timer_spares_the_next_read_attempt() {
 // --- became a quarantine strike and the breakers went, the three with
 // --- recovery on also because timers began carrying their attempt; the six
 // --- recovery cells once more when the backoff became its own `backoff`
-// --- timer (only that name moved in their transcripts) ---
+// --- timer (only that name moved in their transcripts); the six recovery
+// --- cells once more when they stopped arming the hedged read (its timers,
+// --- `hedge_sent` lines and the replies to its copies went, and a
+// --- quarantine it had hastened opened later) ---
 
 /// In [`cells`] order: sequential, FIFO, causal; within each, recovery off
 /// then on; within each, overload off then on.
 const HASHES: [u64; 12] = [
     0x4177_5df5_9161_cabe,
     0x8ea4_b203_6be5_0917,
-    0xfd4f_33da_4a48_f037,
-    0xa1d1_d485_db28_54e8,
+    0xd50b_6aab_8ccb_4f10,
+    0x2b5d_67bd_9460_947e,
     0xb2e8_eea1_8d60_dcc8,
     0x65d7_a8cf_950d_a6e4,
-    0x22e5_e814_d68a_138d,
-    0xa638_5e26_7a20_3eee,
+    0xfff9_c166_818b_855c,
+    0xfee7_398d_9418_69bf,
     0x14c5_060f_2cda_c85e,
     0x6d2a_5649_f027_0d52,
-    0x2db9_5678_c17a_667c,
-    0xbbfb_d7bd_1671_28bf,
+    0xbf41_5f30_aec2_d3bc,
+    0xdd3b_b88f_6f36_cbf9,
 ];
 
 /// Re-baselining and diffing tool: prints every cell's hash and transcript.
