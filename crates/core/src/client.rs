@@ -55,8 +55,7 @@ pub struct ClientConfig {
     /// [`OrderingGuarantee::Fifo`] there is no sequencer and every primary
     /// member is a candidate.
     pub ordering: OrderingGuarantee,
-    /// End-to-end recovery knobs: retries, hedged reads, and replica
-    /// quarantine.
+    /// End-to-end recovery: retries and replica quarantine.
     pub recovery: RecoveryPolicy,
     /// Overload protection (see [`crate::overload`]): `Busy` as a
     /// quarantine strike, the graceful-degradation ladder, and runtime
@@ -101,7 +100,7 @@ const MAX_BACKOFF: SimDuration = SimDuration::from_secs(1);
 
 const _: () = assert!(MAX_ATTEMPTS >= 1);
 
-/// Retry / hedging / quarantine policy for the client gateway.
+/// Retry / quarantine policy for the client gateway.
 ///
 /// The recovery state machine per request:
 ///
@@ -113,37 +112,25 @@ const _: () = assert!(MAX_ATTEMPTS >= 1);
 ///    MAX_ATTEMPTS or the give-up horizon, whichever comes first.
 /// ```
 ///
-/// Hedging is orthogonal: once `hedge_fraction` of the deadline has
-/// elapsed with no reply, one extra copy of the read goes to the best
-/// replica not yet tried. All timers and jitter come from the gateway's
-/// seeded RNG and virtual clock, so recovery is fully deterministic.
+/// All timers and jitter come from the gateway's seeded RNG and virtual
+/// clock, so recovery is fully deterministic.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
     /// Master switch; `false` reproduces the seed's fire-and-forget
     /// behaviour (used as the A/B baseline in experiments).
     pub enabled: bool,
-    /// When `Some(h)`, a hedged read fires once `h` of the deadline has
-    /// been consumed with no reply (`0 <= h < 1`).
-    pub hedge_fraction: Option<f64>,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        Self {
-            enabled: true,
-            hedge_fraction: Some(0.5),
-        }
+        Self { enabled: true }
     }
 }
 
 impl RecoveryPolicy {
-    /// The seed's original behaviour: one attempt, no hedge, no
-    /// quarantine.
+    /// The seed's original behaviour: one attempt, no quarantine.
     pub fn disabled() -> Self {
-        Self {
-            enabled: false,
-            ..Self::default()
-        }
+        Self { enabled: false }
     }
 }
 
@@ -160,8 +147,6 @@ pub enum TimerPurpose {
     Retry,
     /// The backoff before the next attempt elapsed: retransmit.
     Backoff,
-    /// `hedge_fraction` of the deadline elapsed: consider a hedged read.
-    Hedge,
 }
 
 /// Completion information delivered to the client application.
@@ -292,10 +277,8 @@ pub struct ClientStats {
     pub give_ups: u64,
     /// Replies that arrived after their request was forgotten.
     pub late_replies: u64,
-    /// Retransmissions (attempts beyond the first, hedges excluded).
+    /// Retransmissions (attempts beyond the first).
     pub retries: u64,
-    /// Hedged reads fired before the deadline.
-    pub hedges: u64,
     /// Quarantine windows opened against struck replicas (silent or
     /// `Busy`).
     pub quarantines: u64,
@@ -335,9 +318,9 @@ struct Pending {
     replied: bool,
     outcome_recorded: bool,
     selected: usize,
-    /// Current attempt number (1-based; hedges do not bump it).
+    /// Current attempt number (1-based).
     attempt: u32,
-    /// Every replica targeted so far, across attempts and hedges.
+    /// Every replica targeted so far, across attempts.
     /// Retransmissions reselect excluding these.
     tried: Vec<ActorId>,
     /// Targets of the current attempt that have not replied; drained
@@ -346,8 +329,6 @@ struct Pending {
     /// A [`TimerPurpose::Backoff`] into the next attempt is armed; the
     /// current attempt has been judged and is not judged again.
     retry_pending: bool,
-    /// A hedged read was already fired (at most one per request).
-    hedged: bool,
     /// The request was issued under a degraded (ladder-widened) QoS
     /// specification; `qos` holds the *effective* spec.
     degraded: bool,
@@ -578,7 +559,6 @@ impl ClientGateway {
             tried: Vec::new(),
             unacked: Vec::new(),
             retry_pending: false,
-            hedged: false,
             degraded,
         };
         self.pending.insert(id, pending);
@@ -776,7 +756,6 @@ impl ClientGateway {
             TimerPurpose::GiveUp => self.on_give_up(req, now, out),
             TimerPurpose::Retry => self.on_retry(req, attempt, now, out),
             TimerPurpose::Backoff => self.on_backoff(req, attempt, now, out),
-            TimerPurpose::Hedge => self.on_hedge(req, now, out),
         }
     }
 
@@ -791,17 +770,6 @@ impl ClientGateway {
         let attempt = p.attempt;
         if let Some(qos) = p.qos {
             arm(out, req, TimerPurpose::Deadline, attempt, qos.deadline);
-            let recovery = self.config.recovery;
-            if let (true, Some(h)) = (recovery.enabled, recovery.hedge_fraction) {
-                let after = qos.deadline.as_secs_f64() * h.clamp(0.0, 1.0);
-                arm(
-                    out,
-                    req,
-                    TimerPurpose::Hedge,
-                    attempt,
-                    SimDuration::from_secs_f64(after),
-                );
-            }
         }
         arm(out, req, TimerPurpose::GiveUp, attempt, GIVE_UP);
     }
@@ -1010,44 +978,6 @@ impl ClientGateway {
         if window > SimDuration::ZERO {
             arm(out, req, TimerPurpose::Retry, attempt, window);
         }
-    }
-
-    /// `hedge_fraction` of the deadline elapsed with no reply: fire one
-    /// extra copy of the read at the best replica not yet tried.
-    fn on_hedge(&mut self, req: RequestId, now: SimTime, out: &mut Vec<ClientAction>) {
-        let Some(p) = self.pending.get(&req) else {
-            return;
-        };
-        let (Some(qos), Some(payload)) = (p.qos, &p.payload) else {
-            return;
-        };
-        if p.replied || p.hedged || !self.config.recovery.enabled {
-            return;
-        }
-        let (payload, tried) = (payload.clone().with_attempt(p.attempt), p.tried.clone());
-        // Best untried replica by immediate-response probability, ties
-        // broken toward the least-recently-heard (freshest probe value).
-        // Only `F^I` is read, so no deferred path is evaluated.
-        let target = self
-            .candidate_keys(now, &tried)
-            .into_iter()
-            .filter(|c| !tried.contains(&c.id))
-            .map(|c| (self.repo.immediate_cdf(c.id, qos.deadline), c))
-            .max_by(|(fa, a), (fb, b)| fa.total_cmp(fb).then(b.ert_us.cmp(&a.ert_us)))
-            .map(|(_, c)| c.id);
-        let Some(to) = target else {
-            return;
-        };
-        let p = self.tracked(req);
-        p.hedged = true;
-        p.tried.push(to);
-        p.unacked.push(to);
-        self.stats.hedges += 1;
-        self.obs.emit(now, self.me, || ObsEvent::HedgeSent {
-            req: req_ref(req),
-            target: to,
-        });
-        out.push(ClientAction::SendDirect { to, payload });
     }
 
     fn on_give_up(&mut self, req: RequestId, now: SimTime, out: &mut Vec<ClientAction>) {
@@ -1847,84 +1777,16 @@ mod tests {
             t(0),
             &mut Vec::new(),
         );
-        let actions = sink(|out| c.on_timer(id, TimerPurpose::Transmit, 1, t(1), out));
-        assert!(
-            !actions.iter().any(|x| matches!(
-                x,
-                ClientAction::ArmTimer {
-                    purpose: TimerPurpose::Hedge,
-                    ..
-                }
-            )),
-            "no hedge timer when disabled"
-        );
+        c.on_timer(id, TimerPurpose::Transmit, 1, t(1), &mut Vec::new());
         let actions = sink(|out| c.on_timer(id, TimerPurpose::Deadline, 1, t(101), out));
         assert!(last_armed(&actions).is_none(), "no retry when disabled");
-        assert_eq!(c.stats().retries + c.stats().hedges, 0);
-    }
-
-    #[test]
-    fn hedge_fires_once_at_an_untried_replica() {
-        let mut c = client();
-        // Warm the repo so selection is small and some replicas stay
-        // untried.
-        for r in [a(1), a(2), a(10), a(11)] {
-            feed_perf(&mut c, r, 10, 10);
-        }
-        let id = c.submit_read(
-            Operation::new("get", vec![]),
-            qos(200, 0.5),
-            t(0),
-            &mut Vec::new(),
-        );
-        let transmit = sink(|out| c.on_timer(id, TimerPurpose::Transmit, 1, t(1), out));
-        let tried: Vec<ActorId> = sends_of(&transmit).iter().map(|&(to, _)| to).collect();
-        assert!(tried.len() < 5, "warm selection leaves untried replicas");
-        let actions = sink(|out| c.on_timer(id, TimerPurpose::Hedge, 1, t(101), out));
-        let hedges = sends_of(&actions);
-        assert_eq!(hedges.len(), 1, "exactly one hedged copy");
-        assert!(!tried.contains(&hedges[0].0), "hedge goes elsewhere");
-        assert_eq!(hedges[0].1, 1, "hedge reuses the current attempt");
-        assert_eq!(c.stats().hedges, 1);
-        // A second hedge timer (or replay) does nothing.
-        assert!(sink(|out| c.on_timer(id, TimerPurpose::Hedge, 1, t(102), out)).is_empty());
-        assert_eq!(c.stats().hedges, 1);
-    }
-
-    #[test]
-    fn hedge_skipped_after_reply() {
-        let mut c = client();
-        let id = c.submit_read(
-            Operation::new("get", vec![]),
-            qos(200, 0.5),
-            t(0),
-            &mut Vec::new(),
-        );
-        c.on_timer(id, TimerPurpose::Transmit, 1, t(1), &mut Vec::new());
-        c.on_payload(
-            a(1),
-            Payload::Reply(Reply {
-                id,
-                result: Bytes::new(),
-                t1_us: 0,
-                staleness: 0,
-                deferred: false,
-                csn: 0,
-                vector: Vec::new(),
-            }),
-            t(50),
-            &mut Vec::new(),
-        );
-        assert!(sink(|out| c.on_timer(id, TimerPurpose::Hedge, 1, t(101), out)).is_empty());
-        assert_eq!(c.stats().hedges, 0);
+        assert_eq!(c.stats().retries, 0);
     }
 
     #[test]
     fn silent_replicas_get_quarantined_and_excluded() {
         let (p, s) = views();
-        let mut config = ClientConfig::default();
-        config.recovery.hedge_fraction = None;
-        let mut c = ClientGateway::new(a(20), p, s, config);
+        let mut c = ClientGateway::new(a(20), p, s, ClientConfig::default());
         // Straight rounds where every selected replica stays silent through
         // attempt 1 (whose backoff never fires): one strike each a round.
         let rounds = u64::from(QUARANTINE_THRESHOLD);
@@ -2259,11 +2121,10 @@ mod tests {
     #[test]
     fn busy_and_timeout_strikes_count_toward_one_threshold() {
         let (p, s) = views();
-        let mut config = ClientConfig {
+        let config = ClientConfig {
             overload: true,
             ..ClientConfig::default()
         };
-        config.recovery.hedge_fraction = None;
         let mut c = ClientGateway::new(a(20), p, s, config);
         // A cold read goes to every candidate; all stay silent past the
         // deadline: one timeout strike each.

@@ -133,7 +133,6 @@ fn purpose_name(purpose: TimerPurpose) -> &'static str {
         TimerPurpose::GiveUp => "give-up",
         TimerPurpose::Retry => "retry",
         TimerPurpose::Backoff => "backoff",
-        TimerPurpose::Hedge => "hedge",
     }
 }
 
@@ -293,10 +292,7 @@ impl Run {
             seed: 7,
             ordering: cell.ordering,
             recovery: if cell.recovery {
-                RecoveryPolicy {
-                    enabled: true,
-                    hedge_fraction: None,
-                }
+                RecoveryPolicy::default()
             } else {
                 RecoveryPolicy::disabled()
             },
@@ -476,10 +472,12 @@ impl Run {
     /// The transcript: calls, projected actions, final counters, trace.
     fn finish(mut self) -> Vec<String> {
         let c = &self.c;
-        // `ClientStats` as recorded, when it still ended in `breaker_opens`:
-        // the slot stays, at 0, so cells no breaker ever opened in keep
-        // their hashes.
-        let stats = format!("{:?}", c.stats());
+        // `ClientStats` as recorded, when it still had `hedges` after
+        // `retries` and ended in `breaker_opens`: both slots stay, at 0, so
+        // cells no hedge was sent and no breaker ever opened in keep their
+        // hashes.
+        let stats =
+            format!("{:?}", c.stats()).replacen(", quarantines: ", ", hedges: 0, quarantines: ", 1);
         let stats = stats.strip_suffix(" }").expect("a struct's Debug");
         self.lines
             .push(format!("stats {stats}, breaker_opens: 0 }}"));

@@ -194,44 +194,29 @@ fn assert_same_selection(actual: &Selection, expected: &Selection) {
     assert_eq!(actual.satisfied, expected.satisfied);
 }
 
-/// `RecoveryPolicy::disabled()` with its surviving knob, the hedge
-/// fraction, drawn at random: it may not matter.
-fn disabled_with_random_knobs(rng: &mut SmallRng) -> RecoveryPolicy {
-    RecoveryPolicy {
-        enabled: false,
-        hedge_fraction: rng.gen_bool(0.7).then(|| rng.gen_range(0.0..1.0)),
-    }
-}
-
 /// Drives `steps` random callbacks (submit, armed and spurious timers,
-/// replies, `Busy`, perf broadcasts, view changes) into two gateways with
-/// recovery and overload protection off that differ only in the knobs of
-/// their disabled `RecoveryPolicy`, and checks that the layers are not
-/// there: equal action streams and counters, no layer timer, no `Degrade`,
-/// no layer counter off zero.
+/// replies, `Busy`, perf broadcasts, view changes) into a gateway with
+/// recovery and overload protection off, and checks that the layers are
+/// not there: no layer timer, no `Degrade`, a spurious layer timer or a
+/// `Busy` acts on nothing, no layer counter off zero.
 fn assert_disabled_layers_inert(ordering: OrderingGuarantee, seed: u64, steps: usize) {
     let mut rng = SmallRng::seed_from_u64(seed);
-    let recovery = disabled_with_random_knobs(&mut rng);
-    let gateway = |recovery| {
-        let primaries = View::new(PRIMARY_GROUP, ViewId(0), (0..4).map(a).collect());
-        let secondaries = View::new(SECONDARY_GROUP, ViewId(0), (10..14).map(a).collect());
-        let config = ClientConfig {
-            seed,
-            ordering,
-            recovery,
-            ..ClientConfig::default()
-        };
-        ClientGateway::new(a(20), primaries, secondaries, config)
+    let primaries = View::new(PRIMARY_GROUP, ViewId(0), (0..4).map(a).collect());
+    let secondaries = View::new(SECONDARY_GROUP, ViewId(0), (10..14).map(a).collect());
+    let config = ClientConfig {
+        seed,
+        ordering,
+        recovery: RecoveryPolicy::disabled(),
+        ..ClientConfig::default()
     };
-    let mut plain = gateway(RecoveryPolicy::disabled());
-    let mut knobbed = gateway(recovery);
+    let mut gateway = ClientGateway::new(a(20), primaries, secondaries, config);
 
     let replicas: Vec<ActorId> = (0..4).chain(10..14).map(a).collect();
     let mut now = SimTime::ZERO;
     let mut armed: Vec<(SimTime, RequestId, TimerPurpose, u32)> = Vec::new();
     let mut submitted = 0u64;
     let mut view_ids = [0u64; 2];
-    let (mut out, mut expected) = (Vec::new(), Vec::new());
+    let mut out = Vec::new();
     for _ in 0..steps {
         now += SimDuration::from_micros(rng.gen_range(0..30_000));
         let some_request = |rng: &mut SmallRng| RequestId {
@@ -240,11 +225,6 @@ fn assert_disabled_layers_inert(ordering: OrderingGuarantee, seed: u64, steps: u
         };
         let from = replicas[rng.gen_range(0..replicas.len())];
         let step = rng.gen_range(0..12);
-        // Each arm makes the same call on both gateways.
-        let mut both = |call: &mut dyn FnMut(&mut ClientGateway, &mut Vec<ClientAction>)| {
-            call(&mut plain, &mut expected);
-            call(&mut knobbed, &mut out);
-        };
         match step {
             0..=2 => {
                 let qos = QosSpec::new(
@@ -253,33 +233,26 @@ fn assert_disabled_layers_inert(ordering: OrderingGuarantee, seed: u64, steps: u
                     rng.gen_range(0.05..0.99),
                 )
                 .unwrap();
-                both(&mut |c, out| {
-                    c.submit_read(get_op(), qos, now, out);
-                });
+                gateway.submit_read(get_op(), qos, now, &mut out);
                 submitted += 1;
             }
             3 => {
-                both(&mut |c, out| {
-                    c.submit_update(get_op(), now, out);
-                });
+                gateway.submit_update(get_op(), now, &mut out);
                 submitted += 1;
             }
             4..=6 if !armed.is_empty() => {
                 let (due, req, purpose, attempt) = armed.remove(rng.gen_range(0..armed.len()));
                 now = now.max(due);
-                both(&mut |c, out| c.on_timer(req, purpose, attempt, now, out));
+                gateway.on_timer(req, purpose, attempt, now, &mut out);
             }
             7 => {
                 // A timer of a layer that is off, for a request that may
                 // or may not exist.
                 let req = some_request(&mut rng);
-                let purpose = [
-                    TimerPurpose::Retry,
-                    TimerPurpose::Backoff,
-                    TimerPurpose::Hedge,
-                ][rng.gen_range(0..3usize)];
-                both(&mut |c, out| c.on_timer(req, purpose, 1, now, out));
-                assert!(expected.is_empty(), "{purpose:?} timer acted: {expected:?}");
+                let purpose =
+                    [TimerPurpose::Retry, TimerPurpose::Backoff][rng.gen_range(0..2usize)];
+                gateway.on_timer(req, purpose, 1, now, &mut out);
+                assert!(out.is_empty(), "{purpose:?} timer acted: {out:?}");
             }
             8 => {
                 let reply = aqf_core::wire::Reply {
@@ -293,12 +266,12 @@ fn assert_disabled_layers_inert(ordering: OrderingGuarantee, seed: u64, steps: u
                         .map(|k| (a(20 + k), rng.gen_range(0..9)))
                         .collect(),
                 };
-                both(&mut |c, out| c.on_payload(from, Payload::Reply(reply.clone()), now, out));
+                gateway.on_payload(from, Payload::Reply(reply), now, &mut out);
             }
             9 => {
                 let req = some_request(&mut rng);
-                both(&mut |c, out| c.on_payload(from, Payload::Busy { req }, now, out));
-                assert!(expected.is_empty(), "Busy acted: {expected:?}");
+                gateway.on_payload(from, Payload::Busy { req }, now, &mut out);
+                assert!(out.is_empty(), "Busy acted: {out:?}");
             }
             10 => {
                 let perf = PerfBroadcast {
@@ -315,7 +288,7 @@ fn assert_disabled_layers_inert(ordering: OrderingGuarantee, seed: u64, steps: u
                         period: SimDuration::from_secs(2),
                     }),
                 };
-                both(&mut |c, out| c.on_payload(from, Payload::Perf(perf), now, out));
+                gateway.on_payload(from, Payload::Perf(perf), now, &mut out);
             }
             _ => {
                 // Replica `3` (or `13`) leaves and rejoins, view by view.
@@ -325,10 +298,9 @@ fn assert_disabled_layers_inert(ordering: OrderingGuarantee, seed: u64, steps: u
                 let size = 4 - (view_ids[g] % 2) as usize;
                 let members = (base..base + size).map(a).collect();
                 let view = std::rc::Rc::new(View::new(group, ViewId(view_ids[g]), members));
-                both(&mut |c, out| c.on_view(view.clone(), now, out));
+                gateway.on_view(view, now, &mut out);
             }
         }
-        assert_eq!(out, expected, "action streams diverged at step kind {step}");
         for action in out.drain(..) {
             match action {
                 ClientAction::ArmTimer {
@@ -350,14 +322,11 @@ fn assert_disabled_layers_inert(ordering: OrderingGuarantee, seed: u64, steps: u
                 _ => {}
             }
         }
-        expected.clear();
     }
-    let stats = knobbed.stats();
-    assert_eq!(stats, plain.stats());
-    assert_eq!(knobbed.degrade_level(), 0);
+    let stats = gateway.stats();
+    assert_eq!(gateway.degrade_level(), 0);
     let layer_counters = [
         stats.retries,
-        stats.hedges,
         stats.quarantines,
         stats.busy_rejections,
         stats.local_sheds,
@@ -365,7 +334,7 @@ fn assert_disabled_layers_inert(ordering: OrderingGuarantee, seed: u64, steps: u
         stats.admission_rejects,
         stats.degrade_transitions,
     ];
-    assert_eq!(layer_counters, [0; 8], "{stats:?}");
+    assert_eq!(layer_counters, [0; 7], "{stats:?}");
 }
 
 fn get_op() -> Operation {
@@ -868,8 +837,7 @@ proptest! {
 }
 
 /// A warm client over ten replicas, two of which are enough for `Pc`: the
-/// read evaluates the replicas the scan visits and nothing behind them, and
-/// a hedge reads `F^I` only.
+/// read evaluates the replicas the scan visits and nothing behind them.
 #[test]
 fn warm_read_evaluates_only_the_replicas_it_visits() {
     let primaries = View::new(PRIMARY_GROUP, ViewId(0), (0..=4).map(a).collect());
@@ -920,7 +888,7 @@ fn warm_read_evaluates_only_the_replicas_it_visits() {
     }
 
     let before = c.repository().cdf_evaluations();
-    let id = c.submit_read(get(), qos, SimTime::from_millis(1_000), sink);
+    c.submit_read(get(), qos, SimTime::from_millis(1_000), sink);
     let selection = c.last_selection().unwrap();
     assert!(selection.satisfied);
     // The excluded best, the two that reach 1 − 0.3² ≥ 0.9, the sequencer.
@@ -929,28 +897,4 @@ fn warm_read_evaluates_only_the_replicas_it_visits() {
     // F^I of the three visited, F^D of the one secondary folded in; every
     // candidate used to cost a lookup per path (4 + 2 × 6 = 16).
     assert_eq!(after_read - before, 4);
-
-    // The hedge ranks the seven untried replicas by `F^I`: one evaluation
-    // each, so none of their deferred paths.
-    c.on_timer(
-        id,
-        TimerPurpose::Transmit,
-        1,
-        SimTime::from_millis(1_001),
-        sink,
-    );
-    let mut hedge = Vec::new();
-    c.on_timer(
-        id,
-        TimerPurpose::Hedge,
-        1,
-        SimTime::from_millis(1_101),
-        &mut hedge,
-    );
-    assert!(hedge
-        .iter()
-        .any(|x| matches!(x, ClientAction::SendDirect { .. })));
-    assert_eq!(c.stats().hedges, 1);
-    let after_hedge = c.repository().cdf_evaluations();
-    assert_eq!(after_hedge - after_read, 7);
 }

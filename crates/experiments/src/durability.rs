@@ -84,10 +84,7 @@ fn severities() -> [(&'static str, FaultTarget); 3] {
 fn scenario(target: FaultTarget, mode: Mode, seed: u64) -> ScenarioConfig {
     let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, seed).with_fast_detection();
     config.object = ObjectKind::Document;
-    config.recovery = RecoveryPolicy {
-        hedge_fraction: None,
-        ..RecoveryPolicy::default()
-    };
+    config.recovery = RecoveryPolicy::default();
     config.clients = (0..2)
         .map(|i| ClientSpec {
             qos: QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid dur qos"),

@@ -207,11 +207,6 @@ events! {
             /// Backoff delay until the retry fires, in µs.
             delay_us: u64,
         }
-        /// A hedge (duplicate read) was sent before the deadline expired.
-        HedgeSent = "hedge_sent" {
-            /// The extra replica the hedge was sent to.
-            target: ActorId,
-        }
         /// A reply arrived from a replica.
         ReplyReceived = "reply_received" {
             /// The replying replica.
@@ -386,7 +381,6 @@ pub(crate) mod tests {
                 attempt: 2,
                 delay_us: 20_000,
             },
-            Event::HedgeSent { req, target: a(6) },
             Event::ReplyReceived {
                 req,
                 from: a(2),
@@ -465,30 +459,29 @@ pub(crate) mod tests {
     pub(crate) const ONE_OF_EACH_JSONL: &str = r#"{"t":1000,"actor":7,"type":"request_issued","client":9,"seq":4,"read":true,"deadline_us":200000,"method":"get","arg":"616363742d39"}
 {"t":2000,"actor":7,"type":"replicas_selected","client":9,"seq":4,"attempt":1,"targets":[2,5,3]}
 {"t":3000,"actor":7,"type":"retry_scheduled","client":9,"seq":4,"attempt":2,"delay_us":20000}
-{"t":4000,"actor":7,"type":"hedge_sent","client":9,"seq":4,"target":6}
-{"t":5000,"actor":7,"type":"reply_received","client":9,"seq":4,"from":2,"timely":true,"deferred":false,"staleness":3}
-{"t":6000,"actor":7,"type":"busy_received","client":9,"seq":4,"from":5}
-{"t":7000,"actor":7,"type":"delivered","client":9,"seq":4,"response_us":104250,"timely":false,"deferred":true,"staleness":1,"degraded":true,"csn":12,"vector":[1,5,3,2],"result":"002aff"}
-{"t":8000,"actor":7,"type":"gave_up","client":9,"seq":4,"response_us":3000000,"degraded":false}
-{"t":9000,"actor":7,"type":"local_shed","client":9,"seq":4}
-{"t":10000,"actor":7,"type":"shed_read","client":9,"seq":4,"queue_depth":17}
-{"t":11000,"actor":7,"type":"service_done","client":9,"seq":4,"service_us":98765}
-{"t":12000,"actor":7,"type":"ladder","from_level":0,"to_level":2}
-{"t":13000,"actor":7,"type":"qos_alert","observed_ppm":125000,"threshold_ppm":100000}
-{"t":14000,"actor":7,"type":"quarantine","replica":3,"until_us":65000000}
-{"t":15000,"actor":7,"type":"quarantine_cleared","replica":3}
-{"t":16000,"actor":7,"type":"view_change","view_id":12,"members":4}
-{"t":17000,"actor":7,"type":"wal_append","gsn":48,"bytes":57}
-{"t":18000,"actor":7,"type":"snapshot","csn":64,"wal_bytes":0}
-{"t":19000,"actor":7,"type":"recovery_replay","records":9,"csn":18446744073709551615}
-{"t":20000,"actor":7,"type":"recovery_fallback","reason":"corrupt-log"}
+{"t":4000,"actor":7,"type":"reply_received","client":9,"seq":4,"from":2,"timely":true,"deferred":false,"staleness":3}
+{"t":5000,"actor":7,"type":"busy_received","client":9,"seq":4,"from":5}
+{"t":6000,"actor":7,"type":"delivered","client":9,"seq":4,"response_us":104250,"timely":false,"deferred":true,"staleness":1,"degraded":true,"csn":12,"vector":[1,5,3,2],"result":"002aff"}
+{"t":7000,"actor":7,"type":"gave_up","client":9,"seq":4,"response_us":3000000,"degraded":false}
+{"t":8000,"actor":7,"type":"local_shed","client":9,"seq":4}
+{"t":9000,"actor":7,"type":"shed_read","client":9,"seq":4,"queue_depth":17}
+{"t":10000,"actor":7,"type":"service_done","client":9,"seq":4,"service_us":98765}
+{"t":11000,"actor":7,"type":"ladder","from_level":0,"to_level":2}
+{"t":12000,"actor":7,"type":"qos_alert","observed_ppm":125000,"threshold_ppm":100000}
+{"t":13000,"actor":7,"type":"quarantine","replica":3,"until_us":65000000}
+{"t":14000,"actor":7,"type":"quarantine_cleared","replica":3}
+{"t":15000,"actor":7,"type":"view_change","view_id":12,"members":4}
+{"t":16000,"actor":7,"type":"wal_append","gsn":48,"bytes":57}
+{"t":17000,"actor":7,"type":"snapshot","csn":64,"wal_bytes":0}
+{"t":18000,"actor":7,"type":"recovery_replay","records":9,"csn":18446744073709551615}
+{"t":19000,"actor":7,"type":"recovery_fallback","reason":"corrupt-log"}
 "#;
 
     #[test]
     fn every_kind_renders_its_pinned_line() {
         let records = one_of_each();
         let kinds: std::collections::BTreeSet<_> = records.iter().map(|r| r.event.kind()).collect();
-        assert_eq!(kinds.len(), 20, "one sample per event kind");
+        assert_eq!(kinds.len(), 19, "one sample per event kind");
         for kind in RESOLVING_KINDS {
             let lifecycle = |r: &TraceRecord| r.event.kind() == kind && r.event.req().is_some();
             assert!(records.iter().any(lifecycle), "{kind} is a lifecycle kind");

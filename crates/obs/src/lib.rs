@@ -6,7 +6,7 @@
 //!    with virtual time and the emitting actor, serialized as JSONL
 //!    ([`ObsReport::trace_jsonl`]) and validated against a fixed schema
 //!    ([`validate_trace_line`]).
-//! 2. **Per-request timelines** — the issue → selection/retry/hedge →
+//! 2. **Per-request timelines** — the issue → selection/retry →
 //!    reply → deliver/give-up/shed lifecycle of every request, reconstructed
 //!    from the trace alone ([`build_timelines`]).
 //!

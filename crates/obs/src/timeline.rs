@@ -3,7 +3,7 @@
 //! Timelines are rebuilt from the serialized artifact, not from in-memory
 //! records: the round-trip through [`crate::validate_trace_line`]'s schema
 //! is the proof that the trace alone carries the full request lifecycle
-//! (issue → selections/retries/hedges → replies → deliver/give-up/shed).
+//! (issue → selections/retries → replies → deliver/give-up/shed).
 
 use crate::event::{ACTOR, CLIENT, RESOLVING_KINDS, SEQ, T, TYPE};
 use crate::json::{parse_json, Fields, Json};
@@ -52,11 +52,10 @@ impl Timeline {
             .map(|s| s.t_us)
     }
 
-    /// Whether the request experienced a shed, a busy rejection, a retry,
-    /// or a hedge anywhere in its lifecycle.
+    /// Whether the request experienced a shed, a busy rejection or a retry
+    /// anywhere in its lifecycle.
     pub fn recovered_or_shed(&self) -> bool {
         self.has("retry_scheduled")
-            || self.has("hedge_sent")
             || self.has("busy_received")
             || self.has("shed_read")
             || self.has("local_shed")
@@ -137,15 +136,15 @@ mod tests {
     #[test]
     fn reconstructs_lifecycle_from_jsonl() {
         let tl = timeline_of(one_of_each());
-        assert_eq!(tl.steps.len(), 11);
+        assert_eq!(tl.steps.len(), 10);
         assert_eq!(tl.issued_us(), Some(1000));
-        assert_eq!(tl.resolved_us(), Some(7000));
+        assert_eq!(tl.resolved_us(), Some(6000));
         assert!(tl.recovered_or_shed());
         assert!(tl.has("shed_read"));
         assert!(!tl.has("ladder"));
         let rendered = tl.render();
         assert!(rendered.starts_with("1000:request_issued@7"));
-        assert!(rendered.ends_with("11000:service_done@7"));
+        assert!(rendered.ends_with("10000:service_done@7"));
     }
 
     /// A read the client rejected locally never reaches a replica, yet it
@@ -154,7 +153,7 @@ mod tests {
     fn locally_shed_request_resolves() {
         let mut records = one_of_each();
         records.retain(|r| matches!(r.event.kind(), "request_issued" | "local_shed"));
-        assert_eq!(timeline_of(records).resolved_us(), Some(9000));
+        assert_eq!(timeline_of(records).resolved_us(), Some(8000));
     }
 
     #[test]
@@ -163,6 +162,6 @@ mod tests {
         records.reverse();
         let tl = timeline_of(records);
         assert_eq!(tl.steps[0].kind, "request_issued");
-        assert_eq!(tl.steps[10].kind, "service_done");
+        assert_eq!(tl.steps[9].kind, "service_done");
     }
 }

@@ -88,16 +88,13 @@ pub fn world_bench_config(actors: usize, faults: bool) -> ScenarioConfig {
 
 /// The overload deployment: the paper's 11-server profile (deadline
 /// 200 ms, `Pc = 0.9`) with fast failure detection, overload protection on,
-/// retries and quarantine on with hedging off, and `clients` closed-loop
+/// retries and quarantine on, and `clients` closed-loop
 /// clients each issuing `requests` operations — 80 % reads, a 250 ms think
 /// time, starts staggered by 50 ms. Eight clients are 4× the paper's two.
 pub fn overload_config(clients: usize, requests: u64, seed: u64) -> ScenarioConfig {
     let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, seed).with_fast_detection();
     config.overload = true;
-    config.recovery = RecoveryPolicy {
-        hedge_fraction: None,
-        ..RecoveryPolicy::default()
-    };
+    config.recovery = RecoveryPolicy::default();
     config.clients = (0..clients)
         .map(|i| ClientSpec {
             qos: QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid overload qos"),

@@ -284,7 +284,7 @@ pub struct ScenarioConfig {
     /// Probability that a delivered message is delivered twice (the
     /// at-least-once network of the robustness studies).
     pub duplicate_probability: f64,
-    /// Client-side recovery policy (retries, hedged reads, quarantine);
+    /// Client-side recovery policy (retries, quarantine);
     /// [`RecoveryPolicy::disabled`] reproduces fire-and-forget clients.
     pub recovery: RecoveryPolicy,
     /// Overload protection (`aqf_core::overload`) on every server and
@@ -393,11 +393,6 @@ impl ScenarioConfig {
         }
         if !(0.0..=1.0).contains(&self.duplicate_probability) {
             return Err("duplicate probability must be in [0, 1]".into());
-        }
-        if let Some(h) = self.recovery.hedge_fraction {
-            if !(0.0..1.0).contains(&h) {
-                return Err("hedge fraction must be in [0, 1)".into());
-            }
         }
         self.storage.validate()?;
         if self.group_tick.is_zero() {

@@ -45,7 +45,9 @@ pub struct ClientOutcome {
     pub give_ups: u64,
     /// Retransmissions (attempts beyond the first).
     pub retries: u64,
-    /// Hedged reads fired before the deadline.
+    /// Always 0: the client no longer sends hedged reads. Kept because the
+    /// benchmark harness names `ClientOutcome`'s fields (ROADMAP item 9 (c)
+    /// drops it with the next change to the benchmark).
     pub hedges: u64,
     /// Quarantine windows opened: replicas excluded after strikes (silence
     /// at attempt expiry, or `Busy`).
@@ -164,7 +166,9 @@ impl ScenarioMetrics {
                 c.deferred_replies,
                 c.give_ups,
                 c.retries,
-                c.hedges,
+                // The slot of `hedges`, always 0 since the hedged read was
+                // deleted: runs without it keep their digests.
+                0,
                 c.quarantines,
                 c.busy_rejections,
                 c.local_sheds,
@@ -761,7 +765,7 @@ fn collect(
             deferred_replies: stats.deferred_replies,
             give_ups: stats.give_ups,
             retries: stats.retries,
-            hedges: stats.hedges,
+            hedges: 0,
             quarantines: stats.quarantines,
             cdf_cache_hits: stats.cdf_evaluations,
             cdf_cache_misses: 0,

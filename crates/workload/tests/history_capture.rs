@@ -115,10 +115,7 @@ fn traced_cell(
     config.ordering = ordering;
     config.object = object;
     config.overload = true;
-    config.recovery = RecoveryPolicy {
-        hedge_fraction: None,
-        ..RecoveryPolicy::default()
-    };
+    config.recovery = RecoveryPolicy::default();
     config.clients = (0..8)
         .map(|i| ClientSpec {
             qos: QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid qos"),

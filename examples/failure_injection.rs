@@ -114,11 +114,10 @@ fn gray_faults() {
         let dedup: u64 = m.servers.iter().map(|s| s.stats.dedup_hits).sum();
         println!(
             "{label:>16}: give-ups {:>2}  timing-failures {:>2}  retries {:>3}  \
-             hedges {:>3}  quarantines {:>2}  dedup-hits {:>3}",
+             quarantines {:>2}  dedup-hits {:>3}",
             sum(|c| c.give_ups),
             sum(|c| c.timing_failures),
             sum(|c| c.retries),
-            sum(|c| c.hedges),
             sum(|c| c.quarantines),
             dedup,
         );

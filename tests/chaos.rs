@@ -340,13 +340,7 @@ fn recovery_reduces_give_ups_and_timing_failures_under_gray_failure() {
         let (give_ups, failures) = tally(&gray_scenario(seed, RecoveryPolicy::disabled()));
         base_give_ups += give_ups;
         base_failures += failures;
-        let with = gray_scenario(
-            seed,
-            RecoveryPolicy {
-                hedge_fraction: None,
-                ..RecoveryPolicy::default()
-            },
-        );
+        let with = gray_scenario(seed, RecoveryPolicy::default());
         let (give_ups, failures) = tally(&with);
         with_give_ups += give_ups;
         with_failures += failures;

@@ -37,10 +37,7 @@ fn durable_config(seed: u64) -> ScenarioConfig {
         .with_fast_detection()
         .with_durability();
     config.object = ObjectKind::Document;
-    config.recovery = aqf::core::RecoveryPolicy {
-        hedge_fraction: None,
-        ..aqf::core::RecoveryPolicy::default()
-    };
+    config.recovery = aqf::core::RecoveryPolicy::default();
     config.clients = (0..2)
         .map(|i| ClientSpec {
             qos: aqf::core::QosSpec::new(2, SimDuration::from_millis(250), 0.5).expect("valid"),

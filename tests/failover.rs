@@ -334,10 +334,7 @@ fn leader_restart_cell(ordering: OrderingGuarantee, durable: bool, seed: u64) ->
     let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, seed).with_fast_detection();
     config.ordering = ordering;
     config.object = ObjectKind::Document;
-    config.recovery = RecoveryPolicy {
-        hedge_fraction: None,
-        ..RecoveryPolicy::default()
-    };
+    config.recovery = RecoveryPolicy::default();
     config.clients = (0..2)
         .map(|i| ClientSpec {
             qos: QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid qos"),

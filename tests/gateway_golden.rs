@@ -51,10 +51,7 @@ fn overload_cell(ordering: OrderingGuarantee, object: ObjectKind, seed: u64) -> 
     config.ordering = ordering;
     config.object = object;
     config.overload = true;
-    config.recovery = RecoveryPolicy {
-        hedge_fraction: None,
-        ..RecoveryPolicy::default()
-    };
+    config.recovery = RecoveryPolicy::default();
     config.clients = (0..8)
         .map(|i| ClientSpec {
             qos: QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid qos"),
