@@ -18,8 +18,8 @@ use aqf_core::protocol::{drive_service, ServerProtocol};
 use aqf_core::server::Sequential;
 use aqf_core::shell::ServerAction;
 use aqf_core::wire::{
-    CausalStamp, Operation, Payload, PerfBroadcast, ReadMeasurement, ReadRequest, Reply, RequestId,
-    UpdateRequest,
+    CausalStamp, Method, Operation, Payload, PerfBroadcast, ReadMeasurement, ReadRequest, Reply,
+    RequestId, UpdateRequest,
 };
 use aqf_core::{
     ClientAction, ClientConfig, ClientGateway, QosSpec, RecoveryPolicy, StorageConfig, TimerPurpose,
@@ -289,7 +289,7 @@ impl Level {
             Op::Update => {
                 let update = UpdateRequest {
                     id: request(seq),
-                    op: Operation::new("set", b"value".to_vec()),
+                    op: Operation::new(Method::Set, b"value".to_vec()),
                     attempt: 1,
                 };
                 let stamp = matches!(self, Level::Causal).then(|| CausalStamp {
@@ -308,7 +308,7 @@ impl Level {
             Op::Read => {
                 let read = ReadRequest {
                     id: request(seq),
-                    op: Operation::new("get", Vec::new()),
+                    op: Operation::new(Method::Get, Vec::new()),
                     staleness_threshold: 2,
                     deadline_us: 0,
                     attempt: 1,
@@ -435,7 +435,7 @@ fn run_client_op(gw: &mut ClientGateway, op: Op, seq: u64, actions: &mut Vec<Cli
     let (id, replier) = match op {
         Op::Read => {
             let qos = QosSpec::new(2, SimDuration::from_millis(200), 0.9).expect("valid qos");
-            let id = gw.submit_read(Operation::new("get", Vec::new()), qos, t0, actions);
+            let id = gw.submit_read(Operation::new(Method::Get, Vec::new()), qos, t0, actions);
             actions.clear();
             gw.on_timer(id, TimerPurpose::Transmit, 1, at(1), actions);
             let Some(ClientAction::SendDirect { to, .. }) = actions.first() else {
@@ -444,7 +444,7 @@ fn run_client_op(gw: &mut ClientGateway, op: Op, seq: u64, actions: &mut Vec<Cli
             (id, *to)
         }
         Op::Update => {
-            let op = Operation::new("set", b"value".to_vec());
+            let op = Operation::new(Method::Set, b"value".to_vec());
             (gw.submit_update(op, t0, actions), ActorId::from_index(1))
         }
     };

@@ -360,7 +360,7 @@ mod tests {
         self, a, drain, durable_config, pview, replies, sink, sview, t,
     };
     use crate::shell::ServerConfig;
-    use crate::wire::{Operation, ReadRequest, RequestId};
+    use crate::wire::{Method, Operation, ReadRequest, RequestId};
 
     fn doc(i: usize, config: ServerConfig) -> CausalServerGateway {
         CausalServerGateway::new(
@@ -382,7 +382,7 @@ mod tests {
                 client: a(client),
                 seq: update_seq * 2,
             },
-            op: Operation::new("append", text.as_bytes().to_vec()),
+            op: Operation::new(Method::Append, text.as_bytes().to_vec()),
             attempt: 1,
         };
         Payload::Update(update, Some(CausalStamp { update_seq, deps }))
@@ -394,7 +394,7 @@ mod tests {
                 client: a(client),
                 seq,
             },
-            op: Operation::new("fetch", vec![]),
+            op: Operation::new(Method::Fetch, vec![]),
             staleness_threshold: 1000,
             deadline_us: 0,
             attempt: 1,
@@ -403,7 +403,7 @@ mod tests {
     }
 
     fn text(p: &CausalServerGateway) -> Vec<u8> {
-        let fetch = Operation::new("fetch", vec![]);
+        let fetch = Operation::new(Method::Fetch, vec![]);
         p.object().read(&fetch, &mut bytes::BytesMut::new())[8..].to_vec()
     }
 
@@ -583,7 +583,7 @@ mod tests {
         };
         let update = UpdateRequest {
             id: req,
-            op: Operation::new("append", b"x".to_vec()),
+            op: Operation::new(Method::Append, b"x".to_vec()),
             attempt: 1,
         };
         let update = Payload::Update(update, None);

@@ -1199,7 +1199,7 @@ impl ClientGateway {
 mod tests {
     use super::*;
     use crate::monitor::QUARANTINE_THRESHOLD;
-    use crate::wire::{PerfBroadcast, ReadMeasurement, Reply};
+    use crate::wire::{Method, PerfBroadcast, ReadMeasurement, Reply};
     use aqf_group::ViewId;
 
     fn a(i: usize) -> ActorId {
@@ -1257,7 +1257,7 @@ mod tests {
     fn update_multicasts_immediately() {
         let mut c = client();
         let mut actions = Vec::new();
-        let id = c.submit_update(Operation::new("set", vec![1]), t(0), &mut actions);
+        let id = c.submit_update(Operation::new(Method::Set, vec![1]), t(0), &mut actions);
         assert!(matches!(
             &actions[0],
             ClientAction::MulticastPrimary(Payload::Update(u, None)) if u.id == id
@@ -1277,7 +1277,7 @@ mod tests {
         let mut c = client();
         let mut actions = Vec::new();
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(200, 0.5),
             t(0),
             &mut actions,
@@ -1322,7 +1322,7 @@ mod tests {
             feed_perf(&mut c, r, 10, 10);
         }
         c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(200, 0.5),
             t(0),
             &mut Vec::new(),
@@ -1340,7 +1340,7 @@ mod tests {
     fn timely_reply_counts_success() {
         let mut c = client();
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(200, 0.9),
             t(0),
             &mut Vec::new(),
@@ -1379,7 +1379,7 @@ mod tests {
     fn deadline_expiry_records_failure_once() {
         let mut c = client();
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(100, 0.9),
             t(0),
             &mut Vec::new(),
@@ -1418,7 +1418,7 @@ mod tests {
         let mut alerts = 0;
         for i in 0..4 {
             let id = c.submit_read(
-                Operation::new("get", vec![]),
+                Operation::new(Method::Get, vec![]),
                 qos(100, 0.9),
                 t(i * 1000),
                 &mut Vec::new(),
@@ -1444,7 +1444,7 @@ mod tests {
     fn give_up_times_out_request() {
         let mut c = client();
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(100, 0.5),
             t(0),
             &mut Vec::new(),
@@ -1485,7 +1485,7 @@ mod tests {
     fn later_replies_update_repository_silently() {
         let mut c = client();
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(200, 0.5),
             t(0),
             &mut Vec::new(),
@@ -1523,7 +1523,7 @@ mod tests {
         let obs = ObsHandle::enabled();
         c.set_obs(obs.clone());
         for (at, staleness) in [(0, 0), (1000, 3)] {
-            let op = Operation::new("get", vec![]);
+            let op = Operation::new(Method::Get, vec![]);
             let id = c.submit_read(op, qos(200, 0.5), t(at), &mut Vec::new());
             c.on_timer(id, TimerPurpose::Transmit, 1, t(at + 1), &mut Vec::new());
             let reply = Reply {
@@ -1554,7 +1554,7 @@ mod tests {
     fn deferred_reply_counted() {
         let mut c = client();
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(500, 0.5),
             t(0),
             &mut Vec::new(),
@@ -1586,7 +1586,7 @@ mod tests {
         c.on_view(Rc::new(newer), t(0), &mut Vec::new());
         assert_eq!(c.sequencer(), a(1));
         c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(200, 0.99),
             t(0),
             &mut Vec::new(),
@@ -1608,7 +1608,7 @@ mod tests {
             feed_perf(&mut c, r, 10, 10);
         }
         c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(200, 0.5),
             t(0),
             &mut Vec::new(),
@@ -1616,7 +1616,7 @@ mod tests {
         let predicted = c.last_selection().unwrap().predicted;
         assert_eq!(c.mean_predicted(), Some(predicted));
         c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(200, 0.5),
             t(1000),
             &mut Vec::new(),
@@ -1628,8 +1628,8 @@ mod tests {
     #[test]
     fn request_ids_are_unique_and_ordered() {
         let mut c = client();
-        let id1 = c.submit_update(Operation::new("set", vec![]), t(0), &mut Vec::new());
-        let id2 = c.submit_update(Operation::new("set", vec![]), t(1), &mut Vec::new());
+        let id1 = c.submit_update(Operation::new(Method::Set, vec![]), t(0), &mut Vec::new());
+        let id2 = c.submit_update(Operation::new(Method::Set, vec![]), t(1), &mut Vec::new());
         assert!(id1 < id2);
         assert_eq!(id1.client, a(20));
     }
@@ -1668,7 +1668,7 @@ mod tests {
     fn deadline_schedules_backoff_then_retransmits_elsewhere() {
         let mut c = client();
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(100, 0.9),
             t(0),
             &mut Vec::new(),
@@ -1699,7 +1699,7 @@ mod tests {
     fn retry_success_avoids_give_up() {
         let mut c = client();
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(100, 0.9),
             t(0),
             &mut Vec::new(),
@@ -1742,7 +1742,7 @@ mod tests {
     fn attempt_budget_is_respected() {
         let mut c = client();
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(100, 0.9),
             t(0),
             &mut Vec::new(),
@@ -1772,7 +1772,7 @@ mod tests {
         };
         let mut c = ClientGateway::new(a(20), p, s, config);
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(100, 0.9),
             t(0),
             &mut Vec::new(),
@@ -1792,7 +1792,7 @@ mod tests {
         let rounds = u64::from(QUARANTINE_THRESHOLD);
         for i in 0..rounds {
             let id = c.submit_read(
-                Operation::new("get", vec![]),
+                Operation::new(Method::Get, vec![]),
                 qos(100, 0.9),
                 t(i * 20_000),
                 &mut Vec::new(),
@@ -1833,7 +1833,7 @@ mod tests {
         // success).
         let victim = quarantined[0];
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(100, 0.9),
             now,
             &mut Vec::new(),
@@ -1871,7 +1871,7 @@ mod tests {
         };
         let mut c = ClientGateway::new(a(20), p, s, config);
         let mut actions = Vec::new();
-        let id = c.submit_update(Operation::new("set", vec![1]), t(0), &mut actions);
+        let id = c.submit_update(Operation::new(Method::Set, vec![1]), t(0), &mut actions);
         let original = actions
             .iter()
             .find_map(|x| match x {
@@ -1935,7 +1935,12 @@ mod tests {
         let mut actions = Vec::new();
         for round in 0..n {
             let at = from_ms + round * 1000;
-            let id = c.submit_read(Operation::new("get", vec![]), spec, t(at), &mut Vec::new());
+            let id = c.submit_read(
+                Operation::new(Method::Get, vec![]),
+                spec,
+                t(at),
+                &mut Vec::new(),
+            );
             c.on_timer(id, TimerPurpose::Transmit, 1, t(at + 1), &mut Vec::new());
             c.on_timer(id, TimerPurpose::Deadline, 1, t(at + 201), &mut actions);
         }
@@ -1968,7 +1973,7 @@ mod tests {
             feed_perf(&mut c, r, 10, 10);
         }
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(200, 0.5),
             t(0),
             &mut Vec::new(),
@@ -2035,7 +2040,7 @@ mod tests {
     fn expiry_inside_a_busy_backoff_does_not_retransmit() {
         let mut c = overload_client();
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(100, 0.9),
             t(0),
             &mut Vec::new(),
@@ -2073,7 +2078,7 @@ mod tests {
 
     fn busy_read(c: &mut ClientGateway, from: ActorId, at: u64) -> RequestId {
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(200, 0.5),
             t(at),
             &mut Vec::new(),
@@ -2093,7 +2098,7 @@ mod tests {
         }
         assert_eq!(c.stats().quarantines, 1);
         c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(200, 0.5),
             t(50),
             &mut Vec::new(),
@@ -2102,7 +2107,7 @@ mod tests {
         assert!(!sel.replicas.contains(&a(1)), "excluded while quarantined");
         // After the window the replica is on probation: selectable again.
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(200, 0.5),
             t(5_100),
             &mut Vec::new(),
@@ -2129,7 +2134,7 @@ mod tests {
         // A cold read goes to every candidate; all stay silent past the
         // deadline: one timeout strike each.
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(100, 0.9),
             t(0),
             &mut Vec::new(),
@@ -2169,7 +2174,7 @@ mod tests {
         // Reads now carry the widened staleness threshold (2 + 2).
         let start = window * 1000;
         let id = c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             spec,
             t(start),
             &mut Vec::new(),
@@ -2190,14 +2195,24 @@ mod tests {
         // original Pc and the controller steps back up.
         for round in 1..window {
             let at = start + round * 1000;
-            let id = c.submit_read(Operation::new("get", vec![]), spec, t(at), &mut Vec::new());
+            let id = c.submit_read(
+                Operation::new(Method::Get, vec![]),
+                spec,
+                t(at),
+                &mut Vec::new(),
+            );
             c.on_timer(id, TimerPurpose::Transmit, 1, t(at + 1), &mut Vec::new());
             timely_reply(&mut c, a(1), id, t(at + 50));
         }
         assert_eq!(c.degrade_level(), 0, "recovered to the nominal level");
         assert_eq!(c.stats().degrade_transitions, 2);
         let at = start + window * 1000;
-        let id = c.submit_read(Operation::new("get", vec![]), spec, t(at), &mut Vec::new());
+        let id = c.submit_read(
+            Operation::new(Method::Get, vec![]),
+            spec,
+            t(at),
+            &mut Vec::new(),
+        );
         let actions = sink(|out| c.on_timer(id, TimerPurpose::Transmit, 1, t(at + 1), out));
         let restored = actions.iter().any(|x| {
             matches!(
@@ -2224,7 +2239,12 @@ mod tests {
         let start = 3 * window * 1000;
         // First read in rejection mode is the probe: it goes out normally.
         let mut actions = Vec::new();
-        c.submit_read(Operation::new("get", vec![]), spec, t(start), &mut actions);
+        c.submit_read(
+            Operation::new(Method::Get, vec![]),
+            spec,
+            t(start),
+            &mut actions,
+        );
         assert!(matches!(
             actions[0],
             ClientAction::ArmTimer {
@@ -2235,7 +2255,7 @@ mod tests {
         // A second read inside the probe interval is shed locally.
         let mut actions = Vec::new();
         c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             spec,
             t(start + 100),
             &mut actions,
@@ -2266,7 +2286,7 @@ mod tests {
             feed_perf(&mut c, r, 1000, 10);
         }
         c.submit_read(
-            Operation::new("get", vec![]),
+            Operation::new(Method::Get, vec![]),
             qos(200, 0.9),
             t(0),
             &mut Vec::new(),

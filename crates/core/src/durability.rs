@@ -25,7 +25,7 @@
 //! Everything here is deterministic: the only randomness lives inside the
 //! disk's own seeded RNG (torn-write lengths, bit flips).
 
-use crate::wire::{MethodId, Operation, RequestId, UpdateRequest};
+use crate::wire::{Method, Operation, RequestId, UpdateRequest};
 use aqf_sim::ActorId;
 use aqf_store::{
     decode_stream, encode_record_with, frame_len, DiskStats, SnapshotFile, TailStatus, VirtualDisk,
@@ -36,9 +36,9 @@ pub use aqf_store::StorageConfig;
 
 /// One typed entry of a gateway's write-ahead log.
 ///
-/// The encoding is length-prefixed little-endian throughout, and method
-/// names travel as *strings* — a [`MethodId`]'s numeric value is an
-/// artifact of in-process interning order and must never be persisted.
+/// The encoding is length-prefixed little-endian throughout, and methods
+/// travel as their names ([`Method::as_str`]), not as variant indices; a
+/// name no [`Method`] has makes the record malformed.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
     /// A committed update: the gateway assigned `gsn` (or, for the
@@ -132,16 +132,13 @@ impl WalRecord {
                 let client = ActorId::from_index(c.u32()? as usize);
                 let seq = c.u64()?;
                 let attempt = c.u32()?;
-                let method = std::str::from_utf8(c.bytes()?).ok()?;
+                let method = Method::from_name(std::str::from_utf8(c.bytes()?).ok()?)?;
                 let payload = c.bytes()?.to_vec();
                 WalRecord::Commit {
                     gsn,
                     update: UpdateRequest {
                         id: RequestId { client, seq },
-                        op: Operation {
-                            method: MethodId::intern(method),
-                            payload: payload.into(),
-                        },
+                        op: Operation::new(method, payload),
                         attempt,
                     },
                 }
@@ -350,7 +347,7 @@ mod tests {
                 client: ActorId::from_index(20),
                 seq,
             },
-            op: Operation::new("append", format!("body-{seq}").into_bytes()),
+            op: Operation::new(Method::Append, format!("body-{seq}").into_bytes()),
             attempt: 1,
         }
     }
@@ -393,6 +390,21 @@ mod tests {
             body.windows(window.len()).any(|w| w == window),
             "method name must be persisted as its string"
         );
+    }
+
+    /// A method name no [`Method`] has is a malformed body, like any
+    /// other structural mismatch.
+    #[test]
+    fn unknown_method_name_is_malformed() {
+        let body = commit_body(1, &upd(0));
+        let at = body
+            .windows(6)
+            .position(|w| w == b"append")
+            .expect("the name is in the body");
+        let mut renamed = body.clone();
+        renamed[at..at + 6].copy_from_slice(b"upsert");
+        assert!(WalRecord::decode(&body).is_some());
+        assert_eq!(WalRecord::decode(&renamed), None);
     }
 
     #[test]

@@ -146,7 +146,7 @@ mod tests {
         self, a, drain, durable_config, pview, replies, sends_state_request, sink, sview, t,
     };
     use crate::shell::ServerConfig;
-    use crate::wire::{Operation, ReadRequest};
+    use crate::wire::{Method, Operation, ReadRequest};
     use std::rc::Rc;
 
     fn bank(i: usize, config: ServerConfig) -> FifoServerGateway {
@@ -163,7 +163,7 @@ mod tests {
                 client: a(client),
                 seq,
             },
-            op: Operation::new("deposit", AccountBook::encode_tx("acct", 100)),
+            op: Operation::new(Method::Deposit, AccountBook::encode_tx("acct", 100)),
             attempt: 1,
         };
         Payload::Update(update, None)
@@ -172,7 +172,7 @@ mod tests {
     fn read(seq: u64, staleness: u32) -> Payload {
         Payload::Read(ReadRequest {
             id: RequestId { client: a(20), seq },
-            op: Operation::new("balance", b"acct".to_vec()),
+            op: Operation::new(Method::Balance, b"acct".to_vec()),
             staleness_threshold: staleness,
             deadline_us: 0,
             attempt: 1,
@@ -361,7 +361,7 @@ mod tests {
                 client: a(20),
                 seq: 0,
             },
-            op: Operation::new("set", b"x".to_vec()),
+            op: Operation::new(Method::Set, b"x".to_vec()),
             attempt: 1,
         };
         let set = Payload::Update(set, None);

@@ -105,4 +105,4 @@ pub use select::{SelectionPolicy, Selector};
 pub use server::ServerGateway;
 pub use shell::{ReplicaRole, ServerAction, ServerConfig};
 pub use timing::TimingFailureDetector;
-pub use wire::{MethodId, Operation, Payload, RequestId, PRIMARY_GROUP, SECONDARY_GROUP};
+pub use wire::{Method, Operation, Payload, RequestId, PRIMARY_GROUP, SECONDARY_GROUP};

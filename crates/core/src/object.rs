@@ -5,7 +5,7 @@
 //! its state in lazy updates and state transfers. This module also provides
 //! ready-made objects used by the examples and experiments.
 
-use crate::wire::Operation;
+use crate::wire::{Method, Operation};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -337,8 +337,8 @@ impl ReplicatedObject for AccountBook {
     fn apply_update(&mut self, op: &Operation, scratch: &mut BytesMut) -> Bytes {
         let (account, amount) = Self::decode(op.payload.as_ref());
         let balance = self.balances.entry(account).or_insert(0);
-        match op.method.as_str() {
-            "withdraw" => *balance = balance.saturating_sub(amount),
+        match op.method {
+            Method::Withdraw => *balance = balance.saturating_sub(amount),
             // Anything that is not a withdrawal deposits; reads never
             // reach apply_update.
             _ => *balance = balance.saturating_add(amount),
@@ -399,9 +399,9 @@ mod tests {
     fn register_update_read_roundtrip() {
         let mut reg = VersionedRegister::new();
         assert_eq!(reg.version(), 0);
-        let ack = apply(&mut reg, &Operation::new("set", b"hello".to_vec()));
+        let ack = apply(&mut reg, &Operation::new(Method::Set, b"hello".to_vec()));
         assert_eq!(ack.as_ref(), &1u64.to_be_bytes());
-        let out = read(&reg, &Operation::new("get", vec![]));
+        let out = read(&reg, &Operation::new(Method::Get, vec![]));
         assert_eq!(&out[..8], &1u64.to_be_bytes());
         assert_eq!(&out[8..], b"hello");
     }
@@ -409,8 +409,8 @@ mod tests {
     #[test]
     fn register_snapshot_roundtrip() {
         let mut reg = VersionedRegister::new();
-        apply(&mut reg, &Operation::new("set", b"abc".to_vec()));
-        apply(&mut reg, &Operation::new("set", b"defg".to_vec()));
+        apply(&mut reg, &Operation::new(Method::Set, b"abc".to_vec()));
+        apply(&mut reg, &Operation::new(Method::Set, b"defg".to_vec()));
         let snap = reg.snapshot();
         let mut other = VersionedRegister::new();
         other.install_snapshot(&snap);
@@ -429,11 +429,17 @@ mod tests {
     #[test]
     fn document_appends_and_versions() {
         let mut doc = SharedDocument::new();
-        apply(&mut doc, &Operation::new("append", b"line one".to_vec()));
-        apply(&mut doc, &Operation::new("append", b"line two".to_vec()));
+        apply(
+            &mut doc,
+            &Operation::new(Method::Append, b"line one".to_vec()),
+        );
+        apply(
+            &mut doc,
+            &Operation::new(Method::Append, b"line two".to_vec()),
+        );
         assert_eq!(doc.version(), 2);
         assert_eq!(doc.text(), "line one\nline two");
-        let out = read(&doc, &Operation::new("fetch", vec![]));
+        let out = read(&doc, &Operation::new(Method::Fetch, vec![]));
         assert_eq!(&out[..8], &2u64.to_be_bytes());
         assert_eq!(&out[8..], b"line one\nline two");
     }
@@ -444,12 +450,15 @@ mod tests {
         for i in 0..5 {
             apply(
                 &mut doc,
-                &Operation::new("append", format!("line {i}").into_bytes()),
+                &Operation::new(Method::Append, format!("line {i}").into_bytes()),
             );
         }
         let snap = doc.snapshot();
         let mut other = SharedDocument::new();
-        apply(&mut other, &Operation::new("append", b"junk".to_vec()));
+        apply(
+            &mut other,
+            &Operation::new(Method::Append, b"junk".to_vec()),
+        );
         other.install_snapshot(&snap);
         assert_eq!(other, doc);
     }
@@ -459,22 +468,22 @@ mod tests {
         let mut board = TickerBoard::new();
         apply(
             &mut board,
-            &Operation::new("quote", TickerBoard::encode_quote("ACME", 1234)),
+            &Operation::new(Method::Quote, TickerBoard::encode_quote("ACME", 1234)),
         );
         apply(
             &mut board,
-            &Operation::new("quote", TickerBoard::encode_quote("WIDG", 42)),
+            &Operation::new(Method::Quote, TickerBoard::encode_quote("WIDG", 42)),
         );
         apply(
             &mut board,
-            &Operation::new("quote", TickerBoard::encode_quote("ACME", 1300)),
+            &Operation::new(Method::Quote, TickerBoard::encode_quote("ACME", 1300)),
         );
         assert_eq!(board.price("ACME"), Some(1300));
         assert_eq!(board.price("WIDG"), Some(42));
         assert_eq!(board.updates(), 3);
-        let out = read(&board, &Operation::new("price", b"ACME".to_vec()));
+        let out = read(&board, &Operation::new(Method::Price, b"ACME".to_vec()));
         assert_eq!(out.as_ref(), &1300u64.to_be_bytes());
-        assert!(read(&board, &Operation::new("price", b"NONE".to_vec())).is_empty());
+        assert!(read(&board, &Operation::new(Method::Price, b"NONE".to_vec())).is_empty());
     }
 
     #[test]
@@ -482,11 +491,11 @@ mod tests {
         let mut board = TickerBoard::new();
         apply(
             &mut board,
-            &Operation::new("quote", TickerBoard::encode_quote("A", 1)),
+            &Operation::new(Method::Quote, TickerBoard::encode_quote("A", 1)),
         );
         apply(
             &mut board,
-            &Operation::new("quote", TickerBoard::encode_quote("B", 2)),
+            &Operation::new(Method::Quote, TickerBoard::encode_quote("B", 2)),
         );
         let snap = board.snapshot();
         let mut other = TickerBoard::new();
@@ -499,23 +508,23 @@ mod tests {
         let mut book = AccountBook::new();
         let ack = apply(
             &mut book,
-            &Operation::new("deposit", AccountBook::encode_tx("alice", 500)),
+            &Operation::new(Method::Deposit, AccountBook::encode_tx("alice", 500)),
         );
         assert_eq!(ack.as_ref(), &500u64.to_be_bytes());
         apply(
             &mut book,
-            &Operation::new("withdraw", AccountBook::encode_tx("alice", 200)),
+            &Operation::new(Method::Withdraw, AccountBook::encode_tx("alice", 200)),
         );
         assert_eq!(book.balance("alice"), 300);
         // Overdraft clamps to zero.
         apply(
             &mut book,
-            &Operation::new("withdraw", AccountBook::encode_tx("alice", 9999)),
+            &Operation::new(Method::Withdraw, AccountBook::encode_tx("alice", 9999)),
         );
         assert_eq!(book.balance("alice"), 0);
         assert_eq!(book.balance("bob"), 0);
         assert_eq!(book.transactions(), 3);
-        let out = read(&book, &Operation::new("balance", b"alice".to_vec()));
+        let out = read(&book, &Operation::new(Method::Balance, b"alice".to_vec()));
         assert_eq!(out.as_ref(), &0u64.to_be_bytes());
     }
 
@@ -524,11 +533,11 @@ mod tests {
         let mut book = AccountBook::new();
         apply(
             &mut book,
-            &Operation::new("deposit", AccountBook::encode_tx("a", 10)),
+            &Operation::new(Method::Deposit, AccountBook::encode_tx("a", 10)),
         );
         apply(
             &mut book,
-            &Operation::new("deposit", AccountBook::encode_tx("b", 20)),
+            &Operation::new(Method::Deposit, AccountBook::encode_tx("b", 20)),
         );
         let snap = book.snapshot();
         let mut other = AccountBook::new();
@@ -539,7 +548,7 @@ mod tests {
 
     #[test]
     fn account_ops_on_distinct_accounts_commute() {
-        let d = |acc: &str, amt| Operation::new("deposit", AccountBook::encode_tx(acc, amt));
+        let d = |acc: &str, amt| Operation::new(Method::Deposit, AccountBook::encode_tx(acc, amt));
         let mut ab = AccountBook::new();
         apply(&mut ab, &d("a", 1));
         apply(&mut ab, &d("b", 2));
@@ -552,7 +561,7 @@ mod tests {
     #[test]
     fn updates_are_deterministic_across_replicas() {
         let ops: Vec<Operation> = (0..10)
-            .map(|i| Operation::new("quote", TickerBoard::encode_quote("S", i * 7)))
+            .map(|i| Operation::new(Method::Quote, TickerBoard::encode_quote("S", i * 7)))
             .collect();
         let mut a = TickerBoard::new();
         let mut b = TickerBoard::new();

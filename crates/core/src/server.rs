@@ -865,7 +865,7 @@ mod tests {
         self, a, drain, pview, register, replies, request, sends_state_request, sink, sview, t,
     };
     use crate::shell::ServerConfig;
-    use crate::wire::{Operation, ReadRequest};
+    use crate::wire::{Method, Operation, ReadRequest};
     use std::rc::Rc;
 
     // Roster: 0 = sequencer, 1, 2 = primaries, 10, 11 = secondaries,
@@ -877,7 +877,7 @@ mod tests {
     fn upd(seq: u64) -> Payload {
         let update = UpdateRequest {
             id: request(seq),
-            op: Operation::new("set", format!("v{seq}").into_bytes()),
+            op: Operation::new(Method::Set, format!("v{seq}").into_bytes()),
             attempt: 1,
         };
         Payload::Update(update, None)
@@ -893,7 +893,7 @@ mod tests {
     fn read(seq: u64, staleness: u32) -> Payload {
         Payload::Read(ReadRequest {
             id: request(seq),
-            op: Operation::new("get", vec![]),
+            op: Operation::new(Method::Get, vec![]),
             staleness_threshold: staleness,
             deadline_us: 0,
             attempt: 1,
@@ -1104,7 +1104,7 @@ mod tests {
         let mut s = gw(10);
         let mut obj = VersionedRegister::new();
         obj.apply_update(
-            &Operation::new("set", b"x".to_vec()),
+            &Operation::new(Method::Set, b"x".to_vec()),
             &mut bytes::BytesMut::new(),
         );
         let lazy = Payload::LazyUpdate {

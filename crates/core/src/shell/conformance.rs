@@ -12,7 +12,7 @@ use crate::fifo::Fifo;
 use crate::object::VersionedRegister;
 use crate::protocol::drive_service;
 use crate::server::Sequential;
-use crate::wire::CausalStamp;
+use crate::wire::{CausalStamp, Method};
 use aqf_group::ViewId;
 
 pub(crate) fn a(i: usize) -> ActorId {
@@ -134,7 +134,7 @@ pub(crate) fn request(seq: u64) -> RequestId {
 fn set(n: u64) -> UpdateRequest {
     UpdateRequest {
         id: request(n),
-        op: Operation::new("set", format!("v{n}").into_bytes()),
+        op: Operation::new(Method::Set, format!("v{n}").into_bytes()),
         attempt: 1,
     }
 }
@@ -142,7 +142,7 @@ fn set(n: u64) -> UpdateRequest {
 fn get(seq: u64, staleness_threshold: u32) -> ReadRequest {
     ReadRequest {
         id: request(seq),
-        op: Operation::new("get", vec![]),
+        op: Operation::new(Method::Get, vec![]),
         staleness_threshold,
         deadline_us: 0,
         attempt: 1,

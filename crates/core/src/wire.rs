@@ -5,12 +5,9 @@
 //! broadcasts as direct messages.
 
 use aqf_group::GroupId;
-use aqf_sim::{ActorId, FastMap, SimDuration};
+use aqf_sim::{ActorId, SimDuration};
 use bytes::Bytes;
-use std::cell::RefCell;
 use std::fmt;
-use std::hash::BuildHasherDefault;
-use std::sync::Mutex;
 
 /// Conventional group id of the primary replication group.
 pub const PRIMARY_GROUP: GroupId = GroupId(1);
@@ -33,134 +30,85 @@ impl fmt::Display for RequestId {
     }
 }
 
-/// An interned method name: a `u16` handle into the process-wide method
-/// table, in place of a heap `String` per [`Operation`].
-///
-/// Interning makes every wire message two machine words smaller, makes
-/// cloning a request free of string traffic, and turns method comparison
-/// into an integer compare. The numeric value is an artifact of interning
-/// order (first come, first numbered) and must never be persisted,
-/// digested, or compared across processes — only the name is meaningful.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MethodId(u16);
-
-/// A method name table: names in id order and the reverse index. Names are
-/// leaked once per unique method — the set of method names in any
-/// deployment is tiny and fixed — so lookups hand back `&'static str`
-/// without reference counting.
-struct MethodTable {
-    by_name: FastMap<&'static str, u16>,
-    names: Vec<&'static str>,
+/// A method of one of the four replicated objects of [`crate::object`]:
+/// the closed set of operations a client can invoke.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Method {
+    /// `VersionedRegister`: overwrite the value.
+    Set,
+    /// `VersionedRegister`: read the value.
+    Get,
+    /// `SharedDocument`: append a line.
+    Append,
+    /// `SharedDocument`: read the whole document.
+    Fetch,
+    /// `TickerBoard`: publish a symbol's price.
+    Quote,
+    /// `TickerBoard`: read a symbol's price.
+    Price,
+    /// `AccountBook`: credit an account.
+    Deposit,
+    /// `AccountBook`: debit an account, saturating at zero.
+    Withdraw,
+    /// `AccountBook`: read an account's balance.
+    Balance,
 }
 
-impl MethodTable {
-    const fn new() -> Self {
-        Self {
-            by_name: FastMap::with_hasher(BuildHasherDefault::new()),
-            names: Vec::new(),
+impl Method {
+    /// Every method, in declaration order.
+    const ALL: [Method; 9] = [
+        Method::Set,
+        Method::Get,
+        Method::Append,
+        Method::Fetch,
+        Method::Quote,
+        Method::Price,
+        Method::Deposit,
+        Method::Withdraw,
+        Method::Balance,
+    ];
+
+    /// The method's name, as traces and the write-ahead log carry it.
+    pub const fn as_str(self) -> &'static str {
+        match self {
+            Method::Set => "set",
+            Method::Get => "get",
+            Method::Append => "append",
+            Method::Fetch => "fetch",
+            Method::Quote => "quote",
+            Method::Price => "price",
+            Method::Deposit => "deposit",
+            Method::Withdraw => "withdraw",
+            Method::Balance => "balance",
         }
     }
 
-    /// Appends the names `process` holds beyond this table's: every table
-    /// is a prefix of the process-wide one, which only ever grows.
-    fn catch_up(&mut self, process: &MethodTable) {
-        for &name in &process.names[self.names.len()..] {
-            self.by_name.insert(name, self.names.len() as u16);
-            self.names.push(name);
-        }
+    /// The method called `name`, if there is one.
+    pub fn from_name(name: &str) -> Option<Self> {
+        Self::ALL.into_iter().find(|m| m.as_str() == name)
     }
 }
 
-/// The process-wide table, the one source of ids. Only a thread's first
-/// sight of a name or id locks it.
-static PROCESS_METHODS: Mutex<MethodTable> = Mutex::new(MethodTable::new());
-
-thread_local! {
-    /// This thread's copy of a prefix of [`PROCESS_METHODS`]: the warm path
-    /// (every operation built, logged or dispatched) reads it with no lock.
-    static THREAD_METHODS: RefCell<MethodTable> = const { RefCell::new(MethodTable::new()) };
-}
-
-/// Brings this thread's table up to the process-wide one, after running
-/// `intern` on the latter under its lock.
-fn sync_methods<T>(intern: impl FnOnce(&mut MethodTable) -> T) -> T {
-    let mut process = PROCESS_METHODS.lock().expect("method table poisoned");
-    let out = intern(&mut process);
-    THREAD_METHODS.with_borrow_mut(|local| local.catch_up(&process));
-    out
-}
-
-impl MethodId {
-    /// Interns `name`, returning its stable in-process handle. Repeated
-    /// calls with the same name, from any thread, return the same id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more than `u16::MAX` distinct method names are interned
-    /// (a deployment declares a handful).
-    pub fn intern(name: &str) -> Self {
-        if let Some(id) = THREAD_METHODS.with_borrow(|t| t.by_name.get(name).copied()) {
-            return Self(id);
-        }
-        Self(sync_methods(|process| {
-            if let Some(&id) = process.by_name.get(name) {
-                return id;
-            }
-            let id = u16::try_from(process.names.len()).expect("method table overflow");
-            let leaked: &'static str = Box::leak(name.to_owned().into_boxed_str());
-            process.names.push(leaked);
-            process.by_name.insert(leaked, id);
-            id
-        }))
-    }
-
-    /// The interned method name.
-    pub fn as_str(self) -> &'static str {
-        let index = self.0 as usize;
-        THREAD_METHODS
-            .with_borrow(|t| t.names.get(index).copied())
-            .unwrap_or_else(|| sync_methods(|process| process.names[index]))
-    }
-}
-
-impl fmt::Display for MethodId {
+impl fmt::Display for Method {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
-    }
-}
-
-impl PartialEq<str> for MethodId {
-    fn eq(&self, other: &str) -> bool {
-        self.as_str() == other
-    }
-}
-
-impl PartialEq<&str> for MethodId {
-    fn eq(&self, other: &&str) -> bool {
-        self.as_str() == *other
-    }
-}
-
-impl From<&str> for MethodId {
-    fn from(name: &str) -> Self {
-        Self::intern(name)
     }
 }
 
 /// An application-level invocation on the replicated object.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Operation {
-    /// Interned method name (classified by the read-only registry).
-    pub method: MethodId,
+    /// The method invoked.
+    pub method: Method,
     /// Opaque argument payload.
     pub payload: Bytes,
 }
 
 impl Operation {
-    /// Creates an operation, interning the method name.
-    pub fn new(method: impl AsRef<str>, payload: impl Into<Bytes>) -> Self {
+    /// Creates an operation.
+    pub fn new(method: Method, payload: impl Into<Bytes>) -> Self {
         Self {
-            method: MethodId::intern(method.as_ref()),
+            method,
             payload: payload.into(),
         }
     }
@@ -204,8 +152,8 @@ pub struct ReadRequest {
     /// as 0 on the wire rather than `u64::MAX` so the field stays small in
     /// the common case.
     pub deadline_us: u64,
-    /// Transmission attempt, starting at 1; retries and hedges of the same
-    /// `id` carry higher attempts (hedges reuse the current attempt).
+    /// Transmission attempt, starting at 1; retries of the same `id` carry
+    /// higher attempts.
     pub attempt: u32,
     /// What the client had observed when it issued the read (causal
     /// ordering; empty otherwise): the read must not be served from a state
@@ -434,41 +382,18 @@ mod tests {
 
     #[test]
     fn operation_constructor() {
-        let op = Operation::new("get", vec![1u8, 2]);
-        assert_eq!(op.method, "get");
+        let op = Operation::new(Method::Get, vec![1u8, 2]);
+        assert_eq!(op.method, Method::Get);
         assert_eq!(op.payload.as_ref(), &[1, 2]);
     }
 
     #[test]
-    fn method_interning_is_stable_and_copyable() {
-        let a = MethodId::intern("wire-test-method");
-        let b = MethodId::intern("wire-test-method");
-        assert_eq!(a, b, "same name interns to the same id");
-        assert_eq!(a.as_str(), "wire-test-method");
-        assert_eq!(a.to_string(), "wire-test-method");
-        let c = MethodId::intern("wire-test-other");
-        assert_ne!(a, c, "distinct names intern to distinct ids");
-        // A cloned operation shares the handle; no string is copied.
-        let op = Operation::new("wire-test-method", vec![9u8]);
-        let cloned = op.clone();
-        assert_eq!(cloned.method, op.method);
-        assert_eq!(cloned.method, "wire-test-method");
-    }
-
-    #[test]
-    fn method_ids_are_process_wide_across_threads() {
-        let name = "wire-test-cross-thread";
-        let id = std::thread::spawn(move || MethodId::intern(name))
-            .join()
-            .unwrap();
-        // A thread that never interned the name reads it back by id.
-        let read = std::thread::spawn(move || id.as_str()).join().unwrap();
-        assert_eq!(read, name);
-        // Re-interning on a third thread finds the same id.
-        let again = std::thread::spawn(move || MethodId::intern(name))
-            .join()
-            .unwrap();
-        assert_eq!(again, id);
-        assert_eq!(id.as_str(), name);
+    fn method_names_look_up_their_variant() {
+        for method in Method::ALL {
+            assert_eq!(Method::from_name(method.as_str()), Some(method));
+            assert_eq!(method.to_string(), method.as_str());
+        }
+        assert_eq!(Method::from_name("Get"), None);
+        assert_eq!(Method::from_name(""), None);
     }
 }

@@ -29,7 +29,7 @@
 
 use aqf_core::client::{ClientAction, ClientConfig, ClientGateway, RecoveryPolicy, TimerPurpose};
 use aqf_core::wire::{
-    Operation, Payload, PerfBroadcast, PublisherInfo, ReadMeasurement, Reply, RequestId,
+    Method, Operation, Payload, PerfBroadcast, PublisherInfo, ReadMeasurement, Reply, RequestId,
     PRIMARY_GROUP, SECONDARY_GROUP,
 };
 use aqf_core::{ObsHandle, OperationKind, OrderingGuarantee, QosSpec};
@@ -56,10 +56,10 @@ fn acts(c: &mut ClientGateway, call: Call, now: SimTime) -> (Option<RequestId>, 
     let mut out = Vec::new();
     let id = match call {
         Call::Read(qos) => {
-            Some(c.submit_read(Operation::new("get", Vec::new()), qos, now, &mut out))
+            Some(c.submit_read(Operation::new(Method::Get, Vec::new()), qos, now, &mut out))
         }
         Call::Update(n) => {
-            let op = Operation::new("set", format!("v{n}").into_bytes());
+            let op = Operation::new(Method::Set, format!("v{n}").into_bytes());
             Some(c.submit_update(op, now, &mut out))
         }
         Call::Timer(req, purpose, attempt) => {

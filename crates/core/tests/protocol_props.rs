@@ -11,8 +11,8 @@ use aqf_core::object::VersionedRegister;
 use aqf_core::protocol::{drive_service, ServerProtocol};
 use aqf_core::shell::{ServerAction, ServerConfig};
 use aqf_core::wire::{
-    CausalStamp, Operation, Payload, PerfBroadcast, ReadMeasurement, RequestId, UpdateRequest,
-    PRIMARY_GROUP, SECONDARY_GROUP,
+    CausalStamp, Method, Operation, Payload, PerfBroadcast, ReadMeasurement, RequestId,
+    UpdateRequest, PRIMARY_GROUP, SECONDARY_GROUP,
 };
 use aqf_core::{
     CausalServerGateway, ClientAction, ClientConfig, ClientGateway, FifoServerGateway,
@@ -62,7 +62,7 @@ fn update_payload(i: u64, attempt: u32) -> Payload {
             client: a(20),
             seq: i,
         },
-        op: Operation::new("set", format!("v{i}").into_bytes()),
+        op: Operation::new(Method::Set, format!("v{i}").into_bytes()),
         attempt,
     };
     Payload::Update(update, None)
@@ -338,7 +338,7 @@ fn assert_disabled_layers_inert(ordering: OrderingGuarantee, seed: u64, steps: u
 }
 
 fn get_op() -> Operation {
-    Operation::new("get", Vec::new())
+    Operation::new(Method::Get, Vec::new())
 }
 
 proptest! {
@@ -844,7 +844,7 @@ fn warm_read_evaluates_only_the_replicas_it_visits() {
     let secondaries = View::new(SECONDARY_GROUP, ViewId(0), (10..16).map(a).collect());
     let mut c = ClientGateway::new(a(20), primaries, secondaries, ClientConfig::default());
     let qos = QosSpec::new(2, SimDuration::from_millis(200), 0.9).unwrap();
-    let get = || Operation::new("get", Vec::new());
+    let get = || Operation::new(Method::Get, Vec::new());
     let perf = |ts_us: u64| {
         let read = Some(ReadMeasurement {
             ts_us,

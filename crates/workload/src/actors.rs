@@ -6,8 +6,8 @@ use aqf_core::protocol::ServerProtocol;
 use aqf_core::shell::ServerAction;
 use aqf_core::wire::RequestId;
 use aqf_core::{
-    AccountBook, Operation, Payload, QosSpec, ReplicatedObject, ResponseInfo, SharedDocument,
-    TickerBoard, VersionedRegister, PRIMARY_GROUP, SECONDARY_GROUP,
+    AccountBook, Method, Operation, Payload, QosSpec, ReplicatedObject, ResponseInfo,
+    SharedDocument, TickerBoard, VersionedRegister, PRIMARY_GROUP, SECONDARY_GROUP,
 };
 use aqf_group::{Envelope, GroupEndpoint, GroupEvent, GroupId};
 use aqf_sim::{Actor, ActorId, Context, DelayModel, FastMap, SimDuration, SimTime, Timer, TimerId};
@@ -46,20 +46,20 @@ impl ObjectKind {
     pub fn write_op(self, client: u64, seq: u64) -> Operation {
         match self {
             ObjectKind::Register => {
-                Operation::new("set", format!("value-{client}-{seq}").into_bytes())
+                Operation::new(Method::Set, format!("value-{client}-{seq}").into_bytes())
             }
             ObjectKind::Document => {
-                Operation::new("append", format!("line {client}-{seq}").into_bytes())
+                Operation::new(Method::Append, format!("line {client}-{seq}").into_bytes())
             }
             ObjectKind::Ticker => {
-                Operation::new("quote", TickerBoard::encode_quote("ACME", 1000 + seq))
+                Operation::new(Method::Quote, TickerBoard::encode_quote("ACME", 1000 + seq))
             }
             ObjectKind::Bank => {
                 let account = format!("acct-{client}");
                 if seq % 3 == 2 {
-                    Operation::new("withdraw", AccountBook::encode_tx(&account, 40))
+                    Operation::new(Method::Withdraw, AccountBook::encode_tx(&account, 40))
                 } else {
-                    Operation::new("deposit", AccountBook::encode_tx(&account, 100))
+                    Operation::new(Method::Deposit, AccountBook::encode_tx(&account, 100))
                 }
             }
         }
@@ -68,10 +68,12 @@ impl ObjectKind {
     /// Builds a read operation of client `client` for this kind.
     pub fn read_op(self, client: u64) -> Operation {
         match self {
-            ObjectKind::Register => Operation::new("get", Vec::new()),
-            ObjectKind::Document => Operation::new("fetch", Vec::new()),
-            ObjectKind::Ticker => Operation::new("price", b"ACME".to_vec()),
-            ObjectKind::Bank => Operation::new("balance", format!("acct-{client}").into_bytes()),
+            ObjectKind::Register => Operation::new(Method::Get, Vec::new()),
+            ObjectKind::Document => Operation::new(Method::Fetch, Vec::new()),
+            ObjectKind::Ticker => Operation::new(Method::Price, b"ACME".to_vec()),
+            ObjectKind::Bank => {
+                Operation::new(Method::Balance, format!("acct-{client}").into_bytes())
+            }
         }
     }
 }
