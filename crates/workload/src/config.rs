@@ -452,8 +452,10 @@ impl ScenarioConfig {
                 ));
             }
             match f.kind {
-                FaultKind::Degrade { factor } if factor < 1.0 => {
-                    return Err("degrade factor must be >= 1".into());
+                // NaN fails every comparison, and an infinite factor
+                // saturates every delay to or from the target for ever.
+                FaultKind::Degrade { factor } if !(factor.is_finite() && factor >= 1.0) => {
+                    return Err("degrade factor must be finite and >= 1".into());
                 }
                 FaultKind::Lossy { p } if !(0.0..=1.0).contains(&p) => {
                     return Err("lossy probability must be in [0, 1]".into());
@@ -521,6 +523,21 @@ mod tests {
             kind: FaultKind::Crash,
         });
         assert!(c.validate().is_err());
+
+        for (factor, valid) in [
+            (5.0, true),
+            (0.5, false),
+            (f64::NAN, false),
+            (f64::INFINITY, false),
+        ] {
+            let mut c = ScenarioConfig::paper_validation(200, 0.9, 4, 1);
+            c.faults.push(FaultEvent {
+                at: SimTime::from_secs(1),
+                target: FaultTarget::Primary(0),
+                kind: FaultKind::Degrade { factor },
+            });
+            assert_eq!(c.validate().is_ok(), valid, "degrade factor {factor}");
+        }
 
         // Every replica belongs to exactly one group, and the secondary
         // view cannot be empty.

@@ -400,6 +400,27 @@ mod tests {
         assert_eq!(config_to_json(&back), moved);
     }
 
+    /// A factor too large for an `f64` parses to infinity; validation, not
+    /// the parser, turns it away, before a run wedges on it.
+    #[test]
+    fn overflowing_degrade_factor_fails_validation() {
+        let mut config = ScenarioConfig::paper_validation(200, 0.9, 2, 7);
+        config.faults = vec![FaultEvent {
+            at: SimTime::from_secs(10),
+            target: FaultTarget::Primary(0),
+            kind: FaultKind::Degrade { factor: 5.0 },
+        }];
+        let text = config_to_json(&config);
+        assert!(text.contains("\"factor\":5"), "{text}");
+        let huge = text.replacen("\"factor\":5", "\"factor\":1e999", 1);
+        let parsed = config_from_json(&huge).expect("an overflowing number still parses");
+        assert!(matches!(
+            parsed.faults[0].kind,
+            FaultKind::Degrade { factor } if factor == f64::INFINITY
+        ));
+        assert!(parsed.validate().is_err());
+    }
+
     #[test]
     fn rejects_malformed_documents() {
         assert!(config_from_json("{}").is_err());
