@@ -11,7 +11,6 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc;
-use std::sync::Mutex;
 
 /// Runs `job` over `inputs` on at most `available_parallelism` worker
 /// threads and returns the outputs in input order.
@@ -20,6 +19,10 @@ use std::sync::Mutex;
 ///
 /// Propagates a panic from any `job` invocation (like `join` on a
 /// spawned thread would).
+// The one lock in the workspace: the workers share the queue of grid
+// points, and each runs whole scenarios of its own, so no simulation state
+// crosses threads.
+#[allow(clippy::disallowed_types)]
 pub fn map_bounded<I, O, F>(inputs: Vec<I>, job: F) -> Vec<O>
 where
     I: Send,
@@ -34,7 +37,7 @@ where
         .map(|p| p.get())
         .unwrap_or(4)
         .min(n);
-    let queue = Mutex::new(inputs.into_iter().enumerate());
+    let queue = std::sync::Mutex::new(inputs.into_iter().enumerate());
     type Outcome<O> = Result<O, Box<dyn std::any::Any + Send>>;
     let (tx, rx) = mpsc::channel::<(usize, Outcome<O>)>();
     std::thread::scope(|s| {
