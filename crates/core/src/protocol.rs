@@ -69,11 +69,6 @@ pub trait ServerProtocol {
     /// bookkeeping to the clients, and re-arm.
     fn on_lazy_timer(&mut self, now: SimTime, out: &mut Vec<ServerAction>);
 
-    /// Called when the watchdog timer armed by
-    /// [`ServerAction::ArmWatchdog`] elapses: expire whatever round is
-    /// overdue (re-query, reopen, give up) and re-arm while one stays open.
-    fn on_watchdog(&mut self, now: SimTime, out: &mut Vec<ServerAction>);
-
     /// Called on every installed or observed view change. The view is
     /// shared with the group layer's own copy (and every other observer
     /// of the same announce round); implementations store the `Rc`

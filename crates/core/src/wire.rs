@@ -329,21 +329,6 @@ pub enum Payload {
         /// commit order.
         ops: Vec<(u64, UpdateRequest)>,
     },
-    /// Sequencer -> secondary replicas: freshness probe opening a
-    /// primary-group replenishment round.
-    PromoteQuery,
-    /// Secondary replica -> sequencer: freshness report answering a
-    /// [`Payload::PromoteQuery`].
-    PromoteReport {
-        /// The secondary's commit sequence number (snapshot version).
-        csn: u64,
-        /// Highest global sequence number the secondary has observed.
-        gsn: u64,
-    },
-    /// Sequencer -> the chosen secondary: promotion into the primary
-    /// group. The promotee joins the primary group, leaves the secondary
-    /// group, and state-transfers from a current primary.
-    Promote,
 }
 
 impl Payload {
