@@ -19,9 +19,23 @@
 //! `aqf_core (doc)`). A binary one side lacks is `null` there. A change
 //! that times the suite appends one such line. The change's median must
 //! stay within [`TIER1_BUDGET_S`].
+//!
+//! A third kind, marked by its `anchor` key (a fixed old commit), holds
+//! [`ANCHOR_PAIRS`] alternating runs of that commit and of the change's
+//! head on every workload, for one higher-is-better end-to-end metric:
+//! same-day pairs against one fixed point, so a slow drift across changes
+//! shows where each line's own parent hides it. The medians and the
+//! anchor's quartiles are recomputed from the runs. A head whose median
+//! falls below the anchor's by more than the anchor runs' interquartile
+//! distance must name the PR that paid for the loss (`paid_by`, after the
+//! anchor's PR); a line names no payer for a loss it does not show.
 
 use aqf_obs::json::{parse_json, write_object, Fields, Json, ObjWriter};
 use std::path::Path;
+
+/// How many alternating anchor/head pairs an anchor line holds per
+/// workload.
+const ANCHOR_PAIRS: usize = 10;
 
 /// The tier-1 suite's time budget: at most this many seconds of wall time
 /// (`change_s`) on a 2-core machine, the test build done.
@@ -304,20 +318,224 @@ impl Tier1 {
     }
 }
 
-/// One line of the trajectory, of either kind.
+/// An anchor line: the head against a fixed old commit.
+struct Anchor {
+    pr: u64,
+    anchor: String,
+    anchor_pr: u64,
+    head: String,
+    window_s: u64,
+    seeds: String,
+    source: String,
+    metric: String,
+    workloads: Vec<AnchorRuns>,
+}
+
+/// One workload's runs, `anchor_runs[i]` and `head_runs[i]` the i-th pair.
+struct AnchorRuns {
+    workload: String,
+    anchor_runs: Vec<u64>,
+    head_runs: Vec<u64>,
+    anchor_median: f64,
+    anchor_q1: f64,
+    anchor_q3: f64,
+    head_median: f64,
+    paid_by: Option<u64>,
+}
+
+/// The median of `runs`, and the medians of its lower and upper halves.
+fn quartiles(runs: &[u64]) -> (f64, f64, f64) {
+    fn median(sorted: &[u64]) -> f64 {
+        let n = sorted.len();
+        if n == 0 {
+            return f64::NAN;
+        }
+        (sorted[(n - 1) / 2] as f64 + sorted[n / 2] as f64) / 2.0
+    }
+    let mut sorted = runs.to_vec();
+    sorted.sort_unstable();
+    let half = sorted.len() / 2;
+    (
+        median(&sorted[..half]),
+        median(&sorted),
+        median(&sorted[sorted.len() - half..]),
+    )
+}
+
+impl AnchorRuns {
+    /// Runs whose summaries are recomputed from them.
+    fn new(workload: &str, anchor_runs: Vec<u64>, head_runs: Vec<u64>) -> Self {
+        let (anchor_q1, anchor_median, anchor_q3) = quartiles(&anchor_runs);
+        AnchorRuns {
+            workload: workload.to_string(),
+            head_median: quartiles(&head_runs).1,
+            anchor_runs,
+            head_runs,
+            anchor_median,
+            anchor_q1,
+            anchor_q3,
+            paid_by: None,
+        }
+    }
+
+    /// Whether the head's median is below the anchor's by more than the
+    /// anchor runs' interquartile distance.
+    fn below_anchor(&self) -> bool {
+        self.anchor_median - self.head_median > self.anchor_q3 - self.anchor_q1
+    }
+}
+
+impl Anchor {
+    fn from_json(v: &Json) -> Result<Self, String> {
+        let f = Fields::of(v)?;
+        let workloads = objects(f, "workloads")?
+            .into_iter()
+            .map(|w| {
+                Ok(AnchorRuns {
+                    workload: w.str("workload")?.to_string(),
+                    anchor_runs: w.u64s("anchor_runs")?,
+                    head_runs: w.u64s("head_runs")?,
+                    anchor_median: w.f64("anchor_median")?,
+                    anchor_q1: w.f64("anchor_q1")?,
+                    anchor_q3: w.f64("anchor_q3")?,
+                    head_median: w.f64("head_median")?,
+                    paid_by: nullable(w, "paid_by", Fields::uint)?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Anchor {
+            pr: f.uint("pr")?,
+            anchor: f.str("anchor")?.to_string(),
+            anchor_pr: f.uint("anchor_pr")?,
+            head: f.str("head")?.to_string(),
+            window_s: f.uint("window_s")?,
+            seeds: f.str("seeds")?.to_string(),
+            source: f.str("source")?.to_string(),
+            metric: f.str("metric")?.to_string(),
+            workloads,
+        })
+    }
+
+    fn render(&self) -> String {
+        let mut out = String::new();
+        write_object(&mut out, |o| {
+            o.u64("pr", self.pr);
+            o.str("anchor", &self.anchor);
+            o.u64("anchor_pr", self.anchor_pr);
+            o.str("head", &self.head);
+            o.u64("window_s", self.window_s);
+            o.str("seeds", &self.seeds);
+            o.str("source", &self.source);
+            o.str("metric", &self.metric);
+            o.objs("workloads", &self.workloads, |w, o| {
+                o.str("workload", &w.workload);
+                o.u64s("anchor_runs", w.anchor_runs.iter().copied());
+                o.u64s("head_runs", w.head_runs.iter().copied());
+                o.f64("anchor_median", w.anchor_median);
+                o.f64("anchor_q1", w.anchor_q1);
+                o.f64("anchor_q3", w.anchor_q3);
+                o.f64("head_median", w.head_median);
+                match w.paid_by {
+                    Some(pr) => o.u64("paid_by", pr),
+                    None => o.null("paid_by"),
+                }
+            });
+        });
+        out
+    }
+
+    /// Every fault of this line, each prefixed with `at`. `workloads` and
+    /// `higher_better` are what `BENCHMARK.json` declares.
+    fn faults(&self, at: &str, workloads: &[String], higher_better: &[String]) -> Vec<String> {
+        let mut faults = Vec::new();
+        if !higher_better.contains(&self.metric) {
+            faults.push(format!(
+                "{at}: {} is not a higher-is-better end-to-end metric",
+                self.metric
+            ));
+        }
+        if self.anchor_pr >= self.pr {
+            faults.push(format!("{at}: the anchor must be older than the line"));
+        }
+        let named: Vec<&str> = self.workloads.iter().map(|w| w.workload.as_str()).collect();
+        let mut sorted = named.clone();
+        sorted.sort_unstable();
+        let mut declared: Vec<&str> = workloads.iter().map(String::as_str).collect();
+        declared.sort_unstable();
+        if sorted != declared {
+            faults.push(format!(
+                "{at}: needs every workload once, has {named:?} for {declared:?}"
+            ));
+        }
+        for w in &self.workloads {
+            let at = format!("{at}, {}", w.workload);
+            if w.anchor_runs.len() != ANCHOR_PAIRS || w.head_runs.len() != ANCHOR_PAIRS {
+                faults.push(format!(
+                    "{at}: needs {ANCHOR_PAIRS} pairs, has {} anchor and {} head runs",
+                    w.anchor_runs.len(),
+                    w.head_runs.len()
+                ));
+            }
+            let recomputed =
+                AnchorRuns::new(&w.workload, w.anchor_runs.clone(), w.head_runs.clone());
+            let summaries =
+                |r: &AnchorRuns| (r.anchor_median, r.anchor_q1, r.anchor_q3, r.head_median);
+            if summaries(w) != summaries(&recomputed) {
+                faults.push(format!(
+                    "{at}: medians and quartiles are not those recomputed from the runs, {:?}",
+                    summaries(&recomputed)
+                ));
+            }
+            match (w.below_anchor(), w.paid_by) {
+                (true, None) => faults.push(format!(
+                    "{at}: the head is below the anchor by more than the anchor's \
+                     interquartile distance and names no PR that paid for it"
+                )),
+                (false, Some(pr)) => faults.push(format!(
+                    "{at}: names PR {pr} as payer for a loss the runs do not show"
+                )),
+                (true, Some(pr)) if pr <= self.anchor_pr || pr > self.pr => faults.push(format!(
+                    "{at}: the payer, PR {pr}, must come after the anchor and by this line"
+                )),
+                _ => {}
+            }
+        }
+        faults
+    }
+}
+
+/// One line of the trajectory, of any kind.
 enum Line {
     Pairs(Entry),
     Tier1(Tier1),
+    Anchor(Anchor),
 }
 
 impl Line {
     fn from_json(v: &Json) -> Result<Self, String> {
-        if Fields::of(v)?.0.contains_key("tier1") {
+        let keys = Fields::of(v)?.0;
+        if keys.contains_key("tier1") {
             Tier1::from_json(v).map(Line::Tier1)
+        } else if keys.contains_key("anchor") {
+            Anchor::from_json(v).map(Line::Anchor)
         } else {
             Entry::from_json(v).map(Line::Pairs)
         }
     }
+}
+
+/// The end-to-end metrics `BENCHMARK.json` declares higher-is-better.
+fn higher_better(bench: &Json) -> Vec<String> {
+    let f = Fields::of(bench).expect("BENCHMARK.json is an object");
+    f.arr("end_to_end")
+        .unwrap_or_else(|e| panic!("BENCHMARK.json: {e}"))
+        .iter()
+        .filter_map(|v| {
+            let item = Fields::of(v).ok()?;
+            (item.str("better").ok()? == "higher").then(|| item.str("name").ok())?
+        })
+        .map(str::to_string)
+        .collect()
 }
 
 /// Every fault the trajectory can have, one message per fault.
@@ -325,13 +543,26 @@ fn check(trajectory: &str, bench: &Json) -> Vec<String> {
     let workloads = declared(bench, "workloads");
     let end_to_end = declared(bench, "end_to_end");
     let per_layer = declared(bench, "per_layer");
+    let higher_better = higher_better(bench);
     let mut faults = Vec::new();
     // The last PR number of any line, and of each kind of line.
-    let (mut last_pr, mut last_pairs, mut last_tier1) = (0, 0, 0);
+    let (mut last_pr, mut last_pairs, mut last_tier1, mut last_anchor) = (0, 0, 0, 0);
     for (n, line) in trajectory.lines().enumerate() {
         let n = n + 1;
         let entry = match parse_json(line).and_then(|v| Line::from_json(&v)) {
             Ok(Line::Pairs(e)) => e,
+            Ok(Line::Anchor(a)) => {
+                let at = format!("line {n} (PR {}, anchor)", a.pr);
+                if a.render() != line {
+                    faults.push(format!("{at}: does not re-render byte for byte"));
+                }
+                if a.pr < last_pr || a.pr <= last_anchor {
+                    faults.push(format!("{at}: PR numbers must strictly increase"));
+                }
+                (last_pr, last_anchor) = (a.pr, a.pr);
+                faults.extend(a.faults(&at, &workloads, &higher_better));
+                continue;
+            }
             Ok(Line::Tier1(t)) => {
                 let at = format!("line {n} (PR {}, tier 1)", t.pr);
                 if t.render() != line {
@@ -479,4 +710,112 @@ fn checker_rejects_each_kind_of_tier1_fault() {
             "expected a fault naming {why:?}, got {faults:?}"
         );
     }
+}
+
+/// A well-formed anchor line over `bench`'s workloads: each head run 1 %
+/// below its anchor run, well inside the anchor runs' spread.
+fn good_anchor(bench: &Json) -> Anchor {
+    let workloads = declared(bench, "workloads")
+        .iter()
+        .map(|w| {
+            let anchor: Vec<u64> = (0..ANCHOR_PAIRS as u64).map(|i| 1000 + 10 * i).collect();
+            let head = anchor.iter().map(|a| a - 10).collect();
+            AnchorRuns::new(w, anchor, head)
+        })
+        .collect();
+    Anchor {
+        pr: 3,
+        anchor: "a".to_string(),
+        anchor_pr: 1,
+        head: "h".to_string(),
+        window_s: 20,
+        seeds: "1-10".to_string(),
+        source: "s".to_string(),
+        metric: "sim_requests_per_s".to_string(),
+        workloads,
+    }
+}
+
+#[test]
+fn anchor_quartiles_are_the_medians_of_the_halves() {
+    let runs = [7, 1, 9, 3, 5, 2, 8, 4, 10, 6];
+    assert_eq!(quartiles(&runs), (3.0, 5.5, 8.0));
+    assert_eq!(quartiles(&[4, 1, 3, 2, 5]), (1.5, 3.0, 4.5));
+}
+
+/// One way to spoil an anchor line.
+type Edit = fn(&mut Anchor);
+
+#[test]
+fn checker_rejects_each_kind_of_anchor_fault() {
+    let bench = benchmark_json();
+    let good = good_anchor(&bench);
+    assert!(
+        check(&good.render(), &bench).is_empty(),
+        "{:?}",
+        check(&good.render(), &bench)
+    );
+    // A loss beyond the spread is accepted once a later PR pays for it.
+    let mut paid = good_anchor(&bench);
+    paid.workloads[2] = AnchorRuns::new(
+        &paid.workloads[2].workload,
+        paid.workloads[2].anchor_runs.clone(),
+        paid.workloads[2]
+            .anchor_runs
+            .iter()
+            .map(|a| a - 100)
+            .collect(),
+    );
+    paid.workloads[2].paid_by = Some(2);
+    assert!(
+        check(&paid.render(), &bench).is_empty(),
+        "{:?}",
+        check(&paid.render(), &bench)
+    );
+    let edits: [(&str, Edit); 8] = [
+        ("10 pairs", |a| {
+            a.workloads[0].anchor_runs.pop();
+            a.workloads[0].head_runs.pop();
+            let w = &a.workloads[0];
+            a.workloads[0] =
+                AnchorRuns::new(&w.workload, w.anchor_runs.clone(), w.head_runs.clone());
+        }),
+        ("every workload", |a| {
+            a.workloads.pop();
+        }),
+        ("every workload", |a| {
+            a.workloads[1].workload = a.workloads[0].workload.clone()
+        }),
+        ("recomputed", |a| a.workloads[0].head_median += 1.0),
+        ("recomputed", |a| a.workloads[0].anchor_q3 -= 1.0),
+        ("names no PR", |a| {
+            let w = &a.workloads[0];
+            let head = w.anchor_runs.iter().map(|r| r - 100).collect();
+            a.workloads[0] = AnchorRuns::new(&w.workload, w.anchor_runs.clone(), head);
+        }),
+        ("do not show", |a| a.workloads[0].paid_by = Some(2)),
+        ("higher-is-better", |a| a.metric = "setup_s".to_string()),
+    ];
+    for (why, edit) in edits {
+        let mut bad = good_anchor(&bench);
+        edit(&mut bad);
+        let faults = check(&bad.render(), &bench);
+        assert!(
+            faults.iter().any(|f| f.contains(why)),
+            "expected a fault naming {why:?}, got {faults:?}"
+        );
+    }
+    let mut early = paid;
+    early.workloads[2].paid_by = Some(1);
+    let faults = check(&early.render(), &bench);
+    assert!(
+        faults.iter().any(|f| f.contains("after the anchor")),
+        "{faults:?}"
+    );
+    let twice = format!("{}\n{}", good.render(), good.render());
+    let faults = check(&twice, &bench);
+    assert!(
+        faults.iter().any(|f| f.contains("strictly increase")),
+        "{faults:?}"
+    );
 }
