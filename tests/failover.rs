@@ -429,9 +429,10 @@ fn leader_restart_digests_unchanged() {
 /// and causal's were re-recorded when a restarted leader stopped asking
 /// itself for its state, all six when it started rejoining as the most
 /// junior member, sequential's when the takeover became the view change's
-/// flush, and FIFO's and causal's when every departure was flushed.
+/// flush, FIFO's and causal's when every departure was flushed, and
+/// sequential's when the takeover window stopped counting idle time.
 const LEADER_RESTART_DIGESTS: [[u64; 2]; 3] = [
-    [0xd305_a6e5_86f0_bb42, 0xded6_6586_0674_dc13],
+    [0xe6c3_62e4_6d93_1255, 0x75ac_28fb_b1a6_81d0],
     [0x1719_09d3_7bee_5a2e, 0x582b_7866_76ee_0e6e],
     [0xc79e_2b02_47a1_dfec, 0xf679_918e_8846_a321],
 ];
