@@ -296,8 +296,9 @@ pub struct ScenarioConfig {
     pub group_tick: SimDuration,
     /// Group-layer failure timeout.
     pub failure_timeout: SimDuration,
-    /// If positive, the sequencer promotes the freshest secondary whenever
-    /// the primary view shrinks below this size (0 disables replenishment).
+    /// If positive, the most senior secondary outside the primary view
+    /// promotes itself whenever the primary view is shorter than this
+    /// (0 disables replenishment; sequential ordering only).
     pub min_primary_size: usize,
     /// The hosted object.
     pub object: ObjectKind,
