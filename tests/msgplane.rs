@@ -149,14 +149,16 @@ const EVENTS: [(usize, bool, u64); 6] = [
 // --- ranked members by admission, once when every departure was
 // --- flushed, once when a commit stall stopped counting idle time, and
 // --- once when the staleness estimator began choosing itself from the
-// --- observed dispersion) ---
+// --- observed dispersion, and the three churn digests and the 64-actor one
+// --- once when `GroupStats::merges` began counting every admission on a
+// --- knock) ---
 
-const GOLDEN_64ACTOR_FAULTY_DIGEST: u64 = 0x8659_6ad5_b947_b294;
+const GOLDEN_64ACTOR_FAULTY_DIGEST: u64 = 0x33be_aafc_df27_0e8b;
 
 const CHURN_DIGESTS: [(u64, u64); 3] = [
-    (17, 0xa6a8_4f2e_8d37_d337),
-    (29, 0xa3d4_c905_a94e_4487),
-    (43, 0x6130_71b5_5a69_3f57),
+    (17, 0xa795_f781_fe81_f5f3),
+    (29, 0x3fdf_8e3e_8d6f_f3af),
+    (43, 0xb84c_8acd_3a73_4917),
 ];
 
 const MULTICAST_DIGESTS: [(u64, u64); 2] =
