@@ -286,6 +286,17 @@ impl Sequential {
         match self.read_snapshot_gsn.remove(&pending.req.id) {
             Some(gsn) => self.admit_read(shell, pending, gsn, now, out),
             None => {
+                if pending.req.attempt > 1 {
+                    // A retry: the client's copy to the sequencer may be
+                    // lost again, as its earlier ones may have been. Ask
+                    // the sequencer too.
+                    out.push(ServerAction::SendDirect {
+                        to: shell.primary_view.leader(),
+                        payload: Payload::GsnRequest {
+                            req: pending.req.id,
+                        },
+                    });
+                }
                 self.start_waiting(now);
                 self.pending_reads.insert(pending.req.id, pending);
             }
@@ -1326,6 +1337,21 @@ mod tests {
             x,
             ServerAction::SendDirect { to, payload: Payload::GsnRequest { .. } } if *to == a(1)
         )));
+    }
+
+    #[test]
+    fn a_retried_read_without_its_snapshot_asks_the_sequencer() {
+        let asks = |attempt| {
+            let mut p = gw(2);
+            let retry = read(0, 0).with_attempt(attempt);
+            let actions = sink(|out| p.on_payload(a(20), retry, t(0), out));
+            actions.iter().any(|x| {
+                matches!(x, ServerAction::SendDirect { to, payload: Payload::GsnRequest { .. } }
+                    if *to == a(0))
+            })
+        };
+        assert!(!asks(1), "a first attempt asked the sequencer");
+        assert!(asks(2));
     }
 
     #[test]
