@@ -186,4 +186,4 @@ fn captured_history_is_pinned() {
     assert_eq!(d.value(), HISTORY_HASH, "captured history moved");
 }
 
-const HISTORY_HASH: u64 = 0x08ba_ca60_cbb4_23c4;
+const HISTORY_HASH: u64 = 0xeb66_81e3_507a_c801;
